@@ -43,8 +43,7 @@ def _records_sans_cost(summary):
 def test_preservation_gate(gate_metrics, report):
     """Gate: >=95% of designs preserve Sigma; clean round-trips."""
     start = time.perf_counter()
-    summary = sweep_normalize(SWEEP, seed=SEED, strategy="dense",
-                              mode="session")
+    summary = sweep_normalize(SWEEP, seed=SEED, mode="session")
     elapsed = time.perf_counter() - start
 
     gauges = gate_metrics
@@ -77,10 +76,8 @@ def test_preservation_gate(gate_metrics, report):
 
 def test_synthesis_session_gate(gate_metrics, report):
     """Gate: >=2x fewer rule applications than fresh engines."""
-    session_summary = sweep_normalize(SWEEP, seed=SEED,
-                                      strategy="dense", mode="session")
-    fresh_summary = sweep_normalize(SWEEP, seed=SEED,
-                                    strategy="dense", mode="fresh")
+    session_summary = sweep_normalize(SWEEP, seed=SEED, mode="session")
+    fresh_summary = sweep_normalize(SWEEP, seed=SEED, mode="fresh")
     assert _records_sans_cost(session_summary) == \
         _records_sans_cost(fresh_summary), \
         "session and fresh modes disagree on a design"
@@ -108,8 +105,7 @@ def test_session_sweep(benchmark):
     benchmark.group = "normalization sweep"
 
     def run():
-        return sweep_normalize(20, seed=SEED, strategy="dense",
-                               mode="session")
+        return sweep_normalize(20, seed=SEED, mode="session")
 
     summary = benchmark(run)
     assert summary.count == 20
@@ -119,8 +115,7 @@ def test_fresh_sweep(benchmark):
     benchmark.group = "normalization sweep"
 
     def run():
-        return sweep_normalize(20, seed=SEED, strategy="dense",
-                               mode="fresh")
+        return sweep_normalize(20, seed=SEED, mode="fresh")
 
     summary = benchmark(run)
     assert summary.count == 20

@@ -30,27 +30,18 @@ from ..types.schema import Schema
 
 __all__ = ["covers", "is_redundant", "non_redundant", "minimal_cover"]
 
-#: The saturation strategy self-built cover sessions use — the dense
-#: bitset kernel, like the key sweeps (see ``analysis/keys.py``).  A
-#: supplied session keeps its own strategy.
-_COVER_STRATEGY = "dense"
-
-
 def covers(schema: Schema, sigma: Iterable[NFD],
            others: Iterable[NFD],
-           nonempty: NonEmptySpec | None = None, *,
-           strategy: str | None = None) -> bool:
+           nonempty: NonEmptySpec | None = None) -> bool:
     """True iff *sigma* implies every member of *others* (answered as
     one subset-ordered closure batch)."""
-    session = ImplicationSession(
-        schema, list(sigma), nonempty,
-        strategy=strategy if strategy is not None else _COVER_STRATEGY)
+    session = ImplicationSession(schema, list(sigma), nonempty)
     return session.implies_all(others)
 
 
 def is_redundant(schema: Schema, sigma: list[NFD], index: int,
                  nonempty: NonEmptySpec | None = None,
-                 engine=None, *, strategy: str | None = None) -> bool:
+                 engine=None) -> bool:
     """Is ``sigma[index]`` implied by the other members?
 
     Pass the *engine* (a :class:`~repro.inference.closure.ClosureEngine`
@@ -59,16 +50,12 @@ def is_redundant(schema: Schema, sigma: list[NFD], index: int,
     Sigma pool via ``without`` instead of rebuilding it each time.
     """
     if engine is None:
-        engine = ImplicationSession(
-            schema, list(sigma), nonempty,
-            strategy=strategy if strategy is not None
-            else _COVER_STRATEGY)
+        engine = ImplicationSession(schema, list(sigma), nonempty)
     return engine.without(index).implies(sigma[index])
 
 
 def non_redundant(schema: Schema, sigma: Iterable[NFD],
                   nonempty: NonEmptySpec | None = None, *,
-                  strategy: str | None = None,
                   session: ImplicationSession | None = None) -> list[NFD]:
     """A non-redundant subset equivalent to *sigma*.
 
@@ -83,10 +70,7 @@ def non_redundant(schema: Schema, sigma: Iterable[NFD],
     if not remaining:
         return remaining
     if session is None:
-        session = ImplicationSession(
-            schema, remaining, nonempty,
-            strategy=strategy if strategy is not None
-            else _COVER_STRATEGY)
+        session = ImplicationSession(schema, remaining, nonempty)
     tracer = session.tracer
     if tracer is not None:
         with tracer.span("analysis.non_redundant",
@@ -143,7 +127,6 @@ def _shrink_lhs(session: ImplicationSession, sigma: list[NFD],
 
 def minimal_cover(schema: Schema, sigma: Iterable[NFD],
                   nonempty: NonEmptySpec | None = None, *,
-                  strategy: str | None = None,
                   session: ImplicationSession | None = None) -> list[NFD]:
     """A minimal cover: shrunken LHSs, then no redundant members.
 
@@ -155,10 +138,7 @@ def minimal_cover(schema: Schema, sigma: Iterable[NFD],
     """
     working = list(sigma)
     if session is None:
-        session = ImplicationSession(
-            schema, working, nonempty,
-            strategy=strategy if strategy is not None
-            else _COVER_STRATEGY)
+        session = ImplicationSession(schema, working, nonempty)
     tracer = session.tracer
     if tracer is None:
         for index in range(len(working)):

@@ -32,13 +32,6 @@ from ..types.schema import Schema
 
 __all__ = ["minimal_keys", "is_key", "key_nfds", "local_minimal_keys"]
 
-#: The saturation strategy self-built sweep sessions use.  The dense
-#: bitset kernel wins on every sweep-shaped stream (see
-#: ``benchmarks/bench_closure_kernel.py``); pass ``strategy=`` to
-#: override, or hand in an *engine* whose strategy is authoritative.
-_SWEEP_STRATEGY = "dense"
-
-
 def _closure_batch(working, queries):
     """Answer a batch of closure queries through the best API *working*
     offers: :meth:`ImplicationSession.closure_batch`, then
@@ -99,7 +92,7 @@ def is_key(engine, base: Path, candidate: Iterable[Path]) -> bool:
 
 def minimal_keys(schema: Schema, sigma: Iterable[NFD], relation: str,
                  engine=None, *, nonempty: NonEmptySpec | None = None,
-                 jobs: int = 1, strategy: str | None = None,
+                 jobs: int = 1,
                  cache_dir: str | None = None) -> list[frozenset[Path]]:
     """All minimal keys of *relation* over its top-level attributes.
 
@@ -109,38 +102,33 @@ def minimal_keys(schema: Schema, sigma: Iterable[NFD], relation: str,
     across processes, and *cache_dir* (parallel sweeps only — a shared
     *engine* carries its own store) lets each worker answer from the
     persistent closure memo, opened read-only once per process.
-    *strategy* picks the saturation strategy of self-built sessions
-    (default: the dense bitset kernel); a supplied *engine* keeps its
-    own.
     """
     return local_minimal_keys(schema, sigma, Path((relation,)), engine,
                               nonempty=nonempty, jobs=jobs,
-                              strategy=strategy, cache_dir=cache_dir)
+                              cache_dir=cache_dir)
 
 
 def _keys_setup(payload):
     """Worker initializer: rebuild the session from pickle-safe texts,
     and pre-open the persistent cache store — read-only, once per
     process — so every probe in this worker answers warm closure
-    queries from the memo instead of saturating.  Dense sweeps ship
-    the driver's compiled :class:`~repro.inference.dense.DenseTables`
-    in the payload, so workers adopt them instead of recompiling the
+    queries from the memo instead of saturating.  Sweeps ship the
+    parent process's compiled
+    :class:`~repro.inference.dense.DenseTables` in the payload, so workers adopt them instead of recompiling the
     interned universe per process."""
     from ..inference.closure import ClosureEngine
     from ..io.json_io import load_bundle
     from ..parallel import spec_from_payload
 
-    (bundle_text, spec_data, base_text, cache_dir, strategy,
+    (bundle_text, spec_data, base_text, cache_dir,
      dense_tables) = payload
     schema, sigma, _ = load_bundle(bundle_text)
     store = None
     if cache_dir is not None:
         from ..store.cache_store import CacheStore
         store = CacheStore(cache_dir, read_only=True)
-    engine = ClosureEngine(schema, sigma, spec_from_payload(spec_data),
-                           strategy=strategy)
-    if dense_tables is not None:
-        engine._pool.adopt_dense(dense_tables.relation, dense_tables)
+    engine = ClosureEngine(schema, sigma, spec_from_payload(spec_data))
+    engine._pool.adopt_dense(dense_tables.relation, dense_tables)
     session = ImplicationSession(schema, sigma, store=store,
                                  _engine=engine)
     return session, parse_path(base_text)
@@ -156,7 +144,7 @@ def _keys_probe(context, candidate_texts: tuple[str, ...]) -> bool:
 def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
                        engine=None, *,
                        nonempty: NonEmptySpec | None = None,
-                       jobs: int = 1, strategy: str | None = None,
+                       jobs: int = 1,
                        cache_dir: str | None = None) \
         -> list[frozenset[Path]]:
     """Minimal keys at an arbitrary base path (local keys).
@@ -166,20 +154,17 @@ def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
     constraint of Example 2.3.
 
     When *engine* is given (a :class:`ClosureEngine` or
-    :class:`ImplicationSession`) its Sigma, nonempty spec, and
-    saturation strategy are authoritative; otherwise a session over
-    ``(schema, sigma, nonempty)`` is built with *strategy* (default:
-    the dense kernel).  Each size-level of the sweep is answered as one
+    :class:`ImplicationSession`) its Sigma and nonempty spec are
+    authoritative; otherwise a session over ``(schema, sigma,
+    nonempty)`` is built.  Each size-level of the sweep is answered as one
     batch-closure call, so neighbouring candidates share their subset
     closures; with ``jobs > 1`` and no shared engine the level fans out
     across worker processes instead (one session per process, shipped
     the driver's compiled dense tables, results in candidate order).
     """
     sigma_list = list(sigma)
-    effective = strategy if strategy is not None else _SWEEP_STRATEGY
     working = engine if engine is not None \
-        else ImplicationSession(schema, sigma_list, nonempty,
-                                strategy=effective)
+        else ImplicationSession(schema, sigma_list, nonempty)
     scope = resolve_base_path(schema, base)
     attributes = [Path((label,)) for label in scope.labels]
     parallel = jobs > 1 and engine is None
@@ -187,12 +172,9 @@ def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
         from ..io.json_io import dump_bundle
         from ..parallel import process_map, spec_payload
 
-        dense_tables = None
-        if effective == "dense":
-            dense_tables = working.engine._pool.dense(base.first)
         payload = (dump_bundle(schema, sigma_list),
                    spec_payload(nonempty), str(base), cache_dir,
-                   effective, dense_tables)
+                   working.engine._pool.dense(base.first))
     else:
         payload = None
     tracer = getattr(working, "tracer", None)

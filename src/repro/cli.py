@@ -36,12 +36,10 @@ The ``counter`` command is the exception: the Appendix-A construction
 lives in the Section 3.1 setting, so it rejects a restrictive spec
 instead of silently ignoring it.
 
-``implies``, ``closure``, ``keys``, ``analyze``, and ``normalize``
-accept ``--strategy {worklist,naive,dense}`` selecting the closure
-engine's saturation strategy (default ``worklist``, except
-``normalize`` which defaults to ``dense``; ``dense`` is the interned
-bitset kernel — fastest for sweep workloads, but it records no
-provenance, so ``explain``/``prove`` always run the worklist).
+Every closure computation runs on the engine's one saturation, the
+interned bitset kernel; ``explain``/``prove`` rebuild the derivation by
+replaying the naive reference saturation (see
+:mod:`repro.inference.closure`).
 
 ``repro normalize BUNDLE`` runs the nested normalization pipeline
 (see :mod:`repro.design.synthesize`): minimal cover, 3NF-style nest
@@ -63,9 +61,10 @@ way.
 Query commands that run through an implication session additionally
 accept ``--cache-stats``, printing the session's memoization counters
 (:class:`repro.inference.SessionStats`) to stderr, and the analysis
-commands ``keys`` and ``check`` accept ``--jobs N`` to fan their work
-out across *N* worker processes — stdout is byte-identical to the
-serial run (deterministic result ordering), only wall-clock changes.
+commands ``keys``, ``check`` and ``normalize`` accept ``--jobs N``
+(``N >= 1``) to fan their work out across *N* worker processes — stdout
+is byte-identical to the serial run (deterministic result ordering),
+only wall-clock changes.
 
 ``check --stream FILE`` validates a JSONL dump of one relation
 out-of-core (see :mod:`repro.nfd.stream_validate`): elements are
@@ -306,9 +305,7 @@ def _cmd_implies_remote(args) -> int:
     _obs_note(args)
     bundle = _remote_bundle(args)
     with _remote_client(args) as client:
-        implied = client.implies(bundle, args.nfd,
-                                 strategy=getattr(args, "strategy",
-                                                  None))
+        implied = client.implies(bundle, args.nfd)
     candidate = parse_nfd(args.nfd)
     print(f"{'implied' if implied else 'not implied'}: {candidate}")
     return 0 if implied else 1
@@ -320,9 +317,7 @@ def _cmd_closure_remote(args) -> int:
     base = parse_path(args.base)
     lhs = {parse_path(text) for text in args.paths}
     with _remote_client(args) as client:
-        closed = client.closure(bundle, args.base, list(args.paths),
-                                strategy=getattr(args, "strategy",
-                                                 None))
+        closed = client.closure(bundle, args.base, list(args.paths))
     lhs_text = ", ".join(sorted(map(str, lhs))) or "∅"
     print(f"({base}, {{{lhs_text}}})* =")
     for path in closed:
@@ -334,8 +329,7 @@ def _cmd_keys_remote(args) -> int:
     _obs_note(args)
     bundle = _remote_bundle(args)
     with _remote_client(args) as client:
-        result = client.keys(bundle, args.relation,
-                             strategy=getattr(args, "strategy", None))
+        result = client.keys(bundle, args.relation)
     relation = result.get("relation", args.relation)
     keys = result.get("keys", [])
     if not keys:
@@ -413,6 +407,7 @@ def _cmd_check_stream(args) -> int:
             print("error: --relation is required when the bundle "
                   "constrains several relations", file=sys.stderr)
             return 2
+    schema.relation_type(relation)  # an unknown relation is an error
     streamed = [nfd for nfd in sigma if nfd.relation == relation]
     skipped = len(sigma) - len(streamed)
     if skipped:
@@ -493,8 +488,6 @@ def _cmd_implies(args) -> int:
     store = _store_from_args(args)
     session = ImplicationSession(schema, sigma,
                                  nonempty=_spec_from_args(args),
-                                 strategy=getattr(args, "strategy",
-                                                  "worklist"),
                                  tracer=tracer, store=store)
     status = 0 if session.implies(candidate) else 1
     print(f"{'implied' if status == 0 else 'not implied'}: {candidate}")
@@ -516,8 +509,6 @@ def _cmd_closure(args) -> int:
     store = _store_from_args(args)
     session = ImplicationSession(schema, sigma,
                                  nonempty=_spec_from_args(args),
-                                 strategy=getattr(args, "strategy",
-                                                  "worklist"),
                                  tracer=tracer, store=store)
     closed = session.closure(base, lhs)
     lhs_text = ", ".join(sorted(map(str, lhs))) or "∅"
@@ -610,17 +601,15 @@ def _cmd_keys(args) -> int:
     jobs = getattr(args, "jobs", 1)
     tracer = _tracer_from_args(args)
     store = _store_from_args(args)
-    strategy = getattr(args, "strategy", "worklist")
     session = None
-    if jobs <= 1:
-        session = ImplicationSession(schema, sigma, spec,
-                                     strategy=strategy, tracer=tracer,
+    if jobs == 1:
+        session = ImplicationSession(schema, sigma, spec, tracer=tracer,
                                      store=store)
     elif getattr(args, "cache_stats", False):
         print("cache stats unavailable with --jobs > 1 (each worker "
               "process holds its own session)", file=sys.stderr)
     keys = minimal_keys(schema, sigma, relation, engine=session,
-                        nonempty=spec, jobs=jobs, strategy=strategy,
+                        nonempty=spec, jobs=jobs,
                         cache_dir=store.cache_dir
                         if store is not None else None)
     report = RunReport(command="keys")
@@ -667,8 +656,6 @@ def _cmd_analyze(args) -> int:
     spec = _spec_from_args(args)
     tracer = _tracer_from_args(args)
     session = ImplicationSession(schema, list(sigma), spec,
-                                 strategy=getattr(args, "strategy",
-                                                  "worklist"),
                                  tracer=tracer)
     analysis = analyze_constraints(schema, sigma, nonempty=spec,
                                    session=session)
@@ -710,7 +697,7 @@ def _cmd_normalize(args) -> int:
         summary = sweep_normalize(
             args.sweep, jobs=args.jobs, seed=args.seed,
             rules=args.rules, max_fields=args.max_fields,
-            strategy=args.strategy, mode=args.mode)
+            mode=args.mode)
         print(summary.to_text())
         report.add("design", summary)
         _obs_finish(args, report, tracer)
@@ -722,9 +709,8 @@ def _cmd_normalize(args) -> int:
     schema, sigma, instance = _load(args.bundle)
     spec = _spec_from_args(args)
     design = synthesize_design(schema, sigma, args.relation,
-                               nonempty=spec, strategy=args.strategy,
-                               mode=args.mode, instance=instance,
-                               tracer=tracer)
+                               nonempty=spec, mode=args.mode,
+                               instance=instance, tracer=tracer)
     print(design.to_text())
     report.add("design", design)
     _obs_finish(args, report, tracer)
@@ -882,16 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "stderr",
         )
 
-    def strategy_arg(sub):
-        sub.add_argument(
-            "--strategy", choices=("worklist", "naive", "dense"),
-            default="worklist",
-            help="closure saturation strategy: the indexed worklist "
-                 "(default), the naive reference loop, or the dense "
-                 "bitset kernel (fastest for sweeps; records no "
-                 "provenance)",
-        )
-
     def cache_stats_arg(sub):
         sub.add_argument(
             "--cache-stats", action="store_true", dest="cache_stats",
@@ -902,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     def jobs_arg(sub):
         sub.add_argument(
             "--jobs", type=int, default=1, metavar="N",
-            help="fan the work out across N worker processes "
+            help="fan the work out across N >= 1 worker processes "
                  "(default 1: serial; output is identical either way)",
         )
 
@@ -995,7 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("nfd", help='candidate, e.g. "Course:[cnum -> time]"')
     nonempty_arg(sub)
     stats_arg(sub)
-    strategy_arg(sub)
     cache_stats_arg(sub)
     cache_dir_arg(sub)
     server_arg(sub)
@@ -1008,7 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("paths", nargs="*", help="LHS paths")
     nonempty_arg(sub)
     stats_arg(sub)
-    strategy_arg(sub)
     cache_stats_arg(sub)
     cache_dir_arg(sub)
     server_arg(sub)
@@ -1048,7 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
     bundle_arg(sub)
     sub.add_argument("relation", nargs="?", default=None)
     nonempty_arg(sub)
-    strategy_arg(sub)
     cache_stats_arg(sub)
     jobs_arg(sub)
     cache_dir_arg(sub)
@@ -1069,7 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
     bundle_arg(sub)
     nonempty_arg(sub)
     stats_arg(sub)
-    strategy_arg(sub)
     cache_stats_arg(sub)
     obs_args(sub)
     sub.set_defaults(handler=_cmd_analyze)
@@ -1104,11 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "session with copy-on-write probes (default) "
                           "or a fresh engine per query (the benchmark "
                           "baseline; identical designs)")
-    sub.add_argument(
-        "--strategy", choices=("worklist", "naive", "dense"),
-        default="dense",
-        help="closure saturation strategy (default dense: the bitset "
-             "kernel — normalization is a sweep workload)")
     nonempty_arg(sub)
     jobs_arg(sub)
     obs_args(sub)
@@ -1189,6 +1156,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except ReproError as exc:

@@ -8,8 +8,7 @@ mechanization: given a (nested or flat) relation and its Sigma, it
 1. flattens the relation (iterated unnest; Sigma is rewritten step by
    step via :func:`repro.analysis.carryover.nfd_through_unnest`),
 2. computes a minimal cover through one copy-on-write
-   :class:`~repro.inference.session.ImplicationSession` (the dense
-   bitset strategy by default),
+   :class:`~repro.inference.session.ImplicationSession`,
 3. synthesizes candidate :class:`~repro.design.nested_design.NestPlan`\\ s
    in the classical 3NF-synthesis mold — cover rules are grouped by
    LHS; each group either anchors the top level or becomes one nest
@@ -101,7 +100,7 @@ class DesignReport:
         "plan_report", "enforceable", "unenforceable",
         "violations_flat", "violations", "components", "preserved",
         "projection_preserved", "roundtrip", "rule_applications",
-        "strategy", "mode",
+        "mode",
     )
 
     def __init__(self, **fields):
@@ -261,7 +260,7 @@ def _redundancy(attributes: Sequence[str], cover: Sequence[FD],
 
 def _projection_oracle(schema: Schema, cover_nfds: Sequence[NFD],
                        nonempty: NonEmptySpec | None, relation: str,
-                       strategy: str, mode: str):
+                       mode: str):
     """The ``combo -> closed attributes`` oracle for scoring.
 
     FD projection onto candidate components is the query-heavy part of
@@ -278,8 +277,7 @@ def _projection_oracle(schema: Schema, cover_nfds: Sequence[NFD],
     if mode == "session":
         from ..inference.session import ImplicationSession
 
-        session = ImplicationSession(schema, cover_nfds, nonempty,
-                                     strategy=strategy)
+        session = ImplicationSession(schema, cover_nfds, nonempty)
 
         def closure(combo: tuple[str, ...]) -> set[str]:
             closed = session.closure_simple(
@@ -287,8 +285,7 @@ def _projection_oracle(schema: Schema, cover_nfds: Sequence[NFD],
             return {path.first for path in closed}
     else:
         def closure(combo: tuple[str, ...]) -> set[str]:
-            engine = ClosureEngine(schema, cover_nfds, nonempty,
-                                   strategy=strategy)
+            engine = ClosureEngine(schema, cover_nfds, nonempty)
             closed = engine.closure_simple(
                 relation,
                 frozenset(Path((attribute,)) for attribute in combo))
@@ -323,13 +320,10 @@ def _nested_spec(nonempty: NonEmptySpec | None) -> NonEmptySpec | None:
 
 
 def _fresh_cover(schema: Schema, sigma: list[NFD],
-                 nonempty: NonEmptySpec | None,
-                 strategy: str = "worklist") -> list[NFD]:
+                 nonempty: NonEmptySpec | None) -> list[NFD]:
     """Minimal cover with a fresh engine per probe — the pre-session
     baseline shape (``mode="fresh"``), kept for the benchmark's
-    rule-application comparison.  *strategy* matches the session side
-    so the two modes spend the same counter unit (worklist counts rule
-    attempts, dense counts kernel scans)."""
+    rule-application comparison."""
     working = list(sigma)
     for index in range(len(working)):
         current = working[index]
@@ -338,15 +332,13 @@ def _fresh_cover(schema: Schema, sigma: list[NFD],
                 continue
             candidate = current.with_lhs(current.lhs - {path})
             probe = working[:index] + [current] + working[index + 1:]
-            if ClosureEngine(schema, probe, nonempty,
-                             strategy=strategy).implies(candidate):
+            if ClosureEngine(schema, probe, nonempty).implies(candidate):
                 current = candidate
                 working[index] = current
     index = 0
     while index < len(working):
         rest = working[:index] + working[index + 1:]
-        if ClosureEngine(schema, rest, nonempty,
-                         strategy=strategy).implies(working[index]):
+        if ClosureEngine(schema, rest, nonempty).implies(working[index]):
             del working[index]
         else:
             index += 1
@@ -370,8 +362,7 @@ def _enforced_sigma(report: PlanReport) -> list[NFD]:
 
 
 def _assess_candidate(report: PlanReport,
-                      nonempty: NonEmptySpec | None,
-                      strategy: str, mode: str, tracer) \
+                      nonempty: NonEmptySpec | None, mode: str, tracer) \
         -> tuple[int, bool]:
     """``(unenforceable, preserved)`` for one candidate.
 
@@ -402,25 +393,20 @@ def _assess_candidate(report: PlanReport,
         joint = True
         if carried:
             session = ImplicationSession(report.schema, local_sigma,
-                                         nonempty, strategy=strategy,
-                                         tracer=tracer)
+                                         nonempty, tracer=tracer)
             joint = session.implies_all(carried)
         if joint:
             return missing, True
-        probe_session = report.make_session(nonempty, strategy=strategy,
-                                            tracer=tracer)
+        probe_session = report.make_session(nonempty, tracer=tracer)
         failures = sum(
             1 for p in deep
             if not report.locally_enforceable(p, session=probe_session))
         return failures, False
-    failures = sum(
-        1 for p in deep
-        if not report.locally_enforceable(p, strategy=strategy))
+    failures = sum(1 for p in deep if not report.locally_enforceable(p))
     joint = True
     if carried:
         joint = all(
-            ClosureEngine(report.schema, local_sigma, nonempty,
-                          strategy=strategy)
+            ClosureEngine(report.schema, local_sigma, nonempty)
             .implies(nfd) for nfd in carried)
     return failures, joint
 
@@ -456,7 +442,7 @@ def _roundtrip(plan: NestPlan, report: PlanReport, relation: str,
 def synthesize_design(schema: Schema, sigma: Iterable[NFD],
                       relation: str | None = None, *,
                       nonempty: NonEmptySpec | None = None,
-                      strategy: str = "dense", mode: str = "session",
+                      mode: str = "session",
                       instance: Instance | None = None,
                       tracer=None) -> DesignReport:
     """Run the full normalization pipeline on one relation.
@@ -484,16 +470,16 @@ def synthesize_design(schema: Schema, sigma: Iterable[NFD],
         with tracer.span("design.synthesize", relation=relation,
                          members=len(sigma_list)) as span:
             report = _synthesize(schema, sigma_list, relation, nonempty,
-                                 strategy, mode, instance, tracer, span)
+                                 mode, instance, tracer, span)
     else:
         report = _synthesize(schema, sigma_list, relation, nonempty,
-                             strategy, mode, instance, tracer, None)
+                             mode, instance, tracer, None)
     report.rule_applications = (engine_counters()["attempts"]
                                 - attempts_before)
     return report
 
 
-def _synthesize(schema, sigma_list, relation, nonempty, strategy, mode,
+def _synthesize(schema, sigma_list, relation, nonempty, mode,
                 instance, tracer, span) -> DesignReport:
     # 1. flatten the relation; rewrite Sigma through each unnest
     flat_type, unnest_order = flatten_type(schema.relation_type(relation))
@@ -510,11 +496,9 @@ def _synthesize(schema, sigma_list, relation, nonempty, strategy, mode,
     # 2. minimal cover (one session, drop-one/shrink COW probes)
     if mode == "session":
         cover_nfds = minimal_cover(flat_schema, list(working),
-                                   flat_nonempty, strategy=strategy,
-                                   session=None)
+                                   flat_nonempty)
     else:
-        cover_nfds = _fresh_cover(flat_schema, working, flat_nonempty,
-                                  strategy)
+        cover_nfds = _fresh_cover(flat_schema, working, flat_nonempty)
     cover = [nfd_to_fd(nfd) for nfd in cover_nfds]
     if span is not None:
         span.add("cover", len(cover))
@@ -524,13 +508,13 @@ def _synthesize(schema, sigma_list, relation, nonempty, strategy, mode,
     plans = candidate_plans(relation, attributes, cover)
     best = None
     project = _projection_oracle(flat_schema, cover_nfds, flat_nonempty,
-                                 relation, strategy, mode)
+                                 relation, mode)
     flat_violations = _redundancy(attributes, cover, [attributes],
                                   closure=project)
     for index, plan in enumerate(plans):
         plan_report = plan.report(flat_type, cover)
         unenforceable, joint = _assess_candidate(
-            plan_report, nested_nonempty, strategy, mode, tracer)
+            plan_report, nested_nonempty, mode, tracer)
         components = _plan_components(plan)
         violations = _redundancy(attributes, cover, components,
                                  closure=project)
@@ -569,7 +553,6 @@ def _synthesize(schema, sigma_list, relation, nonempty, strategy, mode,
         projection_preserved=projection_preserved,
         roundtrip=roundtrip,
         rule_applications=0,  # patched by synthesize_design
-        strategy=strategy,
         mode=mode,
     )
 
@@ -675,14 +658,14 @@ def _sweep_task(payload, index: int) -> dict:
     """Synthesize one generated schema; independent of every other
     index (own RNG stream), so results are identical for any jobs
     count and chunking."""
-    seed, rules, max_fields, strategy, mode = payload
+    seed, rules, max_fields, mode = payload
     rng = random.Random(f"normalize:{seed}:{index}")
     schema = random_flat_schema(rng, max_fields=max_fields)
     sigma = random_design_sigma(rng, schema, fallback_count=rules)
     instance = random_satisfying_instance(rng, schema, sigma, tuples=3,
                                           domain=2)
-    report = synthesize_design(schema, sigma, strategy=strategy,
-                               mode=mode, instance=instance)
+    report = synthesize_design(schema, sigma, mode=mode,
+                               instance=instance)
     metrics = report.as_metrics()
     return {
         "index": index,
@@ -701,7 +684,6 @@ def _sweep_task(payload, index: int) -> dict:
 
 def sweep_normalize(count: int, *, jobs: int = 1, seed: int = 0,
                     rules: int = 4, max_fields: int = 5,
-                    strategy: str = "dense",
                     mode: str = "session") -> SweepSummary:
     """Synthesize designs for *count* generated flat schemas.
 
@@ -711,7 +693,7 @@ def sweep_normalize(count: int, *, jobs: int = 1, seed: int = 0,
     if mode not in MODES:
         raise InferenceError(f"unknown synthesis mode {mode!r}; "
                              f"expected one of {MODES}")
-    payload = (seed, rules, max_fields, strategy, mode)
+    payload = (seed, rules, max_fields, mode)
     records = process_map(_sweep_setup, payload, _sweep_task,
                           range(count), jobs=jobs)
     return SweepSummary(records)

@@ -1,7 +1,7 @@
 """Exhaustive rule application: an independent oracle for the engine.
 
 The closure engine of :mod:`repro.inference.closure` is an efficient
-saturation *strategy*; this module is the brute-force ground truth for
+saturation procedure; this module is the brute-force ground truth for
 what the inference rules can derive.  It enumerates the entire (finite)
 space of NFDs over a schema — every base path, every LHS subset, every
 RHS — and applies the eight rules of Section 3.1 *plus* full-locality

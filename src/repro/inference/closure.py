@@ -32,22 +32,22 @@ All queries of a relation share the usable-NFD pool and are saturated to
 a global fixpoint; monotonicity over the finite path set guarantees
 termination.
 
-Saturation is *semi-naive*: usables are indexed by every LHS member and
-by the member prefixes that can cover them through the prefix rule, each
-query keeps a dirty set of newly derived paths, and only usables whose
-LHS intersects a delta are re-attempted.  A new query or a newly
-activated singleton candidate therefore triggers work proportional to
-what it can actually fire, not a global rescan.  The pre-index global
-fixpoint is retained as ``strategy="naive"`` — a reference
-implementation sharing the same single-step rule, used by the
-differential tests and the scaling benchmarks.  Both strategies compute
-the least fixpoint of the same monotone step operator, so their results
-coincide; :attr:`ClosureEngine.stats` exposes the work counters that
-tell them apart.
+There is one production saturation: the interned-bitmask kernel of
+:mod:`repro.inference.dense`.  Each usable compiles to a row of masks,
+each query is one accumulator int, and the fixpoint is ``acc & mask``
+tests; singleton candidates activate when their premise accumulator
+covers the target mask, appending precompiled rows that every query then
+picks up.  The object-level *naive* fixpoint — rescan every candidate,
+re-attempt every usable against every query until stable — is kept
+beside it as the reference saturation.  It computes the least fixpoint
+of the same monotone step operator, so the two agree; the tests use it
+as their oracle (:meth:`ClosureEngine.reference_closure`), and
+``explain``/``prove`` replay it (:meth:`ClosureEngine.replay`) because
+it records, per derived path, the usable that fired and the covering
+path of each LHS member.
 
-The usables compiled from Sigma — each member's simple form, its
-admissible localized variants, and the trigger index over their LHS
-members and coverable prefixes — depend only on ``(schema, member,
+The usables compiled from Sigma — each member's simple form and its
+admissible localized variants — depend only on ``(schema, member,
 nonempty)``, never on the rest of Sigma.  They are therefore compiled
 once into a :class:`_SigmaPool` tagged by member index and *shared* by
 the copy-on-write probe engines :meth:`ClosureEngine.without`,
@@ -96,11 +96,6 @@ from .empty_sets import NonEmptySpec
 __all__ = ["ClosureEngine", "EngineStats", "engine_counters",
            "pool_build_count"]
 
-#: Engine saturation strategies: the indexed worklist (default), the
-#: retained global-rescan reference used for differential testing, and
-#: the interned-bitmask kernel (see :mod:`repro.inference.dense`).
-STRATEGIES = ("worklist", "naive", "dense")
-
 # Process-global work counters, accumulated across every engine ever
 # constructed.  Benchmarks and tests snapshot/diff these to assert
 # construction bounds ("minimal_cover compiles exactly one pool") and
@@ -113,8 +108,8 @@ def engine_counters() -> dict[str, int]:
 
     ``pool_builds`` — full Sigma-pool compilations (copy-on-write probes
     share their parent's pool and do not count); ``attempts`` /
-    ``saturations`` — transitivity-step attempts and saturation calls
-    summed over every engine in the process.
+    ``saturations`` — kernel row scans and saturation calls summed over
+    every engine in the process.
     """
     return dict(_COUNTERS)
 
@@ -134,34 +129,31 @@ class EngineStats:
     time.
 
     * ``saturations`` — calls to the saturation loop;
-    * ``rounds`` — work units: worklist items drained, or full rescan
-      rounds for the naive strategy;
-    * ``attempts`` / ``successes`` — transitivity-step attempts and how
-      many of them grew a closure;
+    * ``rounds`` — kernel passes over a query's pending rows;
+    * ``attempts`` / ``successes`` — row scans and the paths they
+      derived;
     * ``wall_time`` — seconds spent inside saturation;
-    * ``usables`` / ``candidates`` / ``activated`` — usable-pool size,
+    * ``usables`` / ``candidates`` / ``activated`` — active rule rows,
       singleton-candidate count, and activated candidates per relation;
     * ``queries`` / ``derived`` — live closure queries and the total
       number of non-seed paths they derived, per relation;
-    * ``mask_tests`` — dense-kernel row scans (each scan is at least
-      one bitmask test; zero for the object strategies);
-    * ``dense_seeds`` — dense queries created with a superset seed;
-    * ``interned`` — interned universe size per relation (dense only).
+    * ``mask_tests`` — row scans plus batch verdict tests (each is at
+      least one bitmask test);
+    * ``dense_seeds`` — queries created with a superset seed;
+    * ``interned`` — interned universe size per relation.
     """
 
-    __slots__ = ("strategy", "saturations", "rounds", "attempts",
-                 "successes", "wall_time", "usables", "candidates",
-                 "activated", "queries", "derived", "mask_tests",
-                 "dense_seeds", "interned")
+    __slots__ = ("saturations", "rounds", "attempts", "successes",
+                 "wall_time", "usables", "candidates", "activated",
+                 "queries", "derived", "mask_tests", "dense_seeds",
+                 "interned")
 
-    def __init__(self, strategy: str, saturations: int, rounds: int,
-                 attempts: int, successes: int, wall_time: float,
+    def __init__(self, saturations: int, rounds: int, attempts: int,
+                 successes: int, wall_time: float,
                  usables: dict[str, int], candidates: dict[str, int],
                  activated: dict[str, int], queries: dict[str, int],
-                 derived: dict[str, int], mask_tests: int = 0,
-                 dense_seeds: int = 0,
-                 interned: dict[str, int] | None = None):
-        self.strategy = strategy
+                 derived: dict[str, int], mask_tests: int,
+                 dense_seeds: int, interned: dict[str, int]):
         self.saturations = saturations
         self.rounds = rounds
         self.attempts = attempts
@@ -174,7 +166,7 @@ class EngineStats:
         self.derived = derived
         self.mask_tests = mask_tests
         self.dense_seeds = dense_seeds
-        self.interned = interned if interned is not None else {}
+        self.interned = interned
 
     #: Monotonic totals (subtracted by :meth:`diff`); the per-relation
     #: maps are point-in-time state and diff to the later snapshot's.
@@ -184,7 +176,6 @@ class EngineStats:
     def as_dict(self) -> dict:
         """The snapshot as a plain (JSON-friendly) dictionary."""
         return {
-            "strategy": self.strategy,
             "saturations": self.saturations,
             "rounds": self.rounds,
             "attempts": self.attempts,
@@ -210,15 +201,15 @@ class EngineStats:
         maps (usables, candidates, activated, queries, derived) keep
         this snapshot's values.  This — not in-place resetting — is the
         reset semantics for engines reused across queries."""
-        if baseline.strategy != self.strategy:
+        if any(getattr(baseline, name) > getattr(self, name)
+               for name in self.CUMULATIVE):
             raise InferenceError(
-                "cannot diff snapshots from different strategies: "
-                f"{self.strategy!r} vs {baseline.strategy!r}; diff() "
-                "expects two snapshot() calls taken from the *same* "
-                "engine — snapshot() before the window, snapshot() "
-                "after, then diff the later against the earlier")
+                "cannot diff: the baseline has done more work than this "
+                "snapshot; diff() expects two snapshot() calls taken "
+                "from the *same* engine — snapshot() before the window, "
+                "snapshot() after, then diff the later against the "
+                "earlier")
         return EngineStats(
-            strategy=self.strategy,
             saturations=self.saturations - baseline.saturations,
             rounds=self.rounds - baseline.rounds,
             attempts=self.attempts - baseline.attempts,
@@ -235,24 +226,21 @@ class EngineStats:
         )
 
     def to_text(self) -> str:
+        interned = ", ".join(
+            f"{relation}={self.interned[relation]}"
+            for relation in sorted(self.interned)
+        ) or "-"
         lines = [
-            f"engine stats ({self.strategy} strategy):",
+            "engine stats:",
             f"  saturations: {self.saturations}  "
             f"rounds: {self.rounds}",
             f"  apply attempts: {self.attempts}  "
             f"successes: {self.successes}",
             f"  saturation wall time: {self.wall_time:.6f}s",
+            f"  mask tests: {self.mask_tests}  "
+            f"dense seeds: {self.dense_seeds}  "
+            f"interned ids: {interned}",
         ]
-        if self.strategy == "dense":
-            interned = ", ".join(
-                f"{relation}={self.interned[relation]}"
-                for relation in sorted(self.interned)
-            ) or "-"
-            lines.append(
-                f"  mask tests: {self.mask_tests}  "
-                f"dense seeds: {self.dense_seeds}  "
-                f"interned ids: {interned}"
-            )
         for relation in sorted(self.usables):
             lines.append(
                 f"  {relation}: {self.usables[relation]} usable(s), "
@@ -264,9 +252,8 @@ class EngineStats:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"EngineStats(strategy={self.strategy!r}, "
-                f"attempts={self.attempts}, successes={self.successes}, "
-                f"rounds={self.rounds})")
+        return (f"EngineStats(attempts={self.attempts}, "
+                f"successes={self.successes}, rounds={self.rounds})")
 
 
 class _Usable:
@@ -291,15 +278,6 @@ class _Usable:
 
     def key(self) -> tuple[frozenset[Path], Path]:
         return (self.lhs, self.rhs)
-
-    def trigger_paths(self) -> set[Path]:
-        """The paths whose arrival in a closure can newly cover the LHS:
-        every member plus its non-empty proper prefixes (prefix rule)."""
-        triggers: set[Path] = set()
-        for member in self.lhs:
-            for length in range(1, len(member) + 1):
-                triggers.add(member[:length])
-        return triggers
 
     def describe(self, sigma) -> str:
         inner = ", ".join(str(p) for p in sorted(self.lhs)) or "∅"
@@ -387,14 +365,14 @@ class _SigmaPool:
     nonempty)`` and never mutated after construction, so copy-on-write
     probe engines (:meth:`ClosureEngine.without` / ``with_added`` /
     ``replace``) share one pool and mask members in or out instead of
-    recompiling usables and trigger indexes per probe.  Entries are
-    tagged with the member index they came from; an engine filters them
-    against its active-member set at drain time.
+    recompiling usables and dense tables per probe.  Entries are tagged
+    with the member index they came from; an engine filters them
+    against its active-member set.
     """
 
     __slots__ = ("schema", "nonempty", "paths", "candidates",
-                 "candidate_index", "member_usables", "trigger",
-                 "empty_lhs", "by_relation", "_dense")
+                 "candidate_index", "member_usables", "by_relation",
+                 "_dense")
 
     def __init__(self, schema: Schema, sigma: tuple[NFD, ...],
                  nonempty: NonEmptySpec):
@@ -415,21 +393,12 @@ class _SigmaPool:
 
         # member-tagged usable structures
         self.member_usables: list[list[_Usable]] = []
-        self.trigger: dict[str, dict[Path, list]] = {n: {} for n in names}
-        self.empty_lhs: dict[str, list] = {n: [] for n in names}
         self.by_relation: dict[str, list] = {n: [] for n in names}
         for index, nfd in enumerate(sigma):
             relation, usables = _compile_member(nfd, nonempty)
             self.member_usables.append(usables)
             for usable in usables:
                 self.by_relation[relation].append((index, usable))
-                if usable.lhs:
-                    trigger = self.trigger[relation]
-                    for path in usable.trigger_paths():
-                        trigger.setdefault(path, []).append(
-                            (index, usable))
-                else:
-                    self.empty_lhs[relation].append((index, usable))
 
         # Lazily compiled dense tables, per relation.  A pure cache:
         # the tables depend only on (schema, Sigma members, nonempty),
@@ -489,22 +458,22 @@ class _DenseState:
     ``rows`` is the append-only active rule list: the shared tables'
     rows for this engine's active members, the overlay members compiled
     at state creation, then rows appended as singleton candidates
-    activate.  Each query carries its own *specialized* row list
-    (``qrows``): members already covered by the query key are dropped
-    and ``keyonly`` masks are resolved against the key up front, so the
-    hot loop tests nothing but ``acc & mask``.  ``qmark`` is the
-    per-query watermark into ``rows`` (rows appended later are
-    specialized on the query's next fixpoint).
+    activate (``pending`` lists the candidates not yet activated).  Each
+    query carries its own *specialized* list of the rows that have not
+    fired for it yet (``qrows``): members already covered by the query
+    key are dropped and ``keyonly`` masks are resolved against the key
+    up front, so the hot loop tests nothing but ``acc & mask``.
+    ``qmark`` is the per-query watermark into ``rows`` (rows appended
+    later are specialized on the query's next fixpoint).
     """
 
     __slots__ = ("tables", "rows", "acc", "keymask", "qrows", "qmark",
                  "cache", "pending", "unsaturated")
 
-    def __init__(self, tables: DenseTables, rows: list,
-                 pending: list[int]):
+    def __init__(self, tables: DenseTables, rows: list):
         self.tables = tables
         self.rows = rows
-        self.pending = pending
+        self.pending = list(range(len(tables.candidates)))
         self.acc: dict[frozenset[Path], int] = {}
         self.keymask: dict[frozenset[Path], int] = {}
         self.qrows: dict[frozenset[Path], list] = {}
@@ -514,6 +483,49 @@ class _DenseState:
         self.cache: dict[frozenset[Path], tuple[int, frozenset[Path]]] \
             = {}
         self.unsaturated: list[frozenset[Path]] = []
+        # the singleton premise queries drive candidate activation
+        for premise_key, _, _, _ in tables.candidates:
+            if premise_key not in self.acc:
+                keymask = self.mask(premise_key)
+                self.add(premise_key, keymask, keymask)
+
+    def mask(self, paths) -> int:
+        """The bitmask of *paths*, rejecting paths outside the universe."""
+        ids = self.tables.ids
+        mask = 0
+        for path in paths:
+            bit = ids.get(path)
+            if bit is None:
+                raise InferenceError(
+                    f"path {path} is not well-typed in relation "
+                    f"{self.tables.relation!r}")
+            mask |= 1 << bit
+        return mask
+
+    def add(self, key: frozenset[Path], keymask: int,
+            accmask: int) -> None:
+        """Register an unsaturated query starting from *accmask*."""
+        self.acc[key] = accmask
+        self.keymask[key] = keymask
+        self.qrows[key] = []
+        self.qmark[key] = 0
+        self.unsaturated.append(key)
+
+
+class _ReferenceState:
+    """One relation's naive reference saturation state for one engine:
+    closure sets per query key, activated singleton candidates, the
+    active usables, and the provenance of every derived path."""
+
+    __slots__ = ("queries", "activated", "usables", "keys", "provenance")
+
+    def __init__(self, usables: list[_Usable]):
+        self.queries: dict[frozenset[Path], set[Path]] = {}
+        self.activated: set = set()
+        self.usables = usables
+        self.keys = {usable.key() for usable in usables}
+        # query key -> derived path -> (usable, ((member, used), ...))
+        self.provenance: dict[frozenset[Path], dict] = {}
 
 
 class ClosureEngine:
@@ -526,43 +538,29 @@ class ClosureEngine:
         engine.closure(parse_path("R:A"), {parse_path("B")})
 
     The engine caches its saturation state, so asking many queries against
-    the same ``(schema, Sigma)`` is cheap after the first.
-
-    *strategy* selects the saturation algorithm: ``"worklist"`` (the
-    indexed semi-naive default), ``"naive"`` (the reference global
-    fixpoint; same results, more work — see :attr:`stats`), or
-    ``"dense"`` (the interned-bitmask kernel of
-    :mod:`repro.inference.dense`; same results, fastest for query
-    sweeps, but records no provenance — :meth:`explain` needs the
-    worklist).
+    the same ``(schema, Sigma)`` is cheap after the first.  Queries run
+    on the dense kernel; :meth:`reference_closure` answers the same
+    questions with the naive object-level reference saturation, and
+    :meth:`explain` replays it to justify an answer.
 
     Probing nearby Sigmas is copy-on-write: :meth:`without`,
     :meth:`with_added`, and :meth:`replace` return sibling engines that
-    share this engine's compiled pool (usables, trigger indexes, typed
-    path sets, singleton candidates) and compile only members the pool
-    has never seen.  For cross-query memoization on top of one engine,
-    see :class:`~repro.inference.session.ImplicationSession`.
+    share this engine's compiled pool (usables, dense tables, typed path
+    sets, singleton candidates) and compile only members the pool has
+    never seen.  For cross-query memoization on top of one engine, see
+    :class:`~repro.inference.session.ImplicationSession`.
     """
 
     def __init__(self, schema: Schema, sigma: Iterable[NFD],
                  nonempty: NonEmptySpec | None = None, *,
-                 strategy: str = "worklist", tracer=None, _cow=None):
-        if strategy not in STRATEGIES:
-            raise InferenceError(
-                f"unknown saturation strategy {strategy!r}; "
-                f"expected one of {', '.join(STRATEGIES)}"
-            )
+                 tracer=None, _cow=None):
         self.schema = schema
-        self.strategy = strategy
         self.nonempty = nonempty if nonempty is not None \
             else NonEmptySpec.all_nonempty()
         self.sigma = tuple(sigma)
         # Observability: a repro.obs.Tracer, or None (the default) for
-        # the untraced fast path.  Per-origin attempt/fire counters are
-        # maintained only while tracing (attached to saturation spans).
+        # the untraced fast path.
         self.tracer = tracer
-        self._origin_counts: dict[str, int] | None = \
-            {} if tracer is not None else None
 
         if _cow is None:
             for nfd in self.sigma:
@@ -583,45 +581,23 @@ class ClosureEngine:
             index for index in self._member_map if index is not None
         )
 
-        names = schema.relation_names
-        # Per-relation mutable state.
-        self._queries: dict[str, dict[frozenset[Path], set[Path]]] = {
-            n: {} for n in names
-        }
-        self._activated: dict[str, set] = {n: set() for n in names}
-
-        # Overlay pool: usables not backed by the shared pool — members
-        # added or replaced after the pool was compiled, plus singleton
-        # usables activated at runtime.  Mutations never touch the
-        # shared pool, so sibling engines are unaffected.
+        # Overlay: usables of members added or replaced after the pool
+        # was compiled.  They never touch the shared pool, so sibling
+        # engines are unaffected.
         self._overlay_usables: dict[str, list[_Usable]] = {
-            n: [] for n in names
+            n: [] for n in schema.relation_names
         }
-        self._overlay_keys: dict[str, set] = {n: set() for n in names}
-        self._overlay_trigger: dict[str, dict[Path, list[_Usable]]] = {
-            n: {} for n in names
-        }
-        self._overlay_empty: dict[str, list[_Usable]] = {
-            n: [] for n in names
-        }
+        for own_index, pool_index in enumerate(self._member_map):
+            if pool_index is not None:
+                continue
+            nfd = self.sigma[own_index]
+            nfd.check_well_formed(schema)
+            relation, usables = _compile_member(nfd, self.nonempty)
+            self._overlay_usables[relation].extend(usables)
 
-        # Worklist state: pending deltas per query, usables not yet
-        # attempted against every query, queries not yet offered the
-        # empty-LHS usables, and whether the singleton premise queries
-        # have been created.
-        self._dirty: dict[str, dict[frozenset[Path], set[Path]]] = {
-            n: {} for n in names
-        }
-        self._new_usables: dict[str, list[_Usable]] = {
-            n: [] for n in names
-        }
-        self._fresh: dict[str, list[frozenset[Path]]] = {
-            n: [] for n in names
-        }
-        self._seeded: dict[str, bool] = {n: False for n in names}
-
-        # provenance: query key -> derived path -> (usable, used paths)
-        self._provenance: dict[str, dict] = {n: {} for n in names}
+        # per-relation saturation state, built on first use
+        self._dense_states: dict[str, _DenseState] = {}
+        self._references: dict[str, _ReferenceState] = {}
 
         # counters behind the `stats` snapshot
         self._saturations = 0
@@ -632,21 +608,6 @@ class ClosureEngine:
         self._mask_tests = 0
         self._dense_seeds = 0
 
-        # per-relation dense saturation state, built on first use
-        self._dense_states: dict[str, _DenseState] = {}
-
-        # Compile overlay members (no broadcast needed: the engine has
-        # no closure queries yet).
-        for own_index, pool_index in enumerate(self._member_map):
-            if pool_index is not None:
-                continue
-            nfd = self.sigma[own_index]
-            nfd.check_well_formed(schema)
-            relation, usables = _compile_member(nfd, self.nonempty)
-            for usable in usables:
-                if usable.key() not in self._overlay_keys[relation]:
-                    self._register(relation, usable, broadcast=False)
-
     def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self.sigma):
             raise InferenceError(
@@ -654,24 +615,26 @@ class ClosureEngine:
                 f"{len(self.sigma)} member(s)"
             )
 
+    def _sibling(self, sigma: tuple, member_map: tuple) \
+            -> "ClosureEngine":
+        return ClosureEngine(self.schema, sigma, self.nonempty,
+                             tracer=self.tracer,
+                             _cow=(self._pool, member_map))
+
     def without(self, index: int) -> "ClosureEngine":
         """A sibling engine over Sigma minus member *index*.
 
         Copy-on-write: shares this engine's compiled pool (usables,
-        trigger indexes, typed path sets, singleton candidates) and
-        masks the member out, so redundancy and cover computations that
-        probe each member against the rest avoid recompiling anything.
+        dense tables, typed path sets, singleton candidates) and masks
+        the member out, so redundancy and cover computations that probe
+        each member against the rest avoid recompiling anything.
         Saturation state is *not* shared — removing a member
         invalidates derived closures.
         """
         self._check_index(index)
-        rest = self.sigma[:index] + self.sigma[index + 1:]
-        member_map = self._member_map[:index] + \
-            self._member_map[index + 1:]
-        return ClosureEngine(
-            self.schema, rest, self.nonempty, strategy=self.strategy,
-            tracer=self.tracer, _cow=(self._pool, member_map),
-        )
+        return self._sibling(
+            self.sigma[:index] + self.sigma[index + 1:],
+            self._member_map[:index] + self._member_map[index + 1:])
 
     def with_added(self, nfd: NFD) -> "ClosureEngine":
         """A sibling engine over Sigma plus *nfd* (appended).
@@ -679,11 +642,8 @@ class ClosureEngine:
         Copy-on-write like :meth:`without`: only the new member is
         compiled; everything else is shared with this engine.
         """
-        return ClosureEngine(
-            self.schema, self.sigma + (nfd,), self.nonempty,
-            strategy=self.strategy, tracer=self.tracer,
-            _cow=(self._pool, self._member_map + (None,)),
-        )
+        return self._sibling(self.sigma + (nfd,),
+                             self._member_map + (None,))
 
     def replace(self, index: int, nfd: NFD) -> "ClosureEngine":
         """A sibling engine with member *index* replaced by *nfd*.
@@ -693,13 +653,10 @@ class ClosureEngine:
         replacement member is compiled.
         """
         self._check_index(index)
-        sigma = self.sigma[:index] + (nfd,) + self.sigma[index + 1:]
-        member_map = self._member_map[:index] + (None,) + \
-            self._member_map[index + 1:]
-        return ClosureEngine(
-            self.schema, sigma, self.nonempty, strategy=self.strategy,
-            tracer=self.tracer, _cow=(self._pool, member_map),
-        )
+        return self._sibling(
+            self.sigma[:index] + (nfd,) + self.sigma[index + 1:],
+            self._member_map[:index] + (None,) +
+            self._member_map[index + 1:])
 
     # -- observability -----------------------------------------------------
 
@@ -713,41 +670,29 @@ class ClosureEngine:
     @property
     def stats(self) -> EngineStats:
         """A point-in-time :class:`EngineStats` snapshot."""
-        if self.strategy == "dense":
-            usables: dict[str, int] = {}
-            queries: dict[str, int] = {}
-            derived: dict[str, int] = {}
-            interned: dict[str, int] = {}
-            for relation in self.schema.relation_names:
-                state = self._dense_states.get(relation)
-                if state is None:
-                    usables[relation] = sum(
-                        1 for _ in self._all_usables(relation))
-                    queries[relation] = 0
-                    derived[relation] = 0
-                    interned[relation] = 0
-                else:
-                    usables[relation] = len(state.rows)
-                    queries[relation] = len(state.acc)
-                    derived[relation] = sum(
-                        mask.bit_count() - len(key)
-                        for key, mask in state.acc.items()
-                    )
-                    interned[relation] = len(state.tables.paths)
-        else:
-            usables = {r: sum(1 for _ in self._all_usables(r))
-                       for r in self.schema.relation_names}
-            queries = {r: len(q) for r, q in self._queries.items()}
-            derived = {
-                relation: sum(
-                    len(closure_set) - len(key)
-                    for key, closure_set in relation_queries.items()
-                )
-                for relation, relation_queries in self._queries.items()
-            }
-            interned = {}
+        usables: dict[str, int] = {}
+        activated: dict[str, int] = {}
+        queries: dict[str, int] = {}
+        derived: dict[str, int] = {}
+        interned: dict[str, int] = {}
+        for relation in self.schema.relation_names:
+            state = self._dense_states.get(relation)
+            if state is None:
+                usables[relation] = sum(
+                    1 for _ in self._all_usables(relation))
+                activated[relation] = queries[relation] = 0
+                derived[relation] = interned[relation] = 0
+                continue
+            usables[relation] = len(state.rows)
+            activated[relation] = \
+                len(state.tables.candidates) - len(state.pending)
+            queries[relation] = len(state.acc)
+            derived[relation] = sum(
+                mask.bit_count() - len(key)
+                for key, mask in state.acc.items()
+            )
+            interned[relation] = len(state.tables.paths)
         return EngineStats(
-            strategy=self.strategy,
             saturations=self._saturations,
             rounds=self._rounds,
             attempts=self._attempts,
@@ -756,15 +701,13 @@ class ClosureEngine:
             usables=usables,
             candidates={r: len(c)
                         for r, c in self._pool.candidates.items()},
-            activated={r: len(a) for r, a in self._activated.items()},
+            activated=activated,
             queries=queries,
             derived=derived,
             mask_tests=self._mask_tests,
             dense_seeds=self._dense_seeds,
             interned=interned,
         )
-
-    # -- pool layering -----------------------------------------------------
 
     def _all_usables(self, relation: str):
         """Every usable active for this engine: the shared pool masked
@@ -774,339 +717,26 @@ class ClosureEngine:
                 yield usable
         yield from self._overlay_usables[relation]
 
-    def _triggered(self, relation: str, path: Path):
-        """The active usables whose LHS (or a coverable prefix of one
-        of its members) contains *path*."""
-        pool_hits = self._pool.trigger.get(relation, {}).get(path)
-        if pool_hits:
-            for member, usable in pool_hits:
-                if member in self._active:
-                    yield usable
-        overlay_hits = self._overlay_trigger[relation].get(path)
-        if overlay_hits:
-            yield from overlay_hits
-
-    def _empty_lhs_usables(self, relation: str):
-        for member, usable in self._pool.empty_lhs.get(relation, ()):
-            if member in self._active:
-                yield usable
-        yield from self._overlay_empty[relation]
-
-    def _add_usable(self, relation: str, usable: _Usable) -> None:
-        """Add a runtime usable (an activated singleton NFD) plus its
-        admissible localized variants to the overlay."""
-        if usable.key() in self._overlay_keys[relation]:
-            return
-        self._register(relation, usable, broadcast=True)
-        for variant in _localizations(relation, usable, self.nonempty):
-            if variant.key() not in self._overlay_keys[relation]:
-                self._register(relation, variant, broadcast=True)
-
-    def _register(self, relation: str, usable: _Usable,
-                  broadcast: bool) -> None:
-        """Book-keeping for one overlay member: the trigger index and —
-        when queries may already exist — the not-yet-broadcast list the
-        worklist drains."""
-        self._overlay_keys[relation].add(usable.key())
-        self._overlay_usables[relation].append(usable)
-        if usable.lhs:
-            trigger = self._overlay_trigger[relation]
-            for path in usable.trigger_paths():
-                trigger.setdefault(path, []).append(usable)
-        else:
-            self._overlay_empty[relation].append(usable)
-        if broadcast:
-            self._new_usables[relation].append(usable)
-
-    # -- saturation ----------------------------------------------------------
-
-    def _ensure(self, relation: str, key: frozenset[Path],
-                seed: Iterable[Path] = ()) -> set[Path]:
-        queries = self._queries[relation]
-        closure_set = queries.get(key)
-        if closure_set is None:
-            closure_set = set(key)
-            closure_set.update(seed)
-            queries[key] = closure_set
-            self._dirty[relation].setdefault(key, set()).update(
-                closure_set)
-            self._fresh[relation].append(key)
-        return closure_set
+    # -- dense saturation ----------------------------------------------------
 
     def forget_query(self, relation: str, key: frozenset[Path]) -> bool:
         """Drop a saturated closure query (memo-eviction support).
 
         Returns True when the query was dropped.  Singleton premise
         queries are retained — they drive candidate activation and are
-        created only once per relation — as are unknown keys.  Dropping
-        a query discards its provenance, so ``explain`` can no longer
-        justify conclusions that depended on it.
+        created only once per relation — as are unknown keys.
         """
         if key in self._pool.candidate_index[relation]:
             return False
-        if self.strategy == "dense":
-            state = self._dense_states.get(relation)
-            if state is None or key not in state.acc:
-                return False
-            del state.acc[key]
-            del state.keymask[key]
-            state.qrows.pop(key, None)
-            state.qmark.pop(key, None)
-            state.cache.pop(key, None)
-            if key in state.unsaturated:  # defensive: never saturated
-                state.unsaturated = [k for k in state.unsaturated
-                                     if k != key]
-            return True
-        queries = self._queries[relation]
-        if key not in queries:
+        state = self._dense_states.get(relation)
+        if state is None or key not in state.acc:
             return False
-        del queries[key]
-        self._dirty[relation].pop(key, None)
-        self._provenance[relation].pop(key, None)
-        fresh = self._fresh[relation]
-        if key in fresh:  # defensive: never-saturated query
-            self._fresh[relation] = [k for k in fresh if k != key]
+        del state.acc[key]
+        del state.keymask[key]
+        del state.qrows[key]
+        del state.qmark[key]
+        state.cache.pop(key, None)
         return True
-
-    def _coverage(self, relation: str, member: Path,
-                  key: frozenset[Path], closure_set: set[Path],
-                  rhs: Path) -> Path | None:
-        """The covering path to use for one LHS member, or None.
-
-        A covering path is *member* itself, or — through the prefix
-        rule — a non-empty proper prefix ``member[:k]`` that is in the
-        closure and not a prefix of *rhs*; in gated mode shortening to
-        ``member[:k]`` additionally requires every shortening result
-        ``member[:j]``, ``k <= j < len(member)``, declared non-empty,
-        and any covering path must pass the Section 3.2 transitivity
-        gate (be part of the query key, follow *rhs*, or be always
-        defined).  All admissible options are considered — each
-        corresponds to a valid derivation — preferring *member* itself,
-        then the longest admissible prefix.
-        """
-        gated = not self.nonempty.declares_everything
-        if member in closure_set and (
-                not gated or
-                self._intermediate_ok(relation, member, key, rhs)):
-            return member
-        for k in range(len(member) - 1, 0, -1):
-            shortened = member[:k]
-            if gated and not self.nonempty.is_declared(relation,
-                                                       shortened):
-                # shortening past this position is gated off, and every
-                # shorter prefix would have to shorten through it
-                return None
-            if shortened in closure_set and \
-                    not shortened.is_prefix_of(rhs) and (
-                        not gated or
-                        self._intermediate_ok(relation, shortened, key,
-                                              rhs)):
-                return shortened
-        return None
-
-    def _intermediate_ok(self, relation: str, used: Path,
-                         key: frozenset[Path], rhs: Path) -> bool:
-        """Section 3.2 transitivity gate for one intermediate path."""
-        return used in key or used.follows(rhs) or \
-            self.nonempty.always_defined(relation, used)
-
-    def _apply_usable(self, relation: str, key: frozenset[Path],
-                      closure_set: set[Path], usable: _Usable) -> bool:
-        """Try one transitivity step; returns True if the closure grew."""
-        self._attempts += 1
-        _COUNTERS["attempts"] += 1
-        origin_counts = self._origin_counts
-        if origin_counts is not None:
-            entry = origin_counts.get(usable.origin)
-            if entry is None:
-                entry = origin_counts[usable.origin] = [0, 0]
-            entry[0] += 1
-        if usable.rhs in closure_set:
-            return False
-        member_pairs: list[tuple[Path, Path]] = []
-        for member in usable.lhs:
-            found = self._coverage(relation, member, key, closure_set,
-                                   usable.rhs)
-            if found is None:
-                return False
-            member_pairs.append((member, found))
-        closure_set.add(usable.rhs)
-        self._successes += 1
-        if origin_counts is not None:
-            entry[1] += 1
-        self._provenance[relation].setdefault(key, {})[usable.rhs] = \
-            (usable, tuple(member_pairs))
-        return True
-
-    def _saturate(self, relation: str) -> None:
-        if self.tracer is None:
-            started = time.perf_counter()
-            self._saturations += 1
-            _COUNTERS["saturations"] += 1
-            if self.strategy == "naive":
-                self._saturate_naive(relation)
-            elif self.strategy == "dense":
-                self._saturate_dense(relation)
-            else:
-                self._saturate_worklist(relation)
-            self._wall_time += time.perf_counter() - started
-            return
-        self._saturate_traced(relation)
-
-    def _saturate_traced(self, relation: str) -> None:
-        """The saturation loop with per-rule counter deltas recorded.
-
-        When a span is already open (a ``session.miss``, an analysis
-        sweep) the saturation is its 1:1 inner step, so the deltas are
-        charged to that span instead of opening a duplicate one — a
-        span per saturation on top of a span per miss roughly doubles
-        the trace for no information.  Only a *root* saturation (engine
-        used directly, no enclosing span) opens its own
-        ``closure.saturate`` span."""
-        tracer = self.tracer
-        current = tracer.current
-        if current is not None:
-            self._saturate_counted(relation, current)
-            return
-        with tracer.span("closure.saturate", relation=relation,
-                         strategy=self.strategy) as span:
-            self._saturate_counted(relation, span)
-
-    def _saturate_counted(self, relation: str, span) -> None:
-        """Run one saturation, adding counter deltas to *span*."""
-        before_attempts = self._attempts
-        before_successes = self._successes
-        before_rounds = self._rounds
-        origin_counts = self._origin_counts
-        origin_before = {origin: (entry[0], entry[1])
-                         for origin, entry in origin_counts.items()}
-        started = time.perf_counter()
-        self._saturations += 1
-        _COUNTERS["saturations"] += 1
-        if self.strategy == "naive":
-            self._saturate_naive(relation)
-        elif self.strategy == "dense":
-            self._saturate_dense(relation)
-        else:
-            self._saturate_worklist(relation)
-        self._wall_time += time.perf_counter() - started
-        add = span.add
-        add("saturations")
-        add("attempts", self._attempts - before_attempts)
-        add("successes", self._successes - before_successes)
-        add("rounds", self._rounds - before_rounds)
-        for origin, entry in origin_counts.items():
-            was = origin_before.get(origin, (0, 0))
-            if entry[0] != was[0]:
-                add("attempts." + origin, entry[0] - was[0])
-            if entry[1] != was[1]:
-                add("fires." + origin, entry[1] - was[1])
-
-    def _saturate_worklist(self, relation: str) -> None:
-        """Semi-naive saturation: drain deltas through the trigger index.
-
-        Work items, in priority order: broadcast a new usable to every
-        query, offer the empty-LHS usables to a fresh query, or process
-        one query's delta — re-checking the singleton candidates watching
-        that query and re-attempting exactly the usables whose LHS (or a
-        coverable prefix of it) intersects the delta.  Every path enters
-        a query's delta at most once, so the loop terminates, and any
-        step the naive fixpoint could take is attempted no later than
-        when the last closure path it needs arrives.
-        """
-        if not self._seeded[relation]:
-            self._seeded[relation] = True
-            for candidate in self._pool.candidates[relation]:
-                self._ensure(relation, candidate.premise_lhs)
-        queries = self._queries[relation]
-        activated = self._activated[relation]
-        dirty = self._dirty[relation]
-        new_usables = self._new_usables[relation]
-        fresh = self._fresh[relation]
-        candidate_index = self._pool.candidate_index[relation]
-        while dirty or new_usables or fresh:
-            self._rounds += 1
-            if new_usables:
-                usable = new_usables.pop()
-                for key in list(queries):
-                    if usable.rhs in queries[key]:
-                        continue
-                    if self._apply_usable(relation, key, queries[key],
-                                          usable):
-                        dirty.setdefault(key, set()).add(usable.rhs)
-                continue
-            if fresh:
-                key = fresh.pop()
-                closure_set = queries[key]
-                for usable in self._empty_lhs_usables(relation):
-                    if usable.rhs in closure_set:
-                        continue
-                    if self._apply_usable(relation, key, closure_set,
-                                          usable):
-                        dirty.setdefault(key, set()).add(usable.rhs)
-                continue
-            key, delta = dirty.popitem()
-            closure_set = queries[key]
-            for candidate in candidate_index.get(key, ()):
-                if candidate.key() in activated:
-                    continue
-                if not candidate.targets & delta:
-                    continue
-                if candidate.targets <= closure_set:
-                    activated.add(candidate.key())
-                    self._add_usable(relation, candidate.usable)
-            attempted: set = set()
-            for path in delta:
-                for usable in self._triggered(relation, path):
-                    # an rhs already derived needs no attempt — crucial
-                    # for seeded queries, whose initial delta re-triggers
-                    # the (already closed) seed set
-                    if usable.rhs in closure_set:
-                        continue
-                    # dedup by (lhs, rhs): the shared pool may carry the
-                    # same usable from two Sigma members, and one attempt
-                    # per delta suffices for a given step
-                    mark = usable.key()
-                    if mark in attempted:
-                        continue
-                    attempted.add(mark)
-                    if self._apply_usable(relation, key, closure_set,
-                                          usable):
-                        dirty.setdefault(key, set()).add(usable.rhs)
-
-    def _saturate_naive(self, relation: str) -> None:
-        """The reference global fixpoint: rescan every candidate and
-        re-attempt every usable against every query until stable."""
-        queries = self._queries[relation]
-        candidates = self._pool.candidates[relation]
-        activated = self._activated[relation]
-        while True:
-            self._rounds += 1
-            changed = False
-            for candidate in candidates:
-                if candidate.key() in activated:
-                    continue
-                premise_closure = self._ensure(relation,
-                                               candidate.premise_lhs)
-                if candidate.targets <= premise_closure:
-                    activated.add(candidate.key())
-                    self._add_usable(relation, candidate.usable)
-                    changed = True
-            usable_pool = list(self._all_usables(relation))
-            for key in list(queries):
-                closure_set = queries[key]
-                for usable in usable_pool:
-                    if self._apply_usable(relation, key, closure_set,
-                                          usable):
-                        changed = True
-            if not changed:
-                # consume the book-keeping the worklist strategy drains
-                self._dirty[relation].clear()
-                self._new_usables[relation].clear()
-                self._fresh[relation].clear()
-                return
-
-    # -- dense kernel ------------------------------------------------------
 
     def _dense_state(self, relation: str) -> _DenseState:
         state = self._dense_states.get(relation)
@@ -1119,38 +749,43 @@ class ClosureEngine:
                 rows.append(compile_row(tables.ids, relation,
                                         usable.lhs, usable.rhs,
                                         self.nonempty))
-            activated = self._activated[relation]
-            pending = [index for index, entry
-                       in enumerate(tables.candidates)
-                       if entry[3] not in activated]
-            state = _DenseState(tables, rows, pending)
+            state = _DenseState(tables, rows)
             self._dense_states[relation] = state
         return state
 
-    def _dense_ensure(self, relation: str, key: frozenset[Path],
-                      seed: Iterable[Path] = ()) -> None:
-        """Create a dense query: intern the key (and seed) to masks."""
-        state = self._dense_state(relation)
-        if key in state.acc:
-            return
-        ids = state.tables.ids
-        keymask = 0
-        for path in key:
-            keymask |= 1 << ids[path]
-        accmask = keymask
-        seeded = False
-        for path in seed:
-            accmask |= 1 << ids[path]
-            seeded = True
-        if seeded:
-            self._dense_seeds += 1
-        state.acc[key] = accmask
-        state.keymask[key] = keymask
-        state.qrows[key] = []
-        state.qmark[key] = 0
-        state.unsaturated.append(key)
+    def _saturate(self, relation: str) -> None:
+        """Run the kernel to a fixpoint, counting the work.
 
-    def _saturate_dense(self, relation: str) -> None:
+        When a span is already open (a ``session.miss``, an analysis
+        sweep) the saturation is its 1:1 inner step, so the deltas are
+        charged to that span instead of opening a duplicate one — a
+        span per saturation on top of a span per miss roughly doubles
+        the trace for no information.  Only a *root* saturation (engine
+        used directly, no enclosing span) opens its own
+        ``closure.saturate`` span."""
+        tracer = self.tracer
+        if tracer is None:
+            self._run_saturation(relation)
+        elif tracer.current is not None:
+            self._saturate_counted(relation, tracer.current)
+        else:
+            with tracer.span("closure.saturate",
+                             relation=relation) as span:
+                self._saturate_counted(relation, span)
+
+    def _saturate_counted(self, relation: str, span) -> None:
+        """Run one saturation, adding counter deltas to *span*."""
+        before_attempts = self._attempts
+        before_successes = self._successes
+        before_rounds = self._rounds
+        self._run_saturation(relation)
+        add = span.add
+        add("saturations")
+        add("attempts", self._attempts - before_attempts)
+        add("successes", self._successes - before_successes)
+        add("rounds", self._rounds - before_rounds)
+
+    def _run_saturation(self, relation: str) -> None:
         """Saturate via the interned-bitmask kernel.
 
         New queries run their own mask fixpoint; singleton candidates
@@ -1159,20 +794,14 @@ class ClosureEngine:
         re-running every query's fixpoint (per-query watermarks pick up
         exactly the appended rows).  The alternation repeats until no
         activation fires and no query grows — the same least fixpoint
-        the object strategies reach, because both saturate the same
-        monotone step operator over the same rule pool.
+        the reference saturation reaches, because both saturate the
+        same monotone step operator over the same rule pool.
         """
+        started = time.perf_counter()
+        self._saturations += 1
+        _COUNTERS["saturations"] += 1
         state = self._dense_state(relation)
-        if not self._seeded[relation]:
-            self._seeded[relation] = True
-            for candidate in self._pool.candidates[relation]:
-                self._dense_ensure(relation, candidate.premise_lhs)
-        # the object-worklist book-keeping has no dense meaning
-        self._dirty[relation].clear()
-        self._new_usables[relation].clear()
-        self._fresh[relation].clear()
         acc = state.acc
-        activated = self._activated[relation]
         while True:
             progress = False
             while state.unsaturated:
@@ -1181,24 +810,21 @@ class ClosureEngine:
                     progress = True
             if state.pending:
                 still: list[int] = []
-                fired = False
                 for index in state.pending:
-                    premise_key, target_mask, rows, cand_key = \
+                    premise_key, target_mask, rows, _ = \
                         state.tables.candidates[index]
-                    if acc.get(premise_key, 0) & target_mask \
-                            == target_mask:
-                        activated.add(cand_key)
+                    if acc[premise_key] & target_mask == target_mask:
                         state.rows.extend(rows)
-                        fired = True
                     else:
                         still.append(index)
-                if fired:
+                if len(still) < len(state.pending):
                     state.pending = still
                     # new rows may fire anywhere: revisit every query
                     state.unsaturated.extend(acc)
                     progress = True
             if not progress:
-                return
+                break
+        self._wall_time += time.perf_counter() - started
 
     def _dense_fixpoint(self, state: _DenseState,
                         key: frozenset[Path]) -> bool:
@@ -1252,6 +878,9 @@ class ClosureEngine:
                     acc |= row[0]
                     progress = True
             pending = remaining
+        # keep only the rows that can still fire: a fired row (or one
+        # whose rhs a sibling derived) is dead weight for this query
+        state.qrows[key] = pending
         self._rounds += passes
         self._attempts += scans
         self._mask_tests += scans
@@ -1262,10 +891,9 @@ class ClosureEngine:
         self._successes += (acc ^ start).bit_count()
         return True
 
-    def _dense_result(self, relation: str,
+    def _dense_result(self, state: _DenseState,
                       key: frozenset[Path]) -> frozenset[Path]:
         """Materialize a saturated dense query back into paths."""
-        state = self._dense_states[relation]
         mask = state.acc[key]
         cached = state.cache.get(key)
         if cached is not None and cached[0] == mask:
@@ -1296,27 +924,21 @@ class ClosureEngine:
         plain and the gated systems, because enlarging the query key
         only loosens the Section 3.2 gates).  Passing paths outside
         ``CL(L)`` is unsound and the engine does not check for it.
-        Seeded paths carry no provenance, so :meth:`explain` cannot
-        justify conclusions that rest on them;
         :class:`~repro.inference.session.ImplicationSession` uses this
         for cross-query seed reuse.
         """
         if relation not in self.schema:
             raise InferenceError(f"unknown relation {relation!r}")
         key = frozenset(lhs)
-        for path in key:
-            if path not in self._pool.paths[relation]:
-                raise InferenceError(
-                    f"path {path} is not well-typed in relation "
-                    f"{relation!r}"
-                )
-        if self.strategy == "dense":
-            self._dense_ensure(relation, key, seed)
-            self._saturate(relation)
-            return self._dense_result(relation, key)
-        self._ensure(relation, key, seed)
+        state = self._dense_state(relation)
+        if key not in state.acc:
+            keymask = state.mask(key)
+            seedmask = state.mask(seed)
+            if seedmask:
+                self._dense_seeds += 1
+            state.add(key, keymask, keymask | seedmask)
         self._saturate(relation)
-        return frozenset(self._queries[relation][key])
+        return self._dense_result(state, key)
 
     def _push_in(self, base: Path, lhs: Iterable[Path]):
         """The simple-form translation of a closure query at *base*:
@@ -1454,17 +1076,16 @@ class ClosureEngine:
         every path of *targets*, for each candidate?
 
         Answers equal ``[targets <= closure(base, c) for c in
-        candidates]``.  At a relation-name base the dense strategy
-        reads each verdict straight off the saturated accumulator mask
-        — no closure is ever materialized back into path objects, which
-        is the dominant non-kernel cost of a key sweep.  Other
-        strategies (and nested bases, whose pull-out gating needs the
-        path-level reading) route through :meth:`closure_many`.
+        candidates]``.  At a relation-name base each verdict is read
+        straight off the saturated accumulator mask — no closure is ever
+        materialized back into path objects, which is the dominant
+        non-kernel cost of a key sweep.  Nested bases, whose pull-out
+        gating needs the path-level reading, route through
+        :meth:`closure_many`.
         """
         target_set = frozenset(targets)
         prepared = [frozenset(candidate) for candidate in candidates]
-        if self.strategy == "dense" and queries_base.tail.is_empty \
-                and queries_base.first in self.schema:
+        if queries_base.tail.is_empty and queries_base.first in self.schema:
             return self._covers_many_dense(queries_base.first, prepared,
                                            target_set)
         closures = self.closure_many(
@@ -1478,15 +1099,7 @@ class ClosureEngine:
         drop-one mask seeding, then answer every verdict with one
         ``acc & target == target`` test."""
         state = self._dense_state(relation)
-        ids = state.tables.ids
-        target_mask = 0
-        for path in targets:
-            bit = ids.get(path)
-            if bit is None:
-                raise InferenceError(
-                    f"path {path} is not well-typed in relation "
-                    f"{relation!r}")
-            target_mask |= 1 << bit
+        target_mask = state.mask(targets)
         order = sorted(
             range(len(keys)),
             key=lambda i: (len(keys[i]),
@@ -1497,14 +1110,7 @@ class ClosureEngine:
             key = keys[i]
             if key in acc:
                 continue
-            keymask = 0
-            for path in key:
-                bit = ids.get(path)
-                if bit is None:
-                    raise InferenceError(
-                        f"path {path} is not well-typed in relation "
-                        f"{relation!r}")
-                keymask |= 1 << bit
+            keymask = state.mask(key)
             # drop-one probes: sub-combinations sort earlier and are
             # already saturated; their masks are sound seeds by
             # monotonicity of CL, no path objects involved
@@ -1517,11 +1123,11 @@ class ClosureEngine:
                     seeded = True
             if seeded:
                 self._dense_seeds += 1
-            acc[key] = accmask
-            state.keymask[key] = keymask
-            state.qrows[key] = []
-            state.qmark[key] = 0
-            state.unsaturated.append(key)
+            state.add(key, keymask, accmask)
+            self._saturate(relation)
+        if state.unsaturated:
+            # a key that coincides with a singleton premise query made
+            # with a fresh state exists before its first saturation
             self._saturate(relation)
         self._mask_tests += len(keys)
         return [acc[key] & target_mask == target_mask for key in keys]
@@ -1546,28 +1152,144 @@ class ClosureEngine:
         """True iff every NFD in *nfds* is implied."""
         return all(self.implies(nfd) for nfd in nfds)
 
-    def usable_pool(self, relation: str) -> list[tuple[frozenset[Path],
-                                                       Path, str]]:
-        """Introspection: the current usable-NFD pool (for debugging)."""
-        return [(u.lhs, u.rhs, u.origin)
-                for u in self._all_usables(relation)]
+    # -- the naive reference ----------------------------------------------
+
+    def reference_closure(self, base: Path, lhs: Iterable[Path]) \
+            -> frozenset[Path]:
+        """:meth:`closure` computed by the naive reference saturation.
+
+        The same answer as :meth:`closure`, reached by the object-level
+        global fixpoint instead of the dense kernel — the oracle the
+        kernel is tested against.
+        """
+        relation, ybar, lhs_set, simple_lhs = self._push_in(base, lhs)
+        self.replay(relation, simple_lhs)
+        simple_closure = frozenset(
+            self._references[relation].queries[simple_lhs])
+        return self._pull_out(base, relation, ybar, lhs_set,
+                              simple_closure)
+
+    def replay(self, relation: str, key: frozenset[Path]) -> dict:
+        """Saturate ``CL(key)`` with the naive reference and return the
+        relation's provenance: query key -> derived path -> ``(usable,
+        ((member, covering path), ...))``.
+
+        Each path is recorded when it is first derived, from paths
+        derived before it, and a singleton candidate activates only once
+        its premise closure holds every target, so following the
+        records from any derived path always terminates.
+        """
+        state = self._references.get(relation)
+        if state is None:
+            state = _ReferenceState(list(self._all_usables(relation)))
+            for candidate in self._pool.candidates[relation]:
+                state.queries.setdefault(candidate.premise_lhs,
+                                         set(candidate.premise_lhs))
+            self._references[relation] = state
+        state.queries.setdefault(key, set(key))
+        self._saturate_naive(relation, state)
+        return state.provenance
+
+    def _saturate_naive(self, relation: str,
+                        state: _ReferenceState) -> None:
+        """The reference global fixpoint: rescan every candidate and
+        re-attempt every usable against every query until stable."""
+        while True:
+            changed = False
+            for candidate in self._pool.candidates[relation]:
+                if candidate.key() in state.activated:
+                    continue
+                if candidate.targets <= \
+                        state.queries[candidate.premise_lhs]:
+                    state.activated.add(candidate.key())
+                    usable = candidate.usable
+                    for new in [usable] + _localizations(
+                            relation, usable, self.nonempty):
+                        if new.key() not in state.keys:
+                            state.keys.add(new.key())
+                            state.usables.append(new)
+                    changed = True
+            for key, closure_set in state.queries.items():
+                for usable in state.usables:
+                    if self._apply_usable(relation, state, key,
+                                          closure_set, usable):
+                        changed = True
+            if not changed:
+                return
+
+    def _apply_usable(self, relation: str, state: _ReferenceState,
+                      key: frozenset[Path], closure_set: set[Path],
+                      usable: _Usable) -> bool:
+        """Try one transitivity step; returns True if the closure grew."""
+        if usable.rhs in closure_set:
+            return False
+        member_pairs: list[tuple[Path, Path]] = []
+        for member in usable.lhs:
+            found = self._coverage(relation, member, key, closure_set,
+                                   usable.rhs)
+            if found is None:
+                return False
+            member_pairs.append((member, found))
+        closure_set.add(usable.rhs)
+        state.provenance.setdefault(key, {})[usable.rhs] = \
+            (usable, tuple(member_pairs))
+        return True
+
+    def _coverage(self, relation: str, member: Path,
+                  key: frozenset[Path], closure_set: set[Path],
+                  rhs: Path) -> Path | None:
+        """The covering path to use for one LHS member, or None.
+
+        A covering path is *member* itself, or — through the prefix
+        rule — a non-empty proper prefix ``member[:k]`` that is in the
+        closure and not a prefix of *rhs*; in gated mode shortening to
+        ``member[:k]`` additionally requires every shortening result
+        ``member[:j]``, ``k <= j < len(member)``, declared non-empty,
+        and any covering path must pass the Section 3.2 transitivity
+        gate (be part of the query key, follow *rhs*, or be always
+        defined).  All admissible options are considered — each
+        corresponds to a valid derivation — preferring *member* itself,
+        then the longest admissible prefix.
+        """
+        gated = not self.nonempty.declares_everything
+        if member in closure_set and (
+                not gated or
+                self._intermediate_ok(relation, member, key, rhs)):
+            return member
+        for k in range(len(member) - 1, 0, -1):
+            shortened = member[:k]
+            if gated and not self.nonempty.is_declared(relation,
+                                                       shortened):
+                # shortening past this position is gated off, and every
+                # shorter prefix would have to shorten through it
+                return None
+            if shortened in closure_set and \
+                    not shortened.is_prefix_of(rhs) and (
+                        not gated or
+                        self._intermediate_ok(relation, shortened, key,
+                                              rhs)):
+                return shortened
+        return None
+
+    def _intermediate_ok(self, relation: str, used: Path,
+                         key: frozenset[Path], rhs: Path) -> bool:
+        """Section 3.2 transitivity gate for one intermediate path."""
+        return used in key or used.follows(rhs) or \
+            self.nonempty.always_defined(relation, used)
 
     # -- explanations ------------------------------------------------------------
 
     def explain(self, nfd: NFD) -> "Explanation":
         """A human-readable justification of why *nfd* is implied.
 
-        Reconstructs the saturation steps from the engine's provenance:
+        Replays the naive reference saturation for the NFD's simple
+        form (:meth:`replay`) and reads the steps off its provenance:
         each derived path points at the usable NFD that produced it
         (a Sigma member, a full-locality variant, or a gated singleton
         NFD) and, recursively, at the justifications of the paths its
         LHS needed.  Raises :class:`InferenceError` when the NFD is not
         implied.
         """
-        if self.strategy == "dense":
-            raise InferenceError(
-                "the dense strategy records no provenance; build the "
-                "engine with strategy='worklist' for explain/prove")
         if not self.implies(nfd):
             raise InferenceError(
                 f"{nfd} is not implied; ask find_countermodel for a "
@@ -1576,15 +1298,17 @@ class ClosureEngine:
         relation = nfd.relation
         simple = to_simple(nfd)
         key = frozenset(simple.lhs)
-        return Explanation(self, nfd, relation, key, simple.rhs)
+        return Explanation(self, nfd, relation, key, simple.rhs,
+                           self.replay(relation, key))
 
 
 class Explanation:
-    """A lazy justification tree over the engine's provenance."""
+    """A lazy justification tree over the reference provenance."""
 
     def __init__(self, engine: ClosureEngine, nfd: NFD, relation: str,
-                 key: frozenset[Path], target: Path):
+                 key: frozenset[Path], target: Path, provenance: dict):
         self.engine = engine
+        self.provenance = provenance
         self.nfd = nfd
         self.relation = relation
         self.key = key
@@ -1612,8 +1336,7 @@ class Explanation:
             lines.append(f"{pad}{path}: shown above")
             return
         seen.add(slot)
-        record = self.engine._provenance[self.relation] \
-            .get(key, {}).get(path)
+        record = self.provenance.get(key, {}).get(path)
         if record is None:  # pragma: no cover - defensive
             lines.append(f"{pad}{path}: (no recorded step)")
             return

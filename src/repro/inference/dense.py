@@ -1,11 +1,12 @@
-"""The dense bitset closure kernel (``strategy="dense"``).
+"""The dense bitset closure kernel: the engine's saturation.
 
-The worklist strategy of :mod:`repro.inference.closure` saturates over
-an object graph: frozensets of :class:`~repro.paths.path.Path`, trigger
-dictionaries keyed by paths, per-delta hashing.  For the analysis
-sweeps — every candidate key, every cover probe, every Armstrong
-subset — that object traffic dominates the wall clock.  This module
-compiles the same rule system down to flat integers:
+:mod:`repro.inference.closure` states the rule system over objects —
+frozensets of :class:`~repro.paths.path.Path`, one usable NFD at a
+time — and keeps that form as its naive reference saturation.  For the
+query streams the library actually serves (every candidate key, every
+cover probe, every Armstrong subset) that object traffic would dominate
+the wall clock, so this module compiles the same rule system down to
+flat integers:
 
 * **interning** — the universe of one relation is the prefix-closed set
   ``Paths_SC(R)`` of its well-typed paths (every closure, every query
@@ -18,18 +19,18 @@ compiles the same rule system down to flat integers:
   prefix-rule shortening that passes the Section 3.2 transitivity gate
   *unconditionally* (plain mode, or the path follows ``r``, or it is
   always defined), while ``keyonly_mask`` holds the shortenings that
-  are admissible only by being part of the query key.  The coverage
-  test of the object engine — "some admissible covering path is in the
-  closure" — becomes ``acc & uncond`` (the key is a subset of every
-  closure, so a nonzero ``keyonly & key_mask`` is decided per query,
-  before the hot loop);
+  are admissible only by being part of the query key.  The reference's
+  coverage test — "some admissible covering path is in the closure" —
+  becomes ``acc & uncond`` (the key is a subset of every closure, so a
+  nonzero ``keyonly & key_mask`` is decided per query, before the hot
+  loop);
 * **gated-coverage compilation** — the chain condition of the gated
   prefix rule (shortening to ``member[:k]`` requires every
   ``member[:j]``, ``k <= j < len(member)``, declared non-empty) is a
   static property of ``(member, nonempty)``, so the compiler simply
   stops emitting shortenings at the first undeclared position, and
   prefixes of ``r`` are never emitted — exactly the candidates the
-  object engine's ``_coverage`` considers, bit for bit.
+  reference's ``_coverage`` considers, bit for bit.
 
 Saturation is then a fixpoint of ``if acc & rhs_bit: skip; elif all
 masks intersect acc: acc |= rhs_bit`` — no hashing, no frozensets, no
@@ -86,7 +87,7 @@ def compile_row(ids: dict[Path, int], relation: str, lhs, rhs: Path,
     """Flatten one usable NFD ``[lhs -> rhs]`` into a dense row.
 
     Per LHS member the compiler enumerates every covering path the
-    object engine's ``_coverage`` would consider — the member itself
+    naive reference's ``_coverage`` would consider — the member itself
     plus prefix-rule shortenings, stopping at the first position not
     declared non-empty (gated mode) and skipping prefixes of *rhs* —
     and splits them by how they pass the Section 3.2 transitivity

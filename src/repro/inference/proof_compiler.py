@@ -1,7 +1,9 @@
 """Compiling engine answers into machine-checked derivations.
 
 The closure engine decides implication by saturation; this module turns
-its provenance into an explicit :class:`~repro.inference.derivation.Derivation`
+the provenance of its naive reference replay
+(:meth:`~repro.inference.closure.ClosureEngine.replay`) into an explicit
+:class:`~repro.inference.derivation.Derivation`
 — a proof script in the paper's rule system (the eight rules plus
 full-locality, per the DESIGN.md 3.2.1 analysis) whose every step is
 re-verified by the rule objects.  The compiled proof ends with exactly
@@ -28,9 +30,11 @@ __all__ = ["compile_proof"]
 
 
 class _Compiler:
-    def __init__(self, engine: ClosureEngine, relation: str):
+    def __init__(self, engine: ClosureEngine, relation: str,
+                 provenance: dict):
         self.engine = engine
         self.relation = relation
+        self.provenance = provenance
         self.base = Path((relation,))
         hypotheses = {
             f"s{index + 1}": nfd
@@ -57,8 +61,7 @@ class _Compiler:
             self.derivation.reflexivity(label, self.base, key, path)
             self._path_steps[memo_key] = label
             return label
-        record = self.engine._provenance[self.relation] \
-            .get(key, {}).get(path)
+        record = self.provenance.get(key, {}).get(path)
         if record is None:
             raise InferenceError(
                 f"no recorded derivation of {path} from "
@@ -172,5 +175,6 @@ def compile_proof(engine: ClosureEngine, nfd: NFD) -> Derivation:
         raise InferenceError(
             f"{nfd} is not implied; no proof exists (Theorem 3.1)"
         )
-    compiler = _Compiler(engine, nfd.relation)
-    return compiler.finish(nfd)
+    simple = to_simple(nfd)
+    provenance = engine.replay(nfd.relation, frozenset(simple.lhs))
+    return _Compiler(engine, nfd.relation, provenance).finish(nfd)

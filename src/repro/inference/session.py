@@ -30,16 +30,16 @@ top of one :class:`~repro.inference.closure.ClosureEngine`:
   derivations only;
 * **copy-on-write probes**: :meth:`without` / :meth:`with_added` /
   :meth:`replaced` return sibling sessions whose engines share this
-  engine's compiled Sigma pool (usables, trigger indexes, singleton
+  engine's compiled Sigma pool (usables, dense tables, singleton
   candidates) — the probe compiles only the member it changes.
 
 :class:`SessionStats` mirrors :class:`~repro.inference.closure.EngineStats`
 with the memo counters (hits, misses, seed reuses, evictions) and the
 fingerprint, and nests the engine snapshot.
 
-Sessions trade *provenance* for speed: seeded closures do not record
-how the seeded paths were derived, so ``explain``/``prove`` workflows
-should keep using a plain :class:`ClosureEngine`.
+Sessions answer queries only; ``explain``/``prove`` go through a
+plain :class:`ClosureEngine`, which replays the naive reference
+saturation to rebuild the derivation.
 """
 
 from __future__ import annotations
@@ -226,20 +226,19 @@ class ImplicationSession:
     The session exposes the engine's query API (``closure_simple``,
     ``closure``, ``implies``, ``implies_all``) with identical answers —
     see ``tests/properties/test_session_differential.py`` — plus the
-    delta probes and :attr:`stats`.  It deliberately does *not* expose
-    ``explain``: seeded closures lack provenance for their seed paths.
+    delta probes and :attr:`stats`.  It does not expose ``explain``;
+    use :meth:`ClosureEngine.explain`.
     """
 
     def __init__(self, schema: Schema, sigma: Iterable[NFD],
                  nonempty: NonEmptySpec | None = None, *,
-                 strategy: str = "worklist",
                  max_memo: int = DEFAULT_MAX_MEMO, tracer=None,
                  store=None, _engine: ClosureEngine | None = None):
         if _engine is not None:
             self.engine = _engine
         else:
             self.engine = ClosureEngine(schema, sigma, nonempty,
-                                        strategy=strategy, tracer=tracer)
+                                        tracer=tracer)
         if max_memo < 1:
             raise InferenceError("max_memo must be at least 1")
         self.max_memo = max_memo
@@ -252,8 +251,7 @@ class ImplicationSession:
         self._store_misses = 0
         self.fingerprint = sigma_fingerprint(
             self.engine.schema, self.engine.sigma, self.engine.nonempty)
-        if store is not None and _engine is None \
-                and self.engine.strategy == "dense":
+        if store is not None and _engine is None:
             self._warm_dense()
         # (relation, key) -> closure, in LRU order (oldest first).
         self._memo: "OrderedDict[tuple[str, frozenset[Path]], frozenset[Path]]" \
@@ -304,11 +302,6 @@ class ImplicationSession:
     @property
     def nonempty(self) -> NonEmptySpec:
         return self.engine.nonempty
-
-    @property
-    def strategy(self) -> str:
-        """The engine's saturation strategy (worklist/naive/dense)."""
-        return self.engine.strategy
 
     @property
     def tracer(self):
@@ -502,15 +495,16 @@ class ImplicationSession:
         ``closure(base, candidate)`` contain every path of *targets*?
 
         Answers equal ``[targets <= self.closure(base, c) for c in
-        candidates]``.  Dense-strategy sessions at a relation-name base
-        delegate to :meth:`ClosureEngine.covers_many` — verdicts come
-        straight off the kernel's saturated masks, skipping both
+        candidates]``.  At a relation-name base a session without a
+        store delegates to :meth:`ClosureEngine.covers_many` — verdicts
+        come straight off the kernel's saturated masks, skipping both
         closure materialization and the memo (a sweep's candidates
-        rarely repeat, so the memo only adds bookkeeping there); other
-        configurations route through :meth:`closure_batch` and keep the
-        memo warm.
+        rarely repeat, so the memo only adds bookkeeping there).  With
+        a store attached, and at nested bases, the batch routes through
+        :meth:`closure_batch`, so persisted closures answer a warm sweep
+        without saturating.
         """
-        if self.engine.strategy == "dense" and base.tail.is_empty:
+        if self.store is None and base.tail.is_empty:
             return self.engine.covers_many(base, candidates, targets)
         target_set = frozenset(targets)
         closures = self.closure_batch(

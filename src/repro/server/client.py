@@ -191,31 +191,26 @@ class ReproClient:
     def shutdown(self) -> dict:
         return self.request("shutdown")
 
-    def implies(self, bundle: dict, nfd: str, *,
-                strategy: str | None = None) -> bool:
-        result = self.request("implies", bundle=bundle, nfd=nfd,
-                              strategy=strategy)
+    def implies(self, bundle: dict, nfd: str) -> bool:
+        result = self.request("implies", bundle=bundle, nfd=nfd)
         return bool(result.get("implied"))
 
-    def closure(self, bundle: dict, base: str, paths: list[str], *,
-                strategy: str | None = None) -> list[str]:
+    def closure(self, bundle: dict, base: str,
+                paths: list[str]) -> list[str]:
         result = self.request("closure", bundle=bundle, base=base,
-                              paths=list(paths), strategy=strategy)
+                              paths=list(paths))
         return list(result.get("closure", []))
 
     def closure_many(self, bundle: dict,
-                     queries: list[tuple[str, list[str]]], *,
-                     strategy: str | None = None) -> list[list[str]]:
+                     queries: list[tuple[str, list[str]]]) \
+            -> list[list[str]]:
         result = self.request(
             "closure", bundle=bundle,
-            queries=[[base, list(paths)] for base, paths in queries],
-            strategy=strategy)
+            queries=[[base, list(paths)] for base, paths in queries])
         return [list(item) for item in result.get("closures", [])]
 
-    def keys(self, bundle: dict, relation: str | None = None, *,
-             strategy: str | None = None) -> dict:
-        return self.request("keys", bundle=bundle, relation=relation,
-                            strategy=strategy)
+    def keys(self, bundle: dict, relation: str | None = None) -> dict:
+        return self.request("keys", bundle=bundle, relation=relation)
 
     def check(self, bundle: dict, *,
               deadline: float | None = None) -> dict:

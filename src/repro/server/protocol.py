@@ -46,7 +46,7 @@ from ..paths.path import parse_path
 
 __all__ = [
     "PROTOCOL_VERSION", "DEFAULT_PORT", "MAX_FRAME_BYTES",
-    "ERROR_CODES", "STRATEGIES", "ProtocolError",
+    "ERROR_CODES", "ProtocolError",
     "encode", "decode_line", "ok_response", "error_response",
     "parse_bundle_payload",
 ]
@@ -63,9 +63,6 @@ DEFAULT_PORT = 7399
 #: with ``frame_too_large`` and the connection is closed (the stream
 #: position past an oversized frame is unrecoverable).
 MAX_FRAME_BYTES = 8 * 1024 * 1024
-
-#: Closure strategies a query may select.
-STRATEGIES = ("worklist", "naive", "dense")
 
 #: Every error code a response may carry.
 ERROR_CODES = (

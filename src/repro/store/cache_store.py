@@ -21,7 +21,7 @@ canonical byte encoding of :mod:`repro.values.canonical`:
 * ``dense_tables`` — ``(fingerprint, relation) -> pickled interned
   closure tables`` of :mod:`repro.inference.dense`, tagged with the Σ
   member order exactly like plans (dense rows are indexed positionally),
-  so a dense-strategy session warm-starts with zero compilation;
+  so a session with a store warm-starts with zero compilation;
 * ``stream_sources`` / ``stream_groups`` — per-source watermarks and
   per-plan ``[key, first, clash]`` aggregate blobs for incremental
   streaming (see :mod:`repro.store.stream_cache`): one pickled list of

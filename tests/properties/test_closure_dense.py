@@ -1,13 +1,16 @@
-"""Differential tests: the dense bitset kernel vs. the object strategies.
+"""Differential tests: the dense kernel vs. the naive reference.
 
-The ``strategy="dense"`` kernel interns each relation's path universe
-into contiguous bit positions and saturates with pure integer mask
-arithmetic, but it computes the least fixpoint of the *same* monotone
-single-step operator as the worklist and the naive reference — so all
-three must agree exactly: on every closure (simple, relation-name base,
-nested base), on every implication verdict, and on every minimal-key
-sweep, in the plain Section 3.1 mode, the fully-gated Section 3.2 mode,
-and under partial non-empty declarations.
+The engine saturates with the dense bitset kernel: each relation's path
+universe is interned into contiguous bit positions and the fixpoint is
+pure integer mask arithmetic.  The naive object-level reference
+saturation (:meth:`ClosureEngine.reference_closure`) computes the least
+fixpoint of the *same* monotone single-step operator, so the two must
+agree exactly: on every closure (relation-name and nested base), on
+every implication verdict, and on every minimal-key sweep, in the plain
+Section 3.1 mode, the fully-gated Section 3.2 mode, and under partial
+non-empty declarations.  In the plain mode both must also match
+:class:`~repro.inference.BruteForceProver` — exhaustive application of
+the rules — whenever its path space is small enough to enumerate.
 
 A deterministic seed sweep guarantees the advertised case count (the
 acceptance bar is >= 200 randomized cases across the modes) independent
@@ -15,6 +18,8 @@ of hypothesis profiles; a hypothesis wrapper adds shrinking on failure.
 The batch APIs (``closure_many`` / ``closure_batch`` / ``covers_many``)
 are checked against their mapped one-query-at-a-time reading, and the
 pickled-dense-tables parallel key sweep against the serial one.
+:mod:`tests.properties.test_closure_differential` runs the same
+agreement check on deeper, wider schemas.
 """
 
 import random
@@ -24,8 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import minimal_keys
+from repro.errors import InferenceError
 from repro.generators import random_schema, random_sigma, workloads
 from repro.inference import (
+    BruteForceProver,
     ClosureEngine,
     ImplicationSession,
     NonEmptySpec,
@@ -33,8 +40,9 @@ from repro.inference import (
 from repro.nfd import NFD
 from repro.paths import Path, relation_paths, set_paths
 
-SEEDS_PER_MODE = 60
+SEEDS_PER_MODE = 100
 QUERIES_PER_CASE = 3
+BRUTE_FORCE_MAX_PATHS = 6
 
 
 def _draw(seed: int):
@@ -56,39 +64,63 @@ def _partial_spec(rng: random.Random, schema, relation: str) \
     return NonEmptySpec(declared)
 
 
-def _check_dense_agreement(seed: int, gated: bool) -> None:
-    rng, schema, sigma, relation, paths = _draw(seed)
+class _Reference:
+    """The naive reference saturation behind the query surface
+    :func:`minimal_keys` needs (``schema``, ``tracer``, ``closure``)."""
+
+    def __init__(self, schema, sigma, spec):
+        self.engine = ClosureEngine(schema, sigma, nonempty=spec)
+        self.schema = schema
+        self.tracer = None
+
+    def closure(self, base, lhs):
+        return self.engine.reference_closure(base, lhs)
+
+
+def _brute_force(schema, sigma):
+    """The exhaustive prover, or None when its space is too large."""
+    try:
+        return BruteForceProver(schema, sigma,
+                                max_paths=BRUTE_FORCE_MAX_PATHS)
+    except InferenceError:
+        return None
+
+
+def _check_dense_agreement(seed: int, gated: bool, draw=_draw) -> None:
+    rng, schema, sigma, relation, paths = draw(seed)
     spec = _partial_spec(rng, schema, relation) if gated else None
-    dense = ClosureEngine(schema, sigma, nonempty=spec,
-                          strategy="dense")
-    worklist = ClosureEngine(schema, sigma, nonempty=spec)
-    naive = ClosureEngine(schema, sigma, nonempty=spec,
-                          strategy="naive")
+    dense = ClosureEngine(schema, sigma, nonempty=spec)
+    reference = ClosureEngine(schema, sigma, nonempty=spec)
+    prover = None if gated else _brute_force(schema, sigma)
     base = Path((relation,))
     for _ in range(QUERIES_PER_CASE):
         lhs = frozenset(rng.sample(paths,
                                    min(len(paths), rng.randint(0, 2))))
-        simple = dense.closure_simple(relation, lhs)
-        assert simple == worklist.closure_simple(relation, lhs), \
-            (sigma, spec, lhs)
-        assert simple == naive.closure_simple(relation, lhs), \
-            (sigma, spec, lhs)
         closed = dense.closure(base, lhs)
-        assert closed == worklist.closure(base, lhs), (sigma, spec, lhs)
+        assert closed == dense.closure_simple(relation, lhs)
+        assert closed == reference.reference_closure(base, lhs), \
+            (sigma, spec, lhs)
+        if prover is not None:
+            assert closed == prover.closure(base, lhs), (sigma, lhs)
         # implication verdicts: one implied RHS, one arbitrary RHS
         for rhs in [*list(closed)[:1], *rng.sample(paths, 1)]:
             if rhs in lhs:
                 continue
             nfd = NFD(base, lhs, rhs)
-            assert dense.implies(nfd) == worklist.implies(nfd), \
+            assert dense.implies(nfd) == \
+                (rhs in reference.reference_closure(base, lhs)), \
                 (sigma, spec, nfd)
     # nested bases exercise the simple-form translation and, in gated
     # mode, the pull-out gate of ClosureEngine.closure
     nested = list(set_paths(schema, relation))
     for tail in nested[:2]:
         nested_base = base.concat(tail)
-        assert dense.closure(nested_base, ()) == \
-            worklist.closure(nested_base, ()), (sigma, spec, nested_base)
+        closed = dense.closure(nested_base, ())
+        assert closed == reference.reference_closure(nested_base, ()), \
+            (sigma, spec, nested_base)
+        if prover is not None:
+            assert closed == prover.closure(nested_base, ()), \
+                (sigma, nested_base)
 
 
 @pytest.mark.parametrize("seed", range(SEEDS_PER_MODE))
@@ -109,11 +141,24 @@ def test_dense_equals_object_strategies_hypothesis(seed, gated):
     _check_dense_agreement(seed, gated)
 
 
+def test_brute_force_runs_on_most_plain_cases():
+    """The exhaustive oracle must actually run, not skip every case."""
+    feasible = sum(
+        1 for seed in range(SEEDS_PER_MODE)
+        if _brute_force(*_draw(seed)[1:3]) is not None)
+    assert feasible >= SEEDS_PER_MODE // 2
+
+
 @pytest.mark.parametrize("seed", range(20))
-@pytest.mark.parametrize("strategy", ["dense", "worklist"])
-def test_closure_many_matches_mapped_closure(seed, strategy):
+@pytest.mark.parametrize("oracle", [
+    pytest.param(ClosureEngine.closure, id="dense"),
+    # the naive reference, which the former worklist engine matched
+    pytest.param(ClosureEngine.reference_closure, id="worklist"),
+])
+def test_closure_many_matches_mapped_closure(seed, oracle):
     """The batch API answers exactly like one-at-a-time closure calls
-    (on a fresh engine, so neither order nor seeding can leak)."""
+    (on a fresh engine, so neither order nor seeding can leak), by the
+    kernel and by the reference saturation."""
     rng, schema, sigma, relation, paths = _draw(seed)
     base = Path((relation,))
     queries = []
@@ -121,16 +166,14 @@ def test_closure_many_matches_mapped_closure(seed, strategy):
         lhs = frozenset(rng.sample(paths,
                                    min(len(paths), rng.randint(0, 3))))
         queries.append((base, lhs))
-    batch = ClosureEngine(schema, sigma, strategy=strategy) \
-        .closure_many(queries)
-    single = ClosureEngine(schema, sigma, strategy=strategy)
-    assert batch == [single.closure(b, lhs) for b, lhs in queries]
+    batch = ClosureEngine(schema, sigma).closure_many(queries)
+    single = ClosureEngine(schema, sigma)
+    assert batch == [oracle(single, b, lhs) for b, lhs in queries]
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_session_batches_match_engine(seed):
-    """closure_batch and covers_batch agree with the mapped reading,
-    dense and worklist alike."""
+    """closure_batch and covers_batch agree with the mapped reading."""
     rng, schema, sigma, relation, paths = _draw(seed)
     base = Path((relation,))
     candidates = [
@@ -138,15 +181,13 @@ def test_session_batches_match_engine(seed):
         for _ in range(5)
     ]
     targets = rng.sample(paths, min(len(paths), 2))
-    for strategy in ("dense", "worklist"):
-        session = ImplicationSession(schema, sigma, strategy=strategy)
-        closures = session.closure_batch(
-            [(base, c) for c in candidates])
-        fresh = ImplicationSession(schema, sigma, strategy=strategy)
-        assert closures == [fresh.closure(base, c) for c in candidates]
-        assert session.covers_batch(base, candidates, targets) == [
-            all(t in closed for t in targets) for closed in closures
-        ]
+    session = ImplicationSession(schema, sigma)
+    closures = session.closure_batch([(base, c) for c in candidates])
+    fresh = ImplicationSession(schema, sigma)
+    assert closures == [fresh.closure(base, c) for c in candidates]
+    assert session.covers_batch(base, candidates, targets) == [
+        all(t in closed for t in targets) for closed in closures
+    ]
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -154,12 +195,9 @@ def test_session_batches_match_engine(seed):
 def test_dense_keys_match_object_strategies(seed, gated):
     rng, schema, sigma, relation, paths = _draw(seed)
     spec = _partial_spec(rng, schema, relation) if gated else None
-    keys = minimal_keys(schema, sigma, relation, nonempty=spec,
-                        strategy="dense")
-    assert keys == minimal_keys(schema, sigma, relation, nonempty=spec,
-                                strategy="worklist")
-    assert keys == minimal_keys(schema, sigma, relation, nonempty=spec,
-                                strategy="naive")
+    assert minimal_keys(schema, sigma, relation, nonempty=spec) == \
+        minimal_keys(schema, sigma, relation,
+                     engine=_Reference(schema, sigma, spec))
 
 
 class TestParallelDenseSweep:
@@ -169,25 +207,23 @@ class TestParallelDenseSweep:
     def test_parallel_dense_sweep_identical(self):
         schema = workloads.course_schema()
         sigma = workloads.course_sigma()
-        serial = minimal_keys(schema, sigma, "Course",
-                              strategy="dense")
-        parallel = minimal_keys(schema, sigma, "Course",
-                                strategy="dense", jobs=2)
+        serial = minimal_keys(schema, sigma, "Course")
+        parallel = minimal_keys(schema, sigma, "Course", jobs=2)
         assert parallel == serial
         assert repr(sorted(map(sorted, parallel))) == \
             repr(sorted(map(sorted, serial)))
-        assert serial == minimal_keys(schema, sigma, "Course",
-                                      strategy="worklist")
+        assert serial == minimal_keys(
+            schema, sigma, "Course",
+            engine=_Reference(schema, sigma, None))
 
     def test_parallel_dense_sweep_identical_gated(self):
         from repro.paths import parse_path
         schema = workloads.course_schema()
         sigma = workloads.course_sigma()
         spec = NonEmptySpec({parse_path("Course")})
-        serial = minimal_keys(schema, sigma, "Course", nonempty=spec,
-                              strategy="dense")
+        serial = minimal_keys(schema, sigma, "Course", nonempty=spec)
         assert minimal_keys(schema, sigma, "Course", nonempty=spec,
-                            strategy="dense", jobs=2) == serial
-        assert serial == minimal_keys(schema, sigma, "Course",
-                                      nonempty=spec,
-                                      strategy="worklist")
+                            jobs=2) == serial
+        assert serial == minimal_keys(
+            schema, sigma, "Course",
+            engine=_Reference(schema, sigma, spec))

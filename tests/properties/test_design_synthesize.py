@@ -9,8 +9,9 @@ Three families of randomized evidence back ``repro normalize``:
 * **Preservation honesty** — the report's ``preserved`` verdict equals
   a brute-force re-derivation: rebuild the enforced constraint set
   from the winner's :class:`~repro.design.PlanReport` (top-level
-  placements, per-set local forms, structural NFDs) and ask one
-  independent naive-strategy engine per carried dependency.
+  placements, per-set local forms, structural NFDs) and ask the
+  naive reference saturation of one fresh engine per carried
+  dependency.
 * **Sweep determinism** — ``sweep_normalize(..., jobs=2)`` renders
   byte-identically to the serial sweep, so CI gate numbers cannot
   depend on worker scheduling.
@@ -75,8 +76,8 @@ def _brute_force_preserved(report) -> bool:
     carried NFDs verbatim, each deep placement's local form when one
     exists, and the structural NFDs nesting induces.  The design
     preserves Sigma iff that set implies every carried dependency —
-    one fresh naive-strategy engine per query, sharing nothing with
-    the session machinery under test.
+    the naive reference saturation of one fresh engine per query,
+    sharing nothing with the session machinery under test.
     """
     plan_report = report.plan_report
     enforced = []
@@ -89,8 +90,8 @@ def _brute_force_preserved(report) -> bool:
                 enforced.append(local)
     enforced.extend(plan_report.structural_nfds())
     return all(
-        ClosureEngine(plan_report.schema, enforced,
-                      strategy="naive").implies(nfd)
+        nfd.rhs in ClosureEngine(plan_report.schema, enforced)
+        .reference_closure(nfd.base, nfd.lhs)
         for nfd in plan_report.nfds())
 
 

@@ -10,10 +10,15 @@ bundle.  The wire protocol, the bundle round-trip, the engine pool, the
 closure batcher, and the deadline-bearing stream path may change *how*
 an answer is computed, never *what* it is.
 
+Every request also carries the retired ``strategy`` field, as clients
+written against the former multi-engine daemon still send it
+(``"worklist"`` or ``"dense"``); the daemon ignores it like any unknown
+field, so it must not change a single answer.
+
 A deterministic seed sweep guarantees the advertised case count: 60
-seeds x 2 modes (plain / NON-NULL-gated Sigma) x 2 strategies
-(worklist / dense) = 240 randomized cases, clearing the >= 200 bar.  A
-hypothesis wrapper adds shrinking on failure.
+seeds x 2 modes (plain / NON-NULL-gated Sigma) x 2 retired strategy
+values = 240 randomized cases, clearing the >= 200 bar.  A hypothesis
+wrapper adds shrinking on failure.
 """
 
 import json
@@ -129,11 +134,31 @@ def _partial_spec(rng: random.Random, schema, relation: str) \
 # ------------------------------------------------------------- the checks
 
 
+class _RetiredStrategyClient:
+    """The client's verbs, each request sent with a ``strategy``
+    field the daemon no longer reads."""
+
+    def __init__(self, client: ReproClient, strategy: str):
+        self._client = client
+        self._strategy = strategy
+
+    def request(self, request_type: str, **params) -> dict:
+        return self._client.request(request_type,
+                                    strategy=self._strategy, **params)
+
+    implies = ReproClient.implies
+    closure = ReproClient.closure
+    closure_many = ReproClient.closure_many
+    keys = ReproClient.keys
+    check = ReproClient.check
+
+
 def _check_agreement(client: ReproClient, seed: int, gated: bool,
                      strategy: str) -> None:
+    client = _RetiredStrategyClient(client, strategy)
     rng, schema, sigma, relation, spec, instance, bundle = \
         _draw(seed, gated)
-    session = ImplicationSession(schema, sigma, spec, strategy=strategy)
+    session = ImplicationSession(schema, sigma, spec)
     paths = relation_paths(schema, relation)
     base = Path((relation,))
 
@@ -142,8 +167,7 @@ def _check_agreement(client: ReproClient, seed: int, gated: bool,
     candidates = [random_nfd(rng, schema) for _ in range(3)]
     candidates.extend(sigma)
     for candidate in candidates:
-        remote = client.implies(bundle, str(candidate),
-                                strategy=strategy)
+        remote = client.implies(bundle, str(candidate))
         assert remote == session.implies(candidate), \
             (seed, gated, strategy, str(candidate))
 
@@ -155,8 +179,7 @@ def _check_agreement(client: ReproClient, seed: int, gated: bool,
         queries.append((base, frozenset(lhs)))
     for q_base, q_lhs in queries:
         remote = client.closure(bundle, str(q_base),
-                                [str(p) for p in q_lhs],
-                                strategy=strategy)
+                                [str(p) for p in q_lhs])
         local = [str(p) for p in sorted(session.closure(q_base, q_lhs))]
         assert remote == local, (seed, gated, strategy, q_lhs)
 
@@ -164,16 +187,15 @@ def _check_agreement(client: ReproClient, seed: int, gated: bool,
     remote_many = client.closure_many(
         bundle,
         [(str(q_base), [str(p) for p in q_lhs])
-         for q_base, q_lhs in queries],
-        strategy=strategy)
+         for q_base, q_lhs in queries])
     local_many = [[str(p) for p in sorted(session.closure(q_base, q_lhs))]
                   for q_base, q_lhs in queries]
     assert remote_many == local_many, (seed, gated, strategy)
 
-    # keys: same relation, same strategy, same rendering
-    remote_keys = client.keys(bundle, relation, strategy=strategy)
+    # keys: same relation, same rendering
+    remote_keys = client.keys(bundle, relation)
     local_keys = minimal_keys(schema, sigma, relation, engine=session,
-                              nonempty=spec, strategy=strategy)
+                              nonempty=spec)
     assert remote_keys["relation"] == relation
     assert remote_keys["keys"] == \
         [sorted(str(p) for p in key) for key in local_keys], \

@@ -1,11 +1,15 @@
 """Unit tests for the command-line interface."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.cli import main
 from repro.generators import workloads
+from repro.inference import ClosureEngine
 from repro.io import dump_bundle, load_bundle
-from repro.nfd import satisfies_all_fast
+from repro.nfd import parse_nfd, satisfies_all_fast
+from repro.paths import parse_path
 
 
 @pytest.fixture
@@ -91,7 +95,6 @@ class TestImplies:
     def test_spec_persisted_in_bundle(self, tmp_path, capsys):
         from repro.inference import NonEmptySpec
         from repro.nfd import parse_nfds
-        from repro.paths import parse_path
         schema = workloads.example_3_2_schema()
         sigma = parse_nfds("R:[A -> B:C]\nR:[B:C -> D]")
         spec = NonEmptySpec({parse_path("R")})
@@ -270,43 +273,70 @@ class TestCounterNonemptySpec:
 
 
 class TestStrategyFlag:
+    """``--strategy`` is retired: the dense kernel answers every
+    command, exactly like the naive reference saturation."""
+
+    @staticmethod
+    def _engine():
+        return ClosureEngine(workloads.course_schema(),
+                             workloads.course_sigma())
+
     def test_dense_implies_matches_default(self, course_bundle, capsys):
-        assert main(["implies", course_bundle,
-                     "Course:[students:sid, time -> books]"]) == 0
-        default = capsys.readouterr().out
-        assert main(["implies", course_bundle,
-                     "Course:[students:sid, time -> books]",
-                     "--strategy", "dense"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(["implies", course_bundle,
-                     "Course:[time -> cnum]",
-                     "--strategy", "dense"]) == 1
+        engine = self._engine()
+        for text in ["Course:[students:sid, time -> books]",
+                     "Course:[time -> cnum]"]:
+            nfd = parse_nfd(text)
+            implied = nfd.rhs in engine.reference_closure(nfd.base,
+                                                          nfd.lhs)
+            assert main(["implies", course_bundle, text]) == \
+                (0 if implied else 1), text
 
     def test_dense_closure_and_keys_match_default(self, course_bundle,
                                                   capsys):
+        engine = self._engine()
+        base = parse_path("Course")
         assert main(["closure", course_bundle, "Course", "cnum"]) == 0
-        closure_out = capsys.readouterr().out
-        assert main(["closure", course_bundle, "Course", "cnum",
-                     "--strategy", "dense"]) == 0
-        assert capsys.readouterr().out == closure_out
+        listed = capsys.readouterr().out.splitlines()[1:]
+        reference = engine.reference_closure(base, {parse_path("cnum")})
+        assert [line.strip() for line in listed] == \
+            [str(p) for p in sorted(reference)]
+        # the minimal keys by brute force over the reference closures
+        labels = [parse_path(t) for t in ("cnum", "time", "students",
+                                          "books")]
+
+        def is_key(combo):
+            return set(labels) <= engine.reference_closure(base, combo)
+
+        expected = {
+            frozenset(combo)
+            for size in range(len(labels) + 1)
+            for combo in combinations(labels, size)
+            if is_key(combo) and
+            not any(is_key(set(combo) - {p}) for p in combo)
+        }
         assert main(["keys", course_bundle]) == 0
-        keys_out = capsys.readouterr().out
-        assert main(["keys", course_bundle,
-                     "--strategy", "dense"]) == 0
-        assert capsys.readouterr().out == keys_out
+        printed = {
+            frozenset(parse_path(t) for t in
+                      line.split(": ", 1)[1].strip("{}").split(", "))
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert printed == expected
 
     def test_dense_stats_name_the_strategy(self, course_bundle, capsys):
         assert main(["implies", course_bundle,
                      "Course:[students:sid, time -> books]",
-                     "--strategy", "dense", "--stats"]) == 0
+                     "--stats"]) == 0
         err = capsys.readouterr().err
-        assert "engine stats (dense strategy)" in err
+        # one engine: the stats show the kernel's counters, no strategy
+        assert "engine stats:" in err
         assert "mask tests" in err
+        assert "strategy" not in err
 
     def test_unknown_strategy_rejected(self, course_bundle, capsys):
-        with pytest.raises(SystemExit):
-            main(["implies", course_bundle, "Course:[cnum -> time]",
-                  "--strategy", "magic"])
+        for strategy in ("magic", "dense"):
+            with pytest.raises(SystemExit):
+                main(["implies", course_bundle, "Course:[cnum -> time]",
+                      "--strategy", strategy])
 
 
 class TestStatsFlag:
@@ -316,8 +346,9 @@ class TestStatsFlag:
                      "--stats"]) == 0
         captured = capsys.readouterr()
         assert "engine stats" not in captured.out
-        assert "engine stats (worklist strategy)" in captured.err
+        assert "engine stats:" in captured.err
         assert "apply attempts" in captured.err
+        assert "mask tests" in captured.err
 
     def test_exit_codes_unchanged_by_stats(self, course_bundle, capsys):
         assert main(["implies", course_bundle,
@@ -398,6 +429,15 @@ def broken_warehouse_bundle(tmp_path):
 
 
 class TestJobsFlag:
+    def test_jobs_below_one_is_an_error(self, course_bundle, capsys):
+        for command in (["check", course_bundle],
+                        ["keys", course_bundle],
+                        ["normalize", "--sweep", "2"]):
+            for jobs in ("0", "-2"):
+                assert main([*command, "--jobs", jobs]) == 2
+                assert capsys.readouterr().err == \
+                    f"error: --jobs must be >= 1, got {jobs}\n"
+
     def test_keys_parallel_output_is_byte_identical(self, course_bundle,
                                                     capsys):
         assert main(["keys", course_bundle]) == 0
@@ -456,6 +496,21 @@ class TestCheckStreamDegenerate:
         assert main(["check", course_bundle, "--stream", course_jsonl,
                      "--shards", "-3"]) == 2
         assert "--shards must be >= 1" in capsys.readouterr().err
+
+    def test_unknown_relation_is_an_error(self, course_bundle,
+                                          course_jsonl, tmp_path,
+                                          capsys):
+        # plain, sharded and incremental runs all refuse it the same way
+        cache = str(tmp_path / "cache")
+        for extra in ([], ["--shards", "2"],
+                      ["--incremental", "--cache-dir", cache]):
+            assert main(["check", course_bundle, "--stream",
+                         course_jsonl, "--relation", "NOPE",
+                         *extra]) == 2, extra
+            captured = capsys.readouterr()
+            assert captured.err == ("error: unknown relation 'NOPE'; "
+                                    "schema declares Course\n"), extra
+            assert "satisfies all" not in captured.out
 
     def test_empty_jsonl_is_a_typed_error(self, course_bundle, tmp_path,
                                           capsys):

@@ -129,8 +129,17 @@ TABLE = [
     ("cache-no-dir", ["cache", "stats"], 2),
     ("unknown-subcommand", ["frobnicate"], 2),
     ("missing-argument", ["implies", "{good}"], 2),
+    # --strategy is retired: any use of it is a usage error
     ("bad-strategy", ["implies", "{good}", IMPLIED,
                       "--strategy", "quantum"], 2),
+    ("check-jobs-zero", ["check", "{good}", "--jobs", "0"], 2),
+    ("check-jobs-negative", ["check", "{good}", "--jobs", "-2"], 2),
+    ("keys-jobs-zero", ["keys", "{good}", "--jobs", "0"], 2),
+    ("keys-jobs-negative", ["keys", "{good}", "--jobs", "-2"], 2),
+    ("normalize-jobs-zero", ["normalize", "--sweep", "2",
+                             "--jobs", "0"], 2),
+    ("normalize-jobs-negative", ["normalize", "--sweep", "2",
+                                 "--jobs", "-2"], 2),
     ("normalize-no-input", ["normalize"], 2),
     ("normalize-bad-sweep", ["normalize", "--sweep", "0"], 2),
     ("normalize-bad-relation", ["normalize", "{good}",

@@ -3,7 +3,8 @@
 Covers the synthesis stages of :mod:`repro.design.synthesize` — the
 flatten/rewrite front end, candidate generation, scoring, the
 preservation verdict, round-trip validation — plus the ``repro
-normalize`` CLI surface and the ``analyze --strategy`` regression.
+normalize`` CLI surface and the ``analyze`` regression for the retired
+``--strategy`` flag.
 """
 
 import json
@@ -27,6 +28,8 @@ from repro.nfd import parse_nfd, satisfies_all_fast
 from repro.types import SetType, parse_schema
 from repro.values import Instance
 from repro.values.restructure import flatten_type, flatten_value
+
+from .properties.test_design_synthesize import _brute_force_preserved
 
 
 ENROLL = "Enroll = {<cnum: string, time: int, sid: int, grade: string>}"
@@ -76,12 +79,13 @@ class TestSynthesizeEnroll:
             by_mode["fresh"].preserved
 
     def test_strategies_agree(self):
+        # the preservation verdict equals its re-derivation by the
+        # naive reference saturation, in both modes
         schema, sigma = _enroll()
-        dense = synthesize_design(schema, sigma, strategy="dense")
-        worklist = synthesize_design(schema, sigma,
-                                     strategy="worklist")
-        assert dense.plan.steps == worklist.plan.steps
-        assert dense.to_text() == worklist.to_text()
+        for mode in ("session", "fresh"):
+            report = synthesize_design(schema, sigma, mode=mode)
+            assert report.preserved == _brute_force_preserved(report), \
+                mode
 
     def test_gated_semantics(self):
         schema, sigma = _enroll()
@@ -309,25 +313,25 @@ class TestNormalizeCLI:
 
 
 class TestAnalyzeStrategyRegression:
-    """``repro analyze --strategy dense`` must match the worklist."""
+    """``repro analyze`` runs the one engine; ``--strategy`` is gone."""
 
     def test_dense_equals_worklist_stdout(self, tmp_path, capsys):
+        from repro.analysis import analyze_constraints
+
+        schema = workloads.course_schema()
+        sigma = workloads.course_sigma()
         path = tmp_path / "course.json"
-        path.write_text(dump_bundle(workloads.course_schema(),
-                                    workloads.course_sigma()))
-        assert main(["analyze", str(path),
-                     "--strategy", "worklist"]) == 0
-        worklist_out = capsys.readouterr().out
-        assert main(["analyze", str(path),
-                     "--strategy", "dense"]) == 0
-        dense_out = capsys.readouterr().out
-        assert dense_out == worklist_out
+        path.write_text(dump_bundle(schema, sigma))
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out == \
+            analyze_constraints(schema, sigma).to_text() + "\n"
+        for strategy in ("worklist", "dense"):
+            with pytest.raises(SystemExit):
+                main(["analyze", str(path), "--strategy", strategy])
 
     def test_library_strategy_kwarg(self):
         from repro.analysis import analyze_constraints
 
         schema, sigma = _enroll()
-        dense = analyze_constraints(schema, sigma, strategy="dense")
-        worklist = analyze_constraints(schema, sigma,
-                                       strategy="worklist")
-        assert dense.to_text() == worklist.to_text()
+        with pytest.raises(TypeError, match="strategy"):
+            analyze_constraints(schema, sigma, strategy="dense")

@@ -173,18 +173,22 @@ class TestBaseValidation:
 
 class TestStrategies:
     def test_unknown_strategy_rejected(self, course_schema, course_sigma):
-        with pytest.raises(InferenceError, match="strategy"):
-            ClosureEngine(course_schema, course_sigma, strategy="magic")
+        # one engine: the retired keyword is refused, never ignored
+        for strategy in ("magic", "worklist", "dense"):
+            with pytest.raises(TypeError, match="strategy"):
+                ClosureEngine(course_schema, course_sigma,
+                              strategy=strategy)
 
     def test_naive_reference_agrees(self, course_schema, course_sigma):
-        fast = ClosureEngine(course_schema, course_sigma)
-        slow = ClosureEngine(course_schema, course_sigma,
-                             strategy="naive")
+        engine = ClosureEngine(course_schema, course_sigma)
         for text in ["Course:[students:sid, time -> books]",
                      "Course:[students:sid -> books]",
-                     "Course:students:[sid -> grade]"]:
-            assert fast.implies(parse_nfd(text)) == \
-                slow.implies(parse_nfd(text)), text
+                     "Course:students:[sid -> grade]",
+                     "Course:[cnum -> time]"]:
+            nfd = parse_nfd(text)
+            assert engine.implies(nfd) == (
+                nfd.rhs in engine.reference_closure(nfd.base, nfd.lhs)), \
+                text
 
 
 class TestEngineStats:
@@ -193,7 +197,6 @@ class TestEngineStats:
         assert engine.stats.attempts == 0
         engine.implies(parse_nfd("Course:[students:sid, time -> books]"))
         stats = engine.stats
-        assert stats.strategy == "worklist"
         assert stats.attempts > 0
         assert 0 < stats.successes <= stats.attempts
         assert stats.saturations >= 1
@@ -214,7 +217,6 @@ class TestEngineStats:
     def test_snapshot_is_plain_data(self, course_engine):
         course_engine.implies(parse_nfd("Course:[cnum -> time]"))
         payload = course_engine.stats.as_dict()
-        assert payload["strategy"] == "worklist"
         assert set(payload) >= {"attempts", "successes", "rounds",
                                 "usables", "queries", "derived"}
         text = course_engine.stats.to_text()
@@ -271,10 +273,10 @@ class TestGatedPrefixCoverage:
 
     def test_prefix_covered_member_fires(self, gated_setup):
         schema, sigma, spec = gated_setup
-        for strategy in ("worklist", "naive", "dense"):
-            engine = ClosureEngine(schema, sigma, nonempty=spec,
-                                   strategy=strategy)
-            assert engine.implies(parse_nfd("R:[A:B -> E]")), strategy
+        engine = ClosureEngine(schema, sigma, nonempty=spec)
+        nfd = parse_nfd("R:[A:B -> E]")
+        assert engine.implies(nfd)
+        assert nfd.rhs in engine.reference_closure(nfd.base, nfd.lhs)
 
     def test_blocked_without_declaration(self, gated_setup):
         from repro.inference import NonEmptySpec
@@ -287,28 +289,29 @@ class TestGatedPrefixCoverage:
 
 
 class TestDenseStrategy:
-    """The interned-bitmask kernel behind ``strategy="dense"``."""
+    """The interned-bitmask kernel: the engine's one saturation."""
 
     def test_agrees_with_worklist(self, course_schema, course_sigma):
-        dense = ClosureEngine(course_schema, course_sigma,
-                              strategy="dense")
-        worklist = ClosureEngine(course_schema, course_sigma)
-        for text in ["Course:[students:sid, time -> books]",
-                     "Course:[students:sid -> books]",
-                     "Course:students:[sid -> grade]",
-                     "Course:[cnum -> time]"]:
-            assert dense.implies(parse_nfd(text)) == \
-                worklist.implies(parse_nfd(text)), text
+        # every single-path closure, at the relation and a nested base,
+        # equals the naive reference the worklist engine was held to
+        engine = ClosureEngine(course_schema, course_sigma)
+        for base, texts in [("Course", ["cnum", "time", "books",
+                                        "students:sid"]),
+                            ("Course:students", ["sid", "grade"])]:
+            for text in texts:
+                lhs = _paths(text)
+                assert engine.closure(parse_path(base), lhs) == \
+                    engine.reference_closure(parse_path(base), lhs), \
+                    (base, text)
 
     def test_closure_many_matches_mapped(self, course_schema,
                                          course_sigma):
         base = parse_path("Course")
         queries = [(base, _paths("cnum")), (base, _paths("time")),
                    (base, _paths("cnum", "time")), (base, frozenset())]
-        batch = ClosureEngine(course_schema, course_sigma,
-                              strategy="dense").closure_many(queries)
-        fresh = ClosureEngine(course_schema, course_sigma,
-                              strategy="dense")
+        batch = ClosureEngine(course_schema, course_sigma) \
+            .closure_many(queries)
+        fresh = ClosureEngine(course_schema, course_sigma)
         assert batch == [fresh.closure(b, lhs) for b, lhs in queries]
 
     def test_covers_many_matches_membership(self, course_schema,
@@ -316,8 +319,7 @@ class TestDenseStrategy:
         base = parse_path("Course")
         candidates = [_paths("cnum"), _paths("time"), _paths("books")]
         targets = _paths("time", "books")
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
+        engine = ClosureEngine(course_schema, course_sigma)
         verdicts = engine.covers_many(base, candidates, targets)
         fresh = ClosureEngine(course_schema, course_sigma)
         assert verdicts == [targets <= fresh.closure(base, c)
@@ -325,26 +327,30 @@ class TestDenseStrategy:
 
     def test_covers_many_rejects_bad_paths(self, course_schema,
                                            course_sigma):
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
+        engine = ClosureEngine(course_schema, course_sigma)
         with pytest.raises(InferenceError, match="not well-typed"):
             engine.covers_many(parse_path("Course"),
                                [_paths("nope")], _paths("time"))
 
-    def test_explain_requires_provenance(self, course_schema,
-                                         course_sigma):
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
-        with pytest.raises(InferenceError, match="worklist"):
-            engine.explain(parse_nfd("Course:[cnum -> time]"))
+    def test_explain_and_prove_on_a_gated_engine(self, course_schema,
+                                                 course_sigma):
+        from repro.inference import NonEmptySpec, compile_proof
+
+        spec = NonEmptySpec({parse_path("Course"),
+                             parse_path("Course:students")})
+        engine = ClosureEngine(course_schema, course_sigma, nonempty=spec)
+        nfd = parse_nfd("Course:[students:sid, time -> books]")
+        assert engine.implies(nfd)
+        text = engine.explain(nfd).to_text()
+        assert text.startswith(f"{nfd} holds:")
+        assert "(no recorded step)" not in text
+        assert compile_proof(engine, nfd).conclusion() == nfd
 
     def test_stats_report_kernel_counters(self, course_schema,
                                           course_sigma):
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
+        engine = ClosureEngine(course_schema, course_sigma)
         engine.implies(parse_nfd("Course:[students:sid, time -> books]"))
         stats = engine.stats
-        assert stats.strategy == "dense"
         assert stats.mask_tests > 0
         assert stats.interned["Course"] > 0
         payload = stats.as_metrics()
@@ -357,19 +363,47 @@ class TestDenseStrategy:
 
     def test_diff_mismatch_names_snapshot_misuse(self, course_schema,
                                                  course_sigma):
-        dense = ClosureEngine(course_schema, course_sigma,
-                              strategy="dense").stats
-        worklist = ClosureEngine(course_schema, course_sigma).stats
+        engine = ClosureEngine(course_schema, course_sigma)
+        before = engine.snapshot()
+        engine.implies(parse_nfd("Course:[cnum -> time]"))
+        after = engine.snapshot()
+        assert after.diff(before).saturations >= 1
         with pytest.raises(InferenceError,
                            match=r"snapshot\(\) calls taken from the "
                                  r"\*same\* engine"):
-            dense.diff(worklist)
+            before.diff(after)
 
     def test_batch_seeding_counts(self, course_schema, course_sigma):
-        engine = ClosureEngine(course_schema, course_sigma,
-                               strategy="dense")
+        engine = ClosureEngine(course_schema, course_sigma)
         base = parse_path("Course")
         engine.closure_many([(base, _paths("cnum")),
                              (base, _paths("cnum", "time"))])
         # the two-member query must have seeded from the one-member one
         assert engine.stats.dense_seeds >= 1
+
+    def test_fired_rows_leave_the_query_row_lists(self):
+        """After a key sweep, no query keeps a row whose rhs it already
+        derived: fired rows are dead weight, and dropping them is what
+        bounds the kernel's per-query memory."""
+        import random
+
+        from repro.analysis import minimal_keys
+
+        rng = random.Random("fired-rows")
+        names = [f"a{i}" for i in range(11)]
+        schema = parse_schema(
+            "R = {<" + ", ".join(f"{name}: int" for name in names)
+            + ", s: {<x: int, y: int>}>}")
+        lines = []
+        for _ in range(9):
+            left, right, rhs = rng.sample(names, 3)
+            lines.append(f"R:[{left}, {right} -> {rhs}]")
+        lines.append(f"R:[{', '.join(rng.sample(names, 3))} -> s]")
+        lines.append("R:s:[x -> y]")
+        sigma = parse_nfds("\n".join(lines))
+        engine = ClosureEngine(schema, sigma)
+        minimal_keys(schema, sigma, "R", engine=engine)
+        state = engine._dense_states["R"]
+        assert len(state.acc) > 100
+        for key, acc in state.acc.items():
+            assert not any(acc & row[0] for row in state.qrows[key]), key

@@ -240,14 +240,6 @@ class TestSnapshotDiff:
         # point-in-time maps keep the later snapshot's values
         assert window.usables == engine.snapshot().usables
 
-    def test_engine_diff_rejects_strategy_mismatch(self):
-        schema, sigma = self._course()
-        worklist = ClosureEngine(schema, sigma).snapshot()
-        naive = ClosureEngine(schema, sigma,
-                              strategy="naive").snapshot()
-        with pytest.raises(InferenceError):
-            worklist.diff(naive)
-
     def test_session_diff_isolates_the_window(self):
         schema, sigma = self._course()
         session = ImplicationSession(schema, sigma)

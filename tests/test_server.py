@@ -129,7 +129,7 @@ class TestEnginePool:
             pool = EnginePool(max_entries=1)
             schema, sigma, spec = _parsed_universe()
             entry = pool.entry_for(schema, sigma, spec)
-            session = await pool.session_for(entry, "worklist")
+            session = await pool.session_for(entry)
             session.closure_simple("Course", frozenset())
             before = pool.engine_totals()
             assert before["closure_queries"] == 1
@@ -151,9 +151,9 @@ class TestEnginePool:
             schema, sigma, spec = _parsed_universe()
             entry = pool.entry_for(schema, sigma, spec)
             sessions = await asyncio.gather(
-                pool.session_for(entry, "worklist"),
-                pool.session_for(entry, "worklist"),
-                pool.session_for(entry, "worklist"))
+                pool.session_for(entry),
+                pool.session_for(entry),
+                pool.session_for(entry))
             assert sessions[0] is sessions[1] is sessions[2]
             assert pool.stats.session_builds == 1
             assert pool.stats.coalesced_builds == 2
@@ -168,8 +168,8 @@ class TestEnginePool:
             pool = EnginePool(max_entries=4)
             schema, sigma, spec = _parsed_universe()
             entry = pool.entry_for(schema, sigma, spec)
-            batcher = await pool.batcher_for(entry, "worklist")
-            assert (await pool.batcher_for(entry, "worklist")) \
+            batcher = await pool.batcher_for(entry)
+            assert (await pool.batcher_for(entry)) \
                 is batcher
             from repro.paths import Path
             base = Path(("Course",))
@@ -266,18 +266,22 @@ class TestServerLifecycle:
                 assert time.monotonic() - started < 2.0
 
     def test_strategies_shared_per_entry(self):
-        """One entry serves both strategies; answers agree."""
+        """A ``strategy`` field from an older client is ignored like
+        any unknown field: one entry, one session, the same answer."""
         bundle = _bundle_dict()
         nfd = "Course:[students:sid, time -> books]"
         with BackgroundServer(ServerConfig()) as bg:
             with ReproClient(bg.host, bg.port,
                              timeout=TIMEOUT) as client:
-                for strategy in ("worklist", "dense", "naive"):
-                    assert client.implies(bundle, nfd,
-                                          strategy=strategy) is True
+                assert "strategies" not in client.request(
+                    "hello", version=PROTOCOL_VERSION)
+                for strategy in (None, "worklist", "quantum"):
+                    answer = client.request("implies", bundle=bundle,
+                                            nfd=nfd, strategy=strategy)
+                    assert answer["implied"] is True, strategy
                 pool = client.stats()["pool"]
         assert pool["entries"] == 1
-        assert pool["session_builds"] == 3
+        assert pool["session_builds"] == 1
 
 
 # --------------------------------------------------------------- the CLI

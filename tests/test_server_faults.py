@@ -157,11 +157,6 @@ def test_invalid_bundle_and_query_params(bg):
             client.implies(_bundle(), "this is not an nfd")
         assert excinfo.value.code == "invalid_query"
         with pytest.raises(ServerError) as excinfo:
-            client.request("implies", bundle=_bundle(),
-                           nfd=str(workloads.course_sigma()[0]),
-                           strategy="quantum")
-        assert excinfo.value.code == "invalid_query"
-        with pytest.raises(ServerError) as excinfo:
             client.request("check", bundle=_bundle(), deadline=-1)
         assert excinfo.value.code == "invalid_query"
         # the connection survives every typed refusal

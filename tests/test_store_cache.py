@@ -209,7 +209,7 @@ class TestDenseTablesTable:
         from repro.inference.closure import ClosureEngine
 
         fp = sigma_fingerprint(schema, tuple(sigma))
-        engine = ClosureEngine(schema, sigma, strategy="dense")
+        engine = ClosureEngine(schema, sigma)
         tables = engine._pool.dense("Course")
         payload = (tuple(str(nfd) for nfd in sigma), tables)
         with CacheStore(cache_dir) as store:
@@ -232,13 +232,11 @@ class TestDenseTablesTable:
         base = parse_path("Course")
         lhs = {parse_path("cnum")}
         with CacheStore(cache_dir) as store:
-            cold = ImplicationSession(schema, sigma, store=store,
-                                      strategy="dense")
+            cold = ImplicationSession(schema, sigma, store=store)
             cold_closure = cold.closure(base, lhs)
             assert store.summary()["dense_tables"] >= 1
         with CacheStore(cache_dir) as store:
-            warm = ImplicationSession(schema, sigma, store=store,
-                                      strategy="dense")
+            warm = ImplicationSession(schema, sigma, store=store)
             # the tables were adopted, not recompiled
             assert store.stats.dense_hits >= 1
             assert warm.engine._pool.has_dense("Course")
@@ -249,13 +247,11 @@ class TestDenseTablesTable:
         sigma = tuple(sigma)
         reordered = tuple(reversed(sigma))
         with CacheStore(cache_dir) as store:
-            ImplicationSession(schema, sigma, store=store,
-                               strategy="dense")
+            ImplicationSession(schema, sigma, store=store)
         with CacheStore(cache_dir) as store:
             # same fingerprint, but dense rows are indexed by Σ member
             # position — the payload must be recompiled, not adopted
-            session = ImplicationSession(schema, reordered, store=store,
-                                         strategy="dense")
+            session = ImplicationSession(schema, reordered, store=store)
             assert store.stats.stale >= 1
             assert session.implies(sigma[0])
 
