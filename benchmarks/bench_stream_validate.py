@@ -27,7 +27,6 @@ from repro.generators import workloads
 from repro.io.stream import iter_set_elements
 from repro.nfd import (
     ResourceBudget,
-    StreamTuning,
     ValidatorEngine,
     parse_nfds,
     shard_validate,
@@ -40,12 +39,6 @@ BUDGET_ROWS = 500
 #: The gate instance must carry at least this many times more distinct
 #: antecedent keys than the budget admits resident rows.
 SCALE_FACTOR = 10
-
-#: Minimum elements/sec speedup of the tuned hot path over the legacy
-#: (pre-tuning) stream path on the 10x-keys spill workload.  Measured
-#: headroom on the reference machine is ~1.86x; the gate leaves noise
-#: margin below that but must never fall to parity.
-MIN_SPEEDUP = 1.5
 
 
 def _workload():
@@ -143,72 +136,58 @@ def test_cross_shard_conflict_gate(gate_metrics):
 
 
 def test_throughput_gate(gate_metrics):
-    """Gate: the tuned hot path sustains >= MIN_SPEEDUP the legacy
-    stream path's elements/sec on the 10x-keys spill workload, with
-    identical witnesses.
+    """Gate: the streaming hot path on the 10x-keys spill workload
+    reports the in-memory engine's witnesses, spills, and keeps
+    residency within the budget, timed best-of-3 with GC paused.
 
     The gauges this gate records (``stream.elements_per_sec``,
     ``stream.rows_spilled_per_sec``) are the perf trajectory: nightly
     CI dumps them into ``BENCH_stream.json`` and ``--compare`` fails
     the run when a rate falls more than 20% below the committed
-    baseline.
+    baseline.  There is no in-test absolute threshold: the committed
+    rate is a property of the reference host.
     """
     schema, sigma, instance = _workload()
+    reference = ValidatorEngine(schema, sigma).validate(
+        instance, all_violations=True)
     budget = ResourceBudget(max_resident_rows=BUDGET_ROWS)
 
-    def best_of(tuning, repeats=3):
-        # Wall-clock timing: best-of-N with the collector paused, so a
-        # GC cycle landing inside one run cannot flip the verdict.
-        best = None
-        result = None
-        for _ in range(repeats):
-            gc.collect()
-            gc.disable()
-            try:
-                started = time.perf_counter()
-                result = stream_validate(schema, sigma,
-                                         _sources(instance),
-                                         budget=budget, tuning=tuning)
-                elapsed = time.perf_counter() - started
-            finally:
-                gc.enable()
-            best = elapsed if best is None else min(best, elapsed)
-        return best, result
+    # Wall-clock timing: best-of-3 with the collector paused, so a GC
+    # cycle landing inside one run cannot move the rate.
+    best = None
+    result = None
+    for _ in range(3):
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            result = stream_validate(schema, sigma, _sources(instance),
+                                     budget=budget)
+            elapsed = time.perf_counter() - started
+        finally:
+            gc.enable()
+        best = elapsed if best is None else min(best, elapsed)
 
-    legacy_time, legacy_result = best_of(StreamTuning.legacy())
-    tuned_time, tuned_result = best_of(StreamTuning())
-
-    assert [v.describe() for v in tuned_result.violations] == \
-        [v.describe() for v in legacy_result.violations], \
-        "tuned path changed the witnesses"
-    assert tuned_result.stats.spills >= 1, \
+    stats = result.stats
+    assert [v.describe() for v in result.violations] == \
+        [v.describe() for v in reference.violations], \
+        "stream witnesses differ from the in-memory engine's"
+    assert stats.spills >= 1, \
         "workload stopped spilling; the gate no longer times the " \
         "out-of-core path"
+    assert stats.peak_resident_rows <= BUDGET_ROWS
 
-    elements = tuned_result.stats.elements_seen
-    tuned_eps = elements / tuned_time
-    legacy_eps = elements / legacy_time
-    spilled_per_sec = tuned_result.stats.rows_spilled / tuned_time
-    speedup = tuned_eps / legacy_eps
-    print(f"\nstream throughput: tuned {tuned_eps:,.0f} elem/s "
-          f"({spilled_per_sec:,.0f} spilled rows/s), legacy "
-          f"{legacy_eps:,.0f} elem/s -> {speedup:.2f}x")
-    assert speedup >= MIN_SPEEDUP, (
-        f"tuned stream path regressed to {speedup:.2f}x the legacy "
-        f"path ({tuned_eps:,.0f} vs {legacy_eps:,.0f} elem/s); the "
-        f"gate requires >= {MIN_SPEEDUP}x")
+    elements_per_sec = stats.elements_seen / best
+    spilled_per_sec = stats.rows_spilled / best
+    print(f"\nstream throughput: {elements_per_sec:,.0f} elem/s "
+          f"({spilled_per_sec:,.0f} spilled rows/s)")
 
     gate_metrics.gauge("stream.elements_per_sec").set(
-        round(tuned_eps, 1))
+        round(elements_per_sec, 1))
     gate_metrics.gauge("stream.rows_spilled_per_sec").set(
         round(spilled_per_sec, 1))
-    gate_metrics.gauge("stream.legacy_elements_per_sec").set(
-        round(legacy_eps, 1))
-    gate_metrics.gauge("stream.tuned_speedup").set(round(speedup, 2))
-    gate_metrics.gauge("stream.intern_hits").set(
-        tuned_result.stats.intern_hits)
-    gate_metrics.gauge("stream.intern_misses").set(
-        tuned_result.stats.intern_misses)
+    gate_metrics.gauge("stream.intern_hits").set(stats.intern_hits)
+    gate_metrics.gauge("stream.intern_misses").set(stats.intern_misses)
 
 
 def test_stream_with_budget(benchmark):

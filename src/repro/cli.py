@@ -387,8 +387,7 @@ def _cmd_check_stream(args) -> int:
     addition: a run cut short by its resource budget that found no
     violation exits 2 (the verdict is unknown, not "satisfied").
     """
-    from .nfd import (ResourceBudget, StreamTuning, shard_validate,
-                      stream_validate)
+    from .nfd import ResourceBudget, shard_validate, stream_validate
     from .io import iter_jsonl_elements, plan_shards
 
     if args.shards < 1:
@@ -420,7 +419,6 @@ def _cmd_check_stream(args) -> int:
                                 deadline=args.deadline,
                                 max_elements=args.max_elements)
     tracer = _tracer_from_args(args)
-    tuning = StreamTuning(backend=args.backend)
     store = _store_from_args(args)
     spill_root = None
     if store is not None:
@@ -439,8 +437,7 @@ def _cmd_check_stream(args) -> int:
         from .store import incremental_stream_validate
         result, info = incremental_stream_validate(
             schema, streamed, relation, args.stream, store=store,
-            budget=budget, tuning=tuning, tracer=tracer,
-            spill_root=spill_root)
+            budget=budget, tracer=tracer, spill_root=spill_root)
         print(f"incremental: {info['mode']} at line "
               f"{info['start_line']}/{info['total_lines']}, "
               f"{info['elements_folded']} element(s) folded",
@@ -450,16 +447,14 @@ def _cmd_check_stream(args) -> int:
         result = shard_validate(schema, streamed, relation, shards,
                                 jobs=getattr(args, "jobs", 1),
                                 budget=budget, tracer=tracer,
-                                tuning=tuning, spill_root=spill_root,
-                                store=store,
+                                spill_root=spill_root, store=store,
                                 cache_dir=store.cache_dir
                                 if store is not None else None)
     else:
         reader = iter_jsonl_elements(args.stream, schema, relation)
         result = stream_validate(schema, streamed, {relation: reader},
                                  budget=budget, tracer=tracer,
-                                 tuning=tuning, spill_root=spill_root,
-                                 store=store)
+                                 spill_root=spill_root, store=store)
     for violation in result.violations:
         print(violation.describe())
         print()
@@ -947,12 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-elements", type=int, default=None, metavar="M",
         dest="max_elements",
         help="stop after M elements per shard (partial result)",
-    )
-    sub.add_argument(
-        "--backend", choices=("dict", "numpy", "auto"), default="auto",
-        help="group-table backend for the streaming engine: columnar "
-             "numpy tables for atomic-key NFDs, plain dict tables, or "
-             "auto-select (default)",
     )
     sub.add_argument(
         "--incremental", action="store_true",

@@ -18,7 +18,6 @@ from .stream_validate import (
     ResourceBudget,
     StreamResult,
     StreamStats,
-    StreamTuning,
     StreamValidator,
     shard_validate,
     stream_validate,
@@ -40,7 +39,6 @@ __all__ = [
     "ResourceBudget",
     "StreamResult",
     "StreamStats",
-    "StreamTuning",
     "StreamValidator",
     "stream_validate",
     "shard_validate",

@@ -42,48 +42,30 @@ table is frozen into a sorted **run**: aggregates ordered by the
 injective :func:`~repro.values.canonical.canonical_bytes` encoding of
 their keys (``repr`` would not do — record equality ignores field
 order), written as a stream of pickled *chunks* — lists of
-``(key_bytes, aggregate)`` pairs (``StreamTuning.spill_chunk`` pairs
-per pickle frame, so the pickler's memo deduplicates values shared
-across a chunk and the per-item call overhead amortizes).  The final
-merge is a k-way :func:`heapq.merge` over the runs plus the resident
-table, folding equal-key aggregates with :func:`_merge_agg` —
-hash-grouping below budget and external sort-merge above it produce
-byte-identical witnesses.
+``(key_bytes, aggregate)`` pairs (``_SPILL_CHUNK`` pairs per pickle
+frame, so the pickler's memo deduplicates values shared across a chunk
+and the per-item call overhead amortizes).  Aggregates are frozen to
+scalar/tuple trees (:func:`~repro.values.value.freeze_value`) before
+pickling and thawed on read, which skips the per-node ``__reduce__``
+dispatch and validating-constructor re-walk of pickled Value objects;
+witness elements go to a sidecar (:class:`_ElementStore`) and are read
+back only for groups that violate.  The final merge is a k-way
+:func:`heapq.merge` over the runs plus the resident table, folding
+equal-key aggregates with :func:`_merge_agg` — hash-grouping below
+budget and external sort-merge above it produce byte-identical
+witnesses.
 
-Hot-path tuning
----------------
+The hot path
+------------
 
-:class:`StreamTuning` names the three optimizations of the streaming
-hot path, all on by default and all witness-preserving (the
-differential suite in
-``tests/properties/test_stream_tuning_differential.py`` holds them to
-byte-identical witnesses and group summaries):
-
-* **interning** — an :class:`~repro.values.canonical.InternPool` caches
-  the canonical encoding of every atom/value seen, and keys are
-  assembled into one reused scratch buffer instead of a fresh
-  ``bytearray`` per key;
-* **batch** — binding emission is batched per relation: branch rows are
-  materialized once per element and every NFD sharing the base path
-  folds its whole binding list in one pre-bound loop, instead of
-  resuming a generator per binding;
-* **backend** — root-anchored NFDs whose LHS/RHS leaf paths are all
-  atomic can keep their group state *columnar*: bindings append interned
-  value ids to flat rows, and grouping/first/clash are computed in bulk
-  with numpy at spill/finalize time (``backend="numpy"`` requires
-  numpy; ``"auto"`` uses it when importable; ineligible plans — nested
-  anchors, non-atomic leaves — always fall back to the dict backend);
-* **spill_codec** — ``"plain"`` freezes aggregates to scalar/tuple
-  trees (:func:`~repro.values.value.freeze_value`) before pickling and
-  thaws them on read, skipping the per-node ``__reduce__`` dispatch and
-  validating-constructor re-walk that dominates reload time;
-  ``"value"`` pickles the Value objects directly (the pre-tuning
-  format).
-
-``StreamTuning.legacy()`` switches all of it off and reproduces the
-pre-tuning per-element path; the throughput gate in
-``benchmarks/bench_stream_validate.py`` measures the two against each
-other in elements/sec.
+There is one consume loop and no switches.  Group tables are plain
+dicts keyed by canonical key bytes.  Binding emission is batched per
+relation: each element's branch rows are materialized once, and every
+NFD sharing the base path folds its whole binding list in one pre-bound
+loop.  Keys are encoded through an always-on
+:class:`~repro.values.canonical.InternPool`, which caches the canonical
+encoding of every value seen and assembles keys in one reused scratch
+buffer; its hit/miss counters land in :class:`StreamStats`.
 
 Sharding
 --------
@@ -118,19 +100,16 @@ import time
 from itertools import chain
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..errors import InstanceError, PathError, ValueError_
-from ..paths.typing import type_at
-from ..types.base import BaseType
+from ..errors import InstanceError, ValueError_
 from ..types.schema import Schema
 from ..values.canonical import InternPool, canonical_key_bytes
-from ..values.value import SetValue, freeze_value, thaw_value
+from ..values.value import freeze_value, thaw_value
 from .batch_validate import ValidatorEngine, _Run
 from .nfd import NFD
 from .violations import Violation
 
 __all__ = [
     "ResourceBudget",
-    "StreamTuning",
     "StreamStats",
     "StreamResult",
     "StreamValidator",
@@ -139,27 +118,11 @@ __all__ = [
 ]
 
 
-_NUMPY: Any = None  # module cache: None = untried, False = unavailable
+#: ``(key_bytes, aggregate)`` pairs per pickle frame of a spill run.
+_SPILL_CHUNK = 64
 
-
-def _load_numpy(required: bool):
-    """Import numpy lazily; it is a bench/test dependency, not a hard
-    runtime one, so ``backend="auto"`` degrades to the dict backend when
-    it is absent and only an explicit ``backend="numpy"`` errors."""
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy
-            _NUMPY = numpy
-        except ImportError:
-            _NUMPY = False
-    if _NUMPY is False:
-        if required:
-            raise ValueError_(
-                'backend="numpy" requested but numpy is not importable; '
-                'use backend="dict" or "auto"')
-        return None
-    return _NUMPY
+#: Entries of the per-engine canonical-encoding intern pool.
+_POOL_ENTRIES = 1 << 16
 
 
 class ResourceBudget:
@@ -203,69 +166,6 @@ class ResourceBudget:
                 f"max_elements={self.max_elements})")
 
 
-class StreamTuning:
-    """Hot-path switches of one streaming engine (see module docstring).
-
-    All combinations produce byte-identical witnesses and group
-    summaries; the switches only trade allocations and Python-level
-    dispatch for throughput.  ``StreamTuning()`` is the tuned default;
-    :meth:`legacy` reproduces the pre-tuning path and is the baseline
-    the throughput gate compares against.
-    """
-
-    _BACKENDS = ("dict", "numpy", "auto")
-    _CODECS = ("plain", "value")
-
-    __slots__ = ("interning", "batch", "backend", "spill_chunk",
-                 "spill_codec", "pool_entries")
-
-    def __init__(self, interning: bool = True, batch: bool = True,
-                 backend: str = "auto", spill_chunk: int = 64,
-                 spill_codec: str = "plain",
-                 pool_entries: int = 1 << 16):
-        if backend not in self._BACKENDS:
-            raise ValueError_(
-                f"unknown stream backend {backend!r}; expected one of "
-                f"{', '.join(self._BACKENDS)}")
-        if spill_codec not in self._CODECS:
-            raise ValueError_(
-                f"unknown spill codec {spill_codec!r}; expected one of "
-                f"{', '.join(self._CODECS)}")
-        if spill_chunk < 1:
-            raise ValueError_(
-                f"spill_chunk must be >= 1, got {spill_chunk}")
-        if pool_entries < 1:
-            raise ValueError_(
-                f"pool_entries must be >= 1, got {pool_entries}")
-        self.interning = interning
-        self.batch = batch
-        self.backend = backend
-        self.spill_chunk = spill_chunk
-        self.spill_codec = spill_codec
-        self.pool_entries = pool_entries
-
-    @classmethod
-    def legacy(cls) -> "StreamTuning":
-        """The pre-tuning streaming path: per-element generator
-        dispatch, uncached key encoding, one pickle frame per spilled
-        aggregate pickled as Value objects, dict group tables."""
-        return cls(interning=False, batch=False, backend="dict",
-                   spill_chunk=1, spill_codec="value")
-
-    def __reduce__(self):
-        # __slots__ without __dict__ defeats pickle's default protocol;
-        # shard workers receive a tuning in their payload.
-        return (StreamTuning, (self.interning, self.batch, self.backend,
-                               self.spill_chunk, self.spill_codec,
-                               self.pool_entries))
-
-    def __repr__(self) -> str:
-        return (f"StreamTuning(interning={self.interning}, "
-                f"batch={self.batch}, backend={self.backend!r}, "
-                f"spill_chunk={self.spill_chunk}, "
-                f"spill_codec={self.spill_codec!r})")
-
-
 class StreamStats:
     """Counters of one streaming validation (engine or merged run).
 
@@ -273,16 +173,14 @@ class StreamStats:
     * ``rows_emitted`` — ``(key, rhs)`` bindings folded into root group
       tables;
     * ``peak_resident_rows`` — high-water mark of resident group-table
-      entries (``<= max_resident_rows`` whenever a budget is set; the
-      dict backend counts distinct resident aggregates, the columnar
-      backend counts buffered binding rows);
+      aggregates (``<= max_resident_rows`` whenever a budget is set);
     * ``spills`` — budget-triggered spill events;
     * ``rows_spilled`` / ``runs_written`` / ``bytes_spilled`` — run-file
       volume;
     * ``runs_merged`` — run files fed into merge passes;
     * ``groups_merged`` — distinct antecedent keys produced by merges;
     * ``intern_hits`` / ``intern_misses`` — canonical-encoding pool
-      probes (zero when interning is off);
+      probes;
     * ``wall_time`` — seconds spent consuming and merging.
     """
 
@@ -423,72 +321,15 @@ def _merge_agg(a: list, b: list) -> list:
     return [a[0], a[1], a[2], a[3], None, None, None]
 
 
-class _ColumnarBuffer:
-    """Append-only columnar binding rows for one eligible plan.
-
-    A row is ``[key_id_1 .. key_id_k, rhs_id, elem_id, seq]`` — key and
-    RHS values interned *by equality* (two ids are equal iff the values
-    are, which is what grouping and clash detection compare) and
-    elements interned *by identity* (the witness must carry the exact
-    element object the dict backend would, not merely an equal one).
-    Grouping, first-binding, and earliest-clash extraction happen in
-    bulk with numpy when the buffer is consolidated at spill or
-    finalize time.
-    """
-
-    __slots__ = ("arity", "rows", "_value_ids", "values",
-                 "_elem_ids", "elems")
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.rows: list[list[int]] = []
-        self._value_ids: dict = {}
-        self.values: list = []
-        self._elem_ids: dict[int, int] = {}
-        self.elems: list = []
-
-    def append(self, key: tuple, rhs, element, seq: int) -> None:
-        value_ids = self._value_ids
-        values = self.values
-        row = []
-        for part in key:
-            part_id = value_ids.get(part)
-            if part_id is None:
-                part_id = value_ids[part] = len(values)
-                values.append(part)
-            row.append(part_id)
-        rhs_id = value_ids.get(rhs)
-        if rhs_id is None:
-            rhs_id = value_ids[rhs] = len(values)
-            values.append(rhs)
-        row.append(rhs_id)
-        elem_id = self._elem_ids.get(id(element))
-        if elem_id is None:
-            elem_id = self._elem_ids[id(element)] = len(self.elems)
-            self.elems.append(element)
-        row.append(elem_id)
-        row.append(seq)
-        self.rows.append(row)
-
-    def clear(self) -> None:
-        self.rows.clear()
-        self._value_ids.clear()
-        self.values.clear()
-        self._elem_ids.clear()
-        self.elems.clear()
-
-
 class _GroupTable:
     """One root-anchored NFD's group state: resident aggregates keyed by
-    canonical key bytes (dict backend) or buffered columnar binding rows
-    (numpy backend), plus the sorted runs spilled so far."""
+    canonical key bytes, plus the sorted runs spilled so far."""
 
-    __slots__ = ("plan", "table", "columnar", "runs")
+    __slots__ = ("plan", "table", "runs")
 
     def __init__(self, plan):
         self.plan = plan
         self.table: dict[bytes, list] = {}
-        self.columnar: _ColumnarBuffer | None = None
         self.runs: list[str] = []
 
 
@@ -499,7 +340,7 @@ class _ElementStore:
     Witness elements are by far the heaviest payload of a spilled
     aggregate (a whole top-level record tree against a handful of key
     atoms), yet they are only ever *read back* for the rare groups that
-    actually violate.  The plain spill codec therefore writes each
+    actually violate.  A spill therefore writes each
     element once into this store — deduplicated by object identity
     within a spill event, since one element is often the first-seen
     witness of several tables' aggregates — and spills a tiny
@@ -572,11 +413,11 @@ def _lazy_elem(data):
 
 
 def _freeze_agg(agg: list, store: _ElementStore | None) -> list:
-    """The plain-data form of one aggregate (``spill_codec="plain"``):
-    key/RHS values become scalar/tuple trees that pickle natively,
-    without a ``__reduce__`` round-trip per node, and witness elements
-    become sidecar refs when a *store* is given (run and summary files)
-    or inline frozen trees otherwise (in-memory shard summaries)."""
+    """The plain-data form of one aggregate: key/RHS values become
+    scalar/tuple trees that pickle natively, without a ``__reduce__``
+    round-trip per node, and witness elements become sidecar refs when
+    a *store* is given (run and summary files) or inline frozen trees
+    otherwise (in-memory shard summaries and checkpoints)."""
     return [tuple(freeze_value(part) for part in agg[0]), agg[1],
             freeze_value(agg[2]), _freeze_elem(agg[3], store), agg[4],
             freeze_value(agg[5]), _freeze_elem(agg[6], store)]
@@ -588,21 +429,17 @@ def _thaw_agg(agg: list) -> list:
             thaw_value(agg[5]), _thaw_elem(agg[6])]
 
 
-def _iter_run_file(path: str, thaw: bool) -> Iterator[tuple[bytes, list]]:
-    """Stream the ``(key_bytes, aggregate)`` pairs of one run file
-    (a sequence of pickled chunks — lists of pairs), thawing frozen
-    aggregates when the engine's spill codec is ``"plain"``."""
+def _iter_run_file(path: str) -> Iterator[tuple[bytes, list]]:
+    """Stream the thawed ``(key_bytes, aggregate)`` pairs of one run
+    file (a sequence of pickled chunks — lists of frozen pairs)."""
     with open(path, "rb") as handle:
         while True:
             try:
                 chunk = pickle.load(handle)
             except EOFError:
                 return
-            if thaw:
-                for key_bytes, agg in chunk:
-                    yield key_bytes, _thaw_agg(agg)
-            else:
-                yield from chunk
+            for key_bytes, agg in chunk:
+                yield key_bytes, _thaw_agg(agg)
 
 
 def _spill_parent(spill_root: str | None) -> str | None:
@@ -644,8 +481,7 @@ class StreamValidator:
                  budget: ResourceBudget | None = None,
                  spill_dir: str | None = None,
                  spill_root: str | None = None, tracer=None,
-                 shard_index: int = 0,
-                 tuning: StreamTuning | None = None, store=None):
+                 shard_index: int = 0, store=None):
         self.schema = schema
         if store is not None:
             # restore compiled plans from the persistent cache when a
@@ -660,7 +496,6 @@ class StreamValidator:
             self.engine = ValidatorEngine(schema, sigma, tracer=tracer)
         self.tracer = tracer
         self.budget = budget
-        self.tuning = tuning if tuning is not None else StreamTuning()
         self._shard_index = shard_index
         self._max_rows = budget.max_resident_rows if budget else None
         self._max_elements = budget.max_elements if budget else None
@@ -670,8 +505,7 @@ class StreamValidator:
         self._spill_dir = spill_dir
         self._spill_root = spill_root
         self._own_spill_dir = False
-        self._pool = InternPool(self.tuning.pool_entries) \
-            if self.tuning.interning else None
+        self._pool = InternPool(_POOL_ENTRIES)
         self._scratch = bytearray()
         self._synced_hits = 0
         self._synced_misses = 0
@@ -684,7 +518,6 @@ class StreamValidator:
         self._has_nested: dict[str, bool] = {}
         nested_indices: set[int] = set()
         self._plan_anchor_base: dict[int, str] = {}
-        self._nested_bases: list[str] = []
         for relation, root in self.engine._relations.items():
             if root.anchor is not None:
                 self._root_tables[relation] = [
@@ -698,17 +531,8 @@ class StreamValidator:
                 if node.anchor is None or node is root:
                     continue
                 base = str(node.anchor.base)
-                self._nested_bases.append(base)
                 for plan in node.anchor.plans:
                     self._plan_anchor_base[plan.index] = base
-        if self.tuning.backend in ("numpy", "auto") and _load_numpy(
-                required=self.tuning.backend == "numpy") is not None:
-            for relation, tables in self._root_tables.items():
-                element_type = schema.element_type(relation)
-                for table in tables:
-                    if _plan_is_atomic(element_type, table.plan):
-                        table.columnar = _ColumnarBuffer(
-                            len(table.plan.lhs_pos))
         self._nested_run = _Run(len(self.engine.sigma), first_only=False,
                                 mask=frozenset(nested_indices))
         self._seq = 0
@@ -730,35 +554,18 @@ class StreamValidator:
 
     def consume(self, relation: str, elements: Iterable) -> bool:
         """Feed top-level elements of *relation*; False when the budget
-        stopped consumption (the current result is a valid partial)."""
+        stopped consumption (the current result is a valid partial).
+
+        Per-relation dispatch state is bound once, each element's
+        branch rows are materialized once, and every root plan folds
+        its whole binding list in one pass."""
         start = time.perf_counter()
         try:
-            if self.tuning.batch:
-                return self._consume_batched(relation, elements)
-            for element in elements:
-                if self._exhausted is not None:
-                    return False
-                if (self._max_elements is not None
-                        and self._elements_seen >= self._max_elements):
-                    self._exhausted = "max_elements"
-                    return False
-                if (self._deadline_at is not None
-                        and time.monotonic() >= self._deadline_at):
-                    self._exhausted = "deadline"
-                    return False
-                self._emit_element(relation, element)
-                self._elements_seen += 1
-                self.stats.elements_seen += 1
+            return self._consume(relation, elements)
         finally:
             self.stats.wall_time += time.perf_counter() - start
-        return self._exhausted is None
 
-    def _consume_batched(self, relation: str, elements: Iterable) -> bool:
-        """The tuned consume loop: per-relation dispatch state is bound
-        once, each element's branch rows are materialized once, and
-        every plan folds its whole binding list in one pass — identical
-        emission order (and hence identical witnesses) to the legacy
-        per-element path."""
+    def _consume(self, relation: str, elements: Iterable) -> bool:
         engine = self.engine
         stats = self.stats
         root = engine._relations.get(relation)
@@ -794,36 +601,22 @@ class StreamValidator:
                 for table, plan, paths in plan_info:
                     if undefined and not undefined.isdisjoint(paths):
                         continue  # Definition 2.4: undefined paths
-                    bindings = bindings_list(plan, branch_rows)
-                    columnar = table.columnar
-                    if columnar is not None:
-                        seq = self._seq
-                        for key, rhs in bindings:
-                            seq += 1
-                            stats.rows_emitted += 1
+                    group = table.table
+                    for key, rhs in bindings_list(plan, branch_rows):
+                        self._seq += 1
+                        stats.rows_emitted += 1
+                        key_bytes = canonical_key_bytes(
+                            key, pool=pool, scratch=scratch)
+                        agg = group.get(key_bytes)
+                        if agg is None:
                             self._reserve_slot()
-                            columnar.append(key, rhs, element, seq)
-                        self._seq = seq
-                    else:
-                        group = table.table
-                        for key, rhs in bindings:
-                            self._seq += 1
-                            stats.rows_emitted += 1
-                            if pool is not None:
-                                key_bytes = canonical_key_bytes(
-                                    key, pool=pool, scratch=scratch)
-                            else:
-                                key_bytes = canonical_key_bytes(key)
-                            agg = group.get(key_bytes)
-                            if agg is None:
-                                self._reserve_slot()
-                                group[key_bytes] = [
-                                    key, (shard, self._seq), rhs,
-                                    element, None, None, None]
-                            elif agg[4] is None and rhs != agg[2]:
-                                agg[4] = (shard, self._seq)
-                                agg[5] = rhs
-                                agg[6] = element
+                            group[key_bytes] = [
+                                key, (shard, self._seq), rhs,
+                                element, None, None, None]
+                        elif agg[4] is None and rhs != agg[2]:
+                            agg[4] = (shard, self._seq)
+                            agg[5] = rhs
+                            agg[6] = element
             if has_nested:
                 # Nested anchors never relate bindings across top-level
                 # elements, so the batch walk over a one-element tuple —
@@ -833,49 +626,6 @@ class StreamValidator:
             self._elements_seen += 1
             stats.elements_seen += 1
         return self._exhausted is None
-
-    def _emit_element(self, relation: str, element) -> None:
-        engine = self.engine
-        root = engine._relations.get(relation)
-        if root is None:
-            return
-        anchor = root.anchor
-        if anchor is not None:
-            undefined: set = set()
-            branch_rows = engine._element_rows(anchor, element, undefined)
-            for table in self._root_tables[relation]:
-                plan = table.plan
-                if undefined and any(p in undefined for p in plan.paths):
-                    continue  # Definition 2.4: undefined => unconstrained
-                for key, rhs in engine._plan_bindings(plan, branch_rows):
-                    self._add_row(table, key, rhs, element)
-        if self._has_nested[relation]:
-            # Nested anchors never relate bindings across top-level
-            # elements, so the batch walk over a singleton set — with
-            # the persistent run carrying base-set numbering across
-            # elements — reproduces the in-memory witnesses directly.
-            engine._walk_scope(root, SetValue((element,)),
-                               self._nested_run)
-
-    def _add_row(self, table: _GroupTable, key: tuple, rhs,
-                 element) -> None:
-        self._seq += 1
-        seq = (self._shard_index, self._seq)
-        self.stats.rows_emitted += 1
-        if table.columnar is not None:
-            self._reserve_slot()
-            table.columnar.append(key, rhs, element, self._seq)
-            return
-        key_bytes = canonical_key_bytes(key)
-        agg = table.table.get(key_bytes)
-        if agg is None:
-            self._reserve_slot()
-            table.table[key_bytes] = [key, seq, rhs, element,
-                                      None, None, None]
-        elif agg[4] is None and rhs != agg[2]:
-            agg[4] = seq
-            agg[5] = rhs
-            agg[6] = element
 
     def _reserve_slot(self) -> None:
         """Account for one new resident group-table entry, spilling
@@ -913,8 +663,7 @@ class StreamValidator:
         spilled = False
         for tables in self._root_tables.values():
             for table in tables:
-                if table.table or (table.columnar is not None
-                                   and table.columnar.rows):
+                if table.table:
                     self._spill_table(table)
                     spilled = True
         if spilled:
@@ -925,89 +674,6 @@ class StreamValidator:
                 self._elem_store.end_event()
         self._resident = 0
 
-    def _encode_key(self, key: tuple) -> bytes:
-        if self._pool is not None:
-            return canonical_key_bytes(key, pool=self._pool,
-                                       scratch=self._scratch)
-        return canonical_key_bytes(key)
-
-    def _consolidate_columnar(self, table: _GroupTable) \
-            -> list[tuple[bytes, list]]:
-        """Group one columnar buffer into ``(key_bytes, aggregate)``
-        pairs sorted by key bytes, emptying the buffer.
-
-        Grouping sorts rows by interned key ids (equal ids iff equal
-        values) with the emission sequence least significant, so the
-        first row of each group is its earliest binding and the
-        earliest RHS mismatch within the group is the exact clash the
-        dict backend folds incrementally.
-        """
-        buf = table.columnar
-        rows = buf.rows
-        if not rows:
-            return []
-        np = _load_numpy(required=True)
-        k = buf.arity
-        arr = np.array(rows, dtype=np.int64)
-        total = len(rows)
-        sort_keys = [arr[:, k + 2]]
-        sort_keys.extend(arr[:, column] for column in range(k - 1, -1, -1))
-        order = np.lexsort(tuple(sort_keys))
-        srt = arr[order]
-        if total > 1:
-            change = np.any(srt[1:, :k] != srt[:-1, :k], axis=1)
-            starts = np.flatnonzero(np.concatenate(([True], change)))
-        else:
-            starts = np.zeros(1, dtype=np.int64)
-        ends = np.append(starts[1:], total)
-        rhs_col = srt[:, k]
-        first_rhs = np.repeat(rhs_col[starts], ends - starts)
-        mismatch = np.where(rhs_col != first_rhs,
-                            np.arange(total), total)
-        clash_at = np.minimum.reduceat(mismatch, starts)
-        values = buf.values
-        elems = buf.elems
-        shard = self._shard_index
-        out: list[tuple[bytes, list]] = []
-        for group in range(len(starts)):
-            first = srt[int(starts[group])]
-            key = tuple(values[int(first[column])] for column in range(k))
-            agg = [key, (shard, int(first[k + 2])),
-                   values[int(first[k])], elems[int(first[k + 1])],
-                   None, None, None]
-            clash = int(clash_at[group])
-            if clash < int(ends[group]):
-                row = srt[clash]
-                agg[4] = (shard, int(row[k + 2]))
-                agg[5] = values[int(row[k])]
-                agg[6] = elems[int(row[k + 1])]
-            out.append((self._encode_key(key), agg))
-        out.sort(key=lambda item: item[0])
-        buf.clear()
-        return out
-
-    def _resident_items(self, table: _GroupTable) \
-            -> list[tuple[bytes, list]]:
-        """One table's resident aggregates as a key-sorted pair list,
-        consolidating (and emptying) any columnar buffer."""
-        mem = sorted(table.table.items()) if table.table else []
-        columnar: list[tuple[bytes, list]] = []
-        if table.columnar is not None:
-            columnar = self._consolidate_columnar(table)
-        if not columnar:
-            return mem
-        if not mem:
-            return columnar
-        merged: list[tuple[bytes, list]] = []
-        for key_bytes, agg in heapq.merge(mem, columnar,
-                                          key=lambda item: item[0]):
-            if merged and merged[-1][0] == key_bytes:
-                merged[-1] = (key_bytes,
-                              _merge_agg(merged[-1][1], agg))
-            else:
-                merged.append((key_bytes, agg))
-        return merged
-
     def _write_run(self, items: Iterable[tuple[bytes, list]],
                    prefix: str) -> tuple[str, int]:
         """Write a sorted aggregate stream as one chunked-pickle run
@@ -1016,20 +682,15 @@ class StreamValidator:
         handle = tempfile.NamedTemporaryFile(
             dir=self._spill_path(), prefix=prefix, suffix=".pkl",
             delete=False)
-        chunk_size = self.tuning.spill_chunk
-        store = None
-        if self.tuning.spill_codec == "plain":
-            store = self._element_store()
+        store = self._element_store()
         count = 0
         try:
             with handle:
                 chunk: list = []
-                for item in items:
-                    if store is not None:
-                        item = (item[0], _freeze_agg(item[1], store))
-                    chunk.append(item)
+                for key_bytes, agg in items:
+                    chunk.append((key_bytes, _freeze_agg(agg, store)))
                     count += 1
-                    if len(chunk) >= chunk_size:
+                    if len(chunk) >= _SPILL_CHUNK:
                         pickle.dump(chunk, handle,
                                     pickle.HIGHEST_PROTOCOL)
                         chunk = []
@@ -1044,7 +705,7 @@ class StreamValidator:
         return handle.name, count
 
     def _spill_table(self, table: _GroupTable) -> None:
-        path, count = self._write_run(self._resident_items(table),
+        path, count = self._write_run(sorted(table.table.items()),
                                       prefix="run-")
         table.runs.append(path)
         self.stats.rows_spilled += count
@@ -1056,11 +717,9 @@ class StreamValidator:
             -> Iterator[tuple[bytes, list]]:
         """All of one table's aggregates, merged across the resident
         state and every spilled run, in canonical key order."""
-        thaw = self.tuning.spill_codec == "plain"
-        sources = [_iter_run_file(path, thaw) for path in table.runs]
-        resident = self._resident_items(table)
-        if resident:
-            sources.append(iter(resident))
+        sources = [_iter_run_file(path) for path in table.runs]
+        if table.table:
+            sources.append(iter(sorted(table.table.items())))
         self.stats.runs_merged += len(table.runs)
         current_key: bytes | None = None
         current: list | None = None
@@ -1110,8 +769,6 @@ class StreamValidator:
 
     def _sync_pool_stats(self) -> None:
         pool = self._pool
-        if pool is None:
-            return
         self.stats.intern_hits += pool.hits - self._synced_hits
         self.stats.intern_misses += pool.misses - self._synced_misses
         self._synced_hits = pool.hits
@@ -1217,21 +874,18 @@ class StreamValidator:
         driver can renumber base indices across shards.
         """
         self._sync_pool_stats()
-        freeze = self.tuning.spill_codec == "plain"
         tables_out: dict[str, list] = {}
         for relation, tables in self._root_tables.items():
             specs = []
             for table in tables:
                 if not table.runs:
-                    items = self._resident_items(table)
-                    if freeze:
-                        # frozen aggregates cross the process boundary
-                        # as plain data too — same saving as run files
-                        # (elements stay inline: nothing was spilled,
-                        # so there is no sidecar to point into)
-                        items = [(key_bytes, _freeze_agg(agg, None))
-                                 for key_bytes, agg in items]
-                    specs.append(("mem", items))
+                    # frozen aggregates cross the process boundary as
+                    # plain data too — same saving as run files
+                    # (elements stay inline: nothing was spilled, so
+                    # there is no sidecar to point into)
+                    specs.append(("mem", [
+                        (key_bytes, _freeze_agg(agg, None))
+                        for key_bytes, agg in sorted(table.table.items())]))
                 else:
                     path, count = self._write_run(
                         self._merged_rows(table), prefix="summary-")
@@ -1253,21 +907,11 @@ class StreamValidator:
             self._elem_store.close()
             store_path = self._elem_store.path
             self._elem_store = None
-        anchors = {}
-        for relation, root in self.engine._relations.items():
-            for node in _iter_scopes(root):
-                if node.anchor is not None and node is not root:
-                    anchors[id(node.anchor)] = str(node.anchor.base)
-        counts: dict[str, int] = {}
-        for slot, count in self._nested_run.base_counter.items():
-            base = anchors.get(slot)
-            if base is not None:
-                counts[base] = counts.get(base, 0) + count
         return {
             "shard": self._shard_index,
             "tables": tables_out,
             "nested": list(self._nested_run.violations),
-            "anchor_counts": counts,
+            "anchor_counts": self._anchor_counts(),
             "element_store": store_path,
             "stats": self.stats.as_dict(),
             "exhausted": self._exhausted,
@@ -1283,7 +927,6 @@ class StreamValidator:
         consumed and deleted.
         """
         start = time.perf_counter()
-        thaw = self.tuning.spill_codec == "plain"
         store_path = summary.get("element_store")
         if store_path is not None:
             self._foreign_stores.append(store_path)
@@ -1291,12 +934,10 @@ class StreamValidator:
             tables = self._root_tables.get(relation, ())
             for table, spec in zip(tables, specs):
                 if spec[0] == "mem":
-                    items: Iterable = spec[1]
-                    if thaw:
-                        items = ((key_bytes, _thaw_agg(agg))
-                                 for key_bytes, agg in items)
+                    items: Iterable = ((key_bytes, _thaw_agg(agg))
+                                       for key_bytes, agg in spec[1])
                 else:
-                    items = _iter_run_file(spec[1], thaw)
+                    items = _iter_run_file(spec[1])
                 for key_bytes, agg in items:
                     existing = table.table.get(key_bytes)
                     if existing is not None:
@@ -1316,8 +957,8 @@ class StreamValidator:
     # -- persistent checkpoint protocol ------------------------------------
 
     def export_tables(self) -> dict[int, list]:
-        """Collapse every root group table — resident, columnar, and
-        spilled runs — into fully-live resident aggregates, and return
+        """Collapse every root group table — resident and spilled runs —
+        into fully-live resident aggregates, and return
         their frozen (plain-codec) form keyed by plan index.
 
         This is the persistence half of incremental streaming (see
@@ -1423,6 +1064,15 @@ class StreamValidator:
         """The non-table half of a checkpoint: what
         :meth:`import_checkpoint` needs, mirroring the shard summary's
         nested bookkeeping."""
+        return {
+            "seq": self._seq,
+            "nested": list(self._nested_run.violations),
+            "anchor_counts": self._anchor_counts(),
+        }
+
+    def _anchor_counts(self) -> dict[str, int]:
+        """Base sets numbered so far per nested anchor, keyed by the
+        anchor's base path (stable across processes, unlike ``id``)."""
         anchors = {}
         for root in self.engine._relations.values():
             for node in _iter_scopes(root):
@@ -1433,25 +1083,7 @@ class StreamValidator:
             base = anchors.get(slot)
             if base is not None:
                 counts[base] = counts.get(base, 0) + count
-        return {
-            "seq": self._seq,
-            "nested": list(self._nested_run.violations),
-            "anchor_counts": counts,
-        }
-
-
-def _plan_is_atomic(element_type, plan) -> bool:
-    """Is every LHS/RHS leaf path of *plan* atomic-typed at its root
-    anchor?  Only such plans are eligible for the columnar backend —
-    their interned key/RHS ids stay small and dense."""
-    for path in plan.nfd.all_paths:
-        try:
-            leaf = type_at(element_type, path)
-        except PathError:
-            return False
-        if not isinstance(leaf, BaseType):
-            return False
-    return True
+        return counts
 
 
 def _iter_scopes(node) -> Iterator:
@@ -1468,9 +1100,7 @@ def stream_validate(schema: Schema, sigma: Iterable[NFD],
                     budget: ResourceBudget | None = None,
                     spill_dir: str | None = None,
                     spill_root: str | None = None,
-                    tracer=None,
-                    tuning: StreamTuning | None = None,
-                    store=None) -> StreamResult:
+                    tracer=None, store=None) -> StreamResult:
     """Validate Σ against streamed relations in one engine.
 
     *sources* maps relation names to element iterables (a JSONL reader,
@@ -1479,13 +1109,12 @@ def stream_validate(schema: Schema, sigma: Iterable[NFD],
     sources for unconstrained relations are ignored.  Relations are
     consumed in Σ first-mention order — the order the batch engine
     walks them — so witnesses come back in the batch engine's order.
-    *tuning* selects the hot-path switches (default: all on).
     """
     sigma = tuple(sigma)
     validator = StreamValidator(schema, sigma, budget=budget,
                                 spill_dir=spill_dir,
                                 spill_root=spill_root, tracer=tracer,
-                                tuning=tuning, store=store)
+                                store=store)
     try:
         constrained = list(validator.engine._relations)
         missing = [name for name in constrained if name not in sources]
@@ -1532,7 +1161,6 @@ def shard_validate(schema: Schema, sigma: Iterable[NFD], relation: str,
                    spill_dir: str | None = None,
                    spill_root: str | None = None,
                    tracer=None,
-                   tuning: StreamTuning | None = None,
                    cache_dir: str | None = None,
                    store=None) -> StreamResult:
     """Validate Σ against one relation split into element shards.
@@ -1574,11 +1202,10 @@ def shard_validate(schema: Schema, sigma: Iterable[NFD], relation: str,
         budget=(ResourceBudget(max_resident_rows=max_rows)
                 if max_rows is not None else None),
         spill_dir=shared_dir, tracer=tracer, shard_index=-1,
-        tuning=tuning, store=store)
+        store=store)
     try:
         payload = (schema, list(sigma), relation, max_rows,
-                   max_elements, deadline_epoch, shared_dir, tuning,
-                   cache_dir)
+                   max_elements, deadline_epoch, shared_dir, cache_dir)
         tasks = list(enumerate(shard_specs))
         if tracer is None:
             return _drive_shards(driver, payload, tasks, jobs, None)
@@ -1679,7 +1306,7 @@ def _shard_probe(context, task):
     """
     payload, store = context
     schema, sigma, relation, max_rows, max_elements, deadline_epoch, \
-        shared_dir, tuning, _ = payload
+        shared_dir, _ = payload
     index, spec = task
     deadline = None
     if deadline_epoch is not None:
@@ -1692,7 +1319,7 @@ def _shard_probe(context, task):
                                 max_elements=max_elements)
     validator = StreamValidator(schema, sigma, budget=budget,
                                 spill_dir=shared_dir, shard_index=index,
-                                tuning=tuning, store=store)
+                                store=store)
     try:
         if spec[0] == "rows":
             elements: Iterable = spec[1]

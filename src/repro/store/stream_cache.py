@@ -48,7 +48,7 @@ from ..inference.session import sigma_fingerprint
 from ..io.stream import iter_jsonl_elements
 from ..nfd.nfd import NFD
 from ..nfd.stream_validate import (ResourceBudget, StreamResult,
-                                   StreamTuning, StreamValidator)
+                                   StreamValidator)
 from ..types.schema import Schema
 from .cache_store import CacheStore
 
@@ -118,7 +118,6 @@ def incremental_stream_validate(
         schema: Schema, sigma: Iterable[NFD], relation: str, path: str,
         *, store: CacheStore,
         budget: ResourceBudget | None = None,
-        tuning: StreamTuning | None = None,
         tracer=None,
         spill_root: str | None = None) -> tuple[StreamResult, dict]:
     """Validate Σ against the JSONL file *path*, resuming from the
@@ -170,7 +169,7 @@ def incremental_stream_validate(
 
     validator = StreamValidator(schema, sigma, budget=budget,
                                 spill_root=spill_root, tracer=tracer,
-                                tuning=tuning, store=store)
+                                store=store)
     try:
         if resumed:
             validator.import_tables(

@@ -102,9 +102,9 @@ class InternPool:
     so a dict keyed by the values themselves is an exact intern table:
     two keys collide iff the values are equal iff their encodings are
     identical.  The pool therefore *cannot* change any encoding — it is
-    purely an allocation saver, and the differential suite
-    (``tests/properties/test_stream_tuning_differential.py``) runs the
-    streaming validator with and without one to prove it.
+    purely an allocation saver, and
+    ``tests/properties/test_canonical_injectivity.py`` checks pooled
+    keys byte-for-byte against unpooled ones, evictions included.
 
     ``max_entries`` bounds residency: when the table is full, inserting
     one more entry clears the whole table (cheap, and the hot working

@@ -6,7 +6,7 @@ read-only warm cache — must produce byte-identical witness
 descriptions and closures.  Each hypothesis case runs the whole
 matrix, so the default profile's 100 examples exercise several hundred
 cached validations per suite run (the nightly profile multiplies that
-by 10), in the style of ``test_stream_tuning_differential``.
+by 10).
 
 The concurrency half drives two OS processes writing the same WAL
 database through :func:`repro.parallel.process_map`: the database must

@@ -1,23 +1,25 @@
-"""Differential property tests: every StreamTuning is invisible.
+"""Differential property tests: the streaming hot path against the oracles.
 
-The hot-path knobs — canonical-bytes interning, batched binding
-emission, the columnar (numpy) group-table backend, the plain spill
-codec — are *performance* switches.  None of them may change a public
-result: for any tuning, :func:`repro.nfd.stream_validate` must produce
-byte-identical witness descriptions to the legacy (all-off) tuning and
-to the in-memory engine, resident or spilling, and the worker
-summarize/absorb protocol must merge to the same verdict.
+:func:`repro.nfd.stream_validate` has one hot path — dict group tables,
+batched binding emission, an always-on intern pool, plain-codec spill
+runs in 64-pair pickle chunks.  For any random schema/Σ/instance it
+must report byte-identical witness descriptions to the in-memory
+:class:`repro.nfd.ValidatorEngine`, and its verdict must equal the
+Definition 2.4 oracle :func:`repro.nfd.satisfy.satisfies_all`, in
+three settings:
 
-Each hypothesis case draws one random schema/Σ/instance and runs the
-full tuning matrix — pool on/off crossed with the dict and numpy
-backends, plus the legacy configuration — so the default profile's
-100 examples exercise well over 200 tuned validations per suite run
-(the nightly profile multiplies that by 10).
+* resident (no budget);
+* spilling (a 2-row budget, so every table goes through sorted runs and
+  the k-way merge);
+* sharded: a 2-row worker's :meth:`~repro.nfd.StreamValidator.summarize`
+  digest absorbed into a fresh driver.
+
+Each test runs 100 hypothesis examples under the default profile (the
+nightly profile multiplies that by 10).
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,25 +27,11 @@ from repro.generators import random_instance, random_schema, random_sigma
 from repro.io.stream import iter_set_elements
 from repro.nfd import (
     ResourceBudget,
-    StreamTuning,
     StreamValidator,
     ValidatorEngine,
     stream_validate,
 )
-
-try:
-    import numpy  # noqa: F401
-    _BACKENDS = ("dict", "numpy")
-except ImportError:  # pragma: no cover - image always has numpy
-    _BACKENDS = ("dict",)
-
-#: The matrix one drawn case is run through: interning x backend, the
-#: legacy all-off configuration, and the value spill codec.
-TUNINGS = [StreamTuning.legacy()] + [
-    StreamTuning(interning=interning, backend=backend)
-    for interning in (True, False)
-    for backend in _BACKENDS
-] + [StreamTuning(spill_codec="value")]
+from repro.nfd.satisfy import satisfies_all
 
 
 def _draw_case(seed: int):
@@ -65,100 +53,73 @@ def _witnesses(result):
     return [v.describe() for v in result.violations]
 
 
+def _oracles(schema, sigma, instance):
+    """The in-memory engine's witnesses and the Def. 2.4 verdict; the
+    two must agree with each other before they can judge the stream."""
+    expected = _witnesses(ValidatorEngine(schema, sigma).validate(
+        instance, all_violations=True))
+    holds = satisfies_all(instance, sigma)
+    assert holds == (not expected)
+    return expected, holds
+
+
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_all_tunings_match_engine_resident(seed):
-    """Unbudgeted: every tuning equals the in-memory engine exactly."""
+    """Unbudgeted: the stream equals the in-memory engine exactly."""
     schema, sigma, instance = _draw_case(seed)
-    expected = _witnesses(ValidatorEngine(schema, sigma).validate(
-        instance, all_violations=True))
-    for tuning in TUNINGS:
-        result = stream_validate(schema, sigma, _sources(instance),
-                                 tuning=tuning)
-        assert _witnesses(result) == expected, tuning
-        assert result.ok == (not expected), tuning
+    expected, holds = _oracles(schema, sigma, instance)
+    result = stream_validate(schema, sigma, _sources(instance))
+    assert _witnesses(result) == expected
+    assert result.ok == holds
+    assert result.stats.spills == 0
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_all_tunings_match_engine_spilling(seed):
-    """A 2-row budget forces spill/merge under every tuning; the
-    witnesses, their order, and the residency cap must all hold."""
+    """A 2-row budget forces spill/merge; the witnesses, their order,
+    the verdict and the residency cap must all hold."""
     schema, sigma, instance = _draw_case(seed)
-    expected = _witnesses(ValidatorEngine(schema, sigma).validate(
-        instance, all_violations=True))
-    for tuning in TUNINGS:
-        result = stream_validate(
-            schema, sigma, _sources(instance),
-            budget=ResourceBudget(max_resident_rows=2), tuning=tuning)
-        assert _witnesses(result) == expected, tuning
-        assert result.stats.peak_resident_rows <= 2, tuning
+    expected, holds = _oracles(schema, sigma, instance)
+    result = stream_validate(
+        schema, sigma, _sources(instance),
+        budget=ResourceBudget(max_resident_rows=2))
+    assert _witnesses(result) == expected
+    assert result.ok == holds
+    assert result.stats.peak_resident_rows <= 2
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_summaries_merge_identically(seed):
-    """The worker summarize/absorb protocol is tuning-invariant: a
-    spilling worker under any tuning, absorbed into a fresh driver,
-    finalizes to the same witnesses as the legacy worker."""
+    """The worker summarize/absorb protocol: a spilling worker absorbed
+    into a fresh driver finalizes to the in-memory witnesses."""
     schema, sigma, instance = _draw_case(seed)
     if not sigma:
         return
-    baseline = None
-    for tuning in TUNINGS:
-        worker = StreamValidator(
-            schema, sigma,
-            budget=ResourceBudget(max_resident_rows=2), tuning=tuning,
-            shard_index=0)
+    expected, holds = _oracles(schema, sigma, instance)
+    worker = StreamValidator(
+        schema, sigma, budget=ResourceBudget(max_resident_rows=2),
+        shard_index=0)
+    try:
+        for name, value in instance.relations():
+            worker.consume(name, iter_set_elements(value))
+        summary = worker.summarize()
+        driver = StreamValidator(schema, sigma)
         try:
-            for name, value in instance.relations():
-                worker.consume(name, iter_set_elements(value))
-            summary = worker.summarize()
-            driver = StreamValidator(schema, sigma)
-            try:
-                driver.absorb_summary(summary)
-                # single-shard driver: renumbering offsets are zero
-                triples = [(plan_index, (0, position), violation)
-                           for plan_index, position, violation
-                           in summary["nested"]]
-                witnesses = _witnesses(driver.finalize(
-                    nested=triples,
-                    elements_seen=summary["elements_seen"],
-                    exhausted=summary["exhausted"]))
-            finally:
-                driver.cleanup()
+            driver.absorb_summary(summary)
+            # single-shard driver: renumbering offsets are zero
+            triples = [(plan_index, (0, position), violation)
+                       for plan_index, position, violation
+                       in summary["nested"]]
+            result = driver.finalize(
+                nested=triples,
+                elements_seen=summary["elements_seen"],
+                exhausted=summary["exhausted"])
         finally:
-            worker.cleanup()
-        if baseline is None:
-            baseline = witnesses
-        else:
-            assert witnesses == baseline, tuning
-
-
-def test_matrix_is_at_least_the_promised_size():
-    """100 hypothesis examples x len(TUNINGS) >= 200 tuned runs per
-    suite, and the matrix really crosses pool x backend."""
-    assert len(TUNINGS) >= 4
-    crossed = {(t.interning, t.backend) for t in TUNINGS}
-    assert {(True, "dict"), (False, "dict")} <= crossed
-    if "numpy" in _BACKENDS:
-        assert {(True, "numpy"), (False, "numpy")} <= crossed
-
-
-@pytest.mark.parametrize("tuning", TUNINGS,
-                         ids=lambda t: f"i{int(t.interning)}-"
-                                       f"{t.backend}-{t.spill_codec}")
-def test_stats_counters_are_consistent(tuning):
-    """Whatever the tuning, the stats a run reports must describe the
-    run: interning off => zero pool traffic; spills => rows spilled."""
-    schema, sigma, instance = _draw_case(4242)
-    result = stream_validate(
-        schema, sigma, _sources(instance),
-        budget=ResourceBudget(max_resident_rows=2), tuning=tuning)
-    stats = result.stats
-    if not tuning.interning:
-        assert stats.intern_hits == 0
-        assert stats.intern_misses == 0
-    if stats.spills:
-        assert stats.rows_spilled > 0
-        assert stats.runs_written >= 1
+            driver.cleanup()
+    finally:
+        worker.cleanup()
+    assert _witnesses(result) == expected
+    assert result.ok == holds

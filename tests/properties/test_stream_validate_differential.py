@@ -156,3 +156,26 @@ def test_parallel_shard_workers_match_serial():
         assert result.completed_shards == tuple(range(len(shards)))
         checked += 1
     assert checked >= 5
+
+
+def test_stream_stats_are_consistent():
+    """The stats a run reports describe the run: spills leave spilled
+    rows, runs and bytes behind, every emitted row went through the
+    intern pool, and residency never passes the budget."""
+    spilled = 0
+    for seed in range(40):
+        _, schema, sigma, instance = _draw_case(seed * 4242,
+                                                empty_probability=0.2)
+        result = stream_validate(
+            schema, sigma, _sources(instance),
+            budget=ResourceBudget(max_resident_rows=2))
+        stats = result.stats
+        if stats.spills:
+            spilled += 1
+            assert stats.rows_spilled > 0
+            assert stats.runs_written >= 1
+            assert stats.bytes_spilled > 0
+        if stats.rows_emitted:
+            assert stats.intern_hits + stats.intern_misses > 0
+        assert stats.peak_resident_rows <= 2
+    assert spilled >= 5

@@ -537,10 +537,29 @@ class TestCheckStreamDegenerate:
         assert "budget exhausted (deadline)" in captured.err
         assert "satisfies all" not in captured.out
 
-    def test_backend_choices_agree(self, course_bundle, course_jsonl,
+    def test_backend_choices_agree(self, course_bundle, tmp_path,
                                    capsys):
-        for backend in ("dict", "numpy", "auto"):
-            assert main(["check", course_bundle, "--stream",
-                         course_jsonl, "--backend", backend]) == 0, \
-                backend
-            assert "satisfies all" in capsys.readouterr().out
+        # --backend is retired: there is one group-table path, and its
+        # stdout must carry exactly the in-memory engine's witnesses
+        from repro.io.stream import dump_jsonl, iter_set_elements
+        from repro.nfd import ValidatorEngine
+        from repro.values import Atom, Instance, SetValue
+        schema = workloads.course_schema()
+        elements = list(workloads.course_instance().relation("Course"))
+        elements.append(elements[0].replace("time", Atom(99)))
+        conflicted = Instance(schema, {"Course": SetValue(elements)})
+        path = str(tmp_path / "conflicted.jsonl")
+        dump_jsonl(path, iter_set_elements(conflicted.relation("Course")))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", course_bundle, "--stream", path,
+                  "--backend", "dict"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend dict" in \
+            capsys.readouterr().err
+        reference = ValidatorEngine(schema, workloads.course_sigma()) \
+            .validate(conflicted, all_violations=True)
+        assert reference.violations
+        assert main(["check", course_bundle, "--stream", path]) == 1
+        assert capsys.readouterr().out == "".join(
+            f"{v.describe()}\n\n" for v in reference.violations) + \
+            f"{len(reference.violations)} violation(s)\n"

@@ -4,7 +4,8 @@ The differential property suite
 (:mod:`tests.properties.test_stream_validate_differential`) covers the
 randomized equivalence claims; these tests pin the targeted behaviors:
 budget-bounded spilling, cooperative cancellation, cross-shard
-conflicts, canonical key encoding, and tracer invariance.
+conflicts, canonical key encoding, tracer invariance, and a
+numpy-free ``check --stream``.
 """
 
 import pytest
@@ -423,3 +424,56 @@ class TestElementStore:
             _describe(reference.violations)
         for violation in result.violations:
             assert violation.element1.is_record()
+
+
+class TestNoNumpy:
+    """The streaming engine is pure stdlib: a spilling ``check
+    --stream`` run, plain and sharded, never imports numpy."""
+
+    def test_spilling_check_stream_never_imports_numpy(
+            self, tmp_path, course_schema, course_sigma,
+            conflicted_course):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.io import dump_bundle
+        from repro.io.stream import dump_jsonl
+        bundle = tmp_path / "course.json"
+        bundle.write_text(dump_bundle(course_schema, course_sigma,
+                                      conflicted_course))
+        stream = tmp_path / "course.jsonl"
+        dump_jsonl(stream, iter_set_elements(
+            conflicted_course.relation("Course")))
+        script = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "bundle, stream, out = sys.argv[1:]\n"
+            "base = ['check', bundle, '--stream', stream,"
+            " '--max-rows', '1']\n"
+            "codes = []\n"
+            "for n, extra in enumerate([[], ['--shards', '2']]):\n"
+            "    codes.append(main(base + extra + ['--metrics-json',"
+            " f'{out}.{n}']))\n"
+            "print(json.dumps({'codes': codes,"
+            " 'numpy': 'numpy' in sys.modules}))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]]
+                          if env.get("PYTHONPATH") else []))
+        metrics = tmp_path / "metrics"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(bundle), str(stream),
+             str(metrics)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert verdict == {"codes": [1, 1], "numpy": False}
+        for n in range(2):
+            with open(f"{metrics}.{n}") as handle:
+                stats = json.load(handle)["sections"]["stream"]
+            assert stats["spills"] >= 1
+            assert stats["peak_resident_rows"] <= 1
