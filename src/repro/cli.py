@@ -100,8 +100,10 @@ pool of sessions and compiled plans shared by every client, admission
 control, and cooperative deadlines.  ``check``, ``implies``,
 ``closure``, and ``keys`` accept ``--server HOST:PORT`` to route the
 query through a running daemon instead of computing in-process —
-stdout and exit codes are identical either way (observability stays
-server-side: query it with ``repro client stats``).  ``repro client
+stdout and exit codes are identical either way, because both paths
+parse, answer and render through :mod:`repro.service` (the local
+observability, ``--cache-dir`` and ``--jobs`` flags are ignored with a
+note: query the daemon with ``repro client stats``).  ``repro client
 ping|stats|shutdown`` administer a daemon.
 
 Every command returns a conventional exit status (0 success / holds,
@@ -125,20 +127,25 @@ from .inference import (
     build_countermodel,
 )
 from .io import dump_bundle, load_bundle, load_spec, render_instance
+from .io.json_io import parse_bundle_json
 from .nfd import ValidatorEngine, parse_nfd
 from .obs import RunReport, Tracer
 from .paths import parse_path
+from .service import Query, answer, parse_query, render
 
 __all__ = ["main", "build_parser"]
 
 
-def _load(path_text: str):
+def _read(path_text: str) -> str:
     try:
-        content = FilePath(path_text).read_text()
+        return FilePath(path_text).read_text()
     except OSError as exc:
         raise ReproError(f"cannot read bundle {path_text!r}: {exc}") \
             from exc
-    return load_bundle(content)
+
+
+def _load(path_text: str):
+    return load_bundle(_read(path_text))
 
 
 def _spec_from_args(args) -> NonEmptySpec | None:
@@ -231,151 +238,108 @@ def _emit_cache_stats(args, session) -> None:
         print(session.stats.to_text(), file=sys.stderr)
 
 
-# -- daemon passthrough ----------------------------------------------------
-
-
-def _remote_client(args):
-    """A connected :class:`~repro.server.ReproClient` for ``--server``.
-
-    Transport failures raise :class:`~repro.errors.ReproError`
-    subclasses, which :func:`main` renders as ``error: ...`` + exit 2.
-    """
-    from .server import ReproClient, parse_endpoint
-
-    host, port = parse_endpoint(args.server)
-    return ReproClient(host, port)
-
-
-def _remote_bundle(args) -> dict:
-    """The bundle file as a plain JSON object, with ``--nonempty``
-    flags overriding the persisted declarations — the same precedence
-    :func:`_spec_from_args` gives the in-process path."""
-    import json
-
-    try:
-        content = FilePath(args.bundle).read_text()
-    except OSError as exc:
-        raise ReproError(f"cannot read bundle {args.bundle!r}: {exc}") \
-            from exc
-    try:
-        payload = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise ReproError(
-            f"bundle is not valid JSON at line {exc.lineno}, column "
-            f"{exc.colno}: {exc.msg}") from exc
-    if not isinstance(payload, dict):
-        raise ReproError("bundle must be a JSON object")
-    declared = getattr(args, "nonempty", None)
-    if declared:
-        payload["nonempty"] = list(declared)
-    return payload
-
-
 def _obs_note(args) -> None:
-    """Observability lives daemon-side: note ignored local flags."""
+    """The daemon computes under its own configuration: note the local
+    observability, ``--cache-dir`` and ``--jobs`` flags it ignores."""
     ignored = [flag for flag, name in (
         ("--stats", "stats"), ("--cache-stats", "cache_stats"),
         ("--trace", "trace"), ("--metrics-json", "metrics_json"),
+        ("--cache-dir", "cache_dir"),
     ) if getattr(args, name, None)]
+    if getattr(args, "jobs", 1) != 1:
+        ignored.append("--jobs")
     if ignored:
         print(f"note: {', '.join(ignored)} ignored with --server "
-              "(query the daemon with `repro client stats`)",
-              file=sys.stderr)
+              "(configure the daemon with `repro serve`, query it with "
+              "`repro client stats`)", file=sys.stderr)
 
 
-def _cmd_check_remote(args) -> int:
-    _obs_note(args)
-    bundle = _remote_bundle(args)
-    if bundle.get("instance") is None:
-        print("bundle has no instance to check", file=sys.stderr)
-        return 2
-    with _remote_client(args) as client:
-        result = client.check(bundle)
-    for violation in result.get("violations", ()):
-        print(violation)
-        print()
-    if not result.get("satisfied", False):
-        print(f"{len(result.get('violations', ()))} violation(s)")
-        return 1
-    print("instance satisfies all constraints")
-    return 0
+def _query_params(args) -> dict:
+    """A query command's parameters, exactly as the wire carries them."""
+    if args.command == "implies":
+        return {"nfd": args.nfd}
+    if args.command == "closure":
+        return {"base": args.base, "paths": list(args.paths)}
+    if args.command == "keys":
+        return {"relation": args.relation}
+    return {}
 
 
-def _cmd_implies_remote(args) -> int:
-    _obs_note(args)
-    bundle = _remote_bundle(args)
-    with _remote_client(args) as client:
-        implied = client.implies(bundle, args.nfd)
-    candidate = parse_nfd(args.nfd)
-    print(f"{'implied' if implied else 'not implied'}: {candidate}")
-    return 0 if implied else 1
-
-
-def _cmd_closure_remote(args) -> int:
-    _obs_note(args)
-    bundle = _remote_bundle(args)
-    base = parse_path(args.base)
-    lhs = {parse_path(text) for text in args.paths}
-    with _remote_client(args) as client:
-        closed = client.closure(bundle, args.base, list(args.paths))
-    lhs_text = ", ".join(sorted(map(str, lhs))) or "∅"
-    print(f"({base}, {{{lhs_text}}})* =")
-    for path in closed:
-        print(f"  {path}")
-    return 0
-
-
-def _cmd_keys_remote(args) -> int:
-    _obs_note(args)
-    bundle = _remote_bundle(args)
-    with _remote_client(args) as client:
-        result = client.keys(bundle, args.relation)
-    relation = result.get("relation", args.relation)
-    keys = result.get("keys", [])
-    if not keys:
-        print(f"{relation}: no key among the top-level attributes")
-        return 1
-    for key in keys:
-        print(f"{relation}: {{{', '.join(key)}}}")
-    return 0
-
-
-def _cmd_check(args) -> int:
-    if getattr(args, "server", None):
-        if getattr(args, "stream", None):
+def _cmd_query(args) -> int:
+    """``check``, ``implies``, ``closure`` and ``keys``: one result dict,
+    from the daemon under ``--server`` or computed in-process, rendered
+    by :func:`repro.service.render` either way."""
+    if getattr(args, "stream", None):
+        if args.server:
             print("error: --stream runs locally; drop --server",
                   file=sys.stderr)
             return 2
-        return _cmd_check_remote(args)
-    if getattr(args, "stream", None):
         return _cmd_check_stream(args)
+    params = _query_params(args)
+    if args.server:
+        from .server import ReproClient, parse_endpoint
+
+        _obs_note(args)
+        bundle = parse_bundle_json(_read(args.bundle))
+        if getattr(args, "nonempty", None):
+            # the flags override the persisted declarations, as they
+            # do in-process (see _spec_from_args)
+            bundle["nonempty"] = list(args.nonempty)
+        with ReproClient(*parse_endpoint(args.server)) as client:
+            result = client.request(args.command, bundle=bundle, **params)
+    else:
+        result = _answer_locally(args, params)
+    text, status = render(args.command, params, result)
+    sys.stdout.write(text)
+    return status
+
+
+def _answer_locally(args, params: dict) -> dict:
+    """The in-process result dict of a query command.
+
+    Builds the session or validator, the store and the tracer, and
+    handles every local-only flag: ``--jobs``, ``--cache-dir``,
+    ``--stats``, ``--cache-stats``, ``--trace`` and ``--metrics-json``.
+    """
+    kind = args.command
     schema, sigma, instance = _load(args.bundle)
-    if instance is None:
-        print("bundle has no instance to check", file=sys.stderr)
-        return 2
-    from .values import check_instance
-    check_instance(instance)
+    query = parse_query(kind, params, schema, instance)
+    jobs = getattr(args, "jobs", 1)
     tracer = _tracer_from_args(args)
     store = _store_from_args(args)
-    if store is not None:
+    report = RunReport(command=kind)
+    if kind == "check":
         from .store import cached_validator
         engine = cached_validator(schema, sigma, store=store,
                                   tracer=tracer)
+        result = answer(query, engine.validate(
+            instance, all_violations=True, jobs=jobs))
+        report.add("validator", engine.stats)
     else:
-        engine = ValidatorEngine(schema, sigma, tracer=tracer)
-    result = engine.validate(instance, all_violations=True,
-                             jobs=getattr(args, "jobs", 1))
-    for violation in result.violations:
-        print(violation.describe())
-        print()
-    report = RunReport(command="check").add("validator", engine.stats)
+        spec = _spec_from_args(args)
+        session = None
+        if jobs == 1:
+            session = ImplicationSession(schema, sigma, spec,
+                                         tracer=tracer, store=store)
+        elif getattr(args, "cache_stats", False):
+            print("cache stats unavailable with --jobs > 1 (each worker "
+                  "process holds its own session)", file=sys.stderr)
+        if kind == "keys":
+            outcome = minimal_keys(schema, sigma, query.relation,
+                                   engine=session, nonempty=spec,
+                                   jobs=jobs,
+                                   cache_dir=store.cache_dir
+                                   if store is not None else None)
+        else:
+            outcome = [session.closure(base, lhs)
+                       for base, lhs in query.closures]
+        result = answer(query, outcome)
+        if session is not None:
+            report.add("closure", session.engine.stats)
+            report.add("session", session.stats)
     _finish_store(report, store)
     _obs_finish(args, report, tracer)
-    if result.violations:
-        print(f"{len(result.violations)} violation(s)")
-        return 1
-    print("instance satisfies all constraints")
-    return 0
+    return result
 
 
 def _cmd_check_stream(args) -> int:
@@ -455,9 +419,7 @@ def _cmd_check_stream(args) -> int:
         result = stream_validate(schema, streamed, {relation: reader},
                                  budget=budget, tracer=tracer,
                                  spill_root=spill_root, store=store)
-    for violation in result.violations:
-        print(violation.describe())
-        print()
+    answered = answer(Query("check"), result)
     report = RunReport(command="check").add("stream", result.stats)
     _finish_store(report, store)
     _obs_finish(args, report, tracer)
@@ -465,57 +427,9 @@ def _cmd_check_stream(args) -> int:
         print(f"budget exhausted ({result.budget_exhausted}) after "
               f"{result.elements_seen} element(s); partial result",
               file=sys.stderr)
-    if result.violations:
-        print(f"{len(result.violations)} violation(s)")
-        return 1
-    if result.budget_exhausted is not None:
-        return 2
-    print("instance satisfies all constraints")
-    return 0
-
-
-def _cmd_implies(args) -> int:
-    if getattr(args, "server", None):
-        return _cmd_implies_remote(args)
-    schema, sigma, _ = _load(args.bundle)
-    candidate = parse_nfd(args.nfd)
-    tracer = _tracer_from_args(args)
-    store = _store_from_args(args)
-    session = ImplicationSession(schema, sigma,
-                                 nonempty=_spec_from_args(args),
-                                 tracer=tracer, store=store)
-    status = 0 if session.implies(candidate) else 1
-    print(f"{'implied' if status == 0 else 'not implied'}: {candidate}")
-    report = (RunReport(command="implies")
-              .add("closure", session.engine.stats)
-              .add("session", session.stats))
-    _finish_store(report, store)
-    _obs_finish(args, report, tracer)
+    text, status = render("check", {}, answered)
+    sys.stdout.write(text)
     return status
-
-
-def _cmd_closure(args) -> int:
-    if getattr(args, "server", None):
-        return _cmd_closure_remote(args)
-    schema, sigma, _ = _load(args.bundle)
-    base = parse_path(args.base)
-    lhs = {parse_path(text) for text in args.paths}
-    tracer = _tracer_from_args(args)
-    store = _store_from_args(args)
-    session = ImplicationSession(schema, sigma,
-                                 nonempty=_spec_from_args(args),
-                                 tracer=tracer, store=store)
-    closed = session.closure(base, lhs)
-    lhs_text = ", ".join(sorted(map(str, lhs))) or "∅"
-    print(f"({base}, {{{lhs_text}}})* =")
-    for path in sorted(closed):
-        print(f"  {path}")
-    report = (RunReport(command="closure")
-              .add("closure", session.engine.stats)
-              .add("session", session.stats))
-    _finish_store(report, store)
-    _obs_finish(args, report, tracer)
-    return 0
 
 
 def _cmd_explain(args) -> int:
@@ -584,42 +498,6 @@ def _cmd_render(args) -> int:
         print("bundle has no instance to render", file=sys.stderr)
         return 2
     print(render_instance(instance))
-    return 0
-
-
-def _cmd_keys(args) -> int:
-    if getattr(args, "server", None):
-        return _cmd_keys_remote(args)
-    schema, sigma, _ = _load(args.bundle)
-    relation = args.relation or schema.relation_names[0]
-    spec = _spec_from_args(args)
-    jobs = getattr(args, "jobs", 1)
-    tracer = _tracer_from_args(args)
-    store = _store_from_args(args)
-    session = None
-    if jobs == 1:
-        session = ImplicationSession(schema, sigma, spec, tracer=tracer,
-                                     store=store)
-    elif getattr(args, "cache_stats", False):
-        print("cache stats unavailable with --jobs > 1 (each worker "
-              "process holds its own session)", file=sys.stderr)
-    keys = minimal_keys(schema, sigma, relation, engine=session,
-                        nonempty=spec, jobs=jobs,
-                        cache_dir=store.cache_dir
-                        if store is not None else None)
-    report = RunReport(command="keys")
-    if session is not None:
-        report.add("closure", session.engine.stats)
-        report.add("session", session.stats)
-    if not keys:
-        print(f"{relation}: no key among the top-level attributes")
-        _finish_store(report, store)
-        _obs_finish(args, report, tracer)
-        return 1
-    for key in keys:
-        print(f"{relation}: {{{', '.join(sorted(map(str, key)))}}}")
-    _finish_store(report, store)
-    _obs_finish(args, report, tracer)
     return 0
 
 
@@ -953,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_dir_arg(sub)
     server_arg(sub)
     obs_args(sub)
-    sub.set_defaults(handler=_cmd_check)
+    sub.set_defaults(handler=_cmd_query)
 
     sub = commands.add_parser("implies", help="decide implication")
     bundle_arg(sub)
@@ -964,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_dir_arg(sub)
     server_arg(sub)
     obs_args(sub)
-    sub.set_defaults(handler=_cmd_implies)
+    sub.set_defaults(handler=_cmd_query)
 
     sub = commands.add_parser("closure", help="compute (x0, X, Sigma)*")
     bundle_arg(sub)
@@ -976,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_dir_arg(sub)
     server_arg(sub)
     obs_args(sub)
-    sub.set_defaults(handler=_cmd_closure)
+    sub.set_defaults(handler=_cmd_query)
 
     sub = commands.add_parser("explain", help="justify an implication")
     bundle_arg(sub)
@@ -1016,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_dir_arg(sub)
     server_arg(sub)
     obs_args(sub)
-    sub.set_defaults(handler=_cmd_keys)
+    sub.set_defaults(handler=_cmd_query)
 
     sub = commands.add_parser("diff",
                               help="semantic diff of two constraint sets")

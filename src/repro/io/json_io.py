@@ -100,7 +100,7 @@ def dump_bundle(schema: Schema, sigma: Iterable[NFD],
     return json.dumps(payload, indent=indent, sort_keys=True)
 
 
-def _parse_payload(text: str) -> dict[str, Any]:
+def parse_bundle_json(text: str) -> dict[str, Any]:
     """Decode a bundle, translating raw decoder failures into typed
     :class:`ParseError`\\ s that name the offending line/column."""
     try:
@@ -120,7 +120,7 @@ def load_bundle(text: str) \
         -> tuple[Schema, list[NFD], Instance | None]:
     """Inverse of :func:`dump_bundle` (spec excluded; see
     :func:`load_spec`)."""
-    payload = _parse_payload(text)
+    payload = parse_bundle_json(text)
     if "schema" not in payload:
         raise ParseError('bundle is missing the required "schema" key')
     schema = schema_from_dict(payload["schema"])
@@ -141,7 +141,7 @@ def load_spec(text: str) -> "NonEmptySpec | None":
     from ..inference.empty_sets import NonEmptySpec
     from ..paths.path import parse_path
 
-    payload = _parse_payload(text)
+    payload = parse_bundle_json(text)
     declared = payload.get("nonempty")
     if declared is None:
         return None

@@ -42,14 +42,14 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..errors import NFDError, ReproError
-from ..nfd.stream_validate import ResourceBudget, stream_validate
+from ..analysis import minimal_keys
+from ..errors import ReproError
 from ..io.stream import iter_set_elements
-from ..nfd.parser import parse_nfd
+from ..nfd.stream_validate import ResourceBudget, stream_validate
 from ..obs import RunReport, Tracer
-from ..paths.path import parse_path
+from ..service import answer, parse_query
 from .pool import EnginePool
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
                        ProtocolError, decode_line, encode,
@@ -454,14 +454,12 @@ class ReproServer:
                 else min(remaining, float(requested))
         return remaining
 
-    def _check_deadline(self, deadline: float | None) -> None:
-        if deadline is not None and deadline <= 0:
-            raise ProtocolError("deadline_exceeded",
-                                "the connection deadline has expired")
-
     async def _handle_query(self, request_id, request_type: str,
                             request: dict,
                             remaining: float | None) -> dict:
+        """Parse and answer through :mod:`repro.service`; closures run
+        through the entry's batcher (concurrent and pipelined queries
+        share kernel sweeps), keys and checks on its warm engines."""
         deadline = self._effective_deadline(request, remaining)
         if "bundle" not in request:
             raise ProtocolError(
@@ -470,135 +468,45 @@ class ReproServer:
         schema, sigma, instance, spec = \
             parse_bundle_payload(request["bundle"])
         entry = self.pool.entry_for(schema, sigma, spec)
-        if request_type == "check":
-            return await self._query_check(request_id, entry, instance,
-                                           deadline)
-        self._check_deadline(deadline)
-        if request_type == "implies":
-            return await self._query_implies(request_id, entry, request)
-        if request_type == "closure":
-            return await self._query_closure(request_id, entry, request)
-        return await self._query_keys(request_id, entry, request)
-
-    async def _query_implies(self, request_id, entry, request) -> dict:
-        text = request.get("nfd")
-        if not isinstance(text, str):
-            raise ProtocolError("invalid_query",
-                                '"implies" requires an "nfd" string')
-        candidate = parse_nfd(text)
-        session = await self.pool.session_for(entry)
-        try:
-            candidate.check_well_formed(session.schema)
-        except NFDError as exc:
-            raise ProtocolError("invalid_query", str(exc)) from exc
-        batcher = await self.pool.batcher_for(entry)
-        closed = await batcher.closure(candidate.base, candidate.lhs)
-        implied = candidate.rhs in closed
-        return ok_response(request_id, "implies", {
-            "implied": implied,
-            "nfd": str(candidate),
-        })
-
-    async def _query_closure(self, request_id, entry, request) -> dict:
-        """Single ``base``/``paths`` query, or a pipelined ``queries``
-        list — either way served through the entry's batcher, so
-        concurrent and pipelined queries share kernel sweeps."""
-        if "queries" in request:
-            specs = request["queries"]
-            if not isinstance(specs, list) or not all(
-                    isinstance(q, (list, tuple)) and len(q) == 2
-                    for q in specs):
-                raise ProtocolError(
-                    "invalid_query",
-                    '"queries" must be a list of [base, [paths]] '
-                    "pairs")
-            single = False
-        else:
-            if not isinstance(request.get("base"), str):
-                raise ProtocolError(
-                    "invalid_query",
-                    '"closure" requires a "base" path string')
-            specs = [[request["base"], request.get("paths", [])]]
-            single = True
-        parsed = []
-        for base_text, path_texts in specs:
-            if not isinstance(path_texts, (list, tuple)) or not all(
-                    isinstance(p, str) for p in path_texts):
-                raise ProtocolError(
-                    "invalid_query", '"paths" must be a list of path '
-                                     "strings")
-            parsed.append((parse_path(base_text),
-                           {parse_path(p) for p in path_texts}))
-        batcher = await self.pool.batcher_for(entry)
-        closures = await asyncio.gather(*[
-            batcher.closure(base, lhs) for base, lhs in parsed])
-        # Path-tuple sort order (what the CLI prints), not string sort
-        # — the two differ once labels mix digits and separators
-        rendered = [[str(p) for p in sorted(closed)]
-                    for closed in closures]
-        result = {"closures": rendered}
-        if single:
-            result["closure"] = rendered[0]
-        return ok_response(request_id, "closure", result)
-
-    async def _query_keys(self, request_id, entry, request) -> dict:
-        from ..analysis import minimal_keys
-        relation = request.get("relation")
-        if relation is None:
-            relation = entry.schema.relation_names[0]
-        if not isinstance(relation, str):
-            raise ProtocolError("invalid_query",
-                                '"relation" must be a string')
-        session = await self.pool.session_for(entry)
-        keys = minimal_keys(entry.schema, entry.sigma, relation,
-                            engine=session, nonempty=entry.nonempty)
-        return ok_response(request_id, "keys", {
-            "relation": relation,
-            "keys": [sorted(str(p) for p in key) for key in keys],
-        })
-
-    async def _query_check(self, request_id, entry, instance,
-                           deadline: float | None) -> dict:
-        if instance is None:
-            raise ProtocolError(
-                "invalid_query",
-                'bundle has no "instance" to check')
-        from ..values import check_instance
-        check_instance(instance)
-        if deadline is None:
+        if request_type != "check" and deadline is not None \
+                and deadline <= 0:
+            raise ProtocolError("deadline_exceeded",
+                                "the connection deadline has expired")
+        query = parse_query(request_type, request, entry.schema, instance)
+        if request_type in ("implies", "closure"):
+            batcher = await self.pool.batcher_for(entry)
+            outcome = await asyncio.gather(*[
+                batcher.closure(base, lhs) for base, lhs in query.closures])
+        elif request_type == "keys":
+            session = await self.pool.session_for(entry)
+            outcome = minimal_keys(entry.schema, entry.sigma,
+                                   query.relation, engine=session,
+                                   nonempty=entry.nonempty)
+        elif deadline is None:
             # the warm path: the pool's compiled validator, one walk
             validator = await self.pool.validator_for(entry)
-            result = validator.validate(instance, all_violations=True)
-            return ok_response(request_id, "check", {
-                "satisfied": not result.violations,
-                "violations": [v.describe()
-                               for v in result.violations],
-                "partial": None,
-            })
-        # a bounded check rides the stream engine's cooperative
-        # cancellation: elements feed through iter_set_elements and
-        # the ResourceBudget deadline stops the walk mid-stream
-        budget = ResourceBudget(deadline=deadline)
-        sources = {
-            name: iter_set_elements(instance.relation(name))
-            for name in dict.fromkeys(nfd.relation
-                                      for nfd in entry.sigma)
-        }
-        result = stream_validate(entry.schema, entry.sigma, sources,
-                                 budget=budget, store=self.store,
-                                 tracer=self.tracer)
-        if result.budget_exhausted is not None \
-                and not result.violations:
-            raise ProtocolError(
-                "deadline_exceeded",
-                f"deadline expired after {result.elements_seen} "
-                f"element(s); verdict unknown")
-        return ok_response(request_id, "check", {
-            "satisfied": result.ok,
-            "violations": [v.describe() for v in result.violations],
-            "partial": result.budget_exhausted,
-            "elements_seen": result.elements_seen,
-        })
+            outcome = validator.validate(instance, all_violations=True)
+        else:
+            # a bounded check rides the stream engine's cooperative
+            # cancellation: the ResourceBudget deadline stops the walk
+            # mid-stream
+            sources = {
+                name: iter_set_elements(instance.relation(name))
+                for name in dict.fromkeys(nfd.relation
+                                          for nfd in entry.sigma)
+            }
+            outcome = stream_validate(
+                entry.schema, entry.sigma, sources,
+                budget=ResourceBudget(deadline=deadline),
+                store=self.store, tracer=self.tracer)
+            if outcome.budget_exhausted is not None \
+                    and not outcome.violations:
+                raise ProtocolError(
+                    "deadline_exceeded",
+                    f"deadline expired after {outcome.elements_seen} "
+                    f"element(s); verdict unknown")
+        return ok_response(request_id, request_type,
+                           answer(query, outcome))
 
 
 # ---------------------------------------------------------------- embedding

@@ -1,0 +1,157 @@
+"""One query core for ``check``, ``implies``, ``closure`` and ``keys``.
+
+The CLI (in-process and ``--server``) and the daemon answer these four
+queries through this module alone, so the result format, the sort
+orders and the exit codes are decided here once:
+
+* :func:`parse_query` validates a request's wire parameters (which the
+  CLI builds from its arguments) into a :class:`Query`, raising a typed
+  :class:`~repro.errors.ReproError` on bad input — ``invalid_query``
+  on the wire, exit 2 in the CLI;
+* :func:`answer` turns what the caller computed — locally, or on the
+  daemon's warm pool and closure batcher — into the wire result dict;
+* :func:`render` turns a result dict into CLI stdout and exit status.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import ReproError
+from .nfd.nfd import NFD
+from .nfd.parser import parse_nfd
+from .nfd.stream_validate import StreamResult
+from .paths.path import parse_path
+from .values import check_instance
+
+__all__ = ["QueryError", "Query", "parse_query", "answer", "render"]
+
+
+class QueryError(ReproError):
+    """A query parameter is missing or has the wrong shape."""
+
+
+@dataclass(frozen=True)
+class Query:
+    """A validated query.  ``closures`` holds the ``(base, lhs)`` pairs
+    whose closures answer ``implies`` and ``closure``; ``single`` marks
+    a ``closure`` asked by ``base``/``paths`` rather than ``queries``.
+    """
+
+    kind: str
+    closures: tuple = ()
+    nfd: NFD | None = None
+    single: bool = True
+    relation: str | None = None
+
+
+def parse_query(kind: str, params: dict, schema, instance=None) -> Query:
+    """Validate *params* of a *kind* query against *schema*.
+
+    ``check`` needs the bundle's *instance*, which is type-checked
+    here; the other kinds ignore it.
+    """
+    if kind == "implies":
+        text = params.get("nfd")
+        if not isinstance(text, str):
+            raise QueryError('"implies" requires an "nfd" string')
+        nfd = parse_nfd(text)
+        nfd.check_well_formed(schema)
+        return Query(kind, closures=((nfd.base, nfd.lhs),), nfd=nfd)
+    if kind == "closure":
+        single = "queries" not in params
+        if single:
+            specs = [(params.get("base"), params.get("paths", []))]
+        else:
+            specs = params["queries"]
+            if not isinstance(specs, list) or not all(
+                    isinstance(q, (list, tuple)) and len(q) == 2
+                    for q in specs):
+                raise QueryError('"queries" must be a list of '
+                                 "[base, [paths]] pairs")
+        closures = []
+        for base, paths in specs:
+            if not isinstance(base, str):
+                raise QueryError('"closure" requires a "base" path string')
+            if not isinstance(paths, (list, tuple)) or not all(
+                    isinstance(p, str) for p in paths):
+                raise QueryError('"paths" must be a list of path strings')
+            closures.append((parse_path(base),
+                             frozenset(parse_path(p) for p in paths)))
+        return Query(kind, closures=tuple(closures), single=single)
+    if kind == "keys":
+        relation = params.get("relation")
+        if relation is None:
+            relation = schema.relation_names[0]
+        if not isinstance(relation, str):
+            raise QueryError('"relation" must be a string')
+        return Query(kind, relation=relation)
+    if instance is None:
+        raise QueryError('bundle has no "instance" to check')
+    check_instance(instance)
+    return Query(kind)
+
+
+def answer(query: Query, outcome) -> dict:
+    """The result dict of *query*, given what the caller computed.
+
+    *outcome* is the list of closures of ``query.closures`` for
+    ``implies`` and ``closure``, the minimal keys for ``keys``, and a
+    :class:`~repro.nfd.ValidationResult` or
+    :class:`~repro.nfd.StreamResult` for ``check`` (a stream result
+    adds its ``partial`` budget verdict and ``elements_seen``).
+    """
+    if query.kind == "implies":
+        return {"implied": query.nfd.rhs in outcome[0],
+                "nfd": str(query.nfd)}
+    if query.kind == "closure":
+        # Path-tuple sort order, not string sort — the two differ once
+        # labels mix digits and separators
+        closures = [[str(p) for p in sorted(closed)]
+                    for closed in outcome]
+        result = {"closures": closures}
+        if query.single:
+            result["closure"] = closures[0]
+        return result
+    if query.kind == "keys":
+        return {"relation": query.relation,
+                "keys": [sorted(str(p) for p in key) for key in outcome]}
+    result = {"satisfied": outcome.ok,
+              "violations": [v.describe() for v in outcome.violations],
+              "partial": None}
+    if isinstance(outcome, StreamResult):
+        result["partial"] = outcome.budget_exhausted
+        result["elements_seen"] = outcome.elements_seen
+    return result
+
+
+def render(kind: str, params: dict, result: dict) -> tuple[str, int]:
+    """``(stdout text, exit status)`` of one result dict.
+
+    Exit 0 when the property holds, 1 when it fails; a ``check`` cut
+    short by its budget before finding a violation exits 2, because
+    its verdict is unknown.
+    """
+    if kind == "implies":
+        implied = result["implied"]
+        verdict = "implied" if implied else "not implied"
+        return f"{verdict}: {result['nfd']}\n", 0 if implied else 1
+    if kind == "closure":
+        lhs = ", ".join(sorted({str(parse_path(p))
+                                for p in params.get("paths", ())}))
+        lines = [f"({parse_path(params['base'])}, {{{lhs or '∅'}}})* =",
+                 *(f"  {path}" for path in result["closure"])]
+        return "".join(line + "\n" for line in lines), 0
+    if kind == "keys":
+        relation, keys = result["relation"], result["keys"]
+        if not keys:
+            return f"{relation}: no key among the top-level attributes\n", 1
+        return "".join(f"{relation}: {{{', '.join(key)}}}\n"
+                       for key in keys), 0
+    violations = result["violations"]
+    text = "".join(f"{violation}\n\n" for violation in violations)
+    if violations:
+        return text + f"{len(violations)} violation(s)\n", 1
+    if result["partial"] is not None:
+        return "", 2
+    return "instance satisfies all constraints\n", 0

@@ -208,6 +208,31 @@ def test_server_passthrough_exit_code(case, template, expected,
     assert run(argv) == expected, argv
 
 
+STDOUT_TABLE = SERVER_TABLE + [
+    ("closure-two-paths",
+     ["closure", "{good}", "Course", "time", "students:sid"], 0),
+    ("keys-default-relation", ["keys", "{good}"], 0),
+]
+
+
+@pytest.mark.parametrize(("case", "template", "expected"), STDOUT_TABLE,
+                         ids=[row[0] for row in STDOUT_TABLE])
+def test_server_passthrough_stdout(case, template, expected, live_server,
+                                   good, broken, no_instance, capsys):
+    """``--server`` prints what the in-process run prints; only stderr
+    may differ (daemon errors carry their code prefix)."""
+    values = {"good": good, "broken": broken,
+              "no_instance": no_instance}
+    argv = [arg.format(**values) for arg in template]
+    capsys.readouterr()
+    remote_code = run(argv + ["--server", live_server])
+    remote_out = capsys.readouterr().out
+    local_code = run(argv)
+    local_out = capsys.readouterr().out
+    assert (remote_code, remote_out) == (local_code, local_out), argv
+    assert local_code == expected, argv
+
+
 def test_client_verbs_against_live_server(good, capsys):
     config = ServerConfig(allow_shutdown=True)
     with BackgroundServer(config) as bg:

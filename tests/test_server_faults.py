@@ -164,6 +164,17 @@ def test_invalid_bundle_and_query_params(bg):
     _assert_alive(bg.host, bg.port)
 
 
+def test_malformed_closure_queries_are_invalid_query(bg):
+    bundle = _bundle()
+    with ReproClient(bg.host, bg.port, timeout=TIMEOUT) as client:
+        for queries in ([[42, []]], [[None, []]], [["Course", [7]]]):
+            with pytest.raises(ServerError) as excinfo:
+                client.request("closure", bundle=bundle, queries=queries)
+            assert excinfo.value.code == "invalid_query", queries
+        assert client.ping()["pong"] is True
+    _assert_alive(bg.host, bg.port)
+
+
 def test_shutdown_without_flag_is_refused(bg):
     with ReproClient(bg.host, bg.port, timeout=TIMEOUT) as client:
         with pytest.raises(ServerError) as excinfo:
