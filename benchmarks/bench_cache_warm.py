@@ -12,7 +12,9 @@ The :mod:`repro.store` production claims, as acceptance gates:
   checkpointed JSONL source, ``--incremental`` revalidation folds only
   the appended elements (at least :data:`MIN_FOLD_RATIO` times fewer
   than the file holds) and reports witnesses byte-identical to a full
-  cold re-stream.
+  cold re-stream, and writes at most
+  :data:`MAX_GROUPS_PER_FOLDED_ELEMENT` group rows per folded element —
+  an exact count of the checkpoint work, independent of the host.
 
 The ``cache.*_per_sec`` gauges are the perf trajectory: nightly CI
 dumps them into ``BENCH_cache.json`` and ``--compare`` fails the run
@@ -44,6 +46,11 @@ MIN_ATTEMPT_RATIO = 5
 #: An incremental revalidation of a 1%-appended source must fold at
 #: least this many times fewer elements than the file holds.
 MIN_FOLD_RATIO = 10
+
+#: A resume may write at most this many group rows per element it
+#: folds (a delta checkpoint writes only the groups the appended lines
+#: touch; rewriting the whole checkpoint would be ~100x this).
+MAX_GROUPS_PER_FOLDED_ELEMENT = 10
 
 #: Elements in the checkpointed prefix of the incremental workload.
 STREAM_PREFIX = 1000
@@ -157,8 +164,9 @@ def _stream_workload():
 
 def test_incremental_append_gate(gate_metrics):
     """Gate: revalidating a 1%-appended source folds only the appended
-    elements — >= MIN_FOLD_RATIO fewer than the file holds — with
-    witnesses identical to a full cold re-stream."""
+    elements — >= MIN_FOLD_RATIO fewer than the file holds — writes at
+    most MAX_GROUPS_PER_FOLDED_ELEMENT group rows per folded element,
+    and reports witnesses identical to a full cold re-stream."""
     schema, sigma, rows = _stream_workload()
     workdir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
@@ -179,6 +187,14 @@ def test_incremental_append_gate(gate_metrics):
                 for element in appended:
                     handle.write(json.dumps(to_python(element)) + "\n")
 
+            written = []
+            put = store.put_stream_source
+
+            def counting_put(source_id, *, groups, **kwargs):
+                groups = list(groups)
+                written.append(sum(len(rows) for _, rows in groups))
+                return put(source_id, groups=groups, **kwargs)
+            store.put_stream_source = counting_put
             gc.collect()
             started = time.perf_counter()
             resumed, info = incremental_stream_validate(
@@ -201,6 +217,12 @@ def test_incremental_append_gate(gate_metrics):
     assert fold_ratio >= MIN_FOLD_RATIO, (
         f"resume folded {info['elements_folded']} of {total} elements "
         f"— only {fold_ratio:.1f}x fewer, below {MIN_FOLD_RATIO}x")
+    assert info["persisted"] and len(written) == 1
+    rewritten = written[0] / info["elements_folded"]
+    assert rewritten <= MAX_GROUPS_PER_FOLDED_ELEMENT, (
+        f"resume wrote {written[0]} group rows for "
+        f"{info['elements_folded']} folded elements — {rewritten:.1f} "
+        f"per element, above {MAX_GROUPS_PER_FOLDED_ELEMENT}")
     assert not resumed.ok, "the appended clash must surface"
     assert [v.describe() for v in resumed.violations] == \
         [v.describe() for v in cold.violations], \
@@ -211,7 +233,8 @@ def test_incremental_append_gate(gate_metrics):
           f"({groups} groups) in {checkpoint_time * 1000:.0f}ms; "
           f"resume folded {info['elements_folded']} in "
           f"{resume_time * 1000:.0f}ms "
-          f"({groups_per_sec:,.0f} groups/s restored+rewritten); "
+          f"({groups_per_sec:,.0f} groups/s checkpointed, "
+          f"{written[0]} rows written); "
           f"cold re-stream {cold_time * 1000:.0f}ms")
     gate_metrics.gauge("cache.incremental_elements_total").set(total)
     gate_metrics.gauge("cache.incremental_elements_folded").set(
@@ -220,6 +243,8 @@ def test_incremental_append_gate(gate_metrics):
         round(fold_ratio, 1))
     gate_metrics.gauge("cache.checkpoint_groups_per_sec").set(
         round(groups_per_sec, 1))
+    gate_metrics.gauge("cache.groups_rewritten_per_folded_element").set(
+        round(rewritten, 2))
 
 
 def test_warm_validator_restore(benchmark):

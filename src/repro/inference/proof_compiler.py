@@ -69,8 +69,12 @@ class _Compiler:
             )
         usable, member_pairs = record
         bridge_label = self.derive_usable(usable)
-        # prefix-rule shortenings transform the bridge before use
-        for member, used in member_pairs:
+        # prefix-rule shortenings transform the bridge before use.  Shorter
+        # members go first: a chain removes the paths it passes through,
+        # so shortening B:C:D via B:C to B before the member B:C itself
+        # would leave no B:C in the LHS for that member's own chain.
+        for member, used in sorted(member_pairs,
+                                   key=lambda pair: len(pair[0])):
             current = member
             while current != used:
                 label = self._label()

@@ -15,6 +15,14 @@ element type, and an empty stream all raise
 number — never a raw ``json.JSONDecodeError`` or ``KeyError`` — so a
 failure in a multi-gigabyte dump points at the exact record.
 
+Each line is decoded by a decoder compiled once per relation type
+(:func:`_compile_decoder`): one walk over the parsed JSON both checks the
+element against its type — base types (a JSON ``true`` is not an
+``int``, ``1.0`` is not one either), missing and extra record fields —
+and builds the value tree directly, so streamed data is held to the
+same typing the in-memory ``check`` enforces through
+:func:`~repro.values.typecheck.check_instance`.
+
 Sharding support: :func:`plan_shards` splits one file into *contiguous*
 line ranges (order-preserving, so a sharded run sees the same element
 sequence as a serial scan of the whole file), and
@@ -28,11 +36,11 @@ import json
 import os
 from typing import Any, Iterable, Iterator
 
-from ..errors import ReproError, StreamError
+from ..errors import StreamError, ValueError_
+from ..types.base import BaseType, SetType, Type
 from ..types.schema import Schema
 from ..values.build import to_python
-from ..values.build import from_python
-from ..values.value import Record, SetValue, Value
+from ..values.value import Atom, Record, SetValue, Value
 
 __all__ = [
     "iter_jsonl_elements",
@@ -43,6 +51,92 @@ __all__ = [
 ]
 
 
+_PYTHON_BASE = {"int": int, "string": str, "bool": bool}
+
+
+def _shown(data) -> str:
+    """A short rendering of a rejected JSON value for an error message."""
+    if isinstance(data, dict):
+        return "a JSON object"
+    if isinstance(data, list):
+        return "a JSON array"
+    if data is None:
+        return "null"
+    return f"{type(data).__name__} {data!r}"
+
+
+def _compile_decoder(value_type: Type, where: str):
+    """A function from parsed JSON to the :class:`Value` of *value_type*.
+
+    The decoder checks while it builds, in one walk: an atom's Python
+    type must be exactly its base type's (``bool`` is not ``int``, and
+    there is no float base type, so ``1.0`` and NaN never pass), a
+    record must carry exactly its type's fields, and a set must be a
+    JSON array of its element type.  Values are built with
+    ``object.__new__`` and direct slot stores, as
+    :func:`~repro.values.value.thaw_value` does — the checks above are
+    stricter than the constructors' own.  A mismatch raises
+    :class:`~repro.errors.ValueError_` naming the path below *where*.
+    Record fields keep the JSON object's order, as
+    :func:`~repro.values.build.from_python` keeps it.
+    """
+    new = object.__new__
+    store = object.__setattr__
+    if isinstance(value_type, BaseType):
+        expected = _PYTHON_BASE[value_type.name]
+        name = expected.__name__
+
+        def decode_atom(data):
+            if type(data) is not expected:
+                raise ValueError_(f"{where}: expected {value_type}, got "
+                                  f"{_shown(data)}")
+            atom = new(Atom)
+            store(atom, "value", data)
+            store(atom, "_hash", hash(("Atom", name, data)))
+            return atom
+        return decode_atom
+    if isinstance(value_type, SetType):
+        decode_element = _compile_decoder(value_type.element, f"{where}[]")
+
+        def decode_set(data):
+            if type(data) is not list:
+                raise ValueError_(f"{where}: expected a set of type "
+                                  f"{value_type}, got {_shown(data)}")
+            elements = frozenset([decode_element(item) for item in data])
+            set_value = new(SetValue)
+            store(set_value, "elements", elements)
+            store(set_value, "_hash", hash(("SetValue", elements)))
+            store(set_value, "_sorted", None)
+            return set_value
+        return decode_set
+    # the remaining kind of type: a record
+    fields = {label: _compile_decoder(sub, f"{where}.{label}")
+              for label, sub in value_type.fields}
+    labels = fields.keys()
+
+    def decode_record(data):
+        if type(data) is not dict:
+            raise ValueError_(f"{where}: expected a record of type "
+                              f"{value_type}, got {_shown(data)}")
+        if data.keys() != labels:
+            parts = []
+            missing = labels - data.keys()
+            extra = data.keys() - labels
+            if missing:
+                parts.append(f"missing fields {', '.join(sorted(missing))}")
+            if extra:
+                parts.append(f"unexpected fields {', '.join(sorted(extra))}")
+            raise ValueError_(f"{where}: {'; '.join(parts)}")
+        pairs = tuple([(label, fields[label](sub))
+                       for label, sub in data.items()])
+        record = new(Record)
+        store(record, "fields", pairs)
+        store(record, "_by_label", dict(pairs))
+        store(record, "_hash", hash(("Record", frozenset(pairs))))
+        return record
+    return decode_record
+
+
 def iter_jsonl_elements(path, schema: Schema, relation: str, *,
                         start: int = 0, stop: int | None = None,
                         require_elements: bool = True) \
@@ -50,8 +144,10 @@ def iter_jsonl_elements(path, schema: Schema, relation: str, *,
     """Stream the elements of one relation from a JSONL file.
 
     Each non-blank line must hold one JSON object conforming to
-    *relation*'s element type; elements are yielded in file order, one
-    at a time, so memory stays bounded by a single element.
+    *relation*'s element type (checked as strictly as the in-memory
+    ``check`` does — see :func:`_compile_decoder`); elements are yielded
+    in file order, one at a time, so memory stays bounded by a single
+    element.
 
     ``start``/``stop`` restrict the scan to physical lines
     ``start < n <= stop`` (the half-open ranges :func:`plan_shards`
@@ -63,7 +159,7 @@ def iter_jsonl_elements(path, schema: Schema, relation: str, *,
         ranges may legitimately be empty) — a stream with no elements
         at all.
     """
-    element_type = schema.element_type(relation)
+    decode = _compile_decoder(schema.element_type(relation), relation)
     label = os.fspath(path)
     yielded = 0
     try:
@@ -84,8 +180,8 @@ def iter_jsonl_elements(path, schema: Schema, relation: str, *,
                     f"{label}: line {number}: truncated or malformed "
                     f"JSON element: {exc.msg}", line=number) from exc
             try:
-                element = from_python(data, element_type)
-            except ReproError as exc:
+                element = decode(data)
+            except ValueError_ as exc:
                 raise StreamError(
                     f"{label}: line {number}: element does not conform "
                     f"to the {relation!r} element type: {exc}",

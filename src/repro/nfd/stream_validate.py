@@ -97,7 +97,7 @@ import pickle
 import shutil
 import tempfile
 import time
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import InstanceError, ValueError_
@@ -321,6 +321,26 @@ def _merge_agg(a: list, b: list) -> list:
     return [a[0], a[1], a[2], a[3], None, None, None]
 
 
+def _fold_prior(index: int, chunk: list, prior) -> list:
+    """The rows of one export chunk a checkpoint must (re)write: every
+    row without *prior*; with it, rows whose key is new plus rows whose
+    stored aggregate the fold changes (see
+    :meth:`StreamValidator.export_tables`)."""
+    if prior is None or not chunk:
+        return chunk
+    stored = prior(index, [key_bytes for key_bytes, _ in chunk])
+    rows = []
+    for key_bytes, agg in chunk:
+        old = stored.get(key_bytes)
+        if old is None:
+            rows.append((key_bytes, agg))
+            continue
+        merged = _merge_agg(old, agg)
+        if merged[1] != old[1] or merged[4] != old[4]:
+            rows.append((key_bytes, merged))
+    return rows
+
+
 class _GroupTable:
     """One root-anchored NFD's group state: resident aggregates keyed by
     canonical key bytes, plus the sorted runs spilled so far."""
@@ -387,29 +407,12 @@ def _freeze_elem(elem, store: _ElementStore | None):
 
 
 def _thaw_elem(data):
-    if data is None or (type(data) is tuple
-                        and data[0] in ("@", "@v")):
-        return data
-    return thaw_value(data)
-
-
-def _lazy_elem(data):
-    """Wrap one checkpoint row's inline frozen element as a
-    self-contained lazy ref (``("@v", frozen_tree)``).
-
-    Witness elements are the bulk of a checkpoint by weight, yet a
-    resumed run only ever materializes the few that back an actual
-    violation (:meth:`StreamValidator._load_element`), and
-    :func:`_merge_agg` never inspects them at all — so importing them
-    thawed would pay the full ``thaw_value`` walk per group for rows
-    that are overwhelmingly just carried through to the next
-    checkpoint.  A never-touched ``("@v", ...)`` ref round-trips
-    export → import verbatim, costing nothing on either side.
-    """
-    if data is None or (type(data) is tuple
-                        and data[0] in ("@", "@v")):
-        return data
-    return ("@v", data)
+    """A witness slot's in-memory form: an inline frozen element thaws;
+    an absent slot, a sidecar ref and a checkpoint element id (an int,
+    see :mod:`repro.store.stream_cache`) pass through."""
+    if type(data) is tuple and data[0] != "@":
+        return thaw_value(data)
+    return data
 
 
 def _freeze_agg(agg: list, store: _ElementStore | None) -> list:
@@ -440,6 +443,16 @@ def _iter_run_file(path: str) -> Iterator[tuple[bytes, list]]:
                 return
             for key_bytes, agg in chunk:
                 yield key_bytes, _thaw_agg(agg)
+
+
+def _unlink_all(paths: list[str]) -> None:
+    """Remove spill files, ignoring ones already gone; empties *paths*."""
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+    paths.clear()
 
 
 def _spill_parent(spill_root: str | None) -> str | None:
@@ -738,24 +751,10 @@ class StreamValidator:
 
     # -- finishing --------------------------------------------------------
 
-    def _export_element(self, ref):
-        """Prepare a witness element for a persisted checkpoint row:
-        sidecar file refs must be materialized (their spill files are
-        about to be deleted), but inline ``"@v"`` refs and live
-        elements pass through — a never-materialized checkpoint row
-        re-exports without a freeze/thaw round-trip."""
-        if type(ref) is tuple and ref[0] == "@":
-            return self._load_element(ref)
-        return ref
-
-    def _load_element(self, ref):
-        """Materialize a witness element, resolving a sidecar ref via a
-        point read (or an inline ``"@v"`` checkpoint ref via a thaw);
-        live elements pass through."""
+    def _frozen_element(self, ref):
+        """The plain-data form of a live or sidecar witness element."""
         if type(ref) is not tuple:
-            return ref
-        if ref[0] == "@v":
-            return thaw_value(ref[1])
+            return freeze_value(ref)
         _, path, offset = ref
         handle = self._read_handles.get(path)
         if handle is None:
@@ -765,7 +764,14 @@ class StreamValidator:
             handle = open(path, "rb")
             self._read_handles[path] = handle
         handle.seek(offset)
-        return thaw_value(pickle.load(handle))
+        return pickle.load(handle)
+
+    def _load_element(self, ref):
+        """Materialize a witness element, resolving a sidecar ref via a
+        point read; live elements pass through."""
+        if type(ref) is not tuple:
+            return ref
+        return thaw_value(self._frozen_element(ref))
 
     def _sync_pool_stats(self) -> None:
         pool = self._pool
@@ -777,25 +783,34 @@ class StreamValidator:
     def finalize(self, *, nested=None,
                  completed_shards: tuple[int, ...] | None = None,
                  elements_seen: int | None = None,
-                 exhausted: str | None = None) -> StreamResult:
+                 exhausted: str | None = None,
+                 violating: Mapping[int, Iterable[list]] | None = None) \
+            -> StreamResult:
         """Run the merge pass and assemble the final result.
 
-        The keyword overrides exist for the sharded driver, which
-        substitutes cross-shard nested triples and shard bookkeeping;
-        a plain engine finalizes with its own.
+        The keyword overrides exist for the sharded and incremental
+        drivers: the sharded one substitutes cross-shard nested triples
+        and shard bookkeeping, the incremental one the violating
+        aggregates of its merged checkpoint view (by plan index) for
+        the merge pass, which :meth:`export_tables` has drained.  A
+        plain engine finalizes with its own.
         """
         start = time.perf_counter()
         per_plan: dict[int, list[Violation]] = {}
         for relation in self._root_tables:
             for table in self._root_tables[relation]:
-                witnesses = []
-                for _, agg in self._merged_rows(table):
-                    if agg[4] is not None:
-                        witnesses.append((agg[4], Violation(
-                            table.plan.nfd, 0,
-                            self._load_element(agg[3]),
-                            self._load_element(agg[6]),
-                            agg[0], agg[2], agg[5])))
+                if violating is None:
+                    aggs: Iterable[list] = (
+                        agg for _, agg in self._merged_rows(table)
+                        if agg[4] is not None)
+                else:
+                    aggs = violating.get(table.plan.index, ())
+                witnesses = [
+                    (agg[4], Violation(
+                        table.plan.nfd, 0, self._load_element(agg[3]),
+                        self._load_element(agg[6]),
+                        agg[0], agg[2], agg[5]))
+                    for agg in aggs]
                 if witnesses:
                     # clash sequences reproduce in-plan discovery order
                     witnesses.sort(key=lambda item: item[0])
@@ -830,12 +845,7 @@ class StreamValidator:
         through here."""
         for tables in self._root_tables.values():
             for table in tables:
-                for path in table.runs:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                table.runs.clear()
+                _unlink_all(table.runs)
         for handle in self._read_handles.values():
             try:
                 handle.close()
@@ -849,12 +859,7 @@ class StreamValidator:
             except OSError:
                 pass
             self._elem_store = None
-        for path in self._foreign_stores:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._foreign_stores.clear()
+        _unlink_all(self._foreign_stores)
         if self._own_spill_dir and self._spill_dir is not None:
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
@@ -889,12 +894,7 @@ class StreamValidator:
                 else:
                     path, count = self._write_run(
                         self._merged_rows(table), prefix="summary-")
-                    for run_path in table.runs:
-                        try:
-                            os.unlink(run_path)
-                        except OSError:
-                            pass
-                    table.runs.clear()
+                    _unlink_all(table.runs)
                     specs.append(("file", path, count))
                 table.table.clear()
             tables_out[relation] = specs
@@ -956,89 +956,76 @@ class StreamValidator:
 
     # -- persistent checkpoint protocol ------------------------------------
 
-    def export_tables(self) -> dict[int, list]:
-        """Collapse every root group table — resident and spilled runs —
-        into fully-live resident aggregates, and return
-        their frozen (plain-codec) form keyed by plan index.
+    def export_tables(self, prior=None) \
+            -> Iterator[tuple[int, list[tuple[bytes, list]]]]:
+        """Stream every root group table out of its merge pass: the
+        persistence half of incremental streaming (see
+        :mod:`repro.store.stream_cache`).
 
-        This is the persistence half of incremental streaming (see
-        :mod:`repro.store.stream_cache`): the returned rows are exact
-        summaries, so a later engine that imports them and folds only
-        *appended* bindings reports the same witnesses a full re-stream
-        would (aggregate merging over disjoint binding sets is exact).
-        Sidecar element refs are resolved to materialized values —
-        persisted rows must not point into spill files that
-        :meth:`cleanup` is about to delete — while inline ``"@v"``
-        refs from an imported checkpoint stay lazy and re-export
-        verbatim.  The engine remains finalizable afterwards with
-        unchanged witnesses: the collapsed tables hold exactly the
-        merged aggregates.
+        Yields ``(plan index, [(key_bytes, aggregate), ...])`` chunks of
+        at most ``_SPILL_CHUNK`` rows in canonical key order, and drains
+        the tables as it goes — a table's runs are deleted and its
+        resident dict cleared once it is merged — so rows leave for the
+        store straight from the merge and a spilling engine never holds
+        more resident rows than its budget.  The engine's own merge is
+        then empty: pass the exported view's violating aggregates to
+        :meth:`finalize`.
+
+        *prior*, when given, is called as ``prior(plan_index, keys)``
+        and returns a checkpoint's stored aggregates for those keys (as
+        :meth:`import_tables` thaws them).  Each chunk folds over the
+        stored aggregates of exactly its keys with :func:`_merge_agg`,
+        which is exact: stored and appended bindings are disjoint, and
+        every stored sequence precedes the appended ones
+        (:meth:`import_checkpoint`).  A stored group's first binding,
+        and its clash if it has one, therefore survive the fold; the
+        fold can only add a clash to a clash-free group, and rows it
+        leaves unchanged are not yielded — the checkpoint holds them.
         """
-        start = time.perf_counter()
-        out: dict[int, list] = {}
         for tables in self._root_tables.values():
             for table in tables:
-                merged: list[tuple[bytes, list]] = []
-                for key_bytes, agg in self._merged_rows(table):
-                    agg[3] = self._export_element(agg[3])
-                    if agg[6] is not None:
-                        agg[6] = self._export_element(agg[6])
-                    merged.append((key_bytes, agg))
-                for path in table.runs:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                table.runs.clear()
-                table.table = dict(merged)
-                out[table.plan.index] = [
-                    (key_bytes, _freeze_agg(agg, None))
-                    for key_bytes, agg in merged]
-        self._resident = sum(
-            len(table.table)
-            for tables in self._root_tables.values()
-            for table in tables)
-        if self._resident > self.stats.peak_resident_rows:
-            self.stats.peak_resident_rows = self._resident
-        self.stats.wall_time += time.perf_counter() - start
-        return out
+                index = table.plan.index
+                merged = self._merged_rows(table)
+                while True:
+                    start = time.perf_counter()
+                    chunk = list(islice(merged, _SPILL_CHUNK))
+                    rows = _fold_prior(index, chunk, prior)
+                    self.stats.wall_time += time.perf_counter() - start
+                    if rows:
+                        yield index, rows
+                    if len(chunk) < _SPILL_CHUNK:
+                        break
+                _unlink_all(table.runs)
+                table.table.clear()
+        self._resident = 0
 
-    def import_tables(self, rows_by_plan: Mapping[int, Iterable]) \
-            -> int:
-        """Seed the root group tables from a prior engine's
-        :meth:`export_tables` rows; returns the aggregate count.
+    def import_tables(self, rows: Iterable[tuple[int, bytes, list]]) \
+            -> dict[int, dict[bytes, list]]:
+        """Thaw checkpoint group rows — ``(plan index, key_bytes,
+        frozen aggregate)``, as
+        :meth:`~repro.store.CacheStore.iter_stream_groups` yields them —
+        into aggregates by plan index and key.
 
-        Must run before any element is consumed.  Imported aggregates
-        carry their original emission sequences, so folding appended
-        bindings (all later in sequence) into them is the exact
-        :func:`_merge_agg` outcome — the first/clash witnesses of the
-        union.  Budget accounting applies: a small
-        ``max_resident_rows`` spills imported rows like any others.
-
-        Keys and RHS values are thawed eagerly (appended bindings must
-        compare against them in :func:`_merge_agg`), but witness
-        elements stay as lazy ``"@v"`` refs — see :func:`_lazy_elem` —
-        so the import cost is per-scalar, not per-element-tree.
+        Keys and RHS values thaw (:func:`_merge_agg` compares them live
+        and witnesses print them); witness slots stay checkpoint
+        element ids, which the caller resolves for the few groups that
+        violate.  The result is what :meth:`export_tables`' *prior*
+        returns and what :meth:`finalize` takes as *violating*.
         """
-        by_index = {table.plan.index: table
-                    for tables in self._root_tables.values()
-                    for table in tables}
-        count = 0
-        for index, rows in rows_by_plan.items():
-            table = by_index.get(index)
-            if table is None:
+        known = {table.plan.index
+                 for tables in self._root_tables.values()
+                 for table in tables}
+        out: dict[int, dict[bytes, list]] = {}
+        for index, key_bytes, frozen in rows:
+            if index not in known:
                 raise ValueError_(
                     f"cannot import group rows for unknown plan "
                     f"index {index}")
-            for key_bytes, frozen in rows:
-                self._reserve_slot()
-                table.table[key_bytes] = [
-                    tuple(thaw_value(part) for part in frozen[0]),
-                    frozen[1], thaw_value(frozen[2]),
-                    _lazy_elem(frozen[3]), frozen[4],
-                    thaw_value(frozen[5]), _lazy_elem(frozen[6])]
-                count += 1
-        return count
+            group = out.get(index)
+            if group is None:
+                group = out[index] = {}
+            group[key_bytes] = _thaw_agg(frozen)
+        return out
 
     def import_checkpoint(self, *, seq: int, nested: Iterable,
                           anchor_counts: Mapping[str, int]) -> None:

@@ -22,11 +22,13 @@ canonical byte encoding of :mod:`repro.values.canonical`:
   closure tables`` of :mod:`repro.inference.dense`, tagged with the Σ
   member order exactly like plans (dense rows are indexed positionally),
   so a session with a store warm-starts with zero compilation;
-* ``stream_sources`` / ``stream_groups`` — per-source watermarks and
-  per-plan ``[key, first, clash]`` aggregate blobs for incremental
-  streaming (see :mod:`repro.store.stream_cache`): one pickled list of
-  ``(canonical key bytes, plain-codec frozen aggregate)`` rows per
-  ``(source, plan)``, read and written whole with the checkpoint.
+* ``stream_sources`` / ``stream_groups`` / ``stream_elements`` —
+  per-source watermarks, one ``[key, first, clash]`` aggregate row per
+  ``(source, plan, canonical key bytes)`` group, and the witness
+  elements those rows point to by id, for incremental streaming (see
+  :mod:`repro.store.stream_cache`).  A resume reads only the rows its
+  appended lines touch plus the violating rows (a partial index), and
+  upserts only the rows whose aggregate changed.
 
 Safety model
 ------------
@@ -68,7 +70,7 @@ __all__ = ["CacheStore", "CacheStats", "CacheWarning",
            "DB_FILENAME", "SCHEMA_VERSION"]
 
 #: Bump when the SQLite table layout changes incompatibly.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: The database file created inside a cache directory.
 DB_FILENAME = "repro-cache.sqlite"
@@ -112,16 +114,36 @@ CREATE TABLE IF NOT EXISTS stream_sources (
 );
 CREATE TABLE IF NOT EXISTS stream_groups (
     source_id TEXT NOT NULL,
-    nfd       TEXT NOT NULL,
-    groups    INTEGER NOT NULL,
-    rows      BLOB NOT NULL,
-    PRIMARY KEY (source_id, nfd)
-);
+    plan      INTEGER NOT NULL,
+    key       BLOB NOT NULL,
+    violating INTEGER NOT NULL,
+    agg       BLOB NOT NULL,
+    PRIMARY KEY (source_id, plan, key)
+) WITHOUT ROWID;
+CREATE INDEX IF NOT EXISTS stream_groups_violating
+    ON stream_groups (source_id, plan) WHERE violating = 1;
+CREATE TABLE IF NOT EXISTS stream_elements (
+    source_id TEXT NOT NULL,
+    id        INTEGER NOT NULL,
+    element   BLOB NOT NULL,
+    PRIMARY KEY (source_id, id)
+) WITHOUT ROWID;
 """
+
+#: Keys per point-read statement (well under SQLite's variable limit).
+_POINT_BATCH = 500
+
+#: The tables a version mismatch drops and ``clear`` empties.
+_DATA_TABLES = ("closure_memo", "plans", "dense_tables",
+                "stream_sources", "stream_groups", "stream_elements")
 
 
 class CacheWarning(UserWarning):
     """A cache store degraded to the cold path (never an error)."""
+
+
+class _CheckpointMoved(Exception):
+    """A delta checkpoint's base watermark is no longer the stored one."""
 
 
 def resolve_cache_dir(explicit: str | None = None) -> str | None:
@@ -284,8 +306,7 @@ class CacheStore:
             # schema or codec moved on: every entry is unreadable under
             # the new encoding, so drop the lot and start clean
             self.stats.stale += 1
-            for table in ("closure_memo", "plans", "dense_tables",
-                          "stream_sources", "stream_groups", "meta"):
+            for table in _DATA_TABLES + ("meta",):
                 conn.execute(f"DROP TABLE IF EXISTS {table}")
         conn.executescript(_TABLES)
         conn.execute(
@@ -365,16 +386,30 @@ class CacheStore:
                 self._mark_broken(f"cache read failed: {exc}")
                 return []
 
-    def _write(self, statements: Iterable[tuple[str, tuple]]) -> bool:
+    def _write(self, statements: Iterable[tuple[str, Any]]) -> bool:
+        """Run *statements* in one immediate transaction, committed or
+        rolled back whole.  A ``list`` of parameter tuples runs the
+        statement ``executemany``.  *statements* may be a lazy stream
+        that reads the store between statements: the transaction holds
+        the write lock from its start, so those reads see exactly the
+        rows the writes replace.  A read that breaks the store aborts
+        the write (the closed connection raises) without a second
+        warning."""
         with self._lock:
             if not self.writable:
                 return False
+            conn = self._conn
             try:
-                with self._conn:  # one transaction, committed or rolled
+                with conn:
+                    conn.execute("BEGIN IMMEDIATE")
                     for sql, params in statements:
-                        self._conn.execute(sql, params)
+                        if type(params) is list:
+                            conn.executemany(sql, params)
+                        else:
+                            conn.execute(sql, params)
             except sqlite3.Error as exc:
-                self._mark_broken(f"cache write failed: {exc}")
+                if not self._broken:
+                    self._mark_broken(f"cache write failed: {exc}")
                 return False
             self.stats.writes += 1
             return True
@@ -493,15 +528,19 @@ class CacheStore:
     # -- stream source state ----------------------------------------------
 
     def get_stream_source(self, source_id: str) -> dict | None:
+        """The watermark and pickled state of one streaming source, plus
+        ``elements`` — the highest witness-element id stored for it (new
+        elements are numbered after it) — or ``None`` on a miss."""
         rows = self._read(
             "SELECT fingerprint, relation, line_count, content_hash, "
-            "mtime, state FROM stream_sources WHERE source_id = ?",
-            (source_id,))
+            "mtime, state, (SELECT COALESCE(MAX(id), 0) "
+            "FROM stream_elements WHERE source_id = ?1) "
+            "FROM stream_sources WHERE source_id = ?1", (source_id,))
         if not rows:
             self.stats.stream_misses += 1
             return None
-        fingerprint, relation, line_count, content_hash, mtime, blob \
-            = rows[0]
+        fingerprint, relation, line_count, content_hash, mtime, blob, \
+            elements = rows[0]
         try:
             state = pickle.loads(blob)
         except Exception:
@@ -516,74 +555,145 @@ class CacheStore:
             "content_hash": content_hash,
             "mtime": mtime,
             "state": state,
+            "elements": elements,
         }
 
-    def iter_stream_groups(self, source_id: str) \
-            -> Iterator[tuple[str, list[tuple[bytes, list]]]]:
-        """Yield ``(nfd_text, [(key_bytes, frozen_aggregate), ...])`` —
-        one plan's whole group table per row, in ``nfd`` order.
+    def iter_stream_groups(self, source_id: str, *, plan: int | None = None,
+                           keys: Iterable[bytes] | None = None) \
+            -> Iterator[tuple[int, bytes, list]]:
+        """Yield ``(plan, key_bytes, frozen_aggregate)`` group rows of
+        one source, whose witness slots hold element ids (see
+        :meth:`get_stream_elements`): the groups of *plan* whose keys
+        are in *keys* — point reads on the primary key, ``_POINT_BATCH``
+        keys per statement — or, without *keys*, every violating group
+        of the source, through the partial index.
 
-        A checkpoint is always read and written whole, so the store
-        keeps one pickled blob per ``(source, plan)`` rather than one
-        row per group: a resume pays a handful of ``pickle.loads``
-        calls instead of one per aggregate."""
-        for nfd_text, blob in self._read(
-                "SELECT nfd, rows FROM stream_groups "
-                "WHERE source_id = ? ORDER BY nfd", (source_id,)):
-            try:
-                rows = pickle.loads(blob)
-            except Exception:
-                self.stats.stale += 1
-                continue
-            yield nfd_text, rows
+        An unreadable row breaks the store rather than being skipped: a
+        resume that silently lost a group would report wrong witnesses,
+        while a broken store sends the caller down the cold path."""
+        if keys is None:
+            batches = [("SELECT plan, key, agg FROM stream_groups "
+                        "WHERE source_id = ? AND violating = 1",
+                        (source_id,))]
+        else:
+            keys = list(keys)
+            batches = [
+                ("SELECT plan, key, agg FROM stream_groups "
+                 "WHERE source_id = ? AND plan = ? AND key IN "
+                 f"({', '.join('?' * len(chunk))})",
+                 (source_id, plan, *chunk))
+                for chunk in (keys[i:i + _POINT_BATCH]
+                              for i in range(0, len(keys), _POINT_BATCH))]
+        for sql, params in batches:
+            for plan_index, key, blob in self._read(sql, params):
+                try:
+                    agg = pickle.loads(blob)
+                except Exception as exc:
+                    self._mark_broken(f"cache row unreadable: {exc}")
+                    return
+                yield plan_index, key, agg
+
+    def get_stream_elements(self, source_id: str,
+                            ids: Iterable[int]) -> dict[int, Any]:
+        """The frozen witness elements *ids* of one source (point reads;
+        an id the store lacks is simply absent from the result)."""
+        ids = sorted(set(ids))
+        found: dict[int, Any] = {}
+        for i in range(0, len(ids), _POINT_BATCH):
+            chunk = ids[i:i + _POINT_BATCH]
+            for elem_id, blob in self._read(
+                    "SELECT id, element FROM stream_elements WHERE "
+                    "source_id = ? AND id IN "
+                    f"({', '.join('?' * len(chunk))})",
+                    (source_id, *chunk)):
+                try:
+                    found[elem_id] = pickle.loads(blob)
+                except Exception as exc:
+                    self._mark_broken(f"cache row unreadable: {exc}")
+                    return {}
+        return found
 
     def put_stream_source(self, source_id: str, *, fingerprint: str,
                           relation: str, line_count: int,
                           content_hash: str, mtime: float, state: dict,
-                          groups: Iterable[tuple[str, list]]) -> bool:
-        """Replace one source's watermark, state, and group index in a
+                          groups: Iterable[tuple[str, list]],
+                          base: tuple[int, str] | None = None) -> bool:
+        """Write one source's watermark, state and group rows in a
         single transaction (a reader never sees a half-written source).
-        *groups* pairs each plan's ``nfd`` text with its full
-        ``(key_bytes, frozen_aggregate)`` row list."""
+
+        *groups* pairs a plan label (``"<plan index>:<nfd text>"``) with
+        a list of ``(key_bytes, violating, frozen_aggregate,
+        new_elements)`` rows: the aggregate is stored as given (its
+        witness slots hold element ids), *violating* feeds the partial
+        index, and *new_elements* lists the ``(id, frozen_element)``
+        pairs this row is first to reference.  *groups* may be lazy — it is consumed
+        inside the transaction, so rows stream straight from the merge,
+        and reads it makes see the rows this write replaces.
+
+        Without *base* the source's rows and elements are replaced
+        whole.  With it — the ``(line_count, content_hash)`` watermark
+        the rows were folded over — they are upserted over the stored
+        ones, but only while that watermark is still the stored one: a
+        checkpoint another writer moved meanwhile refuses the write
+        (counted stale, returns False) instead of mixing two deltas."""
         try:
             state_blob = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
-            group_rows = [
-                (source_id, nfd_text, len(rows),
-                 pickle.dumps(rows, pickle.HIGHEST_PROTOCOL))
-                for nfd_text, rows in groups
-            ]
         except Exception:
             self.stats.errors += 1
             return False
-        statements: list[tuple[str, tuple]] = [
-            ("DELETE FROM stream_groups WHERE source_id = ?",
-             (source_id,)),
-            ("INSERT OR REPLACE INTO stream_sources (source_id, "
-             "fingerprint, relation, line_count, content_hash, mtime, "
-             "state) VALUES (?, ?, ?, ?, ?, ?, ?)",
-             (source_id, fingerprint, relation, line_count,
-              content_hash, mtime, state_blob)),
-        ]
-        statements.extend(
-            ("INSERT INTO stream_groups (source_id, nfd, groups, rows) "
-             "VALUES (?, ?, ?, ?)", row)
-            for row in group_rows)
-        return self._write(statements)
+        dumps = pickle.dumps
+        protocol = pickle.HIGHEST_PROTOCOL
+
+        def statements():
+            if base is None:
+                for table in ("stream_groups", "stream_elements"):
+                    yield (f"DELETE FROM {table} WHERE source_id = ?",
+                           (source_id,))
+            elif self._read(
+                    "SELECT line_count, content_hash FROM stream_sources "
+                    "WHERE source_id = ?", (source_id,)) != [tuple(base)]:
+                raise _CheckpointMoved
+            for label, rows in groups:
+                plan = int(label.split(":", 1)[0])
+                elements = []
+                group_rows = []
+                for key, violating, agg, new_elements in rows:
+                    for elem_id, element in new_elements:
+                        elements.append((source_id, elem_id,
+                                         dumps(element, protocol)))
+                    group_rows.append((source_id, plan, key, violating,
+                                       dumps(agg, protocol)))
+                if elements:
+                    yield ("INSERT OR REPLACE INTO stream_elements "
+                           "(source_id, id, element) VALUES (?, ?, ?)",
+                           elements)
+                yield ("INSERT OR REPLACE INTO stream_groups (source_id, "
+                       "plan, key, violating, agg) "
+                       "VALUES (?, ?, ?, ?, ?)", group_rows)
+            yield ("INSERT OR REPLACE INTO stream_sources (source_id, "
+                   "fingerprint, relation, line_count, content_hash, "
+                   "mtime, state) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                   (source_id, fingerprint, relation, line_count,
+                    content_hash, mtime, state_blob))
+
+        try:
+            return self._write(statements())
+        except _CheckpointMoved:
+            self.stats.stale += 1
+            return False
 
     def drop_stream_source(self, source_id: str) -> None:
         self._write([
-            ("DELETE FROM stream_groups WHERE source_id = ?",
-             (source_id,)),
-            ("DELETE FROM stream_sources WHERE source_id = ?",
-             (source_id,)),
-        ])
+            (f"DELETE FROM {table} WHERE source_id = ?", (source_id,))
+            for table in ("stream_groups", "stream_elements",
+                          "stream_sources")])
 
     # -- maintenance (the `repro cache` subcommand) ------------------------
 
     def summary(self) -> dict:
         """Row counts and file size for ``repro cache stats``.
-        ``stream_groups`` counts persisted group aggregates (summed
-        across the per-plan blobs), not physical rows."""
+        ``stream_groups`` counts persisted group aggregates (one row
+        each) and ``stream_elements`` the witness elements they share."""
         counts = {}
         for table in ("closure_memo", "plans", "dense_tables",
                       "stream_sources"):
@@ -593,9 +703,9 @@ class CacheStore:
             "SELECT COALESCE(SUM(LENGTH(payload)), 0) "
             "FROM dense_tables")
         counts["dense_bytes"] = rows[0][0] if rows else 0
-        rows = self._read(
-            "SELECT COALESCE(SUM(groups), 0) FROM stream_groups")
-        counts["stream_groups"] = rows[0][0] if rows else 0
+        for table in ("stream_groups", "stream_elements"):
+            rows = self._read(f"SELECT COUNT(*) FROM {table}")
+            counts[table] = rows[0][0] if rows else 0
         size = 0
         try:
             size = os.path.getsize(self.path)
@@ -612,13 +722,8 @@ class CacheStore:
 
     def clear(self) -> bool:
         """Delete every cached entry (the versioned meta rows stay)."""
-        return self._write([
-            ("DELETE FROM closure_memo", ()),
-            ("DELETE FROM plans", ()),
-            ("DELETE FROM dense_tables", ()),
-            ("DELETE FROM stream_sources", ()),
-            ("DELETE FROM stream_groups", ()),
-        ])
+        return self._write([(f"DELETE FROM {table}", ())
+                            for table in _DATA_TABLES])
 
     def vacuum(self) -> bool:
         with self._lock:

@@ -6,10 +6,37 @@ streaming engine's group-table aggregates — plus the cross-element
 checkpoint bookkeeping — to the :class:`~repro.store.CacheStore`, keyed
 by a *source id* (file path + Σ fingerprint + relation).  A later run
 over the same file resumes from the persisted **watermark**: it folds
-only the appended lines into the restored aggregates and reports
-witnesses byte-identical to a full cold re-stream (aggregate merging
-over disjoint binding sets is exact; see
-:meth:`~repro.nfd.stream_validate.StreamValidator.export_tables`).
+only the appended lines, merges them with the stored aggregates of just
+the keys they touch, and reports witnesses byte-identical to a full
+cold re-stream (aggregate merging over disjoint binding sets is exact;
+see :meth:`~repro.nfd.stream_validate.StreamValidator.export_tables`).
+
+Delta checkpoints
+-----------------
+
+The store keeps one row per ``(source, plan, key)`` group, with its
+witness elements in a per-source element table, so a checkpoint is
+never read or written whole.  A resume costs what was appended:
+
+1. the appended lines fold into *empty* group tables (the sequence
+   counter and nested bookkeeping are restored from the state blob);
+2. :meth:`~repro.nfd.stream_validate.StreamValidator.export_tables`
+   streams those delta aggregates out of the merge and folds in the
+   stored rows of exactly their keys (point reads);
+3. one transaction upserts the rows the fold changed — new keys, and
+   groups that gained a clash — the elements they newly reference, and
+   the watermark;
+4. witnesses come from the merged rows plus the stored violating rows
+   (a partial index), whose element ids resolve with point reads.
+
+The reads of steps 2 and 4 run inside the write transaction of step 3,
+which first checks that the stored watermark is still the one the
+resume started from — so a concurrent resume of the same source can
+never interleave its delta with this one.
+
+A cold pass writes every group the same way, each witness element once
+however many groups it backs.  Rows stream from the merge into the
+write, so a spilling engine checkpoints within its row budget.
 
 Watermark safety
 ----------------
@@ -48,8 +75,9 @@ from ..inference.session import sigma_fingerprint
 from ..io.stream import iter_jsonl_elements
 from ..nfd.nfd import NFD
 from ..nfd.stream_validate import (ResourceBudget, StreamResult,
-                                   StreamValidator)
+                                   StreamValidator, stream_validate)
 from ..types.schema import Schema
+from ..values.value import freeze_value, thaw_value
 from .cache_store import CacheStore
 
 __all__ = ["incremental_stream_validate", "stream_source_id"]
@@ -99,19 +127,107 @@ def _scan_source(path: str, prefix_lines: int) -> tuple[int, str, str]:
 
 
 def _group_text(index: int, nfd_text: str) -> str:
-    """The human-readable ``nfd`` column of a group row: the plan index
-    (authoritative — Σ may contain textually identical members) colon
-    the NFD text (for ``sqlite3`` spelunking)."""
+    """The plan label of a written chunk: the plan index (authoritative
+    — Σ may contain textually identical members) colon the NFD text."""
     return f"{index}:{nfd_text}"
 
 
-def _parse_group_rows(blobs: Iterable[tuple[str, list]]) \
-        -> dict[int, list[tuple[bytes, list]]]:
-    by_plan: dict[int, list[tuple[bytes, list]]] = {}
-    for nfd_text, rows in blobs:
-        index = int(nfd_text.split(":", 1)[0])
-        by_plan.setdefault(index, []).extend(rows)
-    return by_plan
+class _CheckpointView:
+    """The merged view of one checkpoint: the engine's exported rows
+    folded over the stored ones, frozen for the store as they stream,
+    and the violating aggregates the witnesses come from.
+
+    Witness elements are written once each, to the per-source element
+    table, and group rows point to them by id.  Stored rows already
+    carry ids; any other element gets the next id the first time a row
+    references it — keyed by identity for a live element (the entry
+    holds the element, so its ``id()`` cannot be reused meanwhile) and
+    by ref for a sidecar one.
+
+    Every store read happens while :meth:`groups` is consumed, which a
+    checkpoint write does inside its transaction: the rows folded in,
+    the stored violating rows and their elements are one consistent
+    state of the store."""
+
+    def __init__(self, validator: StreamValidator, store: CacheStore,
+                 source_id: str, resumed: bool, last_id: int):
+        self.validator = validator
+        self.store = store
+        self.source_id = source_id
+        self.resumed = resumed
+        self.last_id = last_id
+        self._ids: dict = {}
+        #: violating aggregates by plan index and key, elements
+        #: resolved — set once :meth:`groups` is exhausted, ``None``
+        #: when the store could not supply an element a row references
+        self.violating: dict[int, list[list]] | None = None
+
+    def _prior(self, plan: int, keys: list) -> dict[bytes, list]:
+        rows = self.store.iter_stream_groups(self.source_id, plan=plan,
+                                             keys=keys)
+        return self.validator.import_tables(rows).get(plan, {})
+
+    def _element_id(self, ref, new: list):
+        if ref is None or type(ref) is int:
+            return ref
+        token = ref if type(ref) is tuple else id(ref)
+        entry = self._ids.get(token)
+        if entry is None:
+            self.last_id += 1
+            entry = self._ids[token] = (self.last_id, ref)
+            new.append((self.last_id,
+                        self.validator._frozen_element(ref)))
+        return entry[0]
+
+    def groups(self) -> Iterator[tuple[str, list]]:
+        """``(plan label, rows)`` chunks in the form
+        :meth:`~repro.store.CacheStore.put_stream_source` writes."""
+        labels = {table.plan.index: _group_text(table.plan.index,
+                                                str(table.plan.nfd))
+                  for tables in self.validator._root_tables.values()
+                  for table in tables}
+        prior = self._prior if self.resumed else None
+        exported: dict[int, dict[bytes, list]] = {}
+        for index, chunk in self.validator.export_tables(prior):
+            clashing = exported.setdefault(index, {})
+            rows = []
+            for key_bytes, agg in chunk:
+                clash = agg[4] is not None
+                if clash:
+                    clashing[key_bytes] = agg
+                new: list = []
+                rows.append((key_bytes, clash, [
+                    tuple(freeze_value(part) for part in agg[0]), agg[1],
+                    freeze_value(agg[2]), self._element_id(agg[3], new),
+                    agg[4], freeze_value(agg[5]),
+                    self._element_id(agg[6], new)], tuple(new)))
+            yield labels[index], rows
+        self.violating = self._witness_rows(exported)
+
+    def _witness_rows(self, exported: dict[int, dict[bytes, list]]) \
+            -> dict[int, list[list]] | None:
+        """The exported violating aggregates plus, on a resume, the
+        stored ones, with stored element ids resolved."""
+        merged: dict[int, dict[bytes, list]] = {}
+        if self.resumed:
+            merged = self.validator.import_tables(
+                self.store.iter_stream_groups(self.source_id))
+        for index, rows in exported.items():
+            merged.setdefault(index, {}).update(rows)
+        ids = {agg[slot] for rows in merged.values()
+               for agg in rows.values() for slot in (3, 6)
+               if type(agg[slot]) is int}
+        elements = self.store.get_stream_elements(self.source_id, ids) \
+            if ids else {}
+        if len(elements) < len(ids):
+            return None
+        for rows in merged.values():
+            for agg in rows.values():
+                for slot in (3, 6):
+                    if type(agg[slot]) is int:
+                        agg[slot] = thaw_value(elements[agg[slot]])
+        return {index: list(rows.values())
+                for index, rows in merged.items()}
 
 
 def incremental_stream_validate(
@@ -130,13 +246,25 @@ def incremental_stream_validate(
     incremental bench gate bounds), ``persisted`` (whether a fresh
     checkpoint was written), and ``source_id``.
 
-    Witness equivalence: a resumed run's violations are byte-identical
-    to a cold run over the whole file.  Restored aggregates keep their
-    original emission sequences and the sequence counter restarts past
-    them, so every appended binding merges exactly as it would have in
-    one continuous stream; nested witnesses and base-set numbering are
-    restored from the checkpoint the same way the sharded driver folds
-    them.
+    A resume starts with empty group tables and folds only the
+    appended lines; the sequence counter and the nested bookkeeping
+    come from the checkpoint.  :meth:`StreamValidator.export_tables`
+    then folds the stored rows of just the keys those lines touched,
+    and one transaction writes the rows that changed, the elements
+    they newly reference, and the watermark.  Witnesses come from the
+    merged rows plus the stored violating rows, byte-identical to a
+    cold run over the whole file: restored aggregates keep their
+    original emission sequences and the counter restarts past them,
+    so every appended binding merges exactly as it would have in one
+    continuous stream.
+
+    A checkpoint that fails — a write or read raising, or another
+    writer having moved the stored watermark meanwhile — leaves the
+    merged view unvouched for, so the run falls back to a cold
+    re-stream without the store.  The answer stays exact, the stored
+    checkpoint is the last one that committed, and a raising store is
+    counted in ``store.stats.errors`` with one
+    :class:`~repro.store.CacheWarning`.
     """
     sigma = tuple(sigma)
     if relation not in schema:
@@ -170,10 +298,10 @@ def incremental_stream_validate(
     validator = StreamValidator(schema, sigma, budget=budget,
                                 spill_root=spill_root, tracer=tracer,
                                 store=store)
+    result = None
+    persisted = False
     try:
         if resumed:
-            validator.import_tables(
-                _parse_group_rows(store.iter_stream_groups(source_id)))
             state = entry["state"]
             validator.import_checkpoint(
                 seq=state["seq"], nested=state["nested"],
@@ -184,37 +312,44 @@ def incremental_stream_validate(
         validator.consume(relation, elements)
         folded = validator._elements_seen
 
-        persisted = False
-        if (store.writable and validator._exhausted is None
-                and (not resumed or total > start)):
-            # a resumed run that consumed nothing leaves the stored
-            # checkpoint untouched — it is already exactly this state
-            rows_by_plan = validator.export_tables()
-            plan_texts = {
-                table.plan.index: str(table.plan.nfd)
-                for tables in validator._root_tables.values()
-                for table in tables}
-            meta = validator.checkpoint_meta()
-            meta["sigma"] = list(sigma_texts)
-            try:
-                mtime = os.path.getmtime(path)
-            except OSError:
-                mtime = 0.0
-            persisted = store.put_stream_source(
-                source_id,
-                fingerprint=fingerprint,
-                relation=relation,
-                line_count=total,
-                content_hash=full_hash,
-                mtime=mtime,
-                state=meta,
-                groups=(
-                    (_group_text(index, plan_texts[index]), rows)
-                    for index, rows in sorted(rows_by_plan.items())))
-
-        result = validator.finalize()
+        # a resumed run that consumed nothing leaves the stored
+        # checkpoint untouched — it is already exactly this state
+        persist = (store.writable and validator._exhausted is None
+                   and (not resumed or total > start))
+        if not (resumed or persist):
+            result = validator.finalize()
+        else:
+            view = _CheckpointView(validator, store, source_id, resumed,
+                                   entry["elements"] if resumed else 0)
+            if persist:
+                meta = validator.checkpoint_meta()
+                meta["sigma"] = list(sigma_texts)
+                try:
+                    mtime = os.path.getmtime(path)
+                except OSError:
+                    mtime = 0.0
+                persisted = store.put_stream_source(
+                    source_id, fingerprint=fingerprint,
+                    relation=relation, line_count=total,
+                    content_hash=full_hash, mtime=mtime, state=meta,
+                    groups=view.groups(),
+                    base=((entry["line_count"], entry["content_hash"])
+                          if resumed else None))
+            else:
+                for _ in view.groups():  # fold the view, write nothing
+                    pass
+            if (persisted or not persist) and store.available \
+                    and view.violating is not None:
+                result = validator.finalize(violating=view.violating)
     finally:
         validator.cleanup()
+    if result is None:
+        result = stream_validate(
+            schema, sigma,
+            {relation: iter_jsonl_elements(path, schema, relation,
+                                           stop=total)},
+            budget=budget, spill_root=spill_root, tracer=tracer)
+        resumed, start, folded = False, 0, result.elements_seen
     info = {
         "mode": "resumed" if resumed else "cold",
         "start_line": start,

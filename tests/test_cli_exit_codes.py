@@ -173,6 +173,55 @@ def test_exit_code(case, template, expected, good, broken, weaker,
     assert run(argv) == expected, argv
 
 
+# -- check --stream types its input as the in-memory check does --------
+
+MISSING = object()
+#: (case id, value of the int field ``time``, or MISSING to drop it)
+ILL_TYPED = [("time-string", "1"), ("time-bool", True),
+             ("time-float", 1.0), ("time-missing", MISSING)]
+#: (mode id, extra ``check --stream`` arguments)
+STREAM_MODES = [("plain", []), ("shards", ["--shards", "2"]),
+                ("incremental", ["--incremental", "--cache-dir",
+                                 "{cache}"])]
+
+
+@pytest.mark.parametrize(("mode", "extra"), STREAM_MODES,
+                         ids=[row[0] for row in STREAM_MODES])
+@pytest.mark.parametrize(("case", "value"), ILL_TYPED,
+                         ids=[row[0] for row in ILL_TYPED])
+def test_stream_rejects_ill_typed_element(case, value, mode, extra,
+                                          tmp_path, capsys):
+    """An element the in-memory ``check`` refuses (exit 2) is refused by
+    every ``check --stream`` path too, with its line number — never
+    accepted, and never reported as a spurious violation."""
+    import json
+
+    rows = [{"cnum": "a", "time": 1,
+             "students": [{"sid": 1, "age": 20, "grade": "A"}],
+             "books": [{"isbn": 1, "title": "X"}]},
+            {"cnum": "a", "time": 1,
+             "students": [{"sid": 2, "age": 21, "grade": "B"}],
+             "books": [{"isbn": 2, "title": "Y"}]}]
+    if value is MISSING:
+        del rows[1]["time"]
+    else:
+        rows[1]["time"] = value
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(dump_bundle(
+        workloads.course_schema(), workloads.course_sigma(),
+        workloads.course_instance().with_relation("Course", rows)))
+    assert run(["check", str(bundle)]) == 2
+    stream = tmp_path / "course.jsonl"
+    stream.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    argv = ["check", str(bundle), "--stream", str(stream)] + [
+        arg.format(cache=tmp_path / "cache") for arg in extra]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2" in captured.err
+
+
 # -- the --server passthrough mirrors in-process codes exactly ---------
 
 

@@ -37,6 +37,18 @@ class TestCompile:
         proof = compile_proof(engine, NFD.parse("R:[A -> C]"))
         assert proof.conclusion() == NFD.parse("R:[A -> C]")
 
+    def test_prefix_chains_through_a_shorter_member(self):
+        # B:C:D and B:C:E shorten through B:C, which is itself an LHS
+        # member shortening to B: the chains must not consume B:C
+        # before its own chain runs
+        schema = parse_schema("R = {<A, B: {<C: {<D, E, F>}>}>}")
+        engine = ClosureEngine(schema, parse_nfds(
+            "R:[B:C, B:C:D, B:C:E -> A]\nR:[B:C:F -> B:C]"))
+        target = NFD.parse("R:[B -> A]")
+        proof = compile_proof(engine, target)
+        assert proof.conclusion() == target
+        assert "prefix" in {step.rule for step in proof.steps}
+
     def test_trivial(self, course_engine):
         target = NFD.parse("Course:[cnum -> cnum]")
         proof = compile_proof(course_engine, target)

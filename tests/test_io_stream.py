@@ -135,6 +135,85 @@ class TestMalformedInputs:
             pytest.fail("raw JSONDecodeError escaped the reader")
 
 
+#: Ill-typed ``time`` fields (``time: int``) the reader must reject
+#: exactly as the in-memory ``check`` does: (case id, field value, or
+#: MISSING to drop the field, and a fragment of the error message).
+MISSING = object()
+TYPE_CASES = [
+    ("string", "1", "Course.time: expected int, got str '1'"),
+    ("bool", True, "Course.time: expected int, got bool True"),
+    ("float", 1.0, "Course.time: expected int, got float 1.0"),
+    ("missing", MISSING, "Course: missing fields time"),
+]
+
+
+def _with_time(row, value):
+    row = dict(row)
+    if value is MISSING:
+        del row["time"]
+    else:
+        row["time"] = value
+    return row
+
+
+class TestStrictTyping:
+    @pytest.mark.parametrize(("case", "value", "message"), TYPE_CASES,
+                             ids=[c[0] for c in TYPE_CASES])
+    def test_ill_typed_field_names_line(self, tmp_path, course_schema,
+                                        course_instance, case, value,
+                                        message):
+        rows = [to_python(e)
+                for e in course_instance.relation("Course")]
+        rows[1] = _with_time(rows[1], value)
+        path = tmp_path / "typed.jsonl"
+        dump_jsonl(path, rows)
+        with pytest.raises(StreamError) as info:
+            list(iter_jsonl_elements(path, course_schema, "Course"))
+        assert info.value.line == 2
+        assert "line 2" in str(info.value)
+        assert message in str(info.value)
+
+    def test_extra_field_and_nested_mismatch(self, tmp_path,
+                                             course_schema,
+                                             course_instance):
+        rows = [to_python(e)
+                for e in course_instance.relation("Course")]
+        path = tmp_path / "extra.jsonl"
+        dump_jsonl(path, [dict(rows[0], room=7)])
+        with pytest.raises(StreamError, match="unexpected fields room"):
+            list(iter_jsonl_elements(path, course_schema, "Course"))
+        nested = dict(rows[0])
+        nested["students"] = [dict(nested["students"][0], sid="1")]
+        dump_jsonl(path, [nested])
+        with pytest.raises(StreamError,
+                           match=r"Course\.students\[\]\.sid: expected "
+                                 "int"):
+            list(iter_jsonl_elements(path, course_schema, "Course"))
+
+    def test_nan_is_rejected(self, tmp_path, course_schema,
+                             course_instance):
+        row = to_python(next(iter(course_instance.relation("Course"))))
+        path = tmp_path / "nan.jsonl"
+        path.write_text(json.dumps(row).replace(
+            f'"time": {row["time"]}', '"time": NaN') + "\n")
+        with pytest.raises(StreamError, match="got float nan") as info:
+            list(iter_jsonl_elements(path, course_schema, "Course"))
+        assert info.value.line == 1
+
+    def test_decoded_values_equal_constructed_ones(self, course_schema,
+                                                   course_instance,
+                                                   course_dump):
+        """The trusted build hashes and compares like the validating
+        constructors (the streaming engine keys groups by both)."""
+        path, _ = course_dump
+        streamed = list(iter_jsonl_elements(path, course_schema,
+                                            "Course"))
+        expected = list(course_instance.relation("Course"))
+        assert [hash(e) for e in streamed] == [hash(e) for e in expected]
+        assert [e.fields for e in streamed] == \
+            [e.fields for e in expected]
+
+
 class TestRangesAndShards:
     def test_start_stop_bounds(self, course_schema, course_instance,
                                course_dump):

@@ -294,3 +294,333 @@ class TestBudgets:
         assert info["mode"] == "resumed"
         assert _witnesses(result) == _cold_witnesses(schema, sigma,
                                                      jsonl)
+
+
+def _course_file(tmp_path, name, courses, seed=3):
+    """A satisfying scaled Course JSONL file; returns (path, rows)."""
+    import random
+    instance = workloads.scaled_course_instance(
+        random.Random(seed), courses=courses, students_per_course=3,
+        books_per_course=2)
+    rows = [to_python(e) for e in iter_set_elements(
+        instance.relation("Course"))]
+    path = str(tmp_path / name)
+    with open(path, "w") as handle:
+        for row in rows:
+            handle.write(json.dumps(row) + "\n")
+    return path, rows
+
+
+def _append_rows(path, rows):
+    with open(path, "a") as handle:
+        for row in rows:
+            handle.write(json.dumps(row) + "\n")
+
+
+def _clash_rows(rows, count):
+    """*count* fresh-key rows plus one root clash with ``rows[0]``."""
+    fresh = [dict(row, cnum=f"new{index}", time=10_000 + index)
+             for index, row in enumerate(rows[1:count + 1])]
+    return fresh + [dict(rows[0], time=-1)]
+
+
+class TestDeltaCheckpoint:
+    """A resume reads and writes only the groups its lines touch."""
+
+    def _count_writes(self, store, monkeypatch):
+        written = []
+        put = store.put_stream_source
+
+        def counting(source_id, *, groups, **kwargs):
+            groups = list(groups)
+            written.append(sum(len(rows) for _, rows in groups))
+            return put(source_id, groups=groups, **kwargs)
+        monkeypatch.setattr(store, "put_stream_source", counting)
+        return written
+
+    def test_resume_writes_only_changed_groups(self, schema, sigma, store,
+                                               tmp_path, monkeypatch):
+        path, rows = _course_file(tmp_path, "base.jsonl", 200)
+        written = self._count_writes(store, monkeypatch)
+        incremental_stream_validate(schema, sigma, "Course", path,
+                                    store=store)
+        cold_rows = store.summary()["stream_groups"]
+        assert written == [cold_rows]
+        appended = _clash_rows(rows, 4)
+        _append_rows(path, appended)
+        result, info = incremental_stream_validate(
+            schema, sigma, "Course", path, store=store)
+        assert info["mode"] == "resumed" and info["persisted"]
+        assert info["elements_folded"] == len(appended)
+        # every appended element binds at most one key per root plan
+        assert 0 < written[1] <= len(appended) * len(sigma)
+        assert store.summary()["stream_groups"] > cold_rows
+        assert _witnesses(result) == _cold_witnesses(schema, sigma, path)
+
+    def test_delta_over_a_moved_checkpoint_is_refused(
+            self, schema, sigma, store, tmp_path, monkeypatch):
+        """Two resumes from one checkpoint: the one that commits second
+        finds the watermark moved, writes nothing and answers cold."""
+        import warnings
+        path, rows = _course_file(tmp_path, "base.jsonl", 60)
+        incremental_stream_validate(schema, sigma, "Course", path,
+                                    store=store)
+        appended = _clash_rows(rows, 3)
+        _append_rows(path, appended)
+        put = store.put_stream_source
+
+        def racing_put(source_id, **kwargs):
+            with CacheStore(store.cache_dir) as other:
+                _, info = incremental_stream_validate(
+                    schema, sigma, "Course", path, store=other)
+            assert info["mode"] == "resumed" and info["persisted"]
+            return put(source_id, **kwargs)
+        monkeypatch.setattr(store, "put_stream_source", racing_put)
+        stale = store.stats.stale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, info = incremental_stream_validate(
+                schema, sigma, "Course", path, store=store)
+        assert info["mode"] == "cold" and not info["persisted"]
+        assert store.stats.stale == stale + 1
+        assert store.stats.errors == 0
+        assert _witnesses(result) == _cold_witnesses(schema, sigma, path)
+
+        monkeypatch.setattr(store, "put_stream_source", put)
+        _append_rows(path, [dict(rows[1], time=-2)])
+        result, info = incremental_stream_validate(
+            schema, sigma, "Course", path, store=store)
+        assert info["mode"] == "resumed"
+        assert info["start_line"] == len(rows) + len(appended)
+        assert _witnesses(result) == _cold_witnesses(schema, sigma, path)
+
+    def test_witness_elements_are_stored_once(self, schema, sigma, store,
+                                              tmp_path):
+        path, rows = _course_file(tmp_path, "base.jsonl", 120)
+        incremental_stream_validate(schema, sigma, "Course", path,
+                                    store=store)
+        summary = store.summary()
+        # each element backs about two groups, but is written once
+        assert summary["stream_elements"] <= len(rows)
+        assert summary["stream_groups"] > summary["stream_elements"]
+
+    def test_spilling_checkpoint_keeps_the_residency_cap(
+            self, schema, sigma, store, tmp_path):
+        path, rows = _course_file(tmp_path, "spill.jsonl", 300)
+        spill_root = str(tmp_path / "spill")
+        cold, info = incremental_stream_validate(
+            schema, sigma, "Course", path, store=store,
+            budget=ResourceBudget(max_resident_rows=20),
+            spill_root=spill_root)
+        assert info["mode"] == "cold" and info["persisted"]
+        assert cold.stats.spills > 0
+        assert cold.stats.peak_resident_rows <= 20
+        assert _witnesses(cold) == _cold_witnesses(schema, sigma, path)
+        _append_rows(path, _clash_rows(rows, 40))
+        resumed, info = incremental_stream_validate(
+            schema, sigma, "Course", path, store=store,
+            budget=ResourceBudget(max_resident_rows=20),
+            spill_root=spill_root)
+        assert info["mode"] == "resumed" and info["persisted"]
+        assert resumed.stats.spills > 0
+        assert resumed.stats.peak_resident_rows <= 20
+        assert not resumed.ok
+        assert _witnesses(resumed) == _cold_witnesses(schema, sigma, path)
+        assert os.listdir(spill_root) == []
+
+
+# -------------------------------------------------------------- faults
+# The CLI entry point, so stdout and the stderr line are what a user
+# sees; cold stdout is a plain ``check --stream`` of the same file.
+
+
+def _cli(argv, capsys):
+    from repro.cli import main
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.fixture
+def stream_case(tmp_path, schema, sigma):
+    """(bundle, path, cache dir, rows): a checkpointed 60-line file."""
+    from repro.io import dump_bundle
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(dump_bundle(schema, sigma))
+    path, rows = _course_file(tmp_path, "course.jsonl", 60)
+    return str(bundle), path, str(tmp_path / "cache"), rows
+
+
+def _incremental(case):
+    bundle, path, cache, _ = case
+    return ["check", bundle, "--stream", path, "--incremental",
+            "--cache-dir", cache]
+
+
+class TestCheckpointFaults:
+    """A checkpoint write that dies partway leaves the previous
+    checkpoint in force and the answer exact."""
+
+    def test_write_error_mid_transaction_keeps_previous_checkpoint(
+            self, stream_case, monkeypatch, capsys, tmp_path):
+        import warnings
+        from repro.store import CacheWarning
+        bundle, path, cache, rows = stream_case
+        assert _cli(_incremental(stream_case), capsys)[0] == 0
+        appended = _clash_rows(rows, 3)
+        _append_rows(path, appended)
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+
+        put = CacheStore.put_stream_source
+        aborted = []
+
+        def failing_put(self, source_id, **kwargs):
+            executed = []
+            self._conn.set_trace_callback(executed.append)
+
+            def abort():
+                # interrupt the statement after the first group row:
+                # sqlite3 raises OperationalError inside the write
+                hit = any("INTO stream_groups" in sql for sql in executed)
+                if hit:
+                    aborted.append(True)
+                return hit
+            self._conn.set_progress_handler(abort, 1)
+            return put(self, source_id, **kwargs)
+        monkeypatch.setattr(CacheStore, "put_stream_source", failing_put)
+        metrics = tmp_path / "metrics.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            failed = _cli(_incremental(stream_case)
+                          + ["--metrics-json", str(metrics)], capsys)
+        assert aborted
+        assert failed[:2] == cold[:2]
+        assert [w.category for w in caught] == [CacheWarning]
+        cache_stats = json.loads(metrics.read_text())["sections"]["cache"]
+        assert cache_stats["errors"] == 1
+        assert os.listdir(os.path.join(cache, "tmp")) == []
+
+        monkeypatch.setattr(CacheStore, "put_stream_source", put)
+        code, out, err = _cli(_incremental(stream_case), capsys)
+        assert (code, out) == cold[:2]
+        assert err == (f"incremental: resumed at line {len(rows)}/"
+                       f"{len(rows) + len(appended)}, {len(appended)} "
+                       "element(s) folded\n")
+        assert os.listdir(os.path.join(cache, "tmp")) == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sigkill_inside_checkpoint_write(self, stream_case, capsys,
+                                             seed):
+        import random
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+        bundle, path, cache, rows = stream_case
+        assert _cli(_incremental(stream_case), capsys)[0] == 0
+        appended = _clash_rows(rows, 3)
+        _append_rows(path, appended)
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        script = (
+            "import os, signal, sys\n"
+            "from repro.cli import main\n"
+            "from repro.store import CacheStore\n"
+            "kill_at = int(sys.argv[1])\n"
+            "put = CacheStore.put_stream_source\n"
+            "def dying_put(self, source_id, **kwargs):\n"
+            "    seen = []\n"
+            "    def trace(sql):\n"
+            "        if 'INTO stream_' in sql:\n"
+            "            seen.append(sql)\n"
+            "            if len(seen) >= kill_at:\n"
+            "                os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    self._conn.set_trace_callback(trace)\n"
+            "    return put(self, source_id, **kwargs)\n"
+            "CacheStore.put_stream_source = dying_put\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        kill_at = random.Random(seed).randint(1, 6)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(kill_at)]
+            + _incremental(stream_case),
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        code, out, err = _cli(_incremental(stream_case), capsys)
+        assert (code, out) == cold[:2]
+        assert err == (f"incremental: resumed at line {len(rows)}/"
+                       f"{len(rows) + len(appended)}, {len(appended)} "
+                       "element(s) folded\n")
+        assert os.listdir(os.path.join(cache, "tmp")) == []
+        with CacheStore(cache) as store:
+            assert store.integrity_check()
+
+
+class TestOldLayout:
+    def test_version_2_cache_takes_the_cold_path(self, stream_case,
+                                                 schema, sigma, capsys):
+        """A cache left by the per-plan-blob layout (schema version 2),
+        with a watermark that would otherwise resume, is dropped: the
+        run is cold, exact, and leaves a version-3 store behind."""
+        import hashlib
+        import pickle
+        import sqlite3
+        from repro.inference.session import sigma_fingerprint
+        from repro.store import DB_FILENAME, SCHEMA_VERSION
+        from repro.values.canonical import CODEC_VERSION
+        bundle, path, cache, rows = stream_case
+        os.makedirs(cache)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        source_id = stream_source_id(
+            path, sigma_fingerprint(schema, sigma), "Course")
+        state = {"seq": 0, "nested": [], "anchor_counts": {},
+                 "sigma": [str(nfd) for nfd in sigma]}
+        conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
+        conn.executescript(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "CREATE TABLE stream_sources (source_id TEXT PRIMARY KEY,"
+            " fingerprint TEXT NOT NULL, relation TEXT NOT NULL,"
+            " line_count INTEGER NOT NULL, content_hash TEXT NOT NULL,"
+            " mtime REAL NOT NULL, state BLOB NOT NULL);"
+            "CREATE TABLE stream_groups (source_id TEXT NOT NULL,"
+            " nfd TEXT NOT NULL, groups INTEGER NOT NULL,"
+            " rows BLOB NOT NULL, PRIMARY KEY (source_id, nfd));")
+        conn.executemany("INSERT INTO meta VALUES (?, ?)",
+                         [("schema_version", "2"),
+                          ("codec_version", CODEC_VERSION)])
+        conn.execute(
+            "INSERT INTO stream_sources VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (source_id, sigma_fingerprint(schema, sigma), "Course",
+             len(rows), hashlib.sha256(data).hexdigest(), 0.0,
+             pickle.dumps(state)))
+        conn.execute(
+            "INSERT INTO stream_groups VALUES (?, ?, ?, ?)",
+            (source_id, f"0:{sigma[0]}", 1,
+             pickle.dumps([(b"k", [("x",), (0, 1), 1, None, None, None,
+                                   None])])))
+        conn.commit()
+        conn.close()
+
+        _append_rows(path, _clash_rows(rows, 2))
+        total = len(rows) + 3
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        code, out, err = _cli(_incremental(stream_case), capsys)
+        assert (code, out) == cold[:2]
+        assert err == (f"incremental: cold at line 0/{total}, {total} "
+                       "element(s) folded\n")
+        conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
+        try:
+            version = conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()[0]
+            columns = [row[1] for row in conn.execute(
+                "PRAGMA table_info(stream_groups)")]
+        finally:
+            conn.close()
+        assert version == str(SCHEMA_VERSION) == "3"
+        assert columns == ["source_id", "plan", "key", "violating", "agg"]
+        with CacheStore(cache) as store:
+            _, info = incremental_stream_validate(
+                schema, sigma, "Course", path, store=store)
+        assert info["mode"] == "resumed"
