@@ -10,7 +10,7 @@ import random
 
 from repro.generators import random_nfd, random_schema, random_sigma
 from repro.inference import ClosureEngine, build_countermodel
-from repro.nfd import satisfies_all_fast, satisfies_fast
+from repro.nfd import ValidatorEngine
 from repro.values import has_empty_sets
 
 SEED = 27_182
@@ -28,6 +28,7 @@ def _sweep():
                                max_depth=2, set_probability=0.5)
         sigma = random_sigma(rng, schema, count=rng.randint(1, 3))
         engine = ClosureEngine(schema, sigma)
+        sigma_engine = ValidatorEngine(schema, sigma)
         for _ in range(CANDIDATES_PER_TRIAL):
             candidate = random_nfd(rng, schema, max_lhs=2)
             if engine.implies(candidate):
@@ -37,8 +38,8 @@ def _sweep():
                                          candidate.lhs)
             if has_empty_sets(witness):
                 holes += 1
-            if satisfies_all_fast(witness, sigma) and \
-                    not satisfies_fast(witness, candidate):
+            if sigma_engine.check(witness) and not ValidatorEngine(
+                    schema, [candidate]).check(witness):
                 separated += 1
     return rejected, separated, holes
 

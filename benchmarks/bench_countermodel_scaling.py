@@ -12,7 +12,7 @@ import pytest
 
 from repro.generators import random_schema, random_sigma
 from repro.inference import ClosureEngine, build_countermodel
-from repro.nfd import NFD, satisfies_all_fast, satisfies_fast
+from repro.nfd import NFD, ValidatorEngine
 from repro.paths import Path, relation_paths
 
 CASES = {
@@ -48,6 +48,7 @@ def test_construction(benchmark, case):
 
     witness = benchmark(lambda: build_countermodel(engine, base, lhs))
 
-    assert satisfies_all_fast(witness, sigma)
+    assert ValidatorEngine(witness.schema, sigma).check(witness)
     for q in outside[:3]:
-        assert not satisfies_fast(witness, NFD(base, lhs, q)), q
+        assert not ValidatorEngine(
+            witness.schema, [NFD(base, lhs, q)]).check(witness), q

@@ -23,7 +23,7 @@ import random
 from repro.generators import random_instance, random_nfd, random_schema, \
     random_sigma
 from repro.inference import ClosureEngine, NonEmptySpec
-from repro.nfd import satisfies_all_fast, satisfies_fast
+from repro.nfd import ValidatorEngine
 from repro.paths import Path, set_paths
 
 SEED = 16_180
@@ -47,6 +47,7 @@ def _sweep():
         spec = NonEmptySpec(declared)
         gated = ClosureEngine(schema, sigma, nonempty=spec)
         ungated = ClosureEngine(schema, sigma)
+        sigma_engine = ValidatorEngine(schema, sigma)
         for _ in range(CANDIDATES_PER_TRIAL):
             candidate = random_nfd(rng, schema, max_lhs=2)
             gated_verdict = gated.implies(candidate)
@@ -58,15 +59,16 @@ def _sweep():
                 buckets["neither"] += 1
                 continue
             separated = False
+            candidate_engine = ValidatorEngine(schema, [candidate])
             for _ in range(SEARCH_BUDGET):
                 instance = random_instance(rng, schema, tuples=2,
                                            domain=2,
                                            empty_probability=0.4)
                 if not spec.admits(instance):
                     continue
-                if not satisfies_all_fast(instance, sigma):
+                if not sigma_engine.check(instance):
                     continue
-                if not satisfies_fast(instance, candidate):
+                if not candidate_engine.check(instance):
                     separated = True
                     break
             buckets["gap-real" if separated else "gap-unknown"] += 1

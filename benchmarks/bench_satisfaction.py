@@ -1,9 +1,10 @@
 """D1/E12 — satisfaction checking: literal pairwise vs hash-grouped.
 
 The literal Definition-2.4 checker enumerates element pairs (quadratic
-in relation size); the hash-grouped checker makes one pass over
-bindings.  Both implement the same semantics (the property tests pin
-that down); this bench measures the gap as the Course instance grows.
+in relation size); the hash-grouped checker (a one-NFD
+``ValidatorEngine``) makes one pass over bindings.  Both implement the
+same semantics (the property tests pin that down); this bench measures
+the gap as the Course instance grows.
 
 Expected shape: the fast checker scales roughly linearly with instance
 size, the naive one quadratically — the ratio widens with n.
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from repro.generators import workloads
-from repro.nfd import parse_nfd, satisfies, satisfies_fast
+from repro.nfd import ValidatorEngine, parse_nfd, satisfies
 
 SIZES = [10, 30, 60]
 
@@ -41,17 +42,19 @@ def test_fast_checker(benchmark, courses):
     instance = _instance(courses)
     nfd = parse_nfd(NFD_TEXT)
     benchmark.group = f"satisfaction n={courses}"
-    assert benchmark(lambda: satisfies_fast(instance, nfd)) is True
+    engine = ValidatorEngine(instance.schema, [nfd])
+    assert benchmark(lambda: engine.check(instance)) is True
 
 
 def test_full_sigma_fast(benchmark):
     """Validating the whole constraint set on a mid-size instance —
     the nightly-check workload of the examples."""
     instance = _instance(40)
-    sigma = workloads.course_sigma()
+    engines = [ValidatorEngine(instance.schema, [nfd])
+               for nfd in workloads.course_sigma()]
 
     def check():
-        return all(satisfies_fast(instance, nfd) for nfd in sigma)
+        return all(engine.check(instance) for engine in engines)
 
     assert benchmark(check) is True
 
@@ -60,9 +63,10 @@ def test_depth_four_workload(benchmark):
     """Satisfaction across four nesting levels (the Trial workload):
     binding enumeration must stay interactive at depth."""
     instance = workloads.trial_instance()
-    sigma = workloads.trial_sigma()
+    engines = [ValidatorEngine(instance.schema, [nfd])
+               for nfd in workloads.trial_sigma()]
 
     def check():
-        return all(satisfies_fast(instance, nfd) for nfd in sigma)
+        return all(engine.check(instance) for engine in engines)
 
     assert benchmark(check) is True

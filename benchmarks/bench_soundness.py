@@ -15,7 +15,7 @@ from repro.generators import (
     random_sigma,
 )
 from repro.inference import ClosureEngine
-from repro.nfd import satisfies_all_fast, satisfies_fast
+from repro.nfd import ValidatorEngine
 
 SEED = 31_415
 TRIALS = 10
@@ -33,20 +33,22 @@ def _sweep():
                                max_depth=2, set_probability=0.5)
         sigma = random_sigma(rng, schema, count=rng.randint(1, 3))
         engine = ClosureEngine(schema, sigma)
+        sigma_engine = ValidatorEngine(schema, sigma)
         for _ in range(CANDIDATES_PER_TRIAL):
             candidate = random_nfd(rng, schema, max_lhs=2)
             if not engine.implies(candidate):
                 continue
             implied_count += 1
+            candidate_engine = ValidatorEngine(schema, [candidate])
             found = 0
             for _ in range(150):
                 instance = random_instance(rng, schema, tuples=2,
                                            domain=2)
-                if not satisfies_all_fast(instance, sigma):
+                if not sigma_engine.check(instance):
                     continue
                 found += 1
                 checked += 1
-                if not satisfies_fast(instance, candidate):
+                if not candidate_engine.check(instance):
                     failures += 1
                 if found >= INSTANCES_PER_CANDIDATE:
                     break

@@ -15,11 +15,10 @@ from repro.generators import workloads
 from repro.inference import BruteForceProver, compile_proof
 from repro.io import render_relation
 from repro.nfd import (
+    ValidatorEngine,
     parse_nfd,
     satisfies,
     satisfies_all,
-    satisfies_all_fast,
-    satisfies_fast,
     translate,
 )
 from repro.paths import parse_path, relation_paths
@@ -115,11 +114,12 @@ print("(R, {B}, Sigma)* =", sorted(map(str, closure)))
 witness = build_countermodel(engine_a1, parse_path("R"),
                              {parse_path("B")})
 print(render_relation(witness.relation("R")))
-assert satisfies_all_fast(witness, sigma_a1)
+assert ValidatorEngine(schema_a1, sigma_a1).check(witness)
 separated = sum(
     1 for q in relation_paths(schema_a1, "R")
-    if not satisfies_fast(witness,
-                          NFD(parse_path("R"), {parse_path("B")}, q))
+    if not ValidatorEngine(
+        schema_a1, [NFD(parse_path("R"), {parse_path("B")}, q)]
+    ).check(witness)
 )
 print(f"satisfies Sigma; separates the {separated} non-closure paths "
       "(Lemma A.1).")

@@ -61,8 +61,6 @@ from .nfd import (
     parse_nfds,
     satisfies,
     satisfies_all,
-    satisfies_all_fast,
-    satisfies_fast,
     to_simple,
     translate,
 )
@@ -104,7 +102,7 @@ __all__ = [
     "from_python", "to_python", "check_instance",
     # nfds
     "NFD", "parse_nfd", "parse_nfds",
-    "satisfies", "satisfies_all", "satisfies_fast", "satisfies_all_fast",
+    "satisfies", "satisfies_all",
     "holds_fol", "translate", "to_simple",
     "find_violation", "find_violations",
     "ValidatorEngine", "ValidatorStats", "ValidationResult",

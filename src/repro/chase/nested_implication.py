@@ -30,7 +30,7 @@ from typing import Iterable
 
 from ..inference.closure import ClosureEngine
 from ..inference.countermodel import build_countermodel
-from ..nfd.fast_satisfy import satisfies_fast
+from ..nfd.batch_validate import ValidatorEngine
 from ..nfd.nfd import NFD
 from ..types.schema import Schema
 from ..values.build import Instance
@@ -80,6 +80,6 @@ def chase_implies(schema: Schema, sigma: Iterable[NFD],
     generic = build_countermodel(generic_engine, candidate.base,
                                  candidate.lhs)
     chased = repair(generic, sigma_list)
-    holds = satisfies_fast(chased, candidate)
+    holds = ValidatorEngine(schema, [candidate]).check(chased)
     return ChaseVerdict(candidate, implied=holds, certified=not holds,
                         instance=chased)

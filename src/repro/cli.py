@@ -567,10 +567,17 @@ def _cmd_normalize(args) -> int:
             print("error: --sweep needs a positive count",
                   file=sys.stderr)
             return 2
+        ignored = [name for name, given in (
+            ("the bundle argument", args.bundle),
+            ("--relation", args.relation),
+            ("--nonempty", args.nonempty)) if given is not None]
+        if ignored:
+            print("error: --sweep normalizes generated schemas and "
+                  f"would ignore {', '.join(ignored)}", file=sys.stderr)
+            return 2
         summary = sweep_normalize(
             args.sweep, jobs=args.jobs, seed=args.seed,
-            rules=args.rules, max_fields=args.max_fields,
-            mode=args.mode)
+            rules=args.rules, max_fields=args.max_fields)
         print(summary.to_text())
         report.add("design", summary)
         _obs_finish(args, report, tracer)
@@ -582,8 +589,8 @@ def _cmd_normalize(args) -> int:
     schema, sigma, instance = _load(args.bundle)
     spec = _spec_from_args(args)
     design = synthesize_design(schema, sigma, args.relation,
-                               nonempty=spec, mode=args.mode,
-                               instance=instance, tracer=tracer)
+                               nonempty=spec, instance=instance,
+                               tracer=tracer)
     print(design.to_text())
     report.add("design", design)
     _obs_finish(args, report, tracer)
@@ -937,12 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="RATE", dest="min_preserved",
                      help="sweep gate: minimum fraction of designs "
                           "that preserve their Sigma (default 0.95)")
-    sub.add_argument("--mode", choices=("session", "fresh"),
-                     default="session",
-                     help="inference backing: one memoized implication "
-                          "session with copy-on-write probes (default) "
-                          "or a fresh engine per query (the benchmark "
-                          "baseline; identical designs)")
     nonempty_arg(sub)
     jobs_arg(sub)
     obs_args(sub)

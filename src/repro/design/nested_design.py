@@ -142,31 +142,28 @@ class PlanReport:
         trivially local; a purely inter-set dependency like
         ``sid -> age`` (nothing pins the set) is not.
 
-        Pass *session* (from :meth:`make_session`) when probing several
-        placements: each probe is then a copy-on-write
+        Each probe is a copy-on-write
         :meth:`~repro.inference.session.ImplicationSession.replaced`
-        perturbation of one shared compiled pool instead of a fresh
-        engine build per placement.
+        perturbation of one compiled pool; pass *session* (from
+        :meth:`make_session`) to share that pool across placements.
         """
-        from ..inference.closure import ClosureEngine
-
         if placement.kind == DependencyPlacement.TOP:
             return True
         local = self.local_form(placement)
         if local is None:
             return False
-        if session is not None:
-            index = self.placements.index(placement)
-            return session.replaced(index, local).implies(placement.nfd)
-        others = [p.nfd for p in self.placements if p is not placement]
-        sigma = others + self.structural_nfds() + [local]
-        return ClosureEngine(self.schema, sigma).implies(placement.nfd)
+        if session is None:
+            session = self.make_session()
+        index = self.placements.index(placement)
+        return session.replaced(index, local).implies(placement.nfd)
 
     def to_text(self) -> str:
         lines = []
+        session = self.make_session()
         for placement in self.placements:
             local = " (locally enforceable)" \
-                if self.locally_enforceable(placement) else ""
+                if self.locally_enforceable(placement, session=session) \
+                else ""
             lines.append(
                 f"{placement.fd}  ~>  {placement.nfd}  "
                 f"[{placement.kind}]{local}"

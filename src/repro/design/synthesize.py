@@ -32,12 +32,6 @@ The flat identity plan is always a candidate, so the synthesizer never
 does worse than leaving the relation alone; it nests exactly when
 nesting removes redundancy without sacrificing enforceability.
 
-``mode="fresh"`` runs the same pipeline with a fresh
-:class:`~repro.inference.closure.ClosureEngine` per implication probe —
-the pre-session baseline ``benchmarks/bench_normalize.py`` compares
-against (rule applications counted via
-:func:`repro.inference.closure.engine_counters`).
-
 :func:`sweep_normalize` runs the pipeline fleet-style over generated
 flat schemas through :func:`repro.parallel.process_map`, with per-index
 deterministic RNG streams so the output is byte-identical for every
@@ -59,8 +53,9 @@ from ..generators.instances import random_satisfying_instance
 from ..generators.nfds import random_design_sigma
 from ..generators.schemas import random_flat_schema
 from ..inference.armstrong import FD, nfd_to_fd
-from ..inference.closure import ClosureEngine, engine_counters
+from ..inference.closure import engine_counters
 from ..inference.empty_sets import NonEmptySpec
+from ..inference.session import ImplicationSession
 from ..nfd.batch_validate import ValidatorEngine
 from ..nfd.nfd import NFD
 from ..parallel import process_map
@@ -75,12 +70,6 @@ from .preservation import preserves_dependencies
 
 __all__ = ["DesignReport", "SweepSummary", "synthesize_design",
            "sweep_normalize"]
-
-#: Synthesis modes: ``session`` shares one compiled Sigma pool per
-#: candidate via copy-on-write probes; ``fresh`` builds a new engine
-#: per probe (the benchmark baseline).
-MODES = ("session", "fresh")
-
 
 # -- report ----------------------------------------------------------------
 
@@ -100,7 +89,6 @@ class DesignReport:
         "plan_report", "enforceable", "unenforceable",
         "violations_flat", "violations", "components", "preserved",
         "projection_preserved", "roundtrip", "rule_applications",
-        "mode",
     )
 
     def __init__(self, **fields):
@@ -259,8 +247,7 @@ def _redundancy(attributes: Sequence[str], cover: Sequence[FD],
 
 
 def _projection_oracle(schema: Schema, cover_nfds: Sequence[NFD],
-                       nonempty: NonEmptySpec | None, relation: str,
-                       mode: str):
+                       nonempty: NonEmptySpec | None, relation: str):
     """The ``combo -> closed attributes`` oracle for scoring.
 
     FD projection onto candidate components is the query-heavy part of
@@ -271,25 +258,14 @@ def _projection_oracle(schema: Schema, cover_nfds: Sequence[NFD],
     one memoized :class:`~repro.inference.session.ImplicationSession`
     serves all candidates (overlapping components repeat combos → memo
     hits; a size-``k`` combo seeds from its cached size-``k-1``
-    sub-combos).  The fresh baseline builds one engine per query, the
-    pre-session shape.
+    sub-combos).
     """
-    if mode == "session":
-        from ..inference.session import ImplicationSession
+    session = ImplicationSession(schema, cover_nfds, nonempty)
 
-        session = ImplicationSession(schema, cover_nfds, nonempty)
-
-        def closure(combo: tuple[str, ...]) -> set[str]:
-            closed = session.closure_simple(
-                relation, [Path((attribute,)) for attribute in combo])
-            return {path.first for path in closed}
-    else:
-        def closure(combo: tuple[str, ...]) -> set[str]:
-            engine = ClosureEngine(schema, cover_nfds, nonempty)
-            closed = engine.closure_simple(
-                relation,
-                frozenset(Path((attribute,)) for attribute in combo))
-            return {path.first for path in closed}
+    def closure(combo: tuple[str, ...]) -> set[str]:
+        closed = session.closure_simple(
+            relation, [Path((attribute,)) for attribute in combo])
+        return {path.first for path in closed}
     return closure
 
 
@@ -319,32 +295,6 @@ def _nested_spec(nonempty: NonEmptySpec | None) -> NonEmptySpec | None:
     return NonEmptySpec.all_nonempty()
 
 
-def _fresh_cover(schema: Schema, sigma: list[NFD],
-                 nonempty: NonEmptySpec | None) -> list[NFD]:
-    """Minimal cover with a fresh engine per probe — the pre-session
-    baseline shape (``mode="fresh"``), kept for the benchmark's
-    rule-application comparison."""
-    working = list(sigma)
-    for index in range(len(working)):
-        current = working[index]
-        for path in sorted(current.lhs, reverse=True):
-            if path not in current.lhs:  # pragma: no cover - defensive
-                continue
-            candidate = current.with_lhs(current.lhs - {path})
-            probe = working[:index] + [current] + working[index + 1:]
-            if ClosureEngine(schema, probe, nonempty).implies(candidate):
-                current = candidate
-                working[index] = current
-    index = 0
-    while index < len(working):
-        rest = working[:index] + working[index + 1:]
-        if ClosureEngine(schema, rest, nonempty).implies(working[index]):
-            del working[index]
-        else:
-            index += 1
-    return working
-
-
 def _enforced_sigma(report: PlanReport) -> list[NFD]:
     """The constraints a per-set checker actually maintains: top-level
     NFDs, each deep placement's local form (when one exists), and the
@@ -362,7 +312,7 @@ def _enforced_sigma(report: PlanReport) -> list[NFD]:
 
 
 def _assess_candidate(report: PlanReport,
-                      nonempty: NonEmptySpec | None, mode: str, tracer) \
+                      nonempty: NonEmptySpec | None, tracer) \
         -> tuple[int, bool]:
     """``(unenforceable, preserved)`` for one candidate.
 
@@ -370,45 +320,27 @@ def _assess_candidate(report: PlanReport,
     the structural NFDs imply every carried dependency?  A joint pass
     entails every per-placement enforceability verdict (each carried
     global NFD implies its own local form, so the per-placement premise
-    set is at least as strong as the joint one), which is what makes
-    the session path cheap: one subset-seeded ``implies_all`` batch
-    settles the common case, and only a joint *failure* falls back to
-    per-placement copy-on-write probes to count the holdouts.  The
-    ``fresh`` baseline is the pre-session shape the benchmark compares
-    against: a fresh engine build per query, one
-    :meth:`PlanReport.locally_enforceable` probe per deep placement of
-    every candidate plus a per-NFD preservation sweep — no joint
-    short-circuit, because that short-circuit *is* the session-era
-    algorithm (both shapes return identical verdicts by the theorem
-    above).
+    set is at least as strong as the joint one), which is what keeps
+    assessment cheap: one subset-seeded ``implies_all`` batch settles
+    the common case, and only a joint *failure* falls back to
+    per-placement copy-on-write probes to count the holdouts.
     """
     placements = report.placements
     deep = [p for p in placements if p.kind != DependencyPlacement.TOP]
     missing = sum(1 for p in deep if report.local_form(p) is None)
     carried = report.nfds()
-    local_sigma = _enforced_sigma(report)
-    if mode == "session":
-        from ..inference.session import ImplicationSession
-
-        joint = True
-        if carried:
-            session = ImplicationSession(report.schema, local_sigma,
-                                         nonempty, tracer=tracer)
-            joint = session.implies_all(carried)
-        if joint:
-            return missing, True
-        probe_session = report.make_session(nonempty, tracer=tracer)
-        failures = sum(
-            1 for p in deep
-            if not report.locally_enforceable(p, session=probe_session))
-        return failures, False
-    failures = sum(1 for p in deep if not report.locally_enforceable(p))
     joint = True
     if carried:
-        joint = all(
-            ClosureEngine(report.schema, local_sigma, nonempty)
-            .implies(nfd) for nfd in carried)
-    return failures, joint
+        session = ImplicationSession(report.schema, _enforced_sigma(report),
+                                     nonempty, tracer=tracer)
+        joint = session.implies_all(carried)
+    if joint:
+        return missing, True
+    probe_session = report.make_session(nonempty, tracer=tracer)
+    failures = sum(
+        1 for p in deep
+        if not report.locally_enforceable(p, session=probe_session))
+    return failures, False
 
 
 def _roundtrip(plan: NestPlan, report: PlanReport, relation: str,
@@ -442,7 +374,6 @@ def _roundtrip(plan: NestPlan, report: PlanReport, relation: str,
 def synthesize_design(schema: Schema, sigma: Iterable[NFD],
                       relation: str | None = None, *,
                       nonempty: NonEmptySpec | None = None,
-                      mode: str = "session",
                       instance: Instance | None = None,
                       tracer=None) -> DesignReport:
     """Run the full normalization pipeline on one relation.
@@ -451,9 +382,6 @@ def synthesize_design(schema: Schema, sigma: Iterable[NFD],
     (and flattenable), is round-tripped through the winning plan and
     validated against the carried NFDs.
     """
-    if mode not in MODES:
-        raise InferenceError(f"unknown synthesis mode {mode!r}; "
-                             f"expected one of {MODES}")
     sigma_list = list(sigma)
     if relation is None:
         names = schema.relation_names
@@ -470,17 +398,17 @@ def synthesize_design(schema: Schema, sigma: Iterable[NFD],
         with tracer.span("design.synthesize", relation=relation,
                          members=len(sigma_list)) as span:
             report = _synthesize(schema, sigma_list, relation, nonempty,
-                                 mode, instance, tracer, span)
+                                 instance, tracer, span)
     else:
         report = _synthesize(schema, sigma_list, relation, nonempty,
-                             mode, instance, tracer, None)
+                             instance, tracer, None)
     report.rule_applications = (engine_counters()["attempts"]
                                 - attempts_before)
     return report
 
 
-def _synthesize(schema, sigma_list, relation, nonempty, mode,
-                instance, tracer, span) -> DesignReport:
+def _synthesize(schema, sigma_list, relation, nonempty, instance,
+                tracer, span) -> DesignReport:
     # 1. flatten the relation; rewrite Sigma through each unnest
     flat_type, unnest_order = flatten_type(schema.relation_type(relation))
     target = [nfd for nfd in sigma_list if nfd.relation == relation]
@@ -494,11 +422,7 @@ def _synthesize(schema, sigma_list, relation, nonempty, mode,
     flat_nonempty = _flat_spec(nonempty, relation)
 
     # 2. minimal cover (one session, drop-one/shrink COW probes)
-    if mode == "session":
-        cover_nfds = minimal_cover(flat_schema, list(working),
-                                   flat_nonempty)
-    else:
-        cover_nfds = _fresh_cover(flat_schema, working, flat_nonempty)
+    cover_nfds = minimal_cover(flat_schema, working, flat_nonempty)
     cover = [nfd_to_fd(nfd) for nfd in cover_nfds]
     if span is not None:
         span.add("cover", len(cover))
@@ -508,13 +432,13 @@ def _synthesize(schema, sigma_list, relation, nonempty, mode,
     plans = candidate_plans(relation, attributes, cover)
     best = None
     project = _projection_oracle(flat_schema, cover_nfds, flat_nonempty,
-                                 relation, mode)
+                                 relation)
     flat_violations = _redundancy(attributes, cover, [attributes],
                                   closure=project)
     for index, plan in enumerate(plans):
         plan_report = plan.report(flat_type, cover)
         unenforceable, joint = _assess_candidate(
-            plan_report, nested_nonempty, mode, tracer)
+            plan_report, nested_nonempty, tracer)
         components = _plan_components(plan)
         violations = _redundancy(attributes, cover, components,
                                  closure=project)
@@ -553,7 +477,6 @@ def _synthesize(schema, sigma_list, relation, nonempty, mode,
         projection_preserved=projection_preserved,
         roundtrip=roundtrip,
         rule_applications=0,  # patched by synthesize_design
-        mode=mode,
     )
 
 
@@ -658,14 +581,13 @@ def _sweep_task(payload, index: int) -> dict:
     """Synthesize one generated schema; independent of every other
     index (own RNG stream), so results are identical for any jobs
     count and chunking."""
-    seed, rules, max_fields, mode = payload
+    seed, rules, max_fields = payload
     rng = random.Random(f"normalize:{seed}:{index}")
     schema = random_flat_schema(rng, max_fields=max_fields)
     sigma = random_design_sigma(rng, schema, fallback_count=rules)
     instance = random_satisfying_instance(rng, schema, sigma, tuples=3,
                                           domain=2)
-    report = synthesize_design(schema, sigma, mode=mode,
-                               instance=instance)
+    report = synthesize_design(schema, sigma, instance=instance)
     metrics = report.as_metrics()
     return {
         "index": index,
@@ -683,17 +605,13 @@ def _sweep_task(payload, index: int) -> dict:
 
 
 def sweep_normalize(count: int, *, jobs: int = 1, seed: int = 0,
-                    rules: int = 4, max_fields: int = 5,
-                    mode: str = "session") -> SweepSummary:
+                    rules: int = 4, max_fields: int = 5) -> SweepSummary:
     """Synthesize designs for *count* generated flat schemas.
 
     Fans out over :func:`repro.parallel.process_map`; the summary (and
     its ``to_text()``) is byte-identical for every *jobs* value.
     """
-    if mode not in MODES:
-        raise InferenceError(f"unknown synthesis mode {mode!r}; "
-                             f"expected one of {MODES}")
-    payload = (seed, rules, max_fields, mode)
+    payload = (seed, rules, max_fields)
     records = process_map(_sweep_setup, payload, _sweep_task,
                           range(count), jobs=jobs)
     return SweepSummary(records)

@@ -22,7 +22,9 @@ of re-scanning conflict state after each row.
 The checker tracks the exact conflict set, so consistency can be asked
 at any time in O(1); the invariant
 
-    checker.is_consistent()  ==  satisfies_all_fast(checker.to_instance(), sigma)
+    checker.is_consistent()  ==  engine.check(checker.to_instance())
+
+(with ``engine = ValidatorEngine(schema, sigma)``)
 
 is enforced by randomized tests.
 """

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from ..nfd.fast_satisfy import satisfies_all_fast, satisfies_fast
+from ..nfd.batch_validate import ValidatorEngine
 from ..nfd.nfd import NFD
 from ..types.schema import Schema
 from ..values.build import Instance
@@ -46,14 +46,16 @@ def search_countermodel(schema: Schema, sigma: Iterable[NFD],
 
     sigma_list = list(sigma)
     candidate.check_well_formed(schema)
+    sigma_engine = ValidatorEngine(schema, sigma_list)
+    candidate_engine = ValidatorEngine(schema, [candidate])
 
     if use_construction:
         engine = ClosureEngine(schema, sigma_list)
         if not engine.implies(candidate):
             built = build_countermodel(engine, candidate.base,
                                        candidate.lhs)
-            if satisfies_all_fast(built, sigma_list) and \
-                    not satisfies_fast(built, candidate):
+            if sigma_engine.check(built) and \
+                    not candidate_engine.check(built):
                 return built
             # The construction failed to separate; fall through to the
             # random search rather than silently trusting it.
@@ -63,9 +65,9 @@ def search_countermodel(schema: Schema, sigma: Iterable[NFD],
                                    domain=domain,
                                    max_set_size=max_set_size,
                                    empty_probability=0.0)
-        if not satisfies_all_fast(instance, sigma_list):
+        if not sigma_engine.check(instance):
             continue
-        if not satisfies_fast(instance, candidate):
+        if not candidate_engine.check(instance):
             return instance
     return None
 

@@ -2,9 +2,9 @@
 
 Every checker in the repo ultimately evaluates Definition 2.4, and the
 naive way to validate a set Σ of NFDs is to traverse the instance once
-per dependency (:func:`repro.nfd.fast_satisfy.satisfies_fast` in a
-loop).  On a production validation path that repeats the expensive part
-— navigating base sets and enumerating bindings — |Σ| times, even
+per dependency (a one-member engine per NFD, in a loop).  On a
+production validation path that repeats the expensive part —
+navigating base sets and enumerating bindings — |Σ| times, even
 though the dependencies overwhelmingly share base paths, traversed
 prefixes, and leaf paths.
 
@@ -492,10 +492,6 @@ class ValidatorEngine:
     def check(self, instance: Instance) -> bool:
         """``I |= Σ`` in one short-circuiting pass."""
         return self.validate(instance).ok
-
-    def satisfies_all(self, instance: Instance) -> bool:
-        """Alias of :meth:`check` (the batch ``satisfies_all_fast``)."""
-        return self.check(instance)
 
     def find_violations(self, instance: Instance) -> list[Violation]:
         """Every violation witness, deterministically ordered."""

@@ -20,8 +20,8 @@ the two can differ, and the paper's definition (implemented here) is the
 weaker one.
 
 This module enumerates pairs and bindings explicitly, mirroring the
-definition one-to-one; :mod:`repro.nfd.fast_satisfy` implements the same
-semantics with hash grouping and should be preferred for large instances.
+definition one-to-one: it is the oracle the tests hold the hash-grouped
+:class:`repro.nfd.batch_validate.ValidatorEngine` to.
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ def satisfies(instance: Instance, nfd: NFD) -> bool:
     """Decide ``I |= f`` per Definition 2.4 by explicit pair enumeration.
 
     See :func:`repro.nfd.violations.find_violation` for a checker that
-    also reports a witness, and :func:`repro.nfd.fast_satisfy.satisfies_fast`
-    for the hash-grouped equivalent.
+    also reports a witness, and ``ValidatorEngine.check`` for the
+    hash-grouped equivalent.
     """
     paths = sorted(nfd.all_paths)
     prefixes = traversed_prefixes(paths)

@@ -49,7 +49,8 @@ scalar/tuple trees (:func:`~repro.values.value.freeze_value`) before
 pickling and thawed on read, which skips the per-node ``__reduce__``
 dispatch and validating-constructor re-walk of pickled Value objects;
 witness elements go to a sidecar (:class:`_ElementStore`) and are read
-back only for groups that violate.  The final merge is a k-way
+back only for groups that violate.  A run's pair count is kept beside
+its path and checked on read.  The final merge is a k-way
 :func:`heapq.merge` over the runs plus the resident table, folding
 equal-key aggregates with :func:`_merge_agg` — hash-grouping below
 budget and external sort-merge above it produce byte-identical
@@ -82,8 +83,11 @@ serial scan would report.
 Cleanup
 -------
 
-Every spilled run and summary file is removed by :meth:`cleanup`, which
-all abnormal exits route through: :func:`stream_validate` and
+A spill file that cannot be written (a full disk) or read back whole
+(a torn run, a truncated sidecar) raises
+:class:`~repro.errors.StreamError`, never a wrong verdict.  Every
+spilled run and summary file is removed by :meth:`cleanup`, which all
+abnormal exits route through: :func:`stream_validate` and
 :func:`shard_validate` call it in ``finally``, shard workers call it
 when their stream raises mid-shard, and :class:`StreamValidator` is a
 context manager (``with StreamValidator(...) as sv``) for direct use.
@@ -100,7 +104,7 @@ import time
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..errors import InstanceError, ValueError_
+from ..errors import InstanceError, StreamError, ValueError_
 from ..types.schema import Schema
 from ..values.canonical import InternPool, canonical_key_bytes
 from ..values.value import freeze_value, thaw_value
@@ -343,14 +347,15 @@ def _fold_prior(index: int, chunk: list, prior) -> list:
 
 class _GroupTable:
     """One root-anchored NFD's group state: resident aggregates keyed by
-    canonical key bytes, plus the sorted runs spilled so far."""
+    canonical key bytes, plus the sorted runs spilled so far (path ->
+    pair count)."""
 
     __slots__ = ("plan", "table", "runs")
 
     def __init__(self, plan):
         self.plan = plan
         self.table: dict[bytes, list] = {}
-        self.runs: list[str] = []
+        self.runs: dict[str, int] = {}
 
 
 class _ElementStore:
@@ -432,21 +437,31 @@ def _thaw_agg(agg: list) -> list:
             thaw_value(agg[5]), _thaw_elem(agg[6])]
 
 
-def _iter_run_file(path: str) -> Iterator[tuple[bytes, list]]:
+def _iter_run_file(path: str, count: int) -> Iterator[tuple[bytes, list]]:
     """Stream the thawed ``(key_bytes, aggregate)`` pairs of one run
-    file (a sequence of pickled chunks — lists of frozen pairs)."""
-    with open(path, "rb") as handle:
-        while True:
-            try:
+    file (a sequence of pickled chunks — lists of frozen pairs) that
+    was written with *count* pairs.  A run torn at a chunk boundary
+    still unpickles cleanly; the count (one compare per chunk) is what
+    makes it a :class:`StreamError` instead of a shorter valid run."""
+    seen = 0
+    try:
+        with open(path, "rb") as handle:
+            while seen < count:
                 chunk = pickle.load(handle)
-            except EOFError:
-                return
-            for key_bytes, agg in chunk:
-                yield key_bytes, _thaw_agg(agg)
+                seen += len(chunk)
+                for key_bytes, agg in chunk:
+                    yield key_bytes, _thaw_agg(agg)
+    except (OSError, EOFError, pickle.UnpicklingError) as exc:
+        raise StreamError(f"spill run {path!r} is unreadable after "
+                          f"{seen} of {count} pair(s): {exc!r}") from exc
+    if seen != count:
+        raise StreamError(f"spill run {path!r} holds {seen} pair(s), "
+                          f"{count} were written")
 
 
-def _unlink_all(paths: list[str]) -> None:
-    """Remove spill files, ignoring ones already gone; empties *paths*."""
+def _unlink_all(paths) -> None:
+    """Remove spill files, ignoring ones already gone; empties *paths*
+    (a list, or a run dict keyed by path)."""
     for path in paths:
         try:
             os.unlink(path)
@@ -672,19 +687,29 @@ class StreamValidator:
             self._elem_store = _ElementStore(handle.name)
         return self._elem_store
 
+    def _write_failure(self, exc: OSError) -> StreamError:
+        """The error for a spill write (run, summary, sidecar, flush)
+        the disk refused, naming where the spill files go."""
+        where = self._spill_dir or self._spill_root or "the temp dir"
+        return StreamError(f"cannot write spill files under {where!r}: "
+                           f"{exc}")
+
     def _spill_all(self) -> None:
         spilled = False
-        for tables in self._root_tables.values():
-            for table in tables:
-                if table.table:
-                    self._spill_table(table)
-                    spilled = True
-        if spilled:
-            self.stats.spills += 1
-            if self._elem_store is not None:
+        try:
+            for tables in self._root_tables.values():
+                for table in tables:
+                    if table.table:
+                        self._spill_table(table)
+                        spilled = True
+            if spilled and self._elem_store is not None:
                 # id-memo validity ends with the spill event: the
                 # tables just cleared drop their element references
                 self._elem_store.end_event()
+        except OSError as exc:
+            raise self._write_failure(exc) from exc
+        if spilled:
+            self.stats.spills += 1
         self._resident = 0
 
     def _write_run(self, items: Iterable[tuple[bytes, list]],
@@ -692,10 +717,10 @@ class StreamValidator:
         """Write a sorted aggregate stream as one chunked-pickle run
         file; returns ``(path, pair count)``.  A partially written file
         is unlinked before the error propagates."""
+        store = self._element_store()
         handle = tempfile.NamedTemporaryFile(
             dir=self._spill_path(), prefix=prefix, suffix=".pkl",
             delete=False)
-        store = self._element_store()
         count = 0
         try:
             with handle:
@@ -720,7 +745,7 @@ class StreamValidator:
     def _spill_table(self, table: _GroupTable) -> None:
         path, count = self._write_run(sorted(table.table.items()),
                                       prefix="run-")
-        table.runs.append(path)
+        table.runs[path] = count
         self.stats.rows_spilled += count
         self.stats.runs_written += 1
         self.stats.bytes_spilled += os.path.getsize(path)
@@ -730,7 +755,8 @@ class StreamValidator:
             -> Iterator[tuple[bytes, list]]:
         """All of one table's aggregates, merged across the resident
         state and every spilled run, in canonical key order."""
-        sources = [_iter_run_file(path) for path in table.runs]
+        sources = [_iter_run_file(path, count)
+                   for path, count in table.runs.items()]
         if table.table:
             sources.append(iter(sorted(table.table.items())))
         self.stats.runs_merged += len(table.runs)
@@ -757,14 +783,18 @@ class StreamValidator:
             return freeze_value(ref)
         _, path, offset = ref
         handle = self._read_handles.get(path)
-        if handle is None:
-            if self._elem_store is not None \
-                    and self._elem_store.path == path:
-                self._elem_store.end_event()
-            handle = open(path, "rb")
-            self._read_handles[path] = handle
-        handle.seek(offset)
-        return pickle.load(handle)
+        try:
+            if handle is None:
+                if self._elem_store is not None \
+                        and self._elem_store.path == path:
+                    self._elem_store.end_event()
+                handle = self._read_handles[path] = open(path, "rb")
+            handle.seek(offset)
+            return pickle.load(handle)
+        except (OSError, EOFError, pickle.UnpicklingError) as exc:
+            raise StreamError(f"cannot read a witness element at offset "
+                              f"{offset} of spill sidecar {path!r}: "
+                              f"{exc!r}") from exc
 
     def _load_element(self, ref):
         """Materialize a witness element, resolving a sidecar ref via a
@@ -853,7 +883,10 @@ class StreamValidator:
                 pass
         self._read_handles.clear()
         if self._elem_store is not None:
-            self._elem_store.close()
+            try:
+                self._elem_store.close()
+            except OSError:  # a full disk fails the flush again
+                pass
             try:
                 os.unlink(self._elem_store.path)
             except OSError:
@@ -880,33 +913,37 @@ class StreamValidator:
         """
         self._sync_pool_stats()
         tables_out: dict[str, list] = {}
-        for relation, tables in self._root_tables.items():
-            specs = []
-            for table in tables:
-                if not table.runs:
-                    # frozen aggregates cross the process boundary as
-                    # plain data too — same saving as run files
-                    # (elements stay inline: nothing was spilled, so
-                    # there is no sidecar to point into)
-                    specs.append(("mem", [
-                        (key_bytes, _freeze_agg(agg, None))
-                        for key_bytes, agg in sorted(table.table.items())]))
-                else:
-                    path, count = self._write_run(
-                        self._merged_rows(table), prefix="summary-")
-                    _unlink_all(table.runs)
-                    specs.append(("file", path, count))
-                table.table.clear()
-            tables_out[relation] = specs
+        try:
+            for relation, tables in self._root_tables.items():
+                specs = tables_out[relation] = []
+                for table in tables:
+                    if not table.runs:
+                        # frozen aggregates cross the process boundary
+                        # as plain data too — same saving as run files
+                        # (elements stay inline: nothing was spilled,
+                        # so there is no sidecar to point into)
+                        specs.append(("mem", [
+                            (key_bytes, _freeze_agg(agg, None)) for
+                            key_bytes, agg in sorted(table.table.items())]))
+                    else:
+                        path, count = self._write_run(
+                            self._merged_rows(table), prefix="summary-")
+                        _unlink_all(table.runs)
+                        specs.append(("file", path, count))
+                    table.table.clear()
+            store_path = None
+            if self._elem_store is not None:
+                # the driver resolves this worker's refs (and deletes
+                # the store) after the final merge
+                self._elem_store.end_event()
+                self._elem_store.close()
+                store_path = self._elem_store.path
+                self._elem_store = None
+        except OSError as exc:
+            _unlink_all([spec[1] for specs in tables_out.values()
+                         for spec in specs if spec[0] == "file"])
+            raise self._write_failure(exc) from exc
         self._resident = 0
-        store_path = None
-        if self._elem_store is not None:
-            # the driver resolves this worker's refs (and deletes the
-            # store) after the final merge
-            self._elem_store.end_event()
-            self._elem_store.close()
-            store_path = self._elem_store.path
-            self._elem_store = None
         return {
             "shard": self._shard_index,
             "tables": tables_out,
@@ -937,7 +974,7 @@ class StreamValidator:
                     items: Iterable = ((key_bytes, _thaw_agg(agg))
                                        for key_bytes, agg in spec[1])
                 else:
-                    items = _iter_run_file(spec[1])
+                    items = _iter_run_file(spec[1], spec[2])
                 for key_bytes, agg in items:
                     existing = table.table.get(key_bytes)
                     if existing is not None:

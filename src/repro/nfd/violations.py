@@ -9,8 +9,8 @@ and for tests to assert precisely which rows clash.
 
 Both functions ride :class:`repro.nfd.batch_validate.ValidatorEngine`
 (hash-group tables, one witness per conflicting antecedent key per base
-set), so enumeration matches the linear-pass semantics of
-:mod:`repro.nfd.fast_satisfy` instead of the old quadratic pairwise scan.
+set), so enumeration is one linear pass instead of the quadratic
+pairwise scan of :mod:`repro.nfd.satisfy`.
 The engine import is deferred to call time because ``batch_validate``
 itself imports :class:`Violation` from this module.
 """

@@ -18,8 +18,8 @@ Because values are immutable, the structural hash of every constructor is
 computed *once at construction* and cached (``_hash``); ``__hash__`` then
 just returns it.  Nested values hash in O(depth) amortized instead of
 re-walking the whole subtree on every dictionary probe — the hash-group
-tables of :mod:`repro.nfd.fast_satisfy` and
-:mod:`repro.nfd.batch_validate` probe these hashes on every binding.
+tables of :mod:`repro.nfd.batch_validate` and
+:mod:`repro.nfd.stream_validate` probe these hashes on every binding.
 :class:`SetValue` additionally caches its deterministic (sorted-by-repr)
 iteration order lazily, so repeated traversals of the same set do not
 re-sort it.

@@ -12,11 +12,10 @@ from repro.inference import (
     build_countermodel,
 )
 from repro.nfd import (
+    ValidatorEngine,
     parse_nfd,
     satisfies,
     satisfies_all,
-    satisfies_all_fast,
-    satisfies_fast,
     translate,
 )
 from repro.paths import parse_path, relation_paths
@@ -127,11 +126,12 @@ class TestAppendixA:
         assert {str(p) for p in closed} == expected_closure
         instance = build_countermodel(engine, parse_path("R"), lhs)
         check_instance(instance)
-        assert satisfies_all_fast(instance, sigma)
+        assert ValidatorEngine(schema, sigma).check(instance)
         for q in relation_paths(schema, "R"):
             from repro.nfd import NFD
             nfd = NFD(parse_path("R"), lhs, q)
-            assert satisfies_fast(instance, nfd) == (q in closed), q
+            holds = ValidatorEngine(schema, [nfd]).check(instance)
+            assert holds == (q in closed), q
         return instance
 
     def test_example_a1(self):

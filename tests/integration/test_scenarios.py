@@ -9,12 +9,7 @@ from repro.analysis import (
 from repro.generators import workloads
 from repro.inference import FD, ClosureEngine, equivalent_sets
 from repro.io import dump_bundle, load_bundle
-from repro.nfd import (
-    find_violation,
-    parse_nfd,
-    satisfies_all_fast,
-    satisfies_fast,
-)
+from repro.nfd import ValidatorEngine, find_violation, parse_nfd
 from repro.paths import parse_path
 from repro.types import Schema, parse_schema
 from repro.values import Instance, nest, nest_type, unnest
@@ -24,8 +19,9 @@ class TestWarehouseScenario:
     """The introduction's data-integration motivation, end to end."""
 
     def test_clean_warehouse_passes(self):
-        assert satisfies_all_fast(workloads.warehouse_instance(),
-                                  workloads.warehouse_sigma())
+        assert ValidatorEngine(workloads.warehouse_schema(),
+                               workloads.warehouse_sigma()).check(
+            workloads.warehouse_instance())
 
     def test_inconsistent_description_is_caught_with_witness(self):
         instance = workloads.warehouse_instance()
@@ -107,7 +103,7 @@ class TestCarryoverScenario:
         # cnum -> time survives as a top-level NFD
         carried = nfd_after_nest("Enrollment", FD({"cnum"}, "time"),
                                  ["sid", "grade"], "students")
-        assert satisfies_fast(nested, carried)
+        assert ValidatorEngine(nested.schema, [carried]).check(nested)
         # and unnesting restores the original rows
         assert unnest(nested.relation("Enrollment"), "students") == \
             flat.relation("Enrollment")

@@ -11,10 +11,12 @@ Three families of randomized evidence back ``repro normalize``:
   from the winner's :class:`~repro.design.PlanReport` (top-level
   placements, per-set local forms, structural NFDs) and ask the
   naive reference saturation of one fresh engine per carried
-  dependency.
+  dependency.  The report's cover equals the drop-one minimal cover
+  computed over the same reference saturation.
 * **Sweep determinism** — ``sweep_normalize(..., jobs=2)`` renders
-  byte-identically to the serial sweep, so CI gate numbers cannot
-  depend on worker scheduling.
+  byte-identically to the serial sweep, and ``normalize --sweep``
+  prints the same bytes under different hash seeds, so CI gate
+  numbers cannot depend on worker scheduling or set iteration order.
 
 A deterministic seed sweep guarantees the advertised case count (the
 acceptance bar is >= 200 randomized cases across the families)
@@ -22,7 +24,11 @@ independent of hypothesis profiles; a hypothesis wrapper adds
 shrinking on failure.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +41,8 @@ from repro.generators import (
     random_satisfying_instance,
 )
 from repro.inference import ClosureEngine, NonEmptySpec
-from repro.nfd import satisfies_all_fast
+from repro.inference.armstrong import nfd_to_fd
+from repro.nfd import ValidatorEngine
 
 ROUNDTRIP_SEEDS = 60
 PRESERVATION_SEEDS = 60
@@ -65,8 +72,9 @@ def _check_roundtrip(seed: int, gated: bool) -> None:
     # the same fact, checked without going through _roundtrip: the
     # nested value satisfies every carried and structural NFD
     nested = report.plan.apply_instance(instance)
-    assert satisfies_all_fast(nested, report.plan_report.all_nfds()), \
-        (seed, report.to_text())
+    validator = ValidatorEngine(nested.schema,
+                                report.plan_report.all_nfds())
+    assert validator.check(nested), (seed, report.to_text())
 
 
 def _brute_force_preserved(report) -> bool:
@@ -95,14 +103,41 @@ def _brute_force_preserved(report) -> bool:
         for nfd in plan_report.nfds())
 
 
+def _reference_implies(schema, sigma, nonempty, nfd) -> bool:
+    return nfd.rhs in ClosureEngine(schema, sigma, nonempty) \
+        .reference_closure(nfd.base, nfd.lhs)
+
+
+def _reference_cover(schema, sigma, nonempty=None):
+    """The drop-one minimal cover of a flat Sigma, decided by the naive
+    reference saturation of one fresh engine per probe: shrink each
+    member's LHS (largest path first), then drop every member the rest
+    implies.  Shares nothing with the session machinery under test."""
+    working = list(sigma)
+    for index in range(len(working)):
+        current = working[index]
+        for path in sorted(current.lhs, reverse=True):
+            candidate = current.with_lhs(current.lhs - {path})
+            if _reference_implies(schema, working, nonempty, candidate):
+                current = working[index] = candidate
+    index = 0
+    while index < len(working):
+        rest = working[:index] + working[index + 1:]
+        if _reference_implies(schema, rest, nonempty, working[index]):
+            del working[index]
+        else:
+            index += 1
+    return [nfd_to_fd(nfd) for nfd in working]
+
+
 def _check_preservation(seed: int, gated: bool) -> None:
     _, schema, sigma = _draw(seed)
     spec = NonEmptySpec.all_nonempty() if gated else None
-    for mode in ("session", "fresh"):
-        report = synthesize_design(schema, sigma, nonempty=spec,
-                                   mode=mode)
-        assert report.preserved == _brute_force_preserved(report), \
-            (seed, mode, report.to_text())
+    report = synthesize_design(schema, sigma, nonempty=spec)
+    assert report.preserved == _brute_force_preserved(report), \
+        (seed, report.to_text())
+    assert report.cover == _reference_cover(schema, sigma, spec), \
+        (seed, report.to_text())
 
 
 class TestRoundTrip:
@@ -146,8 +181,19 @@ class TestSweepDeterminism:
         assert serial.records == parallel.records
 
     def test_fresh_mode_matches_too(self):
-        serial = sweep_normalize(SWEEP_SIZE, jobs=1, seed=1,
-                                 mode="fresh")
-        parallel = sweep_normalize(SWEEP_SIZE, jobs=2, seed=1,
-                                   mode="fresh")
-        assert serial.to_text() == parallel.to_text()
+        """Fresh interpreters with different hash seeds print the same
+        sweep: no design decision depends on set iteration order."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(src)] + ([env["PYTHONPATH"]]
+                              if env.get("PYTHONPATH") else []))
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "normalize", "--sweep",
+                 str(SWEEP_SIZE), "--seed", "1"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

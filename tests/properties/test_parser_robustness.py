@@ -66,7 +66,7 @@ class TestUnicodeLabels:
     def test_unicode_nfd_end_to_end(self):
         from repro.inference import ClosureEngine
         from repro.values import Instance
-        from repro.nfd import satisfies_fast
+        from repro.nfd import ValidatorEngine
 
         schema = parse_schema("Curso = {<número: string, años: int>}")
         sigma = [parse_nfd("Curso:[número -> años]")]
@@ -76,4 +76,4 @@ class TestUnicodeLabels:
             {"número": "a", "años": 1},
             {"número": "a", "años": 2},
         ]})
-        assert not satisfies_fast(instance, sigma[0])
+        assert not ValidatorEngine(instance.schema, [sigma[0]]).check(instance)

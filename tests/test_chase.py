@@ -17,7 +17,7 @@ from repro.errors import InferenceError
 from repro.generators import random_instance, random_schema, random_sigma
 from repro.generators import workloads
 from repro.inference import FD, fd_implies
-from repro.nfd import parse_nfds, satisfies_all_fast
+from repro.nfd import ValidatorEngine, parse_nfds
 from repro.values import Atom, check_instance, from_python
 
 
@@ -125,7 +125,7 @@ class TestRepair:
         ]})
         fixed = repair(broken, schema_sigma)
         check_instance(fixed)
-        assert satisfies_all_fast(fixed, schema_sigma)
+        assert ValidatorEngine(fixed.schema, schema_sigma).check(fixed)
         # the two clashing rows merged
         assert len(fixed.relation("R")) == 2
 
@@ -139,10 +139,10 @@ class TestRepair:
              "students": [{"sid": 1, "age": 21, "grade": "A"}],  # age!
              "books": [{"isbn": 7, "title": "Y"}]},              # title!
         ])
-        assert not satisfies_all_fast(broken, sigma)
+        assert not ValidatorEngine(broken.schema, sigma).check(broken)
         fixed = repair(broken, sigma)
         check_instance(fixed)
-        assert satisfies_all_fast(fixed, sigma)
+        assert ValidatorEngine(fixed.schema, sigma).check(fixed)
 
     def test_already_satisfying_is_identity(self):
         sigma = workloads.course_sigma()
@@ -158,7 +158,8 @@ class TestRepair:
             instance = random_instance(rng, schema, tuples=3, domain=2)
             fixed = repair(instance, sigma)
             check_instance(fixed)
-            assert satisfies_all_fast(fixed, sigma), (sigma, instance)
+            assert ValidatorEngine(schema, sigma).check(fixed), \
+                (sigma, instance)
 
     def test_repair_is_idempotent(self):
         rng = random.Random(10)

@@ -8,7 +8,7 @@ from repro.cli import main
 from repro.generators import workloads
 from repro.inference import ClosureEngine
 from repro.io import dump_bundle, load_bundle
-from repro.nfd import parse_nfd, satisfies_all_fast
+from repro.nfd import ValidatorEngine, parse_nfd
 from repro.paths import parse_path
 
 
@@ -151,7 +151,7 @@ class TestCounter:
                      "-o", str(out_path)]) == 0
         schema, sigma, witness = load_bundle(out_path.read_text())
         assert witness is not None
-        assert satisfies_all_fast(witness, sigma)
+        assert ValidatorEngine(witness.schema, sigma).check(witness)
 
     def test_implied_has_no_countermodel(self, course_bundle, capsys):
         assert main(["counter", course_bundle,
@@ -171,7 +171,7 @@ class TestRenderKeysRepair:
         out_path = tmp_path / "fixed.json"
         assert main(["repair", broken_bundle, "-o", str(out_path)]) == 0
         schema, sigma, fixed = load_bundle(out_path.read_text())
-        assert satisfies_all_fast(fixed, sigma)
+        assert ValidatorEngine(fixed.schema, sigma).check(fixed)
 
     def test_repair_in_place_unchanged(self, course_bundle, capsys):
         assert main(["repair", course_bundle]) == 0

@@ -144,6 +144,13 @@ TABLE = [
     ("normalize-bad-sweep", ["normalize", "--sweep", "0"], 2),
     ("normalize-bad-relation", ["normalize", "{good}",
                                 "--relation", "NoSuchRel"], 2),
+    # --sweep generates its own schemas: bundle inputs would be ignored
+    ("normalize-sweep-with-bundle", ["normalize", "{good}",
+                                     "--sweep", "2"], 2),
+    ("normalize-sweep-with-relation", ["normalize", "--sweep", "2",
+                                       "--relation", "Nope"], 2),
+    ("normalize-sweep-with-nonempty", ["normalize", "--sweep", "2",
+                                       "--nonempty", "R"], 2),
     # -- serve / client error paths -----------------------------------
     ("serve-bad-inflight", ["serve", "--max-inflight", "0"], 2),
     ("serve-bad-port", ["serve", "--port", "99999"], 2),
@@ -220,6 +227,65 @@ def test_stream_rejects_ill_typed_element(case, value, mode, extra,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 2" in captured.err
+
+
+# -- a full disk while spilling means the run could not finish --------
+
+#: (case id, spill file the failing write targets, which write of that
+#: file kind fails).  Every spill writes its witness elements to the
+#: sidecar before the run chunk that points at them.
+FULL_DISK = [("sidecar-first-write", "elems-", 1),
+             ("run-later-write", "run-", 3)]
+
+
+@pytest.mark.parametrize(("mode", "extra"), STREAM_MODES,
+                         ids=[row[0] for row in STREAM_MODES])
+@pytest.mark.parametrize(("case", "prefix", "failing"), FULL_DISK,
+                         ids=[row[0] for row in FULL_DISK])
+def test_stream_full_disk_exits_2(case, prefix, failing, mode, extra,
+                                  tmp_path, monkeypatch, capsys):
+    """ENOSPC on a spill write ends every ``check --stream`` path in one
+    ``error:`` line and exit 2 — not exit 1 ("violations found") with a
+    traceback — and leaves ``<cache-dir>/tmp`` empty."""
+    import errno
+    import os
+    import pickle
+    import random
+
+    from repro.io.stream import dump_jsonl, iter_set_elements
+
+    instance = workloads.scaled_course_instance(
+        random.Random(7), courses=120, students_per_course=2,
+        books_per_course=1)
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(dump_bundle(workloads.course_schema(),
+                                  workloads.course_sigma()))
+    stream = tmp_path / "course.jsonl"
+    dump_jsonl(stream, iter_set_elements(instance.relation("Course")))
+    cache = tmp_path / "cache"
+    real_dump = pickle.dump
+    writes = []
+
+    def full_disk_dump(obj, file, *args, **kwargs):
+        if os.path.basename(getattr(file, "name", "")).startswith(prefix):
+            writes.append(file.name)
+            if len(writes) == failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_dump(obj, file, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dump", full_disk_dump)
+    argv = ["check", str(bundle), "--stream", str(stream),
+            "--max-rows", "20", "--cache-dir", str(cache)] + [
+        arg.format(cache=cache) for arg in extra]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert len(writes) == failing
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: cannot write spill files under ")
+    assert str(cache / "tmp") in line
+    assert os.listdir(cache / "tmp") == []
 
 
 # -- the --server passthrough mirrors in-process codes exactly ---------

@@ -24,12 +24,15 @@ from repro.errors import InferenceError
 from repro.inference import FD, NonEmptySpec
 from repro.io import dump_bundle
 from repro.generators import workloads
-from repro.nfd import parse_nfd, satisfies_all_fast
+from repro.nfd import ValidatorEngine, parse_nfd
 from repro.types import SetType, parse_schema
 from repro.values import Instance
 from repro.values.restructure import flatten_type, flatten_value
 
-from .properties.test_design_synthesize import _brute_force_preserved
+from .properties.test_design_synthesize import (
+    _brute_force_preserved,
+    _reference_cover,
+)
 
 
 ENROLL = "Enroll = {<cnum: string, time: int, sid: int, grade: string>}"
@@ -68,24 +71,21 @@ class TestSynthesizeEnroll:
         assert not report.projection_preserved
 
     def test_modes_agree(self):
+        # the session-backed cover equals the drop-one cover computed
+        # by the naive reference saturation, and the design built on it
+        # nests the partial dependency and preserves Sigma
         schema, sigma = _enroll()
-        by_mode = {
-            mode: synthesize_design(schema, sigma, mode=mode)
-            for mode in ("session", "fresh")
-        }
-        assert by_mode["session"].plan.steps == \
-            by_mode["fresh"].plan.steps
-        assert by_mode["session"].preserved == \
-            by_mode["fresh"].preserved
+        report = synthesize_design(schema, sigma)
+        assert report.cover == _reference_cover(schema, sigma)
+        assert report.steps == 1
+        assert report.preserved
 
     def test_strategies_agree(self):
         # the preservation verdict equals its re-derivation by the
-        # naive reference saturation, in both modes
+        # naive reference saturation
         schema, sigma = _enroll()
-        for mode in ("session", "fresh"):
-            report = synthesize_design(schema, sigma, mode=mode)
-            assert report.preserved == _brute_force_preserved(report), \
-                mode
+        report = synthesize_design(schema, sigma)
+        assert report.preserved == _brute_force_preserved(report)
 
     def test_gated_semantics(self):
         schema, sigma = _enroll()
@@ -145,10 +145,18 @@ class TestSynthesizeNested:
             schema, sigma + [parse_nfd("S:[c -> d]")], "R")
         assert foreign.foreign == 1
 
-    def test_bad_mode_rejected(self):
+    def test_bad_mode_rejected(self, tmp_path, capsys):
+        # synthesis has one inference backing: no mode parameter, and
+        # no --mode flag on the CLI
         schema, sigma = _enroll()
-        with pytest.raises(InferenceError):
-            synthesize_design(schema, sigma, mode="telepathy")
+        with pytest.raises(TypeError):
+            synthesize_design(schema, sigma, mode="session")
+        bundle = tmp_path / "enroll.json"
+        bundle.write_text(dump_bundle(schema, sigma))
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", str(bundle), "--mode", "session"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestCandidatePlans:
@@ -196,8 +204,8 @@ class TestFlatten:
             {"cnum": "db", "time": 1, "sid": 2, "grade": "B"},
         ]})
         nested = report.plan.apply_instance(flat)
-        assert satisfies_all_fast(nested,
-                                  report.plan_report.all_nfds())
+        assert ValidatorEngine(nested.schema,
+                               report.plan_report.all_nfds()).check(nested)
 
 
 class TestCarryoverUnnest:
@@ -310,6 +318,21 @@ class TestNormalizeCLI:
 
     def test_no_input_is_usage_error(self, capsys):
         assert main(["normalize"]) == 2
+
+    @pytest.mark.parametrize(("extra", "named"), [
+        (["{bundle}"], "the bundle argument"),
+        (["--relation", "Enroll"], "--relation"),
+        (["--nonempty", "Enroll"], "--nonempty")],
+        ids=["bundle", "relation", "nonempty"])
+    def test_sweep_refuses_bundle_inputs(self, enroll_bundle, extra,
+                                         named, capsys):
+        argv = ["normalize", "--sweep", "2"] + [
+            arg.format(bundle=enroll_bundle) for arg in extra]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: --sweep ") and named in line
 
 
 class TestAnalyzeStrategyRegression:

@@ -14,7 +14,7 @@ from repro.generators import (
     random_sigma,
     workloads,
 )
-from repro.nfd import satisfies_all_fast
+from repro.nfd import ValidatorEngine
 from repro.paths import parse_path
 from repro.types import check_no_repeated_labels
 from repro.values import check_instance, has_empty_sets, instance_conforms
@@ -102,7 +102,7 @@ class TestRandomInstances:
         instance = random_satisfying_instance(rng, schema, sigma,
                                               tuples=2, domain=3)
         if instance is not None:
-            assert satisfies_all_fast(instance, sigma)
+            assert ValidatorEngine(instance.schema, sigma).check(instance)
 
 
 class TestWorkloadCatalogue:
@@ -124,7 +124,7 @@ class TestWorkloadCatalogue:
         check_instance(instance)
         for nfd in sigma:
             nfd.check_well_formed(schema)
-        assert satisfies_all_fast(instance, sigma)
+        assert ValidatorEngine(instance.schema, sigma).check(instance)
 
     def test_scaled_course_instance(self):
         rng = random.Random(14)
@@ -132,7 +132,8 @@ class TestWorkloadCatalogue:
                                                     students_per_course=5)
         check_instance(instance)
         assert len(instance.relation("Course")) == 10
-        assert satisfies_all_fast(instance, workloads.course_sigma())
+        assert ValidatorEngine(instance.schema,
+                               workloads.course_sigma()).check(instance)
 
     def test_paper_fixture_shapes(self):
         assert len(workloads.figure1_instance().relation("R")) == 2

@@ -8,7 +8,7 @@ from repro.errors import InstanceError
 from repro.generators import random_instance, random_schema, random_sigma
 from repro.generators import workloads
 from repro.incremental import IncrementalChecker
-from repro.nfd import parse_nfd, parse_nfds, satisfies_all_fast
+from repro.nfd import ValidatorEngine, parse_nfd, parse_nfds
 from repro.types import parse_schema
 
 
@@ -130,6 +130,7 @@ class TestAgreementWithBatchChecker:
                                    set_probability=0.5)
             sigma = random_sigma(rng, schema, count=rng.randint(1, 3))
             checker = IncrementalChecker(schema, sigma)
+            engine = ValidatorEngine(schema, sigma)
             relation = schema.relation_names[0]
             pool = [
                 next(iter(random_instance(rng, schema, tuples=1,
@@ -147,7 +148,7 @@ class TestAgreementWithBatchChecker:
                     if row not in present:
                         present.append(row)
                     checker.insert(relation, row)
-                batch = satisfies_all_fast(checker.to_instance(), sigma)
+                batch = engine.check(checker.to_instance())
                 assert checker.is_consistent() == batch, \
                     (sigma, present, checker.conflicts())
 

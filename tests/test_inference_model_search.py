@@ -5,7 +5,7 @@ import random
 from repro.generators import workloads
 from repro.inference import search_countermodel, \
     semantic_implication_verdict
-from repro.nfd import parse_nfd, satisfies_all_fast, satisfies_fast
+from repro.nfd import parse_nfd, satisfies, satisfies_all
 from repro.types import parse_schema
 
 
@@ -17,8 +17,8 @@ class TestSearchCountermodel:
         rng = random.Random(1)
         witness = search_countermodel(schema, sigma, candidate, rng)
         assert witness is not None
-        assert satisfies_all_fast(witness, sigma)
-        assert not satisfies_fast(witness, candidate)
+        assert satisfies_all(witness, sigma)
+        assert not satisfies(witness, candidate)
 
     def test_none_for_implication(self):
         schema = parse_schema("R = {<A, B, C>}")
@@ -47,5 +47,5 @@ class TestSearchCountermodel:
         witness = search_countermodel(schema, sigma, candidate,
                                       random.Random(5))
         assert witness is not None
-        assert satisfies_all_fast(witness, sigma)
-        assert not satisfies_fast(witness, candidate)
+        assert satisfies_all(witness, sigma)
+        assert not satisfies(witness, candidate)

@@ -25,7 +25,6 @@ class TestValidate:
         assert bool(result) is True
         assert result.violations == ()
         assert engine.check(course_instance) is True
-        assert engine.satisfies_all(course_instance) is True
 
     def test_broken_instance_reports_each_failed_nfd(self):
         schema = parse_schema("R = {<A, B, C>}")

@@ -426,6 +426,84 @@ class TestElementStore:
             assert violation.element1.is_record()
 
 
+class TestTornSpillFiles:
+    """A spill file damaged between ``consume`` and ``finalize`` is a
+    :class:`~repro.errors.StreamError`, never a result: a run torn at a
+    chunk boundary would otherwise read as a shorter valid run and drop
+    the groups that violate."""
+
+    CONFLICTS = 11
+
+    def _consumed(self, validator):
+        import random
+        from repro.generators import workloads
+        elements = list(workloads.scaled_course_instance(
+            random.Random(5), courses=200, students_per_course=2,
+            books_per_course=1).relation("Course"))
+        elements += [element.replace("time", Atom(-1))
+                     for element in elements[:self.CONFLICTS]]
+        validator.consume("Course", elements)
+        assert validator.stats.spills >= 1
+
+    def _validator(self, spill, course_schema, course_sigma):
+        from repro.nfd import StreamValidator
+        return StreamValidator(course_schema, course_sigma,
+                               budget=ResourceBudget(max_resident_rows=20),
+                               spill_dir=str(spill))
+
+    def test_intact_spill_files_find_every_conflict(
+            self, tmp_path, course_schema, course_sigma):
+        with self._validator(tmp_path, course_schema,
+                             course_sigma) as validator:
+            self._consumed(validator)
+            result = validator.finalize()
+        clashes = [v for v in result.violations
+                   if str(v.nfd) == "Course:[cnum -> time]"]
+        assert len(clashes) == self.CONFLICTS
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_torn_at_chunk_boundary_raises(
+            self, tmp_path, course_schema, course_sigma):
+        import pickle
+        from repro.errors import StreamError
+        with self._validator(tmp_path, course_schema,
+                             course_sigma) as validator:
+            self._consumed(validator)
+            runs = sorted(tmp_path.glob("run-*.pkl"))
+            assert runs
+            for run in runs:
+                # cut each run back to where its last chunk starts: a
+                # clean pickle boundary, so only the count can tell
+                with open(run, "rb") as handle:
+                    starts = []
+                    while True:
+                        offset = handle.tell()
+                        try:
+                            pickle.load(handle)
+                        except EOFError:
+                            break
+                        starts.append(offset)
+                with open(run, "r+b") as handle:
+                    handle.truncate(starts[-1])
+            with pytest.raises(StreamError, match="spill run"):
+                validator.finalize()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_truncated_sidecar_raises(self, tmp_path, course_schema,
+                                      course_sigma):
+        from repro.errors import StreamError
+        with self._validator(tmp_path, course_schema,
+                             course_sigma) as validator:
+            self._consumed(validator)
+            [sidecar] = tmp_path.glob("elems-*.dat")
+            validator._elem_store.end_event()
+            with open(sidecar, "r+b") as handle:
+                handle.truncate(1)
+            with pytest.raises(StreamError, match="sidecar"):
+                validator.finalize()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNoNumpy:
     """The streaming engine is pure stdlib: a spilling ``check
     --stream`` run, plain and sharded, never imports numpy."""
