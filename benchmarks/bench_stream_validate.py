@@ -40,6 +40,18 @@ BUDGET_ROWS = 500
 #: antecedent keys than the budget admits resident rows.
 SCALE_FACTOR = 10
 
+#: The exact work counts of the gate workload: they depend only on the
+#: seeded instance, Σ and the budget, never on the host, so the gate
+#: holds them to the row.
+WORK_COUNTS = {
+    "rows_emitted": 5000,
+    "spills": 9,
+    "rows_spilled": 4500,
+    "runs_written": 18,
+    "runs_merged": 18,
+    "groups_merged": 5000,
+}
+
 
 def _workload():
     """A Course workload whose root NFDs emit >= 10x the budget in
@@ -88,6 +100,9 @@ def test_bounded_memory_gate(gate_metrics):
     assert stats.spills >= 1 and stats.rows_spilled > 0
     assert [v.describe() for v in result.violations] == \
         [v.describe() for v in reference.violations]
+    counts = {name: getattr(stats, name) for name in WORK_COUNTS}
+    assert counts == WORK_COUNTS, (
+        f"work counts moved: {counts} != {WORK_COUNTS}")
 
     gate_metrics.gauge("stream.budget_rows").set(BUDGET_ROWS)
     gate_metrics.gauge("stream.distinct_keys").set(distinct)
@@ -96,6 +111,9 @@ def test_bounded_memory_gate(gate_metrics):
     gate_metrics.gauge("stream.spills").set(stats.spills)
     gate_metrics.gauge("stream.rows_spilled").set(stats.rows_spilled)
     gate_metrics.gauge("stream.bytes_spilled").set(stats.bytes_spilled)
+    for name in ("rows_emitted", "runs_written", "runs_merged",
+                 "groups_merged"):
+        gate_metrics.gauge(f"stream.{name}").set(getattr(stats, name))
 
 
 def test_cross_shard_conflict_gate(gate_metrics):

@@ -415,7 +415,8 @@ def _cmd_check_stream(args) -> int:
                                 cache_dir=store.cache_dir
                                 if store is not None else None)
     else:
-        reader = iter_jsonl_elements(args.stream, schema, relation)
+        reader = iter_jsonl_elements(args.stream, schema, relation,
+                                     values=False)
         result = stream_validate(schema, streamed, {relation: reader},
                                  budget=budget, tracer=tracer,
                                  spill_root=spill_root, store=store)

@@ -15,13 +15,23 @@ element type, and an empty stream all raise
 number — never a raw ``json.JSONDecodeError`` or ``KeyError`` — so a
 failure in a multi-gigabyte dump points at the exact record.
 
-Each line is decoded by a decoder compiled once per relation type
-(:func:`_compile_decoder`): one walk over the parsed JSON both checks the
-element against its type — base types (a JSON ``true`` is not an
-``int``, ``1.0`` is not one either), missing and extra record fields —
-and builds the value tree directly, so streamed data is held to the
-same typing the in-memory ``check`` enforces through
-:func:`~repro.values.typecheck.check_instance`.
+Lines are the byte runs between ``\n`` bytes of the binary file — one
+line model for the reader, :func:`count_stream_lines`,
+:func:`plan_shards` and the incremental checkpoint's watermark scan — and
+each is decoded as strict UTF-8 before :func:`json.loads`, so a ``\r``
+is JSON whitespace inside its line and an invalid byte is a typed error
+naming the line.
+
+Each parsed line is checked by a checker compiled once per relation
+type (:func:`_compile_checker`): one walk over the parsed JSON holds the
+element to its type — base types (a JSON ``true`` is not an ``int``,
+``1.0`` is not one either), missing and extra record fields — the same
+typing the in-memory ``check`` enforces through
+:func:`~repro.values.typecheck.check_instance`.  The reader then yields
+either the element's value tree (:func:`~repro.values.value.value_of_json`)
+or, with ``values=False``, the checked JSON itself: the form
+:mod:`repro.nfd.stream_validate` binds, building value trees only for
+the elements a witness prints.
 
 Sharding support: :func:`plan_shards` splits one file into *contiguous*
 line ranges (order-preserving, so a sharded run sees the same element
@@ -40,7 +50,7 @@ from ..errors import StreamError, ValueError_
 from ..types.base import BaseType, SetType, Type
 from ..types.schema import Schema
 from ..values.build import to_python
-from ..values.value import Atom, Record, SetValue, Value
+from ..values.value import SetValue, Value, value_of_json
 
 __all__ = [
     "iter_jsonl_elements",
@@ -65,56 +75,39 @@ def _shown(data) -> str:
     return f"{type(data).__name__} {data!r}"
 
 
-def _compile_decoder(value_type: Type, where: str):
-    """A function from parsed JSON to the :class:`Value` of *value_type*.
+def _compile_checker(value_type: Type, where: str):
+    """A function that checks parsed JSON against *value_type*.
 
-    The decoder checks while it builds, in one walk: an atom's Python
-    type must be exactly its base type's (``bool`` is not ``int``, and
-    there is no float base type, so ``1.0`` and NaN never pass), a
-    record must carry exactly its type's fields, and a set must be a
-    JSON array of its element type.  Values are built with
-    ``object.__new__`` and direct slot stores, as
-    :func:`~repro.values.value.thaw_value` does — the checks above are
-    stricter than the constructors' own.  A mismatch raises
+    An atom's Python type must be exactly its base type's (``bool`` is
+    not ``int``, and there is no float base type, so ``1.0`` and NaN
+    never pass), a record must carry exactly its type's fields, and a
+    set must be a JSON array of its element type.  A mismatch raises
     :class:`~repro.errors.ValueError_` naming the path below *where*.
-    Record fields keep the JSON object's order, as
-    :func:`~repro.values.build.from_python` keeps it.
     """
-    new = object.__new__
-    store = object.__setattr__
     if isinstance(value_type, BaseType):
         expected = _PYTHON_BASE[value_type.name]
-        name = expected.__name__
 
-        def decode_atom(data):
+        def check_atom(data):
             if type(data) is not expected:
                 raise ValueError_(f"{where}: expected {value_type}, got "
                                   f"{_shown(data)}")
-            atom = new(Atom)
-            store(atom, "value", data)
-            store(atom, "_hash", hash(("Atom", name, data)))
-            return atom
-        return decode_atom
+        return check_atom
     if isinstance(value_type, SetType):
-        decode_element = _compile_decoder(value_type.element, f"{where}[]")
+        check_element = _compile_checker(value_type.element, f"{where}[]")
 
-        def decode_set(data):
+        def check_set(data):
             if type(data) is not list:
                 raise ValueError_(f"{where}: expected a set of type "
                                   f"{value_type}, got {_shown(data)}")
-            elements = frozenset([decode_element(item) for item in data])
-            set_value = new(SetValue)
-            store(set_value, "elements", elements)
-            store(set_value, "_hash", hash(("SetValue", elements)))
-            store(set_value, "_sorted", None)
-            return set_value
-        return decode_set
+            for item in data:
+                check_element(item)
+        return check_set
     # the remaining kind of type: a record
-    fields = {label: _compile_decoder(sub, f"{where}.{label}")
+    fields = {label: _compile_checker(sub, f"{where}.{label}")
               for label, sub in value_type.fields}
     labels = fields.keys()
 
-    def decode_record(data):
+    def check_record(data):
         if type(data) is not dict:
             raise ValueError_(f"{where}: expected a record of type "
                               f"{value_type}, got {_shown(data)}")
@@ -127,67 +120,78 @@ def _compile_decoder(value_type: Type, where: str):
             if extra:
                 parts.append(f"unexpected fields {', '.join(sorted(extra))}")
             raise ValueError_(f"{where}: {'; '.join(parts)}")
-        pairs = tuple([(label, fields[label](sub))
-                       for label, sub in data.items()])
-        record = new(Record)
-        store(record, "fields", pairs)
-        store(record, "_by_label", dict(pairs))
-        store(record, "_hash", hash(("Record", frozenset(pairs))))
-        return record
-    return decode_record
+        for label, sub in data.items():
+            fields[label](sub)
+    return check_record
+
+
+def _open_stream(path, label: str):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise StreamError(f"cannot read stream {label!r}: {exc}") \
+            from exc
+
+
+def _parse_line(line: bytes, label: str, number: int):
+    """The parsed JSON of one physical line, or a typed error."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StreamError(
+            f"{label}: line {number}: invalid UTF-8 byte "
+            f"0x{line[exc.start]:02x} at column {exc.start + 1}",
+            line=number) from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StreamError(
+            f"{label}: line {number}: truncated or malformed "
+            f"JSON element: {exc.msg}", line=number) from exc
 
 
 def iter_jsonl_elements(path, schema: Schema, relation: str, *,
                         start: int = 0, stop: int | None = None,
-                        require_elements: bool = True) \
-        -> Iterator[Record]:
+                        require_elements: bool = True,
+                        values: bool = True) -> Iterator:
     """Stream the elements of one relation from a JSONL file.
 
     Each non-blank line must hold one JSON object conforming to
     *relation*'s element type (checked as strictly as the in-memory
-    ``check`` does — see :func:`_compile_decoder`); elements are yielded
-    in file order, one at a time, so memory stays bounded by a single
-    element.
+    ``check`` does — see :func:`_compile_checker`); elements are
+    yielded in file order, one at a time, so memory stays bounded by a
+    single element — as :class:`~repro.values.value.Record` values, or
+    with ``values=False`` as the checked JSON objects themselves.
 
     ``start``/``stop`` restrict the scan to physical lines
     ``start < n <= stop`` (the half-open ranges :func:`plan_shards`
     produces).  Blank lines are skipped.
 
-    :raises StreamError: for an unreadable file, a truncated/malformed
-        JSON line, a type-mismatched element (always naming the 1-based
-        line number), or — unless ``require_elements=False`` (shard
-        ranges may legitimately be empty) — a stream with no elements
-        at all.
+    :raises StreamError: for an unreadable file, invalid UTF-8, a
+        truncated/malformed JSON line, a type-mismatched element
+        (always naming the 1-based line number), or — unless
+        ``require_elements=False`` (shard ranges may legitimately be
+        empty) — a stream with no elements at all.
     """
-    decode = _compile_decoder(schema.element_type(relation), relation)
+    check = _compile_checker(schema.element_type(relation), relation)
     label = os.fspath(path)
     yielded = 0
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise StreamError(f"cannot read stream {label!r}: {exc}") \
-            from exc
-    with handle:
+    with _open_stream(path, label) as handle:
         for number, line in enumerate(handle, start=1):
             if stop is not None and number > stop:
                 break
             if number <= start or not line.strip():
                 continue
+            data = _parse_line(line, label, number)
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamError(
-                    f"{label}: line {number}: truncated or malformed "
-                    f"JSON element: {exc.msg}", line=number) from exc
-            try:
-                element = decode(data)
+                check(data)
             except ValueError_ as exc:
                 raise StreamError(
                     f"{label}: line {number}: element does not conform "
                     f"to the {relation!r} element type: {exc}",
                     line=number) from exc
             yielded += 1
-            yield element
+            yield value_of_json(data) if values else data
     if require_elements and yielded == 0:
         raise StreamError(
             f"{label}: line 1: empty stream (no {relation!r} elements)",
@@ -228,16 +232,11 @@ def dump_jsonl(path, elements: Iterable[Any]) -> int:
 
 
 def count_stream_lines(path) -> tuple[int, int]:
-    """``(physical lines, non-blank data lines)`` of a JSONL file."""
+    """``(physical lines, non-blank data lines)`` of a JSONL file, in the
+    reader's line model (lines end at ``\n`` bytes)."""
     total = 0
     data = 0
-    label = os.fspath(path)
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise StreamError(f"cannot read stream {label!r}: {exc}") \
-            from exc
-    with handle:
+    with _open_stream(path, os.fspath(path)) as handle:
         for line in handle:
             total += 1
             if line.strip():

@@ -17,56 +17,75 @@ arbitrary pairs of top-level elements, so their group state is
 inherently cross-element.  Each element's ``(antecedent key, RHS)``
 bindings are folded into a per-NFD **aggregate** per key::
 
-    [key, first_seq, first_rhs, first_elem,
+    [key, first_seq, first_rhs_bytes, first_rhs, first_elem,
           clash_seq, clash_rhs, clash_elem]
 
 ``first`` is the earliest binding for the key (by emission sequence),
 ``clash`` the earliest binding whose RHS differs from ``first_rhs`` —
 exactly the witness the in-memory exhaustive walk reports for the key.
-The aggregate is a constant-size exact summary, and merging two
-aggregates of disjoint binding sets is again exact (the earliest
-differing binding of the union is always among the four retained
-bindings), so aggregates can be spilled, re-read, and merged in any
-grouping without changing the final witnesses.
+Keys, RHS values and elements are the plain JSON data the binding read
+(``first_rhs_bytes`` is the RHS's canonical encoding, which the RHS
+comparisons use).  The aggregate is a constant-size exact summary, and
+merging two aggregates of disjoint binding sets is again exact (the
+earliest differing binding of the union is always among the four
+retained bindings), so aggregates can be spilled, re-read, and merged in
+any grouping without changing the final witnesses.
 
 *Nested-anchored* NFDs only ever relate bindings inside a single
 top-level element, so they need no cross-element state at all: each
-element is walked with the batch engine's own scope-tree walk, masked
-to the nested plans, and witnesses fall out immediately.
+element's base sets are checked for a conflict, and only an element that
+holds one is re-walked with the batch engine's own scope-tree walk,
+masked to the nested plans, where its witnesses fall out.
+
+The hot path
+------------
+
+There is one consume loop and no switches.  It binds Σ's plans straight
+over the parsed JSON of each element — dicts, lists and scalars, already
+type-checked by :func:`repro.io.stream.iter_jsonl_elements`; a
+:class:`~repro.values.value.Value` element from an in-memory source is
+converted once with :func:`~repro.values.build.to_python` — and encodes
+keys and RHS values from the scalars, through an always-on
+:class:`~repro.values.canonical.InternPool` whose hit/miss counters land
+in :class:`StreamStats`.  Group tables are plain dicts keyed by
+canonical key bytes (:func:`~repro.values.canonical.canonical_json_bytes`
+equals the value encoding byte for byte).  Binding is batched per
+element: each element's branch rows are materialized once, and every
+root plan's distinct ``(key, RHS)`` pairs are folded in one loop.
+
+Value trees are built (:func:`~repro.values.value.value_of_json`) only
+for what a witness prints and for the few elements whose witnesses
+depend on set iteration order — the in-memory engine iterates a set
+deduplicated and sorted by ``repr``, the JSON walk in file order:
+
+* an element that binds one key to two or more distinct RHS values in a
+  root plan — or repeats the value of a set-valued path below a
+  traversed set, which two equal sets may spell apart — is bound
+  through :class:`ValidatorEngine`'s own binder;
+* two clashes one element produces in one root plan are put in that
+  element's value-order emission at :meth:`StreamValidator.finalize`;
+* an element whose nested base sets hold a conflict is re-walked by
+  ``ValidatorEngine._walk_scope``, which numbers its base sets itself.
+
+``StreamStats.witness_elements_built`` counts these trees.
 
 Spill format
 ------------
 
 When the budget's ``max_resident_rows`` would be exceeded, every group
-table is frozen into a sorted **run**: aggregates ordered by the
-injective :func:`~repro.values.canonical.canonical_bytes` encoding of
-their keys (``repr`` would not do — record equality ignores field
-order), written as a stream of pickled *chunks* — lists of
+table is frozen into a sorted **run**: aggregates ordered by their
+canonical key bytes (``repr`` would not do — record equality ignores
+field order), written as a stream of pickled *chunks* — lists of
 ``(key_bytes, aggregate)`` pairs (``_SPILL_CHUNK`` pairs per pickle
 frame, so the pickler's memo deduplicates values shared across a chunk
-and the per-item call overhead amortizes).  Aggregates are frozen to
-scalar/tuple trees (:func:`~repro.values.value.freeze_value`) before
-pickling and thawed on read, which skips the per-node ``__reduce__``
-dispatch and validating-constructor re-walk of pickled Value objects;
-witness elements go to a sidecar (:class:`_ElementStore`) and are read
-back only for groups that violate.  A run's pair count is kept beside
-its path and checked on read.  The final merge is a k-way
-:func:`heapq.merge` over the runs plus the resident table, folding
-equal-key aggregates with :func:`_merge_agg` — hash-grouping below
-budget and external sort-merge above it produce byte-identical
-witnesses.
-
-The hot path
-------------
-
-There is one consume loop and no switches.  Group tables are plain
-dicts keyed by canonical key bytes.  Binding emission is batched per
-relation: each element's branch rows are materialized once, and every
-NFD sharing the base path folds its whole binding list in one pre-bound
-loop.  Keys are encoded through an always-on
-:class:`~repro.values.canonical.InternPool`, which caches the canonical
-encoding of every value seen and assembles keys in one reused scratch
-buffer; its hit/miss counters land in :class:`StreamStats`.
+and the per-item call overhead amortizes).  Aggregates are plain data
+and pickle natively; witness elements go to a sidecar
+(:class:`_ElementStore`) and are read back only for groups that violate.
+A run's pair count is kept beside its path and checked on read.  The
+final merge is a k-way :func:`heapq.merge` over the runs plus the
+resident table, folding equal-key aggregates with :func:`_merge_agg` —
+hash-grouping below budget and external sort-merge above it produce
+byte-identical witnesses.
 
 Sharding
 --------
@@ -101,14 +120,17 @@ import pickle
 import shutil
 import tempfile
 import time
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..errors import InstanceError, StreamError, ValueError_
+from ..errors import InstanceError, PathError, StreamError, ValueError_
+from ..paths.typing import resolve_base_path, type_at
+from ..types.base import SetType
 from ..types.schema import Schema
-from ..values.canonical import InternPool, canonical_key_bytes
-from ..values.value import freeze_value, thaw_value
-from .batch_validate import ValidatorEngine, _Run
+from ..values.build import to_python
+from ..values.canonical import InternPool
+from ..values.value import Value, freeze_value, value_of_json
+from .batch_validate import _UNDEFINED, ValidatorEngine, _Run
 from .nfd import NFD
 from .violations import Violation
 
@@ -185,20 +207,25 @@ class StreamStats:
     * ``groups_merged`` — distinct antecedent keys produced by merges;
     * ``intern_hits`` / ``intern_misses`` — canonical-encoding pool
       probes;
+    * ``witness_elements_built`` — value trees built from streamed JSON:
+      witness elements, and elements re-walked through the in-memory
+      engine's binder;
     * ``wall_time`` — seconds spent consuming and merging.
     """
 
     __slots__ = ("elements_seen", "rows_emitted", "peak_resident_rows",
                  "spills", "rows_spilled", "runs_written",
                  "bytes_spilled", "runs_merged", "groups_merged",
-                 "intern_hits", "intern_misses", "wall_time")
+                 "intern_hits", "intern_misses", "witness_elements_built",
+                 "wall_time")
 
     def __init__(self, elements_seen: int = 0, rows_emitted: int = 0,
                  peak_resident_rows: int = 0, spills: int = 0,
                  rows_spilled: int = 0, runs_written: int = 0,
                  bytes_spilled: int = 0, runs_merged: int = 0,
                  groups_merged: int = 0, intern_hits: int = 0,
-                 intern_misses: int = 0, wall_time: float = 0.0):
+                 intern_misses: int = 0, witness_elements_built: int = 0,
+                 wall_time: float = 0.0):
         self.elements_seen = elements_seen
         self.rows_emitted = rows_emitted
         self.peak_resident_rows = peak_resident_rows
@@ -210,6 +237,7 @@ class StreamStats:
         self.groups_merged = groups_merged
         self.intern_hits = intern_hits
         self.intern_misses = intern_misses
+        self.witness_elements_built = witness_elements_built
         self.wall_time = wall_time
 
     def as_dict(self) -> dict:
@@ -248,6 +276,7 @@ class StreamStats:
             f"groups merged: {self.groups_merged}",
             f"  intern hits: {self.intern_hits}  "
             f"intern misses: {self.intern_misses}",
+            f"  witness elements built: {self.witness_elements_built}",
             f"  stream wall time: {self.wall_time:.6f}s",
         ])
 
@@ -313,16 +342,16 @@ def _merge_agg(a: list, b: list) -> list:
     if b[1] < a[1]:
         a, b = b, a
     candidates = []
-    if a[4] is not None:
-        candidates.append((a[4], a[5], a[6]))
+    if a[5] is not None:
+        candidates.append((a[5], a[6], a[7]))
     if b[2] != a[2]:
-        candidates.append((b[1], b[2], b[3]))
-    elif b[4] is not None:
-        candidates.append((b[4], b[5], b[6]))
+        candidates.append((b[1], b[3], b[4]))
+    elif b[5] is not None:
+        candidates.append((b[5], b[6], b[7]))
     if candidates:
         clash = min(candidates, key=lambda c: c[0])
-        return [a[0], a[1], a[2], a[3], clash[0], clash[1], clash[2]]
-    return [a[0], a[1], a[2], a[3], None, None, None]
+        return [a[0], a[1], a[2], a[3], a[4], clash[0], clash[1], clash[2]]
+    return [a[0], a[1], a[2], a[3], a[4], None, None, None]
 
 
 def _fold_prior(index: int, chunk: list, prior) -> list:
@@ -340,9 +369,40 @@ def _fold_prior(index: int, chunk: list, prior) -> list:
             rows.append((key_bytes, agg))
             continue
         merged = _merge_agg(old, agg)
-        if merged[1] != old[1] or merged[4] != old[4]:
+        if merged[1] != old[1] or merged[5] != old[5]:
             rows.append((key_bytes, merged))
     return rows
+
+
+def _frozen_of_json(data):
+    """The :func:`~repro.values.value.freeze_value` form of the value
+    plain JSON *data* decodes to — what checkpoints store."""
+    kind = type(data)
+    if kind is dict:
+        return ("R", tuple([(label, _frozen_of_json(sub))
+                            for label, sub in data.items()]))
+    if kind is list:
+        return ("S", tuple([_frozen_of_json(item) for item in data]))
+    return data
+
+
+def _json_of_frozen(frozen):
+    """Plain JSON data decoding to the value *frozen* stands for."""
+    if type(frozen) is not tuple:
+        return frozen
+    tag, payload = frozen
+    if tag == "R":
+        return {label: _json_of_frozen(sub) for label, sub in payload}
+    return [_json_of_frozen(item) for item in payload]
+
+
+def checkpoint_aggregate(agg: list, first_elem, clash_elem) -> list:
+    """An aggregate's checkpoint form: key and RHS values frozen, the
+    witness slots replaced by the given element ids (see
+    :mod:`repro.store.stream_cache`)."""
+    return [tuple([_frozen_of_json(part) for part in agg[0]]), agg[1],
+            _frozen_of_json(agg[3]), first_elem, agg[5],
+            _frozen_of_json(agg[6]), clash_elem]
 
 
 class _GroupTable:
@@ -359,20 +419,22 @@ class _GroupTable:
 
 
 class _ElementStore:
-    """Append-only sidecar of frozen witness elements with lazy point
-    reads.
+    """Append-only sidecar of witness elements with lazy point reads.
 
     Witness elements are by far the heaviest payload of a spilled
-    aggregate (a whole top-level record tree against a handful of key
-    atoms), yet they are only ever *read back* for the rare groups that
-    actually violate.  A spill therefore writes each
-    element once into this store — deduplicated by object identity
-    within a spill event, since one element is often the first-seen
-    witness of several tables' aggregates — and spills a tiny
-    ``("@", store_path, offset)`` ref in its place.  Refs survive
-    merges, summary files, and the driver's absorb untouched;
-    :meth:`StreamValidator._load_element` seeks and thaws an element
-    only when a violation needs it.
+    aggregate (a whole top-level record against a handful of key
+    scalars), yet they are only ever *read back* for the rare groups
+    that actually violate.  A spill therefore writes each element once
+    into this store — deduplicated by object identity within a spill
+    event, since one element is often the first-seen witness of several
+    tables' aggregates — and spills a tiny ``("@", store_path, offset)``
+    ref in its place.  Refs survive merges, summary files, and the
+    driver's absorb untouched; :meth:`StreamValidator.finalize` seeks an
+    element only when a violation needs it.
+
+    The engine's elements are plain JSON data and pickle natively; a
+    :class:`~repro.values.value.Value` is stored in its
+    :func:`~repro.values.value.freeze_value` form.
     """
 
     __slots__ = ("path", "_handle", "_memo")
@@ -389,8 +451,9 @@ class _ElementStore:
         offset = self._memo.get(id(element))
         if offset is None:
             offset = self._handle.tell()
-            pickle.dump(freeze_value(element), self._handle,
-                        pickle.HIGHEST_PROTOCOL)
+            pickle.dump(freeze_value(element)
+                        if isinstance(element, Value) else element,
+                        self._handle, pickle.HIGHEST_PROTOCOL)
             self._memo[id(element)] = offset
         return ("@", self.path, offset)
 
@@ -403,60 +466,214 @@ class _ElementStore:
         self._handle.close()
 
 
-def _freeze_elem(elem, store: _ElementStore | None):
-    if elem is None or type(elem) is tuple:  # absent, or already a ref
-        return elem
-    if store is not None:
-        return store.put(elem)
-    return freeze_value(elem)
-
-
-def _thaw_elem(data):
-    """A witness slot's in-memory form: an inline frozen element thaws;
-    an absent slot, a sidecar ref and a checkpoint element id (an int,
-    see :mod:`repro.store.stream_cache`) pass through."""
-    if type(data) is tuple and data[0] != "@":
-        return thaw_value(data)
-    return data
-
-
-def _freeze_agg(agg: list, store: _ElementStore | None) -> list:
-    """The plain-data form of one aggregate: key/RHS values become
-    scalar/tuple trees that pickle natively, without a ``__reduce__``
-    round-trip per node, and witness elements become sidecar refs when
-    a *store* is given (run and summary files) or inline frozen trees
-    otherwise (in-memory shard summaries and checkpoints)."""
-    return [tuple(freeze_value(part) for part in agg[0]), agg[1],
-            freeze_value(agg[2]), _freeze_elem(agg[3], store), agg[4],
-            freeze_value(agg[5]), _freeze_elem(agg[6], store)]
-
-
-def _thaw_agg(agg: list) -> list:
-    return [tuple(thaw_value(part) for part in agg[0]), agg[1],
-            thaw_value(agg[2]), _thaw_elem(agg[3]), agg[4],
-            thaw_value(agg[5]), _thaw_elem(agg[6])]
+def _spill_agg(agg: list, store: _ElementStore) -> list:
+    """*agg* with its live witness elements replaced by sidecar refs."""
+    first, clash = agg[4], agg[7]
+    if type(first) is dict:
+        first = store.put(first)
+    if type(clash) is dict:
+        clash = store.put(clash)
+    return [agg[0], agg[1], agg[2], agg[3], first, agg[5], agg[6], clash]
 
 
 def _iter_run_file(path: str, count: int) -> Iterator[tuple[bytes, list]]:
-    """Stream the thawed ``(key_bytes, aggregate)`` pairs of one run
-    file (a sequence of pickled chunks — lists of frozen pairs) that
-    was written with *count* pairs.  A run torn at a chunk boundary
-    still unpickles cleanly; the count (one compare per chunk) is what
-    makes it a :class:`StreamError` instead of a shorter valid run."""
+    """Stream the ``(key_bytes, aggregate)`` pairs of one run file (a
+    sequence of pickled chunks) that was written with *count* pairs.  A
+    run torn at a chunk boundary still unpickles cleanly; the count
+    (one compare per chunk) is what makes it a :class:`StreamError`
+    instead of a shorter valid run."""
     seen = 0
     try:
         with open(path, "rb") as handle:
             while seen < count:
                 chunk = pickle.load(handle)
                 seen += len(chunk)
-                for key_bytes, agg in chunk:
-                    yield key_bytes, _thaw_agg(agg)
+                yield from chunk
     except (OSError, EOFError, pickle.UnpicklingError) as exc:
         raise StreamError(f"spill run {path!r} is unreadable after "
                           f"{seen} of {count} pair(s): {exc!r}") from exc
     if seen != count:
         raise StreamError(f"spill run {path!r} holds {seen} pair(s), "
                           f"{count} were written")
+
+
+# ------------------------------------------------------------ JSON binding
+
+
+class _JsonPlan:
+    """One NFD's binding over plain JSON, compiled against its anchor's
+    binding trie (:class:`~repro.nfd.batch_validate._Anchor`).
+
+    ``factors`` lists, per branch the NFD reads, the branch position,
+    the NFD's slot indices in the branch rows, and whether the
+    projection is *constant* — the NFD reads only the branch's own
+    top-level field, which every row of the branch repeats.  An NFD
+    whose projections are all constant binds once per record, at the
+    ``(branch, slot)`` addresses ``lhs_at``/``rhs_at``.  ``ambiguous``
+    marks an NFD with a set-valued path below a traversed set: two
+    equal such sets can be spelled differently, and which spelling a
+    witness prints depends on set iteration order.
+    """
+
+    __slots__ = ("plan", "paths", "factors", "single", "lhs_at", "rhs_at",
+                 "lhs_pos", "rhs_pos", "prefix", "ambiguous")
+
+    def __init__(self, plan, anchor, record_type):
+        self.plan = plan
+        self.paths = plan.paths
+        factors = []
+        flat = []
+        for branch_pos, indices in plan.branch_proj:
+            slots = anchor.branch_slots[anchor.branches[branch_pos].label]
+            constant = all(len(slots[i]) == 1 for i in indices)
+            factors.append((branch_pos, indices, constant))
+            flat.extend((branch_pos, i) for i in indices)
+        self.factors = tuple(factors)
+        self.single = all(constant for _, _, constant in factors)
+        self.lhs_at = tuple(flat[i] for i in plan.lhs_pos)
+        self.rhs_at = flat[plan.rhs_pos]
+        self.lhs_pos = plan.lhs_pos
+        self.rhs_pos = plan.rhs_pos
+        self.prefix = b"T%d;" % len(plan.lhs_pos)
+        self.ambiguous = any(
+            len(path) > 1 and isinstance(type_at(record_type, path),
+                                         SetType)
+            for path in plan.paths)
+
+    def bindings(self, rows: list, exact: bool) -> list | None:
+        """The NFD's distinct ``(key bytes, RHS bytes, key, RHS)``
+        bindings over one record's branch rows (see
+        :meth:`_JsonAnchor.rows`).
+
+        Per branch the rows are projected to the NFD's slots and
+        deduplicated by canonical bytes — which deduplicates the value
+        pairs, as the value binder's projection does — and the bindings
+        are the cross product.  With *exact*, a dropped repeat of an
+        ambiguous NFD returns ``None``: the spelling the value binder
+        keeps is unknown here."""
+        if self.single:
+            lhs_at = self.lhs_at
+            branch, slot = self.rhs_at
+            return [(self.prefix + b"".join([rows[at][0][0][i]
+                                             for at, i in lhs_at]),
+                     rows[branch][0][0][slot],
+                     tuple([rows[at][1][0][i] for at, i in lhs_at]),
+                     rows[branch][1][0][slot])]
+        factors = []
+        for branch_pos, indices, constant in self.factors:
+            byte_rows, data_rows = rows[branch_pos]
+            if constant or len(byte_rows) == 1:
+                row_b, row_d = byte_rows[0], data_rows[0]
+                factors.append(((tuple([row_b[i] for i in indices]),
+                                 tuple([row_d[i] for i in indices])),))
+                continue
+            distinct: dict = {}
+            for row_b, row_d in zip(byte_rows, data_rows):
+                projected = tuple([row_b[i] for i in indices])
+                if projected not in distinct:
+                    distinct[projected] = tuple([row_d[i] for i in indices])
+                elif exact and self.ambiguous:
+                    return None
+            factors.append(tuple(distinct.items()))
+        lhs_pos, rhs_pos, prefix = self.lhs_pos, self.rhs_pos, self.prefix
+        if len(factors) == 1:
+            combos = factors[0]
+        else:
+            combos = [(tuple(chain.from_iterable(b for b, _ in combo)),
+                       tuple(chain.from_iterable(d for _, d in combo)))
+                      for combo in product(*factors)]
+        return [(prefix + b"".join([flat_b[i] for i in lhs_pos]),
+                 flat_b[rhs_pos], tuple([flat_d[i] for i in lhs_pos]),
+                 flat_d[rhs_pos])
+                for flat_b, flat_d in combos]
+
+
+class _JsonAnchor:
+    """All NFDs of one anchor, bound over plain JSON records."""
+
+    __slots__ = ("anchor", "branches", "plans")
+
+    def __init__(self, anchor, record_type):
+        self.anchor = anchor
+        self.branches = tuple((branch.label, _compile_rows(branch))
+                              for branch in anchor.branches)
+        self.plans = tuple(_JsonPlan(plan, anchor, record_type)
+                           for plan in anchor.plans)
+
+    def rows(self, record: dict, encode, undefined: set) -> list:
+        """``(byte rows, data rows)`` per top-level branch of the
+        binding trie, over one record."""
+        return [rows(record[label], undefined, encode)
+                for label, rows in self.branches]
+
+
+def _compile_rows(node):
+    """A function from the plain JSON at binding-trie *node* to its
+    rows: the :meth:`~repro.nfd.batch_validate.ValidatorEngine._rows_for`
+    rows, as parallel lists of canonical-byte rows and data rows.  The
+    JSON walk keeps list order and repeats; projections deduplicate."""
+    children = node.child_list
+    is_leaf = node.is_leaf
+    if not children:
+        def leaf_rows(data, undefined, encode):
+            return [(encode(data),)], [(data,)]
+        return leaf_rows
+    pad = (_UNDEFINED,) * node.below_width
+    sub_leaves = node.sub_leaves
+    where = node.path
+    if all(not child.child_list for child in children):
+        # a set of flat records: one row per element
+        labels = tuple(child.label for child in children)
+        child_rows = None
+    else:
+        labels = ()
+        child_rows = tuple((child.label, _compile_rows(child))
+                           for child in children)
+
+    def set_rows(data, undefined, encode):
+        if is_leaf:
+            own_b: tuple = (encode(data),)
+            own_d: tuple = (data,)
+        else:
+            own_b = own_d = ()
+        if type(data) is not list:
+            raise PathError(f"cannot traverse path {where} into {data!r}")
+        if not data:
+            undefined.update(sub_leaves)
+            return [own_b + pad], [own_d + pad]
+        byte_rows: list = []
+        data_rows: list = []
+        for item in data:
+            if type(item) is not dict:
+                raise PathError(f"expected a record at {where}, got "
+                                f"{item!r}")
+            if child_rows is None:
+                row = tuple([item[label] for label in labels])
+                byte_rows.append(own_b + tuple([encode(part)
+                                                for part in row]))
+                data_rows.append(own_d + row)
+                continue
+            parts = [rows(item[label], undefined, encode)
+                     for label, rows in child_rows]
+            for picks in product(*[range(len(sub_b))
+                                   for sub_b, _ in parts]):
+                byte_rows.append(own_b + tuple(chain.from_iterable(
+                    part[0][pick] for part, pick in zip(parts, picks))))
+                data_rows.append(own_d + tuple(chain.from_iterable(
+                    part[1][pick] for part, pick in zip(parts, picks))))
+        return byte_rows, data_rows
+    return set_rows
+
+
+def _plain_element(element) -> dict:
+    """A stream element as plain JSON data: an in-memory
+    :class:`~repro.values.value.Record` goes through
+    :func:`~repro.values.build.to_python` (sets in iteration order)."""
+    if isinstance(element, Value):
+        data = to_python(element)
+        if type(data) is dict:
+            return data
+    raise PathError(f"expected a record while validating, got {element}")
 
 
 def _unlink_all(paths) -> None:
@@ -534,16 +751,17 @@ class StreamValidator:
         self._spill_root = spill_root
         self._own_spill_dir = False
         self._pool = InternPool(_POOL_ENTRIES)
-        self._scratch = bytearray()
         self._synced_hits = 0
         self._synced_misses = 0
         self._elem_store: _ElementStore | None = None
         self._read_handles: dict[str, Any] = {}
         self._foreign_stores: list[str] = []
         # Per-relation group tables for the root anchor's plans, and a
-        # persistent masked run for every nested-anchored plan.
+        # persistent masked run for every nested-anchored plan; every
+        # anchor's plans also compile for the JSON walk (by anchor id).
         self._root_tables: dict[str, list[_GroupTable]] = {}
         self._has_nested: dict[str, bool] = {}
+        self._json_anchors: dict[int, _JsonAnchor] = {}
         nested_indices: set[int] = set()
         self._plan_anchor_base: dict[int, str] = {}
         for relation, root in self.engine._relations.items():
@@ -556,7 +774,11 @@ class StreamValidator:
             nested_indices.update(nested_here)
             self._has_nested[relation] = bool(nested_here)
             for node in _iter_scopes(root):
-                if node.anchor is None or node is root:
+                if node.anchor is None:
+                    continue
+                self._json_anchors[id(node.anchor)] = _JsonAnchor(
+                    node.anchor, resolve_base_path(schema, node.anchor.base))
+                if node is root:
                     continue
                 base = str(node.anchor.base)
                 for plan in node.anchor.plans:
@@ -581,8 +803,10 @@ class StreamValidator:
     # -- consuming --------------------------------------------------------
 
     def consume(self, relation: str, elements: Iterable) -> bool:
-        """Feed top-level elements of *relation*; False when the budget
-        stopped consumption (the current result is a valid partial).
+        """Feed top-level elements of *relation* — plain JSON objects,
+        or :class:`~repro.values.value.Record` values; False when the
+        budget stopped consumption (the current result is a valid
+        partial).
 
         Per-relation dispatch state is bound once, each element's
         branch rows are materialized once, and every root plan folds
@@ -594,22 +818,17 @@ class StreamValidator:
             self.stats.wall_time += time.perf_counter() - start
 
     def _consume(self, relation: str, elements: Iterable) -> bool:
-        engine = self.engine
         stats = self.stats
-        root = engine._relations.get(relation)
+        root = self.engine._relations.get(relation)
         anchor = root.anchor if root is not None else None
-        has_nested = root is not None and self._has_nested[relation]
-        plan_info: list = []
+        json_anchor = None
+        tables: list = []
         if anchor is not None:
-            plan_info = [(table, table.plan, table.plan.paths)
-                         for table in self._root_tables[relation]]
-        element_rows = engine._element_rows
-        bindings_list = engine._plan_bindings_list
-        walk = engine._walk_scope
-        nested_run = self._nested_run
-        pool = self._pool
-        scratch = self._scratch
-        shard = self._shard_index
+            json_anchor = self._json_anchors[id(anchor)]
+            tables = self._root_tables[relation]
+        nested: tuple = ()
+        if root is not None and self._has_nested[relation]:
+            nested = tuple(sorted(root.children.items()))
         max_elements = self._max_elements
         deadline_at = self._deadline_at
         monotonic = time.monotonic
@@ -623,37 +842,146 @@ class StreamValidator:
             if deadline_at is not None and monotonic() >= deadline_at:
                 self._exhausted = "deadline"
                 return False
-            if anchor is not None:
-                undefined: set = set()
-                branch_rows = element_rows(anchor, element, undefined)
-                for table, plan, paths in plan_info:
-                    if undefined and not undefined.isdisjoint(paths):
-                        continue  # Definition 2.4: undefined paths
-                    group = table.table
-                    for key, rhs in bindings_list(plan, branch_rows):
-                        self._seq += 1
-                        stats.rows_emitted += 1
-                        key_bytes = canonical_key_bytes(
-                            key, pool=pool, scratch=scratch)
-                        agg = group.get(key_bytes)
-                        if agg is None:
-                            self._reserve_slot()
-                            group[key_bytes] = [
-                                key, (shard, self._seq), rhs,
-                                element, None, None, None]
-                        elif agg[4] is None and rhs != agg[2]:
-                            agg[4] = (shard, self._seq)
-                            agg[5] = rhs
-                            agg[6] = element
-            if has_nested:
-                # Nested anchors never relate bindings across top-level
-                # elements, so the batch walk over a one-element tuple —
-                # with the persistent run carrying base-set numbering
-                # across elements — reproduces the in-memory witnesses.
-                walk(root, (element,), nested_run)
+            if type(element) is not dict:
+                element = _plain_element(element)
+            value = None
+            if json_anchor is not None:
+                value = self._fold_root(json_anchor, tables, element)
+            if nested:
+                self._check_nested(root, nested, element, value)
             self._elements_seen += 1
             stats.elements_seen += 1
         return self._exhausted is None
+
+    def _build(self, data) -> Value:
+        """The value tree of one streamed element (counted)."""
+        self.stats.witness_elements_built += 1
+        return value_of_json(data)
+
+    def _fold_root(self, json_anchor: _JsonAnchor, tables: list,
+                   element: dict) -> Value | None:
+        """Fold one element's root-plan bindings into the group tables.
+
+        Bindings come from the JSON walk, unless some plan binds one key
+        to several RHS values here (or drops an ambiguous repeat): which
+        becomes the first binding, and the clash, then depends on set
+        iteration order, so the element is bound through the value
+        binder instead — and its value tree is returned."""
+        undefined: set = set()
+        rows = json_anchor.rows(element, self._pool.json_bytes, undefined)
+        batches = []
+        for plan, table in zip(json_anchor.plans, tables):
+            if undefined and not undefined.isdisjoint(plan.paths):
+                continue  # Definition 2.4: undefined paths
+            bindings = plan.bindings(rows, True)
+            if bindings is None or (
+                    len(bindings) > 1
+                    and len({binding[0] for binding in bindings})
+                    < len(bindings)):
+                return self._fold_root_values(json_anchor, tables,
+                                              element)
+            batches.append((table.table, bindings))
+        for group, bindings in batches:
+            self._fold(group, bindings, element)
+        return None
+
+    def _fold_root_values(self, json_anchor: _JsonAnchor, tables: list,
+                          element: dict) -> Value:
+        engine = self.engine
+        encode = self._pool.json_bytes
+        value = self._build(element)
+        undefined: set = set()
+        branch_rows = engine._element_rows(json_anchor.anchor, value,
+                                           undefined)
+        for plan, table in zip(json_anchor.plans, tables):
+            if undefined and not undefined.isdisjoint(plan.paths):
+                continue
+            bindings = []
+            for key, rhs in engine._plan_bindings_list(plan.plan,
+                                                       branch_rows):
+                key_data = tuple([to_python(part) for part in key])
+                rhs_data = to_python(rhs)
+                bindings.append((
+                    plan.prefix + b"".join([encode(part)
+                                            for part in key_data]),
+                    encode(rhs_data), key_data, rhs_data))
+            self._fold(table.table, bindings, element)
+        return value
+
+    def _fold(self, group: dict, bindings: list, element: dict) -> None:
+        shard = self._shard_index
+        for key_bytes, rhs_bytes, key, rhs in bindings:
+            self._seq += 1
+            agg = group.get(key_bytes)
+            if agg is None:
+                self._reserve_slot()
+                group[key_bytes] = [key, (shard, self._seq), rhs_bytes,
+                                    rhs, element, None, None, None]
+            elif agg[5] is None and rhs_bytes != agg[2]:
+                agg[5] = (shard, self._seq)
+                agg[6] = rhs
+                agg[7] = element
+        self.stats.rows_emitted += len(bindings)
+
+    def _check_nested(self, root, nested: tuple, element: dict,
+                      value: Value | None) -> None:
+        """Nested anchors never relate bindings across top-level
+        elements.  The element's base sets are checked in JSON order;
+        a clean element only advances the base-set numbering, and one
+        that holds a conflict is re-walked by the batch engine over a
+        one-element tuple — the persistent run carrying base-set
+        numbering across elements — which reproduces the in-memory
+        witnesses."""
+        counts: dict[int, int] = {}
+        run = self._nested_run
+        if all(self._base_set_clean(child, element[label], counts)
+               for label, child in nested):
+            for slot, count in counts.items():
+                run.base_counter[slot] = run.base_counter.get(slot, 0) \
+                    + count
+            return
+        if value is None:
+            value = self._build(element)
+        self.engine._walk_scope(root, (value,), run)
+
+    def _base_set_clean(self, node, records, counts: dict) -> bool:
+        """Does the base set *records* at scope *node* — and every base
+        set below it — hold no conflict?  Counts the base sets the
+        batch walk would open per anchor into *counts*: it walks a set's
+        distinct elements, so repeats are dropped before descending."""
+        if type(records) is not list:
+            raise PathError(f"base path label must be set-valued, got "
+                            f"{records!r}")
+        anchor = node.anchor
+        if anchor is not None:
+            counts[id(anchor)] = counts.get(id(anchor), 0) + 1
+            json_anchor = self._json_anchors[id(anchor)]
+            encode = self._pool.json_bytes
+            groups: list[dict] = [{} for _ in json_anchor.plans]
+            for record in records:
+                if type(record) is not dict:
+                    raise PathError(f"expected a record while "
+                                    f"validating, got {record!r}")
+                undefined: set = set()
+                rows = json_anchor.rows(record, encode, undefined)
+                for plan, group in zip(json_anchor.plans, groups):
+                    if undefined and not undefined.isdisjoint(plan.paths):
+                        continue
+                    for key_bytes, rhs_bytes, _, _ in plan.bindings(
+                            rows, False):
+                        if group.setdefault(key_bytes, rhs_bytes) \
+                                != rhs_bytes:
+                            return False
+        if node.children:
+            if len(records) > 1:
+                records = list({self._pool.json_bytes(record): record
+                                for record in records}.values())
+            for record in records:
+                for label, child in sorted(node.children.items()):
+                    if not self._base_set_clean(child, record[label],
+                                                counts):
+                        return False
+        return True
 
     def _reserve_slot(self) -> None:
         """Account for one new resident group-table entry, spilling
@@ -726,7 +1054,7 @@ class StreamValidator:
             with handle:
                 chunk: list = []
                 for key_bytes, agg in items:
-                    chunk.append((key_bytes, _freeze_agg(agg, store)))
+                    chunk.append((key_bytes, _spill_agg(agg, store)))
                     count += 1
                     if len(chunk) >= _SPILL_CHUNK:
                         pickle.dump(chunk, handle,
@@ -777,10 +1105,11 @@ class StreamValidator:
 
     # -- finishing --------------------------------------------------------
 
-    def _frozen_element(self, ref):
-        """The plain-data form of a live or sidecar witness element."""
+    def _stored_element(self, ref) -> dict:
+        """The plain data of a witness element: a live one is itself, a
+        sidecar ref is read back with a point read."""
         if type(ref) is not tuple:
-            return freeze_value(ref)
+            return ref
         _, path, offset = ref
         handle = self._read_handles.get(path)
         try:
@@ -796,12 +1125,17 @@ class StreamValidator:
                               f"{offset} of spill sidecar {path!r}: "
                               f"{exc!r}") from exc
 
-    def _load_element(self, ref):
-        """Materialize a witness element, resolving a sidecar ref via a
-        point read; live elements pass through."""
-        if type(ref) is not tuple:
-            return ref
-        return thaw_value(self._frozen_element(ref))
+    def _witness_element(self, ref, built: dict) -> Value:
+        """The value tree of a witness element, built once per element
+        (by sidecar ref, or by the identity of the live data) per
+        finalize."""
+        token = ref if type(ref) is tuple else id(ref)
+        entry = built.get(token)
+        if entry is None:
+            # the entry holds *ref*, so its id cannot be reused meanwhile
+            entry = built[token] = (ref, self._build(
+                self._stored_element(ref)))
+        return entry[1]
 
     def _sync_pool_stats(self) -> None:
         pool = self._pool
@@ -827,25 +1161,28 @@ class StreamValidator:
         """
         start = time.perf_counter()
         per_plan: dict[int, list[Violation]] = {}
+        built: dict = {}
         for relation in self._root_tables:
             for table in self._root_tables[relation]:
                 if violating is None:
                     aggs: Iterable[list] = (
                         agg for _, agg in self._merged_rows(table)
-                        if agg[4] is not None)
+                        if agg[5] is not None)
                 else:
                     aggs = violating.get(table.plan.index, ())
                 witnesses = [
-                    (agg[4], Violation(
-                        table.plan.nfd, 0, self._load_element(agg[3]),
-                        self._load_element(agg[6]),
-                        agg[0], agg[2], agg[5]))
+                    (agg[5], Violation(
+                        table.plan.nfd, 0,
+                        self._witness_element(agg[4], built),
+                        self._witness_element(agg[7], built),
+                        tuple([value_of_json(part) for part in agg[0]]),
+                        value_of_json(agg[3]), value_of_json(agg[6])))
                     for agg in aggs]
                 if witnesses:
                     # clash sequences reproduce in-plan discovery order
                     witnesses.sort(key=lambda item: item[0])
-                    per_plan[table.plan.index] = \
-                        [v for _, v in witnesses]
+                    per_plan[table.plan.index] = self._in_element_order(
+                        relation, table.plan, [v for _, v in witnesses])
         if nested is None:
             nested = [(index, (self._shard_index, position), violation)
                       for index, position, violation
@@ -866,6 +1203,37 @@ class StreamValidator:
                 else (self._shard_index,)
         return StreamResult(violations, self.stats, elements_seen,
                             completed_shards, exhausted)
+
+    def _in_element_order(self, relation: str, plan,
+                          violations: list[Violation]) -> list[Violation]:
+        """Reorder the clashes one element produced in one plan.
+
+        Emission sequences order witnesses of different elements as the
+        in-memory walk does, but within an element the JSON walk emits
+        in list order, not in set iteration order.  Such witnesses sit
+        next to each other (an element's sequences are contiguous) and
+        share their clash element — and equal elements can only clash
+        once: a later copy binds nothing its first copy did not — so
+        each run of equal clash elements is sorted by its element's
+        value-order emission."""
+        start = 0
+        while start < len(violations):
+            stop = start + 1
+            element = violations[start].element2
+            while stop < len(violations) \
+                    and violations[stop].element2 == element:
+                stop += 1
+            if stop - start > 1:
+                engine = self.engine
+                rows = engine._element_rows(
+                    engine._relations[relation].anchor, element, set())
+                order = {pair: position for position, pair in enumerate(
+                    engine._plan_bindings_list(plan, rows))}
+                violations[start:stop] = sorted(
+                    violations[start:stop],
+                    key=lambda v: order[(v.lhs_values, v.rhs_value2)])
+            start = stop
+        return violations
 
     def cleanup(self) -> None:
         """Remove every spilled run (and the spill directory when this
@@ -918,13 +1286,10 @@ class StreamValidator:
                 specs = tables_out[relation] = []
                 for table in tables:
                     if not table.runs:
-                        # frozen aggregates cross the process boundary
-                        # as plain data too — same saving as run files
-                        # (elements stay inline: nothing was spilled,
-                        # so there is no sidecar to point into)
-                        specs.append(("mem", [
-                            (key_bytes, _freeze_agg(agg, None)) for
-                            key_bytes, agg in sorted(table.table.items())]))
+                        # aggregates are plain data and cross the
+                        # process boundary as they are (elements inline:
+                        # nothing was spilled, so there is no sidecar)
+                        specs.append(("mem", sorted(table.table.items())))
                     else:
                         path, count = self._write_run(
                             self._merged_rows(table), prefix="summary-")
@@ -971,8 +1336,7 @@ class StreamValidator:
             tables = self._root_tables.get(relation, ())
             for table, spec in zip(tables, specs):
                 if spec[0] == "mem":
-                    items: Iterable = ((key_bytes, _thaw_agg(agg))
-                                       for key_bytes, agg in spec[1])
+                    items: Iterable = spec[1]
                 else:
                     items = _iter_run_file(spec[1], spec[2])
                 for key_bytes, agg in items:
@@ -1010,7 +1374,7 @@ class StreamValidator:
 
         *prior*, when given, is called as ``prior(plan_index, keys)``
         and returns a checkpoint's stored aggregates for those keys (as
-        :meth:`import_tables` thaws them).  Each chunk folds over the
+        :meth:`import_tables` reads them).  Each chunk folds over the
         stored aggregates of exactly its keys with :func:`_merge_agg`,
         which is exact: stored and appended bindings are disjoint, and
         every stored sequence precedes the appended ones
@@ -1038,20 +1402,22 @@ class StreamValidator:
 
     def import_tables(self, rows: Iterable[tuple[int, bytes, list]]) \
             -> dict[int, dict[bytes, list]]:
-        """Thaw checkpoint group rows — ``(plan index, key_bytes,
+        """Turn checkpoint group rows — ``(plan index, key_bytes,
         frozen aggregate)``, as
         :meth:`~repro.store.CacheStore.iter_stream_groups` yields them —
         into aggregates by plan index and key.
 
-        Keys and RHS values thaw (:func:`_merge_agg` compares them live
-        and witnesses print them); witness slots stay checkpoint
-        element ids, which the caller resolves for the few groups that
-        violate.  The result is what :meth:`export_tables`' *prior*
-        returns and what :meth:`finalize` takes as *violating*.
+        Keys and RHS values become plain data again, and the first RHS
+        gets its canonical bytes back (:func:`_merge_agg` compares
+        them); witness slots stay checkpoint element ids, which the
+        caller resolves for the few groups that violate.  The result is
+        what :meth:`export_tables`' *prior* returns and what
+        :meth:`finalize` takes as *violating*.
         """
         known = {table.plan.index
                  for tables in self._root_tables.values()
                  for table in tables}
+        encode = self._pool.json_bytes
         out: dict[int, dict[bytes, list]] = {}
         for index, key_bytes, frozen in rows:
             if index not in known:
@@ -1061,7 +1427,11 @@ class StreamValidator:
             group = out.get(index)
             if group is None:
                 group = out[index] = {}
-            group[key_bytes] = _thaw_agg(frozen)
+            first_rhs = _json_of_frozen(frozen[2])
+            group[key_bytes] = [
+                tuple([_json_of_frozen(part) for part in frozen[0]]),
+                frozen[1], encode(first_rhs), first_rhs, frozen[3],
+                frozen[4], _json_of_frozen(frozen[5]), frozen[6]]
         return out
 
     def import_checkpoint(self, *, seq: int, nested: Iterable,
@@ -1353,7 +1723,8 @@ def _shard_probe(context, task):
             _, path, start, stop = spec
             elements = iter_jsonl_elements(path, schema, relation,
                                            start=start, stop=stop,
-                                           require_elements=False)
+                                           require_elements=False,
+                                           values=False)
         validator.consume(relation, elements)
         return validator.summarize()
     except BaseException:

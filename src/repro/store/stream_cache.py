@@ -75,9 +75,10 @@ from ..inference.session import sigma_fingerprint
 from ..io.stream import iter_jsonl_elements
 from ..nfd.nfd import NFD
 from ..nfd.stream_validate import (ResourceBudget, StreamResult,
-                                   StreamValidator, stream_validate)
+                                   StreamValidator, _frozen_of_json,
+                                   _json_of_frozen, checkpoint_aggregate,
+                                   stream_validate)
 from ..types.schema import Schema
-from ..values.value import freeze_value, thaw_value
 from .cache_store import CacheStore
 
 __all__ = ["incremental_stream_validate", "stream_source_id"]
@@ -175,8 +176,8 @@ class _CheckpointView:
         if entry is None:
             self.last_id += 1
             entry = self._ids[token] = (self.last_id, ref)
-            new.append((self.last_id,
-                        self.validator._frozen_element(ref)))
+            new.append((self.last_id, _frozen_of_json(
+                self.validator._stored_element(ref))))
         return entry[0]
 
     def groups(self) -> Iterator[tuple[str, list]]:
@@ -192,15 +193,14 @@ class _CheckpointView:
             clashing = exported.setdefault(index, {})
             rows = []
             for key_bytes, agg in chunk:
-                clash = agg[4] is not None
+                clash = agg[5] is not None
                 if clash:
                     clashing[key_bytes] = agg
                 new: list = []
-                rows.append((key_bytes, clash, [
-                    tuple(freeze_value(part) for part in agg[0]), agg[1],
-                    freeze_value(agg[2]), self._element_id(agg[3], new),
-                    agg[4], freeze_value(agg[5]),
-                    self._element_id(agg[6], new)], tuple(new)))
+                first = self._element_id(agg[4], new)
+                rows.append((key_bytes, clash, checkpoint_aggregate(
+                    agg, first, self._element_id(agg[7], new)),
+                    tuple(new)))
             yield labels[index], rows
         self.violating = self._witness_rows(exported)
 
@@ -215,17 +215,19 @@ class _CheckpointView:
         for index, rows in exported.items():
             merged.setdefault(index, {}).update(rows)
         ids = {agg[slot] for rows in merged.values()
-               for agg in rows.values() for slot in (3, 6)
+               for agg in rows.values() for slot in (4, 7)
                if type(agg[slot]) is int}
         elements = self.store.get_stream_elements(self.source_id, ids) \
             if ids else {}
         if len(elements) < len(ids):
             return None
+        plain = {element_id: _json_of_frozen(frozen)
+                 for element_id, frozen in elements.items()}
         for rows in merged.values():
             for agg in rows.values():
-                for slot in (3, 6):
+                for slot in (4, 7):
                     if type(agg[slot]) is int:
-                        agg[slot] = thaw_value(elements[agg[slot]])
+                        agg[slot] = plain[agg[slot]]
         return {index: list(rows.values())
                 for index, rows in merged.items()}
 
@@ -308,7 +310,7 @@ def incremental_stream_validate(
                 anchor_counts=state["anchor_counts"])
         elements: Iterator = iter_jsonl_elements(
             path, schema, relation, start=start, stop=total,
-            require_elements=(start == 0))
+            require_elements=(start == 0), values=False)
         validator.consume(relation, elements)
         folded = validator._elements_seen
 
@@ -347,7 +349,7 @@ def incremental_stream_validate(
         result = stream_validate(
             schema, sigma,
             {relation: iter_jsonl_elements(path, schema, relation,
-                                           stop=total)},
+                                           stop=total, values=False)},
             budget=budget, spill_root=spill_root, tracer=tracer)
         resumed, start, folded = False, 0, result.elements_seen
     info = {

@@ -1,7 +1,7 @@
 """Values, instances, and operations on them."""
 
 from .build import Instance, from_python, to_python
-from .canonical import (InternPool, canonical_bytes,
+from .canonical import (InternPool, canonical_bytes, canonical_json_bytes,
                         canonical_key_bytes)
 from .inspect import (
     atom_domain,
@@ -25,7 +25,7 @@ from .typecheck import (
     instance_conforms,
 )
 from .value import (EMPTY_SET, Atom, Record, SetValue, Value,
-                    freeze_value, thaw_value)
+                    freeze_value, thaw_value, value_of_json)
 
 __all__ = [
     "Value",
@@ -37,10 +37,12 @@ __all__ = [
     "from_python",
     "to_python",
     "canonical_bytes",
+    "canonical_json_bytes",
     "canonical_key_bytes",
     "InternPool",
     "freeze_value",
     "thaw_value",
+    "value_of_json",
     "check_value",
     "conforms",
     "check_instance",

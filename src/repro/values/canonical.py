@@ -38,12 +38,12 @@ Hot-path helpers
 ----------------
 
 The streaming validator encodes millions of keys whose atoms repeat
-heavily (wide antecedent keys over a small domain).  :class:`InternPool`
-caches the encoding of every value it has seen — repeated atoms and
-repeated nested values alike — and
-:func:`canonical_key_bytes` accepts a caller-owned scratch
-``bytearray`` so the per-key assembly reuses one buffer instead of
-allocating a fresh one per key.
+heavily (wide antecedent keys over a small domain), straight from the
+parsed JSON of each element: :func:`canonical_json_bytes` encodes plain
+dicts, lists and scalars to exactly the bytes of the value they decode
+to.  :class:`InternPool` caches the encoding of every scalar and
+record label it has seen, so a key of repeated atoms costs a dict probe
+per part.
 """
 
 from __future__ import annotations
@@ -51,8 +51,11 @@ from __future__ import annotations
 from ..errors import ValueError_
 from .value import Atom, Record, SetValue, Value
 
-__all__ = ["canonical_bytes", "canonical_key_bytes", "InternPool",
-           "CODEC_VERSION"]
+__all__ = ["canonical_bytes", "canonical_json_bytes", "canonical_key_bytes",
+           "InternPool", "CODEC_VERSION"]
+
+#: The scalar types an atom wraps (the plain-data leaves of a value).
+_SCALARS = (str, int, bool, float)
 
 #: Stable version tag of the canonical encoding.  Persisted caches
 #: (:mod:`repro.store`) key group-table rows by these bytes, so any
@@ -70,41 +73,36 @@ def canonical_bytes(value: Value) -> bytes:
     return bytes(out)
 
 
-def canonical_key_bytes(values: tuple, *, pool: "InternPool | None" = None,
-                        scratch: bytearray | None = None) -> bytes:
+def canonical_json_bytes(data) -> bytes:
+    """The canonical encoding of the value plain JSON-shaped *data*
+    (dicts, lists, scalars) decodes to: ``canonical_json_bytes(d) ==
+    canonical_bytes(v)`` whenever ``v`` is the :class:`Value` of ``d``
+    (as :func:`~repro.values.build.from_python` lifts it), whatever the
+    dicts' key order or the lists' order and repeats."""
+    return _encode_json(data, _scalar_bytes, _field_bytes)
+
+
+def canonical_key_bytes(values: tuple) -> bytes:
     """The canonical encoding of a tuple of values (an antecedent key).
 
     Framed with the tuple's arity so keys of different widths can never
     collide even when their concatenated parts would.
-
-    *pool* substitutes cached per-value encodings for fresh ones, and
-    *scratch* is a caller-owned ``bytearray`` reused as the assembly
-    buffer (it is cleared on entry); both leave the returned bytes
-    unchanged — they only remove allocations from the per-key path.
     """
-    out = bytearray() if scratch is None else scratch
-    if scratch is not None:
-        del out[:]
-    out += b"T%d;" % len(values)
-    if pool is None:
-        for value in values:
-            _encode(value, out)
-    else:
-        for value in values:
-            out += pool.value_bytes(value)
+    out = bytearray(b"T%d;" % len(values))
+    for value in values:
+        _encode(value, out)
     return bytes(out)
 
 
 class InternPool:
-    """A bounded cache of canonical encodings, keyed by value equality.
+    """A bounded cache of the canonical encodings of plain scalars.
 
-    Values are immutable and hash their structure once at construction,
-    so a dict keyed by the values themselves is an exact intern table:
-    two keys collide iff the values are equal iff their encodings are
-    identical.  The pool therefore *cannot* change any encoding — it is
-    purely an allocation saver, and
-    ``tests/properties/test_canonical_injectivity.py`` checks pooled
-    keys byte-for-byte against unpooled ones, evictions included.
+    One table per Python type, because ``1``, ``True`` and ``1.0`` are
+    one dict key but three atoms; record labels are cached beside them.
+    The pool therefore *cannot* change any encoding — it is purely an
+    allocation saver, and ``tests/properties/test_canonical_injectivity.py``
+    checks pooled encodings byte-for-byte against unpooled ones,
+    evictions included.
 
     ``max_entries`` bounds residency: when the table is full, inserting
     one more entry clears the whole table (cheap, and the hot working
@@ -112,7 +110,8 @@ class InternPool:
     the behavior observable in stats and tests.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "_cache")
+    __slots__ = ("max_entries", "hits", "misses", "evictions", "_scalars",
+                 "_labels", "_size")
 
     def __init__(self, max_entries: int = 1 << 16):
         if max_entries < 1:
@@ -122,77 +121,99 @@ class InternPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._cache: dict[Value, bytes] = {}
+        self._scalars: dict[type, dict] = {kind: {} for kind in _SCALARS}
+        self._labels: dict[str, bytes] = {}
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return self._size
 
-    def value_bytes(self, value: Value) -> bytes:
-        """The canonical encoding of *value*, cached."""
-        cached = self._cache.get(value)
+    def json_bytes(self, data) -> bytes:
+        """:func:`canonical_json_bytes` of *data*, each scalar's
+        encoding cached."""
+        table = self._scalars.get(type(data))
+        if table is None:
+            return _encode_json(data, self.json_bytes, self._field_bytes)
+        cached = table.get(data)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        out = bytearray()
-        _encode(value, out)
-        encoded = bytes(out)
-        if len(self._cache) >= self.max_entries:
-            self._cache.clear()
+        encoded = _scalar_bytes(data)
+        if self._size >= self.max_entries:
+            for scalars in self._scalars.values():
+                scalars.clear()
+            self._size = 0
             self.evictions += 1
-        self._cache[value] = encoded
+        self._size += 1
+        table[data] = encoded
         return encoded
 
-    def key_bytes(self, values: tuple,
-                  scratch: bytearray | None = None) -> bytes:
-        """:func:`canonical_key_bytes` through this pool."""
-        return canonical_key_bytes(values, pool=self, scratch=scratch)
+    def _field_bytes(self, label: str) -> bytes:
+        encoded = self._labels.get(label)
+        if encoded is None:
+            encoded = self._labels[label] = _field_bytes(label)
+        return encoded
 
     def stats(self) -> dict:
         """JSON-friendly counters (for stream stats and tests)."""
         return {
-            "entries": len(self._cache),
+            "entries": self._size,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
         }
 
     def __repr__(self) -> str:
-        return (f"InternPool(entries={len(self._cache)}, "
+        return (f"InternPool(entries={self._size}, "
                 f"hits={self.hits}, misses={self.misses})")
+
+
+def _encode_scalar(raw, out: bytearray) -> None:
+    """The encoding of an atom's wrapped scalar (see the module
+    docstring for the numeric rules)."""
+    # bool before int: bool is an int subclass but True != Atom(1)
+    if isinstance(raw, bool):
+        out += b"b1;" if raw else b"b0;"
+    elif isinstance(raw, int):
+        text = str(raw).encode("ascii")
+        out += b"i%d;" % len(text)
+        out += text
+    elif isinstance(raw, float):
+        # float is tagged apart from int (Atom(1) != Atom(1.0)).
+        # repr is injective over non-NaN floats (Atom rejects NaN)
+        # except for the signed zeros, which IEEE equality — and
+        # hence Atom.__eq__ — identifies, so -0.0 normalizes first.
+        if raw == 0.0:
+            raw = 0.0
+        text = repr(raw).encode("ascii")
+        out += b"f%d;" % len(text)
+        out += text
+    else:
+        text = raw.encode("utf-8")
+        out += b"s%d;" % len(text)
+        out += text
+
+
+def _scalar_bytes(raw) -> bytes:
+    out = bytearray()
+    _encode_scalar(raw, out)
+    return bytes(out)
+
+
+def _field_bytes(label: str) -> bytes:
+    """The label prefix of one encoded record field."""
+    raw_label = label.encode("utf-8")
+    return b"l%d;" % len(raw_label) + raw_label
 
 
 def _encode(value: Value, out: bytearray) -> None:
     if isinstance(value, Atom):
-        raw = value.value
-        # bool before int: bool is an int subclass but True != Atom(1)
-        if isinstance(raw, bool):
-            out += b"b1;" if raw else b"b0;"
-        elif isinstance(raw, int):
-            text = str(raw).encode("ascii")
-            out += b"i%d;" % len(text)
-            out += text
-        elif isinstance(raw, float):
-            # float is tagged apart from int (Atom(1) != Atom(1.0)).
-            # repr is injective over non-NaN floats (Atom rejects NaN)
-            # except for the signed zeros, which IEEE equality — and
-            # hence Atom.__eq__ — identifies, so -0.0 normalizes first.
-            if raw == 0.0:
-                raw = 0.0
-            text = repr(raw).encode("ascii")
-            out += b"f%d;" % len(text)
-            out += text
-        else:
-            text = raw.encode("utf-8")
-            out += b"s%d;" % len(text)
-            out += text
+        _encode_scalar(value.value, out)
     elif isinstance(value, Record):
         encoded = []
         for label, sub in value.fields:
-            part = bytearray()
-            raw_label = label.encode("utf-8")
-            part += b"l%d;" % len(raw_label)
-            part += raw_label
+            part = bytearray(_field_bytes(label))
             _encode(sub, part)
             encoded.append(bytes(part))
         # labels are unique within a record, so sorting the encoded
@@ -212,3 +233,23 @@ def _encode(value: Value, out: bytearray) -> None:
         raise ValueError_(
             f"cannot canonically encode {type(value).__name__}"
         )
+
+
+def _encode_json(data, scalar_bytes, field_bytes) -> bytes:
+    """:func:`_encode` of the value *data* decodes to, read off the
+    plain data itself: a dict is a record, a list a set — repeats
+    dropped, as the set's equality drops them — and a scalar an atom,
+    encoded by *scalar_bytes* (record labels by *field_bytes*)."""
+    kind = type(data)
+    if kind is dict:
+        parts = sorted([field_bytes(label)
+                        + _encode_json(sub, scalar_bytes, field_bytes)
+                        for label, sub in data.items()])
+        return b"r%d;" % len(parts) + b"".join(parts)
+    if kind is list:
+        parts = sorted({_encode_json(item, scalar_bytes, field_bytes)
+                        for item in data})
+        return b"S%d;" % len(parts) + b"".join(parts)
+    if kind not in _SCALARS:
+        raise ValueError_(f"cannot canonically encode {kind.__name__}")
+    return scalar_bytes(data)

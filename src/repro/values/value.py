@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 from ..errors import ValueError_
 
 __all__ = ["Value", "Atom", "Record", "SetValue", "EMPTY_SET",
-           "freeze_value", "thaw_value"]
+           "freeze_value", "thaw_value", "value_of_json"]
 
 _ATOM_TYPES = (int, str, bool, float)
 
@@ -329,28 +329,58 @@ def freeze_value(value):
     raise ValueError_(f"cannot freeze {type(value).__name__}")
 
 
+def _trusted_atom(raw) -> Atom:
+    atom = object.__new__(Atom)
+    object.__setattr__(atom, "value", raw)
+    object.__setattr__(atom, "_hash",
+                       hash(("Atom", type(raw).__name__, raw)))
+    return atom
+
+
+def _trusted_record(pairs: tuple) -> Record:
+    record = object.__new__(Record)
+    object.__setattr__(record, "fields", pairs)
+    object.__setattr__(record, "_by_label", dict(pairs))
+    object.__setattr__(record, "_hash", hash(("Record", frozenset(pairs))))
+    return record
+
+
+def _trusted_set(elements: frozenset) -> SetValue:
+    set_value = object.__new__(SetValue)
+    object.__setattr__(set_value, "elements", elements)
+    object.__setattr__(set_value, "_hash", hash(("SetValue", elements)))
+    object.__setattr__(set_value, "_sorted", None)
+    return set_value
+
+
 def thaw_value(data):
     """Rebuild the value tree frozen by :func:`freeze_value`."""
     if data is None:
         return None
     if type(data) is not tuple:
-        atom = object.__new__(Atom)
-        object.__setattr__(atom, "value", data)
-        object.__setattr__(
-            atom, "_hash", hash(("Atom", type(data).__name__, data)))
-        return atom
+        return _trusted_atom(data)
     tag, payload = data
     if tag == "R":
-        pairs = tuple((label, thaw_value(sub)) for label, sub in payload)
-        record = object.__new__(Record)
-        object.__setattr__(record, "fields", pairs)
-        object.__setattr__(record, "_by_label", dict(pairs))
-        object.__setattr__(
-            record, "_hash", hash(("Record", frozenset(pairs))))
-        return record
-    frozen = frozenset(thaw_value(element) for element in payload)
-    set_value = object.__new__(SetValue)
-    object.__setattr__(set_value, "elements", frozen)
-    object.__setattr__(set_value, "_hash", hash(("SetValue", frozen)))
-    object.__setattr__(set_value, "_sorted", None)
-    return set_value
+        return _trusted_record(tuple((label, thaw_value(sub))
+                                     for label, sub in payload))
+    return _trusted_set(frozenset(thaw_value(element)
+                                  for element in payload))
+
+
+def value_of_json(data):
+    """The value tree of plain JSON-shaped *data* — dicts, lists and
+    scalars — already known to be well-formed (type-checked, or made by
+    :func:`~repro.values.build.to_python`).
+
+    Built like :func:`thaw_value`, without the constructors' checks: a
+    dict becomes a :class:`Record` in its key order, a list a
+    :class:`SetValue` (an equal repeat keeps the first occurrence, as
+    ``frozenset`` does) and a scalar an :class:`Atom`."""
+    kind = type(data)
+    if kind is dict:
+        return _trusted_record(tuple([(label, value_of_json(sub))
+                                      for label, sub in data.items()]))
+    if kind is list:
+        return _trusted_set(frozenset([value_of_json(item)
+                                       for item in data]))
+    return _trusted_atom(data)

@@ -20,8 +20,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.values import Atom, InternPool, Record, SetValue
-from repro.values.canonical import canonical_bytes, canonical_key_bytes
+from repro.values import Atom, InternPool, Record, SetValue, to_python
+from repro.values.canonical import (canonical_bytes, canonical_json_bytes,
+                                    canonical_key_bytes)
 
 # Numbers chosen to collide across types or widths: bool/int/float
 # triples of the same magnitude, signed zeros, ints at float-precision
@@ -82,18 +83,45 @@ def test_key_bytes_equal_iff_key_tuples_equal(left, right):
             canonical_key_bytes(tuple(right))) == same
 
 
+def _respelled(data, rng):
+    """Plain data decoding to the same value: dict fields in a shuffled
+    order, list elements shuffled and some repeated."""
+    if isinstance(data, dict):
+        items = list(data.items())
+        rng.shuffle(items)
+        return {label: _respelled(sub, rng) for label, sub in items}
+    if isinstance(data, list):
+        items = [_respelled(item, rng) for item in data]
+        items += [_respelled(item, rng) for item in data
+                  if rng.random() < 0.5]
+        rng.shuffle(items)
+        return items
+    return data
+
+
 @settings(deadline=None)
-@given(st.lists(_values(1), min_size=1, max_size=3))
-def test_pooled_key_bytes_match_unpooled(parts):
-    """The intern pool is a cache, never an encoding change."""
-    pool = InternPool(max_entries=4)  # tiny: forces eviction mid-key
-    scratch = bytearray()
-    key = tuple(parts)
-    assert canonical_key_bytes(key, pool=pool, scratch=scratch) == \
-        canonical_key_bytes(key)
-    # and again, now that every part is (maybe) pooled
-    assert canonical_key_bytes(key, pool=pool, scratch=scratch) == \
-        canonical_key_bytes(key)
+@given(_values(), st.randoms(use_true_random=False))
+def test_json_bytes_equal_value_bytes(value, rng):
+    """Streamed JSON keys group exactly as values do: the encoding of
+    plain data equals its value's, however the data is spelled."""
+    expected = canonical_bytes(value)
+    assert canonical_json_bytes(to_python(value)) == expected
+    assert canonical_json_bytes(_respelled(to_python(value), rng)) == \
+        expected
+
+
+@settings(deadline=None)
+@given(st.lists(_values(1), min_size=1, max_size=6))
+def test_pooled_json_bytes_match_unpooled(values):
+    """One tiny pool over mixed plain data — ``1``, ``True`` and ``1.0``
+    side by side — caches without changing any encoding."""
+    pool = InternPool(max_entries=4)
+    for _ in range(2):
+        for value in values:
+            data = to_python(value)
+            assert pool.json_bytes(data) == canonical_json_bytes(data) \
+                == canonical_bytes(value)
+    assert len(pool) <= 4
 
 
 def test_numeric_triples_stay_apart():

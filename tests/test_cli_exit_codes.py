@@ -229,6 +229,93 @@ def test_stream_rejects_ill_typed_element(case, value, mode, extra,
     assert "line 2" in captured.err
 
 
+# -- one line model: lines end at \n bytes, decoded as strict UTF-8 ---
+
+def _course_lines():
+    """Three JSONL elements; the third repeats the first's ``cnum``
+    with another ``time``."""
+    import json
+
+    rows = [{"cnum": "a", "time": 1,
+             "students": [{"sid": 1, "age": 20, "grade": "A"}],
+             "books": [{"isbn": 1, "title": "X"}]},
+            {"cnum": "b", "time": 2,
+             "students": [{"sid": 2, "age": 21, "grade": "B"}],
+             "books": [{"isbn": 2, "title": "Y"}]},
+            {"cnum": "a", "time": 3,
+             "students": [{"sid": 3, "age": 22, "grade": "C"}],
+             "books": [{"isbn": 3, "title": "Z"}]}]
+    return [json.dumps(row).encode("utf-8") for row in rows]
+
+
+def _stream_outcome(tmp_path, data: bytes, extra, capsys):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(dump_bundle(workloads.course_schema(),
+                                  workloads.course_sigma()))
+    stream = tmp_path / "course.jsonl"
+    stream.write_bytes(data)
+    cache = tmp_path / "cache"
+    capsys.readouterr()
+    code = run(["check", str(bundle), "--stream", str(stream),
+                "--cache-dir", str(cache)]
+               + [arg.format(cache=cache) for arg in extra])
+    captured = capsys.readouterr()
+    spill_root = cache / "tmp"
+    assert not spill_root.exists() or list(spill_root.iterdir()) == []
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(("mode", "extra"), STREAM_MODES,
+                         ids=[row[0] for row in STREAM_MODES])
+def test_stream_bare_cr_is_inside_one_line(mode, extra, tmp_path, capsys):
+    """``A\\n``, ``B\\rC\\n``, ``A'\\n``: a bare ``\\r`` does not end a
+    line, so line 2 holds two JSON values and is malformed — on every
+    path, which all see the same three lines (the incremental
+    watermark scan included), never a "satisfies" that skipped
+    elements."""
+    a, b, c = _course_lines()
+    code, out, err = _stream_outcome(
+        tmp_path, a + b"\n" + b + b"\r" + b + b"\n" + c + b"\n", extra,
+        capsys)
+    assert (code, out) == (2, "")
+    assert "line 2" in err and "malformed" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(("mode", "extra"), STREAM_MODES,
+                         ids=[row[0] for row in STREAM_MODES])
+def test_stream_crlf_line_ends_are_whitespace(mode, extra, tmp_path,
+                                              capsys):
+    """``\\r\\n`` line ends: the ``\\r`` is JSON whitespace, and every
+    path prints what it prints for ``\\n`` line ends."""
+    lines = _course_lines()
+    (tmp_path / "lf").mkdir()
+    expected = _stream_outcome(tmp_path / "lf", b"".join(
+        line + b"\n" for line in lines), [], capsys)[:2]
+    code, out, _ = _stream_outcome(
+        tmp_path, b"".join(line + b"\r\n" for line in lines), extra,
+        capsys)
+    assert (code, out) == expected
+    assert code == 1 and "Course:[cnum -> time]" in out
+
+
+@pytest.mark.parametrize(("mode", "extra"), STREAM_MODES,
+                         ids=[row[0] for row in STREAM_MODES])
+def test_stream_invalid_utf8_exits_2(mode, extra, tmp_path, capsys):
+    """An invalid UTF-8 byte is a typed error naming its line — exit 2,
+    not a ``UnicodeDecodeError`` traceback with exit 1 — on the plain,
+    sharded (the line count included) and incremental paths, with
+    ``<cache-dir>/tmp`` left empty."""
+    a, b, c = _course_lines()
+    bad = b.replace(b'"Y"', b'"Y\xff"')
+    code, out, err = _stream_outcome(
+        tmp_path, a + b"\n" + bad + b"\n" + c + b"\n", extra, capsys)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "line 2" in line
+    assert "UTF-8" in line
+
+
 # -- a full disk while spilling means the run could not finish --------
 
 #: (case id, spill file the failing write targets, which write of that

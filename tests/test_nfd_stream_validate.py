@@ -250,6 +250,67 @@ class TestObservability:
         assert len(tracer.spans("stream.shard")) == len(shards)
 
 
+class TestWitnessElementsBuilt:
+    """Value trees are built only for witnesses and re-walked elements,
+    and ``witness_elements_built`` counts them."""
+
+    CONFLICTS = 3
+
+    def _workload(self, conflicts: int):
+        """200 courses; with *conflicts*, that many root clashes (a
+        course re-listed with another time) and that many nested ones
+        (a course grading one sid twice)."""
+        import random
+        from repro.generators import workloads
+        rows = [to_python(e) for e in workloads.scaled_course_instance(
+            random.Random(11), courses=200, students_per_course=2,
+            books_per_course=1).relation("Course")]
+        for n in range(conflicts):
+            rows.append(dict(rows[n], time=rows[n]["time"] + 1000))
+            nested = rows[100 + n]
+            nested["students"] = nested["students"] + [
+                {"sid": 9000 + n, "age": 1, "grade": "A"},
+                {"sid": 9000 + n, "age": 1, "grade": "B"}]
+        return rows
+
+    def _stream(self, tmp_path, rows, extra=()):
+        import json
+        from repro.cli import main
+        from repro.generators import workloads
+        from repro.io import dump_bundle
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(dump_bundle(workloads.course_schema(),
+                                      workloads.course_sigma()))
+        stream = tmp_path / "course.jsonl"
+        stream.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        metrics = tmp_path / "metrics.json"
+        code = main(["check", str(bundle), "--stream", str(stream),
+                     "--max-rows", "20", "--stats", "--metrics-json",
+                     str(metrics), *extra])
+        with open(metrics) as handle:
+            return code, json.load(handle)["sections"]["stream"]
+
+    def test_zero_on_a_satisfying_spilled_pass(self, tmp_path, capsys):
+        code, stats = self._stream(tmp_path, self._workload(0))
+        assert code == 0 and stats["spills"] >= 1
+        assert stats["witness_elements_built"] == 0
+        assert "witness elements built: 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(), ("--shards", "2")],
+                             ids=["plain", "shards"])
+    def test_bounded_by_witnesses_and_rewalks(self, tmp_path, capsys,
+                                              extra):
+        code, stats = self._stream(tmp_path, self._workload(
+            self.CONFLICTS), extra)
+        out = capsys.readouterr().out
+        violations = int(out.rsplit("\n", 2)[-2].split()[0])
+        assert code == 1 and stats["spills"] >= 1
+        assert violations >= 2 * self.CONFLICTS
+        # each nested clash re-walks its one course
+        assert 0 < stats["witness_elements_built"] \
+            <= 2 * violations + self.CONFLICTS
+
+
 class TestStreamStats:
     def test_absorb_takes_max_of_peaks(self):
         stats = StreamStats(elements_seen=2, peak_resident_rows=7)
