@@ -415,8 +415,7 @@ def _cmd_check_stream(args) -> int:
                                 cache_dir=store.cache_dir
                                 if store is not None else None)
     else:
-        reader = iter_jsonl_elements(args.stream, schema, relation,
-                                     values=False)
+        reader = iter_jsonl_elements(args.stream, schema, relation)
         result = stream_validate(schema, streamed, {relation: reader},
                                  budget=budget, tracer=tracer,
                                  spill_root=spill_root, store=store)

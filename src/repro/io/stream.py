@@ -27,11 +27,11 @@ type (:func:`_compile_checker`): one walk over the parsed JSON holds the
 element to its type — base types (a JSON ``true`` is not an ``int``,
 ``1.0`` is not one either), missing and extra record fields — the same
 typing the in-memory ``check`` enforces through
-:func:`~repro.values.typecheck.check_instance`.  The reader then yields
-either the element's value tree (:func:`~repro.values.value.value_of_json`)
-or, with ``values=False``, the checked JSON itself: the form
-:mod:`repro.nfd.stream_validate` binds, building value trees only for
-the elements a witness prints.
+:func:`~repro.values.typecheck.check_instance`.  The reader yields the
+checked JSON itself: the form :mod:`repro.nfd.stream_validate` binds,
+building value trees only for the elements a witness prints.  A caller
+that wants the element's value tree maps
+:func:`~repro.values.value.value_of_json` over the reader.
 
 Sharding support: :func:`plan_shards` splits one file into *contiguous*
 line ranges (order-preserving, so a sharded run sees the same element
@@ -50,7 +50,7 @@ from ..errors import StreamError, ValueError_
 from ..types.base import BaseType, SetType, Type
 from ..types.schema import Schema
 from ..values.build import to_python
-from ..values.value import SetValue, Value, value_of_json
+from ..values.value import SetValue, Value
 
 __all__ = [
     "iter_jsonl_elements",
@@ -152,16 +152,16 @@ def _parse_line(line: bytes, label: str, number: int):
 
 def iter_jsonl_elements(path, schema: Schema, relation: str, *,
                         start: int = 0, stop: int | None = None,
-                        require_elements: bool = True,
-                        values: bool = True) -> Iterator:
+                        require_elements: bool = True) -> Iterator[dict]:
     """Stream the elements of one relation from a JSONL file.
 
     Each non-blank line must hold one JSON object conforming to
     *relation*'s element type (checked as strictly as the in-memory
     ``check`` does — see :func:`_compile_checker`); elements are
     yielded in file order, one at a time, so memory stays bounded by a
-    single element — as :class:`~repro.values.value.Record` values, or
-    with ``values=False`` as the checked JSON objects themselves.
+    single element — as the checked JSON objects themselves (map
+    :func:`~repro.values.value.value_of_json` over the reader for
+    :class:`~repro.values.value.Record` values).
 
     ``start``/``stop`` restrict the scan to physical lines
     ``start < n <= stop`` (the half-open ranges :func:`plan_shards`
@@ -191,7 +191,7 @@ def iter_jsonl_elements(path, schema: Schema, relation: str, *,
                     f"to the {relation!r} element type: {exc}",
                     line=number) from exc
             yielded += 1
-            yield value_of_json(data) if values else data
+            yield data
     if require_elements and yielded == 0:
         raise StreamError(
             f"{label}: line 1: empty stream (no {relation!r} elements)",

@@ -129,7 +129,7 @@ from ..types.base import SetType
 from ..types.schema import Schema
 from ..values.build import to_python
 from ..values.canonical import InternPool
-from ..values.value import Value, freeze_value, value_of_json
+from ..values.value import Value, value_of_json
 from .batch_validate import _UNDEFINED, ValidatorEngine, _Run
 from .nfd import NFD
 from .violations import Violation
@@ -430,11 +430,8 @@ class _ElementStore:
     tables' aggregates — and spills a tiny ``("@", store_path, offset)``
     ref in its place.  Refs survive merges, summary files, and the
     driver's absorb untouched; :meth:`StreamValidator.finalize` seeks an
-    element only when a violation needs it.
-
-    The engine's elements are plain JSON data and pickle natively; a
-    :class:`~repro.values.value.Value` is stored in its
-    :func:`~repro.values.value.freeze_value` form.
+    element only when a violation needs it.  Elements are plain JSON
+    data and pickle natively.
     """
 
     __slots__ = ("path", "_handle", "_memo")
@@ -444,16 +441,14 @@ class _ElementStore:
         self._handle = open(path, "ab")
         self._memo: dict[int, int] = {}
 
-    def put(self, element) -> tuple[str, str, int]:
+    def put(self, element: dict) -> tuple[str, str, int]:
         # The id() memo is only valid while the aggregates being
         # written keep their elements alive — end_event() clears it
         # before the tables are, so a recycled id can never alias.
         offset = self._memo.get(id(element))
         if offset is None:
             offset = self._handle.tell()
-            pickle.dump(freeze_value(element)
-                        if isinstance(element, Value) else element,
-                        self._handle, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(element, self._handle, pickle.HIGHEST_PROTOCOL)
             self._memo[id(element)] = offset
         return ("@", self.path, offset)
 
@@ -552,6 +547,9 @@ class _JsonPlan:
         ambiguous NFD returns ``None``: the spelling the value binder
         keeps is unknown here."""
         if self.single:
+            # one binding per record and no factor build: the common
+            # shape, worth about 15% of a pass over perfbench's
+            # stream-spill input (2-core host)
             lhs_at = self.lhs_at
             branch, slot = self.rhs_at
             return [(self.prefix + b"".join([rows[at][0][0][i]
@@ -622,7 +620,9 @@ def _compile_rows(node):
     sub_leaves = node.sub_leaves
     where = node.path
     if all(not child.child_list for child in children):
-        # a set of flat records: one row per element
+        # a set of flat records: one row per element, without the
+        # per-child row lists and product (about 10% of a pass over
+        # perfbench's stream-spill input, 2-core host)
         labels = tuple(child.label for child in children)
         child_rows = None
     else:
@@ -808,6 +808,12 @@ class StreamValidator:
         budget stopped consumption (the current result is a valid
         partial).
 
+        A plain JSON object is taken as type-checked, as
+        :func:`repro.io.stream.iter_jsonl_elements` yields it: a missing
+        field is a :class:`~repro.errors.PathError`, but an ill-typed
+        atom binds as it is.  Check other JSON first, or pass
+        :class:`~repro.values.value.Record` values.
+
         Per-relation dispatch state is bound once, each element's
         branch rows are materialized once, and every root plan folds
         its whole binding list in one pass."""
@@ -844,11 +850,16 @@ class StreamValidator:
                 return False
             if type(element) is not dict:
                 element = _plain_element(element)
-            value = None
-            if json_anchor is not None:
-                value = self._fold_root(json_anchor, tables, element)
-            if nested:
-                self._check_nested(root, nested, element, value)
+            try:
+                value = None
+                if json_anchor is not None:
+                    value = self._fold_root(json_anchor, tables, element)
+                if nested:
+                    self._check_nested(root, nested, element, value)
+            except KeyError as exc:
+                raise PathError(
+                    f"{relation} element {self._elements_seen + 1} has "
+                    f"no field {exc.args[0]!r}") from None
             self._elements_seen += 1
             stats.elements_seen += 1
         return self._exhausted is None
@@ -1723,8 +1734,7 @@ def _shard_probe(context, task):
             _, path, start, stop = spec
             elements = iter_jsonl_elements(path, schema, relation,
                                            start=start, stop=stop,
-                                           require_elements=False,
-                                           values=False)
+                                           require_elements=False)
         validator.consume(relation, elements)
         return validator.summarize()
     except BaseException:

@@ -310,7 +310,7 @@ def incremental_stream_validate(
                 anchor_counts=state["anchor_counts"])
         elements: Iterator = iter_jsonl_elements(
             path, schema, relation, start=start, stop=total,
-            require_elements=(start == 0), values=False)
+            require_elements=(start == 0))
         validator.consume(relation, elements)
         folded = validator._elements_seen
 
@@ -349,7 +349,7 @@ def incremental_stream_validate(
         result = stream_validate(
             schema, sigma,
             {relation: iter_jsonl_elements(path, schema, relation,
-                                           stop=total, values=False)},
+                                           stop=total)},
             budget=budget, spill_root=spill_root, tracer=tracer)
         resumed, start, folded = False, 0, result.elements_seen
     info = {

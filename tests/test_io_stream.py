@@ -17,7 +17,12 @@ from repro.io import (
     iter_set_elements,
     plan_shards,
 )
-from repro.values import to_python
+from repro.values import to_python, value_of_json
+
+
+def _records(*args, **kwargs):
+    """The reader's elements as value trees."""
+    return list(map(value_of_json, iter_jsonl_elements(*args, **kwargs)))
 
 
 @pytest.fixture
@@ -33,8 +38,7 @@ class TestRoundTrip:
             self, course_schema, course_instance, course_dump):
         path, count = course_dump
         expected = list(course_instance.relation("Course"))
-        streamed = list(iter_jsonl_elements(path, course_schema,
-                                            "Course"))
+        streamed = _records(path, course_schema, "Course")
         assert count == len(expected)
         assert streamed == expected
 
@@ -44,9 +48,18 @@ class TestRoundTrip:
         rows = [to_python(e)
                 for e in course_instance.relation("Course")]
         assert dump_jsonl(path, rows) == len(rows)
-        assert list(iter_jsonl_elements(path, course_schema,
-                                        "Course")) == \
+        assert _records(path, course_schema, "Course") == \
             list(course_instance.relation("Course"))
+
+    def test_reader_yields_the_checked_json(self, tmp_path, course_schema,
+                                            course_instance):
+        path = tmp_path / "plain.jsonl"
+        rows = [to_python(e)
+                for e in course_instance.relation("Course")]
+        dump_jsonl(path, rows)
+        streamed = list(iter_jsonl_elements(path, course_schema, "Course"))
+        assert streamed == rows
+        assert all(type(element) is dict for element in streamed)
 
     def test_blank_lines_are_skipped(self, course_schema, course_dump):
         path, count = course_dump
@@ -206,8 +219,7 @@ class TestStrictTyping:
         """The trusted build hashes and compares like the validating
         constructors (the streaming engine keys groups by both)."""
         path, _ = course_dump
-        streamed = list(iter_jsonl_elements(path, course_schema,
-                                            "Course"))
+        streamed = _records(path, course_schema, "Course")
         expected = list(course_instance.relation("Course"))
         assert [hash(e) for e in streamed] == [hash(e) for e in expected]
         assert [e.fields for e in streamed] == \
@@ -219,12 +231,12 @@ class TestRangesAndShards:
                                course_dump):
         path, count = course_dump
         expected = list(course_instance.relation("Course"))
-        assert list(iter_jsonl_elements(
+        assert _records(
             path, course_schema, "Course", start=1, stop=count,
-            require_elements=False)) == expected[1:]
-        assert list(iter_jsonl_elements(
+            require_elements=False) == expected[1:]
+        assert _records(
             path, course_schema, "Course", start=0, stop=1,
-            require_elements=False)) == expected[:1]
+            require_elements=False) == expected[:1]
 
     def test_plan_shards_cover_and_preserve_order(
             self, course_schema, course_instance, course_dump):
@@ -238,7 +250,7 @@ class TestRangesAndShards:
                 assert hi == lo  # contiguous
             streamed = []
             for label, lo, hi in ranges:
-                streamed.extend(iter_jsonl_elements(
+                streamed.extend(_records(
                     label, course_schema, "Course", start=lo, stop=hi,
                     require_elements=False))
             assert streamed == expected

@@ -311,6 +311,48 @@ class TestWitnessElementsBuilt:
             <= 2 * violations + self.CONFLICTS
 
 
+class TestPlainElements:
+    """A plain JSON element is taken as the reader's checked output."""
+
+    ROW = {"cnum": "c1", "time": 1,
+           "students": [{"sid": 1, "age": 20, "grade": "A"}],
+           "books": [{"isbn": 7, "title": "t"}]}
+
+    def test_checked_json_binds_like_records(self, course_schema,
+                                             course_sigma):
+        from repro.values import from_python
+        other = dict(self.ROW, time=2)
+        plain = stream_validate(course_schema, course_sigma,
+                                {"Course": [self.ROW, other]})
+        values = stream_validate(
+            course_schema, course_sigma,
+            {"Course": [from_python(row, course_schema.element_type(
+                "Course")) for row in (self.ROW, other)]})
+        assert [v.describe() for v in plain.violations] == \
+            [v.describe() for v in values.violations]
+        assert not plain.ok
+
+    @pytest.mark.parametrize("where", ["top", "nested"])
+    def test_missing_field_is_a_path_error(self, tmp_path, course_schema,
+                                           course_sigma, where):
+        from repro.errors import PathError
+        from repro.nfd.stream_validate import ResourceBudget
+        row = dict(self.ROW)
+        if where == "top":
+            del row["time"]
+        else:
+            row["students"] = [{"sid": 1, "age": 20}]
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        with pytest.raises(PathError, match="Course element 2 has no "
+                                            "field '(time|grade)'"):
+            stream_validate(course_schema, course_sigma,
+                            {"Course": [self.ROW, row]},
+                            budget=ResourceBudget(max_resident_rows=1),
+                            spill_dir=str(spill))
+        assert list(spill.iterdir()) == []
+
+
 class TestStreamStats:
     def test_absorb_takes_max_of_peaks(self):
         stats = StreamStats(elements_seen=2, peak_resident_rows=7)
@@ -440,15 +482,13 @@ class TestCleanup:
 
 class TestElementStore:
     """The witness sidecar: elements spill once, refs are stable, and
-    point reads thaw the exact element back."""
+    point reads load the exact element back."""
 
     def test_refs_round_trip(self, tmp_path):
         import pickle
         from repro.nfd.stream_validate import _ElementStore
-        from repro.values import thaw_value
         store = _ElementStore(str(tmp_path / "elems.dat"))
-        element = Record([("A", Atom(1)),
-                          ("B", SetValue([Atom("x"), Atom("y")]))])
+        element = {"A": 1, "B": ["y", "x"]}
         ref = store.put(element)
         assert ref[0] == "@" and ref[1] == store.path
         again = store.put(element)   # same event: memoized, same ref
@@ -457,12 +497,14 @@ class TestElementStore:
         store.close()
         with open(ref[1], "rb") as handle:
             handle.seek(ref[2])
-            assert thaw_value(pickle.load(handle)) == element
+            loaded = pickle.load(handle)
+        assert loaded == element
+        assert list(loaded) == ["A", "B"]  # field order kept
 
     def test_memo_resets_between_events(self, tmp_path):
         from repro.nfd.stream_validate import _ElementStore
         store = _ElementStore(str(tmp_path / "elems.dat"))
-        element = Record([("A", Atom(7))])
+        element = {"A": 7}
         first = store.put(element)
         store.end_event()
         second = store.put(element)  # new event: a fresh write

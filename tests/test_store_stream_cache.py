@@ -624,3 +624,78 @@ class TestOldLayout:
             _, info = incremental_stream_validate(
                 schema, sigma, "Course", path, store=store)
         assert info["mode"] == "resumed"
+
+    @pytest.mark.parametrize("budget", [(), ("--max-rows", "7")],
+                             ids=["resident", "spilling"])
+    def test_freeze_value_checkpoint_resumes_exactly(self, stream_case,
+                                                     capsys, budget):
+        """Checkpoint rows and elements in the ``freeze_value`` form of
+        the engine's value trees (sets in ``repr`` order, as checkpoints
+        written by the value-tree engine hold them) resume under the
+        JSON binder with stdout equal to a cold run: the first RHS's
+        bytes re-encoded from that form match bindings spelled in
+        another set and field order."""
+        import pickle
+        import sqlite3
+        from repro.store import DB_FILENAME
+        from repro.values import freeze_value, thaw_value
+        bundle, path, cache, rows = stream_case
+
+        def permuted(students):
+            return [{"grade": s["grade"], "sid": s["sid"], "age": s["age"]}
+                    for s in reversed(students)]
+
+        rows[3] = dict(rows[3], students=permuted(rows[3]["students"]))
+        prefix = rows + [dict(rows[1], time=-5),
+                         dict(rows[2], students=rows[2]["students"][:1])]
+        with open(path, "w") as handle:
+            handle.write("".join(json.dumps(row) + "\n" for row in prefix))
+        argv = _incremental(stream_case) + list(budget)
+        assert _cli(argv, capsys)[0] == 1
+
+        def value_form(frozen):
+            return freeze_value(thaw_value(frozen))
+
+        conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
+        try:
+            changed = 0
+            groups = conn.execute(
+                "SELECT source_id, plan, key, agg FROM stream_groups"
+            ).fetchall()
+            for source_id, plan, key, blob in groups:
+                agg = pickle.loads(blob)
+                old = [tuple(value_form(part) for part in agg[0]), agg[1],
+                       value_form(agg[2]), agg[3], agg[4],
+                       value_form(agg[5]), agg[6]]
+                changed += old != agg
+                conn.execute(
+                    "UPDATE stream_groups SET agg = ? WHERE source_id = ?"
+                    " AND plan = ? AND key = ?",
+                    (pickle.dumps(old), source_id, plan, key))
+            elements = conn.execute(
+                "SELECT source_id, id, element FROM stream_elements"
+            ).fetchall()
+            for source_id, elem_id, blob in elements:
+                element = pickle.loads(blob)
+                old = value_form(element)
+                changed += old != element
+                conn.execute(
+                    "UPDATE stream_elements SET element = ? WHERE "
+                    "source_id = ? AND id = ?",
+                    (pickle.dumps(old), source_id, elem_id))
+            conn.commit()
+        finally:
+            conn.close()
+        assert changed >= 2  # the rewrite is not the identity
+
+        _append_rows(path, [
+            dict(rows[3], students=list(reversed(rows[3]["students"]))),
+            dict(rows[3], time=-7),
+            dict(rows[4], students=permuted(rows[4]["students"])),
+            dict(rows[5], students=rows[5]["students"][1:])])
+        total = len(prefix) + 4
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        code, out, err = _cli(argv, capsys)
+        assert err == (f"incremental: resumed at line {len(prefix)}/"
+                       f"{total}, 4 element(s) folded\n")
+        assert (code, out) == cold[:2] and code == 1

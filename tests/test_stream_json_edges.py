@@ -279,7 +279,7 @@ def test_nested_base_set_numbering_matches_engine(tmp_path):
     stream.write_text("".join(json.dumps(row) + "\n" for row in ordered))
     for budget in (None, ResourceBudget(max_resident_rows=1)):
         result = stream_validate(schema, sigma, {
-            "R": iter_jsonl_elements(stream, schema, "R", values=False)},
+            "R": iter_jsonl_elements(stream, schema, "R")},
             budget=budget)
         assert [(str(v.nfd), v.base_index, v.describe())
                 for v in result.violations] == expected
