@@ -22,16 +22,20 @@ each is decoded as strict UTF-8 before :func:`json.loads`, so a ``\r``
 is JSON whitespace inside its line and an invalid byte is a typed error
 naming the line.
 
-Each parsed line is checked by a checker compiled once per relation
-type (:func:`_compile_checker`): one walk over the parsed JSON holds the
-element to its type — base types (a JSON ``true`` is not an ``int``,
-``1.0`` is not one either), missing and extra record fields — the same
-typing the in-memory ``check`` enforces through
-:func:`~repro.values.typecheck.check_instance`.  The reader yields the
-checked JSON itself: the form :mod:`repro.nfd.stream_validate` binds,
-building value trees only for the elements a witness prints.  A caller
-that wants the element's value tree maps
-:func:`~repro.values.value.value_of_json` over the reader.
+Each parsed line is checked by one function compiled per relation type
+from generated source (:func:`_checker_source`; :func:`checker_source`
+prints it): the element's type tree unrolled into type tests, record
+field reads and loops, holding the element to its type — base types (a
+JSON ``true`` is not an ``int``, ``1.0`` is not one either), missing and
+extra record fields — as the in-memory ``check`` does through
+:func:`~repro.values.typecheck.check_instance`.  Only a refused line is
+walked again, by :func:`_type_error`, to word the error.  The reader
+yields the checked JSON itself: the form
+:mod:`repro.nfd.stream_validate`'s compiled binder walks — once per
+element, building value trees only for the elements a witness prints
+or the engine's two set-order fallbacks re-bind.  A caller that wants
+the element's value tree maps :func:`~repro.values.value.value_of_json`
+over the reader.
 
 Sharding support: :func:`plan_shards` splits one file into *contiguous*
 line ranges (order-preserving, so a sharded run sees the same element
@@ -44,9 +48,11 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import count
 from typing import Any, Iterable, Iterator
 
-from ..errors import StreamError, ValueError_
+from ..codegen import build_function
+from ..errors import StreamError
 from ..types.base import BaseType, SetType, Type
 from ..types.schema import Schema
 from ..values.build import to_python
@@ -75,54 +81,100 @@ def _shown(data) -> str:
     return f"{type(data).__name__} {data!r}"
 
 
-def _compile_checker(value_type: Type, where: str):
-    """A function that checks parsed JSON against *value_type*.
+def _checker_source(value_type: Type) -> str:
+    """The source of ``check(data)`` for *value_type*: the type tree
+    unrolled — a type test per atom, a length test and field reads per
+    record, a loop per set — into one function that returns whether
+    parsed JSON conforms.  The text depends on the type alone."""
+    lines = ["def check(d):", "    try:"]
+    names = count(1)
+
+    def emit(node_type: Type, var: str, depth: int) -> None:
+        pad = "    " * depth
+        if isinstance(node_type, BaseType):
+            lines.append(f"{pad}if type({var}) is not "
+                         f"{_PYTHON_BASE[node_type.name].__name__}: "
+                         f"return False")
+        elif isinstance(node_type, SetType):
+            item = f"x{next(names)}"
+            lines.append(f"{pad}if type({var}) is not list: return False")
+            lines.append(f"{pad}for {item} in {var}:")
+            emit(node_type.element, item, depth + 1)
+        else:
+            # a record: its length and a read of every field make its
+            # key set equal the type's (a missing field is a KeyError)
+            lines.append(f"{pad}if type({var}) is not dict or len({var}) "
+                         f"!= {len(node_type.fields)}: return False")
+            for label, sub in node_type.fields:
+                if isinstance(sub, BaseType):
+                    emit(sub, f"{var}[{label!r}]", depth)
+                    continue
+                field = f"x{next(names)}"
+                lines.append(f"{pad}{field} = {var}[{label!r}]")
+                emit(sub, field, depth)
+
+    emit(value_type, "d", 2)
+    lines += ["    except KeyError:", "        return False",
+              "    return True", ""]
+    return "\n".join(lines)
+
+
+def _compile_checker(value_type: Type):
+    """A function that tells whether parsed JSON conforms to
+    *value_type* (see :func:`_checker_source`).
 
     An atom's Python type must be exactly its base type's (``bool`` is
     not ``int``, and there is no float base type, so ``1.0`` and NaN
     never pass), a record must carry exactly its type's fields, and a
-    set must be a JSON array of its element type.  A mismatch raises
-    :class:`~repro.errors.ValueError_` naming the path below *where*.
+    set must be a JSON array of its element type.
     """
+    return build_function(_checker_source(value_type), "check", {})
+
+
+def _type_error(value_type: Type, data, where: str) -> str | None:
+    """Why *data* does not conform to *value_type* — the first mismatch
+    in the data's own field and element order, named by its path below
+    *where* — or ``None`` when it does.  Run only on a line the
+    compiled checker refused, to word the error."""
     if isinstance(value_type, BaseType):
-        expected = _PYTHON_BASE[value_type.name]
-
-        def check_atom(data):
-            if type(data) is not expected:
-                raise ValueError_(f"{where}: expected {value_type}, got "
-                                  f"{_shown(data)}")
-        return check_atom
+        if type(data) is _PYTHON_BASE[value_type.name]:
+            return None
+        return f"{where}: expected {value_type}, got {_shown(data)}"
     if isinstance(value_type, SetType):
-        check_element = _compile_checker(value_type.element, f"{where}[]")
-
-        def check_set(data):
-            if type(data) is not list:
-                raise ValueError_(f"{where}: expected a set of type "
-                                  f"{value_type}, got {_shown(data)}")
-            for item in data:
-                check_element(item)
-        return check_set
+        if type(data) is not list:
+            return (f"{where}: expected a set of type {value_type}, got "
+                    f"{_shown(data)}")
+        for item in data:
+            error = _type_error(value_type.element, item, f"{where}[]")
+            if error is not None:
+                return error
+        return None
     # the remaining kind of type: a record
-    fields = {label: _compile_checker(sub, f"{where}.{label}")
-              for label, sub in value_type.fields}
-    labels = fields.keys()
+    if type(data) is not dict:
+        return (f"{where}: expected a record of type {value_type}, got "
+                f"{_shown(data)}")
+    fields = dict(value_type.fields)
+    if data.keys() != fields.keys():
+        parts = []
+        missing = fields.keys() - data.keys()
+        extra = data.keys() - fields.keys()
+        if missing:
+            parts.append(f"missing fields {', '.join(sorted(missing))}")
+        if extra:
+            parts.append(f"unexpected fields {', '.join(sorted(extra))}")
+        return f"{where}: {'; '.join(parts)}"
+    for label, sub in data.items():
+        error = _type_error(fields[label], sub, f"{where}.{label}")
+        if error is not None:
+            return error
+    return None
 
-    def check_record(data):
-        if type(data) is not dict:
-            raise ValueError_(f"{where}: expected a record of type "
-                              f"{value_type}, got {_shown(data)}")
-        if data.keys() != labels:
-            parts = []
-            missing = labels - data.keys()
-            extra = data.keys() - labels
-            if missing:
-                parts.append(f"missing fields {', '.join(sorted(missing))}")
-            if extra:
-                parts.append(f"unexpected fields {', '.join(sorted(extra))}")
-            raise ValueError_(f"{where}: {'; '.join(parts)}")
-        for label, sub in data.items():
-            fields[label](sub)
-    return check_record
+
+def checker_source(schema: Schema, relation: str) -> str:
+    """The generated source of *relation*'s element type checker — for
+    reading it while debugging (``print(checker_source(schema,
+    "Course"))``)."""
+    return _checker_source(schema.element_type(relation))
 
 
 def _open_stream(path, label: str):
@@ -173,7 +225,8 @@ def iter_jsonl_elements(path, schema: Schema, relation: str, *,
         ``require_elements=False`` (shard ranges may legitimately be
         empty) — a stream with no elements at all.
     """
-    check = _compile_checker(schema.element_type(relation), relation)
+    element_type = schema.element_type(relation)
+    check = _compile_checker(element_type)
     label = os.fspath(path)
     yielded = 0
     with _open_stream(path, label) as handle:
@@ -183,13 +236,12 @@ def iter_jsonl_elements(path, schema: Schema, relation: str, *,
             if number <= start or not line.strip():
                 continue
             data = _parse_line(line, label, number)
-            try:
-                check(data)
-            except ValueError_ as exc:
+            if not check(data):
                 raise StreamError(
                     f"{label}: line {number}: element does not conform "
-                    f"to the {relation!r} element type: {exc}",
-                    line=number) from exc
+                    f"to the {relation!r} element type: "
+                    f"{_type_error(element_type, data, relation)}",
+                    line=number)
             yielded += 1
             yield data
     if require_elements and yielded == 0:

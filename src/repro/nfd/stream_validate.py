@@ -34,40 +34,40 @@ any grouping without changing the final witnesses.
 *Nested-anchored* NFDs only ever relate bindings inside a single
 top-level element, so they need no cross-element state at all: each
 element's base sets are checked for a conflict, and only an element that
-holds one is re-walked with the batch engine's own scope-tree walk,
-masked to the nested plans, where its witnesses fall out.
+holds one is re-walked by the batch engine (see below).
 
-The hot path
-------------
+One walk per element
+--------------------
 
-There is one consume loop and no switches.  It binds Σ's plans straight
-over the parsed JSON of each element — dicts, lists and scalars, already
-type-checked by :func:`repro.io.stream.iter_jsonl_elements`; a
-:class:`~repro.values.value.Value` element from an in-memory source is
-converted once with :func:`~repro.values.build.to_python` — and encodes
-keys and RHS values from the scalars, through an always-on
-:class:`~repro.values.canonical.InternPool` whose hit/miss counters land
-in :class:`StreamStats`.  Group tables are plain dicts keyed by
-canonical key bytes (:func:`~repro.values.canonical.canonical_json_bytes`
-equals the value encoding byte for byte).  Binding is batched per
-element: each element's branch rows are materialized once, and every
-root plan's distinct ``(key, RHS)`` pairs are folded in one loop.
+Each relation gets one binder, compiled when the engine is built from
+source generated for (schema, Σ) (:class:`_BinderSource`;
+:func:`binder_source` prints it).  It walks an element's parsed JSON —
+type-checked by :func:`repro.io.stream.iter_jsonl_elements`; an
+in-memory :class:`~repro.values.value.Value` is converted once with
+:func:`~repro.values.build.to_python` — once: it encodes each leaf once
+through the engine's :class:`~repro.values.canonical.InternPool`
+(:func:`~repro.values.canonical.canonical_json_bytes` equals the value
+encoding), deduplicates each plan's projection by those bytes, returns
+every root plan's distinct ``(key, RHS)`` bindings for the group tables
+(plain dicts keyed by key bytes), and checks and counts every nested
+base set as the in-memory walk opens them.
 
-Value trees are built (:func:`~repro.values.value.value_of_json`) only
-for what a witness prints and for the few elements whose witnesses
-depend on set iteration order — the in-memory engine iterates a set
-deduplicated and sorted by ``repr``, the JSON walk in file order:
+Value trees (:func:`~repro.values.value.value_of_json`) are built only
+for what a witness prints and for the elements whose witnesses depend
+on set iteration order — the in-memory engine iterates a set
+deduplicated and sorted by ``repr``, the JSON walk in file order.  Two
+fallbacks cover those:
 
 * an element that binds one key to two or more distinct RHS values in a
   root plan — or repeats the value of a set-valued path below a
   traversed set, which two equal sets may spell apart — is bound
   through :class:`ValidatorEngine`'s own binder;
-* two clashes one element produces in one root plan are put in that
-  element's value-order emission at :meth:`StreamValidator.finalize`;
 * an element whose nested base sets hold a conflict is re-walked by
   ``ValidatorEngine._walk_scope``, which numbers its base sets itself.
 
-``StreamStats.witness_elements_built`` counts these trees.
+Two clashes one element produces in one root plan are put in that
+element's value-order emission at :meth:`StreamValidator.finalize`.
+``StreamStats.witness_elements_built`` counts the trees.
 
 Spill format
 ------------
@@ -120,17 +120,19 @@ import pickle
 import shutil
 import tempfile
 import time
-from itertools import chain, islice, product
+from itertools import chain, islice
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import InstanceError, PathError, StreamError, ValueError_
-from ..paths.typing import resolve_base_path, type_at
-from ..types.base import SetType
+from ..codegen import build_function
+from ..paths.path import Path
+from ..paths.typing import type_at
+from ..types.base import BaseType, SetType
 from ..types.schema import Schema
 from ..values.build import to_python
-from ..values.canonical import InternPool
+from ..values.canonical import InternPool, _field_bytes
 from ..values.value import Value, value_of_json
-from .batch_validate import _UNDEFINED, ValidatorEngine, _Run
+from .batch_validate import ValidatorEngine, _Run
 from .nfd import NFD
 from .violations import Violation
 
@@ -495,174 +497,256 @@ def _iter_run_file(path: str, count: int) -> Iterator[tuple[bytes, list]]:
 # ------------------------------------------------------------ JSON binding
 
 
-class _JsonPlan:
-    """One NFD's binding over plain JSON, compiled against its anchor's
-    binding trie (:class:`~repro.nfd.batch_validate._Anchor`).
+def _tuple(items: list[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
-    ``factors`` lists, per branch the NFD reads, the branch position,
-    the NFD's slot indices in the branch rows, and whether the
-    projection is *constant* — the NFD reads only the branch's own
-    top-level field, which every row of the branch repeats.  An NFD
-    whose projections are all constant binds once per record, at the
-    ``(branch, slot)`` addresses ``lhs_at``/``rhs_at``.  ``ambiguous``
-    marks an NFD with a set-valued path below a traversed set: two
-    equal such sets can be spelled differently, and which spelling a
-    witness prints depends on set iteration order.
-    """
 
-    __slots__ = ("plan", "paths", "factors", "single", "lhs_at", "rhs_at",
-                 "lhs_pos", "rhs_pos", "prefix", "ambiguous")
+class _BinderSource:
+    """The generated source of one relation's binder: ``bind(element)``
+    walks one element once and returns ``(roots, counts)`` — each root
+    plan's distinct ``(key bytes, RHS bytes, key, RHS)`` bindings (``()``
+    for a plan with an undefined path), or ``None`` when the value
+    binder must bind the element; and the base sets the element opens
+    per nested anchor (in ``counted`` order), or ``None`` on a nested
+    conflict.  A plan deduplicates each set branch's projection by bytes
+    at its innermost loop, and one comprehension takes the product in
+    the value binder's order.  Locals are numbered in emission order and
+    constants are globals, so the text depends on (schema, Σ) alone."""
 
-    def __init__(self, plan, anchor, record_type):
-        self.plan = plan
-        self.paths = plan.paths
-        factors = []
-        flat = []
-        for branch_pos, indices in plan.branch_proj:
-            slots = anchor.branch_slots[anchor.branches[branch_pos].label]
-            constant = all(len(slots[i]) == 1 for i in indices)
-            factors.append((branch_pos, indices, constant))
-            flat.extend((branch_pos, i) for i in indices)
-        self.factors = tuple(factors)
-        self.single = all(constant for _, _, constant in factors)
-        self.lhs_at = tuple(flat[i] for i in plan.lhs_pos)
-        self.rhs_at = flat[plan.rhs_pos]
-        self.lhs_pos = plan.lhs_pos
-        self.rhs_pos = plan.rhs_pos
-        self.prefix = b"T%d;" % len(plan.lhs_pos)
-        self.ambiguous = any(
-            len(path) > 1 and isinstance(type_at(record_type, path),
-                                         SetType)
-            for path in plan.paths)
-
-    def bindings(self, rows: list, exact: bool) -> list | None:
-        """The NFD's distinct ``(key bytes, RHS bytes, key, RHS)``
-        bindings over one record's branch rows (see
-        :meth:`_JsonAnchor.rows`).
-
-        Per branch the rows are projected to the NFD's slots and
-        deduplicated by canonical bytes — which deduplicates the value
-        pairs, as the value binder's projection does — and the bindings
-        are the cross product.  With *exact*, a dropped repeat of an
-        ambiguous NFD returns ``None``: the spelling the value binder
-        keeps is unknown here."""
-        if self.single:
-            # one binding per record and no factor build: the common
-            # shape, worth about 15% of a pass over perfbench's
-            # stream-spill input (2-core host)
-            lhs_at = self.lhs_at
-            branch, slot = self.rhs_at
-            return [(self.prefix + b"".join([rows[at][0][0][i]
-                                             for at, i in lhs_at]),
-                     rows[branch][0][0][slot],
-                     tuple([rows[at][1][0][i] for at, i in lhs_at]),
-                     rows[branch][1][0][slot])]
-        factors = []
-        for branch_pos, indices, constant in self.factors:
-            byte_rows, data_rows = rows[branch_pos]
-            if constant or len(byte_rows) == 1:
-                row_b, row_d = byte_rows[0], data_rows[0]
-                factors.append(((tuple([row_b[i] for i in indices]),
-                                 tuple([row_d[i] for i in indices])),))
-                continue
-            distinct: dict = {}
-            for row_b, row_d in zip(byte_rows, data_rows):
-                projected = tuple([row_b[i] for i in indices])
-                if projected not in distinct:
-                    distinct[projected] = tuple([row_d[i] for i in indices])
-                elif exact and self.ambiguous:
-                    return None
-            factors.append(tuple(distinct.items()))
-        lhs_pos, rhs_pos, prefix = self.lhs_pos, self.rhs_pos, self.prefix
-        if len(factors) == 1:
-            combos = factors[0]
+    def __init__(self, schema: Schema, relation: str, root):
+        self.lines = ["def bind(e):"]
+        self.consts: dict[str, Any] = {}
+        self._names = 0
+        self._encoders: dict[str, str] = {}
+        self._defs: list[str] = []
+        element_type = schema.element_type(relation)
+        if root.anchor is None:
+            self.put(1, "roots = ()")
         else:
-            combos = [(tuple(chain.from_iterable(b for b, _ in combo)),
-                       tuple(chain.from_iterable(d for _, d in combo)))
-                      for combo in product(*factors)]
-        return [(prefix + b"".join([flat_b[i] for i in lhs_pos]),
-                 flat_b[rhs_pos], tuple([flat_d[i] for i in lhs_pos]),
-                 flat_d[rhs_pos])
-                for flat_b, flat_d in combos]
+            plans = self._walk(root.anchor, "e", 1, element_type, True)
+            self.put(1, "fb = False")
+            lists = []
+            for plan, tables, flag in plans:
+                lists.append(self.name("b"))
+                depth = self._unless_skipped(plan, 1, f"{lists[-1]} = ()")
+                parts, loops = self._binding(plan, tables)
+                self.put(depth, f"{lists[-1]} = [{_tuple(parts)}{loops}]")
+                if tables:
+                    test = (f"len({lists[-1]}) > 1 and len({{t[0] for t in "
+                            f"{lists[-1]}}}) < len({lists[-1]})")
+                    self.put(depth, f"if {flag + ' or ' if flag else ''}"
+                                    f"{test}: fb = True")
+            self.put(1, f"roots = None if fb else [{', '.join(lists)}]")
+        self.counted = tuple(id(scope.anchor) for scope in _iter_scopes(root)
+                             if scope is not root and scope.anchor)
+        counters = {slot: self.name("c") for slot in self.counted}
+        if counters:
+            self.put(1, " = ".join(counters.values()) + " = 0")
+        for label, child in sorted(root.children.items()):
+            records = self.name("s")
+            self.put(1, f"{records} = e[{label!r}]")
+            self._scope(child, records, 1, counters,
+                        type_at(element_type, Path((label,))).element)
+        self.put(1, f"return roots, {_tuple(list(counters.values()))}")
+        self.text = "\n".join(self._defs + self.lines) + "\n"
 
+    def name(self, stem: str) -> str:
+        self._names += 1
+        return f"{stem}{self._names}"
 
-class _JsonAnchor:
-    """All NFDs of one anchor, bound over plain JSON records."""
+    def put(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
 
-    __slots__ = ("anchor", "branches", "plans")
+    def _scope(self, node, records: str, depth: int, counters: dict,
+               record_type):
+        """Check the nested base set *records* at scope *node*, and each
+        base set below it: an anchor folds each record's bindings into
+        per-plan groups, and deeper scopes walk the set's distinct
+        records, as the in-memory walk opens them."""
+        anchor = node.anchor
+        if anchor is not None:
+            self.put(depth, f"{counters[id(anchor)]} += 1")
+            groups = [self.name("g") for _ in anchor.plans]
+            self.put(depth, "; ".join(f"{group} = {{}}" for group in groups))
+            record = self.name("r")
+            self.put(depth, f"for {record} in {records}:")
+            plans = self._walk(anchor, record, depth + 1, record_type, False)
+            for (plan, tables, _), group in zip(plans, groups):
+                inner = self._unless_skipped(plan, depth + 1)
+                (key, rhs), loops = self._binding(plan, tables, False)
+                if loops:
+                    self.put(inner, f"for k, r in [({key}, {rhs}){loops}]:")
+                    key, rhs, inner = "k", "r", inner + 1
+                self.put(inner, f"if {group}.setdefault({key}, {rhs}) != "
+                                f"{rhs}: return roots, None")
+        if node.children:
+            distinct, record = self.name("s"), self.name("r")
+            self.put(depth, f"{distinct} = {records} if len({records}) < 2 "
+                            f"else list({{{self._encoder(record_type)}(t): t "
+                            f"for t in {records}}}.values())")
+            self.put(depth, f"for {record} in {distinct}:")
+            for label, child in sorted(node.children.items()):
+                below = self.name("s")
+                self.put(depth + 1, f"{below} = {record}[{label!r}]")
+                self._scope(child, below, depth + 1, counters, type_at(
+                    record_type, Path((label,))).element)
 
-    def __init__(self, anchor, record_type):
-        self.anchor = anchor
-        self.branches = tuple((branch.label, _compile_rows(branch))
-                              for branch in anchor.branches)
-        self.plans = tuple(_JsonPlan(plan, anchor, record_type)
-                           for plan in anchor.plans)
-
-    def rows(self, record: dict, encode, undefined: set) -> list:
-        """``(byte rows, data rows)`` per top-level branch of the
-        binding trie, over one record."""
-        return [rows(record[label], undefined, encode)
-                for label, rows in self.branches]
-
-
-def _compile_rows(node):
-    """A function from the plain JSON at binding-trie *node* to its
-    rows: the :meth:`~repro.nfd.batch_validate.ValidatorEngine._rows_for`
-    rows, as parallel lists of canonical-byte rows and data rows.  The
-    JSON walk keeps list order and repeats; projections deduplicate."""
-    children = node.child_list
-    is_leaf = node.is_leaf
-    if not children:
-        def leaf_rows(data, undefined, encode):
-            return [(encode(data),)], [(data,)]
-        return leaf_rows
-    pad = (_UNDEFINED,) * node.below_width
-    sub_leaves = node.sub_leaves
-    where = node.path
-    if all(not child.child_list for child in children):
-        # a set of flat records: one row per element, without the
-        # per-child row lists and product (about 10% of a pass over
-        # perfbench's stream-spill input, 2-core host)
-        labels = tuple(child.label for child in children)
-        child_rows = None
-    else:
-        labels = ()
-        child_rows = tuple((child.label, _compile_rows(child))
-                           for child in children)
-
-    def set_rows(data, undefined, encode):
-        if is_leaf:
-            own_b: tuple = (encode(data),)
-            own_d: tuple = (data,)
-        else:
-            own_b = own_d = ()
-        if type(data) is not list:
-            raise PathError(f"cannot traverse path {where} into {data!r}")
-        if not data:
-            undefined.update(sub_leaves)
-            return [own_b + pad], [own_d + pad]
-        byte_rows: list = []
-        data_rows: list = []
-        for item in data:
-            if type(item) is not dict:
-                raise PathError(f"expected a record at {where}, got "
-                                f"{item!r}")
-            if child_rows is None:
-                row = tuple([item[label] for label in labels])
-                byte_rows.append(own_b + tuple([encode(part)
-                                                for part in row]))
-                data_rows.append(own_d + row)
+    def _walk(self, anchor, record: str, depth: int, record_type,
+              exact: bool) -> list:
+        """Emit the walk of *anchor*'s trie over *record*; its plans as
+        ``(plan, dedup table per varying branch, repeat flag)``.  When
+        *exact*, an ambiguous plan (a set-valued path below a traversed
+        set, whose kept spelling is set order's) flags a repeat."""
+        self._anchor, self._type = anchor, record_type
+        self._data: dict[Path, str] = {}
+        self._raw: dict[Path, str] = {}
+        self._empty: dict[Path, tuple[str, frozenset]] = {}
+        start = len(self.lines)
+        plans = []
+        for plan in anchor.plans:
+            tables = {pos: self.name("d") for pos, indices in plan.branch_proj
+                      if any(len(self._path(pos, i)) > 1 for i in indices)}
+            flag = self.name("a") if tables and exact and any(
+                len(path) > 1
+                and isinstance(type_at(record_type, path), SetType)
+                for path in plan.paths) else None
+            plans.append((plan, tables, flag))
+        self._reads(anchor.branches, record, depth)
+        for pos, branch in enumerate(anchor.branches):
+            if not branch.child_list:
                 continue
-            parts = [rows(item[label], undefined, encode)
-                     for label, rows in child_rows]
-            for picks in product(*[range(len(sub_b))
-                                   for sub_b, _ in parts]):
-                byte_rows.append(own_b + tuple(chain.from_iterable(
-                    part[0][pick] for part, pick in zip(parts, picks))))
-                data_rows.append(own_d + tuple(chain.from_iterable(
-                    part[1][pick] for part, pick in zip(parts, picks))))
-        return byte_rows, data_rows
-    return set_rows
+            inner = self._loop(branch, depth)
+            for plan, tables, flag in plans:
+                if pos in tables:
+                    raws, datas = self._slots(pos,
+                                              dict(plan.branch_proj)[pos])
+                    table = tables[pos]
+                    self.put(inner, f"t = {_tuple(raws)}")
+                    self.put(inner, f"if t not in {table}: "
+                                    f"{table}[t] = {_tuple(datas)}")
+                    if flag is not None:
+                        self.put(inner, f"else: {flag} = True")
+        inits = [f"{flag} = False" for flag, _ in self._empty.values()]
+        inits += [f"{flag} = False" for _, _, flag in plans if flag]
+        inits += [f"{table} = {{}}" for _, tables, _ in plans
+                  for table in tables.values()]
+        if inits:
+            self.lines.insert(start, "    " * depth + "; ".join(inits))
+        return plans
+
+    def _reads(self, nodes, record: str, depth: int) -> None:
+        for node in nodes:
+            data = self._data[node.path] = self.name("x")
+            self.put(depth, f"{data} = {record}[{node.label!r}]")
+            if node.is_leaf:
+                raw = self._raw[node.path] = self.name("y")
+                encoder = self._encoder(type_at(self._type, node.path))
+                self.put(depth, f"{raw} = {encoder}({data})")
+
+    def _loop(self, node, depth: int) -> int:
+        """Loop over the set at *node*, then its set-valued children in
+        label order; the innermost depth.  An empty set raises its flag
+        and is walked as one record of empty sets, which only plans the
+        flag skips read."""
+        data = self._data[node.path]
+        flag = self.name("u")
+        self._empty[node.path] = (flag, frozenset(node.sub_leaves))
+        self.put(depth, f"if not {data}: {flag} = True")
+        item, pad = self.name("r"), self.name("P")
+        self.consts[pad] = [{child.label: [] for child in node.child_list}]
+        self.put(depth, f"for {item} in {data} or {pad}:")
+        self._reads(node.child_list, item, depth + 1)
+        depth += 1
+        for child in node.child_list:
+            if child.child_list:
+                depth = self._loop(child, depth)
+        return depth
+
+    def _encoder(self, value_type) -> str:
+        """The encoder of *value_type* data: the pool's ``enc`` for an
+        atom, else a generated function building ``enc``'s bytes in the
+        type's static order (``enc`` itself on data of another shape)."""
+        if isinstance(value_type, BaseType):
+            return "enc"
+        if str(value_type) in self._encoders:
+            return self._encoders[str(value_type)]
+        name = self._encoders[str(value_type)] = self.name("E")
+        if isinstance(value_type, SetType):
+            item = self._encoder(value_type.element)
+            self._defs += [f"def {name}(v):",
+                           "    if type(v) is not list: return enc(v)",
+                           f"    p = sorted({{{item}(i) for i in v}})",
+                           "    return b'S%d;' % len(p) + b''.join(p)"]
+            return name
+        fields = sorted(value_type.fields,
+                        key=lambda field: _field_bytes(field[0]))
+        head, parts = b"r%d;" % len(fields), []
+        for label, sub in fields:
+            parts += [repr(head + _field_bytes(label)),
+                      f"{self._encoder(sub)}(v[{label!r}])"]
+            head = b""
+        self._defs += [f"def {name}(v):",
+                       f"    if type(v) is not dict or len(v) != "
+                       f"{len(fields)}: return enc(v)",
+                       f"    return {' + '.join(parts) or repr(head)}"]
+        return name
+
+    def _unless_skipped(self, plan, depth: int, otherwise: str = "") -> int:
+        """Open a block run unless a plan path is undefined on the record
+        (Definition 2.4's escape), else run *otherwise*; its depth."""
+        skip = " or ".join(flag for flag, below in self._empty.values()
+                           if not below.isdisjoint(plan.paths))
+        if not skip:
+            return depth
+        if otherwise:
+            self.put(depth, otherwise)
+        self.put(depth, f"if not ({skip}):")
+        return depth + 1
+
+    def _path(self, pos: int, index: int) -> Path:
+        anchor = self._anchor
+        return anchor.branch_slots[anchor.branches[pos].label][index]
+
+    def _slots(self, pos: int, indices) -> tuple[list, list]:
+        """The bytes and data locals of slots *indices* of branch *pos*."""
+        paths = [self._path(pos, index) for index in indices]
+        return ([self._raw[path] for path in paths],
+                [self._data[path] for path in paths])
+
+    def _binding(self, plan, tables: dict, data: bool = True):
+        """The plan's binding as expressions (key bytes, RHS bytes and,
+        with *data*, key and RHS) and the comprehension's clauses."""
+        raws, datas, loops = [], [], ""
+        for pos, indices in plan.branch_proj:
+            if pos in tables:
+                row, values = self.name("t"), self.name("v")
+                loops += f" for {row}, {values} in {tables[pos]}.items()"
+                raws += [f"{row}[{at}]" for at in range(len(indices))]
+                datas += [f"{values}[{at}]" for at in range(len(indices))]
+            else:
+                raw, value = self._slots(pos, indices)
+                raws, datas = raws + raw, datas + value
+        parts = [" + ".join([repr(b"T%d;" % len(plan.lhs_pos))]
+                            + [raws[at] for at in plan.lhs_pos]),
+                 raws[plan.rhs_pos]]
+        if data:
+            parts += [_tuple([datas[at] for at in plan.lhs_pos]),
+                      datas[plan.rhs_pos]]
+        return parts, loops
+
+
+def binder_source(schema: Schema, sigma: Iterable[NFD],
+                  relation: str) -> str:
+    """The generated source of *relation*'s binder for Σ — for reading
+    it while debugging (``print(binder_source(schema, sigma,
+    "Course"))``)."""
+    root = ValidatorEngine(schema, sigma)._relations[relation]
+    return _BinderSource(schema, relation, root).text
+
+
+def _value_bound(roots):
+    """A binder that sends every element to the two fallbacks."""
+    return lambda element: (roots, None)
 
 
 def _plain_element(element) -> dict:
@@ -756,35 +840,34 @@ class StreamValidator:
         self._elem_store: _ElementStore | None = None
         self._read_handles: dict[str, Any] = {}
         self._foreign_stores: list[str] = []
-        # Per-relation group tables for the root anchor's plans, and a
-        # persistent masked run for every nested-anchored plan; every
-        # anchor's plans also compile for the JSON walk (by anchor id).
+        # Per relation: group tables for the root anchor's plans, and the
+        # compiled binder with the nested anchors it counts base sets of.
         self._root_tables: dict[str, list[_GroupTable]] = {}
-        self._has_nested: dict[str, bool] = {}
-        self._json_anchors: dict[int, _JsonAnchor] = {}
-        nested_indices: set[int] = set()
+        self._binders: dict[str, tuple] = {}
         self._plan_anchor_base: dict[int, str] = {}
+        self._nested_bases: dict[int, str] = {}  # anchor id -> base path
+        encode = self._pool.json_bytes
         for relation, root in self.engine._relations.items():
             if root.anchor is not None:
                 self._root_tables[relation] = [
                     _GroupTable(plan) for plan in root.anchor.plans]
-            covered = root.anchor.plans if root.anchor is not None else ()
-            root_set = {plan.index for plan in covered}
-            nested_here = root.plan_indices - root_set
-            nested_indices.update(nested_here)
-            self._has_nested[relation] = bool(nested_here)
+            binder = _BinderSource(schema, relation, root)
+            try:
+                bind = build_function(binder.text, "bind",
+                                      dict(binder.consts, enc=encode))
+            except SyntaxError:  # sets nested past Python's block limit
+                bind = _value_bound(None if root.anchor else ())
+            self._binders[relation] = (bind, binder.counted)
             for node in _iter_scopes(root):
-                if node.anchor is None:
-                    continue
-                self._json_anchors[id(node.anchor)] = _JsonAnchor(
-                    node.anchor, resolve_base_path(schema, node.anchor.base))
-                if node is root:
+                if node.anchor is None or node is root:
                     continue
                 base = str(node.anchor.base)
+                self._nested_bases[id(node.anchor)] = base
                 for plan in node.anchor.plans:
                     self._plan_anchor_base[plan.index] = base
+        # a persistent masked run for every nested-anchored plan
         self._nested_run = _Run(len(self.engine.sigma), first_only=False,
-                                mask=frozenset(nested_indices))
+                                mask=frozenset(self._plan_anchor_base))
         self._seq = 0
         self._resident = 0
         self._elements_seen = 0
@@ -810,13 +893,13 @@ class StreamValidator:
 
         A plain JSON object is taken as type-checked, as
         :func:`repro.io.stream.iter_jsonl_elements` yields it: a missing
-        field is a :class:`~repro.errors.PathError`, but an ill-typed
-        atom binds as it is.  Check other JSON first, or pass
+        field or a set or record of the wrong shape is a
+        :class:`~repro.errors.PathError`, but an ill-typed atom binds as
+        it is.  Check other JSON first, or pass
         :class:`~repro.values.value.Record` values.
 
-        Per-relation dispatch state is bound once, each element's
-        branch rows are materialized once, and every root plan folds
-        its whole binding list in one pass."""
+        Each element is walked once by the relation's compiled binder,
+        and every root plan folds its whole binding list in one pass."""
         start = time.perf_counter()
         try:
             return self._consume(relation, elements)
@@ -825,16 +908,10 @@ class StreamValidator:
 
     def _consume(self, relation: str, elements: Iterable) -> bool:
         stats = self.stats
-        root = self.engine._relations.get(relation)
-        anchor = root.anchor if root is not None else None
-        json_anchor = None
-        tables: list = []
-        if anchor is not None:
-            json_anchor = self._json_anchors[id(anchor)]
-            tables = self._root_tables[relation]
-        nested: tuple = ()
-        if root is not None and self._has_nested[relation]:
-            nested = tuple(sorted(root.children.items()))
+        bind, counted = self._binders.get(relation, (None, ()))
+        groups = [table.table for table in self._root_tables.get(relation,
+                                                                 ())]
+        base_counter = self._nested_run.base_counter
         max_elements = self._max_elements
         deadline_at = self._deadline_at
         monotonic = time.monotonic
@@ -850,16 +927,34 @@ class StreamValidator:
                 return False
             if type(element) is not dict:
                 element = _plain_element(element)
-            try:
+            if bind is not None:
+                try:
+                    roots, counts = bind(element)
+                except (KeyError, TypeError) as exc:
+                    raise PathError(
+                        f"{relation} element {self._elements_seen + 1} "
+                        + (f"has no field {exc.args[0]!r}"
+                           if type(exc) is KeyError else
+                           f"does not have the relation's shape: {exc}")) \
+                        from None
                 value = None
-                if json_anchor is not None:
-                    value = self._fold_root(json_anchor, tables, element)
-                if nested:
-                    self._check_nested(root, nested, element, value)
-            except KeyError as exc:
-                raise PathError(
-                    f"{relation} element {self._elements_seen + 1} has "
-                    f"no field {exc.args[0]!r}") from None
+                if roots is None:
+                    value = self._fold_root_values(relation, element)
+                else:
+                    for group, bindings in zip(groups, roots):
+                        if bindings:
+                            self._fold(group, bindings, element)
+                if counts is None:
+                    # a nested conflict: the batch engine re-walks the
+                    # element, its persistent run numbering the base
+                    # sets, and its witnesses fall out
+                    if value is None:
+                        value = self._build(element)
+                    self.engine._walk_scope(self.engine._relations[relation],
+                                            (value,), self._nested_run)
+                else:
+                    for slot, count in zip(counted, counts):
+                        base_counter[slot] = base_counter.get(slot, 0) + count
             self._elements_seen += 1
             stats.elements_seen += 1
         return self._exhausted is None
@@ -869,52 +964,27 @@ class StreamValidator:
         self.stats.witness_elements_built += 1
         return value_of_json(data)
 
-    def _fold_root(self, json_anchor: _JsonAnchor, tables: list,
-                   element: dict) -> Value | None:
-        """Fold one element's root-plan bindings into the group tables.
-
-        Bindings come from the JSON walk, unless some plan binds one key
-        to several RHS values here (or drops an ambiguous repeat): which
-        becomes the first binding, and the clash, then depends on set
-        iteration order, so the element is bound through the value
-        binder instead — and its value tree is returned."""
-        undefined: set = set()
-        rows = json_anchor.rows(element, self._pool.json_bytes, undefined)
-        batches = []
-        for plan, table in zip(json_anchor.plans, tables):
-            if undefined and not undefined.isdisjoint(plan.paths):
-                continue  # Definition 2.4: undefined paths
-            bindings = plan.bindings(rows, True)
-            if bindings is None or (
-                    len(bindings) > 1
-                    and len({binding[0] for binding in bindings})
-                    < len(bindings)):
-                return self._fold_root_values(json_anchor, tables,
-                                              element)
-            batches.append((table.table, bindings))
-        for group, bindings in batches:
-            self._fold(group, bindings, element)
-        return None
-
-    def _fold_root_values(self, json_anchor: _JsonAnchor, tables: list,
-                          element: dict) -> Value:
+    def _fold_root_values(self, relation: str, element: dict) -> Value:
+        """Fold one element's root-plan bindings through the value
+        binder, and return its value tree: the binder sends an element
+        whose first binding and clash depend on set iteration order."""
         engine = self.engine
         encode = self._pool.json_bytes
         value = self._build(element)
         undefined: set = set()
-        branch_rows = engine._element_rows(json_anchor.anchor, value,
-                                           undefined)
-        for plan, table in zip(json_anchor.plans, tables):
+        branch_rows = engine._element_rows(
+            engine._relations[relation].anchor, value, undefined)
+        for table in self._root_tables[relation]:
+            plan = table.plan
             if undefined and not undefined.isdisjoint(plan.paths):
                 continue
+            prefix = b"T%d;" % len(plan.lhs_pos)
             bindings = []
-            for key, rhs in engine._plan_bindings_list(plan.plan,
-                                                       branch_rows):
+            for key, rhs in engine._plan_bindings_list(plan, branch_rows):
                 key_data = tuple([to_python(part) for part in key])
                 rhs_data = to_python(rhs)
                 bindings.append((
-                    plan.prefix + b"".join([encode(part)
-                                            for part in key_data]),
+                    prefix + b"".join([encode(part) for part in key_data]),
                     encode(rhs_data), key_data, rhs_data))
             self._fold(table.table, bindings, element)
         return value
@@ -933,66 +1003,6 @@ class StreamValidator:
                 agg[6] = rhs
                 agg[7] = element
         self.stats.rows_emitted += len(bindings)
-
-    def _check_nested(self, root, nested: tuple, element: dict,
-                      value: Value | None) -> None:
-        """Nested anchors never relate bindings across top-level
-        elements.  The element's base sets are checked in JSON order;
-        a clean element only advances the base-set numbering, and one
-        that holds a conflict is re-walked by the batch engine over a
-        one-element tuple — the persistent run carrying base-set
-        numbering across elements — which reproduces the in-memory
-        witnesses."""
-        counts: dict[int, int] = {}
-        run = self._nested_run
-        if all(self._base_set_clean(child, element[label], counts)
-               for label, child in nested):
-            for slot, count in counts.items():
-                run.base_counter[slot] = run.base_counter.get(slot, 0) \
-                    + count
-            return
-        if value is None:
-            value = self._build(element)
-        self.engine._walk_scope(root, (value,), run)
-
-    def _base_set_clean(self, node, records, counts: dict) -> bool:
-        """Does the base set *records* at scope *node* — and every base
-        set below it — hold no conflict?  Counts the base sets the
-        batch walk would open per anchor into *counts*: it walks a set's
-        distinct elements, so repeats are dropped before descending."""
-        if type(records) is not list:
-            raise PathError(f"base path label must be set-valued, got "
-                            f"{records!r}")
-        anchor = node.anchor
-        if anchor is not None:
-            counts[id(anchor)] = counts.get(id(anchor), 0) + 1
-            json_anchor = self._json_anchors[id(anchor)]
-            encode = self._pool.json_bytes
-            groups: list[dict] = [{} for _ in json_anchor.plans]
-            for record in records:
-                if type(record) is not dict:
-                    raise PathError(f"expected a record while "
-                                    f"validating, got {record!r}")
-                undefined: set = set()
-                rows = json_anchor.rows(record, encode, undefined)
-                for plan, group in zip(json_anchor.plans, groups):
-                    if undefined and not undefined.isdisjoint(plan.paths):
-                        continue
-                    for key_bytes, rhs_bytes, _, _ in plan.bindings(
-                            rows, False):
-                        if group.setdefault(key_bytes, rhs_bytes) \
-                                != rhs_bytes:
-                            return False
-        if node.children:
-            if len(records) > 1:
-                records = list({self._pool.json_bytes(record): record
-                                for record in records}.values())
-            for record in records:
-                for label, child in sorted(node.children.items()):
-                    if not self._base_set_clean(child, record[label],
-                                                counts):
-                        return False
-        return True
 
     def _reserve_slot(self) -> None:
         """Account for one new resident group-table entry, spilling
@@ -1456,14 +1466,9 @@ class StreamValidator:
         self._seq = seq
         self._nested_run.violations = [tuple(triple)
                                        for triple in nested]
-        for root in self.engine._relations.values():
-            for node in _iter_scopes(root):
-                if node.anchor is None or node is root:
-                    continue
-                count = anchor_counts.get(str(node.anchor.base), 0)
-                if count:
-                    self._nested_run.base_counter[id(node.anchor)] = \
-                        count
+        for slot, base in self._nested_bases.items():
+            if anchor_counts.get(base, 0):
+                self._nested_run.base_counter[slot] = anchor_counts[base]
 
     def checkpoint_meta(self) -> dict:
         """The non-table half of a checkpoint: what
@@ -1478,17 +1483,9 @@ class StreamValidator:
     def _anchor_counts(self) -> dict[str, int]:
         """Base sets numbered so far per nested anchor, keyed by the
         anchor's base path (stable across processes, unlike ``id``)."""
-        anchors = {}
-        for root in self.engine._relations.values():
-            for node in _iter_scopes(root):
-                if node.anchor is not None and node is not root:
-                    anchors[id(node.anchor)] = str(node.anchor.base)
-        counts: dict[str, int] = {}
-        for slot, count in self._nested_run.base_counter.items():
-            base = anchors.get(slot)
-            if base is not None:
-                counts[base] = counts.get(base, 0) + count
-        return counts
+        return {self._nested_bases[slot]: count for slot, count
+                in self._nested_run.base_counter.items()
+                if slot in self._nested_bases}
 
 
 def _iter_scopes(node) -> Iterator:

@@ -11,7 +11,8 @@ The three seeded hypothesis tests run 100 examples each under the
 default profile (≥ 300 randomized cases per run; the nightly profile
 raises them to 1000 each — they deliberately do not pin
 ``max_examples``), and the explicit seed loops cover the JSONL
-round-trip and the multiprocess fan-out.
+round-trip, the multiprocess fan-out, respelled JSONL against
+Definition 2.4, and the compiled binder against the value binder.
 """
 
 import random
@@ -21,13 +22,34 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.generators import random_instance, random_schema, random_sigma
-from repro.io.stream import dump_jsonl, iter_set_elements, plan_shards
+from repro.generators import (
+    random_instance,
+    random_schema,
+    random_sigma,
+    workloads,
+)
+from repro.io.stream import (
+    dump_jsonl,
+    iter_jsonl_elements,
+    iter_set_elements,
+    plan_shards,
+)
 from repro.nfd import (
     ResourceBudget,
     ValidatorEngine,
+    parse_nfds,
     shard_validate,
     stream_validate,
+)
+from repro.nfd.batch_validate import _Run
+from repro.nfd.satisfy import satisfies
+from repro.nfd.stream_validate import StreamValidator
+from repro.values import value_of_json
+from repro.values.build import to_python
+from repro.values.canonical import (
+    canonical_bytes,
+    canonical_json_bytes,
+    canonical_key_bytes,
 )
 
 
@@ -179,3 +201,125 @@ def test_stream_stats_are_consistent():
             assert stats.intern_hits + stats.intern_misses > 0
         assert stats.peak_resident_rows <= 2
     assert spilled >= 5
+
+
+def _respelled(data, rng):
+    """*data* spelled another way: record fields shuffled, and arrays
+    shuffled with repeats of their elements added (itself respelled)."""
+    if type(data) is dict:
+        fields = [(label, _respelled(sub, rng)) for label, sub in data.items()]
+        rng.shuffle(fields)
+        return dict(fields)
+    if type(data) is list:
+        items = [_respelled(item, rng) for item in data]
+        if data:
+            items += [_respelled(rng.choice(data), rng)
+                      for _ in range(rng.randint(0, 2))]
+        rng.shuffle(items)
+        return items
+    return data
+
+
+def test_respelled_jsonl_matches_definition_2_4():
+    """Each line spells its element another way, and the lines are
+    shuffled with some duplicated (a relation is a set): the verdict per
+    NFD of the JSONL stream — resident and spilling at one row — is
+    Definition 2.4's on the instance."""
+    checked = 0
+    for seed in range(300):
+        rng, schema, sigma, instance = _draw_case(seed * 7331,
+                                                  empty_probability=0.2)
+        if not sigma:
+            continue
+        relation = sigma[0].relation
+        rows = [_respelled(to_python(element), rng)
+                for element in instance.relation(relation)]
+        rows += [_respelled(rng.choice(rows), rng)
+                 for _ in range(rng.randint(0, 2))]
+        rng.shuffle(rows)
+        expected = {str(nfd): satisfies(instance, nfd) for nfd in sigma}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "relation.jsonl"
+            dump_jsonl(path, rows)
+            for budget in (None, ResourceBudget(max_resident_rows=1)):
+                result = stream_validate(schema, sigma, {
+                    relation: iter_jsonl_elements(path, schema, relation)},
+                    budget=budget)
+                violated = {str(v.nfd) for v in result.violations}
+                assert {str(nfd): str(nfd) not in violated
+                        for nfd in sigma} == expected, seed
+        checked += 1
+    assert checked >= 200
+
+
+#: Course NFDs whose bindings are products of two set-valued branches.
+PRODUCT_SIGMA = ["Course:[books:isbn, students:sid -> time]",
+                 "Course:[books:title -> students:grade]",
+                 "Course:[cnum, students:age -> books:isbn]",
+                 "Course:students:[sid -> grade]"]
+
+
+def test_compiled_binder_matches_value_binder():
+    """Per element, as set order spells it and respelled, the compiled
+    binder agrees with the value binder (``_element_rows`` +
+    ``_plan_bindings_list``): each root plan's set of ``(key bytes, RHS
+    bytes)`` — or a skip on the same undefined paths — whenever it binds
+    the element itself, and each nested check's clean-or-conflict
+    verdict and base-set counts are ``_walk_scope``'s.  The schemas nest
+    sets three deep, and Σ has plans reading several set-valued
+    branches at once."""
+    compared = multi = product = nested = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        if seed % 4:
+            schema = random_schema(rng, relations=1, max_fields=3,
+                                   max_depth=3, set_probability=0.6)
+            sigma = random_sigma(rng, schema, count=rng.randint(2, 4))
+        else:
+            schema = workloads.course_schema()
+            sigma = parse_nfds("\n".join(PRODUCT_SIGMA))
+        instance = random_instance(rng, schema, tuples=3, domain=2,
+                                   max_set_size=3, empty_probability=0.2)
+        if not sigma:
+            continue
+        validator = StreamValidator(schema, sigma)
+        engine = validator.engine
+        mask = frozenset(validator._plan_anchor_base)
+        for relation, root in engine._relations.items():
+            bind, counted = validator._binders[relation]
+            for element in instance.relation(relation):
+                for data in (to_python(element),
+                             _respelled(to_python(element), rng)):
+                    roots, counts = bind(data)
+                    run = _Run(len(engine.sigma), first_only=False,
+                               mask=mask)
+                    engine._walk_scope(root, (value_of_json(data),), run)
+                    assert (counts is None) == bool(run.violations), seed
+                    if counts is not None and counted:
+                        assert {slot: count for slot, count
+                                in zip(counted, counts) if count} == \
+                            run.base_counter, seed
+                        nested += 1
+                    if root.anchor is None or roots is None:
+                        continue
+                    undefined: set = set()
+                    rows = engine._element_rows(root.anchor, element,
+                                                undefined)
+                    for plan, bindings in zip(root.anchor.plans, roots):
+                        skipped = not undefined.isdisjoint(plan.paths)
+                        assert (bindings == ()) == skipped, seed
+                        if skipped:
+                            continue
+                        assert {(key_bytes, rhs_bytes) for key_bytes,
+                                rhs_bytes, _, _ in bindings} == {
+                            (canonical_key_bytes(key), canonical_bytes(rhs))
+                            for key, rhs in engine._plan_bindings_list(
+                                plan, rows)}, seed
+                        assert all(canonical_json_bytes(rhs) == rhs_bytes
+                                   for _, rhs_bytes, _, rhs in bindings)
+                        compared += 1
+                        multi += len(plan.branch_proj) > 1
+                        product += len({path.first for path in plan.paths
+                                        if len(path) > 1}) > 1
+    assert compared >= 500 and multi >= 300 and product >= 100 \
+        and nested >= 100, (compared, multi, product, nested)

@@ -658,3 +658,98 @@ class TestNoNumpy:
                 stats = json.load(handle)["sections"]["stream"]
             assert stats["spills"] >= 1
             assert stats["peak_resident_rows"] <= 1
+
+
+class TestCompiledBinder:
+    """The binder and the reader's checker are compiled from generated
+    source that depends on (schema, Σ) alone, and compiled once per
+    process for a given source."""
+
+    SCRIPT = (
+        "from repro.generators import workloads\n"
+        "from repro.io.stream import checker_source\n"
+        "from repro.nfd import parse_nfds\n"
+        "from repro.nfd.stream_validate import StreamValidator,"
+        " _BinderSource\n"
+        "schema = workloads.course_schema()\n"
+        "sigma = parse_nfds('\\n'.join(["
+        "'Course:[cnum -> time]', 'Course:[cnum, time -> books]',"
+        " 'Course:[books:isbn -> books:title]',"
+        " 'Course:[books:isbn, students:sid -> time]',"
+        " 'Course:students:[sid -> grade]']))\n"
+        "root = StreamValidator(schema, sigma).engine._relations['Course']\n"
+        "binder = _BinderSource(schema, 'Course', root)\n"
+        "print(binder.text)\n"
+        "print(sorted(binder.consts.items()))\n"
+        "print(checker_source(schema, 'Course'))\n")
+
+    def test_source_is_the_same_under_every_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        texts = []
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(src)] + ([env["PYTHONPATH"]]
+                              if env.get("PYTHONPATH") else []))
+            proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            texts.append(proc.stdout)
+        assert "def bind(e):" in texts[0] and "def check(d):" in texts[0]
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_binder_source_prints_the_compiled_function(
+            self, course_schema, course_sigma):
+        from repro.nfd.stream_validate import binder_source
+        text = binder_source(course_schema, course_sigma, "Course")
+        assert text.startswith("def ") and "def bind(e):" in text
+        compile(text, "<binder>", "exec")
+
+    def test_rebuilding_an_engine_compiles_nothing(self, course_schema,
+                                                   course_sigma):
+        from repro.codegen import _code
+        from repro.nfd import StreamValidator
+        StreamValidator(course_schema, course_sigma)
+        before = _code.cache_info()
+        StreamValidator(course_schema, course_sigma)
+        after = _code.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+    def test_sets_nested_past_the_block_limit_take_the_fallbacks(self):
+        """Sets nested deeper than Python compiles nested blocks: the
+        binder falls back to the value binder and the scope walk, and
+        the witnesses are still the in-memory engine's."""
+        from repro.nfd import StreamValidator
+        from repro.types.parser import parse_schema
+        from repro.values import value_of_json
+        labels = [f"a{i}" for i in range(1, 24)]
+        inner = "int"
+        for label in reversed(labels):
+            inner = f"{{<{label}: {inner}, k{label}: int>}}"
+        schema = parse_schema(f"R = {{<a0: int, s: {inner}>}}")
+        sigma = parse_nfds(f"R:[a0 -> s:{':'.join(labels)}]\n"
+                           f"R:s:[k{labels[0]} -> {':'.join(labels)}]")
+
+        def element(a0, leaf):
+            value = leaf
+            for label in reversed(labels):
+                value = [{label: value, f"k{label}": 1}]
+            return {"a0": a0, "s": value}
+        rows = [element(1, 5), element(1, 6), element(2, 7)]
+        bind, _ = StreamValidator(schema, sigma)._binders["R"]
+        assert bind(rows[0]) == (None, None)
+        instance = Instance(schema, {"R": [value_of_json(row)
+                                           for row in rows]})
+        expected = ValidatorEngine(schema, sigma).validate(
+            instance, all_violations=True).violations
+        result = stream_validate(schema, sigma, {
+            "R": iter_set_elements(instance.relation("R"))})
+        assert expected and _describe(result.violations) == \
+            _describe(expected)

@@ -283,3 +283,64 @@ def test_nested_base_set_numbering_matches_engine(tmp_path):
             budget=budget)
         assert [(str(v.nfd), v.base_index, v.describe())
                 for v in result.violations] == expected
+
+
+def _ill_typed(change):
+    """A third ``NESTED`` element with *change* applied two sets down."""
+    row = {"a": 3, "s": [{"b": 3, "x": 2, "t": [{"c": 4, "d": 5}]}]}
+    change(row["s"][0])
+    return row
+
+
+#: (case id, the change to an ``s`` record, the exact stderr text after
+#: the line number)
+NESTED_TYPE_ERRORS = [
+    ("true-in-int", lambda s: s["t"][0].update(c=True),
+     "R.s[].t[].c: expected int, got bool True"),
+    ("float-in-int", lambda s: s["t"][0].update(c=1.0),
+     "R.s[].t[].c: expected int, got float 1.0"),
+    ("null-in-int", lambda s: s["t"][0].update(c=None),
+     "R.s[].t[].c: expected int, got null"),
+    ("missing-field", lambda s: s["t"][0].pop("d"),
+     "R.s[].t[]: missing fields d"),
+    ("extra-field", lambda s: s["t"][0].update(e=7),
+     "R.s[].t[]: unexpected fields e"),
+    ("object-for-set", lambda s: s.update(t={"c": 4, "d": 5}),
+     "R.s[].t: expected a set of type {<c: int, d: int>}, got a JSON "
+     "object"),
+    ("scalar-for-record", lambda s: s["t"].append(9),
+     "R.s[].t[]: expected a record of type <c: int, d: int>, got int 9"),
+]
+
+#: (path id, extra ``check --stream`` arguments; ``CACHE`` is replaced
+#: by a cache directory)
+TYPE_ERROR_PATHS = [("plain", []), ("shards", ["--shards", "2"]),
+                    ("incremental", ["--incremental", "--cache-dir",
+                                     "CACHE"])]
+
+
+@pytest.mark.parametrize(("path", "extra"), TYPE_ERROR_PATHS,
+                         ids=[row[0] for row in TYPE_ERROR_PATHS])
+@pytest.mark.parametrize(("case", "change", "message"), NESTED_TYPE_ERRORS,
+                         ids=[row[0] for row in NESTED_TYPE_ERRORS])
+def test_nested_type_errors_keep_their_text(case, change, message, path,
+                                            extra, tmp_path, capsys):
+    """An ill-typed value two sets down is refused with exit 2 and the
+    exact stderr — path below the relation, the value shown, the line
+    number — on the plain, sharded and incremental paths alike."""
+    schema = parse_schema(NESTED)
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(dump_bundle(schema, parse_nfds(
+        "\n".join(NESTED_SIGMA))))
+    rows = [{"a": 1, "s": [{"b": 1, "x": 6, "t": [{"d": 2, "c": 1}]}]},
+            {"a": 2, "s": [{"b": 2, "x": 1, "t": [{"c": 1, "d": 1}]}]},
+            _ill_typed(change)]
+    stream = tmp_path / f"{path}.jsonl"
+    stream.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    extra = [str(tmp_path / "cache") if arg == "CACHE" else arg
+             for arg in extra]
+    code, out, err = _run(["check", str(bundle), "--stream", str(stream)]
+                          + extra, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {stream}: line 3: element does not conform "
+                   f"to the 'R' element type: {message}\n")
