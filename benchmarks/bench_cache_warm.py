@@ -4,10 +4,11 @@ The :mod:`repro.store` production claims, as acceptance gates:
 
 * ``test_warm_start_gate`` — a warm analysis pass (closure sweep +
   validator construction + validation) against a populated store
-  performs **zero** saturation rule applications and **zero** plan
-  compilations, at least :data:`MIN_ATTEMPT_RATIO` times fewer rule
-  applications than the cold pass that populated it, and finishes
-  faster in wall-clock — with answers and witnesses byte-identical.
+  performs **zero** saturation rule applications, at least
+  :data:`MIN_ATTEMPT_RATIO` times fewer than the cold pass that
+  populated it, and finishes faster in wall-clock — with answers and
+  witnesses byte-identical.  The closure memo and the dense tables are
+  what warm up; the validator compiles its plans in both passes.
 * ``test_incremental_append_gate`` — after appending 1% to a
   checkpointed JSONL source, ``--incremental`` revalidation folds only
   the appended elements (at least :data:`MIN_FOLD_RATIO` times fewer
@@ -31,12 +32,12 @@ import tempfile
 import time
 
 from repro.generators import random_sigma, workloads
+from repro.inference import ImplicationSession
 from repro.io.stream import dump_jsonl, iter_jsonl_elements, \
     iter_set_elements
-from repro.nfd import stream_validate
+from repro.nfd import ValidatorEngine, stream_validate
 from repro.paths import parse_path
-from repro.store import CacheStore, cached_session, cached_validator, \
-    incremental_stream_validate
+from repro.store import CacheStore, incremental_stream_validate
 from repro.values import Atom, to_python
 
 #: A warm pass must apply at least this many times fewer saturation
@@ -60,8 +61,8 @@ STREAM_APPEND = 10
 
 
 def _analysis_workload():
-    """The Course schema under a Σ large enough that saturation and
-    plan compilation dominate a cold pass."""
+    """The Course schema under a Σ large enough that saturation
+    dominates a cold pass."""
     schema = workloads.course_schema()
     sigma = tuple(random_sigma(random.Random(11), schema, count=12))
     instance = workloads.course_instance()
@@ -82,9 +83,9 @@ def _analysis_pass(schema, sigma, instance, queries, cache_dir):
     try:
         started = time.perf_counter()
         with CacheStore(cache_dir) as store:
-            session = cached_session(schema, sigma, store=store)
+            session = ImplicationSession(schema, sigma, store=store)
             answers = [session.closure(b, l) for b, l in queries]
-            engine = cached_validator(schema, sigma, store=store)
+            engine = ValidatorEngine(schema, sigma)
             result = engine.validate(instance, all_violations=True)
             elapsed = time.perf_counter() - started
             outcome = {
@@ -99,9 +100,9 @@ def _analysis_pass(schema, sigma, instance, queries, cache_dir):
 
 
 def test_warm_start_gate(gate_metrics):
-    """Gate: a warm pass applies zero rules and compiles zero plans —
-    >= MIN_ATTEMPT_RATIO fewer applications than cold, faster
-    wall-clock, identical answers."""
+    """Gate: a warm pass applies zero rules — >= MIN_ATTEMPT_RATIO
+    fewer applications than cold, faster wall-clock, identical
+    answers."""
     schema, sigma, instance, queries = _analysis_workload()
     workdir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
@@ -125,8 +126,6 @@ def test_warm_start_gate(gate_metrics):
 
     assert warm["answers"] == cold["answers"]
     assert warm["witnesses"] == cold["witnesses"]
-    assert warm["compilations"] == 0, \
-        "a warm validator must adopt the stored plans"
     assert warm["attempts"] == 0, \
         "a warm session must answer every closure from the store"
     ratio = cold["attempts"] / max(warm["attempts"], 1)
@@ -137,7 +136,8 @@ def test_warm_start_gate(gate_metrics):
     print(f"\nwarm start: cold {cold_time * 1000:.2f}ms "
           f"({cold['attempts']} rule applications, "
           f"{cold['compilations']} compilation), warm "
-          f"{warm_time * 1000:.2f}ms (0, 0) -> {speedup:.2f}x")
+          f"{warm_time * 1000:.2f}ms (0, {warm['compilations']}) "
+          f"-> {speedup:.2f}x")
     assert speedup > 1.0, (
         f"warm pass was not faster: {warm_time * 1000:.2f}ms warm vs "
         f"{cold_time * 1000:.2f}ms cold")
@@ -247,24 +247,9 @@ def test_incremental_append_gate(gate_metrics):
         round(rewritten, 2))
 
 
-def test_warm_validator_restore(benchmark):
-    """Time one warm engine restore (store read + plan adoption)."""
-    schema, sigma, _, _ = _analysis_workload()
-    workdir = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    try:
-        with CacheStore(workdir) as store:
-            cached_validator(schema, sigma, store=store)
-        with CacheStore(workdir, read_only=True) as store:
-            engine = benchmark(
-                lambda: cached_validator(schema, sigma, store=store))
-        assert engine.stats.plan_compilations == 0
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
 def test_cold_validator_compile(benchmark):
-    """The baseline the restore path is judged against."""
-    from repro.nfd import ValidatorEngine
+    """One cold plan compile, which every check pays: compiled plans
+    are not persisted, because restoring them was no faster."""
     schema, sigma, _, _ = _analysis_workload()
     engine = benchmark(lambda: ValidatorEngine(schema, sigma))
     assert engine.stats.plan_compilations == 1

@@ -86,13 +86,14 @@ reconcile.  Neither flag changes stdout or the exit code.
 ``check``, ``implies``, ``closure``, and ``keys`` accept
 ``--cache-dir DIR`` (default: the ``REPRO_CACHE_DIR`` environment
 variable) naming a directory whose SQLite database persists derived
-state across runs (see :mod:`repro.store`): closure memos, compiled
-validation plans, and — with ``check --stream FILE --incremental`` —
+state across runs (see :mod:`repro.store`): closure memos, dense
+closure tables, and — with ``check --stream FILE --incremental`` —
 stream checkpoints, so a re-validation of an appended JSONL file folds
-only the new lines.  The cache is purely an accelerator: a missing,
+only the new lines; ``check --stream`` also spills under the
+directory's ``tmp/``.  The cache is purely an accelerator: a missing,
 corrupt, or version-mismatched database degrades to the cold
-computation with a warning on stderr and identical stdout and exit
-codes.  ``repro cache stats|clear|vacuum`` maintains the database.
+computation with identical stdout and exit codes (a corrupt one warns
+on stderr).  ``repro cache stats|clear|vacuum`` maintains the database.
 
 ``repro serve`` runs the long-lived constraint-checking daemon (see
 :mod:`repro.server`): a line-delimited JSON protocol over TCP, a warm
@@ -309,9 +310,7 @@ def _answer_locally(args, params: dict) -> dict:
     store = _store_from_args(args)
     report = RunReport(command=kind)
     if kind == "check":
-        from .store import cached_validator
-        engine = cached_validator(schema, sigma, store=store,
-                                  tracer=tracer)
+        engine = ValidatorEngine(schema, sigma, tracer=tracer)
         result = answer(query, engine.validate(
             instance, all_violations=True, jobs=jobs))
         report.add("validator", engine.stats)
@@ -411,14 +410,12 @@ def _cmd_check_stream(args) -> int:
         result = shard_validate(schema, streamed, relation, shards,
                                 jobs=getattr(args, "jobs", 1),
                                 budget=budget, tracer=tracer,
-                                spill_root=spill_root, store=store,
-                                cache_dir=store.cache_dir
-                                if store is not None else None)
+                                spill_root=spill_root)
     else:
         reader = iter_jsonl_elements(args.stream, schema, relation)
         result = stream_validate(schema, streamed, {relation: reader},
                                  budget=budget, tracer=tracer,
-                                 spill_root=spill_root, store=store)
+                                 spill_root=spill_root)
     answered = answer(Query("check"), result)
     report = RunReport(command="check").add("stream", result.stats)
     _finish_store(report, store)
@@ -765,8 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     def cache_dir_arg(sub):
         sub.add_argument(
             "--cache-dir", metavar="DIR", dest="cache_dir",
-            help="persist closure memos, compiled plans, and stream "
-                 "checkpoints in DIR's SQLite database across runs "
+            help="persist closure memos, dense closure tables, and "
+                 "stream checkpoints in DIR's SQLite database across runs "
                  "(default: the REPRO_CACHE_DIR environment variable; "
                  "neither set = no persistence)",
         )

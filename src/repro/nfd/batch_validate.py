@@ -82,10 +82,9 @@ class ValidatorStats:
     * ``base_sets`` — base sets opened (one per anchor binding);
     * ``trie_nodes`` — compiled plan size: scope-tree plus binding-trie
       nodes across all relations;
-    * ``plan_compilations`` — how many times this engine actually
-      compiled its plans: 1 for a cold constructor, 0 when the plans
-      were restored from a persistent :class:`~repro.store.CacheStore`
-      (the warm-start assertion of ``check --cache-dir``);
+    * ``plan_compilations`` — how many times this engine compiled its
+      plans: always 1, since plans are compiled once in the
+      constructor (summed over engines, it counts engine builds);
     * ``groups`` — distinct antecedent keys seen per NFD;
     * ``wall_time`` — seconds spent inside validation walks.
     """
@@ -397,7 +396,7 @@ class ValidatorEngine:
     """
 
     def __init__(self, schema: Schema, sigma: Iterable[NFD], *,
-                 tracer=None, _compiled=None):
+                 tracer=None):
         self.schema = schema
         self.sigma = tuple(sigma)
         # Observability: a repro.obs.Tracer, or None for the untraced
@@ -407,34 +406,24 @@ class ValidatorEngine:
             nfd.check_well_formed(schema)
         # relation -> scope tree; relations in Σ first-mention order.
         self._relations: dict[str, _ScopeNode] = {}
-        if _compiled is not None:
-            # Warm start: adopt plans restored from a persistent store
-            # (see repro.store.warm.cached_validator, which verifies the
-            # payload's Σ member order matches this engine's — plan
-            # indices are order-dependent).  Structurally identical to a
-            # fresh compile, so walks and witnesses are byte-identical.
-            self._relations, self._trie_nodes = _compiled
-            self._plan_compilations = 0
-        else:
-            by_base: dict[Path, list[tuple[int, NFD]]] = {}
-            for index, nfd in enumerate(self.sigma):
-                by_base.setdefault(nfd.base, []).append((index, nfd))
-            for base, members in by_base.items():
-                root = self._relations.get(base.first)
-                if root is None:
-                    root = self._relations[base.first] = _ScopeNode()
-                node = root
-                for label in base.tail:
-                    child = node.children.get(label)
-                    if child is None:
-                        child = node.children[label] = _ScopeNode()
-                    node = child
-                node.anchor = _Anchor(base, members)
-            self._trie_nodes = 0
-            for root in self._relations.values():
-                root.finalize()
-                self._trie_nodes += root.node_count()
-            self._plan_compilations = 1
+        by_base: dict[Path, list[tuple[int, NFD]]] = {}
+        for index, nfd in enumerate(self.sigma):
+            by_base.setdefault(nfd.base, []).append((index, nfd))
+        for base, members in by_base.items():
+            root = self._relations.get(base.first)
+            if root is None:
+                root = self._relations[base.first] = _ScopeNode()
+            node = root
+            for label in base.tail:
+                child = node.children.get(label)
+                if child is None:
+                    child = node.children[label] = _ScopeNode()
+                node = child
+            node.anchor = _Anchor(base, members)
+        self._trie_nodes = 0
+        for root in self._relations.values():
+            root.finalize()
+            self._trie_nodes += root.node_count()
         self._plan_of = {plan.nfd: plan
                          for root in self._relations.values()
                          for plan in _iter_plans(root)}
@@ -563,18 +552,7 @@ class ValidatorEngine:
             trie_nodes=self._trie_nodes,
             groups=dict(self._groups),
             wall_time=self._wall_time,
-            plan_compilations=self._plan_compilations,
         )
-
-    def compiled_payload(self) -> tuple:
-        """The picklable form of this engine's compiled plans, for
-        persistence: ``(Σ member texts in order, scope trees, node
-        count)``.  The Σ texts let a restorer verify the payload was
-        compiled for the *same ordering* of the same members — the
-        fingerprint alone is order-independent, but plan indices (and
-        hence witness ordering) are not."""
-        return (tuple(str(nfd) for nfd in self.sigma),
-                self._relations, self._trie_nodes)
 
     # -- process-parallel fan-out -----------------------------------------
 

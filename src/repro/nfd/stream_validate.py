@@ -376,37 +376,6 @@ def _fold_prior(index: int, chunk: list, prior) -> list:
     return rows
 
 
-def _frozen_of_json(data):
-    """The :func:`~repro.values.value.freeze_value` form of the value
-    plain JSON *data* decodes to — what checkpoints store."""
-    kind = type(data)
-    if kind is dict:
-        return ("R", tuple([(label, _frozen_of_json(sub))
-                            for label, sub in data.items()]))
-    if kind is list:
-        return ("S", tuple([_frozen_of_json(item) for item in data]))
-    return data
-
-
-def _json_of_frozen(frozen):
-    """Plain JSON data decoding to the value *frozen* stands for."""
-    if type(frozen) is not tuple:
-        return frozen
-    tag, payload = frozen
-    if tag == "R":
-        return {label: _json_of_frozen(sub) for label, sub in payload}
-    return [_json_of_frozen(item) for item in payload]
-
-
-def checkpoint_aggregate(agg: list, first_elem, clash_elem) -> list:
-    """An aggregate's checkpoint form: key and RHS values frozen, the
-    witness slots replaced by the given element ids (see
-    :mod:`repro.store.stream_cache`)."""
-    return [tuple([_frozen_of_json(part) for part in agg[0]]), agg[1],
-            _frozen_of_json(agg[3]), first_elem, agg[5],
-            _frozen_of_json(agg[6]), clash_elem]
-
-
 class _GroupTable:
     """One root-anchored NFD's group state: resident aggregates keyed by
     canonical key bytes, plus the sorted runs spilled so far (path ->
@@ -429,17 +398,22 @@ class _ElementStore:
     that actually violate.  A spill therefore writes each element once
     into this store — deduplicated by object identity within a spill
     event, since one element is often the first-seen witness of several
-    tables' aggregates — and spills a tiny ``("@", store_path, offset)``
-    ref in its place.  Refs survive merges, summary files, and the
-    driver's absorb untouched; :meth:`StreamValidator.finalize` seeks an
-    element only when a violation needs it.  Elements are plain JSON
-    data and pickle natively.
+    tables' aggregates — and spills a tiny ``("@", file_name, offset)``
+    ref in its place.  The ref names the sidecar by its file name alone,
+    so its pickled size does not depend on how long the spill
+    directory's path is; each engine maps the names of the sidecars it
+    wrote or absorbed to their paths.  Refs survive merges, summary
+    files, and the driver's absorb untouched;
+    :meth:`StreamValidator.finalize` seeks an element only when a
+    violation needs it.  Elements are plain JSON data and pickle
+    natively.
     """
 
-    __slots__ = ("path", "_handle", "_memo")
+    __slots__ = ("path", "name", "_handle", "_memo")
 
     def __init__(self, path: str):
         self.path = path
+        self.name = os.path.basename(path)
         self._handle = open(path, "ab")
         self._memo: dict[int, int] = {}
 
@@ -452,7 +426,7 @@ class _ElementStore:
             offset = self._handle.tell()
             pickle.dump(element, self._handle, pickle.HIGHEST_PROTOCOL)
             self._memo[id(element)] = offset
-        return ("@", self.path, offset)
+        return ("@", self.name, offset)
 
     def end_event(self) -> None:
         self._memo.clear()
@@ -810,19 +784,9 @@ class StreamValidator:
                  budget: ResourceBudget | None = None,
                  spill_dir: str | None = None,
                  spill_root: str | None = None, tracer=None,
-                 shard_index: int = 0, store=None):
+                 shard_index: int = 0):
         self.schema = schema
-        if store is not None:
-            # restore compiled plans from the persistent cache when a
-            # payload for this Σ exists (identical structure, so the
-            # stream's witnesses are unchanged); shard workers open the
-            # store read-only, making plan compilation once-per-fleet
-            # instead of once-per-process
-            from ..store.warm import cached_validator
-            self.engine = cached_validator(schema, sigma, store=store,
-                                           tracer=tracer)
-        else:
-            self.engine = ValidatorEngine(schema, sigma, tracer=tracer)
+        self.engine = ValidatorEngine(schema, sigma, tracer=tracer)
         self.tracer = tracer
         self.budget = budget
         self._shard_index = shard_index
@@ -839,7 +803,9 @@ class StreamValidator:
         self._synced_misses = 0
         self._elem_store: _ElementStore | None = None
         self._read_handles: dict[str, Any] = {}
-        self._foreign_stores: list[str] = []
+        # every sidecar this engine reads and removes: its own and the
+        # ones absorbed from shard summaries, file name -> path
+        self._sidecars: dict[str, str] = {}
         # Per relation: group tables for the root anchor's plans, and the
         # compiled binder with the nested anchors it counts base sets of.
         self._root_tables: dict[str, list[_GroupTable]] = {}
@@ -1033,7 +999,8 @@ class StreamValidator:
                 dir=self._spill_path(), prefix="elems-", suffix=".dat",
                 delete=False)
             handle.close()
-            self._elem_store = _ElementStore(handle.name)
+            store = self._elem_store = _ElementStore(handle.name)
+            self._sidecars[store.name] = store.path
         return self._elem_store
 
     def _write_failure(self, exc: OSError) -> StreamError:
@@ -1131,19 +1098,20 @@ class StreamValidator:
         sidecar ref is read back with a point read."""
         if type(ref) is not tuple:
             return ref
-        _, path, offset = ref
-        handle = self._read_handles.get(path)
+        _, name, offset = ref
+        handle = self._read_handles.get(name)
         try:
             if handle is None:
                 if self._elem_store is not None \
-                        and self._elem_store.path == path:
+                        and self._elem_store.name == name:
                     self._elem_store.end_event()
-                handle = self._read_handles[path] = open(path, "rb")
+                handle = self._read_handles[name] = open(
+                    self._sidecars[name], "rb")
             handle.seek(offset)
             return pickle.load(handle)
-        except (OSError, EOFError, pickle.UnpicklingError) as exc:
+        except (OSError, KeyError, EOFError, pickle.UnpicklingError) as exc:
             raise StreamError(f"cannot read a witness element at offset "
-                              f"{offset} of spill sidecar {path!r}: "
+                              f"{offset} of spill sidecar {name!r}: "
                               f"{exc!r}") from exc
 
     def _witness_element(self, ref, built: dict) -> Value:
@@ -1276,12 +1244,9 @@ class StreamValidator:
                 self._elem_store.close()
             except OSError:  # a full disk fails the flush again
                 pass
-            try:
-                os.unlink(self._elem_store.path)
-            except OSError:
-                pass
             self._elem_store = None
-        _unlink_all(self._foreign_stores)
+        _unlink_all(list(self._sidecars.values()))
+        self._sidecars.clear()
         if self._own_spill_dir and self._spill_dir is not None:
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
@@ -1324,6 +1289,7 @@ class StreamValidator:
                 self._elem_store.end_event()
                 self._elem_store.close()
                 store_path = self._elem_store.path
+                del self._sidecars[self._elem_store.name]
                 self._elem_store = None
         except OSError as exc:
             _unlink_all([spec[1] for specs in tables_out.values()
@@ -1352,7 +1318,7 @@ class StreamValidator:
         start = time.perf_counter()
         store_path = summary.get("element_store")
         if store_path is not None:
-            self._foreign_stores.append(store_path)
+            self._sidecars[os.path.basename(store_path)] = store_path
         for relation, specs in summary["tables"].items():
             tables = self._root_tables.get(relation, ())
             for table, spec in zip(tables, specs):
@@ -1424,23 +1390,27 @@ class StreamValidator:
     def import_tables(self, rows: Iterable[tuple[int, bytes, list]]) \
             -> dict[int, dict[bytes, list]]:
         """Turn checkpoint group rows — ``(plan index, key_bytes,
-        frozen aggregate)``, as
-        :meth:`~repro.store.CacheStore.iter_stream_groups` yields them —
-        into aggregates by plan index and key.
+        row)``, as :meth:`~repro.store.CacheStore.iter_stream_groups`
+        yields them — into aggregates by plan index and key.
 
-        Keys and RHS values become plain data again, and the first RHS
-        gets its canonical bytes back (:func:`_merge_agg` compares
-        them); witness slots stay checkpoint element ids, which the
-        caller resolves for the few groups that violate.  The result is
-        what :meth:`export_tables`' *prior* returns and what
-        :meth:`finalize` takes as *violating*.
+        A row is an aggregate without its first RHS's bytes and with
+        its witness elements replaced by checkpoint element ids::
+
+            [key, first_seq, first_rhs, first_id,
+                  clash_seq, clash_rhs, clash_id]
+
+        Importing re-encodes the first RHS (:func:`_merge_agg` compares
+        those bytes); the element ids stay, and the caller resolves them
+        for the few groups that violate.  The result is what
+        :meth:`export_tables`' *prior* returns and what :meth:`finalize`
+        takes as *violating*.
         """
         known = {table.plan.index
                  for tables in self._root_tables.values()
                  for table in tables}
         encode = self._pool.json_bytes
         out: dict[int, dict[bytes, list]] = {}
-        for index, key_bytes, frozen in rows:
+        for index, key_bytes, row in rows:
             if index not in known:
                 raise ValueError_(
                     f"cannot import group rows for unknown plan "
@@ -1448,11 +1418,7 @@ class StreamValidator:
             group = out.get(index)
             if group is None:
                 group = out[index] = {}
-            first_rhs = _json_of_frozen(frozen[2])
-            group[key_bytes] = [
-                tuple([_json_of_frozen(part) for part in frozen[0]]),
-                frozen[1], encode(first_rhs), first_rhs, frozen[3],
-                frozen[4], _json_of_frozen(frozen[5]), frozen[6]]
+            group[key_bytes] = [row[0], row[1], encode(row[2]), *row[2:]]
         return out
 
     def import_checkpoint(self, *, seq: int, nested: Iterable,
@@ -1502,7 +1468,7 @@ def stream_validate(schema: Schema, sigma: Iterable[NFD],
                     budget: ResourceBudget | None = None,
                     spill_dir: str | None = None,
                     spill_root: str | None = None,
-                    tracer=None, store=None) -> StreamResult:
+                    tracer=None) -> StreamResult:
     """Validate Σ against streamed relations in one engine.
 
     *sources* maps relation names to element iterables (a JSONL reader,
@@ -1515,8 +1481,7 @@ def stream_validate(schema: Schema, sigma: Iterable[NFD],
     sigma = tuple(sigma)
     validator = StreamValidator(schema, sigma, budget=budget,
                                 spill_dir=spill_dir,
-                                spill_root=spill_root, tracer=tracer,
-                                store=store)
+                                spill_root=spill_root, tracer=tracer)
     try:
         constrained = list(validator.engine._relations)
         missing = [name for name in constrained if name not in sources]
@@ -1562,9 +1527,7 @@ def shard_validate(schema: Schema, sigma: Iterable[NFD], relation: str,
                    budget: ResourceBudget | None = None,
                    spill_dir: str | None = None,
                    spill_root: str | None = None,
-                   tracer=None,
-                   cache_dir: str | None = None,
-                   store=None) -> StreamResult:
+                   tracer=None) -> StreamResult:
     """Validate Σ against one relation split into element shards.
 
     Each shard — a ``plan_shards`` range over a JSONL file, or an
@@ -1603,11 +1566,10 @@ def shard_validate(schema: Schema, sigma: Iterable[NFD], relation: str,
         schema, sigma,
         budget=(ResourceBudget(max_resident_rows=max_rows)
                 if max_rows is not None else None),
-        spill_dir=shared_dir, tracer=tracer, shard_index=-1,
-        store=store)
+        spill_dir=shared_dir, tracer=tracer, shard_index=-1)
     try:
         payload = (schema, list(sigma), relation, max_rows,
-                   max_elements, deadline_epoch, shared_dir, cache_dir)
+                   max_elements, deadline_epoch, shared_dir)
         tasks = list(enumerate(shard_specs))
         if tracer is None:
             return _drive_shards(driver, payload, tasks, jobs, None)
@@ -1684,20 +1646,8 @@ def _drive_shards(driver: StreamValidator, payload, tasks, jobs: int,
 
 
 def _shard_setup(payload):
-    """Worker initializer: keep the shared payload, and pre-open the
-    persistent cache store — read-only — once per process.  Engines are
-    still per shard (each shard owns its sequence space and nested
-    run), but every engine in this process restores its compiled plans
-    from the one warm store handle, so plan compilation happens at most
-    once per fleet instead of once per shard.  A missing, corrupt, or
-    version-mismatched store degrades to an always-miss handle; the
-    shard result is byte-identical either way."""
-    cache_dir = payload[-1]
-    store = None
-    if cache_dir is not None:
-        from ..store.cache_store import CacheStore
-        store = CacheStore(cache_dir, read_only=True)
-    return payload, store
+    """Worker initializer: the shared payload is the whole context."""
+    return payload
 
 
 def _shard_probe(context, task):
@@ -1706,9 +1656,8 @@ def _shard_probe(context, task):
     (e.g. a malformed JSONL line after the first spill) cleans this
     worker's spill runs up before the error propagates to the driver.
     """
-    payload, store = context
     schema, sigma, relation, max_rows, max_elements, deadline_epoch, \
-        shared_dir, _ = payload
+        shared_dir = context
     index, spec = task
     deadline = None
     if deadline_epoch is not None:
@@ -1720,8 +1669,7 @@ def _shard_probe(context, task):
                                 deadline=deadline,
                                 max_elements=max_elements)
     validator = StreamValidator(schema, sigma, budget=budget,
-                                spill_dir=shared_dir, shard_index=index,
-                                store=store)
+                                spill_dir=shared_dir, shard_index=index)
     try:
         if spec[0] == "rows":
             elements: Iterable = spec[1]

@@ -498,7 +498,7 @@ class ReproServer:
             outcome = stream_validate(
                 entry.schema, entry.sigma, sources,
                 budget=ResourceBudget(deadline=deadline),
-                store=self.store, tracer=self.tracer)
+                tracer=self.tracer)
             if outcome.budget_exhausted is not None \
                     and not outcome.violations:
                 raise ProtocolError(

@@ -10,8 +10,7 @@ and kept warm:
   closures, optional write-through to the persistent
   :class:`~repro.store.CacheStore`), and
 * one :class:`~repro.nfd.batch_validate.ValidatorEngine` (compiled
-  path-trie plans, restored from the store when a payload for this Σ
-  exists).
+  path-trie plans, kept in memory for the entry's lifetime).
 
 The pool is a **bounded LRU** (:attr:`EnginePool.max_entries`): the
 least-recently-used fingerprint is evicted when a new one would exceed
@@ -41,7 +40,6 @@ from typing import Iterable
 
 from ..inference.session import ImplicationSession, sigma_fingerprint
 from ..nfd.batch_validate import ValidatorEngine
-from ..store.warm import cached_validator
 
 __all__ = ["EnginePool", "PoolEntry", "PoolStats"]
 
@@ -251,14 +249,12 @@ class EnginePool:
         return entry.session
 
     async def validator_for(self, entry: PoolEntry) -> ValidatorEngine:
-        """The entry's warm validator, restored from the store when a
-        payload compiled for this Σ order exists."""
+        """The entry's warm validator, compiled on first use."""
         if entry.validator is not None:
             return entry.validator
         def factory():
-            return cached_validator(entry.schema, entry.sigma,
-                                    store=self.store,
-                                    tracer=self.tracer)
+            return ValidatorEngine(entry.schema, entry.sigma,
+                                   tracer=self.tracer)
         validator = await self._build((entry.key, "validator"), factory)
         if entry.validator is None:
             entry.validator = validator

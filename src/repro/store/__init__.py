@@ -8,19 +8,21 @@ all keyed by the order-independent Σ fingerprint:
   :class:`~repro.inference.session.ImplicationSession`; a warm
   ``implies``/``closure``/``keys`` run answers from the store with
   *zero* saturation rule applications;
-* **compiled plans** — :class:`~repro.nfd.ValidatorEngine` path-trie
-  plans via :func:`cached_validator`; a warm ``check`` run reports
-  ``plan_compilations == 0``;
-* **stream checkpoints** — group-table aggregates plus a source
-  watermark via :mod:`.stream_cache`; ``check --stream --incremental``
-  folds only appended lines.
+* **dense closure tables** — the interned bitset tables of
+  :mod:`repro.inference.dense`, which a session with a store adopts
+  instead of compiling;
+* **stream checkpoints** — group-table aggregates and witness elements
+  in the streaming engine's plain-JSON form, plus a source watermark,
+  via :mod:`.stream_cache`; ``check --stream --incremental`` folds only
+  appended lines.
 
 The store is an *accelerator*, never an authority: every read path
 tolerates a missing, corrupt, version-mismatched, or concurrently
-rewritten database by degrading to the cold computation (a
-:class:`CacheWarning` on stderr, identical results and exit codes).
+rewritten database by degrading to the cold computation with identical
+results and exit codes (a corrupt one with a :class:`CacheWarning` on
+stderr; a version mismatch is dropped silently and counted stale).
 Writers share one database safely under WAL (last writer wins per
-row); parallel shard workers open it read-only, once per process.
+row); parallel ``keys`` workers open it read-only, once per process.
 """
 
 from .cache_store import (CACHE_DIR_ENV, CacheStats, CacheStore,
@@ -28,7 +30,6 @@ from .cache_store import (CACHE_DIR_ENV, CacheStats, CacheStore,
                           default_spill_root, open_store,
                           resolve_cache_dir)
 from .stream_cache import incremental_stream_validate, stream_source_id
-from .warm import cached_session, cached_validator
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -37,8 +38,6 @@ __all__ = [
     "CacheWarning",
     "DB_FILENAME",
     "SCHEMA_VERSION",
-    "cached_session",
-    "cached_validator",
     "default_spill_root",
     "incremental_stream_validate",
     "open_store",

@@ -1,11 +1,11 @@
 """A WAL-mode SQLite persistence layer behind the in-memory caches.
 
 Everything the engines compute within one process — simple-closure
-memo entries, compiled path-trie plans, streaming group-table
+memo entries, interned dense closure tables, streaming group-table
 aggregates — evaporates at exit.  :class:`CacheStore` is the
 write-through disk layer that survives it: one SQLite file per cache
 directory, in WAL journal mode so concurrent readers never block the
-single writer, holding three tables keyed by
+single writer, holding tables keyed by
 :func:`~repro.inference.session.sigma_fingerprint` plus the injective
 canonical byte encoding of :mod:`repro.values.canonical`:
 
@@ -14,21 +14,19 @@ canonical byte encoding of :mod:`repro.values.canonical`:
   memo entries.  LHS and closure are stored as sorted canonical path
   texts (newline-joined), which round-trip exactly through
   ``parse_path`` and stay readable in ``sqlite3`` by hand;
-* ``plans`` — ``fingerprint -> pickled compiled plans`` of
-  :class:`~repro.nfd.batch_validate.ValidatorEngine`, tagged with the
-  Σ member order (the fingerprint is order-independent but plan
-  indices are not — a reordered Σ is a *miss*, never a wrong answer);
 * ``dense_tables`` — ``(fingerprint, relation) -> pickled interned
   closure tables`` of :mod:`repro.inference.dense`, tagged with the Σ
-  member order exactly like plans (dense rows are indexed positionally),
-  so a session with a store warm-starts with zero compilation;
+  member order (dense rows are indexed positionally, so a reordered Σ
+  is a *miss*, never a wrong answer); a session with a store
+  warm-starts with zero compilation;
 * ``stream_sources`` / ``stream_groups`` / ``stream_elements`` —
-  per-source watermarks, one ``[key, first, clash]`` aggregate row per
-  ``(source, plan, canonical key bytes)`` group, and the witness
-  elements those rows point to by id, for incremental streaming (see
-  :mod:`repro.store.stream_cache`).  A resume reads only the rows its
-  appended lines touch plus the violating rows (a partial index), and
-  upserts only the rows whose aggregate changed.
+  per-source watermarks, one aggregate row per ``(source, plan,
+  canonical key bytes)`` group, and the witness elements those rows
+  point to by id, all in the streaming engine's plain-JSON form, for
+  incremental streaming (see :mod:`repro.store.stream_cache`).  A
+  resume reads only the rows its appended lines touch plus the
+  violating rows (a partial index), and upserts only the rows whose
+  aggregate changed.
 
 Safety model
 ------------
@@ -70,7 +68,7 @@ __all__ = ["CacheStore", "CacheStats", "CacheWarning",
            "DB_FILENAME", "SCHEMA_VERSION"]
 
 #: Bump when the SQLite table layout changes incompatibly.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: The database file created inside a cache directory.
 DB_FILENAME = "repro-cache.sqlite"
@@ -92,10 +90,6 @@ CREATE TABLE IF NOT EXISTS closure_memo (
     lhs         TEXT NOT NULL,
     closure     TEXT NOT NULL,
     PRIMARY KEY (fingerprint, relation, lhs)
-);
-CREATE TABLE IF NOT EXISTS plans (
-    fingerprint TEXT PRIMARY KEY,
-    payload     BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS dense_tables (
     fingerprint TEXT NOT NULL,
@@ -134,8 +128,12 @@ CREATE TABLE IF NOT EXISTS stream_elements (
 _POINT_BATCH = 500
 
 #: The tables a version mismatch drops and ``clear`` empties.
-_DATA_TABLES = ("closure_memo", "plans", "dense_tables",
-                "stream_sources", "stream_groups", "stream_elements")
+_DATA_TABLES = ("closure_memo", "dense_tables", "stream_sources",
+                "stream_groups", "stream_elements")
+
+#: Tables earlier schema versions had and this one does not; a version
+#: mismatch drops them too, so an upgraded database keeps none.
+_LEGACY_TABLES = ("plans",)
 
 
 class CacheWarning(UserWarning):
@@ -186,22 +184,20 @@ def open_store(cache_dir: str | None, *,
 class CacheStats:
     """Hit / miss / stale / error counters of one store handle.
 
-    ``stale`` counts entries that existed but were unusable (a plan
-    compiled for a different Σ order, a stream watermark that no longer
-    matches its file); ``errors`` counts operations dropped because the
+    ``stale`` counts entries that existed but were unusable (dense
+    tables compiled for a different Σ order, a stream watermark that no
+    longer matches its file, a database of another schema version);
+    ``errors`` counts operations dropped because the
     database was broken or raised.  All counters are cumulative.
     """
 
-    __slots__ = ("closure_hits", "closure_misses", "plan_hits",
-                 "plan_misses", "dense_hits", "dense_misses",
-                 "stream_hits", "stream_misses",
+    __slots__ = ("closure_hits", "closure_misses", "dense_hits",
+                 "dense_misses", "stream_hits", "stream_misses",
                  "stale", "errors", "writes")
 
     def __init__(self):
         self.closure_hits = 0
         self.closure_misses = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
         self.dense_hits = 0
         self.dense_misses = 0
         self.stream_hits = 0
@@ -222,8 +218,6 @@ class CacheStats:
             "cache stats (persistent store):",
             f"  closure: {self.closure_hits} hit(s)  "
             f"{self.closure_misses} miss(es)",
-            f"  plans: {self.plan_hits} hit(s)  "
-            f"{self.plan_misses} miss(es)",
             f"  dense tables: {self.dense_hits} hit(s)  "
             f"{self.dense_misses} miss(es)",
             f"  stream: {self.stream_hits} hit(s)  "
@@ -234,8 +228,8 @@ class CacheStats:
 
     def __repr__(self) -> str:
         return (f"CacheStats(closure={self.closure_hits}/"
-                f"{self.closure_misses}, plans={self.plan_hits}/"
-                f"{self.plan_misses}, stream={self.stream_hits}/"
+                f"{self.closure_misses}, dense={self.dense_hits}/"
+                f"{self.dense_misses}, stream={self.stream_hits}/"
                 f"{self.stream_misses})")
 
 
@@ -306,7 +300,7 @@ class CacheStore:
             # schema or codec moved on: every entry is unreadable under
             # the new encoding, so drop the lot and start clean
             self.stats.stale += 1
-            for table in _DATA_TABLES + ("meta",):
+            for table in _DATA_TABLES + _LEGACY_TABLES + ("meta",):
                 conn.execute(f"DROP TABLE IF EXISTS {table}")
         conn.executescript(_TABLES)
         conn.execute(
@@ -455,36 +449,7 @@ class CacheStore:
             (fingerprint, relation, self._path_text(lhs),
              self._path_text(closure)))])
 
-    # -- compiled plans ----------------------------------------------------
-
-    def get_plan(self, fingerprint: str) -> Any | None:
-        """The unpickled ``(sigma_texts, relations, trie_nodes)`` plan
-        payload for *fingerprint*, or ``None`` on a miss (including an
-        unreadable pickle, which counts as stale)."""
-        rows = self._read(
-            "SELECT payload FROM plans WHERE fingerprint = ?",
-            (fingerprint,))
-        if not rows:
-            self.stats.plan_misses += 1
-            return None
-        try:
-            payload = pickle.loads(rows[0][0])
-        except Exception:
-            self.stats.stale += 1
-            self.stats.plan_misses += 1
-            return None
-        self.stats.plan_hits += 1
-        return payload
-
-    def put_plan(self, fingerprint: str, payload: Any) -> None:
-        try:
-            blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            self.stats.errors += 1
-            return
-        self._write([(
-            "INSERT OR REPLACE INTO plans (fingerprint, payload) "
-            "VALUES (?, ?)", (fingerprint, blob))])
+    # -- staleness -------------------------------------------------------
 
     def note_stale(self) -> None:
         """Record that a cached entry existed but was unusable."""
@@ -495,9 +460,9 @@ class CacheStore:
     def get_dense(self, fingerprint: str, relation: str) -> Any | None:
         """The unpickled ``(sigma_texts, DenseTables)`` payload for one
         relation's interned closure tables (see
-        :mod:`repro.inference.dense`), or ``None`` on a miss.  Like
-        compiled plans, the payload is tagged with the Σ member order:
-        row indices are positional, so a reordered Σ must re-compile."""
+        :mod:`repro.inference.dense`), or ``None`` on a miss.  The
+        payload is tagged with the Σ member order: row indices are
+        positional, so a reordered Σ must re-compile."""
         rows = self._read(
             "SELECT payload FROM dense_tables WHERE fingerprint = ? "
             "AND relation = ?", (fingerprint, relation))
@@ -561,8 +526,8 @@ class CacheStore:
     def iter_stream_groups(self, source_id: str, *, plan: int | None = None,
                            keys: Iterable[bytes] | None = None) \
             -> Iterator[tuple[int, bytes, list]]:
-        """Yield ``(plan, key_bytes, frozen_aggregate)`` group rows of
-        one source, whose witness slots hold element ids (see
+        """Yield ``(plan, key_bytes, aggregate)`` group rows of one
+        source, whose witness slots hold element ids (see
         :meth:`get_stream_elements`): the groups of *plan* whose keys
         are in *keys* — point reads on the primary key, ``_POINT_BATCH``
         keys per statement — or, without *keys*, every violating group
@@ -595,8 +560,9 @@ class CacheStore:
 
     def get_stream_elements(self, source_id: str,
                             ids: Iterable[int]) -> dict[int, Any]:
-        """The frozen witness elements *ids* of one source (point reads;
-        an id the store lacks is simply absent from the result)."""
+        """The witness elements *ids* of one source, as plain JSON data
+        (point reads; an id the store lacks is simply absent from the
+        result)."""
         ids = sorted(set(ids))
         found: dict[int, Any] = {}
         for i in range(0, len(ids), _POINT_BATCH):
@@ -622,11 +588,11 @@ class CacheStore:
         single transaction (a reader never sees a half-written source).
 
         *groups* pairs a plan label (``"<plan index>:<nfd text>"``) with
-        a list of ``(key_bytes, violating, frozen_aggregate,
-        new_elements)`` rows: the aggregate is stored as given (its
-        witness slots hold element ids), *violating* feeds the partial
-        index, and *new_elements* lists the ``(id, frozen_element)``
-        pairs this row is first to reference.  *groups* may be lazy — it is consumed
+        a list of ``(key_bytes, violating, aggregate, new_elements)``
+        rows: the aggregate is stored as given (its witness slots hold
+        element ids), *violating* feeds the partial index, and
+        *new_elements* lists the ``(id, element)`` pairs this row is
+        first to reference.  *groups* may be lazy — it is consumed
         inside the transaction, so rows stream straight from the merge,
         and reads it makes see the rows this write replaces.
 
@@ -695,8 +661,7 @@ class CacheStore:
         ``stream_groups`` counts persisted group aggregates (one row
         each) and ``stream_elements`` the witness elements they share."""
         counts = {}
-        for table in ("closure_memo", "plans", "dense_tables",
-                      "stream_sources"):
+        for table in ("closure_memo", "dense_tables", "stream_sources"):
             rows = self._read(f"SELECT COUNT(*) FROM {table}")
             counts[table] = rows[0][0] if rows else 0
         rows = self._read(

@@ -75,9 +75,7 @@ from ..inference.session import sigma_fingerprint
 from ..io.stream import iter_jsonl_elements
 from ..nfd.nfd import NFD
 from ..nfd.stream_validate import (ResourceBudget, StreamResult,
-                                   StreamValidator, _frozen_of_json,
-                                   _json_of_frozen, checkpoint_aggregate,
-                                   stream_validate)
+                                   StreamValidator, stream_validate)
 from ..types.schema import Schema
 from .cache_store import CacheStore
 
@@ -135,8 +133,8 @@ def _group_text(index: int, nfd_text: str) -> str:
 
 class _CheckpointView:
     """The merged view of one checkpoint: the engine's exported rows
-    folded over the stored ones, frozen for the store as they stream,
-    and the violating aggregates the witnesses come from.
+    folded over the stored ones, put in the store's row form as they
+    stream, and the violating aggregates the witnesses come from.
 
     Witness elements are written once each, to the per-source element
     table, and group rows point to them by id.  Stored rows already
@@ -176,8 +174,8 @@ class _CheckpointView:
         if entry is None:
             self.last_id += 1
             entry = self._ids[token] = (self.last_id, ref)
-            new.append((self.last_id, _frozen_of_json(
-                self.validator._stored_element(ref))))
+            new.append((self.last_id,
+                        self.validator._stored_element(ref)))
         return entry[0]
 
     def groups(self) -> Iterator[tuple[str, list]]:
@@ -198,9 +196,11 @@ class _CheckpointView:
                     clashing[key_bytes] = agg
                 new: list = []
                 first = self._element_id(agg[4], new)
-                rows.append((key_bytes, clash, checkpoint_aggregate(
-                    agg, first, self._element_id(agg[7], new)),
-                    tuple(new)))
+                # the import_tables row form: no first-RHS bytes,
+                # element ids in the witness slots
+                row = [agg[0], agg[1], agg[3], first, agg[5], agg[6],
+                       self._element_id(agg[7], new)]
+                rows.append((key_bytes, clash, row, tuple(new)))
             yield labels[index], rows
         self.violating = self._witness_rows(exported)
 
@@ -221,13 +221,11 @@ class _CheckpointView:
             if ids else {}
         if len(elements) < len(ids):
             return None
-        plain = {element_id: _json_of_frozen(frozen)
-                 for element_id, frozen in elements.items()}
         for rows in merged.values():
             for agg in rows.values():
                 for slot in (4, 7):
                     if type(agg[slot]) is int:
-                        agg[slot] = plain[agg[slot]]
+                        agg[slot] = elements[agg[slot]]
         return {index: list(rows.values())
                 for index, rows in merged.items()}
 
@@ -298,8 +296,7 @@ def incremental_stream_validate(
     start = entry["line_count"] if resumed else 0
 
     validator = StreamValidator(schema, sigma, budget=budget,
-                                spill_root=spill_root, tracer=tracer,
-                                store=store)
+                                spill_root=spill_root, tracer=tracer)
     result = None
     persisted = False
     try:

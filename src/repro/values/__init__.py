@@ -25,7 +25,7 @@ from .typecheck import (
     instance_conforms,
 )
 from .value import (EMPTY_SET, Atom, Record, SetValue, Value,
-                    freeze_value, thaw_value, value_of_json)
+                    value_of_json)
 
 __all__ = [
     "Value",
@@ -40,8 +40,6 @@ __all__ = [
     "canonical_json_bytes",
     "canonical_key_bytes",
     "InternPool",
-    "freeze_value",
-    "thaw_value",
     "value_of_json",
     "check_value",
     "conforms",

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 from ..errors import ValueError_
 
 __all__ = ["Value", "Atom", "Record", "SetValue", "EMPTY_SET",
-           "freeze_value", "thaw_value", "value_of_json"]
+           "value_of_json"]
 
 _ATOM_TYPES = (int, str, bool, float)
 
@@ -295,38 +295,14 @@ class SetValue(Value):
 EMPTY_SET = SetValue(())
 
 
-# ------------------------------------------------------- fast round-trip
+# ------------------------------------------------------- trusted builds
 #
-# freeze_value/thaw_value are a lossless plain-data round-trip for value
-# trees that were *already validated at construction*.  Pickling a Value
-# goes through __reduce__ and hence back through the validating
-# constructors — per-field label checks plus abstract-class isinstance
-# probes on every node — which dominates reload time when the streaming
-# validator re-reads millions of spilled aggregates.  The frozen form is
-# built from scalars and tuples only (fast native pickling, no per-node
-# __reduce__ dispatch) and thawing rebuilds each node with
-# ``object.__new__`` plus direct slot stores, recomputing the structural
-# hash in-process (hashes are salted per process and must never travel).
-#
-# Tags cannot collide with payloads: a frozen Atom is its bare scalar
-# (never a tuple), records and sets are tagged tuples, and None — which
-# aggregate slots use for "no clash yet" — passes through.
-
-
-def freeze_value(value):
-    """The plain-data form of *value* (or None), for fast pickling."""
-    if value is None:
-        return None
-    kind = type(value)
-    if kind is Atom:
-        return value.value
-    if kind is Record:
-        return ("R", tuple((label, freeze_value(sub))
-                           for label, sub in value.fields))
-    if kind is SetValue:
-        return ("S", tuple(freeze_value(element)
-                           for element in value.elements))
-    raise ValueError_(f"cannot freeze {type(value).__name__}")
+# value_of_json rebuilds value trees from JSON data that is already
+# known to be well-formed.  The validating constructors — per-field
+# label checks plus abstract-class isinstance probes on every node —
+# would dominate that rebuild, so each node is made with
+# ``object.__new__`` plus direct slot stores, computing the structural
+# hash in-process (hashes are salted per process and never travel).
 
 
 def _trusted_atom(raw) -> Atom:
@@ -353,29 +329,15 @@ def _trusted_set(elements: frozenset) -> SetValue:
     return set_value
 
 
-def thaw_value(data):
-    """Rebuild the value tree frozen by :func:`freeze_value`."""
-    if data is None:
-        return None
-    if type(data) is not tuple:
-        return _trusted_atom(data)
-    tag, payload = data
-    if tag == "R":
-        return _trusted_record(tuple((label, thaw_value(sub))
-                                     for label, sub in payload))
-    return _trusted_set(frozenset(thaw_value(element)
-                                  for element in payload))
-
-
 def value_of_json(data):
     """The value tree of plain JSON-shaped *data* — dicts, lists and
     scalars — already known to be well-formed (type-checked, or made by
     :func:`~repro.values.build.to_python`).
 
-    Built like :func:`thaw_value`, without the constructors' checks: a
-    dict becomes a :class:`Record` in its key order, a list a
-    :class:`SetValue` (an equal repeat keeps the first occurrence, as
-    ``frozenset`` does) and a scalar an :class:`Atom`."""
+    Built without the constructors' checks: a dict becomes a
+    :class:`Record` in its key order, a list a :class:`SetValue` (an
+    equal repeat keeps the first occurrence, as ``frozenset`` does) and
+    a scalar an :class:`Atom`."""
     kind = type(data)
     if kind is dict:
         return _trusted_record(tuple([(label, value_of_json(sub))

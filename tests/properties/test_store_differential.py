@@ -4,9 +4,10 @@ The store is a pure accelerator, so for any random schema/Σ/instance
 the full cache-mode matrix — no cache, cold cache, warm cache,
 read-only warm cache — must produce byte-identical witness
 descriptions and closures.  Each hypothesis case runs the whole
-matrix, so the default profile's 100 examples exercise several hundred
-cached validations per suite run (the nightly profile multiplies that
-by 10).
+matrix (for validation, through the stream checkpoints), so the
+default profile's 100 examples exercise several hundred cached
+validations per suite run (the nightly profile multiplies that by
+10).
 
 The concurrency half drives two OS processes writing the same WAL
 database through :func:`repro.parallel.process_map`: the database must
@@ -32,8 +33,7 @@ from repro.io.stream import dump_jsonl, iter_jsonl_elements, \
 from repro.nfd import ValidatorEngine, stream_validate
 from repro.parallel import process_map
 from repro.paths import parse_path
-from repro.store import CacheStore, cached_session, cached_validator, \
-    incremental_stream_validate
+from repro.store import CacheStore, incremental_stream_validate
 from repro.values import to_python
 
 
@@ -59,23 +59,28 @@ def test_cache_mode_matrix_is_invisible(seed):
     expected = _witnesses(ValidatorEngine(schema, sigma).validate(
         instance, all_violations=True))
     workdir = tempfile.mkdtemp(prefix="repro-storeprop-")
+    relation = schema.relation_names[0]
+    path = os.path.join(workdir, "stream.jsonl")
     try:
+        if not dump_jsonl(path, iter_set_elements(
+                instance.relation(relation))):
+            return  # an empty cold stream is a typed error, not a run
         with CacheStore(workdir) as store:
-            cold = cached_validator(schema, sigma, store=store)
-            assert cold.stats.plan_compilations == 1
-            assert _witnesses(cold.validate(
-                instance, all_violations=True)) == expected
+            cold, info = incremental_stream_validate(
+                schema, sigma, relation, path, store=store)
+            assert info["mode"] == "cold"
+            assert _witnesses(cold) == expected
         with CacheStore(workdir) as store:
-            warm = cached_validator(schema, sigma, store=store)
-            assert warm.stats.plan_compilations == 0
-            assert _witnesses(warm.validate(
-                instance, all_violations=True)) == expected
+            warm, info = incremental_stream_validate(
+                schema, sigma, relation, path, store=store)
+            assert info["mode"] == "resumed"
+            assert _witnesses(warm) == expected
         reader = CacheStore(workdir, read_only=True)
         try:
-            ro = cached_validator(schema, sigma, store=reader)
-            assert ro.stats.plan_compilations == 0
-            assert _witnesses(ro.validate(
-                instance, all_violations=True)) == expected
+            ro, info = incremental_stream_validate(
+                schema, sigma, relation, path, store=reader)
+            assert info["mode"] == "resumed"
+            assert _witnesses(ro) == expected
         finally:
             reader.close()
     finally:
@@ -101,10 +106,10 @@ def test_warm_sessions_answer_every_closure_identically(seed):
     workdir = tempfile.mkdtemp(prefix="repro-storeprop-")
     try:
         with CacheStore(workdir) as store:
-            cold = cached_session(schema, sigma, store=store)
+            cold = ImplicationSession(schema, sigma, store=store)
             assert [cold.closure(b, l) for b, l in queries] == expected
         with CacheStore(workdir) as store:
-            warm = cached_session(schema, sigma, store=store)
+            warm = ImplicationSession(schema, sigma, store=store)
             assert [warm.closure(b, l) for b, l in queries] == expected
             assert warm.engine.stats.attempts == 0
             assert warm.stats.store_hits == len(queries)

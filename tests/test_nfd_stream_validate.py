@@ -490,12 +490,13 @@ class TestElementStore:
         store = _ElementStore(str(tmp_path / "elems.dat"))
         element = {"A": 1, "B": ["y", "x"]}
         ref = store.put(element)
-        assert ref[0] == "@" and ref[1] == store.path
+        # the ref names the sidecar by its file name in the spill dir
+        assert ref[0] == "@" and ref[1] == store.name == "elems.dat"
         again = store.put(element)   # same event: memoized, same ref
         assert again == ref
         store.end_event()
         store.close()
-        with open(ref[1], "rb") as handle:
+        with open(tmp_path / ref[1], "rb") as handle:
             handle.seek(ref[2])
             loaded = pickle.load(handle)
         assert loaded == element
@@ -510,6 +511,41 @@ class TestElementStore:
         second = store.put(element)  # new event: a fresh write
         store.close()
         assert first != second
+
+    @pytest.mark.parametrize("shards", [(), ("--shards", "2",
+                                             "--jobs", "2")],
+                             ids=["plain", "sharded"])
+    def test_spill_bytes_do_not_depend_on_the_spill_path(
+            self, tmp_path, course_schema, course_sigma, shards, capsys):
+        """Refs name a sidecar by its file name, so the same input
+        spills the same bytes under spill roots of different path
+        lengths, and prints the same witnesses."""
+        import json
+        import random
+        from repro.cli import main
+        from repro.generators import workloads
+        from repro.io import dump_bundle
+        instance = workloads.scaled_course_instance(
+            random.Random(5), courses=40, students_per_course=3,
+            books_per_course=2)
+        rows = [to_python(e) for e in instance.relation("Course")]
+        rows.append(dict(rows[0], time=-1))
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(dump_bundle(course_schema, course_sigma))
+        path = tmp_path / "course.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        runs = []
+        for root in ("r", "r" * 60):
+            metrics = tmp_path / "metrics.json"
+            code = main(["check", str(bundle), "--stream", str(path),
+                         "--max-rows", "7", "--cache-dir",
+                         str(tmp_path / root), "--metrics-json",
+                         str(metrics), *shards])
+            stream = json.loads(metrics.read_text())["sections"]["stream"]
+            runs.append((code, capsys.readouterr().out,
+                         stream["bytes_spilled"]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and runs[0][2] > 0
 
     def test_violating_witnesses_survive_the_sidecar(
             self, tmp_path, course_schema, course_sigma,

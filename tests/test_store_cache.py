@@ -1,11 +1,11 @@
 """Unit tests for the persistent SQLite cache layer.
 
 Covers the :class:`~repro.store.CacheStore` lifecycle (schema
-versioning, corruption fallback, read-only opens), the closure-memo
-and compiled-plan tables through their real consumers
-(:class:`~repro.inference.ImplicationSession` and
-:func:`~repro.store.cached_validator`), spill/temp placement under the
-cache directory, and the worker warm-up path's error chaining.
+versioning, corruption fallback, read-only opens), the closure memo
+and the dense tables through their real consumer
+(:class:`~repro.inference.ImplicationSession`), spill/temp placement
+under the cache directory, and the worker warm-up path's error
+chaining.
 """
 
 import os
@@ -25,8 +25,6 @@ from repro.store import (
     CacheStore,
     CacheWarning,
     DB_FILENAME,
-    cached_session,
-    cached_validator,
     default_spill_root,
     open_store,
     resolve_cache_dir,
@@ -48,13 +46,22 @@ def sigma():
     return workloads.course_sigma()
 
 
+def _warm_entries(schema, sigma, store):
+    """Fill the closure memo and the dense tables through a session."""
+    ImplicationSession(schema, sigma, store=store).closure(
+        parse_path("Course"), {parse_path("cnum")})
+    summary = store.summary()
+    assert summary["closure_memo"] == 1
+    assert summary["dense_tables"] >= 1
+
+
 class TestStoreLifecycle:
     def test_fresh_store_is_writable_and_empty(self, cache_dir):
         with CacheStore(cache_dir) as store:
             assert store.available and store.writable
             summary = store.summary()
             assert summary["closure_memo"] == 0
-            assert summary["plans"] == 0
+            assert summary["dense_tables"] == 0
             assert summary["stream_sources"] == 0
             # a brand-new database is not "stale data"
             assert store.stats.stale == 0
@@ -74,21 +81,22 @@ class TestStoreLifecycle:
             self, cache_dir):
         with CacheStore(cache_dir, read_only=True) as store:
             assert not store.writable
-            assert store.get_plan("deadbeef") is None
+            assert store.get_dense("deadbeef", "Course") is None
         assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))
 
     def test_version_mismatch_drops_all_entries(self, cache_dir,
                                                 schema, sigma):
         with CacheStore(cache_dir) as store:
-            cached_validator(schema, sigma, store=store)
-            assert store.summary()["plans"] == 1
+            _warm_entries(schema, sigma, store)
             store._conn.execute(
                 "UPDATE meta SET value = 'not-a-version' "
                 "WHERE key = 'codec_version'")
             store._conn.commit()
         with CacheStore(cache_dir) as store:
             assert store.stats.stale == 1
-            assert store.summary()["plans"] == 0
+            summary = store.summary()
+            assert summary["closure_memo"] == 0
+            assert summary["dense_tables"] == 0
 
     def test_corrupt_db_degrades_with_a_warning(self, cache_dir,
                                                 schema, sigma):
@@ -99,22 +107,25 @@ class TestStoreLifecycle:
             warnings.simplefilter("always")
             store = CacheStore(cache_dir)
             # every API degrades to a miss / no-op, never an exception
-            assert store.get_plan("deadbeef") is None
+            assert store.get_dense("deadbeef", "Course") is None
             fp = sigma_fingerprint(schema, tuple(sigma))
-            store.put_plan(fp, ("payload",))
+            store.put_dense(fp, "Course", ("payload",))
             assert store.get_closure(fp, "Course", frozenset()) is None
-            engine = cached_validator(schema, sigma, store=store)
-            assert engine.stats.plan_compilations == 1
+            session = ImplicationSession(schema, sigma, store=store)
+            assert session.closure(parse_path("Course"),
+                                   {parse_path("cnum")})
+            assert session.engine.stats.attempts > 0
             store.close()
         assert any(issubclass(w.category, CacheWarning) for w in caught)
         assert store.stats.errors >= 1
 
     def test_clear_and_vacuum(self, cache_dir, schema, sigma):
         with CacheStore(cache_dir) as store:
-            cached_validator(schema, sigma, store=store)
-            assert store.summary()["plans"] == 1
+            _warm_entries(schema, sigma, store)
             assert store.clear()
-            assert store.summary()["plans"] == 0
+            summary = store.summary()
+            assert summary["closure_memo"] == 0
+            assert summary["dense_tables"] == 0
             assert store.vacuum()
             assert store.integrity_check()
 
@@ -137,11 +148,11 @@ class TestClosureMemoTable:
         base = parse_path("Course")
         lhs = {parse_path("cnum")}
         with CacheStore(cache_dir) as store:
-            cold = cached_session(schema, sigma, store=store)
+            cold = ImplicationSession(schema, sigma, store=store)
             cold_closure = cold.closure(base, lhs)
             assert cold.engine.stats.attempts > 0
         with CacheStore(cache_dir) as store:
-            warm = cached_session(schema, sigma, store=store)
+            warm = ImplicationSession(schema, sigma, store=store)
             assert warm.closure(base, lhs) == cold_closure
             # the whole point: zero saturation rule applications
             assert warm.engine.stats.attempts == 0
@@ -151,7 +162,7 @@ class TestClosureMemoTable:
     def test_store_counters_render_in_session_stats(self, cache_dir,
                                                     schema, sigma):
         with CacheStore(cache_dir) as store:
-            session = cached_session(schema, sigma, store=store)
+            session = ImplicationSession(schema, sigma, store=store)
             session.closure(parse_path("Course"), {parse_path("cnum")})
             text = session.stats.to_text()
             assert "store hits" in text
@@ -160,42 +171,8 @@ class TestClosureMemoTable:
 
 
 class TestPlanTable:
-    def test_warm_engine_skips_compilation(self, cache_dir, schema,
-                                           sigma):
-        instance = workloads.course_instance()
-        with CacheStore(cache_dir) as store:
-            cold = cached_validator(schema, sigma, store=store)
-            assert cold.stats.plan_compilations == 1
-            cold_result = cold.validate(instance, all_violations=True)
-        with CacheStore(cache_dir) as store:
-            warm = cached_validator(schema, sigma, store=store)
-            assert warm.stats.plan_compilations == 0
-            warm_result = warm.validate(instance, all_violations=True)
-            assert store.stats.plan_hits == 1
-        assert [v.describe() for v in warm_result.violations] == \
-            [v.describe() for v in cold_result.violations]
-        assert warm_result.ok == cold_result.ok
-
-    def test_sigma_reorder_is_stale_not_wrong(self, cache_dir, schema,
-                                              sigma):
-        sigma = tuple(sigma)
-        assert len(sigma) >= 2
-        reordered = tuple(reversed(sigma))
-        # same fingerprint (order-independent) ...
-        assert sigma_fingerprint(schema, sigma) == \
-            sigma_fingerprint(schema, reordered)
-        with CacheStore(cache_dir) as store:
-            cached_validator(schema, sigma, store=store)
-        with CacheStore(cache_dir) as store:
-            # ... but plan indices are order-dependent, so the payload
-            # must be recompiled, not adopted
-            engine = cached_validator(schema, reordered, store=store)
-            assert engine.stats.plan_compilations == 1
-            assert store.stats.stale == 1
-        with CacheStore(cache_dir) as store:
-            # the rewrite made the reordered Σ the warm one
-            engine = cached_validator(schema, reordered, store=store)
-            assert engine.stats.plan_compilations == 0
+    """Compiled plans are not persisted; what remains is the
+    validator's own counter, which reads 1 per engine build."""
 
     def test_plan_compilations_render_in_stats(self, schema, sigma):
         engine = ValidatorEngine(schema, sigma)
@@ -298,7 +275,7 @@ def _warm_setup(payload):
     from repro.io import load_bundle
     schema, sigma, _ = load_bundle(bundle_text)
     store = CacheStore(cache_dir, read_only=True)
-    return cached_session(schema, sigma, store=store)
+    return ImplicationSession(schema, sigma, store=store)
 
 
 def _warm_probe(session, item):
@@ -316,7 +293,7 @@ class TestWarmWorkerTracebacks:
         from repro.parallel import RemoteTraceback
 
         with CacheStore(cache_dir) as store:
-            cached_session(schema, sigma, store=store).closure(
+            ImplicationSession(schema, sigma, store=store).closure(
                 parse_path("Course"), {parse_path("cnum")})
         payload = (dump_bundle(schema, sigma, None), cache_dir)
         with pytest.raises(RuntimeError,
@@ -331,7 +308,7 @@ class TestWarmWorkerTracebacks:
     def test_warm_workers_answer_from_the_store(self, cache_dir,
                                                 schema, sigma):
         with CacheStore(cache_dir) as store:
-            cached_session(schema, sigma, store=store).closure(
+            ImplicationSession(schema, sigma, store=store).closure(
                 parse_path("Course"), {parse_path("cnum")})
         payload = (dump_bundle(schema, sigma, None), cache_dir)
         verdicts = process_map(_warm_setup, payload, _warm_probe,

@@ -556,28 +556,186 @@ class TestCheckpointFaults:
             assert store.integrity_check()
 
 
+class TestHashSeeds:
+    @pytest.mark.parametrize("budget", [(), ("--max-rows", "7")],
+                             ids=["resident", "spilling"])
+    def test_checkpoint_resumes_under_another_hash_seed(
+            self, stream_case, capsys, budget):
+        """A checkpoint written by a process under one hash seed resumes
+        in a process under another with stdout equal to a cold run:
+        nothing the store keeps depends on ``hash()``."""
+        import subprocess
+        import sys
+        from pathlib import Path
+        bundle, path, cache, rows = stream_case
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = _incremental(stream_case) + list(budget)
+
+        def run(seed):
+            env = dict(os.environ, PYTHONPATH=str(src),
+                       PYTHONHASHSEED=str(seed))
+            return subprocess.run([sys.executable, "-m", "repro", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+
+        first = run(1)
+        assert first.returncode == 0, first.stderr
+        appended = _clash_rows(rows, 3)
+        _append_rows(path, appended)
+        resumed = run(2)
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        assert resumed.stderr == (
+            f"incremental: resumed at line {len(rows)}/"
+            f"{len(rows) + len(appended)}, {len(appended)} "
+            "element(s) folded\n")
+        assert (resumed.returncode, resumed.stdout) == cold[:2]
+        assert cold[0] == 1
+
+
+#: The table layout of store schema version 3, which also kept
+#: compiled validator plans and froze checkpoint values.
+_SCHEMA_3_TABLES = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE closure_memo (fingerprint TEXT NOT NULL,
+    relation TEXT NOT NULL, lhs TEXT NOT NULL, closure TEXT NOT NULL,
+    PRIMARY KEY (fingerprint, relation, lhs));
+CREATE TABLE plans (fingerprint TEXT PRIMARY KEY, payload BLOB NOT NULL);
+CREATE TABLE dense_tables (fingerprint TEXT NOT NULL,
+    relation TEXT NOT NULL, payload BLOB NOT NULL,
+    PRIMARY KEY (fingerprint, relation));
+CREATE TABLE stream_sources (source_id TEXT PRIMARY KEY,
+    fingerprint TEXT NOT NULL, relation TEXT NOT NULL,
+    line_count INTEGER NOT NULL, content_hash TEXT NOT NULL,
+    mtime REAL NOT NULL, state BLOB NOT NULL);
+CREATE TABLE stream_groups (source_id TEXT NOT NULL,
+    plan INTEGER NOT NULL, key BLOB NOT NULL, violating INTEGER NOT NULL,
+    agg BLOB NOT NULL, PRIMARY KEY (source_id, plan, key)) WITHOUT ROWID;
+CREATE INDEX stream_groups_violating
+    ON stream_groups (source_id, plan) WHERE violating = 1;
+CREATE TABLE stream_elements (source_id TEXT NOT NULL,
+    id INTEGER NOT NULL, element BLOB NOT NULL,
+    PRIMARY KEY (source_id, id)) WITHOUT ROWID;
+"""
+
+
+def _legacy_db(cache, version, tables, schema, sigma, path, line_count):
+    """Start a database in an older layout: *tables*, the meta rows of
+    schema *version*, and a ``stream_sources`` row whose watermark
+    covers the first *line_count* lines of *path* — one a current
+    store would resume from.  Returns the open connection and the
+    source id."""
+    import hashlib
+    import pickle
+    import sqlite3
+    from repro.inference.session import sigma_fingerprint
+    from repro.store import DB_FILENAME
+    from repro.values.canonical import CODEC_VERSION
+    os.makedirs(cache)
+    with open(path, "rb") as handle:
+        prefix = b"".join(handle.readlines()[:line_count])
+    fingerprint = sigma_fingerprint(schema, sigma)
+    source_id = stream_source_id(path, fingerprint, "Course")
+    state = {"seq": 0, "nested": [], "anchor_counts": {},
+             "sigma": [str(nfd) for nfd in sigma]}
+    conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
+    conn.executescript(tables)
+    conn.executemany("INSERT INTO meta VALUES (?, ?)",
+                     [("schema_version", str(version)),
+                      ("codec_version", CODEC_VERSION)])
+    conn.execute(
+        "INSERT INTO stream_sources VALUES (?, ?, ?, ?, ?, ?, ?)",
+        (source_id, fingerprint, "Course", line_count,
+         hashlib.sha256(prefix).hexdigest(), 0.0, pickle.dumps(state)))
+    return conn, source_id
+
+
+def _freeze(data):
+    """The form schema-3 checkpoints stored values in: a scalar as
+    itself, a record as ``("R", ((label, frozen), ...))``, a set as
+    ``("S", (frozen, ...))`` in ``repr`` order."""
+    from repro.values import to_python, value_of_json
+    if type(data) is dict:
+        return ("R", tuple((label, _freeze(sub))
+                           for label, sub in data.items()))
+    if type(data) is list:
+        return ("S", tuple(_freeze(item) for item in to_python(
+            value_of_json(data))))
+    return data
+
+
+def _to_schema_3(cache):
+    """Rewrite a current checkpoint database in place into the schema-3
+    layout: frozen group rows and elements, a ``plans`` table with a
+    row, and schema version 3 in ``meta``.  Returns how many rows the
+    freezing changed."""
+    import pickle
+    import sqlite3
+    from repro.store import DB_FILENAME
+    conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
+    try:
+        changed = 0
+        for source_id, plan, key, blob in conn.execute(
+                "SELECT source_id, plan, key, agg FROM stream_groups"
+        ).fetchall():
+            row = pickle.loads(blob)
+            old = [tuple(_freeze(part) for part in row[0]), row[1],
+                   _freeze(row[2]), row[3], row[4], _freeze(row[5]),
+                   row[6]]
+            changed += old != row
+            conn.execute(
+                "UPDATE stream_groups SET agg = ? WHERE source_id = ?"
+                " AND plan = ? AND key = ?",
+                (pickle.dumps(old), source_id, plan, key))
+        for source_id, elem_id, blob in conn.execute(
+                "SELECT source_id, id, element FROM stream_elements"
+        ).fetchall():
+            element = pickle.loads(blob)
+            old = _freeze(element)
+            changed += old != element
+            conn.execute(
+                "UPDATE stream_elements SET element = ? WHERE "
+                "source_id = ? AND id = ?",
+                (pickle.dumps(old), source_id, elem_id))
+        conn.execute("CREATE TABLE plans (fingerprint TEXT PRIMARY KEY,"
+                     " payload BLOB NOT NULL)")
+        conn.execute("INSERT INTO plans VALUES (?, ?)",
+                     ("f" * 64, pickle.dumps(((), {}, 0))))
+        conn.execute("UPDATE meta SET value = '3' "
+                     "WHERE key = 'schema_version'")
+        conn.commit()
+    finally:
+        conn.close()
+    return changed
+
+
+def _layout(cache):
+    """``(schema_version, table names)`` of the database in *cache*."""
+    import sqlite3
+    from repro.store import DB_FILENAME
+    conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
+    try:
+        version = conn.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+        ).fetchone()[0]
+        tables = {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    finally:
+        conn.close()
+    return version, tables
+
+
 class TestOldLayout:
     def test_version_2_cache_takes_the_cold_path(self, stream_case,
                                                  schema, sigma, capsys):
         """A cache left by the per-plan-blob layout (schema version 2),
         with a watermark that would otherwise resume, is dropped: the
-        run is cold, exact, and leaves a version-3 store behind."""
-        import hashlib
+        run is cold, exact, and leaves a version-4 store behind."""
         import pickle
         import sqlite3
-        from repro.inference.session import sigma_fingerprint
         from repro.store import DB_FILENAME, SCHEMA_VERSION
-        from repro.values.canonical import CODEC_VERSION
         bundle, path, cache, rows = stream_case
-        os.makedirs(cache)
-        with open(path, "rb") as handle:
-            data = handle.read()
-        source_id = stream_source_id(
-            path, sigma_fingerprint(schema, sigma), "Course")
-        state = {"seq": 0, "nested": [], "anchor_counts": {},
-                 "sigma": [str(nfd) for nfd in sigma]}
-        conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
-        conn.executescript(
+        conn, source_id = _legacy_db(
+            cache, 2,
             "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
             "CREATE TABLE stream_sources (source_id TEXT PRIMARY KEY,"
             " fingerprint TEXT NOT NULL, relation TEXT NOT NULL,"
@@ -585,15 +743,8 @@ class TestOldLayout:
             " mtime REAL NOT NULL, state BLOB NOT NULL);"
             "CREATE TABLE stream_groups (source_id TEXT NOT NULL,"
             " nfd TEXT NOT NULL, groups INTEGER NOT NULL,"
-            " rows BLOB NOT NULL, PRIMARY KEY (source_id, nfd));")
-        conn.executemany("INSERT INTO meta VALUES (?, ?)",
-                         [("schema_version", "2"),
-                          ("codec_version", CODEC_VERSION)])
-        conn.execute(
-            "INSERT INTO stream_sources VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (source_id, sigma_fingerprint(schema, sigma), "Course",
-             len(rows), hashlib.sha256(data).hexdigest(), 0.0,
-             pickle.dumps(state)))
+            " rows BLOB NOT NULL, PRIMARY KEY (source_id, nfd));",
+            schema, sigma, path, len(rows))
         conn.execute(
             "INSERT INTO stream_groups VALUES (?, ?, ?, ?)",
             (source_id, f"0:{sigma[0]}", 1,
@@ -611,34 +762,56 @@ class TestOldLayout:
                        "element(s) folded\n")
         conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
         try:
-            version = conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()[0]
             columns = [row[1] for row in conn.execute(
                 "PRAGMA table_info(stream_groups)")]
         finally:
             conn.close()
-        assert version == str(SCHEMA_VERSION) == "3"
+        assert _layout(cache)[0] == str(SCHEMA_VERSION) == "4"
         assert columns == ["source_id", "plan", "key", "violating", "agg"]
         with CacheStore(cache) as store:
             _, info = incremental_stream_validate(
                 schema, sigma, "Course", path, store=store)
         assert info["mode"] == "resumed"
 
+    def test_version_3_cache_drops_its_plan_table(self, stream_case,
+                                                  schema, sigma, capsys):
+        """A schema-3 cache — a ``plans`` row and a checkpoint whose
+        watermark would resume — is dropped whole on open: the run is
+        cold and exact, and the version-4 store it leaves has no
+        ``plans`` table."""
+        import pickle
+        bundle, path, cache, rows = stream_case
+        conn, source_id = _legacy_db(cache, 3, _SCHEMA_3_TABLES, schema,
+                                     sigma, path, len(rows))
+        conn.execute("INSERT INTO plans VALUES (?, ?)",
+                     ("f" * 64, pickle.dumps(((), {}, 0))))
+        conn.execute(
+            "INSERT INTO stream_groups VALUES (?, ?, ?, ?, ?)",
+            (source_id, 0, b"k", 0,
+             pickle.dumps([("x",), (0, 1), "t", 1, None, None, None])))
+        conn.commit()
+        conn.close()
+        assert "plans" in _layout(cache)[1]
+
+        _append_rows(path, _clash_rows(rows, 2))
+        total = len(rows) + 3
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        code, out, err = _cli(_incremental(stream_case), capsys)
+        assert (code, out) == cold[:2] and code == 1
+        assert err == (f"incremental: cold at line 0/{total}, {total} "
+                       "element(s) folded\n")
+        version, tables = _layout(cache)
+        assert version == "4"
+        assert "plans" not in tables
+
     @pytest.mark.parametrize("budget", [(), ("--max-rows", "7")],
                              ids=["resident", "spilling"])
     def test_freeze_value_checkpoint_resumes_exactly(self, stream_case,
                                                      capsys, budget):
-        """Checkpoint rows and elements in the ``freeze_value`` form of
-        the engine's value trees (sets in ``repr`` order, as checkpoints
-        written by the value-tree engine hold them) resume under the
-        JSON binder with stdout equal to a cold run: the first RHS's
-        bytes re-encoded from that form match bindings spelled in
-        another set and field order."""
-        import pickle
-        import sqlite3
-        from repro.store import DB_FILENAME
-        from repro.values import freeze_value, thaw_value
+        """A checkpoint in the schema-3 form — keys, RHS values and
+        elements frozen, sets in ``repr`` order, a ``plans`` table
+        beside it — is not resumed after the bump to schema 4: the run
+        is cold, with stdout equal to a cold run."""
         bundle, path, cache, rows = stream_case
 
         def permuted(students):
@@ -652,41 +825,7 @@ class TestOldLayout:
             handle.write("".join(json.dumps(row) + "\n" for row in prefix))
         argv = _incremental(stream_case) + list(budget)
         assert _cli(argv, capsys)[0] == 1
-
-        def value_form(frozen):
-            return freeze_value(thaw_value(frozen))
-
-        conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
-        try:
-            changed = 0
-            groups = conn.execute(
-                "SELECT source_id, plan, key, agg FROM stream_groups"
-            ).fetchall()
-            for source_id, plan, key, blob in groups:
-                agg = pickle.loads(blob)
-                old = [tuple(value_form(part) for part in agg[0]), agg[1],
-                       value_form(agg[2]), agg[3], agg[4],
-                       value_form(agg[5]), agg[6]]
-                changed += old != agg
-                conn.execute(
-                    "UPDATE stream_groups SET agg = ? WHERE source_id = ?"
-                    " AND plan = ? AND key = ?",
-                    (pickle.dumps(old), source_id, plan, key))
-            elements = conn.execute(
-                "SELECT source_id, id, element FROM stream_elements"
-            ).fetchall()
-            for source_id, elem_id, blob in elements:
-                element = pickle.loads(blob)
-                old = value_form(element)
-                changed += old != element
-                conn.execute(
-                    "UPDATE stream_elements SET element = ? WHERE "
-                    "source_id = ? AND id = ?",
-                    (pickle.dumps(old), source_id, elem_id))
-            conn.commit()
-        finally:
-            conn.close()
-        assert changed >= 2  # the rewrite is not the identity
+        assert _to_schema_3(cache) >= 2  # the rewrite is not the identity
 
         _append_rows(path, [
             dict(rows[3], students=list(reversed(rows[3]["students"]))),
@@ -696,6 +835,9 @@ class TestOldLayout:
         total = len(prefix) + 4
         cold = _cli(["check", bundle, "--stream", path], capsys)
         code, out, err = _cli(argv, capsys)
-        assert err == (f"incremental: resumed at line {len(prefix)}/"
-                       f"{total}, 4 element(s) folded\n")
+        assert err == (f"incremental: cold at line 0/{total}, {total} "
+                       "element(s) folded\n")
         assert (code, out) == cold[:2] and code == 1
+        assert _layout(cache) == ("4", {
+            "meta", "closure_memo", "dense_tables", "stream_sources",
+            "stream_groups", "stream_elements"})

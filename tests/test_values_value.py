@@ -196,62 +196,68 @@ class TestCachedHashes:
 
 
 class TestFreezeThaw:
-    """freeze_value/thaw_value: a lossless plain-data round-trip whose
-    thawed values are indistinguishable from constructor-built ones —
+    """The plain-data round trip values take through stream spills and
+    checkpoints: :func:`to_python` out, :func:`value_of_json` back.  The
+    rebuilt values are indistinguishable from constructor-built ones —
     equal, equal-hashed, and usable as dict/set keys."""
 
     def _round_trip(self, value):
-        from repro.values import freeze_value, thaw_value
+        from repro.values import to_python, value_of_json
         import pickle
-        thawed = thaw_value(pickle.loads(pickle.dumps(
-            freeze_value(value))))
-        assert thawed == value
-        assert hash(thawed) == hash(value)
-        assert {thawed: 1}[value] == 1
-        return thawed
+        rebuilt = value_of_json(pickle.loads(pickle.dumps(
+            to_python(value))))
+        assert rebuilt == value
+        assert hash(rebuilt) == hash(value)
+        assert {rebuilt: 1}[value] == 1
+        return rebuilt
 
     def test_atoms(self):
         for raw in (5, "x", True, False, 1.5, 0.0, -3, 2**70):
-            self._round_trip(Atom(raw))
-            # thawed atoms keep the exact scalar type
-            from repro.values import freeze_value, thaw_value
-            assert type(thaw_value(freeze_value(Atom(raw))).value) \
-                is type(raw)
+            rebuilt = self._round_trip(Atom(raw))
+            # rebuilt atoms keep the exact scalar type
+            assert type(rebuilt.value) is type(raw)
 
     def test_nested(self):
         value = Record([("A", Atom(1)),
                         ("B", SetValue([Record([("C", Atom("x"))]),
                                         Record([("C", Atom("y"))])])),
                         ("D", EMPTY_SET)])
-        thawed = self._round_trip(value)
-        assert thawed.get("B").is_set()
-        assert len(thawed.get("B")) == 2
+        rebuilt = self._round_trip(value)
+        assert rebuilt.get("B").is_set()
+        assert len(rebuilt.get("B")) == 2
 
     def test_none_passes_through(self):
-        from repro.values import freeze_value, thaw_value
-        assert freeze_value(None) is None
-        assert thaw_value(None) is None
+        # a checkpoint row keeps None in its no-clash slots beside the
+        # plain data; the round trip leaves it as it is
+        import pickle
+        from repro.values import to_python
+        row = pickle.loads(pickle.dumps(
+            [to_python(Atom(1)), None, to_python(EMPTY_SET), None]))
+        assert row == [1, None, [], None]
 
     def test_frozen_form_is_plain_data(self):
-        from repro.values import freeze_value
-        frozen = freeze_value(Record([("A", SetValue([Atom(1)]))]))
+        from repro.values import to_python
+        data = to_python(Record([("A", SetValue([Atom(1)]))]))
         def plain(data):
-            if isinstance(data, tuple):
-                return all(plain(part) for part in data)
+            if isinstance(data, dict):
+                return all(isinstance(label, str) and plain(sub)
+                           for label, sub in data.items())
+            if isinstance(data, list):
+                return all(plain(item) for item in data)
             return isinstance(data, (int, float, str, bool))
-        assert plain(frozen)
+        assert plain(data)
 
     def test_rejects_non_values(self):
-        from repro.values import freeze_value
+        from repro.values import to_python
         with pytest.raises(ValueError_):
-            freeze_value(42)
+            to_python(42)
 
     def test_numeric_type_tags_survive(self):
-        # 1, 1.0, True freeze to distinct-typed scalars; thawing must
-        # not merge them (their hashes embed the type name)
-        from repro.values import freeze_value, thaw_value
-        thawed = [thaw_value(freeze_value(Atom(raw)))
-                  for raw in (1, 1.0, True)]
-        assert thawed[0] != thawed[1]
-        assert thawed[0] != thawed[2]
-        assert thawed[1] != thawed[2]
+        # 1, 1.0, True are distinct-typed scalars; rebuilding must not
+        # merge them (their hashes embed the type name)
+        from repro.values import to_python, value_of_json
+        rebuilt = [value_of_json(to_python(Atom(raw)))
+                   for raw in (1, 1.0, True)]
+        assert rebuilt[0] != rebuilt[1]
+        assert rebuilt[0] != rebuilt[2]
+        assert rebuilt[1] != rebuilt[2]
