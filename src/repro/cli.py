@@ -54,17 +54,21 @@ Commands that build a closure engine accept ``--stats``, which prints
 the engine's saturation counters (see
 :class:`repro.inference.EngineStats`) to stderr after the normal
 output, so scripted stdout consumers are unaffected.  ``check --stats``
-does the same with the batch validation engine's counters
-(:class:`repro.nfd.ValidatorStats`); exit codes are unchanged either
+does the same with the stream engine's counters
+(:class:`repro.nfd.StreamStats`); exit codes are unchanged either
 way.
 
 Query commands that run through an implication session additionally
 accept ``--cache-stats``, printing the session's memoization counters
-(:class:`repro.inference.SessionStats`) to stderr, and the analysis
-commands ``keys``, ``check`` and ``normalize`` accept ``--jobs N``
+(:class:`repro.inference.SessionStats`) to stderr, and ``keys``,
+``normalize`` and ``check --stream --shards`` accept ``--jobs N``
 (``N >= 1``) to fan their work out across *N* worker processes — stdout
 is byte-identical to the serial run (deterministic result ordering),
 only wall-clock changes.
+
+Every ``check`` runs one engine, the stream engine of
+:mod:`repro.nfd.stream_validate`: in memory it walks each constrained
+relation's set in its iteration order (:func:`repro.service.check`).
 
 ``check --stream FILE`` validates a JSONL dump of one relation
 out-of-core (see :mod:`repro.nfd.stream_validate`): elements are
@@ -83,21 +87,22 @@ the ``--stats`` / ``--cache-stats`` stderr text and the metrics JSON
 render from the same frozen snapshots, so their numbers always
 reconcile.  Neither flag changes stdout or the exit code.
 
-``check``, ``implies``, ``closure``, and ``keys`` accept
+``check --stream``, ``implies``, ``closure``, and ``keys`` accept
 ``--cache-dir DIR`` (default: the ``REPRO_CACHE_DIR`` environment
 variable) naming a directory whose SQLite database persists derived
 state across runs (see :mod:`repro.store`): closure memos, dense
 closure tables, and — with ``check --stream FILE --incremental`` —
 stream checkpoints, so a re-validation of an appended JSONL file folds
 only the new lines; ``check --stream`` also spills under the
-directory's ``tmp/``.  The cache is purely an accelerator: a missing,
+directory's ``tmp/``.  An in-memory ``check`` keeps nothing there and
+opens no database.  The cache is purely an accelerator: a missing,
 corrupt, or version-mismatched database degrades to the cold
 computation with identical stdout and exit codes (a corrupt one warns
 on stderr).  ``repro cache stats|clear|vacuum`` maintains the database.
 
 ``repro serve`` runs the long-lived constraint-checking daemon (see
 :mod:`repro.server`): a line-delimited JSON protocol over TCP, a warm
-pool of sessions and compiled plans shared by every client, admission
+pool of implication sessions shared by every client, admission
 control, and cooperative deadlines.  ``check``, ``implies``,
 ``closure``, and ``keys`` accept ``--server HOST:PORT`` to route the
 query through a running daemon instead of computing in-process —
@@ -132,7 +137,7 @@ from .io.json_io import parse_bundle_json
 from .nfd import ValidatorEngine, parse_nfd
 from .obs import RunReport, Tracer
 from .paths import parse_path
-from .service import Query, answer, parse_query, render
+from .service import Query, answer, check, parse_query, render
 
 __all__ = ["main", "build_parser"]
 
@@ -298,23 +303,22 @@ def _cmd_query(args) -> int:
 def _answer_locally(args, params: dict) -> dict:
     """The in-process result dict of a query command.
 
-    Builds the session or validator, the store and the tracer, and
-    handles every local-only flag: ``--jobs``, ``--cache-dir``,
-    ``--stats``, ``--cache-stats``, ``--trace`` and ``--metrics-json``.
+    Runs :func:`repro.service.check`, or builds the session and the
+    store, and handles every local-only flag: ``--jobs`` and
+    ``--cache-dir`` (``implies``, ``closure``, ``keys``), ``--stats``,
+    ``--cache-stats``, ``--trace`` and ``--metrics-json``.
     """
     kind = args.command
     schema, sigma, instance = _load(args.bundle)
     query = parse_query(kind, params, schema, instance)
-    jobs = getattr(args, "jobs", 1)
     tracer = _tracer_from_args(args)
-    store = _store_from_args(args)
     report = RunReport(command=kind)
     if kind == "check":
-        engine = ValidatorEngine(schema, sigma, tracer=tracer)
-        result = answer(query, engine.validate(
-            instance, all_violations=True, jobs=jobs))
-        report.add("validator", engine.stats)
+        outcome = check(schema, sigma, instance, tracer=tracer)
+        report.add("stream", outcome.stats)
     else:
+        jobs = getattr(args, "jobs", 1)
+        store = _store_from_args(args)
         spec = _spec_from_args(args)
         session = None
         if jobs == 1:
@@ -332,13 +336,12 @@ def _answer_locally(args, params: dict) -> dict:
         else:
             outcome = [session.closure(base, lhs)
                        for base, lhs in query.closures]
-        result = answer(query, outcome)
         if session is not None:
             report.add("closure", session.engine.stats)
             report.add("session", session.stats)
-    _finish_store(report, store)
+        _finish_store(report, store)
     _obs_finish(args, report, tracer)
-    return result
+    return answer(query, outcome)
 
 
 def _cmd_check_stream(args) -> int:
@@ -752,12 +755,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "to stderr",
         )
 
-    def jobs_arg(sub):
-        sub.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="fan the work out across N >= 1 worker processes "
-                 "(default 1: serial; output is identical either way)",
-        )
+    def jobs_arg(sub, help="fan the work out across N >= 1 worker "
+                           "processes (default 1: serial; output is "
+                           "identical either way)"):
+        sub.add_argument("--jobs", type=int, default=1, metavar="N",
+                         help=help)
 
     def cache_dir_arg(sub):
         sub.add_argument(
@@ -831,7 +833,10 @@ def build_parser() -> argparse.ArgumentParser:
              "this file and fold only appended lines (requires a cache "
              "directory; witnesses match a full cold re-stream)",
     )
-    jobs_arg(sub)
+    jobs_arg(sub, help="with --stream --shards: run the shards in "
+                       "N >= 1 worker processes (default 1; output is "
+                       "identical either way; other checks run in "
+                       "process)")
     cache_dir_arg(sub)
     server_arg(sub)
     obs_args(sub)

@@ -128,8 +128,7 @@ class ValidatorStats:
         same engine): cumulative counters — including the per-NFD group
         counts — are subtracted; ``trie_nodes`` (fixed at compile time)
         keeps its value.  Counters are never reset in place; this is
-        how windows are measured on an engine reused across queries,
-        and how the ``jobs=N`` fan-out ships worker deltas back."""
+        how windows are measured on an engine reused across queries."""
         return ValidatorStats(
             validations=self.validations - baseline.validations,
             elements_walked=(self.elements_walked
@@ -438,8 +437,7 @@ class ValidatorEngine:
     # -- public API -------------------------------------------------------
 
     def validate(self, instance: Instance, *,
-                 all_violations: bool = False,
-                 jobs: int = 1) -> ValidationResult:
+                 all_violations: bool = False) -> ValidationResult:
         """Walk the instance once and report violations.
 
         With ``all_violations=False`` (the default) the walk
@@ -448,33 +446,17 @@ class ValidatorEngine:
         violated.  With ``all_violations=True`` the walk is exhaustive
         and yields one witness per conflicting antecedent key per base
         set, matching :func:`repro.nfd.violations.find_violations`.
-
-        With ``jobs > 1`` and Σ spanning several relations, the
-        per-relation walks fan out across worker processes (each NFD is
-        anchored under exactly one relation root, so the relation walks
-        are independent); the merged result is identical to the serial
-        one, and the workers' counters are folded into :attr:`stats`.
         """
+        run = _Run(len(self.sigma), first_only=not all_violations,
+                   mask=None)
         tracer = self.tracer
         if tracer is None:
-            if jobs > 1 and len(self._relations) > 1:
-                return self._validate_fanout(instance, all_violations,
-                                             jobs)
-            run = _Run(len(self.sigma), first_only=not all_violations,
-                       mask=None)
             self._execute(instance, run)
             return self._result(run)
-        with tracer.span("validate.run", jobs=jobs,
-                         all_violations=all_violations,
+        with tracer.span("validate.run", all_violations=all_violations,
                          nfds=len(self.sigma)) as span:
-            if jobs > 1 and len(self._relations) > 1:
-                result = self._validate_fanout(instance, all_violations,
-                                               jobs)
-            else:
-                run = _Run(len(self.sigma),
-                           first_only=not all_violations, mask=None)
-                self._execute(instance, run)
-                result = self._result(run)
+            self._execute(instance, run)
+            result = self._result(run)
             span.add("violations", len(result.violations))
             return result
 
@@ -553,82 +535,6 @@ class ValidatorEngine:
             groups=dict(self._groups),
             wall_time=self._wall_time,
         )
-
-    # -- process-parallel fan-out -----------------------------------------
-
-    def _run_relation(self, instance: Instance, relation: str,
-                      all_violations: bool) -> _Run:
-        """Walk one relation root under its own plan mask."""
-        root = self._relations[relation]
-        run = _Run(len(self.sigma), first_only=not all_violations,
-                   mask=root.plan_indices)
-        start = time.perf_counter()
-        try:
-            self._walk_scope(root, instance.relation(relation), run)
-        except _EarlyStop:
-            pass
-        finally:
-            self._wall_time += time.perf_counter() - start
-        return run
-
-    def _validate_fanout(self, instance: Instance, all_violations: bool,
-                         jobs: int) -> ValidationResult:
-        """One worker walk per relation root, merged deterministically.
-
-        Violations are recorded as ``(plan index, discovery position,
-        witness)`` triples; within one plan every witness comes from a
-        single relation's walk (an NFD anchors under exactly one root),
-        so sorting the merged triples by ``(plan, position)`` — the
-        same sort :meth:`_result` applies — reproduces the serial order
-        byte for byte.
-
-        Worker counters come back as :meth:`ValidatorStats.diff`
-        snapshots (one per task) and are folded into this engine's
-        totals **in task order** — every fold is an addition, so the
-        merged stats are deterministic and, wall time aside, identical
-        to the serial walk's.  Under a tracer each task's delta is also
-        attached to a per-relation child span.
-        """
-        from ..parallel import process_map
-
-        # The model types pickle through their constructors, which
-        # preserves record field order — a bundle-JSON round trip would
-        # sort fields and change the violations' rendered text.
-        payload = (self.schema, list(self.sigma), instance)
-        tasks = [(relation, all_violations)
-                 for relation in self._relations]
-        results = process_map(_fanout_setup, payload, _fanout_probe,
-                              tasks, jobs, threshold=2)
-        self._validations += 1
-        tracer = self.tracer
-        triples: list[tuple[int, int, Violation]] = []
-        for (relation, _), (violations, delta) in zip(tasks, results):
-            triples.extend(violations)
-            self._absorb(delta)
-            if tracer is not None:
-                with tracer.span("validate.relation",
-                                 relation=relation,
-                                 worker=True) as span:
-                    for name in ("elements_walked", "bindings_emitted",
-                                 "base_sets"):
-                        span.add(name, delta[name])
-                    span.add("violations", len(violations))
-        ordered = sorted(triples, key=lambda v: (v[0], v[1]))
-        return ValidationResult(not ordered,
-                                tuple(v for _, _, v in ordered))
-
-    def _absorb(self, delta: dict) -> None:
-        """Fold one worker's :meth:`ValidatorStats.diff` dict into this
-        engine's cumulative counters (addition only — commutative, and
-        callers iterate in deterministic task order)."""
-        self._validations += delta["validations"]
-        self._elements_walked += delta["elements_walked"]
-        self._bindings_emitted += delta["bindings_emitted"]
-        self._base_sets += delta["base_sets"]
-        self._wall_time += delta["wall_time"]
-        for name, count in delta["groups"].items():
-            if count:
-                self._groups[name] += count
 
     # -- the walk ---------------------------------------------------------
 
@@ -905,24 +811,3 @@ def _iter_plans(node: _ScopeNode) -> Iterator[_PlanExec]:
     for child in node.children.values():
         yield from _iter_plans(child)
 
-
-# -------------------------------------------------- fan-out workers
-# Module-level so ProcessPoolExecutor can pickle references to them.
-
-
-def _fanout_setup(payload):
-    """Worker initializer: compile the engine once per process."""
-    schema, sigma, instance = payload
-    return ValidatorEngine(schema, sigma), instance
-
-
-def _fanout_probe(context, task):
-    """Worker task: walk one relation; return its violation triples
-    plus this task's counter deltas as a :meth:`ValidatorStats.diff`
-    dict (the per-process engine serves several tasks, so deltas are
-    snapshotted around each walk)."""
-    engine, instance = context
-    relation, all_violations = task
-    before = engine.snapshot()
-    run = engine._run_relation(instance, relation, all_violations)
-    return run.violations, engine.snapshot().diff(before).as_dict()

@@ -92,8 +92,8 @@ Sharding
 
 :func:`shard_validate` runs one streaming engine per input shard via
 :func:`repro.parallel.process_map`, then folds the per-shard group
-summaries into a driver engine **in task order** (the `_absorb`
-discipline of the batch fan-out).  Emission sequences are
+summaries into a driver engine **in task order**, so the merged
+counters are deterministic.  Emission sequences are
 ``(shard, local)`` pairs, lexicographically ordered like the
 concatenated stream, so cross-shard conflicts — where no single shard
 holds both clashing elements — surface with the same witnesses a
@@ -179,7 +179,7 @@ class ResourceBudget:
         if max_resident_rows is not None and max_resident_rows < 1:
             raise ValueError_(
                 f"max_resident_rows must be >= 1, got {max_resident_rows}")
-        if deadline is not None and deadline < 0:
+        if deadline is not None and not deadline >= 0:  # NaN too
             raise ValueError_(f"deadline must be >= 0, got {deadline}")
         if max_elements is not None and max_elements < 0:
             raise ValueError_(

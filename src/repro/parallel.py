@@ -1,9 +1,10 @@
 """Process-parallel fan-out for analysis workloads.
 
-The analysis layer's hot loops — the key-combination sweep, the
-cross-relation validation walk — are embarrassingly parallel over
-*independent* tasks that all consult one shared, read-only context (a
-compiled session or validator engine).  :func:`process_map` is the one
+The hot loops of the analysis and validation layers — the
+key-combination sweep, the normalization sweep, the shards of a
+streamed check — are embarrassingly parallel over *independent* tasks
+that all consult one shared, read-only context (a compiled session, or
+a stream engine's inputs).  :func:`process_map` is the one
 fan-out primitive they share:
 
 * **per-process setup**: each worker process runs ``setup(payload)``
@@ -26,12 +27,10 @@ Warm-up path
 ------------
 
 ``setup`` is also where workers attach to the persistent cache
-(:mod:`repro.store`): the callers that support it — the key sweep's
-``_keys_setup``, the streaming validator's ``_shard_setup`` — thread a
-``cache_dir`` through the payload and open a **read-only**
+(:mod:`repro.store`): the key sweep's ``_keys_setup`` threads a
+``cache_dir`` through the payload and opens a **read-only**
 :class:`~repro.store.CacheStore` once per process.  Every task in that
-process then answers warm (memoized closures, restored plans) from the
-one handle, while the single writable handle stays in the driver — a
+process then answers warm (memoized closures) from the one handle, while the single writable handle stays in the driver — a
 fleet of readers and one writer is exactly the shape WAL SQLite serves
 well.  Read-only opens never create or mutate the database, so a
 worker fleet pointed at a missing or stale cache degrades to cold

@@ -3,10 +3,12 @@
 :class:`ReproServer` is a long-lived TCP server answering ``implies``,
 ``closure``, ``keys``, and ``check`` queries over the protocol of
 :mod:`repro.server.protocol`.  It exists so a fleet of clients shares
-one set of warm engines (:class:`~repro.server.pool.EnginePool`)
-instead of each process paying saturation and plan compilation on
-startup — the per-process caches of the inference and validation
-layers, turned into shared infrastructure.
+one set of warm implication sessions
+(:class:`~repro.server.pool.EnginePool`) instead of each process paying
+import and saturation on startup — the per-process caches of the
+inference layer, turned into shared infrastructure.  A ``check`` runs
+:func:`repro.service.check`, the stream engine ``check`` uses
+in-process, built for the request.
 
 Operational behaviour, all of it bounded and typed:
 
@@ -46,10 +48,8 @@ from dataclasses import dataclass
 
 from ..analysis import minimal_keys
 from ..errors import ReproError
-from ..io.stream import iter_set_elements
-from ..nfd.stream_validate import ResourceBudget, stream_validate
 from ..obs import RunReport, Tracer
-from ..service import answer, parse_query
+from ..service import answer, check, parse_query
 from .pool import EnginePool
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
                        ProtocolError, decode_line, encode,
@@ -84,7 +84,7 @@ class ServerConfig:
         if self.max_pending < 0:
             raise ReproError("max-pending must be >= 0")
         if self.connection_deadline is not None \
-                and self.connection_deadline < 0:
+                and not self.connection_deadline >= 0:  # NaN too
             raise ReproError("deadline must be >= 0")
         if not (0 < self.port < 65536 or self.port == 0):
             raise ReproError(f"port must be 0..65535, got {self.port}")
@@ -445,7 +445,8 @@ class ReproServer:
         requested = request.get("deadline")
         if requested is not None:
             if not isinstance(requested, (int, float)) \
-                    or isinstance(requested, bool) or requested < 0:
+                    or isinstance(requested, bool) \
+                    or not requested >= 0:  # NaN too
                 raise ProtocolError(
                     "invalid_query",
                     f'"deadline" must be a non-negative number, got '
@@ -459,7 +460,8 @@ class ReproServer:
                             remaining: float | None) -> dict:
         """Parse and answer through :mod:`repro.service`; closures run
         through the entry's batcher (concurrent and pipelined queries
-        share kernel sweeps), keys and checks on its warm engines."""
+        share kernel sweeps), keys on its warm session, and checks
+        through :func:`~repro.service.check`."""
         deadline = self._effective_deadline(request, remaining)
         if "bundle" not in request:
             raise ProtocolError(
@@ -482,23 +484,12 @@ class ReproServer:
             outcome = minimal_keys(entry.schema, entry.sigma,
                                    query.relation, engine=session,
                                    nonempty=entry.nonempty)
-        elif deadline is None:
-            # the warm path: the pool's compiled validator, one walk
-            validator = await self.pool.validator_for(entry)
-            outcome = validator.validate(instance, all_violations=True)
         else:
-            # a bounded check rides the stream engine's cooperative
-            # cancellation: the ResourceBudget deadline stops the walk
+            # a deadline stops the stream engine's walk cooperatively,
             # mid-stream
-            sources = {
-                name: iter_set_elements(instance.relation(name))
-                for name in dict.fromkeys(nfd.relation
-                                          for nfd in entry.sigma)
-            }
-            outcome = stream_validate(
-                entry.schema, entry.sigma, sources,
-                budget=ResourceBudget(deadline=deadline),
-                tracer=self.tracer)
+            outcome = check(entry.schema, entry.sigma, instance,
+                            deadline=deadline, tracer=self.tracer)
+            self.pool.stats.validator_builds += 1
             if outcome.budget_exhausted is not None \
                     and not outcome.violations:
                 raise ProtocolError(
@@ -506,7 +497,8 @@ class ReproServer:
                     f"deadline expired after {outcome.elements_seen} "
                     f"element(s); verdict unknown")
         return ok_response(request_id, request_type,
-                           answer(query, outcome))
+                           answer(query, outcome,
+                                  bounded=deadline is not None))
 
 
 # ---------------------------------------------------------------- embedding

@@ -1,16 +1,15 @@
-"""The daemon's warm state: a bounded pool of compiled engines.
+"""The daemon's warm state: a bounded pool of implication sessions.
 
 Every query request names its constraint universe by shipping a bundle;
 the pool maps the bundle's canonical
 :func:`~repro.inference.session.sigma_fingerprint` to a
-:class:`PoolEntry` holding the parsed model objects plus, built lazily
-and kept warm:
-
-* one :class:`~repro.inference.session.ImplicationSession` (memoized
-  closures, optional write-through to the persistent
-  :class:`~repro.store.CacheStore`), and
-* one :class:`~repro.nfd.batch_validate.ValidatorEngine` (compiled
-  path-trie plans, kept in memory for the entry's lifetime).
+:class:`PoolEntry` holding the parsed model objects plus one
+:class:`~repro.inference.session.ImplicationSession` (memoized closures,
+optional write-through to the persistent
+:class:`~repro.store.CacheStore`), built lazily and kept warm.  A
+``check`` keeps nothing here: it runs :func:`repro.service.check`,
+which builds its stream engine per request, and
+:attr:`PoolStats.validator_builds` counts those builds.
 
 The pool is a **bounded LRU** (:attr:`EnginePool.max_entries`): the
 least-recently-used fingerprint is evicted when a new one would exceed
@@ -18,10 +17,10 @@ the bound, and its cumulative engine counters are folded into retired
 totals first, so the aggregate counters the ``stats`` request reports
 never go backwards.
 
-Concurrent requests for a fingerprint whose engines are still being
+Concurrent requests for a fingerprint whose session is still being
 built **coalesce**: the first request runs the build in the event
 loop's default executor and every later request awaits the same
-future, so one Σ arriving on a hundred connections compiles exactly
+future, so one Σ arriving on a hundred connections builds exactly
 once (``coalesced_builds`` counts the riders).
 
 Queued closure queries against one entry **batch**: each
@@ -36,16 +35,17 @@ from __future__ import annotations
 import asyncio
 import hashlib
 from collections import OrderedDict
-from typing import Iterable
 
 from ..inference.session import ImplicationSession, sigma_fingerprint
-from ..nfd.batch_validate import ValidatorEngine
 
 __all__ = ["EnginePool", "PoolEntry", "PoolStats"]
 
 
 class PoolStats:
-    """Counters of the pool's lifetime activity (cumulative)."""
+    """Counters of the pool's lifetime activity (cumulative).
+
+    ``validator_builds`` counts the validation engines built for
+    ``check`` requests, one per check."""
 
     __slots__ = ("hits", "misses", "evictions", "coalesced_builds",
                  "session_builds", "validator_builds", "batches",
@@ -118,10 +118,11 @@ class _ClosureBatcher:
 
 
 class PoolEntry:
-    """One fingerprint's warm state: model objects plus lazy engines."""
+    """One fingerprint's warm state: model objects plus a lazy
+    session and its batcher."""
 
     __slots__ = ("key", "fingerprint", "schema", "sigma", "nonempty",
-                 "session", "batcher", "validator")
+                 "session", "batcher")
 
     def __init__(self, key: str, fingerprint: str, schema, sigma,
                  nonempty):
@@ -132,7 +133,6 @@ class PoolEntry:
         self.nonempty = nonempty
         self.session: ImplicationSession | None = None
         self.batcher: _ClosureBatcher | None = None
-        self.validator: ValidatorEngine | None = None
 
 
 class EnginePool:
@@ -140,9 +140,9 @@ class EnginePool:
 
     The entry key is the Σ fingerprint extended with a hash of the
     member texts *in order*: closure answers are order-independent but
-    compiled validator plans (and with them witness ordering) are not,
-    so two spellings of one logical Σ in different member order get
-    separate entries while still sharing the persistent store's
+    the entry's ``sigma`` (and with it a check's witness ordering) is
+    not, so two spellings of one logical Σ in different member order
+    get separate entries while still sharing the persistent store's
     fingerprint-keyed closure memo.
     """
 
@@ -155,13 +155,12 @@ class EnginePool:
         self.tracer = tracer
         self.stats = PoolStats()
         self._entries: "OrderedDict[str, PoolEntry]" = OrderedDict()
-        self._building: dict[tuple[str, str], asyncio.Future] = {}
+        self._building: dict[str, asyncio.Future] = {}
         # Engine counters folded out of evicted entries, so aggregates
         # are monotone across evictions.
         self._retired = {"rule_attempts": 0, "saturations": 0,
-                         "plan_compilations": 0, "closure_queries": 0,
-                         "memo_hits": 0, "store_hits": 0,
-                         "store_misses": 0}
+                         "closure_queries": 0, "memo_hits": 0,
+                         "store_hits": 0, "store_misses": 0}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -199,18 +198,16 @@ class EnginePool:
             self._retired["memo_hits"] += stats.hits
             self._retired["store_hits"] += stats.store_hits
             self._retired["store_misses"] += stats.store_misses
-        if entry.validator is not None:
-            self._retired["plan_compilations"] += \
-                entry.validator.stats.plan_compilations
 
-    # -- coalesced engine builds -------------------------------------------
+    # -- coalesced session builds ------------------------------------------
 
-    async def _build(self, slot: tuple[str, str], factory):
+    async def _build(self, slot: str, factory):
         """Run *factory* in the default executor, coalescing callers.
 
-        The first caller for *slot* owns the build; every concurrent
-        caller awaits the same future and counts as a coalesced rider.
-        The slot is cleared afterwards so a failed build can retry.
+        The first caller for *slot* (an entry key) owns the build;
+        every concurrent caller awaits the same future and counts as a
+        coalesced rider.  The slot is cleared afterwards so a failed
+        build can retry.
         """
         pending = self._building.get(slot)
         if pending is not None:
@@ -242,24 +239,11 @@ class EnginePool:
             return ImplicationSession(
                 entry.schema, entry.sigma, entry.nonempty,
                 tracer=self.tracer, store=self.store)
-        session = await self._build((entry.key, "session"), factory)
+        session = await self._build(entry.key, factory)
         if entry.session is None:
             entry.session = session
             self.stats.session_builds += 1
         return entry.session
-
-    async def validator_for(self, entry: PoolEntry) -> ValidatorEngine:
-        """The entry's warm validator, compiled on first use."""
-        if entry.validator is not None:
-            return entry.validator
-        def factory():
-            return ValidatorEngine(entry.schema, entry.sigma,
-                                   tracer=self.tracer)
-        validator = await self._build((entry.key, "validator"), factory)
-        if entry.validator is None:
-            entry.validator = validator
-            self.stats.validator_builds += 1
-        return entry.validator
 
     async def batcher_for(self, entry: PoolEntry) -> _ClosureBatcher:
         """The entry's closure batcher."""
@@ -274,8 +258,10 @@ class EnginePool:
     def engine_totals(self) -> dict:
         """Monotone aggregates over live and retired entries — the
         numbers the warm-start acceptance gate asserts on (a fully warm
-        request window must move none of the cold-work counters)."""
-        totals = dict(self._retired)
+        request window must move none of the cold-work counters).
+        ``plan_compilations`` counts one per check engine built."""
+        totals = dict(self._retired,
+                      plan_compilations=self.stats.validator_builds)
         for entry in self._entries.values():
             if entry.session is not None:
                 stats = entry.session.stats
@@ -285,9 +271,6 @@ class EnginePool:
                 totals["memo_hits"] += stats.hits
                 totals["store_hits"] += stats.store_hits
                 totals["store_misses"] += stats.store_misses
-            if entry.validator is not None:
-                totals["plan_compilations"] += \
-                    entry.validator.stats.plan_compilations
         return totals
 
     def as_metrics(self) -> dict:

@@ -8,6 +8,8 @@ orders and the exit codes are decided here once:
   CLI builds from its arguments) into a :class:`Query`, raising a typed
   :class:`~repro.errors.ReproError` on bad input — ``invalid_query``
   on the wire, exit 2 in the CLI;
+* :func:`check` is the one in-memory Definition 2.4 check: the stream
+  engine over the instance's sets;
 * :func:`answer` turns what the caller computed — locally, or on the
   daemon's warm pool and closure batcher — into the wire result dict;
 * :func:`render` turns a result dict into CLI stdout and exit status.
@@ -18,13 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ReproError
+from .io.stream import iter_set_elements
 from .nfd.nfd import NFD
 from .nfd.parser import parse_nfd
-from .nfd.stream_validate import StreamResult
+from .nfd.stream_validate import ResourceBudget, StreamResult, \
+    stream_validate
 from .paths.path import parse_path
 from .values import check_instance
 
-__all__ = ["QueryError", "Query", "parse_query", "answer", "render"]
+__all__ = ["QueryError", "Query", "parse_query", "check", "answer",
+           "render"]
 
 
 class QueryError(ReproError):
@@ -92,14 +97,28 @@ def parse_query(kind: str, params: dict, schema, instance=None) -> Query:
     return Query(kind)
 
 
-def answer(query: Query, outcome) -> dict:
+def check(schema, sigma, instance, *, deadline: float | None = None,
+          tracer=None) -> StreamResult:
+    """Σ's witnesses on *instance*: the stream engine over each
+    constrained relation's set, in the set's iteration order — the
+    order :class:`~repro.nfd.ValidatorEngine` walks, so the witnesses
+    come back in its order too.  A *deadline* in seconds bounds the run
+    cooperatively; without one no budget is set."""
+    sources = {relation: iter_set_elements(instance.relation(relation))
+               for relation in {nfd.relation for nfd in sigma}}
+    budget = None if deadline is None else ResourceBudget(deadline=deadline)
+    return stream_validate(schema, sigma, sources, budget=budget,
+                           tracer=tracer)
+
+
+def answer(query: Query, outcome, *, bounded: bool = False) -> dict:
     """The result dict of *query*, given what the caller computed.
 
     *outcome* is the list of closures of ``query.closures`` for
     ``implies`` and ``closure``, the minimal keys for ``keys``, and a
-    :class:`~repro.nfd.ValidationResult` or
-    :class:`~repro.nfd.StreamResult` for ``check`` (a stream result
-    adds its ``partial`` budget verdict and ``elements_seen``).
+    :class:`~repro.nfd.StreamResult` for ``check``, whose ``partial``
+    is the budget verdict; a *bounded* check (one run under a
+    deadline) also reports ``elements_seen``.
     """
     if query.kind == "implies":
         return {"implied": query.nfd.rhs in outcome[0],
@@ -118,9 +137,8 @@ def answer(query: Query, outcome) -> dict:
                 "keys": [sorted(str(p) for p in key) for key in outcome]}
     result = {"satisfied": outcome.ok,
               "violations": [v.describe() for v in outcome.violations],
-              "partial": None}
-    if isinstance(outcome, StreamResult):
-        result["partial"] = outcome.budget_exhausted
+              "partial": outcome.budget_exhausted}
+    if bounded:
         result["elements_seen"] = outcome.elements_seen
     return result
 

@@ -201,7 +201,7 @@ def _check_agreement(client: ReproClient, seed: int, gated: bool,
         [sorted(str(p) for p in key) for key in local_keys], \
         (seed, gated, strategy)
 
-    # check: the warm (compiled-validator) path
+    # check without a deadline
     engine = ValidatorEngine(schema, sigma)
     local_result = engine.validate(instance, all_violations=True)
     remote_check = client.check(bundle)
@@ -211,8 +211,8 @@ def _check_agreement(client: ReproClient, seed: int, gated: bool,
         [v.describe() for v in local_result.violations], \
         (seed, gated, strategy)
 
-    # check with a (generous) deadline rides the stream engine; the
-    # verdict and witnesses must not change with the machinery
+    # check with a (generous) deadline: the verdict and witnesses
+    # must not change with the budget
     remote_stream = client.check(bundle, deadline=3600.0)
     assert remote_stream["satisfied"] == remote_check["satisfied"], \
         (seed, gated, strategy)

@@ -49,12 +49,14 @@ class TestCheck:
         assert "violation" in out
 
     def test_stats_go_to_stderr(self, course_bundle, capsys):
+        # the in-memory check runs the stream engine and prints the
+        # section `check --stream --stats` prints
         assert main(["check", course_bundle, "--stats"]) == 0
         captured = capsys.readouterr()
-        assert "validator stats" not in captured.out
-        assert "validator stats (single-pass batch engine)" in \
-            captured.err
-        assert "elements walked" in captured.err
+        assert "stream stats" not in captured.out
+        assert "stream stats (out-of-core validation)" in captured.err
+        assert "elements seen: 2" in captured.err
+        assert "validator stats" not in captured.err
         assert "satisfies all" in captured.out
 
     def test_stats_keep_exit_code_on_violation(self, broken_bundle,
@@ -62,11 +64,11 @@ class TestCheck:
         assert main(["check", broken_bundle, "--stats"]) == 1
         captured = capsys.readouterr()
         assert "violation" in captured.out
-        assert "validator stats" in captured.err
+        assert "stream stats" in captured.err
 
     def test_stats_off_by_default(self, course_bundle, capsys):
         assert main(["check", course_bundle]) == 0
-        assert "validator stats" not in capsys.readouterr().err
+        assert "stream stats" not in capsys.readouterr().err
 
 
 class TestImplies:

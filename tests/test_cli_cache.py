@@ -3,8 +3,8 @@ subcommand, ``--incremental`` streaming, and corruption fallback.
 
 The acceptance gates live here: a warm ``implies`` performs zero
 saturation rule applications — asserted through the obs counters
-(``--metrics-json``) — a warm ``check`` prints what a cold one does,
-and a corrupted database changes neither stdout nor the exit code.
+(``--metrics-json``) — an in-memory ``check`` opens no database, and a
+corrupted database changes neither stdout nor the exit code.
 """
 
 import json
@@ -60,21 +60,22 @@ class TestWarmStart:
     def test_second_check_compiles_no_plans(self, course_bundle,
                                             cache_dir, tmp_path,
                                             capsys):
-        """Compiled plans are not persisted (a cold compile is as fast
-        as a restore was), so each ``check`` compiles once; a second
-        run over a warm cache prints exactly what the first did."""
+        """An in-memory ``check`` runs the stream engine and keeps
+        nothing in the cache: two runs under ``--cache-dir`` print the
+        same, report the same ``stream`` section and no ``cache``
+        section, and open no database."""
         metrics = str(tmp_path / "m.json")
-        assert main(["check", course_bundle, "--cache-dir", cache_dir,
-                     "--metrics-json", metrics]) == 0
-        cold_out = capsys.readouterr().out
-        assert _metrics(metrics)["validator"]["plan_compilations"] == 1
-        assert main(["check", course_bundle, "--cache-dir", cache_dir,
-                     "--metrics-json", metrics]) == 0
-        warm_out = capsys.readouterr().out
-        warm = _metrics(metrics)
-        assert warm["validator"]["plan_compilations"] == 1
-        assert "plan_hits" not in warm["cache"]
-        assert warm_out == cold_out
+        runs = []
+        for _ in range(2):
+            assert main(["check", course_bundle, "--cache-dir", cache_dir,
+                         "--metrics-json", metrics]) == 0
+            sections = _metrics(metrics)
+            assert set(sections) == {"stream"}
+            assert sections["stream"]["elements_seen"] == 2
+            assert sections["stream"]["spills"] == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))
 
     def test_second_implies_applies_no_rules(self, course_bundle,
                                              cache_dir, tmp_path,
@@ -124,6 +125,11 @@ class TestWarmStart:
         assert main(["check", course_bundle, "--cache-dir", cache_dir,
                      "--stats"]) == 0
         err = capsys.readouterr().err
+        assert "cache stats" not in err
+        assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))
+        assert main(["implies", course_bundle, "Course:[cnum -> time]",
+                     "--cache-dir", cache_dir, "--stats"]) == 0
+        err = capsys.readouterr().err
         assert "cache stats (persistent store)" in err
 
     def test_env_var_configures_the_cache(self, course_bundle,
@@ -131,6 +137,9 @@ class TestWarmStart:
                                           capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
         assert main(["check", course_bundle]) == 0
+        assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))
+        assert main(["implies", course_bundle,
+                     "Course:[cnum -> time]"]) == 0
         capsys.readouterr()
         assert os.path.exists(os.path.join(cache_dir, DB_FILENAME))
 
@@ -248,13 +257,13 @@ class TestIncrementalCLI:
 class TestCorruptionFallback:
     def test_corrupt_db_keeps_stdout_and_exit_identical(
             self, course_bundle, cache_dir, capsys, recwarn):
-        assert main(["check", course_bundle]) == 0
+        query = ["implies", course_bundle, "Course:[time -> cnum]"]
+        assert main(query) == 1
         reference = capsys.readouterr().out
         os.makedirs(cache_dir)
         with open(os.path.join(cache_dir, DB_FILENAME), "wb") as fh:
             fh.write(b"\x00garbage" * 512)
-        assert main(["check", course_bundle,
-                     "--cache-dir", cache_dir]) == 0
+        assert main(query + ["--cache-dir", cache_dir]) == 1
         assert capsys.readouterr().out == reference
         assert any("continuing without the persistent cache"
                    in str(w.message) for w in recwarn.list)

@@ -85,6 +85,17 @@ def missing(tmp_path):
 
 
 @pytest.fixture
+def stream(tmp_path):
+    """The clean course relation as JSONL."""
+    from repro.io.stream import dump_jsonl, iter_set_elements
+
+    path = tmp_path / "course.jsonl"
+    dump_jsonl(path, iter_set_elements(
+        workloads.course_instance().relation("Course")))
+    return str(path)
+
+
+@pytest.fixture
 def dead_port():
     """A port that was just bound and released: connection refused."""
     with socket.socket() as probe:
@@ -154,6 +165,8 @@ TABLE = [
     # -- serve / client error paths -----------------------------------
     ("serve-bad-inflight", ["serve", "--max-inflight", "0"], 2),
     ("serve-bad-port", ["serve", "--port", "99999"], 2),
+    # NaN is no deadline (it compares false with everything)
+    ("serve-deadline-nan", ["serve", "--deadline", "nan"], 2),
     ("client-bad-endpoint", ["client", "ping",
                              "--server", "nonsense"], 2),
     ("client-no-endpoint", ["client", "ping"], 2),
@@ -162,6 +175,9 @@ TABLE = [
     ("implies-server-refused", ["implies", "{good}", IMPLIED,
                                 "--server", "127.0.0.1:{dead_port}"],
      2),
+    ("check-stream-deadline-nan", ["check", "{good}",
+                                   "--stream", "{stream}",
+                                   "--deadline", "nan"], 2),
     ("check-stream-plus-server", ["check", "{good}",
                                   "--stream", "{missing}",
                                   "--server", "127.0.0.1:{dead_port}"],
@@ -172,10 +188,10 @@ TABLE = [
 @pytest.mark.parametrize(("case", "template", "expected"), TABLE,
                          ids=[row[0] for row in TABLE])
 def test_exit_code(case, template, expected, good, broken, weaker,
-                   no_instance, missing, dead_port, capsys):
+                   no_instance, missing, stream, dead_port, capsys):
     values = {"good": good, "broken": broken, "weaker": weaker,
               "no_instance": no_instance, "missing": missing,
-              "dead_port": str(dead_port)}
+              "stream": stream, "dead_port": str(dead_port)}
     argv = [arg.format(**values) for arg in template]
     assert run(argv) == expected, argv
 

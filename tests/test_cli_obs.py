@@ -55,9 +55,12 @@ class TestTraceFlag:
                      str(trace)]) == 0
         records = _read_jsonl(trace)
         assert records, "trace file is empty"
-        names = {r["name"] for r in records if r["kind"] == "span"}
-        assert "validate.run" in names
-        assert "validate.relation" in names
+        spans = {r["name"]: r for r in records if r["kind"] == "span"}
+        # the in-memory check runs the stream engine: its span, not
+        # the batch engine's
+        assert "stream.validate" in spans
+        assert spans["stream.validate"]["counters"]["elements_seen"] == 2
+        assert "validate.run" not in spans
 
     def test_implies_trace_has_saturation_counters(self, course_bundle,
                                                    tmp_path, capsys):
@@ -104,8 +107,8 @@ class TestMetricsJsonFlag:
                      str(target)]) == 0
         payload = json.loads(target.read_text())
         assert payload["command"] == "check"
-        assert "validator" in payload["sections"]
-        assert payload["sections"]["validator"]["validations"] == 1
+        assert set(payload["sections"]) == {"stream"}
+        assert payload["sections"]["stream"]["elements_seen"] == 2
 
     def test_analyze_consolidates_all_three_engines(self, course_bundle,
                                                     tmp_path, capsys):

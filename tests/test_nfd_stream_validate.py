@@ -166,6 +166,9 @@ class TestBudgetExhaustion:
             ResourceBudget(deadline=-1.0)
         with pytest.raises(ValueError_, match="max_elements"):
             ResourceBudget(max_elements=-1)
+        # NaN compares false with everything: it is no deadline at all
+        with pytest.raises(ValueError_, match="deadline"):
+            ResourceBudget(deadline=float("nan"))
 
 
 class TestShardValidate:

@@ -16,7 +16,7 @@ import pytest
 from repro.errors import InferenceError
 from repro.generators import workloads
 from repro.inference import ClosureEngine, ImplicationSession
-from repro.nfd import ValidatorEngine
+from repro.nfd import ValidatorEngine, shard_validate
 from repro.obs import (
     Histogram,
     MetricsRegistry,
@@ -25,6 +25,7 @@ from repro.obs import (
     supports_metrics,
 )
 from repro.paths import parse_path
+from repro.values import to_python
 
 
 class TestTracerSpans:
@@ -278,7 +279,8 @@ class TestSnapshotDiff:
 
 
 class TestDeterministicFanoutMerge:
-    """jobs=N folds worker deltas; totals match the serial run."""
+    """``shard_validate(jobs=N)`` folds the workers' summaries in task
+    order: result and merged stats equal the serial run's."""
 
     def _broken_warehouse(self):
         instance = workloads.warehouse_instance().with_relation(
@@ -297,30 +299,30 @@ class TestDeterministicFanoutMerge:
         payload.pop("wall_time")  # serial vs summed-worker clocks differ
         return payload
 
-    def test_merged_stats_equal_serial_stats(self):
+    def _run(self, jobs):
+        """Each relation's elements as one shard apiece, under *jobs*
+        processes: the witnesses and the stats of every relation."""
         schema = workloads.warehouse_schema()
         sigma = workloads.warehouse_sigma()
         instance = self._broken_warehouse()
-        serial = ValidatorEngine(schema, sigma)
-        serial_result = serial.validate(instance, all_violations=True)
-        fanout = ValidatorEngine(schema, sigma)
-        fanout_result = fanout.validate(instance, all_violations=True,
-                                        jobs=4)
-        assert [v.describe() for v in fanout_result.violations] == \
-            [v.describe() for v in serial_result.violations]
-        assert self._comparable(fanout.stats) == \
-            self._comparable(serial.stats)
+        outcome = []
+        for relation in schema.relation_names:
+            shards = [("rows", [to_python(element)])
+                      for element in instance.relation(relation)]
+            result = shard_validate(
+                schema, [nfd for nfd in sigma if nfd.relation == relation],
+                relation, shards, jobs=jobs)
+            outcome.append(([v.describe() for v in result.violations],
+                            self._comparable(result.stats)))
+        return outcome
+
+    def test_merged_stats_equal_serial_stats(self):
+        serial = self._run(jobs=1)
+        assert sum(len(witnesses) for witnesses, _ in serial) == 2
+        assert self._run(jobs=4) == serial
 
     def test_merged_stats_deterministic_across_runs(self):
-        schema = workloads.warehouse_schema()
-        sigma = workloads.warehouse_sigma()
-        instance = self._broken_warehouse()
-        snapshots = []
-        for _ in range(2):
-            engine = ValidatorEngine(schema, sigma)
-            engine.validate(instance, all_violations=True, jobs=4)
-            snapshots.append(self._comparable(engine.stats))
-        assert snapshots[0] == snapshots[1]
+        assert self._run(jobs=4) == self._run(jobs=4)
 
 
 class TestRunReport:

@@ -164,6 +164,18 @@ def test_invalid_bundle_and_query_params(bg):
     _assert_alive(bg.host, bg.port)
 
 
+def test_nan_deadline_is_invalid_query(bg):
+    """``NaN`` (which ``json.loads`` accepts) is not a deadline: it must
+    not run the check unbounded."""
+    with ReproClient(bg.host, bg.port, timeout=TIMEOUT) as client:
+        with pytest.raises(ServerError) as excinfo:
+            client.request("check", bundle=_bundle(),
+                           deadline=float("nan"))
+        assert excinfo.value.code == "invalid_query"
+        assert client.ping()["pong"] is True
+    _assert_alive(bg.host, bg.port)
+
+
 def test_malformed_closure_queries_are_invalid_query(bg):
     bundle = _bundle()
     with ReproClient(bg.host, bg.port, timeout=TIMEOUT) as client:

@@ -10,7 +10,11 @@ plain, spilling (``--max-rows 1``), sharded (``--shards 2``) and
 incremental over a random split — must print exactly what
 :class:`~repro.nfd.ValidatorEngine` reports on the same instance, and
 the verdict per NFD must agree with Definition 2.4
-(:func:`~repro.nfd.satisfy.satisfies`).
+(:func:`~repro.nfd.satisfy.satisfies`).  The same cases, written as a
+bundle whose instance rows are out of set order, must give the same
+witnesses in the same order through every ``check`` of a bundle's own
+instance: in memory, ``--server``, and the daemon with and without a
+deadline.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.io import dump_bundle
+from repro.io import dump_bundle, load_bundle
 from repro.nfd import ValidatorEngine, parse_nfds
 from repro.nfd.satisfy import satisfies
+from repro.server import BackgroundServer, ReproClient, ServerConfig
 from repro.service import render
 from repro.types.parser import parse_schema
 from repro.values import Instance, value_of_json
@@ -221,6 +226,70 @@ def test_cases_exercise_what_they_name(tmp_path):
         "books:isbn = 2") < text.index("books:isbn = 3")
     _, _, (code, text) = _scenario(tmp_path, *CASES[5][1:])
     assert "s:t = {<c -> 1, d -> 2>} in one binding" in text
+
+
+#: The ``check`` paths over a bundle's own instance: in memory, through
+#: ``--server``, and the daemon's check without and with a deadline.
+BUNDLE_PATHS = ["in-memory", "server", "daemon", "daemon-deadline"]
+
+
+@pytest.fixture(scope="module")
+def daemon():
+    with BackgroundServer(ServerConfig()) as server:
+        yield server
+
+
+def _reversed_bundle(tmp_path, schema_text, sigma_texts, rows):
+    """The case as a bundle — keys sorted, as :func:`dump_bundle` and
+    the wire write them — whose instance rows are in reversed set
+    order, with ``ValidatorEngine``'s witnesses on it."""
+    schema = parse_schema(schema_text)
+    sigma = parse_nfds("\n".join(sigma_texts))
+    relation = schema.relation_names[0]
+    data = json.loads(dump_bundle(schema, sigma,
+                                  Instance(schema, {relation: rows})))
+    listed = data["instance"][relation][::-1]
+    order = [repr(value_of_json(row)) for row in listed]
+    assert order != sorted(order), "the rows must be out of set order"
+    data["instance"][relation] = listed
+    text = json.dumps(data, sort_keys=True)
+    path = tmp_path / "reversed.json"
+    path.write_text(text)
+    _, _, instance = load_bundle(text)
+    witnesses = [v.describe() for v in ValidatorEngine(schema, sigma)
+                 .validate(instance, all_violations=True).violations]
+    return str(path), data, witnesses
+
+
+@pytest.mark.parametrize("path", BUNDLE_PATHS)
+@pytest.mark.parametrize(("case", "schema_text", "sigma", "rows"), CASES,
+                         ids=[row[0] for row in CASES])
+def test_bundle_check_keeps_engine_order(case, schema_text, sigma, rows,
+                                         path, daemon, tmp_path, capsys):
+    """A bundle's rows out of set order: every ``check`` over the
+    bundle's instance gives ``ValidatorEngine.validate``'s witnesses
+    in its order, and an unbounded daemon check answers exactly the
+    three keys it always has."""
+    bundle, data, witnesses = _reversed_bundle(tmp_path, schema_text,
+                                               sigma, rows)
+    if path in ("in-memory", "server"):
+        argv = ["check", bundle]
+        if path == "server":
+            argv += ["--server", f"{daemon.host}:{daemon.port}"]
+        code, out, _ = _run(argv, capsys)
+        text, status = render("check", {}, {"violations": witnesses,
+                                            "partial": None})
+        assert (code, out) == (status, text)
+        return
+    deadline = {} if path == "daemon" else {"deadline": 3600}
+    with ReproClient(daemon.host, daemon.port, timeout=30) as client:
+        result = client.check(data, **deadline)
+    assert result["violations"] == witnesses
+    assert result["satisfied"] == (not witnesses)
+    assert result["partial"] is None
+    keys = {"satisfied", "violations", "partial"}
+    assert set(result) == (keys if path == "daemon"
+                           else keys | {"elements_seen"})
 
 
 #: (case id, the bad value of the int field ``time``)
