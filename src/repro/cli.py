@@ -68,7 +68,12 @@ only wall-clock changes.
 
 Every ``check`` runs one engine, the stream engine of
 :mod:`repro.nfd.stream_validate`: in memory it walks each constrained
-relation's set in its iteration order (:func:`repro.service.check`).
+relation's rows as the bundle holds them, in the set's iteration order
+(:func:`repro.service.check`).  ``check``, ``implies``, ``closure``
+and ``keys`` read the bundle's instance as JSON rows held to the
+schema (:func:`repro.io.json_io.load_bundle_rows`), so an ill-typed
+instance exits 2 with one ``error:`` line under each of them, in
+process and through ``--server`` alike.
 
 ``check --stream FILE`` validates a JSONL dump of one relation
 out-of-core (see :mod:`repro.nfd.stream_validate`): elements are
@@ -132,7 +137,8 @@ from .inference import (
     NonEmptySpec,
     build_countermodel,
 )
-from .io import dump_bundle, load_bundle, load_spec, render_instance
+from .io import (dump_bundle, load_bundle, load_bundle_rows, load_spec,
+                 render_instance)
 from .io.json_io import parse_bundle_json
 from .nfd import ValidatorEngine, parse_nfd
 from .obs import RunReport, Tracer
@@ -309,12 +315,12 @@ def _answer_locally(args, params: dict) -> dict:
     ``--cache-stats``, ``--trace`` and ``--metrics-json``.
     """
     kind = args.command
-    schema, sigma, instance = _load(args.bundle)
-    query = parse_query(kind, params, schema, instance)
+    schema, sigma, rows = load_bundle_rows(_read(args.bundle))
+    query = parse_query(kind, params, schema, rows)
     tracer = _tracer_from_args(args)
     report = RunReport(command=kind)
     if kind == "check":
-        outcome = check(schema, sigma, instance, tracer=tracer)
+        outcome = check(schema, sigma, rows, tracer=tracer)
         report.add("stream", outcome.stats)
     else:
         jobs = getattr(args, "jobs", 1)

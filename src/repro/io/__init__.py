@@ -3,8 +3,10 @@
 from .json_io import (
     dump_bundle,
     instance_from_dict,
+    instance_rows,
     instance_to_dict,
     load_bundle,
+    load_bundle_rows,
     load_spec,
     nfds_from_list,
     nfds_to_list,
@@ -19,6 +21,7 @@ from .stream import (
     iter_jsonl_elements,
     iter_set_elements,
     plan_shards,
+    set_order,
 )
 from .tables import render_instance, render_relation
 
@@ -32,13 +35,16 @@ __all__ = [
     "schema_from_dict",
     "instance_to_dict",
     "instance_from_dict",
+    "instance_rows",
     "nfds_to_list",
     "nfds_from_list",
     "dump_bundle",
     "load_bundle",
+    "load_bundle_rows",
     "load_spec",
     "iter_jsonl_elements",
     "iter_set_elements",
+    "set_order",
     "dump_jsonl",
     "count_stream_lines",
     "plan_shards",

@@ -5,7 +5,9 @@ The wire format is deliberately plain:
 * types serialize to their concrete syntax strings (round-tripping
   through :func:`repro.types.parser.parse_type`);
 * instances serialize to nested dict/list structures (sets as sorted
-  lists), shaped by the schema on the way back in;
+  lists), shaped by the schema on the way back in — or, for the query
+  commands, held to it row by row and kept as JSON
+  (:func:`instance_rows`);
 * NFDs serialize to their concrete syntax strings.
 
 A whole (schema, sigma, instance) bundle round-trips through
@@ -21,20 +23,21 @@ from typing import TYPE_CHECKING, Any, Iterable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..inference.empty_sets import NonEmptySpec
 
-from ..errors import ParseError
+from ..errors import InstanceError, ParseError
 from ..nfd.nfd import NFD
 from ..nfd.parser import parse_nfd
 from ..types.parser import parse_type
 from ..types.printer import format_type
 from ..types.schema import Schema
 from ..values.build import Instance, from_python, to_python
+from .stream import _compile_checker, _shown, _type_error
 
 __all__ = [
     "load_spec",
     "schema_to_dict", "schema_from_dict",
-    "instance_to_dict", "instance_from_dict",
+    "instance_to_dict", "instance_from_dict", "instance_rows",
     "nfds_to_list", "nfds_from_list",
-    "dump_bundle", "load_bundle",
+    "dump_bundle", "load_bundle", "load_bundle_rows",
 ]
 
 
@@ -59,6 +62,45 @@ def instance_from_dict(schema: Schema, data: dict[str, Any]) -> Instance:
         name: from_python(value, schema.relation_type(name))
         for name, value in data.items()
     })
+
+
+def instance_rows(schema: Schema, data: Any) -> dict[str, list]:
+    """A bundle's ``instance`` object as ``{relation: rows}``, kept as
+    parsed JSON.
+
+    Every relation of *schema* must be present and no other, and each
+    row is held to its relation's element type by the compiled checker
+    the JSONL reader runs (base types exactly: a JSON ``true`` or
+    ``1.0`` is not an ``int``; records with exactly their fields); a
+    refused row is worded by :func:`~repro.io.stream._type_error` and
+    raised as :class:`~repro.errors.InstanceError`.  The rows keep
+    their written order and repeats; :func:`~repro.io.stream.set_order`
+    puts them in set order.
+    """
+    if type(data) is not dict:
+        raise InstanceError(
+            f'bundle "instance" must be a JSON object, got {_shown(data)}')
+    rows: dict[str, list] = {}
+    for name in schema.relation_names:
+        if name not in data:
+            raise InstanceError(f"instance is missing relation {name!r}")
+        listed = data[name]
+        relation_type = schema.relation_type(name)
+        if type(listed) is not list:
+            raise InstanceError(_type_error(relation_type, listed, name))
+        element_type = relation_type.element
+        conforms = _compile_checker(element_type)
+        for index, row in enumerate(listed):
+            if not conforms(row):
+                raise InstanceError(
+                    _type_error(element_type, row, f"{name}[{index}]"))
+        rows[name] = listed
+    extra = data.keys() - rows.keys()
+    if extra:
+        raise InstanceError(
+            f"instance has relations not in the schema: "
+            f"{', '.join(sorted(extra))}")
+    return rows
 
 
 def nfds_to_list(nfds: Iterable[NFD]) -> list[str]:
@@ -116,10 +158,8 @@ def parse_bundle_json(text: str) -> dict[str, Any]:
     return payload
 
 
-def load_bundle(text: str) \
-        -> tuple[Schema, list[NFD], Instance | None]:
-    """Inverse of :func:`dump_bundle` (spec excluded; see
-    :func:`load_spec`)."""
+def _bundle_parts(text: str) -> tuple[dict[str, Any], Schema, list[NFD]]:
+    """The decoded bundle with its schema and NFD list parsed."""
     payload = parse_bundle_json(text)
     if "schema" not in payload:
         raise ParseError('bundle is missing the required "schema" key')
@@ -129,11 +169,30 @@ def load_bundle(text: str) \
         raise ParseError(
             f'bundle "nfds" must be a list of NFD strings, found '
             f"{type(nfds).__name__}")
-    sigma = nfds_from_list(nfds)
+    return payload, schema, nfds_from_list(nfds)
+
+
+def load_bundle(text: str) \
+        -> tuple[Schema, list[NFD], Instance | None]:
+    """Inverse of :func:`dump_bundle` (spec excluded; see
+    :func:`load_spec`)."""
+    payload, schema, sigma = _bundle_parts(text)
     instance = None
-    if "instance" in payload:
+    if payload.get("instance") is not None:
         instance = instance_from_dict(schema, payload["instance"])
     return schema, sigma, instance
+
+
+def load_bundle_rows(text: str) \
+        -> tuple[Schema, list[NFD], dict[str, list] | None]:
+    """:func:`load_bundle` with the instance as type-checked JSON rows
+    (:func:`instance_rows`) — the form ``check``, ``implies``,
+    ``closure`` and ``keys`` read, with no value tree built."""
+    payload, schema, sigma = _bundle_parts(text)
+    rows = None
+    if payload.get("instance") is not None:
+        rows = instance_rows(schema, payload["instance"])
+    return schema, sigma, rows
 
 
 def load_spec(text: str) -> "NonEmptySpec | None":

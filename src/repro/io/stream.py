@@ -27,8 +27,9 @@ from generated source (:func:`_checker_source`; :func:`checker_source`
 prints it): the element's type tree unrolled into type tests, record
 field reads and loops, holding the element to its type — base types (a
 JSON ``true`` is not an ``int``, ``1.0`` is not one either), missing and
-extra record fields — as the in-memory ``check`` does through
-:func:`~repro.values.typecheck.check_instance`.  Only a refused line is
+extra record fields.  The same checker holds a bundle's instance rows
+(:func:`repro.io.json_io.instance_rows`), so ``check --stream`` and
+every bundle query share one typing rule.  Only a refused element is
 walked again, by :func:`_type_error`, to word the error.  The reader
 yields the checked JSON itself: the form
 :mod:`repro.nfd.stream_validate`'s compiled binder walks — once per
@@ -36,6 +37,12 @@ element, building value trees only for the elements a witness prints
 or the engine's two set-order fallbacks re-bind.  A caller that wants
 the element's value tree maps :func:`~repro.values.value.value_of_json`
 over the reader.
+
+A bundle's instance is already parsed JSON; :func:`set_order` puts
+one relation's type-checked rows in the set's iteration order — repeats
+dropped, ``repr`` order — reading the JSON alone, so the bundle
+``check`` (:func:`repro.service.check`) walks its rows in the order the
+in-memory engine walks the set without building it.
 
 Sharding support: :func:`plan_shards` splits one file into *contiguous*
 line ranges (order-preserving, so a sharded run sees the same element
@@ -49,6 +56,7 @@ from __future__ import annotations
 import json
 import os
 from itertools import count
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from ..codegen import build_function
@@ -56,11 +64,12 @@ from ..errors import StreamError
 from ..types.base import BaseType, SetType, Type
 from ..types.schema import Schema
 from ..values.build import to_python
-from ..values.value import SetValue, Value
+from ..values.value import SetValue, Value, json_repr_key
 
 __all__ = [
     "iter_jsonl_elements",
     "iter_set_elements",
+    "set_order",
     "dump_jsonl",
     "count_stream_lines",
     "plan_shards",
@@ -208,12 +217,12 @@ def iter_jsonl_elements(path, schema: Schema, relation: str, *,
     """Stream the elements of one relation from a JSONL file.
 
     Each non-blank line must hold one JSON object conforming to
-    *relation*'s element type (checked as strictly as the in-memory
-    ``check`` does — see :func:`_compile_checker`); elements are
-    yielded in file order, one at a time, so memory stays bounded by a
-    single element — as the checked JSON objects themselves (map
-    :func:`~repro.values.value.value_of_json` over the reader for
-    :class:`~repro.values.value.Record` values).
+    *relation*'s element type (by the compiled checker a bundle's
+    instance rows go through too — see :func:`_compile_checker`);
+    elements are yielded in file order, one at a time, so memory stays
+    bounded by a single element — as the checked JSON objects
+    themselves (map :func:`~repro.values.value.value_of_json` over the
+    reader for :class:`~repro.values.value.Record` values).
 
     ``start``/``stop`` restrict the scan to physical lines
     ``start < n <= stop`` (the half-open ranges :func:`plan_shards`
@@ -260,6 +269,30 @@ def iter_set_elements(set_value: SetValue) -> Iterator[Value]:
     witnesses byte for byte.
     """
     return iter(set_value)
+
+
+def set_order(rows: list) -> list:
+    """*rows* — type-checked JSON elements of one set, as a bundle
+    writes them — in the set's iteration order, without building the
+    set.
+
+    A row equal as a value to an earlier one (however its fields or
+    nested arrays are spelled) is dropped, keeping the first occurrence
+    as ``frozenset`` does, and the rest are sorted by the ``repr`` of
+    their value trees, as :class:`~repro.values.value.SetValue` iterates.
+    Both come from :func:`~repro.values.value.json_repr_key`, which
+    reads the JSON once and builds no value.  Each kept row is returned
+    as written: nested arrays keep their order and repeats, which the
+    stream engine's binder reads as sets.
+    """
+    if len(rows) < 2:
+        return list(rows)
+    first: dict = {}
+    for row in rows:
+        text, key = json_repr_key(row)
+        if key not in first:
+            first[key] = (text, row)
+    return [row for _, row in sorted(first.values(), key=itemgetter(0))]
 
 
 def dump_jsonl(path, elements: Iterable[Any]) -> int:

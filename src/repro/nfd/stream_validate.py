@@ -5,9 +5,11 @@
 nested relation must fit in RAM before the first element is checked.
 This module is the out-of-core counterpart: the same compiled path-trie
 plans, fed one top-level element at a time from a chunked source (a
-JSONL dump via :func:`repro.io.stream.iter_jsonl_elements`, or an
-in-memory set via :func:`repro.io.stream.iter_set_elements`), with
-memory bounded by a :class:`ResourceBudget` instead of by the instance.
+JSONL dump via :func:`repro.io.stream.iter_jsonl_elements`, a bundle's
+type-checked rows in set order via :func:`repro.io.stream.set_order`,
+as :func:`repro.service.check` feeds them, or an in-memory set via the
+:func:`repro.io.stream.iter_set_elements` adapter), with memory
+bounded by a :class:`ResourceBudget` instead of by the instance.
 
 How the two NFD shapes stream
 -----------------------------
@@ -42,8 +44,9 @@ One walk per element
 Each relation gets one binder, compiled when the engine is built from
 source generated for (schema, Σ) (:class:`_BinderSource`;
 :func:`binder_source` prints it).  It walks an element's parsed JSON —
-type-checked by :func:`repro.io.stream.iter_jsonl_elements`; an
-in-memory :class:`~repro.values.value.Value` is converted once with
+type-checked by :func:`repro.io.stream.iter_jsonl_elements` or, for a
+bundle, by :func:`repro.io.json_io.instance_rows`; an in-memory
+:class:`~repro.values.value.Value` is converted once with
 :func:`~repro.values.build.to_python` — once: it encodes each leaf once
 through the engine's :class:`~repro.values.canonical.InternPool`
 (:func:`~repro.values.canonical.canonical_json_bytes` equals the value
@@ -1472,7 +1475,8 @@ def stream_validate(schema: Schema, sigma: Iterable[NFD],
     """Validate Σ against streamed relations in one engine.
 
     *sources* maps relation names to element iterables (a JSONL reader,
-    a :func:`~repro.io.stream.iter_set_elements` adapter, any
+    a bundle's rows in :func:`~repro.io.stream.set_order`, a
+    :func:`~repro.io.stream.iter_set_elements` adapter, any
     generator).  Every relation Σ constrains must have a source;
     sources for unconstrained relations are ignored.  Relations are
     consumed in Σ first-mention order — the order the batch engine

@@ -8,7 +8,8 @@ one set of warm implication sessions
 import and saturation on startup — the per-process caches of the
 inference layer, turned into shared infrastructure.  A ``check`` runs
 :func:`repro.service.check`, the stream engine ``check`` uses
-in-process, built for the request.
+in-process, built for the request and fed the bundle's JSON rows as
+:func:`~repro.server.protocol.parse_bundle_payload` type-checked them.
 
 Operational behaviour, all of it bounded and typed:
 
@@ -26,9 +27,10 @@ Operational behaviour, all of it bounded and typed:
 * **Frame bounds** — a request line beyond ``max_frame_bytes`` is
   answered with ``frame_too_large`` and the connection is closed.
 * **Observability** — per-request spans when a tracer is attached,
-  request/latency/shed/eviction counters in :class:`ServerStats`, and
-  a ``stats`` request (or ``repro serve --metrics-json``) rendering
-  the same numbers through a :class:`~repro.obs.RunReport`.
+  request/latency/shed/eviction counters in :class:`ServerStats`
+  (with p50/p99 per request type over its latest requests), and a
+  ``stats`` request (or ``repro serve --metrics-json``) rendering the
+  same numbers through a :class:`~repro.obs.RunReport`.
 
 No stack trace ever crosses the wire or lands on stderr: unexpected
 handler failures become ``{"error": "internal"}`` responses and a
@@ -42,8 +44,10 @@ in the foreground with signal-driven shutdown.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from ..analysis import minimal_keys
@@ -90,14 +94,31 @@ class ServerConfig:
             raise ReproError(f"port must be 0..65535, got {self.port}")
 
 
+#: The request types the daemon answers: administration, then queries.
+ADMIN_TYPES = ("hello", "ping", "stats", "shutdown")
+QUERY_TYPES = ("implies", "closure", "keys", "check")
+
+#: How many of each request type's latest latencies ``latency_by_type``
+#: takes its quantiles over.
+LATENCY_WINDOW = 1024
+
+
+def _quantile(ordered: list, q: float) -> float:
+    """The nearest-rank *q* quantile (``0 < q <= 1``) of an ascending
+    non-empty list."""
+    return ordered[math.ceil(q * len(ordered)) - 1]
+
+
 class ServerStats:
-    """Cumulative counters of the daemon's lifetime activity."""
+    """Cumulative counters of the daemon's lifetime activity, plus each
+    request type's latest :data:`LATENCY_WINDOW` latencies, so the
+    ``stats`` reply names the slow type (``latency_by_type``)."""
 
     __slots__ = ("started_at", "connections", "connections_active",
                  "requests", "by_type", "ok", "errors", "by_error",
                  "sheds", "deadline_hits", "protocol_errors",
                  "bytes_in", "bytes_out", "latency_count",
-                 "latency_total_ms", "latency_max_ms")
+                 "latency_total_ms", "latency_max_ms", "recent")
 
     def __init__(self):
         self.started_at = time.monotonic()
@@ -116,6 +137,8 @@ class ServerStats:
         self.latency_count = 0
         self.latency_total_ms = 0.0
         self.latency_max_ms = 0.0
+        self.recent = {kind: deque(maxlen=LATENCY_WINDOW)
+                       for kind in ADMIN_TYPES + QUERY_TYPES}
 
     def observe(self, request_type: str, ok: bool, elapsed_ms: float,
                 error_code: str | None = None) -> None:
@@ -133,6 +156,21 @@ class ServerStats:
         self.latency_total_ms += elapsed_ms
         if elapsed_ms > self.latency_max_ms:
             self.latency_max_ms = elapsed_ms
+        window = self.recent.get(request_type)
+        if window is not None:  # an unknown type keeps no window
+            window.append(elapsed_ms)
+
+    def latency_by_type(self) -> dict:
+        """``{type: {p50_ms, p99_ms, count}}`` over each answered type's
+        latest latencies; ``count`` is how many the window holds."""
+        result = {}
+        for kind, window in self.recent.items():
+            if window:
+                ordered = sorted(window)
+                result[kind] = {"p50_ms": _quantile(ordered, 0.50),
+                                "p99_ms": _quantile(ordered, 0.99),
+                                "count": len(ordered)}
+        return result
 
     def as_dict(self) -> dict:
         mean = (self.latency_total_ms / self.latency_count
@@ -153,6 +191,7 @@ class ServerStats:
             "bytes_out": self.bytes_out,
             "latency_mean_ms": mean,
             "latency_max_ms": self.latency_max_ms,
+            "latency_by_type": self.latency_by_type(),
         }
 
     def as_metrics(self) -> dict:
@@ -302,8 +341,6 @@ class ReproServer:
 
     # -- dispatch ----------------------------------------------------------
 
-    QUERY_TYPES = ("implies", "closure", "keys", "check")
-
     async def _dispatch(self, request: dict, greeted: bool,
                         deadline_at: float | None) \
             -> tuple[dict, bool, bool]:
@@ -336,8 +373,7 @@ class ReproServer:
             return done(ok_response(request_id, "hello", {
                 "server": "repro",
                 "protocol": PROTOCOL_VERSION,
-                "types": ["hello", "ping", "stats", "shutdown",
-                          *self.QUERY_TYPES],
+                "types": [*ADMIN_TYPES, *QUERY_TYPES],
             }))
         if request_type == "ping":
             sleep_ms = request.get("sleep_ms", 0)
@@ -367,11 +403,11 @@ class ReproServer:
                 close=True)
             self.request_stop()
             return response, close, greeted
-        if request_type not in self.QUERY_TYPES:
+        if request_type not in QUERY_TYPES:
             return done(error_response(
                 request_id, "unknown_type",
                 f"unknown request type {request_type!r}; this server "
-                f"speaks {', '.join(('hello', 'ping', 'stats', 'shutdown') + self.QUERY_TYPES)}"))
+                f"speaks {', '.join(ADMIN_TYPES + QUERY_TYPES)}"))
 
         # -- query types: admission control, then the handler ------------
         admitted = await self._admit()
@@ -467,14 +503,13 @@ class ReproServer:
             raise ProtocolError(
                 "invalid_query",
                 f'"{request_type}" requires a "bundle" object')
-        schema, sigma, instance, spec = \
-            parse_bundle_payload(request["bundle"])
+        schema, sigma, rows, spec = parse_bundle_payload(request["bundle"])
         entry = self.pool.entry_for(schema, sigma, spec)
         if request_type != "check" and deadline is not None \
                 and deadline <= 0:
             raise ProtocolError("deadline_exceeded",
                                 "the connection deadline has expired")
-        query = parse_query(request_type, request, entry.schema, instance)
+        query = parse_query(request_type, request, entry.schema, rows)
         if request_type in ("implies", "closure"):
             batcher = await self.pool.batcher_for(entry)
             outcome = await asyncio.gather(*[
@@ -487,7 +522,7 @@ class ReproServer:
         else:
             # a deadline stops the stream engine's walk cooperatively,
             # mid-stream
-            outcome = check(entry.schema, entry.sigma, instance,
+            outcome = check(entry.schema, entry.sigma, rows,
                             deadline=deadline, tracer=self.tracer)
             self.pool.stats.validator_builds += 1
             if outcome.budget_exhausted is not None \

@@ -30,7 +30,12 @@ same JSON object the CLI's bundle files hold (``schema`` / ``nfds`` /
 optional ``nonempty`` and ``instance``; see :mod:`repro.io.json_io`) —
 and the daemon keys its warm state on the bundle's canonical
 :func:`~repro.inference.session.sigma_fingerprint`, so any client
-spelling the same logical Σ shares the compiled pool.
+spelling the same logical Σ shares the compiled pool.  A bundle's
+instance stays JSON: :func:`parse_bundle_payload` holds each row to its
+relation's element type, so an ill-typed instance is ``invalid_bundle``
+for every query type, and a ``check`` walks the rows as sent — frames
+keep object keys in insertion order, so record fields print as the
+client wrote them.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ from typing import Any
 
 from ..errors import ReproError
 from ..inference.empty_sets import NonEmptySpec
-from ..io.json_io import (instance_from_dict, nfds_from_list,
-                          schema_from_dict)
+from ..io.json_io import instance_rows, nfds_from_list, schema_from_dict
 from ..paths.path import parse_path
 
 __all__ = [
@@ -100,9 +104,11 @@ class ProtocolError(ReproError):
 
 
 def encode(obj: dict) -> bytes:
-    """One wire frame: compact JSON plus the line terminator."""
-    return json.dumps(obj, separators=(",", ":"),
-                      sort_keys=True).encode() + b"\n"
+    """One wire frame: compact JSON plus the line terminator.  Object
+    keys keep their insertion order: a bundle's record fields reach
+    the daemon as written, so witnesses print them as the in-process
+    ``check`` does."""
+    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
 
 def decode_line(line: bytes) -> dict:
@@ -161,7 +167,10 @@ def parse_bundle_payload(payload: Any):
     and ``nfds`` required on the wire, ``instance`` and ``nonempty``
     optional — and any shape or syntax problem surfaces as a
     :class:`ProtocolError` with code ``invalid_bundle``.  Returns
-    ``(schema, sigma, instance, nonempty_spec)``.
+    ``(schema, sigma, rows, nonempty_spec)``: the instance stays JSON,
+    ``{relation: rows}`` with every row held to its relation's element
+    type (:func:`~repro.io.json_io.instance_rows`), so an ill-typed
+    instance is ``invalid_bundle`` whatever the query.
     """
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -174,9 +183,9 @@ def parse_bundle_payload(payload: Any):
     try:
         schema = schema_from_dict(payload["schema"])
         sigma = nfds_from_list(payload.get("nfds", []))
-        instance = None
+        rows = None
         if payload.get("instance") is not None:
-            instance = instance_from_dict(schema, payload["instance"])
+            rows = instance_rows(schema, payload["instance"])
         declared = payload.get("nonempty")
         if declared is None:
             spec = None
@@ -193,4 +202,4 @@ def parse_bundle_payload(payload: Any):
     except (ReproError, TypeError, AttributeError, KeyError) as exc:
         raise ProtocolError("invalid_bundle",
                             f"bundle does not parse: {exc}") from exc
-    return schema, sigma, instance, spec
+    return schema, sigma, rows, spec

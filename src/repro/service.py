@@ -9,10 +9,17 @@ orders and the exit codes are decided here once:
   :class:`~repro.errors.ReproError` on bad input — ``invalid_query``
   on the wire, exit 2 in the CLI;
 * :func:`check` is the one in-memory Definition 2.4 check: the stream
-  engine over the instance's sets;
+  engine over the bundle's JSON rows, put in set order;
 * :func:`answer` turns what the caller computed — locally, or on the
   daemon's warm pool and closure batcher — into the wire result dict;
 * :func:`render` turns a result dict into CLI stdout and exit status.
+
+The bundle's instance arrives as ``{relation: rows}`` — parsed JSON,
+held to the schema row by row when the bundle was read
+(:func:`repro.io.json_io.instance_rows`, which the daemon's
+:func:`~repro.server.protocol.parse_bundle_payload` and the CLI's
+loader both run).  An ill-typed instance is refused there, for every
+query kind alike, and no value tree of the instance is built.
 """
 
 from __future__ import annotations
@@ -20,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ReproError
-from .io.stream import iter_set_elements
+from .io.stream import set_order
 from .nfd.nfd import NFD
 from .nfd.parser import parse_nfd
 from .nfd.stream_validate import ResourceBudget, StreamResult, \
     stream_validate
 from .paths.path import parse_path
-from .values import check_instance
 
 __all__ = ["QueryError", "Query", "parse_query", "check", "answer",
            "render"]
@@ -50,11 +56,11 @@ class Query:
     relation: str | None = None
 
 
-def parse_query(kind: str, params: dict, schema, instance=None) -> Query:
+def parse_query(kind: str, params: dict, schema, rows=None) -> Query:
     """Validate *params* of a *kind* query against *schema*.
 
-    ``check`` needs the bundle's *instance*, which is type-checked
-    here; the other kinds ignore it.
+    ``check`` needs the bundle's instance *rows* (type-checked when the
+    bundle was read); the other kinds ignore them.
     """
     if kind == "implies":
         text = params.get("nfd")
@@ -91,21 +97,22 @@ def parse_query(kind: str, params: dict, schema, instance=None) -> Query:
         if not isinstance(relation, str):
             raise QueryError('"relation" must be a string')
         return Query(kind, relation=relation)
-    if instance is None:
+    if rows is None:
         raise QueryError('bundle has no "instance" to check')
-    check_instance(instance)
     return Query(kind)
 
 
-def check(schema, sigma, instance, *, deadline: float | None = None,
+def check(schema, sigma, rows, *, deadline: float | None = None,
           tracer=None) -> StreamResult:
-    """Σ's witnesses on *instance*: the stream engine over each
-    constrained relation's set, in the set's iteration order — the
-    order :class:`~repro.nfd.ValidatorEngine` walks, so the witnesses
-    come back in its order too.  A *deadline* in seconds bounds the run
-    cooperatively; without one no budget is set."""
-    sources = {relation: iter_set_elements(instance.relation(relation))
-               for relation in {nfd.relation for nfd in sigma}}
+    """Σ's witnesses on the instance *rows* (``{relation: rows}``, each
+    row type-checked JSON): the stream engine over each constrained
+    relation's rows in set order (:func:`~repro.io.stream.set_order`) —
+    the order :class:`~repro.nfd.ValidatorEngine` walks the set, so the
+    witnesses come back in its order too.  A *deadline* in seconds
+    bounds the run cooperatively; without one no budget is set."""
+    sources = {relation: set_order(rows[relation])
+               for relation in {nfd.relation for nfd in sigma}
+               if relation in rows}
     budget = None if deadline is None else ResourceBudget(deadline=deadline)
     return stream_validate(schema, sigma, sources, budget=budget,
                            tracer=tracer)

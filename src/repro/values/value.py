@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 from ..errors import ValueError_
 
 __all__ = ["Value", "Atom", "Record", "SetValue", "EMPTY_SET",
-           "value_of_json"]
+           "value_of_json", "json_repr_key"]
 
 _ATOM_TYPES = (int, str, bool, float)
 
@@ -346,3 +346,35 @@ def value_of_json(data):
         return _trusted_set(frozenset([value_of_json(item)
                                        for item in data]))
     return _trusted_atom(data)
+
+
+def json_repr_key(data) -> tuple[str, object]:
+    """``(repr, equality key)`` of ``value_of_json(data)`` for
+    type-checked JSON *data*, read off the JSON alone — no value built.
+
+    The text is exactly the tree's ``repr`` (the ``__repr__`` methods
+    above): a record renders its fields in written order, a set its
+    distinct elements (first occurrences) sorted by their own text.
+    The key is equal for two data exactly when their value trees are: a
+    frozenset of ``(label, key)`` pairs per record, of element keys per
+    set, and the scalar itself per atom — exact because a type-checked
+    position holds one base type only, so ``True`` never meets ``1``.
+    """
+    kind = type(data)
+    if kind is dict:
+        parts = []
+        keys = []
+        for label, sub in data.items():
+            text, key = json_repr_key(sub)
+            parts.append(f"{label}={text}")
+            keys.append((label, key))
+        return f"Record({', '.join(parts)})", frozenset(keys)
+    if kind is list:
+        first: dict = {}
+        for item in data:
+            text, key = json_repr_key(item)
+            if key not in first:
+                first[key] = text
+        return (f"SetValue({{{', '.join(sorted(first.values()))}}})",
+                frozenset(first))
+    return f"Atom({data!r})", data

@@ -16,7 +16,9 @@ error paths and the ``--server`` passthrough, whose codes must match
 the in-process ones exactly.
 """
 
+import json
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -468,3 +470,59 @@ def test_shutdown_refused_maps_to_exit_2(capsys):
         endpoint = f"{bg.host}:{bg.port}"
         assert run(["client", "shutdown", "--server", endpoint]) == 2
         assert "shutdown_disabled" in capsys.readouterr().err
+
+
+# -- one typing rule for a bundle's instance ----------------------------
+
+#: (case id, how the second course row is made ill-typed)
+ILL_TYPED_BUNDLE = [
+    ("bool-in-int", lambda row: row.update(time=True)),
+    ("missing-field", lambda row: row.pop("time")),
+    ("array-in-int", lambda row: row.update(time=[1])),
+]
+
+
+@pytest.mark.parametrize("remote", [False, True],
+                         ids=["in-process", "server"])
+@pytest.mark.parametrize("command", ["check", "implies"])
+@pytest.mark.parametrize(("case", "spoil"), ILL_TYPED_BUNDLE,
+                         ids=[row[0] for row in ILL_TYPED_BUNDLE])
+def test_ill_typed_instance_exits_2(case, spoil, command, remote,
+                                    live_server, good, tmp_path, capsys):
+    """Every kind of ill-typed instance row is refused the same way —
+    exit 2 and one ``error:`` line — by ``check`` and ``implies``, in
+    process and through the daemon (``invalid_bundle`` there)."""
+    data = json.loads(Path(good).read_text())
+    spoil(data["instance"]["Course"][1])
+    bundle = tmp_path / "ill_typed.json"
+    bundle.write_text(json.dumps(data))
+    argv = ["check", str(bundle)] if command == "check" \
+        else ["implies", str(bundle), IMPLIED]
+    if remote:
+        argv += ["--server", live_server]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Course[1]" in lines[0]
+    if remote:
+        assert lines[0].startswith("error: invalid_bundle: ")
+
+
+def test_server_keeps_record_field_order(live_server, tmp_path, capsys):
+    """Record fields written out of alphabetical order reach the daemon
+    as written, so ``--server`` prints the witness the in-process
+    ``check`` prints."""
+    bundle = tmp_path / "unsorted.json"
+    bundle.write_text(json.dumps({
+        "schema": {"R": "{<b: int, a: int>}"}, "nfds": ["R:[b -> a]"],
+        "instance": {"R": [{"b": 1, "a": 1}, {"b": 1, "a": 2}]}}))
+    capsys.readouterr()
+    local_code = run(["check", str(bundle)])
+    local_out = capsys.readouterr().out
+    remote_code = run(["check", str(bundle), "--server", live_server])
+    remote_out = capsys.readouterr().out
+    assert local_code == 1 and "<b -> 1, a -> 1>" in local_out
+    assert (remote_code, remote_out) == (local_code, local_out)

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import InstanceError, ParseError
 from repro.generators import workloads
 from repro.io import (
     dump_bundle,
     instance_from_dict,
+    instance_rows,
     instance_to_dict,
     load_bundle,
+    load_bundle_rows,
     nfds_from_list,
     nfds_to_list,
     schema_from_dict,
@@ -97,6 +99,45 @@ class TestBundle:
         text = dump_bundle(schema, workloads.course_sigma())
         _, _, instance = load_bundle(text)
         assert instance is None
+
+    def test_null_instance_is_no_instance(self):
+        """Every bundle loader reads ``"instance": null`` as absent, as
+        the daemon always has."""
+        payload = json.loads(dump_bundle(workloads.course_schema(),
+                                         workloads.course_sigma()))
+        payload["instance"] = None
+        text = json.dumps(payload)
+        assert load_bundle(text)[2] is None
+        assert load_bundle_rows(text)[2] is None
+
+
+class TestInstanceRows:
+    """The query commands' instance: JSON rows held to the schema."""
+
+    def test_rows_stay_as_written(self):
+        text = dump_bundle(workloads.course_schema(),
+                           workloads.course_sigma(),
+                           workloads.course_instance())
+        rows = load_bundle_rows(text)[2]
+        assert rows == json.loads(text)["instance"]
+
+    @pytest.mark.parametrize(("data", "message"), [
+        ([], 'bundle "instance" must be a JSON object, got a JSON array'),
+        ({}, "instance is missing relation 'R'"),
+        ({"R": [], "S": []}, "instance has relations not in the schema: S"),
+        ({"R": {"a": 1}}, "R: expected a set of type {<a: int>}, got a "
+                          "JSON object"),
+        ({"R": [{"a": 1}, {"a": True}]},
+         "R[1].a: expected int, got bool True"),
+        ({"R": [{"a": [1]}]}, "R[0].a: expected int, got a JSON array"),
+        ({"R": [{"a": 1, "b": 2}]}, "R[0]: unexpected fields b"),
+    ])
+    def test_refusals_name_the_row(self, data, message):
+        schema = schema_from_dict({"R": "{<a: int>}"})
+        with pytest.raises(InstanceError) as info:
+            instance_rows(schema, data)
+        assert str(info.value) == message
+
 
 class TestMalformedBundles:
     def test_invalid_json_names_line_and_column(self):

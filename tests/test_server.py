@@ -21,6 +21,7 @@ from repro.generators import workloads
 from repro.io import dump_bundle
 from repro.server import (BackgroundServer, EnginePool, ReproClient,
                           ReproServer, ServerConfig, run_server)
+from repro.server.daemon import LATENCY_WINDOW, ServerStats
 from repro.server.protocol import (PROTOCOL_VERSION, ProtocolError,
                                    decode_line, encode,
                                    error_response, ok_response,
@@ -44,7 +45,8 @@ class TestProtocol:
     def test_encode_is_one_compact_line(self):
         data = encode({"b": 1, "a": [2, 3]})
         assert data.endswith(b"\n") and data.count(b"\n") == 1
-        assert data == b'{"a":[2,3],"b":1}\n'
+        # keys keep insertion order: record fields travel as written
+        assert data == b'{"b":1,"a":[2,3]}\n'
 
     def test_decode_roundtrip(self):
         request = {"id": 7, "type": "ping"}
@@ -253,6 +255,37 @@ class TestServerLifecycle:
                 assert client.implies(bundle, nfd) is True
                 engines = client.stats()["pool"]["engines"]
         assert engines["store_hits"] > 0
+
+    def test_stats_latency_by_type(self):
+        """The ``stats`` reply gives each answered request type its
+        p50/p99 and the number of latencies they are taken over."""
+        bundle = _bundle_dict()
+        nfd = str(workloads.course_sigma()[0])
+        with BackgroundServer(ServerConfig()) as bg:
+            with ReproClient(bg.host, bg.port,
+                             timeout=TIMEOUT) as client:
+                for _ in range(3):
+                    assert client.implies(bundle, nfd) is True
+                for _ in range(2):
+                    client.check(bundle)
+                latency = client.stats()["server"]["latency_by_type"]
+        assert set(latency) == {"hello", "implies", "check"}
+        assert latency["implies"]["count"] == 3
+        assert latency["check"]["count"] == 2
+        for row in latency.values():
+            assert 0 <= row["p50_ms"] <= row["p99_ms"]
+
+    def test_latency_window_is_bounded(self):
+        stats = ServerStats()
+        for ms in range(1, LATENCY_WINDOW + 101):
+            stats.observe("check", True, float(ms))
+        stats.observe("no-such-type", False, 1.0, "unknown_type")
+        latency = stats.latency_by_type()
+        assert set(latency) == {"check"}
+        # the oldest 100 fell out of the window: it holds 101..1124
+        assert latency["check"] == {"p50_ms": 612.0, "p99_ms": 1114.0,
+                                    "count": LATENCY_WINDOW}
+        assert stats.as_dict()["latency_max_ms"] == LATENCY_WINDOW + 100
 
     def test_debug_sleep_requires_flag(self):
         """Without --allow-debug a sleeping ping is an ordinary ping."""

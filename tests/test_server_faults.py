@@ -164,6 +164,32 @@ def test_invalid_bundle_and_query_params(bg):
     _assert_alive(bg.host, bg.port)
 
 
+@pytest.mark.parametrize(("value", "drop"), [(True, False), (None, True),
+                                             ([1], False)],
+                         ids=["bool-in-int", "missing-field",
+                              "array-in-int"])
+def test_ill_typed_instance_is_invalid_bundle(bg, value, drop):
+    """One typing rule: every kind of ill-typed instance row is
+    ``invalid_bundle``, for ``check`` and ``implies`` alike, and names
+    the row."""
+    bundle = _bundle()
+    row = bundle["instance"]["Course"][0]
+    if drop:
+        del row["time"]
+    else:
+        row["time"] = value
+    with ReproClient(bg.host, bg.port, timeout=TIMEOUT) as client:
+        for request in (lambda: client.check(bundle),
+                        lambda: client.implies(
+                            bundle, str(workloads.course_sigma()[0]))):
+            with pytest.raises(ServerError) as excinfo:
+                request()
+            assert excinfo.value.code == "invalid_bundle"
+            assert "Course[0]" in str(excinfo.value)
+        assert client.ping()["pong"] is True
+    _assert_alive(bg.host, bg.port)
+
+
 def test_nan_deadline_is_invalid_query(bg):
     """``NaN`` (which ``json.loads`` accepts) is not a deadline: it must
     not run the check unbounded."""

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ReproError
 from repro.generators import workloads
-from repro.io import dump_bundle
-from repro.service import QueryError, parse_query
+from repro.io import dump_bundle, load_bundle_rows
+from repro.service import QueryError, check, parse_query
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -58,3 +59,13 @@ def test_local_queries_never_load_the_daemon(tmp_path):
     assert proc.returncode == 0, proc.stderr
     verdict = json.loads(proc.stdout.strip().splitlines()[-1])
     assert verdict == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_check_of_an_nfd_on_no_relation_is_typed():
+    """An NFD naming a relation the schema lacks is a typed error, not a
+    lookup failure on the instance rows."""
+    schema, sigma, rows = load_bundle_rows(json.dumps({
+        "schema": {"R": "{<a: int, b: int>}"}, "nfds": ["S:[a -> b]"],
+        "instance": {"R": [{"a": 1, "b": 2}]}}))
+    with pytest.raises(ReproError, match="S:\\[a -> b\\]"):
+        check(schema, sigma, rows)
