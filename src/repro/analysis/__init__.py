@@ -1,45 +1,19 @@
 """Analyses built on the inference engine."""
 
-from .carryover import (
-    fd_after_unnest,
-    fds_after_nest,
-    nfd_after_nest,
-    nfds_after_unnest,
-)
-from .cover import covers, is_redundant, minimal_cover, non_redundant
-from .diff import SigmaDiff, diff_sigmas
-from .keys import is_key, key_nfds, local_minimal_keys, minimal_keys
-from .migration import MigrationReport, migrate_sigma, schema_changes
-from .report import ConstraintReport, analyze_constraints
-from .singletons import (
-    check_disjoint_or_equal,
-    implied_disjoint_or_equal,
-    implied_singletons,
-    is_implied_singleton,
-)
+from .. import _lazy
 
-__all__ = [
-    "minimal_keys",
-    "ConstraintReport",
-    "analyze_constraints",
-    "SigmaDiff",
-    "diff_sigmas",
-    "MigrationReport",
-    "migrate_sigma",
-    "schema_changes",
-    "local_minimal_keys",
-    "is_key",
-    "key_nfds",
-    "implied_singletons",
-    "is_implied_singleton",
-    "implied_disjoint_or_equal",
-    "check_disjoint_or_equal",
-    "covers",
-    "is_redundant",
-    "non_redundant",
-    "minimal_cover",
-    "nfd_after_nest",
-    "fds_after_nest",
-    "fd_after_unnest",
-    "nfds_after_unnest",
-]
+__all__ = _lazy.exports(__name__, {
+    "carryover": (
+        "fd_after_unnest fds_after_nest nfd_after_nest "
+        "nfds_after_unnest"
+    ),
+    "cover": "covers is_redundant minimal_cover non_redundant",
+    "diff": "SigmaDiff diff_sigmas",
+    "keys": "is_key key_nfds local_minimal_keys minimal_keys",
+    "migration": "MigrationReport migrate_sigma schema_changes",
+    "report": "ConstraintReport analyze_constraints",
+    "singletons": (
+        "check_disjoint_or_equal implied_disjoint_or_equal "
+        "implied_singletons is_implied_singleton"
+    ),
+})

@@ -1,26 +1,10 @@
 """The chase: tableaux, FD chase, lossless joins, nested repair."""
 
-from .flat_chase import (
-    chase,
-    fd_implies_chase,
-    implication_tableau,
-    lossless_join,
-)
-from .nested_implication import ChaseVerdict, chase_implies
-from .nested_repair import repair, replace_value
-from .tableau import Symbol, Tableau, distinguished, nondistinguished
+from .. import _lazy
 
-__all__ = [
-    "Tableau",
-    "Symbol",
-    "distinguished",
-    "nondistinguished",
-    "chase",
-    "fd_implies_chase",
-    "implication_tableau",
-    "lossless_join",
-    "repair",
-    "chase_implies",
-    "ChaseVerdict",
-    "replace_value",
-]
+__all__ = _lazy.exports(__name__, {
+    "flat_chase": "chase fd_implies_chase implication_tableau lossless_join",
+    "nested_implication": "ChaseVerdict chase_implies",
+    "nested_repair": "repair replace_value",
+    "tableau": "Symbol Tableau distinguished nondistinguished",
+})

@@ -69,11 +69,18 @@ only wall-clock changes.
 Every ``check`` runs one engine, the stream engine of
 :mod:`repro.nfd.stream_validate`: in memory it walks each constrained
 relation's rows as the bundle holds them, in the set's iteration order
-(:func:`repro.service.check`).  ``check``, ``implies``, ``closure``
-and ``keys`` read the bundle's instance as JSON rows held to the
-schema (:func:`repro.io.json_io.load_bundle_rows`), so an ill-typed
-instance exits 2 with one ``error:`` line under each of them, in
-process and through ``--server`` alike.
+(:func:`repro.service.check`).  ``check``, ``implies``, ``closure``,
+``keys``, ``explain``, ``prove``, ``counter`` and ``diff`` read the
+bundle's instance as JSON rows held to the schema
+(:func:`repro.io.json_io.load_bundle_rows`) and build no value tree of
+it, so an ill-typed instance exits 2 with one ``error:`` line under
+each of them, in process and through ``--server`` alike.
+``check --stream`` reads only the bundle's schema and Σ.
+
+Each command imports only the layers it runs, inside its handler, and
+:func:`main` builds only the named command's subparser (``repro``,
+``repro -h`` and an unknown command get the full parser), so a cold
+process pays for one command, not sixteen.
 
 ``check --stream FILE`` validates a JSONL dump of one relation
 out-of-core (see :mod:`repro.nfd.stream_validate`): elements are
@@ -125,25 +132,16 @@ shell scripting.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path as FilePath
+from typing import TYPE_CHECKING
 
-from .analysis import minimal_keys
-from .chase import repair as chase_repair
 from .errors import ReproError
-from .inference import (
-    ClosureEngine,
-    ImplicationSession,
-    NonEmptySpec,
-    build_countermodel,
-)
-from .io import (dump_bundle, load_bundle, load_bundle_rows, load_spec,
-                 render_instance)
-from .io.json_io import parse_bundle_json
-from .nfd import ValidatorEngine, parse_nfd
-from .obs import RunReport, Tracer
-from .paths import parse_path
-from .service import Query, answer, check, parse_query, render
+
+if TYPE_CHECKING:
+    from .inference.empty_sets import NonEmptySpec
+    from .obs import RunReport, Tracer
 
 __all__ = ["main", "build_parser"]
 
@@ -157,7 +155,20 @@ def _read(path_text: str) -> str:
 
 
 def _load(path_text: str):
+    """The bundle with its instance lifted into a value tree, for the
+    commands that read the instance's values."""
+    from .io.json_io import load_bundle
+
     return load_bundle(_read(path_text))
+
+
+def _load_rows(path_text: str):
+    """The bundle with its instance kept as type-checked JSON rows
+    (:func:`repro.io.json_io.load_bundle_rows`): no value tree is built,
+    and an ill-typed instance is still refused."""
+    from .io.json_io import load_bundle_rows
+
+    return load_bundle_rows(_read(path_text))
 
 
 def _spec_from_args(args) -> NonEmptySpec | None:
@@ -167,6 +178,10 @@ def _spec_from_args(args) -> NonEmptySpec | None:
     :func:`repro.io.dump_bundle`); explicit flags override them so a
     what-if query never requires editing the file.
     """
+    from .inference.empty_sets import NonEmptySpec
+    from .io.json_io import load_spec
+    from .paths.path import parse_path
+
     declared = getattr(args, "nonempty", None)
     if declared:
         return NonEmptySpec({parse_path(text) for text in declared})
@@ -187,6 +202,8 @@ def _tracer_from_args(args) -> Tracer | None:
     unless the user asked for one.
     """
     if getattr(args, "trace", None):
+        from .obs.tracer import Tracer
+
         return Tracer()
     return None
 
@@ -198,10 +215,15 @@ def _store_from_args(args):
     no-persistence default.  An unusable directory yields a store that
     warns once and misses everywhere; cold behavior is unchanged.
     """
-    from .store import open_store, resolve_cache_dir
+    # resolved here, as repro.store.resolve_cache_dir does, so that a
+    # run without a cache never imports the store (or sqlite3)
+    cache_dir = getattr(args, "cache_dir", None) \
+        or os.environ.get("REPRO_CACHE_DIR")
+    if not cache_dir:
+        return None
+    from .store import open_store
 
-    return open_store(resolve_cache_dir(getattr(args, "cache_dir",
-                                                None)))
+    return open_store(cache_dir)
 
 
 def _finish_store(report: RunReport, store) -> None:
@@ -287,8 +309,11 @@ def _cmd_query(args) -> int:
                   file=sys.stderr)
             return 2
         return _cmd_check_stream(args)
+    from .service import render
+
     params = _query_params(args)
     if args.server:
+        from .io.json_io import parse_bundle_json
         from .server import ReproClient, parse_endpoint
 
         _obs_note(args)
@@ -314,8 +339,11 @@ def _answer_locally(args, params: dict) -> dict:
     ``--cache-dir`` (``implies``, ``closure``, ``keys``), ``--stats``,
     ``--cache-stats``, ``--trace`` and ``--metrics-json``.
     """
+    from .obs.report import RunReport
+    from .service import answer, check, parse_query
+
     kind = args.command
-    schema, sigma, rows = load_bundle_rows(_read(args.bundle))
+    schema, sigma, rows = _load_rows(args.bundle)
     query = parse_query(kind, params, schema, rows)
     tracer = _tracer_from_args(args)
     report = RunReport(command=kind)
@@ -328,12 +356,16 @@ def _answer_locally(args, params: dict) -> dict:
         spec = _spec_from_args(args)
         session = None
         if jobs == 1:
+            from .inference.session import ImplicationSession
+
             session = ImplicationSession(schema, sigma, spec,
                                          tracer=tracer, store=store)
         elif getattr(args, "cache_stats", False):
             print("cache stats unavailable with --jobs > 1 (each worker "
                   "process holds its own session)", file=sys.stderr)
         if kind == "keys":
+            from .analysis.keys import minimal_keys
+
             outcome = minimal_keys(schema, sigma, query.relation,
                                    engine=session, nonempty=spec,
                                    jobs=jobs,
@@ -354,19 +386,25 @@ def _cmd_check_stream(args) -> int:
     """``check --stream FILE``: out-of-core validation of a JSONL dump.
 
     The bundle supplies the schema and Σ; the instance (if any) is
-    ignored in favour of the streamed relation.  Exit codes match the
+    ignored in favour of the streamed relation: it is neither built nor
+    type-checked.  Exit codes match the
     in-memory path — 0 satisfied, 1 violations, 2 errors — with one
     addition: a run cut short by its resource budget that found no
     violation exits 2 (the verdict is unknown, not "satisfied").
     """
-    from .nfd import ResourceBudget, shard_validate, stream_validate
-    from .io import iter_jsonl_elements, plan_shards
+    from .io.stream import iter_jsonl_elements, plan_shards
+    from .nfd.stream_validate import (ResourceBudget, shard_validate,
+                                      stream_validate)
+    from .obs.report import RunReport
+    from .service import Query, answer, render
 
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}",
               file=sys.stderr)
         return 2
-    schema, sigma, _ = _load(args.bundle)
+    from .io.json_io import load_bundle_sigma
+
+    schema, sigma = load_bundle_sigma(_read(args.bundle))
     relation = args.relation
     if relation is None:
         constrained = sorted({nfd.relation for nfd in sigma})
@@ -439,7 +477,10 @@ def _cmd_check_stream(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    schema, sigma, _ = _load(args.bundle)
+    from .inference.closure import ClosureEngine
+    from .nfd.parser import parse_nfd
+
+    schema, sigma, _ = _load_rows(args.bundle)
     candidate = parse_nfd(args.nfd)
     engine = ClosureEngine(schema, sigma, nonempty=_spec_from_args(args))
     if not engine.implies(candidate):
@@ -451,9 +492,11 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    from .inference import compile_proof
+    from .inference.closure import ClosureEngine
+    from .inference.proof_compiler import compile_proof
+    from .nfd.parser import parse_nfd
 
-    schema, sigma, _ = _load(args.bundle)
+    schema, sigma, _ = _load_rows(args.bundle)
     candidate = parse_nfd(args.nfd)
     engine = ClosureEngine(schema, sigma, nonempty=_spec_from_args(args))
     if not engine.implies(candidate):
@@ -469,7 +512,13 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_counter(args) -> int:
-    schema, sigma, _ = _load(args.bundle)
+    from .inference.closure import ClosureEngine
+    from .inference.countermodel import build_countermodel
+    from .io.json_io import dump_bundle
+    from .io.tables import render_instance
+    from .nfd.parser import parse_nfd
+
+    schema, sigma, _ = _load_rows(args.bundle)
     candidate = parse_nfd(args.nfd)
     spec = _spec_from_args(args)
     if spec is not None and not spec.declares_everything:
@@ -499,6 +548,8 @@ def _cmd_counter(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .io.tables import render_instance
+
     _, _, instance = _load(args.bundle)
     if instance is None:
         print("bundle has no instance to render", file=sys.stderr)
@@ -508,10 +559,11 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from .analysis import diff_sigmas
+    from .analysis.diff import diff_sigmas
+    from .inference.session import ImplicationSession
 
-    schema, old_sigma, _ = _load(args.old_bundle)
-    new_schema, new_sigma, _ = _load(args.new_bundle)
+    schema, old_sigma, _ = _load_rows(args.old_bundle)
+    new_schema, new_sigma, _ = _load_rows(args.new_bundle)
     if new_schema != schema:
         print("error: the two bundles declare different schemas",
               file=sys.stderr)
@@ -529,7 +581,10 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .analysis import analyze_constraints
+    from .analysis.report import analyze_constraints
+    from .inference.session import ImplicationSession
+    from .nfd.batch_validate import ValidatorEngine
+    from .obs.report import RunReport
 
     schema, sigma, instance = _load(args.bundle)
     spec = _spec_from_args(args)
@@ -564,7 +619,8 @@ def _cmd_normalize(args) -> int:
     generated flat schemas (deterministic in ``--seed``, fanned out
     over ``--jobs``) and gate on ``--min-preserved``.
     """
-    from .design import sweep_normalize, synthesize_design
+    from .design.synthesize import sweep_normalize, synthesize_design
+    from .obs.report import RunReport
 
     tracer = _tracer_from_args(args)
     report = RunReport(command="normalize")
@@ -605,7 +661,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .io import markdown_report
+    from .io.report_md import markdown_report
 
     schema, sigma, instance = _load(args.bundle)
     text = markdown_report(schema, sigma, instance,
@@ -620,6 +676,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_repair(args) -> int:
+    from .chase.nested_repair import repair as chase_repair
+    from .io.json_io import dump_bundle
+
     schema, sigma, instance = _load(args.bundle)
     if instance is None:
         print("bundle has no instance to repair", file=sys.stderr)
@@ -636,7 +695,7 @@ def _cmd_cache(args) -> int:
     """``repro cache stats|clear|vacuum``: maintain the persistent
     cache database.  Needs an explicit directory — there is no implicit
     default to clear by accident."""
-    from .store import CacheStore, resolve_cache_dir
+    from .store.cache_store import CacheStore, resolve_cache_dir
 
     cache_dir = resolve_cache_dir(getattr(args, "cache_dir", None))
     if cache_dir is None:
@@ -677,9 +736,8 @@ def _cmd_serve(args) -> int:
     line carries the actual ephemeral port), so supervisors and test
     harnesses can wait on it instead of polling.
     """
-    from .server import ServerConfig, run_server
-
-    from .store import resolve_cache_dir
+    from .server.daemon import ServerConfig, run_server
+    from .store.cache_store import resolve_cache_dir
 
     config = ServerConfig(
         host=args.host,
@@ -728,76 +786,75 @@ def _cmd_client(args) -> int:
         return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Nested functional dependencies: checking, "
-                    "implication, countermodels (Hara & Davidson, "
-                    "PODS 1999).",
+def _bundle_arg(sub) -> None:
+    sub.add_argument("bundle", help="JSON bundle file")
+
+
+def _nonempty_arg(sub) -> None:
+    sub.add_argument(
+        "--nonempty", action="append", metavar="PATH",
+        help="declare a set path (e.g. Course:students) non-empty; "
+             "omit entirely to assume no empty sets (Section 3.1)",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
 
-    def bundle_arg(sub):
-        sub.add_argument("bundle", help="JSON bundle file")
 
-    def nonempty_arg(sub):
-        sub.add_argument(
-            "--nonempty", action="append", metavar="PATH",
-            help="declare a set path (e.g. Course:students) non-empty; "
-                 "omit entirely to assume no empty sets (Section 3.1)",
-        )
+def _stats_arg(sub) -> None:
+    sub.add_argument(
+        "--stats", action="store_true",
+        help="print the closure engine's saturation counters to "
+             "stderr",
+    )
 
-    def stats_arg(sub):
-        sub.add_argument(
-            "--stats", action="store_true",
-            help="print the closure engine's saturation counters to "
-                 "stderr",
-        )
 
-    def cache_stats_arg(sub):
-        sub.add_argument(
-            "--cache-stats", action="store_true", dest="cache_stats",
-            help="print the implication session's memoization counters "
-                 "to stderr",
-        )
+def _cache_stats_arg(sub) -> None:
+    sub.add_argument(
+        "--cache-stats", action="store_true", dest="cache_stats",
+        help="print the implication session's memoization counters "
+             "to stderr",
+    )
 
-    def jobs_arg(sub, help="fan the work out across N >= 1 worker "
-                           "processes (default 1: serial; output is "
-                           "identical either way)"):
-        sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help=help)
 
-    def cache_dir_arg(sub):
-        sub.add_argument(
-            "--cache-dir", metavar="DIR", dest="cache_dir",
-            help="persist closure memos, dense closure tables, and "
-                 "stream checkpoints in DIR's SQLite database across runs "
-                 "(default: the REPRO_CACHE_DIR environment variable; "
-                 "neither set = no persistence)",
-        )
+def _jobs_arg(sub, help="fan the work out across N >= 1 worker "
+                        "processes (default 1: serial; output is "
+                        "identical either way)") -> None:
+    sub.add_argument("--jobs", type=int, default=1, metavar="N",
+                     help=help)
 
-    def server_arg(sub):
-        sub.add_argument(
-            "--server", metavar="HOST:PORT",
-            help="answer through a running `repro serve` daemon "
-                 "instead of computing in-process (same stdout and "
-                 "exit codes; observability stays server-side)",
-        )
 
-    def obs_args(sub):
-        sub.add_argument(
-            "--trace", metavar="FILE",
-            help="record a span trace of the run and write it to FILE "
-                 "as JSON Lines (stdout and exit code are unchanged)",
-        )
-        sub.add_argument(
-            "--metrics-json", metavar="FILE", dest="metrics_json",
-            help="write the run's consolidated metrics report (the "
-                 "same numbers --stats/--cache-stats print) to FILE",
-        )
+def _cache_dir_arg(sub) -> None:
+    sub.add_argument(
+        "--cache-dir", metavar="DIR", dest="cache_dir",
+        help="persist closure memos, dense closure tables, and "
+             "stream checkpoints in DIR's SQLite database across runs "
+             "(default: the REPRO_CACHE_DIR environment variable; "
+             "neither set = no persistence)",
+    )
 
-    sub = commands.add_parser("check", help="validate the instance")
-    bundle_arg(sub)
+
+def _server_arg(sub) -> None:
+    sub.add_argument(
+        "--server", metavar="HOST:PORT",
+        help="answer through a running `repro serve` daemon "
+             "instead of computing in-process (same stdout and "
+             "exit codes; observability stays server-side)",
+    )
+
+
+def _obs_args(sub) -> None:
+    sub.add_argument(
+        "--trace", metavar="FILE",
+        help="record a span trace of the run and write it to FILE "
+             "as JSON Lines (stdout and exit code are unchanged)",
+    )
+    sub.add_argument(
+        "--metrics-json", metavar="FILE", dest="metrics_json",
+        help="write the run's consolidated metrics report (the "
+             "same numbers --stats/--cache-stats print) to FILE",
+    )
+
+
+def _add_check(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument(
         "--stats", action="store_true",
         help="print the validation engine's counters to stderr",
@@ -839,97 +896,102 @@ def build_parser() -> argparse.ArgumentParser:
              "this file and fold only appended lines (requires a cache "
              "directory; witnesses match a full cold re-stream)",
     )
-    jobs_arg(sub, help="with --stream --shards: run the shards in "
-                       "N >= 1 worker processes (default 1; output is "
-                       "identical either way; other checks run in "
-                       "process)")
-    cache_dir_arg(sub)
-    server_arg(sub)
-    obs_args(sub)
+    _jobs_arg(sub, help="with --stream --shards: run the shards in "
+                        "N >= 1 worker processes (default 1; output is "
+                        "identical either way; other checks run in "
+                        "process)")
+    _cache_dir_arg(sub)
+    _server_arg(sub)
+    _obs_args(sub)
     sub.set_defaults(handler=_cmd_query)
 
-    sub = commands.add_parser("implies", help="decide implication")
-    bundle_arg(sub)
+
+def _add_implies(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument("nfd", help='candidate, e.g. "Course:[cnum -> time]"')
-    nonempty_arg(sub)
-    stats_arg(sub)
-    cache_stats_arg(sub)
-    cache_dir_arg(sub)
-    server_arg(sub)
-    obs_args(sub)
+    _nonempty_arg(sub)
+    _stats_arg(sub)
+    _cache_stats_arg(sub)
+    _cache_dir_arg(sub)
+    _server_arg(sub)
+    _obs_args(sub)
     sub.set_defaults(handler=_cmd_query)
 
-    sub = commands.add_parser("closure", help="compute (x0, X, Sigma)*")
-    bundle_arg(sub)
+
+def _add_closure(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument("base", help="base path, e.g. Course or R:A")
     sub.add_argument("paths", nargs="*", help="LHS paths")
-    nonempty_arg(sub)
-    stats_arg(sub)
-    cache_stats_arg(sub)
-    cache_dir_arg(sub)
-    server_arg(sub)
-    obs_args(sub)
+    _nonempty_arg(sub)
+    _stats_arg(sub)
+    _cache_stats_arg(sub)
+    _cache_dir_arg(sub)
+    _server_arg(sub)
+    _obs_args(sub)
     sub.set_defaults(handler=_cmd_query)
 
-    sub = commands.add_parser("explain", help="justify an implication")
-    bundle_arg(sub)
+
+def _add_explain(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument("nfd")
-    nonempty_arg(sub)
-    stats_arg(sub)
+    _nonempty_arg(sub)
+    _stats_arg(sub)
     sub.set_defaults(handler=_cmd_explain)
 
-    sub = commands.add_parser("prove",
-                              help="compile a machine-checked derivation")
-    bundle_arg(sub)
+
+def _add_prove(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument("nfd")
-    nonempty_arg(sub)
-    stats_arg(sub)
+    _nonempty_arg(sub)
+    _stats_arg(sub)
     sub.set_defaults(handler=_cmd_prove)
 
-    sub = commands.add_parser("counter",
-                              help="build an Appendix-A countermodel")
-    bundle_arg(sub)
+
+def _add_counter(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument("nfd")
     sub.add_argument("-o", "--output", help="write a bundle instead of "
                                             "printing tables")
-    nonempty_arg(sub)
-    stats_arg(sub)
+    _nonempty_arg(sub)
+    _stats_arg(sub)
     sub.set_defaults(handler=_cmd_counter)
 
-    sub = commands.add_parser("render", help="print nested tables")
-    bundle_arg(sub)
+
+def _add_render(sub) -> None:
+    _bundle_arg(sub)
     sub.set_defaults(handler=_cmd_render)
 
-    sub = commands.add_parser("keys", help="minimal keys of a relation")
-    bundle_arg(sub)
+
+def _add_keys(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument("relation", nargs="?", default=None)
-    nonempty_arg(sub)
-    cache_stats_arg(sub)
-    jobs_arg(sub)
-    cache_dir_arg(sub)
-    server_arg(sub)
-    obs_args(sub)
+    _nonempty_arg(sub)
+    _cache_stats_arg(sub)
+    _jobs_arg(sub)
+    _cache_dir_arg(sub)
+    _server_arg(sub)
+    _obs_args(sub)
     sub.set_defaults(handler=_cmd_query)
 
-    sub = commands.add_parser("diff",
-                              help="semantic diff of two constraint sets")
+
+def _add_diff(sub) -> None:
     sub.add_argument("old_bundle")
     sub.add_argument("new_bundle")
-    nonempty_arg(sub)
-    cache_stats_arg(sub)
+    _nonempty_arg(sub)
+    _cache_stats_arg(sub)
     sub.set_defaults(handler=_cmd_diff)
 
-    sub = commands.add_parser("analyze",
-                              help="keys, singletons, redundancy report")
-    bundle_arg(sub)
-    nonempty_arg(sub)
-    stats_arg(sub)
-    cache_stats_arg(sub)
-    obs_args(sub)
+
+def _add_analyze(sub) -> None:
+    _bundle_arg(sub)
+    _nonempty_arg(sub)
+    _stats_arg(sub)
+    _cache_stats_arg(sub)
+    _obs_args(sub)
     sub.set_defaults(handler=_cmd_analyze)
 
-    sub = commands.add_parser(
-        "normalize", help="synthesize a nested normal-form design")
+
+def _add_normalize(sub) -> None:
     sub.add_argument("bundle", nargs="?", default=None,
                      help="JSON bundle file (omit with --sweep)")
     sub.add_argument("--relation", metavar="NAME", default=None,
@@ -952,36 +1014,36 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="RATE", dest="min_preserved",
                      help="sweep gate: minimum fraction of designs "
                           "that preserve their Sigma (default 0.95)")
-    nonempty_arg(sub)
-    jobs_arg(sub)
-    obs_args(sub)
+    _nonempty_arg(sub)
+    _jobs_arg(sub)
+    _obs_args(sub)
     sub.set_defaults(handler=_cmd_normalize)
 
-    sub = commands.add_parser("report",
-                              help="render a Markdown report")
-    bundle_arg(sub)
+
+def _add_report(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument("--title", default="Constraint report")
     sub.add_argument("-o", "--output", help="write to a file")
-    nonempty_arg(sub)
+    _nonempty_arg(sub)
     sub.set_defaults(handler=_cmd_report)
 
-    sub = commands.add_parser("repair",
-                              help="chase the instance into consistency")
-    bundle_arg(sub)
+
+def _add_repair(sub) -> None:
+    _bundle_arg(sub)
     sub.add_argument("-o", "--output", help="output bundle "
                                             "(default: in place)")
     sub.set_defaults(handler=_cmd_repair)
 
-    sub = commands.add_parser("cache",
-                              help="persistent cache maintenance")
+
+def _add_cache(sub) -> None:
     sub.add_argument("action", choices=("stats", "clear", "vacuum"),
                      help="stats: row counts and size; clear: drop "
                           "every entry; vacuum: reclaim disk space")
-    cache_dir_arg(sub)
+    _cache_dir_arg(sub)
     sub.set_defaults(handler=_cmd_cache)
 
-    sub = commands.add_parser(
-        "serve", help="run the constraint-checking daemon")
+
+def _add_serve(sub) -> None:
     sub.add_argument("--host", default="127.0.0.1",
                      help="interface to bind (default 127.0.0.1)")
     sub.add_argument("--port", type=int, default=0, metavar="N",
@@ -1010,12 +1072,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--allow-shutdown", action="store_true",
                      dest="allow_shutdown",
                      help="honour the remote shutdown request")
-    cache_dir_arg(sub)
-    obs_args(sub)
+    _cache_dir_arg(sub)
+    _obs_args(sub)
     sub.set_defaults(handler=_cmd_serve)
 
-    sub = commands.add_parser(
-        "client", help="administer a running daemon")
+
+def _add_client(sub) -> None:
     sub.add_argument("action", choices=("ping", "stats", "shutdown"),
                      help="ping: round-trip check; stats: dump the "
                           "daemon's metrics as JSON; shutdown: stop "
@@ -1026,12 +1088,78 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="S", help="socket timeout in seconds")
     sub.set_defaults(handler=_cmd_client)
 
+
+#: Each command's one-line help and its argument adder, in the order
+#: ``repro -h`` lists them.
+_COMMANDS = {
+    "check": ("validate the instance", _add_check),
+    "implies": ("decide implication", _add_implies),
+    "closure": ("compute (x0, X, Sigma)*", _add_closure),
+    "explain": ("justify an implication", _add_explain),
+    "prove": ("compile a machine-checked derivation", _add_prove),
+    "counter": ("build an Appendix-A countermodel", _add_counter),
+    "render": ("print nested tables", _add_render),
+    "keys": ("minimal keys of a relation", _add_keys),
+    "diff": ("semantic diff of two constraint sets", _add_diff),
+    "analyze": ("keys, singletons, redundancy report", _add_analyze),
+    "normalize": ("synthesize a nested normal-form design",
+                  _add_normalize),
+    "report": ("render a Markdown report", _add_report),
+    "repair": ("chase the instance into consistency", _add_repair),
+    "cache": ("persistent cache maintenance", _add_cache),
+    "serve": ("run the constraint-checking daemon", _add_serve),
+    "client": ("administer a running daemon", _add_client),
+}
+
+
+class _Reparse(Exception):
+    """A one-command parse failed; the full parser reports it."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """The parser of a single command's run: any error re-parses with
+    the full parser, so usage and messages are the full parser's."""
+
+    def error(self, message):
+        raise _Reparse(message)
+
+
+def _parser(command: str | None = None,
+            parser_class=argparse.ArgumentParser) \
+        -> argparse.ArgumentParser:
+    parser = parser_class(
+        prog="repro",
+        description="Nested functional dependencies: checking, "
+                    "implication, countermodels (Hara & Davidson, "
+                    "PODS 1999).",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(commands.add_parser(name, help=help_text))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every command's subparser registered."""
+    return _parser()
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """*argv* parsed; only the named command's subparser is built when
+    the first token names one (help and errors read the same)."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _parser(argv[0], _OneCommandParser).parse_args(argv)
+        except _Reparse:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
@@ -1044,7 +1172,6 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader (e.g. `| head`) closed the pipe: exit quietly, and
         # detach stdout so the interpreter's final flush cannot raise
-        import os
         try:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

@@ -1,36 +1,13 @@
 """Database design: normal forms, preservation, nesting plans."""
 
-from .bcnf import (
-    bcnf_decompose,
-    bcnf_violations,
-    is_bcnf,
-    is_superkey,
-    project_fds,
-)
-from .nested_design import DependencyPlacement, NestPlan, PlanReport
-from .preservation import preserves_dependencies, unpreserved_fds
-from .synthesize import (
-    DesignReport,
-    SweepSummary,
-    candidate_plans,
-    sweep_normalize,
-    synthesize_design,
-)
+from .. import _lazy
 
-__all__ = [
-    "is_superkey",
-    "bcnf_violations",
-    "is_bcnf",
-    "project_fds",
-    "bcnf_decompose",
-    "preserves_dependencies",
-    "unpreserved_fds",
-    "NestPlan",
-    "PlanReport",
-    "DependencyPlacement",
-    "DesignReport",
-    "SweepSummary",
-    "candidate_plans",
-    "synthesize_design",
-    "sweep_normalize",
-]
+__all__ = _lazy.exports(__name__, {
+    "bcnf": "bcnf_decompose bcnf_violations is_bcnf is_superkey project_fds",
+    "nested_design": "DependencyPlacement NestPlan PlanReport",
+    "preservation": "preserves_dependencies unpreserved_fds",
+    "synthesize": (
+        "DesignReport SweepSummary candidate_plans sweep_normalize "
+        "synthesize_design"
+    ),
+})

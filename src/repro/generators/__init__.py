@@ -1,37 +1,12 @@
 """Generators: random schemas, NFDs, instances, and paper workloads."""
 
-from .instances import (
-    random_instance,
-    random_satisfying_instance,
-    random_value,
-)
-from .nfds import (
-    candidate_paths,
-    random_design_sigma,
-    random_nfd,
-    random_sigma,
-)
-from .schemas import (
-    LabelSupply,
-    random_flat_schema,
-    random_record,
-    random_relation_type,
-    random_schema,
-)
-from . import workloads
+from .. import _lazy
 
-__all__ = [
-    "random_schema",
-    "random_flat_schema",
-    "random_record",
-    "random_relation_type",
-    "LabelSupply",
-    "random_nfd",
-    "random_sigma",
-    "random_design_sigma",
-    "candidate_paths",
-    "random_value",
-    "random_instance",
-    "random_satisfying_instance",
-    "workloads",
-]
+__all__ = _lazy.exports(__name__, {
+    "instances": "random_instance random_satisfying_instance random_value",
+    "nfds": "candidate_paths random_design_sigma random_nfd random_sigma",
+    "schemas": (
+        "LabelSupply random_flat_schema random_record "
+        "random_relation_type random_schema"
+    ),
+}, modules=("workloads",))

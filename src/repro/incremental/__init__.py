@@ -1,5 +1,7 @@
 """Incremental constraint maintenance."""
 
-from .checker import Conflict, IncrementalChecker
+from .. import _lazy
 
-__all__ = ["IncrementalChecker", "Conflict"]
+__all__ = _lazy.exports(__name__, {
+    "checker": "Conflict IncrementalChecker",
+})

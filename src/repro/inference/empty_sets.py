@@ -27,16 +27,17 @@ assumption.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import RuleApplicationError
 from ..nfd.nfd import NFD
 from ..paths.path import Path
 from ..paths.typing import set_paths
 from ..types.schema import Schema
-from ..values.build import Instance
-from ..values.inspect import empty_set_positions
 from . import rules
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..values.build import Instance
 
 __all__ = [
     "NonEmptySpec",
@@ -133,6 +134,8 @@ class NonEmptySpec:
         The empty relation itself counts against a declaration of the
         bare relation name.
         """
+        from ..values.inspect import empty_set_positions
+
         if not self._all and not self._declared:
             return True
         empty_positions = set(empty_set_positions(instance))

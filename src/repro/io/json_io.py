@@ -20,24 +20,26 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..inference.empty_sets import NonEmptySpec
-
 from ..errors import InstanceError, ParseError
 from ..nfd.nfd import NFD
 from ..nfd.parser import parse_nfd
 from ..types.parser import parse_type
 from ..types.printer import format_type
 from ..types.schema import Schema
-from ..values.build import Instance, from_python, to_python
-from .stream import _compile_checker, _shown, _type_error
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..inference.empty_sets import NonEmptySpec
+    from ..values.build import Instance
+
+# The value layer and the row checker load only when a bundle carries
+# an instance, so a bundle of schema and Σ alone costs neither.
 
 __all__ = [
     "load_spec",
     "schema_to_dict", "schema_from_dict",
     "instance_to_dict", "instance_from_dict", "instance_rows",
     "nfds_to_list", "nfds_from_list",
-    "dump_bundle", "load_bundle", "load_bundle_rows",
+    "dump_bundle", "load_bundle", "load_bundle_rows", "load_bundle_sigma",
 ]
 
 
@@ -53,11 +55,15 @@ def schema_from_dict(data: dict[str, str]) -> Schema:
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
     """Nested dict/list data, one key per relation."""
+    from ..values.build import to_python
+
     return {name: to_python(value)
             for name, value in instance.relations()}
 
 
 def instance_from_dict(schema: Schema, data: dict[str, Any]) -> Instance:
+    from ..values.build import Instance, from_python
+
     return Instance(schema, {
         name: from_python(value, schema.relation_type(name))
         for name, value in data.items()
@@ -77,6 +83,8 @@ def instance_rows(schema: Schema, data: Any) -> dict[str, list]:
     their written order and repeats; :func:`~repro.io.stream.set_order`
     puts them in set order.
     """
+    from .stream import _compile_checker, _shown, _type_error
+
     if type(data) is not dict:
         raise InstanceError(
             f'bundle "instance" must be a JSON object, got {_shown(data)}')
@@ -193,6 +201,14 @@ def load_bundle_rows(text: str) \
     if payload.get("instance") is not None:
         rows = instance_rows(schema, payload["instance"])
     return schema, sigma, rows
+
+
+def load_bundle_sigma(text: str) -> tuple[Schema, list[NFD]]:
+    """The bundle's schema and NFD list alone: its instance, if any, is
+    neither read nor type-checked (``check --stream`` validates a
+    streamed relation instead)."""
+    _, schema, sigma = _bundle_parts(text)
+    return schema, sigma
 
 
 def load_spec(text: str) -> "NonEmptySpec | None":

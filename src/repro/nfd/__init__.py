@@ -1,57 +1,21 @@
 """Nested functional dependencies: syntax, semantics, and logic form."""
 
-from .batch_validate import ValidationResult, ValidatorEngine, ValidatorStats
-from .logic import Equality, NFDFormula, Quantifier, Term, translate
-from .logic_eval import evaluate, holds_fol
-from .nfd import NFD
-from .parser import parse_nfd, parse_nfd_family, parse_nfds
-from .satisfy import satisfies, satisfies_all
-from .simple_form import (
-    deepest_form,
-    equivalent_modulo_form,
-    pull_out,
-    push_in,
-    to_simple,
-)
-from .stream_validate import (
-    ResourceBudget,
-    StreamResult,
-    StreamStats,
-    StreamValidator,
-    shard_validate,
-    stream_validate,
-)
-from .violations import Violation, find_violation, find_violations
+from .. import _lazy
 
-__all__ = [
-    "NFD",
-    "parse_nfd",
-    "parse_nfds",
-    "parse_nfd_family",
-    "satisfies",
-    "satisfies_all",
-    "ValidatorEngine",
-    "ValidatorStats",
-    "ValidationResult",
-    "ResourceBudget",
-    "StreamResult",
-    "StreamStats",
-    "StreamValidator",
-    "stream_validate",
-    "shard_validate",
-    "translate",
-    "NFDFormula",
-    "Quantifier",
-    "Equality",
-    "Term",
-    "evaluate",
-    "holds_fol",
-    "Violation",
-    "find_violation",
-    "find_violations",
-    "push_in",
-    "pull_out",
-    "to_simple",
-    "deepest_form",
-    "equivalent_modulo_form",
-]
+__all__ = _lazy.exports(__name__, {
+    "batch_validate": "ValidationResult ValidatorEngine ValidatorStats",
+    "logic": "Equality NFDFormula Quantifier Term translate",
+    "logic_eval": "evaluate holds_fol",
+    "nfd": "NFD",
+    "parser": "parse_nfd parse_nfd_family parse_nfds",
+    "satisfy": "satisfies satisfies_all",
+    "simple_form": (
+        "deepest_form equivalent_modulo_form pull_out push_in "
+        "to_simple"
+    ),
+    "stream_validate": (
+        "ResourceBudget StreamResult StreamStats "
+        "StreamValidator shard_validate stream_validate"
+    ),
+    "violations": "Violation find_violation find_violations",
+})

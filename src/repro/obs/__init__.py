@@ -27,19 +27,10 @@ passing ``tracer=None`` (the default) executes the exact pre-obs code
 path behind a single ``is None`` check.
 """
 
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      compare_snapshots)
-from .report import RunReport, supports_metrics
-from .tracer import Span, Tracer
+from .. import _lazy
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "RunReport",
-    "supports_metrics",
-    "compare_snapshots",
-]
+__all__ = _lazy.exports(__name__, {
+    "metrics": "Counter Gauge Histogram MetricsRegistry compare_snapshots",
+    "report": "RunReport supports_metrics",
+    "tracer": "Span Tracer",
+})

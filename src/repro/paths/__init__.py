@@ -1,28 +1,11 @@
 """Path expressions and their typing rules."""
 
-from .path import EPSILON, Path, common_prefix, parse_path
-from .typing import (
-    base_label_paths,
-    is_set_path,
-    is_well_typed,
-    relation_paths,
-    resolve_base_path,
-    schema_paths,
-    set_paths,
-    type_at,
-)
+from .. import _lazy
 
-__all__ = [
-    "Path",
-    "EPSILON",
-    "parse_path",
-    "common_prefix",
-    "type_at",
-    "is_well_typed",
-    "is_set_path",
-    "relation_paths",
-    "schema_paths",
-    "set_paths",
-    "base_label_paths",
-    "resolve_base_path",
-]
+__all__ = _lazy.exports(__name__, {
+    "path": "EPSILON Path common_prefix parse_path",
+    "typing": (
+        "base_label_paths is_set_path is_well_typed relation_paths "
+        "resolve_base_path schema_paths set_paths type_at"
+    ),
+})

@@ -24,18 +24,14 @@ ping|stats|shutdown`` administer it; ``check`` / ``implies`` /
 a daemon instead of in-process, with identical stdout and exit codes.
 """
 
-from .client import ClientError, ReproClient, ServerError, parse_endpoint
-from .daemon import (BackgroundServer, ReproServer, ServerConfig,
-                     ServerStats, run_server)
-from .pool import EnginePool, PoolEntry, PoolStats
-from .protocol import (DEFAULT_PORT, MAX_FRAME_BYTES, PROTOCOL_VERSION,
-                       ProtocolError)
+from .. import _lazy
 
-__all__ = [
-    "ReproServer", "ServerConfig", "ServerStats", "BackgroundServer",
-    "run_server",
-    "EnginePool", "PoolEntry", "PoolStats",
-    "ReproClient", "ClientError", "ServerError", "parse_endpoint",
-    "ProtocolError", "PROTOCOL_VERSION", "DEFAULT_PORT",
-    "MAX_FRAME_BYTES",
-]
+__all__ = _lazy.exports(__name__, {
+    "client": "ClientError ReproClient ServerError parse_endpoint",
+    "daemon": (
+        "BackgroundServer ReproServer ServerConfig ServerStats "
+        "run_server"
+    ),
+    "pool": "EnginePool PoolEntry PoolStats",
+    "protocol": "DEFAULT_PORT MAX_FRAME_BYTES PROTOCOL_VERSION ProtocolError",
+})

@@ -43,6 +43,13 @@ in the foreground with signal-driven shutdown.
 
 from __future__ import annotations
 
+# The daemon answers `check`, so it loads the stream engine and the row
+# checker at start-up, first: compiled from source inside the first
+# check instead, their transient compile memory lands on top of the
+# warm pool and raises the daemon's peak RSS.
+from ..io import stream as _row_checker  # noqa: F401
+from ..nfd.stream_validate import StreamValidator as _engine  # noqa: F401
+
 import asyncio
 import math
 import threading
@@ -143,8 +150,10 @@ class ServerStats:
     def observe(self, request_type: str, ok: bool, elapsed_ms: float,
                 error_code: str | None = None) -> None:
         self.requests += 1
-        self.by_type[request_type] = \
-            self.by_type.get(request_type, 0) + 1
+        # a type the daemon does not speak counts under one key, so
+        # clients cannot grow the table (or the stats reply) at will
+        kind = request_type if request_type in self.recent else "unknown"
+        self.by_type[kind] = self.by_type.get(kind, 0) + 1
         if ok:
             self.ok += 1
         else:
@@ -156,9 +165,8 @@ class ServerStats:
         self.latency_total_ms += elapsed_ms
         if elapsed_ms > self.latency_max_ms:
             self.latency_max_ms = elapsed_ms
-        window = self.recent.get(request_type)
-        if window is not None:  # an unknown type keeps no window
-            window.append(elapsed_ms)
+        if kind != "unknown":  # an unknown type keeps no window
+            self.recent[kind].append(elapsed_ms)
 
     def latency_by_type(self) -> dict:
         """``{type: {p50_ms, p99_ms, count}}`` over each answered type's

@@ -24,15 +24,15 @@ query kind alike, and no value tree of the instance is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ReproError
-from .io.stream import set_order
 from .nfd.nfd import NFD
 from .nfd.parser import parse_nfd
-from .nfd.stream_validate import ResourceBudget, StreamResult, \
-    stream_validate
 from .paths.path import parse_path
+
+if TYPE_CHECKING:
+    from .nfd.stream_validate import StreamResult
 
 __all__ = ["QueryError", "Query", "parse_query", "check", "answer",
            "render"]
@@ -42,11 +42,13 @@ class QueryError(ReproError):
     """A query parameter is missing or has the wrong shape."""
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """A validated query.  ``closures`` holds the ``(base, lhs)`` pairs
     whose closures answer ``implies`` and ``closure``; ``single`` marks
     a ``closure`` asked by ``base``/``paths`` rather than ``queries``.
+
+    A named tuple rather than a dataclass: ``dataclasses`` imports
+    ``inspect``, which every cold query process would then pay for.
     """
 
     kind: str
@@ -110,6 +112,9 @@ def check(schema, sigma, rows, *, deadline: float | None = None,
     the order :class:`~repro.nfd.ValidatorEngine` walks the set, so the
     witnesses come back in its order too.  A *deadline* in seconds
     bounds the run cooperatively; without one no budget is set."""
+    from .io.stream import set_order
+    from .nfd.stream_validate import ResourceBudget, stream_validate
+
     sources = {relation: set_order(rows[relation])
                for relation in {nfd.relation for nfd in sigma}
                if relation in rows}

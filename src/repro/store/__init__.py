@@ -25,22 +25,13 @@ Writers share one database safely under WAL (last writer wins per
 row); parallel ``keys`` workers open it read-only, once per process.
 """
 
-from .cache_store import (CACHE_DIR_ENV, CacheStats, CacheStore,
-                          CacheWarning, DB_FILENAME, SCHEMA_VERSION,
-                          default_spill_root, open_store,
-                          resolve_cache_dir)
-from .stream_cache import incremental_stream_validate, stream_source_id
+from .. import _lazy
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "CacheStats",
-    "CacheStore",
-    "CacheWarning",
-    "DB_FILENAME",
-    "SCHEMA_VERSION",
-    "default_spill_root",
-    "incremental_stream_validate",
-    "open_store",
-    "resolve_cache_dir",
-    "stream_source_id",
-]
+__all__ = _lazy.exports(__name__, {
+    "cache_store": (
+        "CACHE_DIR_ENV CacheStats CacheStore CacheWarning "
+        "DB_FILENAME SCHEMA_VERSION default_spill_root open_store "
+        "resolve_cache_dir"
+    ),
+    "stream_cache": "incremental_stream_validate stream_source_id",
+})

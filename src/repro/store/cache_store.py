@@ -296,7 +296,11 @@ class CacheStore:
         initialized = conn.execute(
             "SELECT 1 FROM sqlite_master WHERE type = 'table' "
             "AND name = 'meta'").fetchone() is not None
-        if initialized and not self._versions_ok(conn):
+        if initialized and self._versions_ok(conn):
+            # already current: no write transaction, no write lock
+            self._conn = conn
+            return
+        if initialized:
             # schema or codec moved on: every entry is unreadable under
             # the new encoding, so drop the lot and start clean
             self.stats.stale += 1

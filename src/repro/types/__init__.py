@@ -12,40 +12,15 @@ Public surface:
 * :mod:`~repro.types.visitor` — structural folds.
 """
 
-from .base import (
-    BOOL,
-    INT,
-    STRING,
-    BaseType,
-    RecordType,
-    SetType,
-    Type,
-    check_no_repeated_labels,
-    is_valid_label,
-)
-from .parser import parse_schema, parse_type
-from .printer import format_schema, format_type, format_type_tree
-from .schema import Schema
-from .visitor import TypeVisitor, count_nodes, fold_type, set_paths_of_type
+from .. import _lazy
 
-__all__ = [
-    "BaseType",
-    "SetType",
-    "RecordType",
-    "Type",
-    "INT",
-    "STRING",
-    "BOOL",
-    "Schema",
-    "parse_type",
-    "parse_schema",
-    "format_type",
-    "format_type_tree",
-    "format_schema",
-    "TypeVisitor",
-    "fold_type",
-    "count_nodes",
-    "set_paths_of_type",
-    "check_no_repeated_labels",
-    "is_valid_label",
-]
+__all__ = _lazy.exports(__name__, {
+    "base": (
+        "BOOL INT STRING BaseType RecordType SetType Type "
+        "check_no_repeated_labels is_valid_label"
+    ),
+    "parser": "parse_schema parse_type",
+    "printer": "format_schema format_type format_type_tree",
+    "schema": "Schema",
+    "visitor": "TypeVisitor count_nodes fold_type set_paths_of_type",
+})

@@ -1,28 +1,11 @@
 """View algebra and NFD propagation."""
 
-from .algebra import (
-    Base,
-    Join,
-    Nest,
-    Project,
-    Select,
-    Unnest,
-    ViewExpr,
-    evaluate,
-    output_type,
-)
-from .propagation import propagate_nfds, view_schema
+from .. import _lazy
 
-__all__ = [
-    "ViewExpr",
-    "Base",
-    "Select",
-    "Project",
-    "Nest",
-    "Unnest",
-    "Join",
-    "evaluate",
-    "output_type",
-    "propagate_nfds",
-    "view_schema",
-]
+__all__ = _lazy.exports(__name__, {
+    "algebra": (
+        "Base Join Nest Project Select Unnest ViewExpr evaluate "
+        "output_type"
+    ),
+    "propagation": "propagate_nfds view_schema",
+})

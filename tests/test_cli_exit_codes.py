@@ -511,6 +511,94 @@ def test_ill_typed_instance_exits_2(case, spoil, command, remote,
         assert lines[0].startswith("error: invalid_bundle: ")
 
 
+#: Commands that read a bundle's schema and Σ and discard its instance.
+#: They hold the instance to the schema as JSON rows too, so an
+#: ill-typed one is refused the same way.
+DISCARDED_INSTANCE = [
+    ("explain", ["explain", "{bundle}", IMPLIED]),
+    ("prove", ["prove", "{bundle}", IMPLIED]),
+    ("counter", ["counter", "{bundle}", NOT_IMPLIED]),
+    ("diff", ["diff", "{bundle}", "{good}"]),
+]
+
+
+@pytest.mark.parametrize(("command", "template"), DISCARDED_INSTANCE,
+                         ids=[row[0] for row in DISCARDED_INSTANCE])
+@pytest.mark.parametrize(("case", "spoil"), ILL_TYPED_BUNDLE,
+                         ids=[row[0] for row in ILL_TYPED_BUNDLE])
+def test_ill_typed_discarded_instance_exits_2(case, spoil, command,
+                                              template, good, stream,
+                                              tmp_path, capsys):
+    data = json.loads(Path(good).read_text())
+    spoil(data["instance"]["Course"][1])
+    bundle = tmp_path / "ill_typed.json"
+    bundle.write_text(json.dumps(data))
+    argv = [arg.format(bundle=bundle, good=good, stream=stream)
+            for arg in template]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Course[1]" in lines[0]
+
+
+@pytest.mark.parametrize(("case", "spoil"), ILL_TYPED_BUNDLE,
+                         ids=[row[0] for row in ILL_TYPED_BUNDLE])
+def test_stream_check_never_reads_the_bundle_instance(case, spoil, good,
+                                                      stream, tmp_path,
+                                                      capsys):
+    """``check --stream`` validates the streamed relation; the bundle's
+    own instance, ill-typed or not, is not read at all."""
+    data = json.loads(Path(good).read_text())
+    spoil(data["instance"]["Course"][1])
+    bundle = tmp_path / "ill_typed.json"
+    bundle.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["check", str(bundle), "--stream", stream]) == 0
+    assert capsys.readouterr().err == ""
+
+
+#: (command, argv template, exit code) of the discarding commands on a
+#: well-typed bundle; ``counter`` asks an implied candidate, so no
+#: countermodel instance is built either.
+DISCARDED_INSTANCE_ANSWERS = [
+    ("check-stream", ["check", "{good}", "--stream", "{stream}"], 0),
+    ("explain", ["explain", "{good}", IMPLIED], 0),
+    ("prove", ["prove", "{good}", IMPLIED], 0),
+    ("counter", ["counter", "{good}", IMPLIED], 1),
+    ("diff", ["diff", "{good}", "{weaker}"], 1),
+]
+
+
+@pytest.mark.parametrize(("command", "template", "expected"),
+                         DISCARDED_INSTANCE_ANSWERS,
+                         ids=[row[0] for row in DISCARDED_INSTANCE_ANSWERS])
+def test_discarded_instance_builds_no_value_tree(command, template,
+                                                 expected, good, weaker,
+                                                 stream, monkeypatch):
+    """These commands answer with the value-model entry points made to
+    raise: the instance they discard is never lifted into a tree."""
+    import sys
+
+    from repro.values.build import Instance, from_python
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a discarded instance was built")
+
+    # every binding of from_python, wherever a module imported it
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if value is from_python:
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(Instance, "__init__", refuse)
+    argv = [arg.format(good=good, weaker=weaker, stream=stream)
+            for arg in template]
+    assert run(argv) == expected, argv
+
+
 def test_server_keeps_record_field_order(live_server, tmp_path, capsys):
     """Record fields written out of alphabetical order reach the daemon
     as written, so ``--server`` prints the witness the in-process

@@ -287,6 +287,24 @@ class TestServerLifecycle:
                                     "count": LATENCY_WINDOW}
         assert stats.as_dict()["latency_max_ms"] == LATENCY_WINDOW + 100
 
+    def test_unknown_types_share_one_by_type_key(self):
+        """Made-up request types count under one ``unknown`` key, so a
+        client cannot grow the daemon's stats without bound."""
+        from repro.server import ServerError
+        from repro.server.daemon import ADMIN_TYPES, QUERY_TYPES
+
+        with BackgroundServer(ServerConfig()) as bg:
+            with ReproClient(bg.host, bg.port,
+                             timeout=TIMEOUT) as client:
+                for n in range(500):
+                    with pytest.raises(ServerError):
+                        client.request(f"made-up-{n}")
+                server = client.stats()["server"]
+        by_type = server["by_type"]
+        assert len(by_type) <= len(ADMIN_TYPES + QUERY_TYPES) + 1
+        assert by_type["unknown"] == 500
+        assert sum(by_type.values()) == server["requests"]
+
     def test_debug_sleep_requires_flag(self):
         """Without --allow-debug a sleeping ping is an ordinary ping."""
         with BackgroundServer(ServerConfig()) as bg:

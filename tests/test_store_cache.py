@@ -98,6 +98,33 @@ class TestStoreLifecycle:
             assert summary["closure_memo"] == 0
             assert summary["dense_tables"] == 0
 
+    def test_reopening_a_current_store_writes_nothing(self, cache_dir,
+                                                      monkeypatch):
+        """Only a new or outdated database is (re)initialized: opening
+        a current one runs no CREATE, INSERT or BEGIN, so it takes no
+        write lock."""
+        import sqlite3
+
+        connect = sqlite3.connect
+        statements = []
+
+        def traced_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        CacheStore(cache_dir).close()
+        first = list(statements)
+        assert any(s.lstrip().upper().startswith("INSERT")
+                   for s in first)
+        statements.clear()
+        with CacheStore(cache_dir) as store:
+            assert store.available and store.writable
+            assert store.stats.stale == 0
+        words = {s.split(None, 1)[0].upper() for s in statements}
+        assert not words & {"CREATE", "INSERT", "BEGIN"}, statements
+
     def test_corrupt_db_degrades_with_a_warning(self, cache_dir,
                                                 schema, sigma):
         os.makedirs(cache_dir)
