@@ -16,7 +16,10 @@ absolute numbers committed in ``BENCH_closure.json``:
   ``kernel.keys_sweeps_per_sec`` allows, same keys as the reference.
 
 "Allows" is the nightly ``--compare`` tolerance: a number may be at
-most :data:`TOLERANCE` worse than its committed value.  The
+most :data:`TOLERANCE` worse than its committed value.  Each gate also
+holds its workload's kernel work (:data:`WORK_COUNTS`) exactly to the
+committed ``kernel.sweep_*`` / ``kernel.keys_*`` counts, which depend on
+the workload alone, not on the host or the hash seed.  The
 ``kernel.*_per_sec`` gauges are the inference perf trajectory: nightly
 CI dumps them into ``BENCH_closure.json`` via ``--metrics-json`` and
 ``--compare`` fails the run when a rate falls more than 20% below the
@@ -45,10 +48,26 @@ TOLERANCE = 0.2
 #: Repeats per measurement; the best (lowest) time counts.
 REPEATS = 3
 
+#: The :class:`~repro.inference.EngineStats` counters each gate holds
+#: to the row: saturation loops, row scans, and bitmask tests.
+WORK_COUNTS = ("saturations", "attempts", "mask_tests")
+
 
 def _committed(name: str) -> float:
     with open(BASELINE) as handle:
         return json.load(handle)["gauges"][name]
+
+
+def _work_gate(gate_metrics, prefix: str, stats) -> None:
+    """Hold one workload's kernel work counts exactly to the committed
+    ``{prefix}_<counter>`` gauges, and record them."""
+    counts = {f"{prefix}_{name}": getattr(stats, name)
+              for name in WORK_COUNTS}
+    committed = {name: _committed(name) for name in counts}
+    assert counts == committed, (
+        f"work counts moved: {counts} != {committed}")
+    for name, value in counts.items():
+        gate_metrics.gauge(name).set(value)
 
 
 def _sweep_workload():
@@ -84,7 +103,8 @@ def _sweep_workload():
 def _timed_sweep(schema, sigma, queries):
     """Best-of-REPEATS wall seconds for a cold engine serving the full
     sweep (dense table compilation included — it is part of the first
-    query's cost), GC paused around each repeat."""
+    query's cost), GC paused around each repeat; also the last engine's
+    stats (every repeat does the same work)."""
     best = None
     answers = None
     for _ in range(REPEATS):
@@ -99,19 +119,21 @@ def _timed_sweep(schema, sigma, queries):
             gc.enable()
         if best is None or elapsed < best:
             best, answers = elapsed, run
-    return best, answers
+    return best, answers, engine.stats
 
 
 def test_dense_kernel_gate(gate_metrics):
     """Gate: the |Sigma|=64 sweep within TOLERANCE of the committed
     ns/query, closures identical to the naive reference's."""
     schema, sigma, queries = _sweep_workload()
-    dense_time, dense_answers = _timed_sweep(schema, sigma, queries)
+    dense_time, dense_answers, stats = _timed_sweep(schema, sigma,
+                                                    queries)
 
     reference = ClosureEngine(schema, sigma)
     assert dense_answers == [reference.reference_closure(base, lhs)
                              for base, lhs in queries], \
         "the dense kernel diverged from the naive reference"
+    _work_gate(gate_metrics, "kernel.sweep", stats)
     count = len(queries)
     dense_ns = dense_time * 1e9 / count
     ceiling = _committed("kernel.dense_ns_per_query") * (1 + TOLERANCE)
@@ -173,18 +195,19 @@ def _timed_keys(schema, sigma):
             gc.enable()
         if best is None or elapsed < best:
             best, keys = elapsed, run
-    return best, keys
+    return best, keys, session.engine.stats
 
 
 def test_minimal_keys_gate(gate_metrics):
     """Gate: minimal_keys sweeps/sec within TOLERANCE of the committed
     rate, keys identical to the naive reference's."""
     schema, sigma = _keys_workload()
-    dense_time, dense_keys = _timed_keys(schema, sigma)
+    dense_time, dense_keys, stats = _timed_keys(schema, sigma)
 
     assert dense_keys == minimal_keys(
         schema, sigma, "K", engine=_Reference(schema, sigma)), \
         "the dense key sweep diverged from the naive reference"
+    _work_gate(gate_metrics, "kernel.keys", stats)
     rate = 1.0 / dense_time
     floor = _committed("kernel.keys_sweeps_per_sec") * (1 - TOLERANCE)
     print(f"\nminimal_keys (10 attributes, best of {REPEATS}): "

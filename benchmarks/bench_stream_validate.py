@@ -10,10 +10,6 @@ witnesses to the in-memory :class:`repro.nfd.ValidatorEngine`.
 budget** must stream with ``peak_resident_rows <= budget`` (so spilling
 actually happened, and the cap held at every instant), and the
 violation witnesses must equal the in-memory engine's exactly.
-``test_cross_shard_conflict_gate`` repeats the claim for
-:func:`repro.nfd.shard_validate` with conflicting elements placed in
-*different* shards, where only the driver's cross-shard merge can see
-the clash.
 
 The remaining benchmarks time streaming against the in-memory walk
 under pytest-benchmark.
@@ -29,7 +25,6 @@ from repro.nfd import (
     ResourceBudget,
     ValidatorEngine,
     parse_nfds,
-    shard_validate,
     stream_validate,
 )
 
@@ -114,43 +109,6 @@ def test_bounded_memory_gate(gate_metrics):
     for name in ("rows_emitted", "runs_written", "runs_merged",
                  "groups_merged"):
         gate_metrics.gauge(f"stream.{name}").set(getattr(stats, name))
-
-
-def test_cross_shard_conflict_gate(gate_metrics):
-    """Gate: a conflict whose two elements sit in different shards is
-    found by the sharded driver, under the same budget bound."""
-    schema, sigma, instance = _workload()
-    from repro.values import Atom, Instance, SetValue
-
-    elements = list(instance.relation("Course"))
-    elements.append(elements[0].replace("time", Atom("18h")))
-    conflicted = Instance(schema, {"Course": SetValue(elements)})
-    reference = ValidatorEngine(schema, sigma).validate(
-        conflicted, all_violations=True)
-    assert reference.violations, "workload must actually conflict"
-
-    # Stream in the reference walk's (sorted-set) order, but put a
-    # shard boundary right after the first element: the clashing pair
-    # shares the minimal cnum, so it is split across shards 0 and 1
-    # and only the driver's cross-shard merge can see the conflict.
-    ordered = list(conflicted.relation("Course"))
-    assert ordered[0].get("cnum") == ordered[1].get("cnum")
-    mid = len(ordered) // 2
-    shards = [("rows", ordered[:1]),
-              ("rows", ordered[1:mid]),
-              ("rows", ordered[mid:])]
-    budget = ResourceBudget(max_resident_rows=BUDGET_ROWS)
-    result = shard_validate(schema, sigma, "Course", shards,
-                            budget=budget)
-
-    assert result.completed_shards == (0, 1, 2)
-    assert result.stats.peak_resident_rows <= BUDGET_ROWS
-    assert [v.describe() for v in result.violations] == \
-        [v.describe() for v in reference.violations]
-    gate_metrics.gauge("stream.cross_shard_violations").set(
-        len(result.violations))
-    gate_metrics.gauge("stream.shard_peak_resident_rows").set(
-        result.stats.peak_resident_rows)
 
 
 def test_throughput_gate(gate_metrics):

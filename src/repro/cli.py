@@ -60,11 +60,10 @@ way.
 
 Query commands that run through an implication session additionally
 accept ``--cache-stats``, printing the session's memoization counters
-(:class:`repro.inference.SessionStats`) to stderr, and ``keys``,
-``normalize`` and ``check --stream --shards`` accept ``--jobs N``
-(``N >= 1``) to fan their work out across *N* worker processes — stdout
-is byte-identical to the serial run (deterministic result ordering),
-only wall-clock changes.
+(:class:`repro.inference.SessionStats`) to stderr, and ``keys`` and
+``normalize`` accept ``--jobs N`` (``N >= 1``) to fan their work out
+across *N* worker processes — stdout is byte-identical to the serial
+run (deterministic result ordering), only wall-clock changes.
 
 Every ``check`` runs one engine, the stream engine of
 :mod:`repro.nfd.stream_validate`: in memory it walks each constrained
@@ -72,7 +71,7 @@ relation's rows as the bundle holds them, in the set's iteration order
 (:func:`repro.service.check`).  ``check``, ``implies``, ``closure``,
 ``keys``, ``explain``, ``prove``, ``counter`` and ``diff`` read the
 bundle's instance as JSON rows held to the schema
-(:func:`repro.io.json_io.load_bundle_rows`) and build no value tree of
+(:func:`repro.io.json_io.read_bundle`) and build no value tree of
 it, so an ill-typed instance exits 2 with one ``error:`` line under
 each of them, in process and through ``--server`` alike.
 ``check --stream`` reads only the bundle's schema and Σ.
@@ -83,12 +82,12 @@ Each command imports only the layers it runs, inside its handler, and
 process pays for one command, not sixteen.
 
 ``check --stream FILE`` validates a JSONL dump of one relation
-out-of-core (see :mod:`repro.nfd.stream_validate`): elements are
-consumed one at a time, group tables spill to disk under ``--max-rows``,
-``--shards N`` with ``--jobs N`` fans contiguous shards across
-processes, and ``--deadline`` / ``--max-elements`` bound the run
-cooperatively — a budget-exhausted run prints what it found, notes the
-partial verdict on stderr, and exits 2 when no violation was seen.
+out-of-core in one stream engine (see
+:mod:`repro.nfd.stream_validate`): elements are consumed one at a time,
+group tables spill to disk under ``--max-rows``, and ``--deadline`` /
+``--max-elements`` bound the run cooperatively — a budget-exhausted run
+prints what it found, notes the partial verdict on stderr, and exits 2
+when no violation was seen.
 
 The observability commands — ``check``, ``implies``, ``closure``,
 ``keys``, ``analyze``, ``normalize`` — additionally accept ``--trace FILE`` (write a
@@ -154,44 +153,37 @@ def _read(path_text: str) -> str:
             from exc
 
 
-def _load(path_text: str):
-    """The bundle with its instance lifted into a value tree, for the
-    commands that read the instance's values."""
-    from .io.json_io import load_bundle
+def _load(path_text: str, *, values: bool = False):
+    """``(schema, sigma, instance, payload)`` of a bundle file, from one
+    read and one parse (:func:`repro.io.json_io.read_bundle`): the
+    instance as type-checked JSON rows, or with *values* as a value
+    tree; *payload* is for :func:`_spec_from_args`."""
+    from .io.json_io import read_bundle
 
-    return load_bundle(_read(path_text))
-
-
-def _load_rows(path_text: str):
-    """The bundle with its instance kept as type-checked JSON rows
-    (:func:`repro.io.json_io.load_bundle_rows`): no value tree is built,
-    and an ill-typed instance is still refused."""
-    from .io.json_io import load_bundle_rows
-
-    return load_bundle_rows(_read(path_text))
+    return read_bundle(_read(path_text), values=values)
 
 
-def _spec_from_args(args) -> NonEmptySpec | None:
+def _spec_from_args(args, payload=None) -> NonEmptySpec | None:
     """The NON-NULL spec: --nonempty flags win over the bundle's own.
 
     Bundles may persist their declarations (see
-    :func:`repro.io.dump_bundle`); explicit flags override them so a
-    what-if query never requires editing the file.
+    :func:`repro.io.dump_bundle`), read from the decoded bundle
+    *payload* by :func:`repro.io.json_io.bundle_spec`, the daemon's
+    rule too; explicit flags override them — as ``--server`` replaces
+    them on the wire — so a what-if query never requires editing the
+    file.
     """
-    from .inference.empty_sets import NonEmptySpec
-    from .io.json_io import load_spec
-    from .paths.path import parse_path
-
     declared = getattr(args, "nonempty", None)
     if declared:
+        from .inference.empty_sets import NonEmptySpec
+        from .paths.path import parse_path
+
         return NonEmptySpec({parse_path(text) for text in declared})
-    bundle = getattr(args, "bundle", None)
-    if bundle:
-        try:
-            return load_spec(FilePath(bundle).read_text())
-        except OSError:
-            return None
-    return None
+    if payload is None:
+        return None
+    from .io.json_io import bundle_spec
+
+    return bundle_spec(payload)
 
 
 def _tracer_from_args(args) -> Tracer | None:
@@ -343,7 +335,10 @@ def _answer_locally(args, params: dict) -> dict:
     from .service import answer, check, parse_query
 
     kind = args.command
-    schema, sigma, rows = _load_rows(args.bundle)
+    schema, sigma, rows, payload = _load(args.bundle)
+    # read for every kind, so a malformed "nonempty" is refused by a
+    # check too, as the daemon refuses it
+    spec = _spec_from_args(args, payload)
     query = parse_query(kind, params, schema, rows)
     tracer = _tracer_from_args(args)
     report = RunReport(command=kind)
@@ -353,7 +348,6 @@ def _answer_locally(args, params: dict) -> dict:
     else:
         jobs = getattr(args, "jobs", 1)
         store = _store_from_args(args)
-        spec = _spec_from_args(args)
         session = None
         if jobs == 1:
             from .inference.session import ImplicationSession
@@ -392,17 +386,11 @@ def _cmd_check_stream(args) -> int:
     addition: a run cut short by its resource budget that found no
     violation exits 2 (the verdict is unknown, not "satisfied").
     """
-    from .io.stream import iter_jsonl_elements, plan_shards
-    from .nfd.stream_validate import (ResourceBudget, shard_validate,
-                                      stream_validate)
+    from .io.json_io import load_bundle_sigma
+    from .io.stream import iter_jsonl_elements
+    from .nfd.stream_validate import ResourceBudget, stream_validate
     from .obs.report import RunReport
     from .service import Query, answer, render
-
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
-    from .io.json_io import load_bundle_sigma
 
     schema, sigma = load_bundle_sigma(_read(args.bundle))
     relation = args.relation
@@ -439,11 +427,6 @@ def _cmd_check_stream(args) -> int:
             print("error: --incremental requires a cache directory "
                   "(--cache-dir or REPRO_CACHE_DIR)", file=sys.stderr)
             return 2
-        if args.shards > 1:
-            print("error: --incremental runs single-shard; drop "
-                  "--shards", file=sys.stderr)
-            store.close()
-            return 2
         from .store import incremental_stream_validate
         result, info = incremental_stream_validate(
             schema, streamed, relation, args.stream, store=store,
@@ -452,12 +435,6 @@ def _cmd_check_stream(args) -> int:
               f"{info['start_line']}/{info['total_lines']}, "
               f"{info['elements_folded']} element(s) folded",
               file=sys.stderr)
-    elif args.shards > 1:
-        shards = plan_shards(args.stream, args.shards)
-        result = shard_validate(schema, streamed, relation, shards,
-                                jobs=getattr(args, "jobs", 1),
-                                budget=budget, tracer=tracer,
-                                spill_root=spill_root)
     else:
         reader = iter_jsonl_elements(args.stream, schema, relation)
         result = stream_validate(schema, streamed, {relation: reader},
@@ -480,9 +457,10 @@ def _cmd_explain(args) -> int:
     from .inference.closure import ClosureEngine
     from .nfd.parser import parse_nfd
 
-    schema, sigma, _ = _load_rows(args.bundle)
+    schema, sigma, _, payload = _load(args.bundle)
     candidate = parse_nfd(args.nfd)
-    engine = ClosureEngine(schema, sigma, nonempty=_spec_from_args(args))
+    engine = ClosureEngine(schema, sigma,
+                           nonempty=_spec_from_args(args, payload))
     if not engine.implies(candidate):
         print(f"not implied: {candidate}", file=sys.stderr)
         return 1
@@ -496,9 +474,10 @@ def _cmd_prove(args) -> int:
     from .inference.proof_compiler import compile_proof
     from .nfd.parser import parse_nfd
 
-    schema, sigma, _ = _load_rows(args.bundle)
+    schema, sigma, _, payload = _load(args.bundle)
     candidate = parse_nfd(args.nfd)
-    engine = ClosureEngine(schema, sigma, nonempty=_spec_from_args(args))
+    engine = ClosureEngine(schema, sigma,
+                           nonempty=_spec_from_args(args, payload))
     if not engine.implies(candidate):
         print(f"not implied: {candidate}", file=sys.stderr)
         return 1
@@ -518,9 +497,9 @@ def _cmd_counter(args) -> int:
     from .io.tables import render_instance
     from .nfd.parser import parse_nfd
 
-    schema, sigma, _ = _load_rows(args.bundle)
+    schema, sigma, _, payload = _load(args.bundle)
     candidate = parse_nfd(args.nfd)
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, payload)
     if spec is not None and not spec.declares_everything:
         # the Appendix-A construction assumes Section 3.1 (no empty
         # sets); honouring a restrictive spec would need a different
@@ -550,7 +529,7 @@ def _cmd_counter(args) -> int:
 def _cmd_render(args) -> int:
     from .io.tables import render_instance
 
-    _, _, instance = _load(args.bundle)
+    _, _, instance, _ = _load(args.bundle, values=True)
     if instance is None:
         print("bundle has no instance to render", file=sys.stderr)
         return 2
@@ -562,8 +541,8 @@ def _cmd_diff(args) -> int:
     from .analysis.diff import diff_sigmas
     from .inference.session import ImplicationSession
 
-    schema, old_sigma, _ = _load_rows(args.old_bundle)
-    new_schema, new_sigma, _ = _load_rows(args.new_bundle)
+    schema, old_sigma, _, _ = _load(args.old_bundle)
+    new_schema, new_sigma, _, _ = _load(args.new_bundle)
     if new_schema != schema:
         print("error: the two bundles declare different schemas",
               file=sys.stderr)
@@ -586,8 +565,8 @@ def _cmd_analyze(args) -> int:
     from .nfd.batch_validate import ValidatorEngine
     from .obs.report import RunReport
 
-    schema, sigma, instance = _load(args.bundle)
-    spec = _spec_from_args(args)
+    schema, sigma, instance, payload = _load(args.bundle, values=True)
+    spec = _spec_from_args(args, payload)
     tracer = _tracer_from_args(args)
     session = ImplicationSession(schema, list(sigma), spec,
                                  tracer=tracer)
@@ -648,8 +627,8 @@ def _cmd_normalize(args) -> int:
         print("error: pass a bundle file or --sweep N",
               file=sys.stderr)
         return 2
-    schema, sigma, instance = _load(args.bundle)
-    spec = _spec_from_args(args)
+    schema, sigma, instance, payload = _load(args.bundle, values=True)
+    spec = _spec_from_args(args, payload)
     design = synthesize_design(schema, sigma, args.relation,
                                nonempty=spec, instance=instance,
                                tracer=tracer)
@@ -663,10 +642,10 @@ def _cmd_normalize(args) -> int:
 def _cmd_report(args) -> int:
     from .io.report_md import markdown_report
 
-    schema, sigma, instance = _load(args.bundle)
+    schema, sigma, instance, payload = _load(args.bundle, values=True)
     text = markdown_report(schema, sigma, instance,
                            title=args.title,
-                           nonempty=_spec_from_args(args))
+                           nonempty=_spec_from_args(args, payload))
     if args.output:
         FilePath(args.output).write_text(text)
         print(f"report written to {args.output}")
@@ -679,7 +658,7 @@ def _cmd_repair(args) -> int:
     from .chase.nested_repair import repair as chase_repair
     from .io.json_io import dump_bundle
 
-    schema, sigma, instance = _load(args.bundle)
+    schema, sigma, instance, _ = _load(args.bundle, values=True)
     if instance is None:
         print("bundle has no instance to repair", file=sys.stderr)
         return 2
@@ -814,11 +793,11 @@ def _cache_stats_arg(sub) -> None:
     )
 
 
-def _jobs_arg(sub, help="fan the work out across N >= 1 worker "
-                        "processes (default 1: serial; output is "
-                        "identical either way)") -> None:
+def _jobs_arg(sub) -> None:
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help=help)
+                     help="fan the work out across N >= 1 worker "
+                          "processes (default 1: serial; output is "
+                          "identical either way)")
 
 
 def _cache_dir_arg(sub) -> None:
@@ -871,11 +850,6 @@ def _add_check(sub) -> None:
              "relation Σ constrains)",
     )
     sub.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="split the stream into N contiguous shards, one engine "
-             "each (combine with --jobs for process parallelism)",
-    )
-    sub.add_argument(
         "--max-rows", type=int, default=None, metavar="R",
         dest="max_rows",
         help="spill group tables to disk beyond R resident rows",
@@ -888,7 +862,7 @@ def _add_check(sub) -> None:
     sub.add_argument(
         "--max-elements", type=int, default=None, metavar="M",
         dest="max_elements",
-        help="stop after M elements per shard (partial result)",
+        help="stop after M elements (partial result)",
     )
     sub.add_argument(
         "--incremental", action="store_true",
@@ -896,10 +870,6 @@ def _add_check(sub) -> None:
              "this file and fold only appended lines (requires a cache "
              "directory; witnesses match a full cold re-stream)",
     )
-    _jobs_arg(sub, help="with --stream --shards: run the shards in "
-                        "N >= 1 worker processes (default 1; output is "
-                        "identical either way; other checks run in "
-                        "process)")
     _cache_dir_arg(sub)
     _server_arg(sub)
     _obs_args(sub)

@@ -8,7 +8,7 @@ in every process, whatever the hash seed.  Nothing is compiled at
 import time: the code objects are compiled when a reader or an engine
 is built, and memoized here by their source text, so rebuilding an
 engine for the same (schema, Σ) — every resume of an incremental run,
-every shard of a sharded one — compiles nothing.
+every bundle ``check`` a daemon answers — compiles nothing.
 """
 
 from __future__ import annotations

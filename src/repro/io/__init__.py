@@ -11,8 +11,7 @@ __all__ = _lazy.exports(__name__, {
     "csv_io": "dump_csv load_csv",
     "report_md": "markdown_report",
     "stream": (
-        "count_stream_lines dump_jsonl iter_jsonl_elements "
-        "iter_set_elements plan_shards set_order"
+        "dump_jsonl iter_jsonl_elements iter_set_elements set_order"
     ),
     "tables": "render_instance render_relation",
 })

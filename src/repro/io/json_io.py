@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # an instance, so a bundle of schema and Σ alone costs neither.
 
 __all__ = [
-    "load_spec",
+    "bundle_spec", "load_spec", "read_bundle",
     "schema_to_dict", "schema_from_dict",
     "instance_to_dict", "instance_from_dict", "instance_rows",
     "nfds_to_list", "nfds_from_list",
@@ -180,27 +180,36 @@ def _bundle_parts(text: str) -> tuple[dict[str, Any], Schema, list[NFD]]:
     return payload, schema, nfds_from_list(nfds)
 
 
+def read_bundle(text: str, *, values: bool = False) \
+        -> tuple[Schema, list[NFD], Any, dict[str, Any]]:
+    """One parse of a bundle: ``(schema, sigma, instance, payload)``.
+
+    The instance is type-checked JSON rows (:func:`instance_rows`) —
+    the form ``check``, ``implies``, ``closure`` and ``keys`` read, with
+    no value tree built — or, with *values*, its value tree
+    (:func:`instance_from_dict`); None when the bundle has none.
+    *payload* is the decoded bundle, for a caller that reads more of it
+    (the CLI takes ``"nonempty"`` from it with :func:`bundle_spec`)."""
+    payload, schema, sigma = _bundle_parts(text)
+    instance = payload.get("instance")
+    if instance is not None:
+        instance = (instance_from_dict if values else instance_rows)(
+            schema, instance)
+    return schema, sigma, instance, payload
+
+
 def load_bundle(text: str) \
         -> tuple[Schema, list[NFD], Instance | None]:
     """Inverse of :func:`dump_bundle` (spec excluded; see
     :func:`load_spec`)."""
-    payload, schema, sigma = _bundle_parts(text)
-    instance = None
-    if payload.get("instance") is not None:
-        instance = instance_from_dict(schema, payload["instance"])
-    return schema, sigma, instance
+    return read_bundle(text, values=True)[:3]
 
 
 def load_bundle_rows(text: str) \
         -> tuple[Schema, list[NFD], dict[str, list] | None]:
     """:func:`load_bundle` with the instance as type-checked JSON rows
-    (:func:`instance_rows`) — the form ``check``, ``implies``,
-    ``closure`` and ``keys`` read, with no value tree built."""
-    payload, schema, sigma = _bundle_parts(text)
-    rows = None
-    if payload.get("instance") is not None:
-        rows = instance_rows(schema, payload["instance"])
-    return schema, sigma, rows
+    (:func:`read_bundle`)."""
+    return read_bundle(text)[:3]
 
 
 def load_bundle_sigma(text: str) -> tuple[Schema, list[NFD]]:
@@ -211,15 +220,38 @@ def load_bundle_sigma(text: str) -> tuple[Schema, list[NFD]]:
     return schema, sigma
 
 
-def load_spec(text: str) -> "NonEmptySpec | None":
-    """The bundle's NON-NULL declarations, or None if absent."""
-    from ..inference.empty_sets import NonEmptySpec
-    from ..paths.path import parse_path
+def bundle_spec(payload: dict[str, Any]) -> "NonEmptySpec | None":
+    """The NON-NULL declarations of a decoded bundle, or None if it has
+    none: ``"*"`` declares every set-valued path, a list of path
+    strings declares those paths.  The CLI and the daemon
+    (:func:`repro.server.protocol.parse_bundle_payload`) both read a
+    bundle's ``"nonempty"`` through this one rule.
 
-    payload = parse_bundle_json(text)
+    :raises ParseError: for any other ``"nonempty"`` value — a number,
+        another string, an object, or a list holding a non-string.
+    """
     declared = payload.get("nonempty")
     if declared is None:
         return None
+    from ..inference.empty_sets import NonEmptySpec
+    from ..paths.path import parse_path
+
     if declared == "*":
         return NonEmptySpec.all_nonempty()
-    return NonEmptySpec({parse_path(item) for item in declared})
+    if type(declared) is list and all(type(item) is str
+                                      for item in declared):
+        return NonEmptySpec({parse_path(item) for item in declared})
+    from .stream import _shown
+
+    if type(declared) is list:
+        shown = _shown(next(item for item in declared
+                            if type(item) is not str)) + " in the list"
+    else:
+        shown = _shown(declared)
+    raise ParseError(f'bundle "nonempty" must be "*" or a list of path '
+                     f"strings, got {shown}")
+
+
+def load_spec(text: str) -> "NonEmptySpec | None":
+    """The bundle's NON-NULL declarations (:func:`bundle_spec`)."""
+    return bundle_spec(parse_bundle_json(text))

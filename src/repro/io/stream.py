@@ -16,11 +16,10 @@ number — never a raw ``json.JSONDecodeError`` or ``KeyError`` — so a
 failure in a multi-gigabyte dump points at the exact record.
 
 Lines are the byte runs between ``\n`` bytes of the binary file — one
-line model for the reader, :func:`count_stream_lines`,
-:func:`plan_shards` and the incremental checkpoint's watermark scan — and
-each is decoded as strict UTF-8 before :func:`json.loads`, so a ``\r``
-is JSON whitespace inside its line and an invalid byte is a typed error
-naming the line.
+line model for the reader and the incremental checkpoint's watermark
+scan — and each is decoded as strict UTF-8 before :func:`json.loads`,
+so a ``\r`` is JSON whitespace inside its line and an invalid byte is a
+typed error naming the line.
 
 Each parsed line is checked by one function compiled per relation type
 from generated source (:func:`_checker_source`; :func:`checker_source`
@@ -44,11 +43,9 @@ dropped, ``repr`` order — reading the JSON alone, so the bundle
 ``check`` (:func:`repro.service.check`) walks its rows in the order the
 in-memory engine walks the set without building it.
 
-Sharding support: :func:`plan_shards` splits one file into *contiguous*
-line ranges (order-preserving, so a sharded run sees the same element
-sequence as a serial scan of the whole file), and
-:func:`iter_jsonl_elements` accepts ``start``/``stop`` line bounds so a
-worker can stream just its range.
+:func:`iter_jsonl_elements` accepts ``start``/``stop`` line bounds, so
+an incremental resume streams just the lines appended since its
+checkpoint.
 """
 
 from __future__ import annotations
@@ -71,8 +68,6 @@ __all__ = [
     "iter_set_elements",
     "set_order",
     "dump_jsonl",
-    "count_stream_lines",
-    "plan_shards",
 ]
 
 
@@ -225,14 +220,13 @@ def iter_jsonl_elements(path, schema: Schema, relation: str, *,
     reader for :class:`~repro.values.value.Record` values).
 
     ``start``/``stop`` restrict the scan to physical lines
-    ``start < n <= stop`` (the half-open ranges :func:`plan_shards`
-    produces).  Blank lines are skipped.
+    ``start < n <= stop``.  Blank lines are skipped.
 
     :raises StreamError: for an unreadable file, invalid UTF-8, a
         truncated/malformed JSON line, a type-mismatched element
         (always naming the 1-based line number), or — unless
-        ``require_elements=False`` (shard ranges may legitimately be
-        empty) — a stream with no elements at all.
+        ``require_elements=False`` (an appended range may legitimately
+        be empty) — a stream with no elements at all.
     """
     element_type = schema.element_type(relation)
     check = _compile_checker(element_type)
@@ -314,44 +308,3 @@ def dump_jsonl(path, elements: Iterable[Any]) -> int:
             handle.write("\n")
             count += 1
     return count
-
-
-def count_stream_lines(path) -> tuple[int, int]:
-    """``(physical lines, non-blank data lines)`` of a JSONL file, in the
-    reader's line model (lines end at ``\n`` bytes)."""
-    total = 0
-    data = 0
-    with _open_stream(path, os.fspath(path)) as handle:
-        for line in handle:
-            total += 1
-            if line.strip():
-                data += 1
-    return total, data
-
-
-def plan_shards(path, shards: int) -> list[tuple[str, int, int]]:
-    """Split one JSONL file into *shards* contiguous line ranges.
-
-    Returns ``(path, start, stop)`` triples covering lines
-    ``start < n <= stop`` — contiguous and in order, so the
-    concatenation of the shards is exactly the serial scan and a
-    sharded validation produces the same witnesses.  One cheap counting
-    pass is the price of balanced ranges.
-
-    :raises StreamError: for ``shards < 1`` or a file with no data
-        lines at all (an empty dump is almost always a broken export).
-    """
-    if shards < 1:
-        raise StreamError(f"shard count must be >= 1, got {shards}")
-    total, data = count_stream_lines(path)
-    if data == 0:
-        raise StreamError(
-            f"{os.fspath(path)}: line 1: empty stream (no elements to "
-            f"shard)", line=1)
-    label = os.fspath(path)
-    ranges = []
-    for index in range(shards):
-        lo = index * total // shards
-        hi = (index + 1) * total // shards
-        ranges.append((label, lo, hi))
-    return ranges

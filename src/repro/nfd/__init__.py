@@ -15,7 +15,7 @@ __all__ = _lazy.exports(__name__, {
     ),
     "stream_validate": (
         "ResourceBudget StreamResult StreamStats "
-        "StreamValidator shard_validate stream_validate"
+        "StreamValidator stream_validate"
     ),
     "violations": "Violation find_violation find_violations",
 })

@@ -90,29 +90,16 @@ resident table, folding equal-key aggregates with :func:`_merge_agg` —
 hash-grouping below budget and external sort-merge above it produce
 byte-identical witnesses.
 
-Sharding
---------
-
-:func:`shard_validate` runs one streaming engine per input shard via
-:func:`repro.parallel.process_map`, then folds the per-shard group
-summaries into a driver engine **in task order**, so the merged
-counters are deterministic.  Emission sequences are
-``(shard, local)`` pairs, lexicographically ordered like the
-concatenated stream, so cross-shard conflicts — where no single shard
-holds both clashing elements — surface with the same witnesses a
-serial scan would report.
-
 Cleanup
 -------
 
 A spill file that cannot be written (a full disk) or read back whole
 (a torn run, a truncated sidecar) raises
 :class:`~repro.errors.StreamError`, never a wrong verdict.  Every
-spilled run and summary file is removed by :meth:`cleanup`, which all
-abnormal exits route through: :func:`stream_validate` and
-:func:`shard_validate` call it in ``finally``, shard workers call it
-when their stream raises mid-shard, and :class:`StreamValidator` is a
-context manager (``with StreamValidator(...) as sv``) for direct use.
+spilled run and sidecar is removed by :meth:`cleanup`, which all
+abnormal exits route through: :func:`stream_validate` calls it in
+``finally``, and :class:`StreamValidator` is a context manager (``with
+StreamValidator(...) as sv``) for direct use.
 """
 
 from __future__ import annotations
@@ -145,7 +132,6 @@ __all__ = [
     "StreamResult",
     "StreamValidator",
     "stream_validate",
-    "shard_validate",
 ]
 
 
@@ -160,15 +146,14 @@ class ResourceBudget:
     """Resource limits for one streaming validation.
 
     * ``max_resident_rows`` — cap on group-table aggregates resident in
-      memory per engine; reaching it spills every table to a sorted
-      on-disk run.  Peak residency never exceeds the cap.
-    * ``deadline`` — wall-clock seconds per engine (per shard, in a
-      sharded run); when it passes, the engine stops consuming and
-      reports a partial result instead of raising.  ``deadline=0``
-      means *already exhausted*: the engine stops before consuming its
-      first element (it is not "no deadline" — that is ``None``).
-    * ``max_elements`` — cap on elements consumed per engine (per
-      shard).
+      memory; reaching it spills every table to a sorted on-disk run.
+      Peak residency never exceeds the cap.
+    * ``deadline`` — wall-clock seconds; when it passes, the engine
+      stops consuming and reports a partial result instead of raising.
+      ``deadline=0`` means *already exhausted*: the engine stops before
+      consuming its first element (it is not "no deadline" — that is
+      ``None``).
+    * ``max_elements`` — cap on elements consumed.
 
     ``None`` for any field means unlimited.  Exhaustion is cooperative:
     checks happen between elements, the element being processed always
@@ -198,7 +183,7 @@ class ResourceBudget:
 
 
 class StreamStats:
-    """Counters of one streaming validation (engine or merged run).
+    """Counters of one streaming validation.
 
     * ``elements_seen`` — top-level elements consumed;
     * ``rows_emitted`` — ``(key, rhs)`` bindings folded into root group
@@ -253,20 +238,6 @@ class StreamStats:
         """The :class:`~repro.obs.RunReport` section protocol."""
         return self.as_dict()
 
-    def absorb(self, delta: Mapping[str, Any]) -> None:
-        """Fold another engine's stats dict into this one.
-
-        Additive for every counter except ``peak_resident_rows``, which
-        takes the maximum: the budget bounds each engine separately, so
-        the merged high-water mark is the worst engine's, not the sum.
-        """
-        for name in self.__slots__:
-            if name == "peak_resident_rows":
-                self.peak_resident_rows = max(self.peak_resident_rows,
-                                              delta[name])
-            else:
-                setattr(self, name, getattr(self, name) + delta[name])
-
     def to_text(self) -> str:
         return "\n".join([
             "stream stats (out-of-core validation):",
@@ -302,17 +273,14 @@ class StreamResult:
     as :meth:`ValidatorEngine.validate` orders the same witnesses.
     """
 
-    __slots__ = ("violations", "stats", "elements_seen",
-                 "completed_shards", "budget_exhausted")
+    __slots__ = ("violations", "stats", "elements_seen", "budget_exhausted")
 
     def __init__(self, violations: tuple[Violation, ...],
                  stats: StreamStats, elements_seen: int,
-                 completed_shards: tuple[int, ...],
                  budget_exhausted: str | None):
         self.violations = violations
         self.stats = stats
         self.elements_seen = elements_seen
-        self.completed_shards = completed_shards
         self.budget_exhausted = budget_exhausted
 
     @property
@@ -404,9 +372,7 @@ class _ElementStore:
     tables' aggregates — and spills a tiny ``("@", file_name, offset)``
     ref in its place.  The ref names the sidecar by its file name alone,
     so its pickled size does not depend on how long the spill
-    directory's path is; each engine maps the names of the sidecars it
-    wrote or absorbed to their paths.  Refs survive merges, summary
-    files, and the driver's absorb untouched;
+    directory's path is.  Refs survive merges untouched;
     :meth:`StreamValidator.finalize` seeks an element only when a
     violation needs it.  Elements are plain JSON data and pickle
     natively.
@@ -777,22 +743,16 @@ class StreamValidator:
     The context manager guarantees :meth:`cleanup` — spilled runs and
     the engine-owned spill directory are removed — on both normal and
     abnormal exits; direct callers may also invoke it explicitly.
-
-    In a sharded run each worker holds one of these (``shard_index``
-    tags its emission sequences), ships :meth:`summarize` output back,
-    and the driver folds the summaries with :meth:`absorb_summary`.
     """
 
     def __init__(self, schema: Schema, sigma: Iterable[NFD], *,
                  budget: ResourceBudget | None = None,
                  spill_dir: str | None = None,
-                 spill_root: str | None = None, tracer=None,
-                 shard_index: int = 0):
+                 spill_root: str | None = None, tracer=None):
         self.schema = schema
         self.engine = ValidatorEngine(schema, sigma, tracer=tracer)
         self.tracer = tracer
         self.budget = budget
-        self._shard_index = shard_index
         self._max_rows = budget.max_resident_rows if budget else None
         self._max_elements = budget.max_elements if budget else None
         self._deadline_at = None
@@ -805,10 +765,7 @@ class StreamValidator:
         self._synced_hits = 0
         self._synced_misses = 0
         self._elem_store: _ElementStore | None = None
-        self._read_handles: dict[str, Any] = {}
-        # every sidecar this engine reads and removes: its own and the
-        # ones absorbed from shard summaries, file name -> path
-        self._sidecars: dict[str, str] = {}
+        self._read_handle = None
         # Per relation: group tables for the root anchor's plans, and the
         # compiled binder with the nested anchors it counts base sets of.
         self._root_tables: dict[str, list[_GroupTable]] = {}
@@ -959,16 +916,15 @@ class StreamValidator:
         return value
 
     def _fold(self, group: dict, bindings: list, element: dict) -> None:
-        shard = self._shard_index
         for key_bytes, rhs_bytes, key, rhs in bindings:
             self._seq += 1
             agg = group.get(key_bytes)
             if agg is None:
                 self._reserve_slot()
-                group[key_bytes] = [key, (shard, self._seq), rhs_bytes,
-                                    rhs, element, None, None, None]
+                group[key_bytes] = [key, self._seq, rhs_bytes, rhs,
+                                    element, None, None, None]
             elif agg[5] is None and rhs_bytes != agg[2]:
-                agg[5] = (shard, self._seq)
+                agg[5] = self._seq
                 agg[6] = rhs
                 agg[7] = element
         self.stats.rows_emitted += len(bindings)
@@ -1002,12 +958,11 @@ class StreamValidator:
                 dir=self._spill_path(), prefix="elems-", suffix=".dat",
                 delete=False)
             handle.close()
-            store = self._elem_store = _ElementStore(handle.name)
-            self._sidecars[store.name] = store.path
+            self._elem_store = _ElementStore(handle.name)
         return self._elem_store
 
     def _write_failure(self, exc: OSError) -> StreamError:
-        """The error for a spill write (run, summary, sidecar, flush)
+        """The error for a spill write (run, sidecar, flush)
         the disk refused, naming where the spill files go."""
         where = self._spill_dir or self._spill_root or "the temp dir"
         return StreamError(f"cannot write spill files under {where!r}: "
@@ -1102,17 +1057,13 @@ class StreamValidator:
         if type(ref) is not tuple:
             return ref
         _, name, offset = ref
-        handle = self._read_handles.get(name)
         try:
-            if handle is None:
-                if self._elem_store is not None \
-                        and self._elem_store.name == name:
-                    self._elem_store.end_event()
-                handle = self._read_handles[name] = open(
-                    self._sidecars[name], "rb")
-            handle.seek(offset)
-            return pickle.load(handle)
-        except (OSError, KeyError, EOFError, pickle.UnpicklingError) as exc:
+            if self._read_handle is None:
+                self._elem_store.end_event()
+                self._read_handle = open(self._elem_store.path, "rb")
+            self._read_handle.seek(offset)
+            return pickle.load(self._read_handle)
+        except (OSError, EOFError, pickle.UnpicklingError) as exc:
             raise StreamError(f"cannot read a witness element at offset "
                               f"{offset} of spill sidecar {name!r}: "
                               f"{exc!r}") from exc
@@ -1136,20 +1087,15 @@ class StreamValidator:
         self._synced_hits = pool.hits
         self._synced_misses = pool.misses
 
-    def finalize(self, *, nested=None,
-                 completed_shards: tuple[int, ...] | None = None,
-                 elements_seen: int | None = None,
-                 exhausted: str | None = None,
+    def finalize(self, *,
                  violating: Mapping[int, Iterable[list]] | None = None) \
             -> StreamResult:
         """Run the merge pass and assemble the final result.
 
-        The keyword overrides exist for the sharded and incremental
-        drivers: the sharded one substitutes cross-shard nested triples
-        and shard bookkeeping, the incremental one the violating
-        aggregates of its merged checkpoint view (by plan index) for
-        the merge pass, which :meth:`export_tables` has drained.  A
-        plain engine finalizes with its own.
+        *violating* exists for the incremental driver: the violating
+        aggregates of its merged checkpoint view (by plan index) stand
+        in for the merge pass, which :meth:`export_tables` has drained.
+        A plain engine finalizes with its own.
         """
         start = time.perf_counter()
         per_plan: dict[int, list[Violation]] = {}
@@ -1175,26 +1121,16 @@ class StreamValidator:
                     witnesses.sort(key=lambda item: item[0])
                     per_plan[table.plan.index] = self._in_element_order(
                         relation, table.plan, [v for _, v in witnesses])
-        if nested is None:
-            nested = [(index, (self._shard_index, position), violation)
-                      for index, position, violation
-                      in self._nested_run.violations]
         for index, _, violation in sorted(
-                nested, key=lambda triple: (triple[0], triple[1])):
+                self._nested_run.violations,
+                key=lambda triple: (triple[0], triple[1])):
             per_plan.setdefault(index, []).append(violation)
         violations = tuple(chain.from_iterable(
             per_plan[index] for index in sorted(per_plan)))
         self._sync_pool_stats()
         self.stats.wall_time += time.perf_counter() - start
-        if exhausted is None:
-            exhausted = self._exhausted
-        if elements_seen is None:
-            elements_seen = self._elements_seen
-        if completed_shards is None:
-            completed_shards = () if exhausted is not None \
-                else (self._shard_index,)
-        return StreamResult(violations, self.stats, elements_seen,
-                            completed_shards, exhausted)
+        return StreamResult(violations, self.stats, self._elements_seen,
+                            self._exhausted)
 
     def _in_element_order(self, relation: str, plan,
                           violations: list[Violation]) -> list[Violation]:
@@ -1228,122 +1164,31 @@ class StreamValidator:
         return violations
 
     def cleanup(self) -> None:
-        """Remove every spilled run (and the spill directory when this
-        engine created it).  Safe to call more than once; all abnormal
-        exit paths — context-manager ``__exit__``, the ``finally``
-        blocks of the entry points, and failing shard workers — route
-        through here."""
+        """Remove every spilled run and the sidecar (and the spill
+        directory when this engine created it).  Safe to call more than
+        once; all abnormal exit paths — context-manager ``__exit__`` and
+        the ``finally`` blocks of the entry points — route through
+        here."""
         for tables in self._root_tables.values():
             for table in tables:
                 _unlink_all(table.runs)
-        for handle in self._read_handles.values():
+        if self._read_handle is not None:
             try:
-                handle.close()
+                self._read_handle.close()
             except OSError:
                 pass
-        self._read_handles.clear()
+            self._read_handle = None
         if self._elem_store is not None:
             try:
                 self._elem_store.close()
             except OSError:  # a full disk fails the flush again
                 pass
+            _unlink_all([self._elem_store.path])
             self._elem_store = None
-        _unlink_all(list(self._sidecars.values()))
-        self._sidecars.clear()
         if self._own_spill_dir and self._spill_dir is not None:
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
             self._own_spill_dir = False
-
-    # -- shard protocol ---------------------------------------------------
-
-    def summarize(self) -> dict:
-        """A picklable digest of this engine's state for the driver.
-
-        Root group tables become per-plan aggregate streams — inline
-        ``("mem", items)`` when nothing spilled, else merged into a
-        single sorted summary file ``("file", path, count)`` in the
-        shared spill directory (the per-worker runs are deleted once
-        merged).  Nested witnesses travel as ``(plan, position,
-        violation)`` triples with per-anchor base-set counts so the
-        driver can renumber base indices across shards.
-        """
-        self._sync_pool_stats()
-        tables_out: dict[str, list] = {}
-        try:
-            for relation, tables in self._root_tables.items():
-                specs = tables_out[relation] = []
-                for table in tables:
-                    if not table.runs:
-                        # aggregates are plain data and cross the
-                        # process boundary as they are (elements inline:
-                        # nothing was spilled, so there is no sidecar)
-                        specs.append(("mem", sorted(table.table.items())))
-                    else:
-                        path, count = self._write_run(
-                            self._merged_rows(table), prefix="summary-")
-                        _unlink_all(table.runs)
-                        specs.append(("file", path, count))
-                    table.table.clear()
-            store_path = None
-            if self._elem_store is not None:
-                # the driver resolves this worker's refs (and deletes
-                # the store) after the final merge
-                self._elem_store.end_event()
-                self._elem_store.close()
-                store_path = self._elem_store.path
-                del self._sidecars[self._elem_store.name]
-                self._elem_store = None
-        except OSError as exc:
-            _unlink_all([spec[1] for specs in tables_out.values()
-                         for spec in specs if spec[0] == "file"])
-            raise self._write_failure(exc) from exc
-        self._resident = 0
-        return {
-            "shard": self._shard_index,
-            "tables": tables_out,
-            "nested": list(self._nested_run.violations),
-            "anchor_counts": self._anchor_counts(),
-            "element_store": store_path,
-            "stats": self.stats.as_dict(),
-            "exhausted": self._exhausted,
-            "elements_seen": self._elements_seen,
-        }
-
-    def absorb_summary(self, summary: dict) -> None:
-        """Fold one shard's :meth:`summarize` digest into this engine.
-
-        Aggregate merging is exact and order-independent, but callers
-        absorb in task order anyway so counters — and any table
-        iteration order — are deterministic.  Summary files are
-        consumed and deleted.
-        """
-        start = time.perf_counter()
-        store_path = summary.get("element_store")
-        if store_path is not None:
-            self._sidecars[os.path.basename(store_path)] = store_path
-        for relation, specs in summary["tables"].items():
-            tables = self._root_tables.get(relation, ())
-            for table, spec in zip(tables, specs):
-                if spec[0] == "mem":
-                    items: Iterable = spec[1]
-                else:
-                    items = _iter_run_file(spec[1], spec[2])
-                for key_bytes, agg in items:
-                    existing = table.table.get(key_bytes)
-                    if existing is not None:
-                        table.table[key_bytes] = _merge_agg(existing,
-                                                            agg)
-                    else:
-                        self._reserve_slot()
-                        table.table[key_bytes] = agg
-                if spec[0] == "file":
-                    try:
-                        os.unlink(spec[1])
-                    except OSError:
-                        pass
-        self.stats.absorb(summary["stats"])
-        self.stats.wall_time += time.perf_counter() - start
 
     # -- persistent checkpoint protocol ------------------------------------
 
@@ -1441,8 +1286,7 @@ class StreamValidator:
 
     def checkpoint_meta(self) -> dict:
         """The non-table half of a checkpoint: what
-        :meth:`import_checkpoint` needs, mirroring the shard summary's
-        nested bookkeeping."""
+        :meth:`import_checkpoint` needs."""
         return {
             "seq": self._seq,
             "nested": list(self._nested_run.violations),
@@ -1511,181 +1355,3 @@ def stream_validate(schema: Schema, sigma: Iterable[NFD],
             return result
     finally:
         validator.cleanup()
-
-
-def _normalize_shard(spec) -> tuple:
-    """Accept ``("jsonl", path, start, stop)``, ``("rows", elements)``,
-    or a bare ``(path, start, stop)`` triple from ``plan_shards``."""
-    if isinstance(spec, tuple) and len(spec) == 3 \
-            and not isinstance(spec[0], str):
-        raise ValueError_(f"unrecognized shard spec: {spec!r}")
-    if spec[0] == "jsonl" or spec[0] == "rows":
-        return tuple(spec)
-    if len(spec) == 3:
-        return ("jsonl",) + tuple(spec)
-    raise ValueError_(f"unrecognized shard spec: {spec!r}")
-
-
-def shard_validate(schema: Schema, sigma: Iterable[NFD], relation: str,
-                   shards: Iterable, *, jobs: int = 1,
-                   budget: ResourceBudget | None = None,
-                   spill_dir: str | None = None,
-                   spill_root: str | None = None,
-                   tracer=None) -> StreamResult:
-    """Validate Σ against one relation split into element shards.
-
-    Each shard — a ``plan_shards`` range over a JSONL file, or an
-    inline ``("rows", elements)`` list — is consumed by its own
-    streaming engine (its own budget accounting, its own spill runs),
-    fanned out over ``jobs`` processes via
-    :func:`~repro.parallel.process_map`.  The driver folds the shard
-    summaries in task order, renumbers nested base sets by per-anchor
-    prefix sums, and runs the final merge, so the violations —
-    including conflicts whose two elements live in different shards —
-    are exactly the serial stream's.
-
-    The budget's ``deadline`` is shipped to workers as a wall-clock
-    epoch; each worker honours whatever remains of it when it starts.
-    Returns a :class:`StreamResult` whose ``completed_shards`` lists
-    the shard indices that fully consumed their input.
-
-    A worker whose stream raises removes its own spill runs before the
-    error propagates; the driver then removes every summary file it has
-    not yet consumed, so a failed sharded run leaves a caller-provided
-    *spill_dir* as it found it.
-    """
-    sigma = tuple(sigma)
-    shard_specs = [_normalize_shard(spec) for spec in shards]
-    shared_dir = spill_dir or tempfile.mkdtemp(
-        prefix="repro-stream-", dir=_spill_parent(spill_root))
-    own_dir = spill_dir is None
-    deadline_epoch = None
-    max_rows = max_elements = None
-    if budget is not None:
-        max_rows = budget.max_resident_rows
-        max_elements = budget.max_elements
-        if budget.deadline is not None:
-            deadline_epoch = time.time() + budget.deadline
-    driver = StreamValidator(
-        schema, sigma,
-        budget=(ResourceBudget(max_resident_rows=max_rows)
-                if max_rows is not None else None),
-        spill_dir=shared_dir, tracer=tracer, shard_index=-1)
-    try:
-        payload = (schema, list(sigma), relation, max_rows,
-                   max_elements, deadline_epoch, shared_dir)
-        tasks = list(enumerate(shard_specs))
-        if tracer is None:
-            return _drive_shards(driver, payload, tasks, jobs, None)
-        with tracer.span("stream.shard_validate", relation=relation,
-                         shards=len(tasks), jobs=jobs) as span:
-            result = _drive_shards(driver, payload, tasks, jobs, tracer)
-            span.add("violations", len(result.violations))
-            return result
-    finally:
-        driver.cleanup()
-        if own_dir:
-            shutil.rmtree(shared_dir, ignore_errors=True)
-
-
-def _drive_shards(driver: StreamValidator, payload, tasks, jobs: int,
-                  tracer) -> StreamResult:
-    """Fan the shard tasks out, then fold summaries in task order."""
-    from ..parallel import process_map
-
-    summaries = process_map(_shard_setup, payload, _shard_probe, tasks,
-                            jobs, threshold=2)
-    try:
-        offsets: dict[str, int] = {}
-        nested_triples = []
-        completed = []
-        exhausted = None
-        elements = 0
-        for index, summary in enumerate(summaries):
-            for plan_index, position, violation in summary["nested"]:
-                offset = offsets.get(
-                    driver._plan_anchor_base[plan_index], 0)
-                if offset:
-                    violation = Violation(
-                        violation.nfd, violation.base_index + offset,
-                        violation.element1, violation.element2,
-                        violation.lhs_values, violation.rhs_value1,
-                        violation.rhs_value2)
-                nested_triples.append(
-                    (plan_index, (index, position), violation))
-            for base, count in summary["anchor_counts"].items():
-                offsets[base] = offsets.get(base, 0) + count
-            driver.absorb_summary(summary)
-            elements += summary["elements_seen"]
-            if summary["exhausted"] is None:
-                completed.append(index)
-            elif exhausted is None:
-                exhausted = summary["exhausted"]
-            if tracer is not None:
-                with tracer.span("stream.shard", shard=index) as span:
-                    span.add("elements_seen",
-                             summary["stats"]["elements_seen"])
-                    span.add("rows_emitted",
-                             summary["stats"]["rows_emitted"])
-                    span.add("spills", summary["stats"]["spills"])
-    except BaseException:
-        # abnormal driver exit: drop every summary file not yet
-        # consumed so a caller-provided spill dir is left clean
-        for summary in summaries:
-            for specs in summary["tables"].values():
-                for spec in specs:
-                    if spec[0] == "file":
-                        try:
-                            os.unlink(spec[1])
-                        except OSError:
-                            pass
-        raise
-    return driver.finalize(
-        nested=nested_triples, completed_shards=tuple(completed),
-        elements_seen=elements, exhausted=exhausted)
-
-
-# -------------------------------------------------- shard workers
-# Module-level so ProcessPoolExecutor can pickle references to them.
-
-
-def _shard_setup(payload):
-    """Worker initializer: the shared payload is the whole context."""
-    return payload
-
-
-def _shard_probe(context, task):
-    """Worker task: stream one shard through its own engine and return
-    the picklable summary digest.  A stream that raises mid-shard
-    (e.g. a malformed JSONL line after the first spill) cleans this
-    worker's spill runs up before the error propagates to the driver.
-    """
-    schema, sigma, relation, max_rows, max_elements, deadline_epoch, \
-        shared_dir = context
-    index, spec = task
-    deadline = None
-    if deadline_epoch is not None:
-        deadline = max(deadline_epoch - time.time(), 0.0)
-    budget = None
-    if max_rows is not None or max_elements is not None \
-            or deadline is not None:
-        budget = ResourceBudget(max_resident_rows=max_rows,
-                                deadline=deadline,
-                                max_elements=max_elements)
-    validator = StreamValidator(schema, sigma, budget=budget,
-                                spill_dir=shared_dir, shard_index=index)
-    try:
-        if spec[0] == "rows":
-            elements: Iterable = spec[1]
-        else:
-            from ..io.stream import iter_jsonl_elements
-
-            _, path, start, stop = spec
-            elements = iter_jsonl_elements(path, schema, relation,
-                                           start=start, stop=stop,
-                                           require_elements=False)
-        validator.consume(relation, elements)
-        return validator.summarize()
-    except BaseException:
-        validator.cleanup()
-        raise

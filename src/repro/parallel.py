@@ -1,11 +1,10 @@
 """Process-parallel fan-out for analysis workloads.
 
-The hot loops of the analysis and validation layers — the
-key-combination sweep, the normalization sweep, the shards of a
-streamed check — are embarrassingly parallel over *independent* tasks
-that all consult one shared, read-only context (a compiled session, or
-a stream engine's inputs).  :func:`process_map` is the one
-fan-out primitive they share:
+The hot loops of the analysis and design layers — the key-combination
+sweep and the normalization sweep — are embarrassingly parallel over
+*independent* tasks that all consult one shared, read-only context (a
+compiled session, or a sweep's generator settings).  :func:`process_map`
+is the one fan-out primitive they share:
 
 * **per-process setup**: each worker process runs ``setup(payload)``
   exactly once (a :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -18,10 +17,10 @@ fan-out primitive they share:
 * **deterministic ordering**: results come back in task order
   (``Executor.map`` semantics), so parallel runs are byte-identical to
   serial runs;
-* **serial fallback**: with ``jobs <= 1``, or fewer than *threshold*
-  tasks (process startup would dominate), the same ``setup``/``func``
-  pair runs inline in the calling process — one code path to test,
-  identical answers by construction.
+* **serial fallback**: with ``jobs <= 1``, or fewer than
+  :data:`PARALLEL_THRESHOLD` tasks (process startup would dominate),
+  the same ``setup``/``func`` pair runs inline in the calling process —
+  one code path to test, identical answers by construction.
 
 Warm-up path
 ------------
@@ -90,7 +89,6 @@ def _invoke(task: tuple[Callable[[Any, Any], Any], Any]) -> Any:
 def process_map(setup: Callable[[Any], Any], payload: Any,
                 func: Callable[[Any, Any], Any], items: Iterable[Any],
                 jobs: int = 1, *,
-                threshold: int = PARALLEL_THRESHOLD,
                 chunksize: int | None = None) -> list[Any]:
     """Map ``func(context, item)`` over *items*, possibly in parallel.
 
@@ -102,11 +100,11 @@ def process_map(setup: Callable[[Any], Any], payload: Any,
     construction.
 
     Serial execution is chosen when ``jobs <= 1`` or when there are
-    fewer than *threshold* items; both paths run the exact same
-    ``setup``/``func`` code.
+    fewer than :data:`PARALLEL_THRESHOLD` items; both paths run the
+    exact same ``setup``/``func`` code.
     """
     work: Sequence[Any] = list(items)
-    if jobs <= 1 or len(work) < max(threshold, 2):
+    if jobs <= 1 or len(work) < PARALLEL_THRESHOLD:
         context = setup(payload)
         return [func(context, item) for item in work]
     workers = min(jobs, len(work))

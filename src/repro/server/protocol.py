@@ -44,9 +44,8 @@ import json
 from typing import Any
 
 from ..errors import ReproError
-from ..inference.empty_sets import NonEmptySpec
-from ..io.json_io import instance_rows, nfds_from_list, schema_from_dict
-from ..paths.path import parse_path
+from ..io.json_io import (bundle_spec, instance_rows, nfds_from_list,
+                          schema_from_dict)
 
 __all__ = [
     "PROTOCOL_VERSION", "DEFAULT_PORT", "MAX_FRAME_BYTES",
@@ -186,19 +185,7 @@ def parse_bundle_payload(payload: Any):
         rows = None
         if payload.get("instance") is not None:
             rows = instance_rows(schema, payload["instance"])
-        declared = payload.get("nonempty")
-        if declared is None:
-            spec = None
-        elif declared == "*":
-            spec = NonEmptySpec.all_nonempty()
-        elif isinstance(declared, list):
-            spec = NonEmptySpec({parse_path(item) for item in declared})
-        else:
-            raise ProtocolError(
-                "invalid_bundle",
-                '"nonempty" must be "*" or a list of paths')
-    except ProtocolError:
-        raise
+        spec = bundle_spec(payload)
     except (ReproError, TypeError, AttributeError, KeyError) as exc:
         raise ProtocolError("invalid_bundle",
                             f"bundle does not parse: {exc}") from exc

@@ -67,8 +67,9 @@ __all__ = ["CacheStore", "CacheStats", "CacheWarning",
            "resolve_cache_dir", "default_spill_root", "open_store",
            "DB_FILENAME", "SCHEMA_VERSION"]
 
-#: Bump when the SQLite table layout changes incompatibly.
-SCHEMA_VERSION = 4
+#: Bump when the SQLite table layout, or the form of a stored row,
+#: changes incompatibly (5: checkpoint emission sequences are ints).
+SCHEMA_VERSION = 5
 
 #: The database file created inside a cache directory.
 DB_FILENAME = "repro-cache.sqlite"

@@ -9,8 +9,8 @@ that agrees exactly with value equality:
   field order while ``repr`` preserves it, so two equal records could
   sort apart in an external merge and a real violation would be missed;
 * **deterministic** — independent of construction order, hash
-  randomization, and the process that produced it, so runs written by
-  different shard workers merge consistently.
+  randomization, and the process that produced it, so a checkpoint
+  written by one process resumes in another.
 
 The encoding is a self-delimiting prefix code: every node writes a tag,
 a length/arity, and then its (already self-delimiting) payloads, so the

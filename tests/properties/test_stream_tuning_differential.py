@@ -6,13 +6,11 @@ runs in 64-pair pickle chunks.  For any random schema/Σ/instance it
 must report byte-identical witness descriptions to the in-memory
 :class:`repro.nfd.ValidatorEngine`, and its verdict must equal the
 Definition 2.4 oracle :func:`repro.nfd.satisfy.satisfies_all`, in
-three settings:
+two settings:
 
 * resident (no budget);
 * spilling (a 2-row budget, so every table goes through sorted runs and
-  the k-way merge);
-* sharded: a 2-row worker's :meth:`~repro.nfd.StreamValidator.summarize`
-  digest absorbed into a fresh driver.
+  the k-way merge).
 
 Each of these runs 100 hypothesis examples under the default profile
 (the nightly profile multiplies that by 10).  Six fixed spilling cases
@@ -29,7 +27,6 @@ from repro.generators import random_instance, random_schema, random_sigma
 from repro.io.stream import iter_set_elements
 from repro.nfd import (
     ResourceBudget,
-    StreamValidator,
     ValidatorEngine,
     stream_validate,
 )
@@ -90,41 +87,6 @@ def test_all_tunings_match_engine_spilling(seed):
     assert _witnesses(result) == expected
     assert result.ok == holds
     assert result.stats.peak_resident_rows <= 2
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=0, max_value=100_000))
-def test_summaries_merge_identically(seed):
-    """The worker summarize/absorb protocol: a spilling worker absorbed
-    into a fresh driver finalizes to the in-memory witnesses."""
-    schema, sigma, instance = _draw_case(seed)
-    if not sigma:
-        return
-    expected, holds = _oracles(schema, sigma, instance)
-    worker = StreamValidator(
-        schema, sigma, budget=ResourceBudget(max_resident_rows=2),
-        shard_index=0)
-    try:
-        for name, value in instance.relations():
-            worker.consume(name, iter_set_elements(value))
-        summary = worker.summarize()
-        driver = StreamValidator(schema, sigma)
-        try:
-            driver.absorb_summary(summary)
-            # single-shard driver: renumbering offsets are zero
-            triples = [(plan_index, (0, position), violation)
-                       for plan_index, position, violation
-                       in summary["nested"]]
-            result = driver.finalize(
-                nested=triples,
-                elements_seen=summary["elements_seen"],
-                exhausted=summary["exhausted"])
-        finally:
-            driver.cleanup()
-    finally:
-        worker.cleanup()
-    assert _witnesses(result) == expected
-    assert result.ok == holds
 
 
 #: One stats case per retired tuning label.  The hot path no longer

@@ -195,13 +195,6 @@ class TestIncrementalCLI:
         assert "--incremental requires a cache directory" in \
             capsys.readouterr().err
 
-    def test_rejects_shards(self, course_bundle, course_jsonl,
-                            cache_dir, capsys):
-        assert main(["check", course_bundle, "--stream", course_jsonl,
-                     "--incremental", "--shards", "2",
-                     "--cache-dir", cache_dir]) == 2
-        assert "single-shard" in capsys.readouterr().err
-
     def test_resume_matches_cold_stdout_and_exit(self, course_bundle,
                                                  course_jsonl,
                                                  cache_dir, capsys):
@@ -239,19 +232,6 @@ class TestIncrementalCLI:
         assert main(args[:4]) == 1
         assert capsys.readouterr().out == warm_out == cold_out
         assert _metrics(metrics)["cache"]["stream_hits"] == 0
-
-    def test_sharded_stream_with_cache_matches_without(
-            self, course_bundle, course_jsonl, cache_dir, capsys):
-        _append_clash(course_jsonl)
-        base = ["check", course_bundle, "--stream", course_jsonl,
-                "--shards", "2", "--jobs", "2"]
-        assert main(base) == 1
-        plain = capsys.readouterr().out
-        assert main(base + ["--cache-dir", cache_dir]) == 1
-        cold_cached = capsys.readouterr().out
-        assert main(base + ["--cache-dir", cache_dir]) == 1
-        warm_cached = capsys.readouterr().out
-        assert plain == cold_cached == warm_cached
 
 
 class TestCorruptionFallback:

@@ -81,6 +81,24 @@ def no_instance(tmp_path):
     return str(path)
 
 
+#: (fixture name, a malformed bundle ``"nonempty"``)
+BAD_NONEMPTY = [("nonempty_int", 5), ("nonempty_string", "ab"),
+                ("nonempty_object", {"s": 1})]
+
+
+@pytest.fixture
+def bad_nonempty(good, tmp_path):
+    """The good bundle under each malformed ``"nonempty"``, by name."""
+    paths = {}
+    for name, declared in BAD_NONEMPTY:
+        data = json.loads(Path(good).read_text())
+        data["nonempty"] = declared
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    return paths
+
+
 @pytest.fixture
 def missing(tmp_path):
     return str(tmp_path / "does_not_exist.json")
@@ -147,6 +165,16 @@ TABLE = [
                       "--strategy", "quantum"], 2),
     ("check-jobs-zero", ["check", "{good}", "--jobs", "0"], 2),
     ("check-jobs-negative", ["check", "{good}", "--jobs", "-2"], 2),
+    # check runs one engine: --jobs and --shards are retired
+    ("check-jobs-two", ["check", "{good}", "--jobs", "2"], 2),
+    ("check-stream-shards", ["check", "{good}", "--stream", "{stream}",
+                             "--shards", "2"], 2),
+    # "nonempty" is "*" or a list of path strings, nothing else
+    ("implies-nonempty-int", ["implies", "{nonempty_int}", IMPLIED], 2),
+    ("implies-nonempty-string", ["implies", "{nonempty_string}",
+                                 IMPLIED], 2),
+    ("implies-nonempty-object", ["implies", "{nonempty_object}",
+                                 IMPLIED], 2),
     ("keys-jobs-zero", ["keys", "{good}", "--jobs", "0"], 2),
     ("keys-jobs-negative", ["keys", "{good}", "--jobs", "-2"], 2),
     ("normalize-jobs-zero", ["normalize", "--sweep", "2",
@@ -190,10 +218,12 @@ TABLE = [
 @pytest.mark.parametrize(("case", "template", "expected"), TABLE,
                          ids=[row[0] for row in TABLE])
 def test_exit_code(case, template, expected, good, broken, weaker,
-                   no_instance, missing, stream, dead_port, capsys):
+                   no_instance, missing, stream, dead_port, bad_nonempty,
+                   capsys):
     values = {"good": good, "broken": broken, "weaker": weaker,
               "no_instance": no_instance, "missing": missing,
-              "stream": stream, "dead_port": str(dead_port)}
+              "stream": stream, "dead_port": str(dead_port),
+              **bad_nonempty}
     argv = [arg.format(**values) for arg in template]
     assert run(argv) == expected, argv
 
@@ -205,7 +235,7 @@ MISSING = object()
 ILL_TYPED = [("time-string", "1"), ("time-bool", True),
              ("time-float", 1.0), ("time-missing", MISSING)]
 #: (mode id, extra ``check --stream`` arguments)
-STREAM_MODES = [("plain", []), ("shards", ["--shards", "2"]),
+STREAM_MODES = [("plain", []),
                 ("incremental", ["--incremental", "--cache-dir",
                                  "{cache}"])]
 
@@ -321,8 +351,8 @@ def test_stream_crlf_line_ends_are_whitespace(mode, extra, tmp_path,
                          ids=[row[0] for row in STREAM_MODES])
 def test_stream_invalid_utf8_exits_2(mode, extra, tmp_path, capsys):
     """An invalid UTF-8 byte is a typed error naming its line — exit 2,
-    not a ``UnicodeDecodeError`` traceback with exit 1 — on the plain,
-    sharded (the line count included) and incremental paths, with
+    not a ``UnicodeDecodeError`` traceback with exit 1 — on the plain
+    and incremental paths (the watermark scan included), with
     ``<cache-dir>/tmp`` left empty."""
     a, b, c = _course_lines()
     bad = b.replace(b'"Y"', b'"Y\xff"')
@@ -411,6 +441,11 @@ SERVER_TABLE = [
     ("closure", ["closure", "{good}", "Course", "cnum"], 0),
     ("keys", ["keys", "{good}", "Course"], 0),
     ("check-no-instance", ["check", "{no_instance}"], 2),
+    ("implies-nonempty-int", ["implies", "{nonempty_int}", IMPLIED], 2),
+    ("implies-nonempty-string", ["implies", "{nonempty_string}",
+                                 IMPLIED], 2),
+    ("implies-nonempty-object", ["implies", "{nonempty_object}",
+                                 IMPLIED], 2),
 ]
 
 
@@ -418,9 +453,9 @@ SERVER_TABLE = [
                          ids=[row[0] for row in SERVER_TABLE])
 def test_server_passthrough_exit_code(case, template, expected,
                                       live_server, good, broken,
-                                      no_instance, capsys):
+                                      no_instance, bad_nonempty, capsys):
     values = {"good": good, "broken": broken,
-              "no_instance": no_instance}
+              "no_instance": no_instance, **bad_nonempty}
     argv = [arg.format(**values) for arg in template]
     assert run(argv + ["--server", live_server]) == expected, argv
     # and the code agrees with the in-process run of the same argv
@@ -438,11 +473,12 @@ STDOUT_TABLE = SERVER_TABLE + [
 @pytest.mark.parametrize(("case", "template", "expected"), STDOUT_TABLE,
                          ids=[row[0] for row in STDOUT_TABLE])
 def test_server_passthrough_stdout(case, template, expected, live_server,
-                                   good, broken, no_instance, capsys):
+                                   good, broken, no_instance, bad_nonempty,
+                                   capsys):
     """``--server`` prints what the in-process run prints; only stderr
     may differ (daemon errors carry their code prefix)."""
     values = {"good": good, "broken": broken,
-              "no_instance": no_instance}
+              "no_instance": no_instance, **bad_nonempty}
     argv = [arg.format(**values) for arg in template]
     capsys.readouterr()
     remote_code = run(argv + ["--server", live_server])
@@ -509,6 +545,24 @@ def test_ill_typed_instance_exits_2(case, spoil, command, remote,
     assert "Course[1]" in lines[0]
     if remote:
         assert lines[0].startswith("error: invalid_bundle: ")
+
+
+@pytest.mark.parametrize("command", ["implies", "check"])
+@pytest.mark.parametrize("name", [row[0] for row in BAD_NONEMPTY])
+def test_malformed_nonempty_is_one_error_line(name, command, bad_nonempty,
+                                              capsys):
+    """In process, a malformed ``"nonempty"`` is refused as the daemon
+    refuses it (``invalid_bundle``): exit 2 and one ``error:`` line, by
+    every bundle query — never a traceback, and never read as paths."""
+    argv = ["implies", bad_nonempty[name], IMPLIED] if command == "implies" \
+        else ["check", bad_nonempty[name]]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith('error: bundle "nonempty" must be "*" or a '
+                           "list of path strings, got ")
 
 
 #: Commands that read a bundle's schema and Σ and discard its instance.

@@ -11,11 +11,9 @@ import pytest
 
 from repro.errors import StreamError
 from repro.io import (
-    count_stream_lines,
     dump_jsonl,
     iter_jsonl_elements,
     iter_set_elements,
-    plan_shards,
 )
 from repro.values import to_python, value_of_json
 
@@ -237,36 +235,3 @@ class TestRangesAndShards:
         assert _records(
             path, course_schema, "Course", start=0, stop=1,
             require_elements=False) == expected[:1]
-
-    def test_plan_shards_cover_and_preserve_order(
-            self, course_schema, course_instance, course_dump):
-        path, count = course_dump
-        expected = list(course_instance.relation("Course"))
-        for shards in (1, 2, 3, count + 2):
-            ranges = plan_shards(path, shards)
-            assert len(ranges) == shards
-            assert ranges[0][1] == 0
-            for (_, _, hi), (_, lo, _) in zip(ranges, ranges[1:]):
-                assert hi == lo  # contiguous
-            streamed = []
-            for label, lo, hi in ranges:
-                streamed.extend(_records(
-                    label, course_schema, "Course", start=lo, stop=hi,
-                    require_elements=False))
-            assert streamed == expected
-
-    def test_plan_shards_rejects_bad_counts(self, course_dump):
-        path, _ = course_dump
-        with pytest.raises(StreamError, match="shard count"):
-            plan_shards(path, 0)
-
-    def test_plan_shards_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("\n")
-        with pytest.raises(StreamError, match="empty stream"):
-            plan_shards(path, 2)
-
-    def test_count_stream_lines(self, tmp_path):
-        path = tmp_path / "mixed.jsonl"
-        path.write_text('{"a": 1}\n\n{"a": 2}\n')
-        assert count_stream_lines(path) == (3, 2)

@@ -3,9 +3,8 @@
 The differential property suite
 (:mod:`tests.properties.test_stream_validate_differential`) covers the
 randomized equivalence claims; these tests pin the targeted behaviors:
-budget-bounded spilling, cooperative cancellation, cross-shard
-conflicts, canonical key encoding, tracer invariance, and a
-numpy-free ``check --stream``.
+budget-bounded spilling, cooperative cancellation, canonical key
+encoding, tracer invariance, and a numpy-free ``check --stream``.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from repro.nfd import (
     StreamStats,
     ValidatorEngine,
     parse_nfds,
-    shard_validate,
     stream_validate,
 )
 from repro.obs import Tracer
@@ -171,59 +169,6 @@ class TestBudgetExhaustion:
             ResourceBudget(deadline=float("nan"))
 
 
-class TestShardValidate:
-    def test_cross_shard_conflict_found(self, course_schema,
-                                        course_sigma,
-                                        conflicted_course):
-        reference = ValidatorEngine(course_schema, course_sigma) \
-            .validate(conflicted_course, all_violations=True)
-        assert reference.violations
-        ordered = list(conflicted_course.relation("Course"))
-        # one element per shard: no shard sees both clashing elements
-        shards = [("rows", [element]) for element in ordered]
-        result = shard_validate(course_schema, course_sigma, "Course",
-                                shards)
-        assert result.completed_shards == tuple(range(len(shards)))
-        assert _describe(result.violations) == \
-            _describe(reference.violations)
-
-    def test_nested_witnesses_cross_shards(self, course_schema,
-                                           course_sigma,
-                                           nested_conflict_course):
-        reference = ValidatorEngine(course_schema, course_sigma) \
-            .validate(nested_conflict_course, all_violations=True)
-        ordered = list(nested_conflict_course.relation("Course"))
-        shards = [("rows", [element]) for element in ordered]
-        result = shard_validate(course_schema, course_sigma, "Course",
-                                shards)
-        assert _describe(result.violations) == \
-            _describe(reference.violations)
-
-    def test_sharded_jsonl_matches_serial(self, tmp_path,
-                                          course_schema, course_sigma,
-                                          conflicted_course):
-        from repro.io.stream import dump_jsonl, plan_shards
-        path = tmp_path / "course.jsonl"
-        dump_jsonl(path, iter_set_elements(
-            conflicted_course.relation("Course")))
-        reference = ValidatorEngine(course_schema, course_sigma) \
-            .validate(conflicted_course, all_violations=True)
-        result = shard_validate(course_schema, course_sigma, "Course",
-                                plan_shards(path, 3))
-        assert _describe(result.violations) == \
-            _describe(reference.violations)
-
-    def test_shard_budget_reports_exhaustion(
-            self, course_schema, course_sigma, course_instance):
-        ordered = list(course_instance.relation("Course"))
-        result = shard_validate(
-            course_schema, course_sigma, "Course",
-            [("rows", ordered)],
-            budget=ResourceBudget(max_elements=0))
-        assert result.budget_exhausted == "max_elements"
-        assert result.ok is False
-
-
 class TestObservability:
     def test_tracer_invariance(self, course_schema, course_sigma,
                                conflicted_course):
@@ -237,20 +182,6 @@ class TestObservability:
             _describe(plain.violations)
         assert traced.stats.elements_seen == plain.stats.elements_seen
         assert [span.name for span in tracer.spans("stream.validate")]
-
-    def test_shard_tracer_invariance(self, course_schema, course_sigma,
-                                     conflicted_course):
-        ordered = list(conflicted_course.relation("Course"))
-        shards = [("rows", ordered[:1]), ("rows", ordered[1:])]
-        plain = shard_validate(course_schema, course_sigma, "Course",
-                               shards)
-        tracer = Tracer()
-        traced = shard_validate(course_schema, course_sigma, "Course",
-                                shards, tracer=tracer)
-        assert _describe(traced.violations) == \
-            _describe(plain.violations)
-        assert tracer.spans("stream.shard_validate")
-        assert len(tracer.spans("stream.shard")) == len(shards)
 
 
 class TestWitnessElementsBuilt:
@@ -299,8 +230,8 @@ class TestWitnessElementsBuilt:
         assert stats["witness_elements_built"] == 0
         assert "witness elements built: 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [(), ("--shards", "2")],
-                             ids=["plain", "shards"])
+    # one plain run: check --stream has a single engine path
+    @pytest.mark.parametrize("extra", [()], ids=["plain"])
     def test_bounded_by_witnesses_and_rewalks(self, tmp_path, capsys,
                                               extra):
         code, stats = self._stream(tmp_path, self._workload(
@@ -357,15 +288,6 @@ class TestPlainElements:
 
 
 class TestStreamStats:
-    def test_absorb_takes_max_of_peaks(self):
-        stats = StreamStats(elements_seen=2, peak_resident_rows=7)
-        stats.absorb(StreamStats(elements_seen=3,
-                                 peak_resident_rows=5).as_dict())
-        assert stats.elements_seen == 5
-        assert stats.peak_resident_rows == 7
-        stats.absorb(StreamStats(peak_resident_rows=11).as_dict())
-        assert stats.peak_resident_rows == 11
-
     def test_as_metrics_matches_as_dict(self):
         stats = StreamStats(rows_emitted=4, spills=1)
         assert stats.as_metrics() == stats.as_dict()
@@ -515,11 +437,10 @@ class TestElementStore:
         store.close()
         assert first != second
 
-    @pytest.mark.parametrize("shards", [(), ("--shards", "2",
-                                             "--jobs", "2")],
-                             ids=["plain", "sharded"])
+    # one plain run: check --stream has a single engine path
+    @pytest.mark.parametrize("extra", [()], ids=["plain"])
     def test_spill_bytes_do_not_depend_on_the_spill_path(
-            self, tmp_path, course_schema, course_sigma, shards, capsys):
+            self, tmp_path, course_schema, course_sigma, extra, capsys):
         """Refs name a sidecar by its file name, so the same input
         spills the same bytes under spill roots of different path
         lengths, and prints the same witnesses."""
@@ -543,7 +464,7 @@ class TestElementStore:
             code = main(["check", str(bundle), "--stream", str(path),
                          "--max-rows", "7", "--cache-dir",
                          str(tmp_path / root), "--metrics-json",
-                         str(metrics), *shards])
+                         str(metrics), *extra])
             stream = json.loads(metrics.read_text())["sections"]["stream"]
             runs.append((code, capsys.readouterr().out,
                          stream["bytes_spilled"]))
@@ -648,7 +569,7 @@ class TestTornSpillFiles:
 
 class TestNoNumpy:
     """The streaming engine is pure stdlib: a spilling ``check
-    --stream`` run, plain and sharded, never imports numpy."""
+    --stream`` run never imports numpy."""
 
     def test_spilling_check_stream_never_imports_numpy(
             self, tmp_path, course_schema, course_sigma,
@@ -673,10 +594,7 @@ class TestNoNumpy:
             "bundle, stream, out = sys.argv[1:]\n"
             "base = ['check', bundle, '--stream', stream,"
             " '--max-rows', '1']\n"
-            "codes = []\n"
-            "for n, extra in enumerate([[], ['--shards', '2']]):\n"
-            "    codes.append(main(base + extra + ['--metrics-json',"
-            " f'{out}.{n}']))\n"
+            "codes = [main(base + ['--metrics-json', f'{out}.0'])]\n"
             "print(json.dumps({'codes': codes,"
             " 'numpy': 'numpy' in sys.modules}))\n")
         src = Path(__file__).resolve().parents[1] / "src"
@@ -691,12 +609,11 @@ class TestNoNumpy:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         verdict = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert verdict == {"codes": [1, 1], "numpy": False}
-        for n in range(2):
-            with open(f"{metrics}.{n}") as handle:
-                stats = json.load(handle)["sections"]["stream"]
-            assert stats["spills"] >= 1
-            assert stats["peak_resident_rows"] <= 1
+        assert verdict == {"codes": [1], "numpy": False}
+        with open(f"{metrics}.0") as handle:
+            stats = json.load(handle)["sections"]["stream"]
+        assert stats["spills"] >= 1
+        assert stats["peak_resident_rows"] <= 1
 
 
 class TestCompiledBinder:

@@ -16,7 +16,7 @@ import pytest
 from repro.errors import InferenceError
 from repro.generators import workloads
 from repro.inference import ClosureEngine, ImplicationSession
-from repro.nfd import ValidatorEngine, shard_validate
+from repro.nfd import ValidatorEngine
 from repro.obs import (
     Histogram,
     MetricsRegistry,
@@ -25,7 +25,6 @@ from repro.obs import (
     supports_metrics,
 )
 from repro.paths import parse_path
-from repro.values import to_python
 
 
 class TestTracerSpans:
@@ -276,53 +275,6 @@ class TestSnapshotDiff:
         assert all(count >= 0 for count in window.groups.values())
         # trie_nodes is fixed at compile time, not a delta
         assert window.trie_nodes == engine.snapshot().trie_nodes
-
-
-class TestDeterministicFanoutMerge:
-    """``shard_validate(jobs=N)`` folds the workers' summaries in task
-    order: result and merged stats equal the serial run's."""
-
-    def _broken_warehouse(self):
-        instance = workloads.warehouse_instance().with_relation(
-            "StoreA", [
-                {"order_id": 1, "customer": "ada", "lines": []},
-                {"order_id": 1, "customer": "grace", "lines": []},
-            ])
-        return instance.with_relation("StoreB", [
-            {"order_id": 2, "customer": "ada", "lines": []},
-            {"order_id": 2, "customer": "grace", "lines": []},
-        ])
-
-    @staticmethod
-    def _comparable(stats):
-        payload = stats.as_dict()
-        payload.pop("wall_time")  # serial vs summed-worker clocks differ
-        return payload
-
-    def _run(self, jobs):
-        """Each relation's elements as one shard apiece, under *jobs*
-        processes: the witnesses and the stats of every relation."""
-        schema = workloads.warehouse_schema()
-        sigma = workloads.warehouse_sigma()
-        instance = self._broken_warehouse()
-        outcome = []
-        for relation in schema.relation_names:
-            shards = [("rows", [to_python(element)])
-                      for element in instance.relation(relation)]
-            result = shard_validate(
-                schema, [nfd for nfd in sigma if nfd.relation == relation],
-                relation, shards, jobs=jobs)
-            outcome.append(([v.describe() for v in result.violations],
-                            self._comparable(result.stats)))
-        return outcome
-
-    def test_merged_stats_equal_serial_stats(self):
-        serial = self._run(jobs=1)
-        assert sum(len(witnesses) for witnesses, _ in serial) == 2
-        assert self._run(jobs=4) == serial
-
-    def test_merged_stats_deterministic_across_runs(self):
-        assert self._run(jobs=4) == self._run(jobs=4)
 
 
 class TestRunReport:

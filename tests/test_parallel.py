@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.keys import minimal_keys
 from repro.generators import workloads
 from repro.inference import NonEmptySpec
-from repro.nfd import ValidatorEngine, shard_validate
 from repro.parallel import (
     PARALLEL_THRESHOLD,
     process_map,
@@ -13,7 +12,6 @@ from repro.parallel import (
     spec_payload,
 )
 from repro.paths import parse_path
-from repro.values import to_python
 
 
 # worker functions must be module-level so the pool can pickle them
@@ -93,67 +91,6 @@ class TestParallelKeys:
         assert parallel == serial
         assert parallel != minimal_keys(schema, sigma, "Course")
 
-
-def _rendered(result):
-    return [v.describe() for v in result.violations]
-
-
-def _shards(instance, relation):
-    """One ``("rows", ...)`` shard per element of *relation*'s set."""
-    return [("rows", [to_python(element)])
-            for element in instance.relation(relation)]
-
-
-class TestParallelValidation:
-    """``check --stream --shards N --jobs N``'s fan-out:
-    :func:`shard_validate` over worker processes."""
-
-    @pytest.fixture
-    def broken_warehouse(self):
-        # same order id, two customers, in both sources: the clashing
-        # elements land in different shards, so the workers' summaries
-        # must be merged to find them
-        instance = workloads.warehouse_instance().with_relation(
-            "StoreA", [
-                {"order_id": 1, "customer": "ada", "lines": []},
-                {"order_id": 1, "customer": "grace", "lines": []},
-            ])
-        return instance.with_relation("StoreB", [
-            {"order_id": 2, "customer": "ada", "lines": []},
-            {"order_id": 2, "customer": "grace", "lines": []},
-        ])
-
-    def test_fanout_matches_serial(self, broken_warehouse):
-        schema = workloads.warehouse_schema()
-        sigma = workloads.warehouse_sigma()
-        witnesses = 0
-        for relation in ("StoreA", "StoreB"):
-            own = [nfd for nfd in sigma if nfd.relation == relation]
-            shards = _shards(broken_warehouse, relation)
-            serial = shard_validate(schema, own, relation, shards)
-            parallel = shard_validate(schema, own, relation, shards,
-                                      jobs=2)
-            oracle = ValidatorEngine(schema, own).validate(
-                broken_warehouse, all_violations=True)
-            assert serial.ok == parallel.ok is False
-            assert _rendered(parallel) == _rendered(serial) == \
-                _rendered(oracle)
-            witnesses += len(parallel.violations)
-        assert witnesses == 2
-
-    def test_fanout_on_clean_instance(self):
-        schema = workloads.warehouse_schema()
-        sigma = workloads.warehouse_sigma()
-        instance = workloads.warehouse_instance()
-        for relation in schema.relation_names:
-            # each set holds one element: two copies make two shards,
-            # so the pool runs
-            own = [nfd for nfd in sigma if nfd.relation == relation]
-            result = shard_validate(schema, own, relation,
-                                    _shards(instance, relation) * 2,
-                                    jobs=2)
-            assert result.ok is True
-            assert result.completed_shards == (0, 1)
 
 def _failing_probe(context, item):
     if item == 3:

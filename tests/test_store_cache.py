@@ -197,6 +197,67 @@ class TestClosureMemoTable:
             assert metrics["store_misses"] == 1
 
 
+class TestClosureMemoFaults:
+    """A writer killed inside closure-memo write-through leaves a store
+    the next run reads or rebuilds: the answer is exact either way."""
+
+    @pytest.mark.parametrize("kill_at", [1, 2, 3],
+                             ids=["begin", "insert", "commit"])
+    def test_sigkill_inside_closure_memo_write(self, cache_dir, schema,
+                                               sigma, tmp_path, capsys,
+                                               kill_at):
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.cli import main
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(dump_bundle(schema, sigma))
+        argv = ["implies", str(bundle), "Course:[cnum -> time]"]
+        code = main(argv)
+        uncached = (code, capsys.readouterr().out)
+        assert code == 0
+        # the kill_at-th statement of put_closure's transaction
+        # (BEGIN IMMEDIATE, the INSERT, COMMIT) never completes
+        script = (
+            "import os, signal, sys\n"
+            "from repro.cli import main\n"
+            "from repro.store import CacheStore\n"
+            "kill_at = int(sys.argv[1])\n"
+            "put = CacheStore.put_closure\n"
+            "def dying_put(self, *args):\n"
+            "    seen = []\n"
+            "    def trace(sql):\n"
+            "        seen.append(sql)\n"
+            "        if len(seen) >= kill_at:\n"
+            "            os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    self._conn.set_trace_callback(trace)\n"
+            "    return put(self, *args)\n"
+            "CacheStore.put_closure = dying_put\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(kill_at), *argv,
+             "--cache-dir", cache_dir],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--cache-dir", cache_dir])
+        assert (code, capsys.readouterr().out) == uncached
+        assert [w.category for w in caught
+                if issubclass(w.category, CacheWarning)] in \
+            ([], [CacheWarning])
+        spill_root = os.path.join(cache_dir, "tmp")
+        assert not os.path.exists(spill_root) \
+            or os.listdir(spill_root) == []
+        with CacheStore(cache_dir) as store:
+            assert store.integrity_check()
+            assert store.summary()["closure_memo"] >= 1
+
+
 class TestPlanTable:
     """Compiled plans are not persisted; what remains is the
     validator's own counter, which reads 1 per engine build."""

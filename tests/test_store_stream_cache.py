@@ -708,6 +708,36 @@ def _to_schema_3(cache):
     return changed
 
 
+def _to_schema_4(cache):
+    """Rewrite a current checkpoint database in place into the schema-4
+    form: every emission sequence of a group row tagged ``(0, n)``, as
+    the single-shard engine wrote them, and schema version 4 in
+    ``meta``.  Returns how many rows it rewrote."""
+    import pickle
+    import sqlite3
+    from repro.store import DB_FILENAME
+    conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
+    try:
+        rows = conn.execute(
+            "SELECT source_id, plan, key, agg FROM stream_groups"
+        ).fetchall()
+        for source_id, plan, key, blob in rows:
+            row = pickle.loads(blob)
+            row[1] = (0, row[1])
+            if row[4] is not None:
+                row[4] = (0, row[4])
+            conn.execute(
+                "UPDATE stream_groups SET agg = ? WHERE source_id = ?"
+                " AND plan = ? AND key = ?",
+                (pickle.dumps(row), source_id, plan, key))
+        conn.execute("UPDATE meta SET value = '4' "
+                     "WHERE key = 'schema_version'")
+        conn.commit()
+    finally:
+        conn.close()
+    return len(rows)
+
+
 def _layout(cache):
     """``(schema_version, table names)`` of the database in *cache*."""
     import sqlite3
@@ -729,7 +759,7 @@ class TestOldLayout:
                                                  schema, sigma, capsys):
         """A cache left by the per-plan-blob layout (schema version 2),
         with a watermark that would otherwise resume, is dropped: the
-        run is cold, exact, and leaves a version-4 store behind."""
+        run is cold, exact, and leaves a current store behind."""
         import pickle
         import sqlite3
         from repro.store import DB_FILENAME, SCHEMA_VERSION
@@ -766,18 +796,46 @@ class TestOldLayout:
                 "PRAGMA table_info(stream_groups)")]
         finally:
             conn.close()
-        assert _layout(cache)[0] == str(SCHEMA_VERSION) == "4"
+        assert _layout(cache)[0] == str(SCHEMA_VERSION) == "5"
         assert columns == ["source_id", "plan", "key", "violating", "agg"]
         with CacheStore(cache) as store:
             _, info = incremental_stream_validate(
                 schema, sigma, "Course", path, store=store)
         assert info["mode"] == "resumed"
 
+    def test_version_4_cache_with_tagged_sequences_takes_the_cold_path(
+            self, stream_case, capsys, tmp_path):
+        """A schema-4 checkpoint, whose group rows carry ``(0, n)``
+        emission sequences where the engine now keeps ints, is dropped
+        on open and counted stale: the run is cold, exact, and leaves a
+        version-5 store that the next append resumes."""
+        bundle, path, cache, rows = stream_case
+        assert _cli(_incremental(stream_case), capsys)[0] == 0
+        assert _to_schema_4(cache) > 0
+        appended = _clash_rows(rows, 2)
+        _append_rows(path, appended)
+        total = len(rows) + len(appended)
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        metrics = tmp_path / "metrics.json"
+        code, out, err = _cli(_incremental(stream_case)
+                              + ["--metrics-json", str(metrics)], capsys)
+        assert (code, out) == cold[:2] and code == 1
+        assert err == (f"incremental: cold at line 0/{total}, {total} "
+                       "element(s) folded\n")
+        assert json.loads(metrics.read_text())["sections"]["cache"][
+            "stale"] == 1
+        assert _layout(cache)[0] == "5"
+        _append_rows(path, _clash_rows(rows, 1)[:1])
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        code, out, err = _cli(_incremental(stream_case), capsys)
+        assert (code, out) == cold[:2]
+        assert err.startswith(f"incremental: resumed at line {total}/")
+
     def test_version_3_cache_drops_its_plan_table(self, stream_case,
                                                   schema, sigma, capsys):
         """A schema-3 cache — a ``plans`` row and a checkpoint whose
         watermark would resume — is dropped whole on open: the run is
-        cold and exact, and the version-4 store it leaves has no
+        cold and exact, and the current store it leaves has no
         ``plans`` table."""
         import pickle
         bundle, path, cache, rows = stream_case
@@ -801,7 +859,7 @@ class TestOldLayout:
         assert err == (f"incremental: cold at line 0/{total}, {total} "
                        "element(s) folded\n")
         version, tables = _layout(cache)
-        assert version == "4"
+        assert version == "5"
         assert "plans" not in tables
 
     @pytest.mark.parametrize("budget", [(), ("--max-rows", "7")],
@@ -810,8 +868,9 @@ class TestOldLayout:
                                                      capsys, budget):
         """A checkpoint in the schema-3 form — keys, RHS values and
         elements frozen, sets in ``repr`` order, a ``plans`` table
-        beside it — is not resumed after the bump to schema 4: the run
-        is cold, with stdout equal to a cold run."""
+        beside it — is not resumed after the bump to schema 4 (nor
+        after later ones): the run is cold, with stdout equal to a cold
+        run."""
         bundle, path, cache, rows = stream_case
 
         def permuted(students):
@@ -838,6 +897,6 @@ class TestOldLayout:
         assert err == (f"incremental: cold at line 0/{total}, {total} "
                        "element(s) folded\n")
         assert (code, out) == cold[:2] and code == 1
-        assert _layout(cache) == ("4", {
+        assert _layout(cache) == ("5", {
             "meta", "closure_memo", "dense_tables", "stream_sources",
             "stream_groups", "stream_elements"})

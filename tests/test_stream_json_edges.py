@@ -6,8 +6,8 @@ different field orders, and list its elements in any order.  The
 in-memory engine sees the deduplicated set in ``repr`` order.  Each case
 here is a small JSONL file in the relation's iteration order whose
 arrays are spelled the awkward way; every ``check --stream`` path —
-plain, spilling (``--max-rows 1``), sharded (``--shards 2``) and
-incremental over a random split — must print exactly what
+plain, spilling (``--max-rows 1``) and incremental over a random
+split — must print exactly what
 :class:`~repro.nfd.ValidatorEngine` reports on the same instance, and
 the verdict per NFD must agree with Definition 2.4
 (:func:`~repro.nfd.satisfy.satisfies`).  The same cases, written as a
@@ -144,7 +144,7 @@ CASES = [
 
 #: (path id, extra ``check --stream`` arguments)
 PATHS = [("plain", []), ("spilling", ["--max-rows", "1"]),
-         ("shards", ["--shards", "2"]), ("incremental", None)]
+         ("incremental", None)]
 
 
 def _run(argv, capsys):
@@ -383,7 +383,7 @@ NESTED_TYPE_ERRORS = [
 
 #: (path id, extra ``check --stream`` arguments; ``CACHE`` is replaced
 #: by a cache directory)
-TYPE_ERROR_PATHS = [("plain", []), ("shards", ["--shards", "2"]),
+TYPE_ERROR_PATHS = [("plain", []),
                     ("incremental", ["--incremental", "--cache-dir",
                                      "CACHE"])]
 
@@ -396,7 +396,7 @@ def test_nested_type_errors_keep_their_text(case, change, message, path,
                                             extra, tmp_path, capsys):
     """An ill-typed value two sets down is refused with exit 2 and the
     exact stderr — path below the relation, the value shown, the line
-    number — on the plain, sharded and incremental paths alike."""
+    number — on the plain and incremental paths alike."""
     schema = parse_schema(NESTED)
     bundle = tmp_path / "bundle.json"
     bundle.write_text(dump_bundle(schema, parse_nfds(
