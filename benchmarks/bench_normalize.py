@@ -32,8 +32,9 @@ from repro.design import sweep_normalize
 SWEEP = 50
 SEED = 0
 #: Rule applications the 50-schema sweep spends (the pre-session shape
-#: of one fresh engine per query spent 6,337).
-SESSION_RULES = 2872
+#: of one fresh engine per query spent 6,337; assessment that re-derived
+#: the carried NFDs its own enforced Σ states spent 2,872).
+SESSION_RULES = 2447
 
 
 def test_preservation_gate(gate_metrics, report):

@@ -9,7 +9,12 @@ the NFDs declaring a chosen key.
 The combination sweep is the library's heaviest query stream: adjacent
 combinations share most of their members, so by default it runs through
 an :class:`~repro.inference.session.ImplicationSession` (cross-query
-memoization plus subset-closure seeding).  With ``jobs > 1`` each
+memoization plus subset-closure seeding).  The sweep is indexed by
+masks: each combination is a bitmask over the scope's attributes, a
+found key prunes every combination it is a submask of, and only the
+survivors are built as path sets, once each; the engine then seeds each
+candidate from its drop-one subqueries through a ``keymask -> key``
+index (:meth:`ClosureEngine.covers_many`).  With ``jobs > 1`` each
 size-level of the sweep fans out across worker processes via
 :func:`repro.parallel.process_map`; results are deterministic because
 same-size candidates can never prune one another (a key can only prune
@@ -192,12 +197,22 @@ def _sweep(working, base, labels, attributes, parallel, payload, jobs,
     if parallel:
         from ..parallel import process_map
     keys: list[frozenset[Path]] = []
+    # combos are bitmasks over the attribute list: a found key prunes a
+    # combo when its mask is a submask, and only the survivors become
+    # path sets (once each)
+    key_masks: list[int] = []
+    bits = [(1 << index, path) for index, path in enumerate(attributes)]
     for size in range(1, len(attributes) + 1):
-        candidates = [
-            frozenset(combo)
-            for combo in combinations(attributes, size)
-            if not any(key <= frozenset(combo) for key in keys)
-        ]
+        masks: list[int] = []
+        candidates: list[frozenset[Path]] = []
+        for combo in combinations(bits, size):
+            mask = 0
+            for bit, _ in combo:
+                mask |= bit
+            if any(key & mask == key for key in key_masks):
+                continue
+            masks.append(mask)
+            candidates.append(frozenset([path for _, path in combo]))
         if not candidates:
             continue
         if span is not None:
@@ -209,9 +224,10 @@ def _sweep(working, base, labels, attributes, parallel, payload, jobs,
                                    texts, jobs)
         else:
             verdicts = _verdict_batch(working, base, candidates, labels)
-        for candidate, verdict in zip(candidates, verdicts):
+        for mask, candidate, verdict in zip(masks, candidates, verdicts):
             if verdict:
                 keys.append(candidate)
+                key_masks.append(mask)
                 if span is not None:
                     span.add("keys")
     return sorted(keys, key=lambda key: (len(key), sorted(map(str, key))))

@@ -68,23 +68,21 @@ def project_fds(attributes: Sequence[str], fds: Iterable[FD],
     subset_tuple = tuple(dict.fromkeys(subset))
     limit = len(subset_tuple) if max_lhs is None else max_lhs
     projected: list[FD] = []
+    # rhs -> the LHSs already projected for it
+    derived: dict[str, list[frozenset[str]]] = {}
     for size in range(1, limit + 1):
         for combo in combinations(subset_tuple, size):
             closed = attribute_closure(combo, fd_list) \
                 if closure is None else closure(combo)
             for attribute in subset_tuple:
-                if attribute in combo:
+                if attribute in combo or attribute not in closed:
                     continue
-                if attribute in closed:
-                    candidate = FD(combo, attribute)
-                    # skip if a smaller LHS already derives it
-                    dominated = any(
-                        other.rhs == attribute and
-                        other.lhs < candidate.lhs
-                        for other in projected
-                    )
-                    if not dominated:
-                        projected.append(candidate)
+                candidate = FD(combo, attribute)
+                # skip if a smaller LHS already derives it
+                smaller = derived.setdefault(attribute, [])
+                if not any(lhs < candidate.lhs for lhs in smaller):
+                    projected.append(candidate)
+                    smaller.append(candidate.lhs)
     return projected
 
 

@@ -234,39 +234,60 @@ def _plan_components(plan: NestPlan) -> list[tuple[str, ...]]:
     return [component for component in components if component]
 
 
-def _redundancy(attributes: Sequence[str], cover: Sequence[FD],
-                components: Iterable[tuple[str, ...]],
-                closure=None) -> int:
-    """BCNF-violating FDs left inside any component (projected cover)."""
-    return sum(
-        len(bcnf_violations(component,
-                            project_fds(attributes, cover, component,
-                                        closure=closure)))
-        for component in components
-    )
+class _Projection:
+    """FD projection onto candidate components, for one synthesis.
 
-
-def _projection_oracle(schema: Schema, cover_nfds: Sequence[NFD],
-                       nonempty: NonEmptySpec | None, relation: str):
-    """The ``combo -> closed attributes`` oracle for scoring.
-
-    FD projection onto candidate components is the query-heavy part of
-    scoring: every LHS combination inside every component of every
-    candidate closes under the *same* flat cover.  Routing those
-    closures through the engine makes that work visible to the
-    rule-application counter, and gives the session its designed win —
-    one memoized :class:`~repro.inference.session.ImplicationSession`
-    serves all candidates (overlapping components repeat combos → memo
-    hits; a size-``k`` combo seeds from its cached size-``k-1``
-    sub-combos).
+    Projection is the query-heavy part of scoring: every LHS
+    combination inside every component of every candidate closes under
+    the *same* flat cover.  Those closures run through one memoized
+    :class:`~repro.inference.session.ImplicationSession`, which makes
+    the work visible to the rule-application counter (a size-``k``
+    combo seeds from its cached size-``k-1`` sub-combos).  Candidates
+    share components and components share combos, so two memos sit in
+    front of it: ``combo -> closed attributes`` (:meth:`closure`, the
+    ``closure`` oracle of :func:`~repro.design.bcnf.project_fds`) and
+    ``component -> BCNF violations`` (:meth:`redundancy`).
     """
-    session = ImplicationSession(schema, cover_nfds, nonempty)
 
-    def closure(combo: tuple[str, ...]) -> set[str]:
-        closed = session.closure_simple(
-            relation, [Path((attribute,)) for attribute in combo])
-        return {path.first for path in closed}
-    return closure
+    __slots__ = ("attributes", "cover", "relation", "_session",
+                 "_paths", "_closed", "_violations")
+
+    def __init__(self, schema: Schema, cover_nfds: Sequence[NFD],
+                 nonempty: NonEmptySpec | None, relation: str,
+                 attributes: Sequence[str], cover: Sequence[FD]):
+        self.attributes = attributes
+        self.cover = cover
+        self.relation = relation
+        self._session = ImplicationSession(schema, cover_nfds, nonempty)
+        self._paths = {attribute: Path((attribute,))
+                       for attribute in attributes}
+        self._closed: dict[tuple[str, ...], frozenset[str]] = {}
+        self._violations: dict[tuple[str, ...], int] = {}
+
+    def closure(self, combo: tuple[str, ...]) -> frozenset[str]:
+        """The attributes *combo* determines under the cover."""
+        closed = self._closed.get(combo)
+        if closed is None:
+            paths = self._session.closure_simple(
+                self.relation, [self._paths[attribute] for attribute in combo])
+            closed = frozenset(path.first for path in paths)
+            self._closed[combo] = closed
+        return closed
+
+    def redundancy(self, components: Iterable[tuple[str, ...]]) -> int:
+        """BCNF-violating FDs left inside any component (projected
+        cover)."""
+        total = 0
+        for component in components:
+            count = self._violations.get(component)
+            if count is None:
+                count = len(bcnf_violations(
+                    component,
+                    project_fds(self.attributes, self.cover, component,
+                                closure=self.closure)))
+                self._violations[component] = count
+            total += count
+        return total
 
 
 # -- the pipeline ----------------------------------------------------------
@@ -323,17 +344,24 @@ def _assess_candidate(report: PlanReport,
     set is at least as strong as the joint one), which is what keeps
     assessment cheap: one subset-seeded ``implies_all`` batch settles
     the common case, and only a joint *failure* falls back to
-    per-placement copy-on-write probes to count the holdouts.
+    per-placement copy-on-write probes to count the holdouts.  Carried
+    NFDs the enforced set states verbatim (every top-level placement)
+    are implied by membership and never reach the engine, so a
+    candidate with nothing else carried builds no session at all.
     """
     placements = report.placements
     deep = [p for p in placements if p.kind != DependencyPlacement.TOP]
     missing = sum(1 for p in deep if report.local_form(p) is None)
-    carried = report.nfds()
+    enforced = _enforced_sigma(report)
+    # every Σ member is implied: only the carried NFDs the enforced set
+    # does not state need the engine (top-level placements never do)
+    stated = set(enforced)
+    open_nfds = [nfd for nfd in report.nfds() if nfd not in stated]
     joint = True
-    if carried:
-        session = ImplicationSession(report.schema, _enforced_sigma(report),
-                                     nonempty, tracer=tracer)
-        joint = session.implies_all(carried)
+    if open_nfds:
+        session = ImplicationSession(report.schema, enforced, nonempty,
+                                     tracer=tracer)
+        joint = session.implies_all(open_nfds)
     if joint:
         return missing, True
     probe_session = report.make_session(nonempty, tracer=tracer)
@@ -431,17 +459,15 @@ def _synthesize(schema, sigma_list, relation, nonempty, instance,
     nested_nonempty = _nested_spec(nonempty)
     plans = candidate_plans(relation, attributes, cover)
     best = None
-    project = _projection_oracle(flat_schema, cover_nfds, flat_nonempty,
-                                 relation)
-    flat_violations = _redundancy(attributes, cover, [attributes],
-                                  closure=project)
+    projection = _Projection(flat_schema, cover_nfds, flat_nonempty,
+                             relation, attributes, cover)
+    flat_violations = projection.redundancy([attributes])
     for index, plan in enumerate(plans):
         plan_report = plan.report(flat_type, cover)
         unenforceable, joint = _assess_candidate(
             plan_report, nested_nonempty, tracer)
         components = _plan_components(plan)
-        violations = _redundancy(attributes, cover, components,
-                                 closure=project)
+        violations = projection.redundancy(components)
         score = (unenforceable, violations, len(plan.steps), index)
         if best is None or score < best[0]:
             best = (score, plan, plan_report, components, joint)
@@ -453,7 +479,7 @@ def _synthesize(schema, sigma_list, relation, nonempty, instance,
     # enforced-forms check); add the classical projection verdict
     projection_preserved = preserves_dependencies(attributes, cover,
                                                   components,
-                                                  closure=project)
+                                                  closure=projection.closure)
     roundtrip = _roundtrip(plan, plan_report, relation, flat_schema,
                            instance, unnest_order, tracer)
 

@@ -34,6 +34,33 @@ def candidate_paths(schema: Schema, relation: str,
     return result
 
 
+class _PathPools:
+    """The set paths and NFD path pools of one schema, each computed
+    once: :func:`random_sigma` draws many NFDs over the same few bases,
+    and rebuilding a pool walks every path of the relation."""
+
+    __slots__ = ("schema", "_nested", "_pools")
+
+    def __init__(self, schema: Schema):
+        self.schema = schema
+        self._nested: dict[str, list[Path]] = {}
+        self._pools: dict[tuple[str, Path], list[Path]] = {}
+
+    def nested(self, relation: str) -> list[Path]:
+        paths = self._nested.get(relation)
+        if paths is None:
+            paths = self._nested[relation] = set_paths(self.schema,
+                                                       relation)
+        return paths
+
+    def pool(self, relation: str, base_tail: Path) -> list[Path]:
+        paths = self._pools.get((relation, base_tail))
+        if paths is None:
+            paths = self._pools[relation, base_tail] = candidate_paths(
+                self.schema, relation, base_tail)
+        return paths
+
+
 def random_nfd(rng: random.Random, schema: Schema,
                relation: str | None = None,
                max_lhs: int = 3,
@@ -45,19 +72,26 @@ def random_nfd(rng: random.Random, schema: Schema,
     set-valued path (a local dependency); otherwise the base is the bare
     relation name (a global dependency).
     """
+    return _draw_nfd(rng, _PathPools(schema), relation, max_lhs,
+                     local_probability, allow_degenerate)
+
+
+def _draw_nfd(rng: random.Random, pools: _PathPools,
+              relation: str | None, max_lhs: int,
+              local_probability: float, allow_degenerate: bool) -> NFD:
     name = relation if relation is not None \
-        else rng.choice(schema.relation_names)
+        else rng.choice(pools.schema.relation_names)
     base_tail = Path(())
     if rng.random() < local_probability:
-        nested = set_paths(schema, name)
+        nested = pools.nested(name)
         if nested:
             base_tail = rng.choice(nested)
-    pool = candidate_paths(schema, name, base_tail)
+    pool = pools.pool(name, base_tail)
     if not pool:
         # The chosen base scopes no paths (cannot happen for the bare
         # relation of a non-trivial schema); fall back to global.
         base_tail = Path(())
-        pool = candidate_paths(schema, name, base_tail)
+        pool = pools.pool(name, base_tail)
     rhs = rng.choice(pool)
     low = 0 if allow_degenerate else 1
     lhs_size = min(rng.randint(low, max_lhs), len(pool))
@@ -109,15 +143,19 @@ def random_design_sigma(rng: random.Random, schema: Schema,
 def random_sigma(rng: random.Random, schema: Schema, count: int,
                  max_lhs: int = 3, local_probability: float = 0.3,
                  allow_degenerate: bool = False) -> list[NFD]:
-    """A list of *count* random NFDs (duplicates filtered, best effort)."""
+    """A list of *count* random NFDs (duplicates filtered, best effort).
+
+    Draws exactly what repeated :func:`random_nfd` calls draw; the path
+    pools are computed once per ``(relation, base)`` instead of once
+    per draw."""
+    pools = _PathPools(schema)
     seen: set[NFD] = set()
     result: list[NFD] = []
     attempts = 0
     while len(result) < count and attempts < count * 20:
         attempts += 1
-        nfd = random_nfd(rng, schema, max_lhs=max_lhs,
-                         local_probability=local_probability,
-                         allow_degenerate=allow_degenerate)
+        nfd = _draw_nfd(rng, pools, None, max_lhs, local_probability,
+                        allow_degenerate)
         if nfd in seen or nfd.is_trivial():
             continue
         seen.add(nfd)

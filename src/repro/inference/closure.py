@@ -467,8 +467,8 @@ class _DenseState:
     later are specialized on the query's next fixpoint).
     """
 
-    __slots__ = ("tables", "rows", "acc", "keymask", "qrows", "qmark",
-                 "cache", "pending", "unsaturated")
+    __slots__ = ("tables", "rows", "acc", "keymask", "bymask", "qrows",
+                 "qmark", "cache", "pending", "unsaturated")
 
     def __init__(self, tables: DenseTables, rows: list):
         self.tables = tables
@@ -476,6 +476,9 @@ class _DenseState:
         self.pending = list(range(len(tables.candidates)))
         self.acc: dict[frozenset[Path], int] = {}
         self.keymask: dict[frozenset[Path], int] = {}
+        # keymask -> key, the inverse of keymask (ids are injective):
+        # sweeps find a key's drop-one sub-queries as keymask ^ bit
+        self.bymask: dict[int, frozenset[Path]] = {}
         self.qrows: dict[frozenset[Path], list] = {}
         self.qmark: dict[frozenset[Path], int] = {}
         # query -> (mask at materialization, frozenset) — rebuilt only
@@ -507,6 +510,7 @@ class _DenseState:
         """Register an unsaturated query starting from *accmask*."""
         self.acc[key] = accmask
         self.keymask[key] = keymask
+        self.bymask[keymask] = key
         self.qrows[key] = []
         self.qmark[key] = 0
         self.unsaturated.append(key)
@@ -732,7 +736,7 @@ class ClosureEngine:
         if state is None or key not in state.acc:
             return False
         del state.acc[key]
-        del state.keymask[key]
+        del state.bymask[state.keymask.pop(key)]
         del state.qrows[key]
         del state.qmark[key]
         state.cache.pop(key, None)
@@ -1097,29 +1101,48 @@ class ClosureEngine:
                            targets: frozenset[Path]) -> list[bool]:
         """Mask-only sweep: saturate each candidate in subset order with
         drop-one mask seeding, then answer every verdict with one
-        ``acc & target == target`` test."""
+        ``acc & target == target`` test.
+
+        The sweep is indexed by masks, not path sets: a key's drop-one
+        sub-queries are found as ``keymask ^ bit`` in the state's
+        ``keymask -> key`` index (no ``key - {path}`` set is built),
+        the subset-order sort reads one ``path -> text`` table instead
+        of rendering every member of every key, and each path's bit is
+        looked up once per call.  The visit order, hence every
+        saturation and mask test, is the path-set sweep's."""
         state = self._dense_state(relation)
         target_mask = state.mask(targets)
+        text = {path: str(path) for path in frozenset().union(*keys)}
         order = sorted(
             range(len(keys)),
             key=lambda i: (len(keys[i]),
-                           tuple(sorted(str(p) for p in keys[i])))
+                           tuple(sorted([text[p] for p in keys[i]])))
         )
         acc = state.acc
+        bymask = state.bymask
+        bits: dict[Path, int] = {}
         for i in order:
             key = keys[i]
             if key in acc:
                 continue
-            keymask = state.mask(key)
+            keymask = 0
+            for path in key:
+                bit = bits.get(path)
+                if bit is None:
+                    bit = bits[path] = state.mask((path,))
+                keymask |= bit
             # drop-one probes: sub-combinations sort earlier and are
             # already saturated; their masks are sound seeds by
             # monotonicity of CL, no path objects involved
             accmask = keymask
             seeded = False
-            for path in key:
-                sub = acc.get(key - {path})
+            rest = keymask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                sub = bymask.get(keymask ^ bit)
                 if sub is not None:
-                    accmask |= sub
+                    accmask |= acc[sub]
                     seeded = True
             if seeded:
                 self._dense_seeds += 1

@@ -233,7 +233,8 @@ class ImplicationSession:
     def __init__(self, schema: Schema, sigma: Iterable[NFD],
                  nonempty: NonEmptySpec | None = None, *,
                  max_memo: int = DEFAULT_MAX_MEMO, tracer=None,
-                 store=None, _engine: ClosureEngine | None = None):
+                 store=None, _engine: ClosureEngine | None = None,
+                 _fingerprint: str | None = None):
         if _engine is not None:
             self.engine = _engine
         else:
@@ -249,10 +250,16 @@ class ImplicationSession:
         self.store = store
         self._store_hits = 0
         self._store_misses = 0
-        self.fingerprint = sigma_fingerprint(
-            self.engine.schema, self.engine.sigma, self.engine.nonempty)
-        if store is not None and _engine is None:
-            self._warm_dense()
+        # computed on first read (or handed in by a caller that already
+        # hashed the same triple): probes, cover and synthesis sessions
+        # never read it, and hashing Σ is a large share of a small
+        # session's build; a store keys every row on it, so a session
+        # with a store pays up front
+        self._fingerprint = _fingerprint
+        if store is not None:
+            self._fingerprint = self.fingerprint
+            if _engine is None:
+                self._warm_dense()
         # (relation, key) -> closure, in LRU order (oldest first).
         self._memo: "OrderedDict[tuple[str, frozenset[Path]], frozenset[Path]]" \
             = OrderedDict()
@@ -290,6 +297,16 @@ class ImplicationSession:
                                       pool.dense(relation)))
 
     # -- introspection -----------------------------------------------------
+
+    @property
+    def fingerprint(self) -> str:
+        """The canonical Σ fingerprint (:func:`sigma_fingerprint`),
+        computed on first read."""
+        if self._fingerprint is None:
+            self._fingerprint = sigma_fingerprint(
+                self.engine.schema, self.engine.sigma,
+                self.engine.nonempty)
+        return self._fingerprint
 
     @property
     def schema(self) -> Schema:

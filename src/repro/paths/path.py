@@ -29,27 +29,28 @@ class Path:
     """An immutable sequence of labels, e.g. ``students:sid``.
 
     Paths are ordered lexicographically by their label tuple so that
-    closures and NFD sets print deterministically.
+    closures and NFD sets print deterministically.  The hash is computed
+    once, at construction: closure sweeps hash the same paths into
+    frozensets and interning tables tens of thousands of times.
     """
 
-    __slots__ = ("labels",)
+    __slots__ = ("labels", "_hash")
 
     def __init__(self, labels: Iterable[str] = ()):
         label_tuple = tuple(labels)
         for label in label_tuple:
             if not is_valid_label(label):
-                raise PathError(
-                    f"invalid label {label!r} in path; labels must be "
-                    "identifiers"
-                )
+                _reject_label(label)
         object.__setattr__(self, "labels", label_tuple)
+        object.__setattr__(self, "_hash", hash(("Path", label_tuple)))
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability
         raise AttributeError("Path is immutable")
 
     def __reduce__(self):
         # the immutability guard defeats pickle's default slot-state
-        # restore, so rebuild through the constructor
+        # restore, so rebuild through the constructor (which also
+        # recomputes the hash: str hashes differ between processes)
         return (Path, (self.labels,))
 
     # -- structure --------------------------------------------------------
@@ -66,7 +67,7 @@ class Path:
     def __getitem__(self, index):
         result = self.labels[index]
         if isinstance(index, slice):
-            return Path(result)
+            return _derived(result)
         return result
 
     @property
@@ -96,7 +97,7 @@ class Path:
         """
         if not self.labels:
             raise PathError("the empty path has no parent")
-        return Path(self.labels[:-1])
+        return _derived(self.labels[:-1])
 
     @property
     def tail(self) -> "Path":
@@ -106,17 +107,19 @@ class Path:
         """
         if not self.labels:
             raise PathError("the empty path has no tail")
-        return Path(self.labels[1:])
+        return _derived(self.labels[1:])
 
     # -- composition ------------------------------------------------------
 
     def concat(self, other: "Path") -> "Path":
         """Concatenate two paths: ``a:b`` . ``c`` == ``a:b:c``."""
-        return Path(self.labels + other.labels)
+        return _derived(self.labels + other.labels)
 
     def child(self, label: str) -> "Path":
         """Extend the path with one label."""
-        return Path(self.labels + (label,))
+        if not is_valid_label(label):
+            _reject_label(label)
+        return _derived(self.labels + (label,))
 
     def __truediv__(self, other) -> "Path":
         """Concatenation sugar: ``path / "label"`` or ``path / other``."""
@@ -144,7 +147,7 @@ class Path:
         """
         if not prefix.is_prefix_of(self):
             raise PathError(f"{prefix} is not a prefix of {self}")
-        return Path(self.labels[len(prefix.labels):])
+        return _derived(self.labels[len(prefix.labels):])
 
     def follows(self, other: "Path") -> bool:
         """Definition 3.2: this path *follows* *other*.
@@ -164,7 +167,7 @@ class Path:
         """All prefixes, shortest first."""
         start = 0 if include_empty else 1
         end = len(self.labels) + (1 if include_self else 0)
-        return [Path(self.labels[:i]) for i in range(start, end)]
+        return [_derived(self.labels[:i]) for i in range(start, end)]
 
     # -- identity ---------------------------------------------------------
 
@@ -182,7 +185,7 @@ class Path:
         return self.labels <= other.labels
 
     def __hash__(self) -> int:
-        return hash(("Path", self.labels))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Path({':'.join(self.labels)!r})"
@@ -191,6 +194,22 @@ class Path:
         if not self.labels:
             return "ε"
         return ":".join(self.labels)
+
+
+def _reject_label(label) -> None:
+    raise PathError(
+        f"invalid label {label!r} in path; labels must be identifiers")
+
+
+def _derived(labels: tuple[str, ...]) -> Path:
+    """A path over labels taken from existing paths: they were checked
+    when those paths were built, so only the hash is computed.  Slices,
+    parents, tails and concatenations are most of the paths a closure
+    sweep builds."""
+    path = object.__new__(Path)
+    object.__setattr__(path, "labels", labels)
+    object.__setattr__(path, "_hash", hash(("Path", labels)))
+    return path
 
 
 #: The empty path.
@@ -218,4 +237,4 @@ def common_prefix(p1: Path, p2: Path) -> Path:
         if a != b:
             break
         shared.append(a)
-    return Path(shared)
+    return _derived(tuple(shared))

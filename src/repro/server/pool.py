@@ -238,7 +238,8 @@ class EnginePool:
         def factory():
             return ImplicationSession(
                 entry.schema, entry.sigma, entry.nonempty,
-                tracer=self.tracer, store=self.store)
+                tracer=self.tracer, store=self.store,
+                _fingerprint=entry.fingerprint)
         session = await self._build(entry.key, factory)
         if entry.session is None:
             entry.session = session

@@ -63,6 +63,26 @@ class TestRandomNFDs:
         sigma = random_sigma(rng, schema, count=10)
         assert all(not nfd.is_trivial() for nfd in sigma)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sigma_draws_what_repeated_random_nfd_draws(self, seed):
+        # random_sigma reuses its path pools across draws; the RNG
+        # stream, and so every generated Σ, must be the one a loop of
+        # random_nfd calls produces
+        schema = random_schema(random.Random(seed), relations=2,
+                               max_depth=2)
+        fast, slow = random.Random(seed), random.Random(seed)
+        sigma = random_sigma(fast, schema, count=6)
+        seen, expected, attempts = set(), [], 0
+        while len(expected) < 6 and attempts < 6 * 20:
+            attempts += 1
+            nfd = random_nfd(slow, schema, allow_degenerate=False)
+            if nfd in seen or nfd.is_trivial():
+                continue
+            seen.add(nfd)
+            expected.append(nfd)
+        assert sigma == expected
+        assert fast.random() == slow.random()
+
     def test_candidate_paths_respect_base(self):
         schema = workloads.course_schema()
         inner = candidate_paths(schema, "Course", parse_path("students"))

@@ -1,5 +1,8 @@
 """Unit tests for Path: prefixes, follows, composition."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import ParseError, PathError
@@ -139,3 +142,39 @@ class TestIdentity:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             parse_path("A").labels = ()
+
+    @pytest.mark.parametrize("text", ["", "A", "A:B", "students:sid:x"])
+    def test_hash_is_the_label_tuple_hash(self, text):
+        path = parse_path(text)
+        assert hash(path) == hash(("Path", path.labels))
+
+    def test_derived_paths_equal_constructed_ones(self):
+        path = parse_path("A:B:C")
+        derived = [path[1:], path[:2], path.parent, path.tail,
+                   path.concat(parse_path("D")), path.child("D"),
+                   path.strip_prefix(parse_path("A")),
+                   common_prefix(path, parse_path("A:B:X")),
+                   *path.prefixes(include_empty=True)]
+        for sub in derived:
+            built = Path(sub.labels)
+            assert sub == built
+            assert hash(sub) == hash(built)
+            assert type(sub) is Path
+
+    def test_child_still_rejects_bad_labels(self):
+        with pytest.raises(PathError, match="invalid label 'a:b'"):
+            parse_path("A").child("a:b")
+        with pytest.raises(PathError, match="invalid label ''"):
+            parse_path("A") / ""
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_hash_survives_copies(self, clone):
+        path = parse_path("A:B:C")
+        copied = clone(path)
+        assert copied == path
+        assert hash(copied) == hash(path) == hash(("Path", ("A", "B", "C")))
+        assert {copied: 1}[path] == 1
