@@ -2,9 +2,11 @@
 
 The :mod:`repro.store` production claims, as acceptance gates:
 
-* ``test_warm_start_gate`` — a warm analysis pass (closure sweep +
-  validator construction + validation) against a populated store
-  performs **zero** saturation rule applications, at least
+* ``test_warm_start_gate`` — the cold pass applies exactly the
+  committed ``cache.cold_rule_applications`` saturation rules (a work
+  count, independent of the host), and a warm analysis pass (closure
+  sweep + validator construction + validation) against a populated
+  store performs **zero** saturation rule applications, at least
   :data:`MIN_ATTEMPT_RATIO` times fewer than the cold pass that
   populated it, and finishes faster in wall-clock — with answers and
   witnesses byte-identical.  The closure memo and the dense tables are
@@ -26,6 +28,7 @@ import gc
 import itertools
 import json
 import os
+import pathlib
 import random
 import shutil
 import tempfile
@@ -39,6 +42,8 @@ from repro.nfd import ValidatorEngine, stream_validate
 from repro.paths import parse_path
 from repro.store import CacheStore, incremental_stream_validate
 from repro.values import Atom, to_python
+
+BASELINE = pathlib.Path(__file__).with_name("BENCH_cache.json")
 
 #: A warm pass must apply at least this many times fewer saturation
 #: rules than the cold pass (it actually applies zero).
@@ -58,6 +63,11 @@ STREAM_PREFIX = 1000
 
 #: Elements appended after the checkpoint (1% of the prefix).
 STREAM_APPEND = 10
+
+
+def _committed(name: str) -> float:
+    with open(BASELINE) as handle:
+        return json.load(handle)["gauges"][name]
 
 
 def _analysis_workload():
@@ -100,9 +110,9 @@ def _analysis_pass(schema, sigma, instance, queries, cache_dir):
 
 
 def test_warm_start_gate(gate_metrics):
-    """Gate: a warm pass applies zero rules — >= MIN_ATTEMPT_RATIO
-    fewer applications than cold, faster wall-clock, identical
-    answers."""
+    """Gate: the cold pass applies exactly the committed number of
+    rules; a warm pass applies zero — >= MIN_ATTEMPT_RATIO fewer
+    applications than cold, faster wall-clock, identical answers."""
     schema, sigma, instance, queries = _analysis_workload()
     workdir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
@@ -124,6 +134,10 @@ def test_warm_start_gate(gate_metrics):
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
+    committed = _committed("cache.cold_rule_applications")
+    assert cold["attempts"] == committed, (
+        f"work count moved: the cold pass applied {cold['attempts']} "
+        f"rules, the committed count is {committed}")
     assert warm["answers"] == cold["answers"]
     assert warm["witnesses"] == cold["witnesses"]
     assert warm["attempts"] == 0, \

@@ -247,21 +247,12 @@ def _obs_finish(args, report: RunReport, tracer: Tracer | None) -> None:
         tracer.write_jsonl(args.trace)
 
 
-def _emit_stats(args, engine) -> None:
-    """Print an engine's counters to stderr when ``--stats`` was given.
-
-    Works for any engine exposing ``.stats.to_text()`` — the closure
-    engine and the batch validation engine both do.
-    """
-    if getattr(args, "stats", False):
+def _emit_stats(args, engine, flag: str = "stats") -> None:
+    """Print an engine's (or session's) counters to stderr when the
+    ``--stats`` flag (or the one *flag* names, such as
+    ``cache_stats``) was given."""
+    if getattr(args, flag, False):
         print(engine.stats.to_text(), file=sys.stderr)
-
-
-def _emit_cache_stats(args, session) -> None:
-    """Print a session's memoization counters to stderr when
-    ``--cache-stats`` was given (None sessions are skipped)."""
-    if getattr(args, "cache_stats", False) and session is not None:
-        print(session.stats.to_text(), file=sys.stderr)
 
 
 def _obs_note(args) -> None:
@@ -554,8 +545,8 @@ def _cmd_diff(args) -> int:
                        old_session=old_session,
                        new_session=new_session)
     print(diff.to_text())
-    _emit_cache_stats(args, old_session)
-    _emit_cache_stats(args, new_session)
+    _emit_stats(args, old_session, "cache_stats")
+    _emit_stats(args, new_session, "cache_stats")
     return 0 if diff.equivalent else 1
 
 

@@ -81,6 +81,7 @@ from typing import Iterable
 from ..errors import InferenceError, NFDError, PathError
 from ..nfd.nfd import NFD
 from ..nfd.simple_form import to_simple
+from ..obs.report import Stats
 from ..paths.path import Path
 from ..paths.typing import (
     relation_paths,
@@ -119,14 +120,14 @@ def pool_build_count() -> int:
     return _COUNTERS["pool_builds"]
 
 
-class EngineStats:
+class EngineStats(Stats):
     """A snapshot of the engine's saturation counters.
 
     Totals are accumulated across every saturation the engine has run
     and are **never reset in place**: to measure a window (one query,
     one analysis pass) take a snapshot before and after and
-    :meth:`diff` them.  Per-relation maps reflect the state at snapshot
-    time.
+    :meth:`~repro.obs.Stats.diff` them.  Per-relation maps reflect the
+    state at snapshot time.
 
     * ``saturations`` — calls to the saturation loop;
     * ``rounds`` — kernel passes over a query's pending rows;
@@ -147,96 +148,19 @@ class EngineStats:
                  "wall_time", "usables", "candidates", "activated",
                  "queries", "derived", "mask_tests", "dense_seeds",
                  "interned")
+    STATE = ("usables", "candidates", "activated", "queries", "derived",
+             "interned")
+    TEXT = ("engine stats:",
+            "  saturations: {saturations}  rounds: {rounds}",
+            "  apply attempts: {attempts}  successes: {successes}",
+            "  saturation wall time: {wall_time:.6f}s")
 
-    def __init__(self, saturations: int, rounds: int, attempts: int,
-                 successes: int, wall_time: float,
-                 usables: dict[str, int], candidates: dict[str, int],
-                 activated: dict[str, int], queries: dict[str, int],
-                 derived: dict[str, int], mask_tests: int,
-                 dense_seeds: int, interned: dict[str, int]):
-        self.saturations = saturations
-        self.rounds = rounds
-        self.attempts = attempts
-        self.successes = successes
-        self.wall_time = wall_time
-        self.usables = usables
-        self.candidates = candidates
-        self.activated = activated
-        self.queries = queries
-        self.derived = derived
-        self.mask_tests = mask_tests
-        self.dense_seeds = dense_seeds
-        self.interned = interned
-
-    #: Monotonic totals (subtracted by :meth:`diff`); the per-relation
-    #: maps are point-in-time state and diff to the later snapshot's.
-    CUMULATIVE = ("saturations", "rounds", "attempts", "successes",
-                  "wall_time", "mask_tests", "dense_seeds")
-
-    def as_dict(self) -> dict:
-        """The snapshot as a plain (JSON-friendly) dictionary."""
-        return {
-            "saturations": self.saturations,
-            "rounds": self.rounds,
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "wall_time": self.wall_time,
-            "usables": dict(self.usables),
-            "candidates": dict(self.candidates),
-            "activated": dict(self.activated),
-            "queries": dict(self.queries),
-            "derived": dict(self.derived),
-            "mask_tests": self.mask_tests,
-            "dense_seeds": self.dense_seeds,
-            "interned": dict(self.interned),
-        }
-
-    def as_metrics(self) -> dict:
-        """The :class:`~repro.obs.RunReport` section protocol."""
-        return self.as_dict()
-
-    def diff(self, baseline: "EngineStats") -> "EngineStats":
-        """The work done since *baseline* (an earlier snapshot of the
-        same engine): cumulative totals are subtracted, point-in-time
-        maps (usables, candidates, activated, queries, derived) keep
-        this snapshot's values.  This — not in-place resetting — is the
-        reset semantics for engines reused across queries."""
-        if any(getattr(baseline, name) > getattr(self, name)
-               for name in self.CUMULATIVE):
-            raise InferenceError(
-                "cannot diff: the baseline has done more work than this "
-                "snapshot; diff() expects two snapshot() calls taken "
-                "from the *same* engine — snapshot() before the window, "
-                "snapshot() after, then diff the later against the "
-                "earlier")
-        return EngineStats(
-            saturations=self.saturations - baseline.saturations,
-            rounds=self.rounds - baseline.rounds,
-            attempts=self.attempts - baseline.attempts,
-            successes=self.successes - baseline.successes,
-            wall_time=self.wall_time - baseline.wall_time,
-            usables=dict(self.usables),
-            candidates=dict(self.candidates),
-            activated=dict(self.activated),
-            queries=dict(self.queries),
-            derived=dict(self.derived),
-            mask_tests=self.mask_tests - baseline.mask_tests,
-            dense_seeds=self.dense_seeds - baseline.dense_seeds,
-            interned=dict(self.interned),
-        )
-
-    def to_text(self) -> str:
+    def _extra_lines(self) -> list[str]:
         interned = ", ".join(
             f"{relation}={self.interned[relation]}"
             for relation in sorted(self.interned)
         ) or "-"
         lines = [
-            "engine stats:",
-            f"  saturations: {self.saturations}  "
-            f"rounds: {self.rounds}",
-            f"  apply attempts: {self.attempts}  "
-            f"successes: {self.successes}",
-            f"  saturation wall time: {self.wall_time:.6f}s",
             f"  mask tests: {self.mask_tests}  "
             f"dense seeds: {self.dense_seeds}  "
             f"interned ids: {interned}",
@@ -249,11 +173,7 @@ class EngineStats:
                 f"{self.queries[relation]} query(ies), "
                 f"{self.derived[relation]} derived path(s)"
             )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (f"EngineStats(attempts={self.attempts}, "
-                f"successes={self.successes}, rounds={self.rounds})")
+        return lines
 
 
 class _Usable:

@@ -50,10 +50,11 @@ from typing import Iterable
 
 from ..errors import InferenceError, NFDError
 from ..nfd.nfd import NFD
+from ..obs.report import Stats
 from ..paths.path import Path
 from ..types.base import BaseType, RecordType, SetType, Type
 from ..types.schema import Schema
-from .closure import ClosureEngine, EngineStats
+from .closure import ClosureEngine
 from .empty_sets import NonEmptySpec
 
 __all__ = ["ImplicationSession", "SessionStats", "sigma_fingerprint"]
@@ -103,7 +104,7 @@ def sigma_fingerprint(schema: Schema, sigma: Iterable[NFD],
     return hasher.hexdigest()
 
 
-class SessionStats:
+class SessionStats(Stats):
     """A snapshot of a session's memo counters plus the engine's.
 
     * ``fingerprint`` — the canonical Sigma fingerprint;
@@ -122,94 +123,31 @@ class SessionStats:
     __slots__ = ("fingerprint", "queries", "hits", "misses",
                  "seed_reuses", "evictions", "memo_size", "max_memo",
                  "engine", "store_hits", "store_misses")
-
-    def __init__(self, fingerprint: str, queries: int, hits: int,
-                 misses: int, seed_reuses: int, evictions: int,
-                 memo_size: int, max_memo: int, engine: EngineStats,
-                 store_hits: int = 0, store_misses: int = 0):
-        self.fingerprint = fingerprint
-        self.queries = queries
-        self.hits = hits
-        self.misses = misses
-        self.seed_reuses = seed_reuses
-        self.evictions = evictions
-        self.memo_size = memo_size
-        self.max_memo = max_memo
-        self.engine = engine
-        self.store_hits = store_hits
-        self.store_misses = store_misses
+    IDENTITY = ("fingerprint",)
+    STATE = ("memo_size", "max_memo")
+    NESTED = ("engine",)
+    EXPORT = ("fingerprint", "queries", "hits", "misses", "seed_reuses",
+              "evictions", "memo_size", "max_memo", "hit_rate",
+              "store_hits", "store_misses", "engine")
+    TEXT = ("session stats (fingerprint {fingerprint:.12}):",
+            "  closure queries: {queries}  hits: {hits}  "
+            "misses: {misses}  hit rate: {hit_rate:.1%}",
+            "  seed reuses: {seed_reuses}  evictions: {evictions}  "
+            "memo: {memo_size}/{max_memo}")
+    OWNER = "session"
 
     @property
     def hit_rate(self) -> float:
         """Memo hits over queries (0.0 when no query was served)."""
         return self.hits / self.queries if self.queries else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "queries": self.queries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "seed_reuses": self.seed_reuses,
-            "evictions": self.evictions,
-            "memo_size": self.memo_size,
-            "max_memo": self.max_memo,
-            "hit_rate": self.hit_rate,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "engine": self.engine.as_dict(),
-        }
-
-    def as_metrics(self) -> dict:
-        """The :class:`~repro.obs.RunReport` section protocol."""
-        return self.as_dict()
-
-    def diff(self, baseline: "SessionStats") -> "SessionStats":
-        """The memo activity since *baseline* (an earlier snapshot of
-        the same session): cumulative counters are subtracted (the
-        nested engine snapshot through :meth:`EngineStats.diff`);
-        ``memo_size`` / ``max_memo`` / ``fingerprint`` keep this
-        snapshot's values.  Counters are never reset in place."""
-        if baseline.fingerprint != self.fingerprint:
-            raise InferenceError(
-                "cannot diff snapshots of different sessions "
-                f"({self.fingerprint[:12]} vs "
-                f"{baseline.fingerprint[:12]}); diff() expects two "
-                "snapshot() calls taken from the *same* session — "
-                "snapshot() before the window, snapshot() after, then "
-                "diff the later against the earlier")
-        return SessionStats(
-            fingerprint=self.fingerprint,
-            queries=self.queries - baseline.queries,
-            hits=self.hits - baseline.hits,
-            misses=self.misses - baseline.misses,
-            seed_reuses=self.seed_reuses - baseline.seed_reuses,
-            evictions=self.evictions - baseline.evictions,
-            memo_size=self.memo_size,
-            max_memo=self.max_memo,
-            engine=self.engine.diff(baseline.engine),
-            store_hits=self.store_hits - baseline.store_hits,
-            store_misses=self.store_misses - baseline.store_misses,
-        )
-
-    def to_text(self) -> str:
-        lines = [
-            f"session stats (fingerprint {self.fingerprint[:12]}):",
-            f"  closure queries: {self.queries}  hits: {self.hits}  "
-            f"misses: {self.misses}  hit rate: {self.hit_rate:.1%}",
-            f"  seed reuses: {self.seed_reuses}  "
-            f"evictions: {self.evictions}  "
-            f"memo: {self.memo_size}/{self.max_memo}",
-        ]
+    def _extra_lines(self) -> list[str]:
+        lines = []
         if self.store_hits or self.store_misses:
             lines.append(f"  store hits: {self.store_hits}  "
                          f"store misses: {self.store_misses}")
         lines.append(self.engine.to_text())
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (f"SessionStats(queries={self.queries}, hits={self.hits}, "
-                f"misses={self.misses}, seed_reuses={self.seed_reuses})")
+        return lines
 
 
 class ImplicationSession:

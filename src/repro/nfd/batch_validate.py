@@ -46,6 +46,7 @@ from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import PathError
+from ..obs.report import Stats
 from ..paths.path import Path
 from ..types.schema import Schema
 from ..values.build import Instance
@@ -68,7 +69,7 @@ class _Undefined:
 _UNDEFINED = _Undefined()
 
 
-class ValidatorStats:
+class ValidatorStats(Stats):
     """A snapshot of the validation engine's counters.
 
     Totals accumulate across every validation (and per-row query) the
@@ -90,78 +91,20 @@ class ValidatorStats:
     """
 
     __slots__ = ("validations", "elements_walked", "bindings_emitted",
-                 "base_sets", "trie_nodes", "groups", "wall_time",
-                 "plan_compilations")
+                 "base_sets", "trie_nodes", "plan_compilations", "groups",
+                 "wall_time")
+    STATE = ("trie_nodes", "plan_compilations")
+    TEXT = ("validator stats (single-pass batch engine):",
+            "  validations: {validations}  trie nodes: {trie_nodes}  "
+            "plan compilations: {plan_compilations}",
+            "  elements walked: {elements_walked}  "
+            "base sets: {base_sets}",
+            "  bindings emitted: {bindings_emitted}",
+            "  validation wall time: {wall_time:.6f}s")
 
-    def __init__(self, validations: int, elements_walked: int,
-                 bindings_emitted: int, base_sets: int, trie_nodes: int,
-                 groups: dict[str, int], wall_time: float,
-                 plan_compilations: int = 1):
-        self.validations = validations
-        self.elements_walked = elements_walked
-        self.bindings_emitted = bindings_emitted
-        self.base_sets = base_sets
-        self.trie_nodes = trie_nodes
-        self.groups = groups
-        self.wall_time = wall_time
-        self.plan_compilations = plan_compilations
-
-    def as_dict(self) -> dict:
-        """The snapshot as a plain (JSON-friendly) dictionary."""
-        return {
-            "validations": self.validations,
-            "elements_walked": self.elements_walked,
-            "bindings_emitted": self.bindings_emitted,
-            "base_sets": self.base_sets,
-            "trie_nodes": self.trie_nodes,
-            "plan_compilations": self.plan_compilations,
-            "groups": dict(self.groups),
-            "wall_time": self.wall_time,
-        }
-
-    def as_metrics(self) -> dict:
-        """The :class:`~repro.obs.RunReport` section protocol."""
-        return self.as_dict()
-
-    def diff(self, baseline: "ValidatorStats") -> "ValidatorStats":
-        """The work done since *baseline* (an earlier snapshot of the
-        same engine): cumulative counters — including the per-NFD group
-        counts — are subtracted; ``trie_nodes`` (fixed at compile time)
-        keeps its value.  Counters are never reset in place; this is
-        how windows are measured on an engine reused across queries."""
-        return ValidatorStats(
-            validations=self.validations - baseline.validations,
-            elements_walked=(self.elements_walked
-                             - baseline.elements_walked),
-            bindings_emitted=(self.bindings_emitted
-                              - baseline.bindings_emitted),
-            base_sets=self.base_sets - baseline.base_sets,
-            trie_nodes=self.trie_nodes,
-            groups={name: count - baseline.groups.get(name, 0)
-                    for name, count in self.groups.items()},
-            wall_time=self.wall_time - baseline.wall_time,
-            plan_compilations=self.plan_compilations,
-        )
-
-    def to_text(self) -> str:
-        lines = [
-            "validator stats (single-pass batch engine):",
-            f"  validations: {self.validations}  "
-            f"trie nodes: {self.trie_nodes}  "
-            f"plan compilations: {self.plan_compilations}",
-            f"  elements walked: {self.elements_walked}  "
-            f"base sets: {self.base_sets}",
-            f"  bindings emitted: {self.bindings_emitted}",
-            f"  validation wall time: {self.wall_time:.6f}s",
-        ]
-        for name in sorted(self.groups):
-            lines.append(f"  {name}: {self.groups[name]} group(s)")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (f"ValidatorStats(elements_walked={self.elements_walked}, "
-                f"bindings_emitted={self.bindings_emitted}, "
-                f"trie_nodes={self.trie_nodes})")
+    def _extra_lines(self) -> list[str]:
+        return [f"  {name}: {self.groups[name]} group(s)"
+                for name in sorted(self.groups)]
 
 
 class ValidationResult:
@@ -520,7 +463,7 @@ class ValidatorEngine:
     def snapshot(self) -> ValidatorStats:
         """An explicit alias of :attr:`stats`: counters are cumulative
         and never reset in place; measure windows with a snapshot
-        before / after and :meth:`ValidatorStats.diff`."""
+        before / after and :meth:`~repro.obs.Stats.diff`."""
         return self.stats
 
     @property
@@ -534,6 +477,7 @@ class ValidatorEngine:
             trie_nodes=self._trie_nodes,
             groups=dict(self._groups),
             wall_time=self._wall_time,
+            plan_compilations=1,
         )
 
     # -- the walk ---------------------------------------------------------

@@ -115,6 +115,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import InstanceError, PathError, StreamError, ValueError_
 from ..codegen import build_function
+from ..obs.report import Stats
 from ..paths.path import Path
 from ..paths.typing import type_at
 from ..types.base import BaseType, SetType
@@ -182,7 +183,7 @@ class ResourceBudget:
                 f"max_elements={self.max_elements})")
 
 
-class StreamStats:
+class StreamStats(Stats):
     """Counters of one streaming validation.
 
     * ``elements_seen`` — top-level elements consumed;
@@ -208,59 +209,22 @@ class StreamStats:
                  "bytes_spilled", "runs_merged", "groups_merged",
                  "intern_hits", "intern_misses", "witness_elements_built",
                  "wall_time")
-
-    def __init__(self, elements_seen: int = 0, rows_emitted: int = 0,
-                 peak_resident_rows: int = 0, spills: int = 0,
-                 rows_spilled: int = 0, runs_written: int = 0,
-                 bytes_spilled: int = 0, runs_merged: int = 0,
-                 groups_merged: int = 0, intern_hits: int = 0,
-                 intern_misses: int = 0, witness_elements_built: int = 0,
-                 wall_time: float = 0.0):
-        self.elements_seen = elements_seen
-        self.rows_emitted = rows_emitted
-        self.peak_resident_rows = peak_resident_rows
-        self.spills = spills
-        self.rows_spilled = rows_spilled
-        self.runs_written = runs_written
-        self.bytes_spilled = bytes_spilled
-        self.runs_merged = runs_merged
-        self.groups_merged = groups_merged
-        self.intern_hits = intern_hits
-        self.intern_misses = intern_misses
-        self.witness_elements_built = witness_elements_built
-        self.wall_time = wall_time
-
-    def as_dict(self) -> dict:
-        """The snapshot as a plain (JSON-friendly) dictionary."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def as_metrics(self) -> dict:
-        """The :class:`~repro.obs.RunReport` section protocol."""
-        return self.as_dict()
-
-    def to_text(self) -> str:
-        return "\n".join([
-            "stream stats (out-of-core validation):",
-            f"  elements seen: {self.elements_seen}  "
-            f"rows emitted: {self.rows_emitted}",
-            f"  peak resident rows: {self.peak_resident_rows}  "
-            f"spills: {self.spills}",
-            f"  rows spilled: {self.rows_spilled}  "
-            f"runs written: {self.runs_written}  "
-            f"bytes spilled: {self.bytes_spilled}",
-            f"  runs merged: {self.runs_merged}  "
-            f"groups merged: {self.groups_merged}",
-            f"  intern hits: {self.intern_hits}  "
-            f"intern misses: {self.intern_misses}",
-            f"  witness elements built: {self.witness_elements_built}",
-            f"  stream wall time: {self.wall_time:.6f}s",
-        ])
-
-    def __repr__(self) -> str:
-        return (f"StreamStats(elements_seen={self.elements_seen}, "
-                f"rows_emitted={self.rows_emitted}, "
-                f"peak_resident_rows={self.peak_resident_rows}, "
-                f"spills={self.spills})")
+    STATE = ("peak_resident_rows",)
+    DEFAULTS = {"wall_time": 0.0}
+    TEXT = ("stream stats (out-of-core validation):",
+            "  elements seen: {elements_seen}  "
+            "rows emitted: {rows_emitted}",
+            "  peak resident rows: {peak_resident_rows}  "
+            "spills: {spills}",
+            "  rows spilled: {rows_spilled}  "
+            "runs written: {runs_written}  "
+            "bytes spilled: {bytes_spilled}",
+            "  runs merged: {runs_merged}  "
+            "groups merged: {groups_merged}",
+            "  intern hits: {intern_hits}  "
+            "intern misses: {intern_misses}",
+            "  witness elements built: {witness_elements_built}",
+            "  stream wall time: {wall_time:.6f}s")
 
 
 class StreamResult:
@@ -762,8 +726,6 @@ class StreamValidator:
         self._spill_root = spill_root
         self._own_spill_dir = False
         self._pool = InternPool(_POOL_ENTRIES)
-        self._synced_hits = 0
-        self._synced_misses = 0
         self._elem_store: _ElementStore | None = None
         self._read_handle = None
         # Per relation: group tables for the root anchor's plans, and the
@@ -796,7 +758,6 @@ class StreamValidator:
                                 mask=frozenset(self._plan_anchor_base))
         self._seq = 0
         self._resident = 0
-        self._elements_seen = 0
         self._exhausted: str | None = None
         self.stats = StreamStats()
 
@@ -845,7 +806,7 @@ class StreamValidator:
             if self._exhausted is not None:
                 return False
             if (max_elements is not None
-                    and self._elements_seen >= max_elements):
+                    and stats.elements_seen >= max_elements):
                 self._exhausted = "max_elements"
                 return False
             if deadline_at is not None and monotonic() >= deadline_at:
@@ -858,7 +819,7 @@ class StreamValidator:
                     roots, counts = bind(element)
                 except (KeyError, TypeError) as exc:
                     raise PathError(
-                        f"{relation} element {self._elements_seen + 1} "
+                        f"{relation} element {stats.elements_seen + 1} "
                         + (f"has no field {exc.args[0]!r}"
                            if type(exc) is KeyError else
                            f"does not have the relation's shape: {exc}")) \
@@ -881,7 +842,6 @@ class StreamValidator:
                 else:
                     for slot, count in zip(counted, counts):
                         base_counter[slot] = base_counter.get(slot, 0) + count
-            self._elements_seen += 1
             stats.elements_seen += 1
         return self._exhausted is None
 
@@ -1080,13 +1040,6 @@ class StreamValidator:
                 self._stored_element(ref)))
         return entry[1]
 
-    def _sync_pool_stats(self) -> None:
-        pool = self._pool
-        self.stats.intern_hits += pool.hits - self._synced_hits
-        self.stats.intern_misses += pool.misses - self._synced_misses
-        self._synced_hits = pool.hits
-        self._synced_misses = pool.misses
-
     def finalize(self, *,
                  violating: Mapping[int, Iterable[list]] | None = None) \
             -> StreamResult:
@@ -1127,9 +1080,10 @@ class StreamValidator:
             per_plan.setdefault(index, []).append(violation)
         violations = tuple(chain.from_iterable(
             per_plan[index] for index in sorted(per_plan)))
-        self._sync_pool_stats()
+        self.stats.intern_hits = self._pool.hits
+        self.stats.intern_misses = self._pool.misses
         self.stats.wall_time += time.perf_counter() - start
-        return StreamResult(violations, self.stats, self._elements_seen,
+        return StreamResult(violations, self.stats, self.stats.elements_seen,
                             self._exhausted)
 
     def _in_element_order(self, relation: str, plan,

@@ -1,6 +1,6 @@
 """Unified observability: tracing, metrics, and run reports.
 
-Three zero-dependency pieces, designed to be wired through the hot
+Four zero-dependency pieces, designed to be wired through the hot
 paths of the inference, validation, and analysis layers without
 perturbing any result and without costing anything when disabled:
 
@@ -11,14 +11,14 @@ perturbing any result and without costing anything when disabled:
 * :class:`MetricsRegistry` — named counters / gauges / histograms with
   JSON export and deterministic merge (the process-parallel fan-outs
   fold worker deltas through it);
+* :class:`Stats` — the one counters model: every engine's ``*Stats``
+  class declares its fields over it and inherits ``as_dict()`` /
+  ``as_metrics()``, ``diff()``, ``repr()`` and ``to_text()``;
 * :class:`RunReport` — named sections of frozen stats snapshots behind
-  one ``as_metrics()`` protocol, consolidating
-  :class:`~repro.inference.closure.EngineStats`,
-  :class:`~repro.inference.session.SessionStats`, and
-  :class:`~repro.nfd.batch_validate.ValidatorStats`; the CLI's
-  ``--stats`` / ``--cache-stats`` stderr text and its
-  ``--metrics-json FILE`` output both render from the same report, so
-  their numbers reconcile by construction.
+  the ``as_metrics()`` protocol; the CLI's ``--stats`` /
+  ``--cache-stats`` stderr text and its ``--metrics-json FILE`` output
+  both render from the same report, so their numbers reconcile by
+  construction.
 
 The contract every instrumented call site honours (and
 ``tests/properties/test_obs_invariance.py`` enforces): passing a tracer
@@ -31,6 +31,6 @@ from .. import _lazy
 
 __all__ = _lazy.exports(__name__, {
     "metrics": "Counter Gauge Histogram MetricsRegistry compare_snapshots",
-    "report": "RunReport supports_metrics",
+    "report": "RunReport Stats supports_metrics",
     "tracer": "Span Tracer",
 })

@@ -1,25 +1,36 @@
-"""Run reports: one consolidated view of a run's statistics.
+"""Run reports, and the one stats model every engine reports through.
 
-PRs 1–3 each grew an engine-local counters class —
-:class:`~repro.inference.closure.EngineStats`,
-:class:`~repro.inference.session.SessionStats`,
-:class:`~repro.nfd.batch_validate.ValidatorStats` — and each grew its
-own rendering and JSON spelling.  :class:`RunReport` is the single
-consolidation point: every stats class implements the small
-``as_metrics()`` protocol (a JSON-friendly flat-ish dict of its
-numbers; for the existing classes it coincides with ``as_dict()``), and
-a report collects named *sections* of such snapshots.
+Every engine that does the paper's work counts it in a :class:`Stats`
+subclass: the closure engine and implication session (the §3.1/§3.2
+rules), the batch and stream validators (Def. 2.4), and the store,
+engine pool and daemon that serve their results.  A subclass declares
+its fields, and each field is of one kind:
 
-The CLI builds exactly one report per command: the ``--stats`` /
+* **cumulative counts** — numbers, or ``{key: count}`` maps; a window
+  subtracts them;
+* **point-in-time state** — table sizes, high-water marks, per-relation
+  maps; a window keeps the later value;
+* **identity**, such as a session's Σ fingerprint; only snapshots that
+  agree on it diff;
+* **nested snapshots** — a :class:`Stats` inside a :class:`Stats`,
+  diffed recursively;
+* **derived read-only values** such as ``hit_rate``.
+
+Counters are plain slotted attributes that their engines bump in
+place, and are never reset: a window is the :meth:`Stats.diff` of two
+snapshots.  The base supplies every shared operation once —
+construction, ``as_dict()`` / ``as_metrics()``, ``diff()`` with its
+misuse guard, ``repr()`` and ``to_text()``.
+
+:class:`RunReport` consumes the ``as_metrics()`` protocol.  The CLI
+builds exactly one report per command: the ``--stats`` /
 ``--cache-stats`` stderr text, the ``--metrics-json`` file, and any
 programmatic consumer all read the *same frozen snapshots*, so the
 numbers reconcile by construction — there is no second moment at which
-counters could have moved on.
-
-Sections are frozen at :meth:`RunReport.add` time (the stats classes
-are immutable snapshots; a mapping is copied), keep insertion order,
-and render either through the snapshot's own ``to_text()`` (preserving
-the established stderr formats byte for byte) or as indented JSON.
+counters could have moved on.  Sections are frozen at
+:meth:`RunReport.add` time (their metrics are copied), keep insertion
+order, and render through the snapshot's own ``to_text()`` (the
+established stderr formats, byte for byte) or as indented JSON.
 """
 
 from __future__ import annotations
@@ -27,7 +38,131 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-__all__ = ["RunReport", "supports_metrics"]
+from ..errors import InferenceError
+
+__all__ = ["RunReport", "Stats", "supports_metrics"]
+
+
+class Stats:
+    """Counters declared by field, with one shared set of operations.
+
+    A subclass lists its fields in ``__slots__``; each is a cumulative
+    count unless named in ``STATE``, ``IDENTITY`` or ``NESTED``.  A
+    field the constructor is not given takes its ``DEFAULTS`` entry
+    (called when callable, for fresh maps), else 0.  ``EXPORT`` orders
+    the ``as_dict()`` keys (default: every field); a name in it that is
+    not a field is a derived value, a property or a method.  ``TEXT``
+    holds the ``to_text()`` lines, format templates over fields and
+    derived values, and :meth:`_extra_lines` the lines no template can
+    hold.  ``OWNER`` names what ``diff()`` expects snapshots of.
+    """
+
+    __slots__ = ()
+
+    STATE: tuple[str, ...] = ()
+    IDENTITY: tuple[str, ...] = ()
+    NESTED: tuple[str, ...] = ()
+    DEFAULTS: Mapping[str, Any] = {}
+    EXPORT: tuple[str, ...] | None = None
+    TEXT: tuple[str, ...] = ()
+    OWNER = "engine"
+
+    def __init__(self, **values):
+        for name in self.__slots__:
+            if name in values:
+                value = values.pop(name)
+            else:
+                value = self.DEFAULTS.get(name, 0)
+                if callable(value):
+                    value = value()
+            setattr(self, name, value)
+        if values:
+            raise TypeError(f"{type(self).__name__} has no field(s) "
+                            f"{', '.join(sorted(values))}")
+
+    def as_dict(self) -> dict:
+        """The snapshot as a plain (JSON-friendly) dictionary: maps are
+        copied and nested snapshots flattened to dictionaries."""
+        data = {}
+        for name in self.EXPORT or self.__slots__:
+            value = getattr(self, name)
+            if isinstance(value, Stats):
+                value = value.as_dict()
+            elif isinstance(value, dict):
+                value = dict(value)
+            elif callable(value):
+                value = value()
+            data[name] = value
+        return data
+
+    def as_metrics(self) -> dict:
+        """The :class:`RunReport` section protocol."""
+        return self.as_dict()
+
+    def diff(self, baseline: "Stats") -> "Stats":
+        """The work done since *baseline*, an earlier snapshot of the
+        same object: counts are subtracted (maps key by key), nested
+        snapshots are diffed in turn, and state and identity keep this
+        snapshot's values.
+
+        Raises :class:`~repro.errors.InferenceError` when the identities
+        differ or the baseline counted more than this snapshot: two
+        snapshots of different objects, or the right two reversed.
+        """
+        again = (f"diff() expects two snapshot() calls taken from the "
+                 f"*same* {self.OWNER} — snapshot() before the window, "
+                 "snapshot() after, then diff the later against the "
+                 "earlier")
+        for name in self.IDENTITY:
+            mine, theirs = getattr(self, name), getattr(baseline, name)
+            if mine != theirs:
+                raise InferenceError(
+                    f"cannot diff snapshots of different {self.OWNER}s "
+                    f"({str(mine)[:12]} vs {str(theirs)[:12]}); {again}")
+        values = {}
+        for name in self.__slots__:
+            mine, theirs = getattr(self, name), getattr(baseline, name)
+            ahead = False
+            if name in self.NESTED:
+                mine = mine.diff(theirs)
+            elif name in self.STATE or name in self.IDENTITY:
+                if isinstance(mine, dict):
+                    mine = dict(mine)
+            elif isinstance(mine, dict):
+                ahead = any(count > mine.get(key, 0)
+                            for key, count in theirs.items())
+                mine = {key: count - theirs.get(key, 0)
+                        for key, count in mine.items()}
+            else:
+                ahead, mine = theirs > mine, mine - theirs
+            if ahead:
+                raise InferenceError(
+                    "cannot diff: the baseline has done more work than "
+                    f"this snapshot; {again}")
+            values[name] = mine
+        return type(self)(**values)
+
+    def to_text(self) -> str:
+        """The ``TEXT`` lines filled in, then :meth:`_extra_lines`;
+        indented JSON for a class without a template."""
+        if not self.TEXT:
+            return json.dumps(self.as_metrics(), indent=2,
+                              sort_keys=True, default=str)
+        fields = {name: getattr(self, name)
+                  for name in (*self.__slots__, *(self.EXPORT or ()))}
+        return "\n".join([*(line.format_map(fields) for line in self.TEXT),
+                          *self._extra_lines()])
+
+    def _extra_lines(self) -> list[str]:
+        """Text lines after the template (per-key maps, nested text)."""
+        return []
+
+    def __repr__(self) -> str:
+        """The cumulative counts."""
+        other = self.STATE + self.IDENTITY + self.NESTED
+        inner = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name not in other)
+        return f"{type(self).__name__}({inner})"
 
 
 def supports_metrics(source: Any) -> bool:

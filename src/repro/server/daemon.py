@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 from ..analysis import minimal_keys
 from ..errors import ReproError
-from ..obs import RunReport, Tracer
+from ..obs import RunReport, Stats, Tracer
 from ..service import answer, check, parse_query
 from .pool import EnginePool
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
@@ -116,7 +116,7 @@ def _quantile(ordered: list, q: float) -> float:
     return ordered[math.ceil(q * len(ordered)) - 1]
 
 
-class ServerStats:
+class ServerStats(Stats):
     """Cumulative counters of the daemon's lifetime activity, plus each
     request type's latest :data:`LATENCY_WINDOW` latencies, so the
     ``stats`` reply names the slow type (``latency_by_type``)."""
@@ -124,28 +124,29 @@ class ServerStats:
     __slots__ = ("started_at", "connections", "connections_active",
                  "requests", "by_type", "ok", "errors", "by_error",
                  "sheds", "deadline_hits", "protocol_errors",
-                 "bytes_in", "bytes_out", "latency_count",
-                 "latency_total_ms", "latency_max_ms", "recent")
+                 "bytes_in", "bytes_out", "latency_total_ms",
+                 "latency_max_ms", "recent")
+    STATE = ("started_at", "connections_active", "latency_max_ms",
+             "recent")
+    DEFAULTS = {"started_at": time.monotonic, "by_type": dict,
+                "by_error": dict, "latency_max_ms": 0.0,
+                # one bounded window per request type the daemon speaks
+                "recent": lambda: {kind: deque(maxlen=LATENCY_WINDOW)
+                                   for kind in ADMIN_TYPES + QUERY_TYPES}}
+    EXPORT = ("uptime_s", "connections", "connections_active",
+              "requests", "by_type", "ok", "errors", "by_error", "sheds",
+              "deadline_hits", "protocol_errors", "bytes_in",
+              "bytes_out", "latency_mean_ms", "latency_max_ms",
+              "latency_by_type")
 
-    def __init__(self):
-        self.started_at = time.monotonic()
-        self.connections = 0
-        self.connections_active = 0
-        self.requests = 0
-        self.by_type: dict[str, int] = {}
-        self.ok = 0
-        self.errors = 0
-        self.by_error: dict[str, int] = {}
-        self.sheds = 0
-        self.deadline_hits = 0
-        self.protocol_errors = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.latency_count = 0
-        self.latency_total_ms = 0.0
-        self.latency_max_ms = 0.0
-        self.recent = {kind: deque(maxlen=LATENCY_WINDOW)
-                       for kind in ADMIN_TYPES + QUERY_TYPES}
+    @property
+    def uptime_s(self) -> float:
+        return time.monotonic() - self.started_at
+
+    @property
+    def latency_mean_ms(self) -> float:
+        return (self.latency_total_ms / self.requests
+                if self.requests else 0.0)
 
     def observe(self, request_type: str, ok: bool, elapsed_ms: float,
                 error_code: str | None = None) -> None:
@@ -161,7 +162,6 @@ class ServerStats:
             if error_code is not None:
                 self.by_error[error_code] = \
                     self.by_error.get(error_code, 0) + 1
-        self.latency_count += 1
         self.latency_total_ms += elapsed_ms
         if elapsed_ms > self.latency_max_ms:
             self.latency_max_ms = elapsed_ms
@@ -179,32 +179,6 @@ class ServerStats:
                                 "p99_ms": _quantile(ordered, 0.99),
                                 "count": len(ordered)}
         return result
-
-    def as_dict(self) -> dict:
-        mean = (self.latency_total_ms / self.latency_count
-                if self.latency_count else 0.0)
-        return {
-            "uptime_s": time.monotonic() - self.started_at,
-            "connections": self.connections,
-            "connections_active": self.connections_active,
-            "requests": self.requests,
-            "by_type": dict(self.by_type),
-            "ok": self.ok,
-            "errors": self.errors,
-            "by_error": dict(self.by_error),
-            "sheds": self.sheds,
-            "deadline_hits": self.deadline_hits,
-            "protocol_errors": self.protocol_errors,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "latency_mean_ms": mean,
-            "latency_max_ms": self.latency_max_ms,
-            "latency_by_type": self.latency_by_type(),
-        }
-
-    def as_metrics(self) -> dict:
-        """The :class:`~repro.obs.RunReport` section protocol."""
-        return self.as_dict()
 
 
 class ReproServer:

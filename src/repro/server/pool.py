@@ -37,11 +37,12 @@ import hashlib
 from collections import OrderedDict
 
 from ..inference.session import ImplicationSession, sigma_fingerprint
+from ..obs.report import Stats
 
 __all__ = ["EnginePool", "PoolEntry", "PoolStats"]
 
 
-class PoolStats:
+class PoolStats(Stats):
     """Counters of the pool's lifetime activity (cumulative).
 
     ``validator_builds`` counts the validation engines built for
@@ -51,18 +52,17 @@ class PoolStats:
                  "session_builds", "validator_builds", "batches",
                  "batched_queries")
 
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.coalesced_builds = 0
-        self.session_builds = 0
-        self.validator_builds = 0
-        self.batches = 0
-        self.batched_queries = 0
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+def _fold_session(totals: dict, entry: "PoolEntry") -> None:
+    """Add the work of *entry*'s session, if it has one, to *totals*."""
+    if entry.session is not None:
+        stats = entry.session.stats
+        totals["rule_attempts"] += stats.engine.attempts
+        totals["saturations"] += stats.engine.saturations
+        totals["closure_queries"] += stats.queries
+        totals["memo_hits"] += stats.hits
+        totals["store_hits"] += stats.store_hits
+        totals["store_misses"] += stats.store_misses
 
 
 class _ClosureBatcher:
@@ -184,20 +184,9 @@ class EnginePool:
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:
             _, evicted = self._entries.popitem(last=False)
-            self._retire(evicted)
+            _fold_session(self._retired, evicted)
             self.stats.evictions += 1
         return entry
-
-    def _retire(self, entry: PoolEntry) -> None:
-        """Fold an evicted entry's counters into the retired totals."""
-        if entry.session is not None:
-            stats = entry.session.stats
-            self._retired["rule_attempts"] += stats.engine.attempts
-            self._retired["saturations"] += stats.engine.saturations
-            self._retired["closure_queries"] += stats.queries
-            self._retired["memo_hits"] += stats.hits
-            self._retired["store_hits"] += stats.store_hits
-            self._retired["store_misses"] += stats.store_misses
 
     # -- coalesced session builds ------------------------------------------
 
@@ -264,14 +253,7 @@ class EnginePool:
         totals = dict(self._retired,
                       plan_compilations=self.stats.validator_builds)
         for entry in self._entries.values():
-            if entry.session is not None:
-                stats = entry.session.stats
-                totals["rule_attempts"] += stats.engine.attempts
-                totals["saturations"] += stats.engine.saturations
-                totals["closure_queries"] += stats.queries
-                totals["memo_hits"] += stats.hits
-                totals["store_hits"] += stats.store_hits
-                totals["store_misses"] += stats.store_misses
+            _fold_session(totals, entry)
         return totals
 
     def as_metrics(self) -> dict:

@@ -60,6 +60,7 @@ import threading
 import warnings
 from typing import Any, Iterable, Iterator
 
+from ..obs.report import Stats
 from ..paths.path import Path, parse_path
 from ..values.canonical import CODEC_VERSION
 
@@ -182,7 +183,7 @@ def open_store(cache_dir: str | None, *,
     return CacheStore(resolved, read_only=read_only)
 
 
-class CacheStats:
+class CacheStats(Stats):
     """Hit / miss / stale / error counters of one store handle.
 
     ``stale`` counts entries that existed but were unusable (dense
@@ -195,43 +196,13 @@ class CacheStats:
     __slots__ = ("closure_hits", "closure_misses", "dense_hits",
                  "dense_misses", "stream_hits", "stream_misses",
                  "stale", "errors", "writes")
-
-    def __init__(self):
-        self.closure_hits = 0
-        self.closure_misses = 0
-        self.dense_hits = 0
-        self.dense_misses = 0
-        self.stream_hits = 0
-        self.stream_misses = 0
-        self.stale = 0
-        self.errors = 0
-        self.writes = 0
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def as_metrics(self) -> dict:
-        """The :class:`~repro.obs.RunReport` section protocol."""
-        return self.as_dict()
-
-    def to_text(self) -> str:
-        return "\n".join([
-            "cache stats (persistent store):",
-            f"  closure: {self.closure_hits} hit(s)  "
-            f"{self.closure_misses} miss(es)",
-            f"  dense tables: {self.dense_hits} hit(s)  "
-            f"{self.dense_misses} miss(es)",
-            f"  stream: {self.stream_hits} hit(s)  "
-            f"{self.stream_misses} miss(es)",
-            f"  stale: {self.stale}  errors: {self.errors}  "
-            f"writes: {self.writes}",
-        ])
-
-    def __repr__(self) -> str:
-        return (f"CacheStats(closure={self.closure_hits}/"
-                f"{self.closure_misses}, dense={self.dense_hits}/"
-                f"{self.dense_misses}, stream={self.stream_hits}/"
-                f"{self.stream_misses})")
+    TEXT = ("cache stats (persistent store):",
+            "  closure: {closure_hits} hit(s)  "
+            "{closure_misses} miss(es)",
+            "  dense tables: {dense_hits} hit(s)  "
+            "{dense_misses} miss(es)",
+            "  stream: {stream_hits} hit(s)  {stream_misses} miss(es)",
+            "  stale: {stale}  errors: {errors}  writes: {writes}")
 
 
 class CacheStore:

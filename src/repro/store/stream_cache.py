@@ -309,7 +309,7 @@ def incremental_stream_validate(
             path, schema, relation, start=start, stop=total,
             require_elements=(start == 0))
         validator.consume(relation, elements)
-        folded = validator._elements_seen
+        folded = validator.stats.elements_seen
 
         # a resumed run that consumed nothing leaves the stored
         # checkpoint untouched — it is already exactly this state

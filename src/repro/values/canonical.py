@@ -155,15 +155,6 @@ class InternPool:
             encoded = self._labels[label] = _field_bytes(label)
         return encoded
 
-    def stats(self) -> dict:
-        """JSON-friendly counters (for stream stats and tests)."""
-        return {
-            "entries": self._size,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
     def __repr__(self) -> str:
         return (f"InternPool(entries={self._size}, "
                 f"hits={self.hits}, misses={self.misses})")

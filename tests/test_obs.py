@@ -276,6 +276,30 @@ class TestSnapshotDiff:
         # trie_nodes is fixed at compile time, not a delta
         assert window.trie_nodes == engine.snapshot().trie_nodes
 
+    @pytest.mark.parametrize("kind", ["closure", "session", "validator"])
+    def test_reversed_diff_is_rejected(self, kind):
+        """``earlier.diff(later)`` raises instead of returning negative
+        counts (the session's second query is a memo hit, which moves
+        only the session's own counters)."""
+        schema, sigma = self._course()
+        base, instance = parse_path("Course"), workloads.course_instance()
+        if kind == "validator":
+            engine = ValidatorEngine(schema, sigma)
+            windows = [lambda: engine.validate(instance)] * 2
+        else:
+            engine = (ClosureEngine if kind == "closure"
+                      else ImplicationSession)(schema, sigma)
+            labels = ["cnum", "time" if kind == "closure" else "cnum"]
+            windows = [lambda label=label: engine.closure(
+                base, {parse_path(label)}) for label in labels]
+        snapshots = []
+        for run in windows:
+            run()
+            snapshots.append(engine.snapshot())
+        earlier, later = snapshots
+        with pytest.raises(InferenceError, match="more work"):
+            earlier.diff(later)
+
 
 class TestRunReport:
     def test_sections_freeze_at_add_time(self):
