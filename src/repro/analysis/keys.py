@@ -14,12 +14,9 @@ masks: each combination is a bitmask over the scope's attributes, a
 found key prunes every combination it is a submask of, and only the
 survivors are built as path sets, once each; the engine then seeds each
 candidate from its drop-one subqueries through a ``keymask -> key``
-index (:meth:`ClosureEngine.covers_many`).  With ``jobs > 1`` each
-size-level of the sweep fans out across worker processes via
-:func:`repro.parallel.process_map`; results are deterministic because
-same-size candidates can never prune one another (a key can only prune
-strictly larger candidates), so the parallel sweep answers exactly the
-serial questions, in order.
+index (:meth:`ClosureEngine.covers_many`).  Each size-level is one
+batch in one process: a process fan-out answered one ``is_key`` per
+candidate and lost to the batched sweep at every measured width.
 """
 
 from __future__ import annotations
@@ -27,11 +24,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from ..inference.closure import ClosureEngine
 from ..inference.empty_sets import NonEmptySpec
 from ..inference.session import ImplicationSession
 from ..nfd.nfd import NFD
-from ..paths.path import Path, parse_path
+from ..paths.path import Path
 from ..paths.typing import resolve_base_path
 from ..types.schema import Schema
 
@@ -96,61 +92,21 @@ def is_key(engine, base: Path, candidate: Iterable[Path]) -> bool:
 
 
 def minimal_keys(schema: Schema, sigma: Iterable[NFD], relation: str,
-                 engine=None, *, nonempty: NonEmptySpec | None = None,
-                 jobs: int = 1,
-                 cache_dir: str | None = None) -> list[frozenset[Path]]:
+                 engine=None, *, nonempty: NonEmptySpec | None = None) \
+        -> list[frozenset[Path]]:
     """All minimal keys of *relation* over its top-level attributes.
 
     Exponential in attribute count (key discovery is NP-hard in general);
     practical for the schema sizes of the paper's setting.  *nonempty*
-    selects the gated (Section 3.2) semantics; *jobs* fans the sweep out
-    across processes, and *cache_dir* (parallel sweeps only — a shared
-    *engine* carries its own store) lets each worker answer from the
-    persistent closure memo, opened read-only once per process.
+    selects the gated (Section 3.2) semantics.
     """
     return local_minimal_keys(schema, sigma, Path((relation,)), engine,
-                              nonempty=nonempty, jobs=jobs,
-                              cache_dir=cache_dir)
-
-
-def _keys_setup(payload):
-    """Worker initializer: rebuild the session from pickle-safe texts,
-    and pre-open the persistent cache store — read-only, once per
-    process — so every probe in this worker answers warm closure
-    queries from the memo instead of saturating.  Sweeps ship the
-    parent process's compiled
-    :class:`~repro.inference.dense.DenseTables` in the payload, so workers adopt them instead of recompiling the
-    interned universe per process."""
-    from ..inference.closure import ClosureEngine
-    from ..io.json_io import load_bundle
-    from ..parallel import spec_from_payload
-
-    (bundle_text, spec_data, base_text, cache_dir,
-     dense_tables) = payload
-    schema, sigma, _ = load_bundle(bundle_text)
-    store = None
-    if cache_dir is not None:
-        from ..store.cache_store import CacheStore
-        store = CacheStore(cache_dir, read_only=True)
-    engine = ClosureEngine(schema, sigma, spec_from_payload(spec_data))
-    engine._pool.adopt_dense(dense_tables.relation, dense_tables)
-    session = ImplicationSession(schema, sigma, store=store,
-                                 _engine=engine)
-    return session, parse_path(base_text)
-
-
-def _keys_probe(context, candidate_texts: tuple[str, ...]) -> bool:
-    """Worker task: one is_key query against the per-process session."""
-    session, base = context
-    candidate = frozenset(parse_path(text) for text in candidate_texts)
-    return is_key(session, base, candidate)
+                              nonempty=nonempty)
 
 
 def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
                        engine=None, *,
-                       nonempty: NonEmptySpec | None = None,
-                       jobs: int = 1,
-                       cache_dir: str | None = None) \
+                       nonempty: NonEmptySpec | None = None) \
         -> list[frozenset[Path]]:
     """Minimal keys at an arbitrary base path (local keys).
 
@@ -163,39 +119,21 @@ def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
     authoritative; otherwise a session over ``(schema, sigma,
     nonempty)`` is built.  Each size-level of the sweep is answered as one
     batch-closure call, so neighbouring candidates share their subset
-    closures; with ``jobs > 1`` and no shared engine the level fans out
-    across worker processes instead (one session per process, shipped
-    the driver's compiled dense tables, results in candidate order).
+    closures.
     """
-    sigma_list = list(sigma)
     working = engine if engine is not None \
-        else ImplicationSession(schema, sigma_list, nonempty)
+        else ImplicationSession(schema, sigma, nonempty)
     scope = resolve_base_path(schema, base)
     attributes = [Path((label,)) for label in scope.labels]
-    parallel = jobs > 1 and engine is None
-    if parallel:
-        from ..io.json_io import dump_bundle
-        from ..parallel import process_map, spec_payload
-
-        payload = (dump_bundle(schema, sigma_list),
-                   spec_payload(nonempty), str(base), cache_dir,
-                   working.engine._pool.dense(base.first))
-    else:
-        payload = None
     tracer = getattr(working, "tracer", None)
     if tracer is not None:
         with tracer.span("analysis.keys", base=str(base),
-                         attributes=len(attributes), jobs=jobs) as span:
-            return _sweep(working, base, scope.labels, attributes,
-                          parallel, payload, jobs, span)
-    return _sweep(working, base, scope.labels, attributes, parallel,
-                  payload, jobs, None)
+                         attributes=len(attributes)) as span:
+            return _sweep(working, base, scope.labels, attributes, span)
+    return _sweep(working, base, scope.labels, attributes, None)
 
 
-def _sweep(working, base, labels, attributes, parallel, payload, jobs,
-           span):
-    if parallel:
-        from ..parallel import process_map
+def _sweep(working, base, labels, attributes, span):
     keys: list[frozenset[Path]] = []
     # combos are bitmasks over the attribute list: a found key prunes a
     # combo when its mask is a submask, and only the survivors become
@@ -217,13 +155,7 @@ def _sweep(working, base, labels, attributes, parallel, payload, jobs,
             continue
         if span is not None:
             span.add("candidates", len(candidates))
-        if parallel:
-            texts = [tuple(str(p) for p in sorted(candidate))
-                     for candidate in candidates]
-            verdicts = process_map(_keys_setup, payload, _keys_probe,
-                                   texts, jobs)
-        else:
-            verdicts = _verdict_batch(working, base, candidates, labels)
+        verdicts = _verdict_batch(working, base, candidates, labels)
         for mask, candidate, verdict in zip(masks, candidates, verdicts):
             if verdict:
                 keys.append(candidate)

@@ -60,10 +60,11 @@ way.
 
 Query commands that run through an implication session additionally
 accept ``--cache-stats``, printing the session's memoization counters
-(:class:`repro.inference.SessionStats`) to stderr, and ``keys`` and
-``normalize`` accept ``--jobs N`` (``N >= 1``) to fan their work out
-across *N* worker processes — stdout is byte-identical to the serial
-run (deterministic result ordering), only wall-clock changes.
+(:class:`repro.inference.SessionStats`) to stderr.  ``normalize
+--sweep`` accepts ``--jobs N`` (``N >= 1``) to fan the sweep out across
+*N* worker processes — stdout is byte-identical to the serial run
+(deterministic result ordering), only wall-clock changes.  Every
+implication query runs in one process on one session.
 
 Every ``check`` runs one engine, the stream engine of
 :mod:`repro.nfd.stream_validate`: in memory it walks each constrained
@@ -98,18 +99,17 @@ the ``--stats`` / ``--cache-stats`` stderr text and the metrics JSON
 render from the same frozen snapshots, so their numbers always
 reconcile.  Neither flag changes stdout or the exit code.
 
-``check --stream``, ``implies``, ``closure``, and ``keys`` accept
-``--cache-dir DIR`` (default: the ``REPRO_CACHE_DIR`` environment
-variable) naming a directory whose SQLite database persists derived
-state across runs (see :mod:`repro.store`): closure memos, dense
-closure tables, and — with ``check --stream FILE --incremental`` —
-stream checkpoints, so a re-validation of an appended JSONL file folds
-only the new lines; ``check --stream`` also spills under the
-directory's ``tmp/``.  An in-memory ``check`` keeps nothing there and
-opens no database.  The cache is purely an accelerator: a missing,
-corrupt, or version-mismatched database degrades to the cold
-computation with identical stdout and exit codes (a corrupt one warns
-on stderr).  ``repro cache stats|clear|vacuum`` maintains the database.
+``check`` accepts ``--cache-dir DIR`` (default: the ``REPRO_CACHE_DIR``
+environment variable) naming a directory that holds two things and
+nothing else (see :mod:`repro.store`): the stream checkpoints of
+``check --stream FILE --incremental``, in a SQLite database, so a
+re-validation of an appended JSONL file folds only the new lines, and
+the spill root ``tmp/`` of ``check --stream``.  An in-memory ``check``
+keeps nothing there and opens no database.  Implications are computed,
+never stored.  The cache is purely an accelerator: a missing, corrupt,
+or version-mismatched database degrades to the cold computation with
+identical stdout and exit codes (a corrupt one warns on stderr).
+``repro cache stats|clear|vacuum`` maintains the database.
 
 ``repro serve`` runs the long-lived constraint-checking daemon (see
 :mod:`repro.server`): a line-delimited JSON protocol over TCP, a warm
@@ -119,8 +119,8 @@ control, and cooperative deadlines.  ``check``, ``implies``,
 query through a running daemon instead of computing in-process —
 stdout and exit codes are identical either way, because both paths
 parse, answer and render through :mod:`repro.service` (the local
-observability, ``--cache-dir`` and ``--jobs`` flags are ignored with a
-note: query the daemon with ``repro client stats``).  ``repro client
+observability and ``--cache-dir`` flags are ignored with a note: query
+the daemon with ``repro client stats``).  ``repro client
 ping|stats|shutdown`` administer a daemon.
 
 Every command returns a conventional exit status (0 success / holds,
@@ -200,32 +200,6 @@ def _tracer_from_args(args) -> Tracer | None:
     return None
 
 
-def _store_from_args(args):
-    """An open writable :class:`~repro.store.CacheStore` when a cache
-    directory is configured (``--cache-dir`` flag, else the
-    ``REPRO_CACHE_DIR`` environment variable), else ``None`` — the
-    no-persistence default.  An unusable directory yields a store that
-    warns once and misses everywhere; cold behavior is unchanged.
-    """
-    # resolved here, as repro.store.resolve_cache_dir does, so that a
-    # run without a cache never imports the store (or sqlite3)
-    cache_dir = getattr(args, "cache_dir", None) \
-        or os.environ.get("REPRO_CACHE_DIR")
-    if not cache_dir:
-        return None
-    from .store import open_store
-
-    return open_store(cache_dir)
-
-
-def _finish_store(report: RunReport, store) -> None:
-    """Freeze the store's hit/miss counters into the report's ``cache``
-    section and release the database handle."""
-    if store is not None:
-        report.add("cache", store.stats)
-        store.close()
-
-
 def _obs_finish(args, report: RunReport, tracer: Tracer | None) -> None:
     """Emit every observability output of a command from one report.
 
@@ -257,14 +231,12 @@ def _emit_stats(args, engine, flag: str = "stats") -> None:
 
 def _obs_note(args) -> None:
     """The daemon computes under its own configuration: note the local
-    observability, ``--cache-dir`` and ``--jobs`` flags it ignores."""
+    observability and ``--cache-dir`` flags it ignores."""
     ignored = [flag for flag, name in (
         ("--stats", "stats"), ("--cache-stats", "cache_stats"),
         ("--trace", "trace"), ("--metrics-json", "metrics_json"),
         ("--cache-dir", "cache_dir"),
     ) if getattr(args, name, None)]
-    if getattr(args, "jobs", 1) != 1:
-        ignored.append("--jobs")
     if ignored:
         print(f"note: {', '.join(ignored)} ignored with --server "
               "(configure the daemon with `repro serve`, query it with "
@@ -317,10 +289,9 @@ def _cmd_query(args) -> int:
 def _answer_locally(args, params: dict) -> dict:
     """The in-process result dict of a query command.
 
-    Runs :func:`repro.service.check`, or builds the session and the
-    store, and handles every local-only flag: ``--jobs`` and
-    ``--cache-dir`` (``implies``, ``closure``, ``keys``), ``--stats``,
-    ``--cache-stats``, ``--trace`` and ``--metrics-json``.
+    Runs :func:`repro.service.check`, or builds the session, and
+    handles every local-only flag: ``--stats``, ``--cache-stats``,
+    ``--trace`` and ``--metrics-json``.
     """
     from .obs.report import RunReport
     from .service import answer, check, parse_query
@@ -337,32 +308,19 @@ def _answer_locally(args, params: dict) -> dict:
         outcome = check(schema, sigma, rows, tracer=tracer)
         report.add("stream", outcome.stats)
     else:
-        jobs = getattr(args, "jobs", 1)
-        store = _store_from_args(args)
-        session = None
-        if jobs == 1:
-            from .inference.session import ImplicationSession
+        from .inference.session import ImplicationSession
 
-            session = ImplicationSession(schema, sigma, spec,
-                                         tracer=tracer, store=store)
-        elif getattr(args, "cache_stats", False):
-            print("cache stats unavailable with --jobs > 1 (each worker "
-                  "process holds its own session)", file=sys.stderr)
+        session = ImplicationSession(schema, sigma, spec, tracer=tracer)
         if kind == "keys":
             from .analysis.keys import minimal_keys
 
             outcome = minimal_keys(schema, sigma, query.relation,
-                                   engine=session, nonempty=spec,
-                                   jobs=jobs,
-                                   cache_dir=store.cache_dir
-                                   if store is not None else None)
+                                   engine=session)
         else:
             outcome = [session.closure(base, lhs)
                        for base, lhs in query.closures]
-        if session is not None:
-            report.add("closure", session.engine.stats)
-            report.add("session", session.stats)
-        _finish_store(report, store)
+        report.add("closure", session.engine.stats)
+        report.add("session", session.stats)
     _obs_finish(args, report, tracer)
     return answer(query, outcome)
 
@@ -408,11 +366,16 @@ def _cmd_check_stream(args) -> int:
                                 deadline=args.deadline,
                                 max_elements=args.max_elements)
     tracer = _tracer_from_args(args)
-    store = _store_from_args(args)
-    spill_root = None
-    if store is not None:
-        from .store import default_spill_root
-        spill_root = default_spill_root(store.cache_dir)
+    # the cache directory is resolved here, as
+    # repro.store.resolve_cache_dir does, so that a run without one
+    # never imports the store (or sqlite3); an unusable directory
+    # yields a store that warns once and misses everywhere
+    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    store = spill_root = None
+    if cache_dir:
+        from .store import default_spill_root, open_store
+        store = open_store(cache_dir)
+        spill_root = default_spill_root(cache_dir)
     if getattr(args, "incremental", False):
         if store is None:
             print("error: --incremental requires a cache directory "
@@ -433,7 +396,9 @@ def _cmd_check_stream(args) -> int:
                                  spill_root=spill_root)
     answered = answer(Query("check"), result)
     report = RunReport(command="check").add("stream", result.stats)
-    _finish_store(report, store)
+    if store is not None:
+        report.add("cache", store.stats)
+        store.close()
     _obs_finish(args, report, tracer)
     if result.budget_exhausted is not None:
         print(f"budget exhausted ({result.budget_exhausted}) after "
@@ -579,6 +544,12 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+#: ``normalize``'s sweep-only options: dest -> flag.
+_SWEEP_ONLY = {"jobs": "--jobs", "seed": "--seed", "rules": "--rules",
+               "max_fields": "--max-fields",
+               "min_preserved": "--min-preserved"}
+
+
 def _cmd_normalize(args) -> int:
     """``repro normalize``: synthesize a nested normal-form design.
 
@@ -587,13 +558,19 @@ def _cmd_normalize(args) -> int:
     winning design preserves Sigma and the round-trip validation found
     no violations, 1 otherwise.  With ``--sweep N``, normalize N
     generated flat schemas (deterministic in ``--seed``, fanned out
-    over ``--jobs``) and gate on ``--min-preserved``.
+    over ``--jobs``) and gate on ``--min-preserved``.  The sweep-only
+    flags (``--jobs``, ``--seed``, ``--rules``, ``--max-fields``,
+    ``--min-preserved``) default to None, so a bundle run that would
+    ignore one of them exits 2 naming it.
     """
     from .design.synthesize import sweep_normalize, synthesize_design
     from .obs.report import RunReport
 
     tracer = _tracer_from_args(args)
     report = RunReport(command="normalize")
+    # a sweep-only flag left at None takes the library's own default
+    given = {name: getattr(args, name) for name in _SWEEP_ONLY
+             if getattr(args, name) is not None}
     if args.sweep is not None:
         if args.sweep < 1:
             print("error: --sweep needs a positive count",
@@ -607,16 +584,20 @@ def _cmd_normalize(args) -> int:
             print("error: --sweep normalizes generated schemas and "
                   f"would ignore {', '.join(ignored)}", file=sys.stderr)
             return 2
-        summary = sweep_normalize(
-            args.sweep, jobs=args.jobs, seed=args.seed,
-            rules=args.rules, max_fields=args.max_fields)
+        gate = given.pop("min_preserved", None)
+        summary = sweep_normalize(args.sweep, **given)
         print(summary.to_text())
         report.add("design", summary)
         _obs_finish(args, report, tracer)
-        return 0 if summary.ok(args.min_preserved) else 1
+        ok = summary.ok() if gate is None else summary.ok(gate)
+        return 0 if ok else 1
     if args.bundle is None:
         print("error: pass a bundle file or --sweep N",
               file=sys.stderr)
+        return 2
+    if given:
+        print("error: without --sweep, normalize would ignore "
+              f"{', '.join(map(_SWEEP_ONLY.get, given))}", file=sys.stderr)
         return 2
     schema, sigma, instance, payload = _load(args.bundle, values=True)
     spec = _spec_from_args(args, payload)
@@ -707,7 +688,6 @@ def _cmd_serve(args) -> int:
     harnesses can wait on it instead of polling.
     """
     from .server.daemon import ServerConfig, run_server
-    from .store.cache_store import resolve_cache_dir
 
     config = ServerConfig(
         host=args.host,
@@ -716,7 +696,6 @@ def _cmd_serve(args) -> int:
         max_inflight=args.max_inflight,
         max_pending=args.max_pending,
         connection_deadline=args.deadline,
-        cache_dir=resolve_cache_dir(getattr(args, "cache_dir", None)),
         allow_debug=args.allow_debug,
         allow_shutdown=args.allow_shutdown,
     )
@@ -784,20 +763,13 @@ def _cache_stats_arg(sub) -> None:
     )
 
 
-def _jobs_arg(sub) -> None:
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="fan the work out across N >= 1 worker "
-                          "processes (default 1: serial; output is "
-                          "identical either way)")
-
-
 def _cache_dir_arg(sub) -> None:
     sub.add_argument(
         "--cache-dir", metavar="DIR", dest="cache_dir",
-        help="persist closure memos, dense closure tables, and "
-             "stream checkpoints in DIR's SQLite database across runs "
-             "(default: the REPRO_CACHE_DIR environment variable; "
-             "neither set = no persistence)",
+        help="the cache directory: --stream --incremental checkpoints "
+             "in its SQLite database, --stream spills under its tmp/, "
+             "nothing else (default: the REPRO_CACHE_DIR environment "
+             "variable; neither set = no persistence)",
     )
 
 
@@ -873,7 +845,6 @@ def _add_implies(sub) -> None:
     _nonempty_arg(sub)
     _stats_arg(sub)
     _cache_stats_arg(sub)
-    _cache_dir_arg(sub)
     _server_arg(sub)
     _obs_args(sub)
     sub.set_defaults(handler=_cmd_query)
@@ -886,7 +857,6 @@ def _add_closure(sub) -> None:
     _nonempty_arg(sub)
     _stats_arg(sub)
     _cache_stats_arg(sub)
-    _cache_dir_arg(sub)
     _server_arg(sub)
     _obs_args(sub)
     sub.set_defaults(handler=_cmd_query)
@@ -928,8 +898,6 @@ def _add_keys(sub) -> None:
     sub.add_argument("relation", nargs="?", default=None)
     _nonempty_arg(sub)
     _cache_stats_arg(sub)
-    _jobs_arg(sub)
-    _cache_dir_arg(sub)
     _server_arg(sub)
     _obs_args(sub)
     sub.set_defaults(handler=_cmd_query)
@@ -962,21 +930,24 @@ def _add_normalize(sub) -> None:
                      help="normalize N generated flat schemas instead "
                           "of a bundle (deterministic in --seed; "
                           "output is identical for every --jobs)")
-    sub.add_argument("--seed", type=int, default=0, metavar="S",
+    sub.add_argument("--seed", type=int, default=None, metavar="S",
                      help="sweep generator seed (default 0)")
-    sub.add_argument("--rules", type=int, default=4, metavar="K",
+    sub.add_argument("--rules", type=int, default=None, metavar="K",
                      help="Sigma size for sweep schemas too small to "
                           "carry the design shape (default 4)")
-    sub.add_argument("--max-fields", type=int, default=5, metavar="F",
-                     dest="max_fields",
+    sub.add_argument("--max-fields", type=int, default=None,
+                     metavar="F", dest="max_fields",
                      help="attribute bound for sweep schemas "
                           "(default 5)")
-    sub.add_argument("--min-preserved", type=float, default=0.95,
+    sub.add_argument("--min-preserved", type=float, default=None,
                      metavar="RATE", dest="min_preserved",
                      help="sweep gate: minimum fraction of designs "
                           "that preserve their Sigma (default 0.95)")
+    sub.add_argument("--jobs", type=int, default=None, metavar="N",
+                     help="fan the sweep out across N >= 1 worker "
+                          "processes (default 1: serial; output is "
+                          "identical either way)")
     _nonempty_arg(sub)
-    _jobs_arg(sub)
     _obs_args(sub)
     sub.set_defaults(handler=_cmd_normalize)
 
@@ -1033,7 +1004,6 @@ def _add_serve(sub) -> None:
     sub.add_argument("--allow-shutdown", action="store_true",
                      dest="allow_shutdown",
                      help="honour the remote shutdown request")
-    _cache_dir_arg(sub)
     _obs_args(sub)
     sub.set_defaults(handler=_cmd_serve)
 
@@ -1121,8 +1091,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
         print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
         return 2
     try:

@@ -333,15 +333,6 @@ class _SigmaPool:
             self._dense[relation] = tables
         return tables
 
-    def has_dense(self, relation: str) -> bool:
-        return relation in self._dense
-
-    def adopt_dense(self, relation: str, tables: DenseTables) -> None:
-        """Install externally compiled tables (a persisted copy, or one
-        shipped to a worker process) instead of compiling."""
-        if relation not in self._dense:
-            self._dense[relation] = tables
-
     def _build_singleton_candidates(self, schema: Schema) -> None:
         for relation in schema.relation_names:
             element = schema.element_type(relation)

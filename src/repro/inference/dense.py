@@ -36,10 +36,8 @@ Saturation is then a fixpoint of ``if acc & rhs_bit: skip; elif all
 masks intersect acc: acc |= rhs_bit`` — no hashing, no frozensets, no
 Path objects in the loop.  The tables depend only on ``(schema, Sigma
 member, nonempty)``; they are compiled once per relation into the
-shared Sigma pool, reused by every copy-on-write probe (rows are
-tagged by pool member index, exactly like the object-level usables),
-and pickle cleanly so parallel key sweeps ship them to workers instead
-of recompiling per process.
+shared Sigma pool and reused by every copy-on-write probe (rows are
+tagged by pool member index, exactly like the object-level usables).
 
 This module is deliberately **zero-dependency**: the bitmask path must
 import (and run) without numpy — a columnar numpy variant can layer on
@@ -130,7 +128,7 @@ def compile_row(ids: dict[Path, int], relation: str, lhs, rhs: Path,
 
 
 class DenseTables:
-    """The compiled dense tables of one relation (pickle-safe).
+    """The compiled dense tables of one relation.
 
     * ``paths`` / ``ids`` — the interned universe: ``paths[i]`` is the
       path with id ``i``, ``ids`` its inverse;
@@ -154,14 +152,6 @@ class DenseTables:
         self.ids = {path: index for index, path in enumerate(paths)}
         self.member_rows = member_rows
         self.candidates = candidates
-
-    def __getstate__(self):
-        # ids is derived from paths; rebuild it on load
-        return (self.relation, self.paths, self.member_rows,
-                self.candidates)
-
-    def __setstate__(self, state):
-        self.__init__(*state)
 
     def __repr__(self) -> str:
         rows = sum(len(per) for per in self.member_rows)

@@ -15,8 +15,8 @@ top of one :class:`~repro.inference.closure.ClosureEngine`:
   (:func:`sigma_fingerprint`) identifies the logical Sigma a cached
   answer belongs to — syntactic reorderings of Sigma members, LHS
   paths, record fields, or nonempty declarations all map to the same
-  fingerprint, so memoized results can be associated, persisted, or
-  compared across sessions that spell the same Sigma differently;
+  fingerprint, so memoized results can be associated or compared
+  across sessions that spell the same Sigma differently;
 * a bounded per-``(relation, frozenset(LHS))`` **closure memo** with
   LRU eviction answers repeated simple-closure queries without
   re-entering the engine, and evicted queries are also dropped from the
@@ -114,21 +114,18 @@ class SessionStats(Stats):
       closure instead of saturating from scratch;
     * ``evictions`` — memo entries dropped by the LRU bound;
     * ``memo_size`` / ``max_memo`` — current and maximum memo entries;
-    * ``store_hits`` / ``store_misses`` — memo misses answered from /
-      probed against the persistent :class:`~repro.store.CacheStore`
-      (both zero when no store is attached);
     * ``engine`` — the nested :class:`EngineStats` snapshot.
     """
 
     __slots__ = ("fingerprint", "queries", "hits", "misses",
                  "seed_reuses", "evictions", "memo_size", "max_memo",
-                 "engine", "store_hits", "store_misses")
+                 "engine")
     IDENTITY = ("fingerprint",)
     STATE = ("memo_size", "max_memo")
     NESTED = ("engine",)
     EXPORT = ("fingerprint", "queries", "hits", "misses", "seed_reuses",
               "evictions", "memo_size", "max_memo", "hit_rate",
-              "store_hits", "store_misses", "engine")
+              "engine")
     TEXT = ("session stats (fingerprint {fingerprint:.12}):",
             "  closure queries: {queries}  hits: {hits}  "
             "misses: {misses}  hit rate: {hit_rate:.1%}",
@@ -142,12 +139,7 @@ class SessionStats(Stats):
         return self.hits / self.queries if self.queries else 0.0
 
     def _extra_lines(self) -> list[str]:
-        lines = []
-        if self.store_hits or self.store_misses:
-            lines.append(f"  store hits: {self.store_hits}  "
-                         f"store misses: {self.store_misses}")
-        lines.append(self.engine.to_text())
-        return lines
+        return [self.engine.to_text()]
 
 
 class ImplicationSession:
@@ -171,7 +163,7 @@ class ImplicationSession:
     def __init__(self, schema: Schema, sigma: Iterable[NFD],
                  nonempty: NonEmptySpec | None = None, *,
                  max_memo: int = DEFAULT_MAX_MEMO, tracer=None,
-                 store=None, _engine: ClosureEngine | None = None,
+                 _engine: ClosureEngine | None = None,
                  _fingerprint: str | None = None):
         if _engine is not None:
             self.engine = _engine
@@ -181,23 +173,11 @@ class ImplicationSession:
         if max_memo < 1:
             raise InferenceError("max_memo must be at least 1")
         self.max_memo = max_memo
-        # Optional persistent write-through layer (repro.store): memo
-        # misses probe it before saturating, computed closures are
-        # written back.  Probe sessions never inherit it — their Sigma
-        # differs, so persisted entries would not apply.
-        self.store = store
-        self._store_hits = 0
-        self._store_misses = 0
         # computed on first read (or handed in by a caller that already
         # hashed the same triple): probes, cover and synthesis sessions
         # never read it, and hashing Σ is a large share of a small
-        # session's build; a store keys every row on it, so a session
-        # with a store pays up front
+        # session's build
         self._fingerprint = _fingerprint
-        if store is not None:
-            self._fingerprint = self.fingerprint
-            if _engine is None:
-                self._warm_dense()
         # (relation, key) -> closure, in LRU order (oldest first).
         self._memo: "OrderedDict[tuple[str, frozenset[Path]], frozenset[Path]]" \
             = OrderedDict()
@@ -209,30 +189,6 @@ class ImplicationSession:
         self._misses = 0
         self._seed_reuses = 0
         self._evictions = 0
-
-    def _warm_dense(self) -> None:
-        """Adopt persisted dense tables / persist freshly compiled ones.
-
-        Dense tables depend on ``(schema, Sigma members, nonempty)`` —
-        the fingerprint — but their rows are tagged by Σ *member index*
-        (the fingerprint is order-independent, indexes are not), so the
-        persisted payload carries the member texts in order and a
-        mismatch is a miss, never a wrong answer (exactly the
-        compiled-plan rule)."""
-        pool = self.engine._pool
-        sigma_texts = tuple(str(nfd) for nfd in self.engine.sigma)
-        for relation in self.engine.schema.relation_names:
-            payload = self.store.get_dense(self.fingerprint, relation)
-            if payload is not None:
-                stored_texts, tables = payload
-                if stored_texts == sigma_texts:
-                    pool.adopt_dense(relation, tables)
-                    continue
-                self.store.note_stale()
-            if not pool.has_dense(relation):
-                self.store.put_dense(self.fingerprint, relation,
-                                     (sigma_texts,
-                                      pool.dense(relation)))
 
     # -- introspection -----------------------------------------------------
 
@@ -281,8 +237,6 @@ class ImplicationSession:
             memo_size=len(self._memo),
             max_memo=self.max_memo,
             engine=self.engine.stats,
-            store_hits=self._store_hits,
-            store_misses=self._store_misses,
         )
 
     # -- memoized queries --------------------------------------------------
@@ -291,12 +245,9 @@ class ImplicationSession:
             -> frozenset[Path]:
         """Memoized ``CL(lhs)`` at a relation-name base.
 
-        A hit returns the cached closure; a miss consults the
-        persistent store (when one is attached) and only then saturates
-        the engine, seeded from the largest cached closure of a strict
-        subset of *lhs* when one exists (sound by monotonicity of
-        ``CL``).  Computed closures are written through to the store,
-        so a later process warm-starts without saturating at all."""
+        A hit returns the cached closure; a miss saturates the engine,
+        seeded from the largest cached closure of a strict subset of
+        *lhs* when one exists (sound by monotonicity of ``CL``)."""
         key = frozenset(lhs)
         self._queries += 1
         slot = (relation, key)
@@ -312,12 +263,6 @@ class ImplicationSession:
                 tracer.count("session.hits")
             return cached
         self._misses += 1
-        persisted = self._from_store(relation, key)
-        if persisted is not None:
-            self._remember(relation, key, persisted)
-            if tracer is not None:
-                tracer.count("session.store_hits")
-            return persisted
         if tracer is None:
             seed = self._best_seed(relation, key)
             if seed is not None:
@@ -327,7 +272,6 @@ class ImplicationSession:
             else:
                 result = self.engine.closure_simple(relation, key)
             self._remember(relation, key, result)
-            self._persist(relation, key, result)
             return result
         with tracer.span("session.miss", relation=relation,
                          lhs_size=len(key)) as span:
@@ -341,29 +285,8 @@ class ImplicationSession:
             else:
                 result = self.engine.closure_simple(relation, key)
             self._remember(relation, key, result)
-            self._persist(relation, key, result)
             span.add("derived", len(result) - len(key))
         return result
-
-    def _from_store(self, relation: str,
-                    key: frozenset[Path]) -> frozenset[Path] | None:
-        """Probe the persistent store on a memo miss.  A hit keeps the
-        closure engine untouched entirely — zero saturation work."""
-        if self.store is None:
-            return None
-        persisted = self.store.get_closure(self.fingerprint, relation,
-                                           key)
-        if persisted is not None:
-            self._store_hits += 1
-            return persisted
-        self._store_misses += 1
-        return None
-
-    def _persist(self, relation: str, key: frozenset[Path],
-                 result: frozenset[Path]) -> None:
-        if self.store is not None:
-            self.store.put_closure(self.fingerprint, relation, key,
-                                   result)
 
     def _best_seed(self, relation: str,
                    key: frozenset[Path]) -> frozenset[Path] | None:
@@ -450,16 +373,14 @@ class ImplicationSession:
         ``closure(base, candidate)`` contain every path of *targets*?
 
         Answers equal ``[targets <= self.closure(base, c) for c in
-        candidates]``.  At a relation-name base a session without a
-        store delegates to :meth:`ClosureEngine.covers_many` — verdicts
-        come straight off the kernel's saturated masks, skipping both
-        closure materialization and the memo (a sweep's candidates
-        rarely repeat, so the memo only adds bookkeeping there).  With
-        a store attached, and at nested bases, the batch routes through
-        :meth:`closure_batch`, so persisted closures answer a warm sweep
-        without saturating.
+        candidates]``.  At a relation-name base the session delegates
+        to :meth:`ClosureEngine.covers_many` — verdicts come straight
+        off the kernel's saturated masks, skipping both closure
+        materialization and the memo (a sweep's candidates rarely
+        repeat, so the memo only adds bookkeeping there).  At nested
+        bases the batch routes through :meth:`closure_batch`.
         """
-        if self.store is None and base.tail.is_empty:
+        if base.tail.is_empty:
             return self.engine.covers_many(base, candidates, targets)
         target_set = frozenset(targets)
         closures = self.closure_batch(

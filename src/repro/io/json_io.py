@@ -186,15 +186,18 @@ def read_bundle(text: str, *, values: bool = False) \
 
     The instance is type-checked JSON rows (:func:`instance_rows`) —
     the form ``check``, ``implies``, ``closure`` and ``keys`` read, with
-    no value tree built — or, with *values*, its value tree
-    (:func:`instance_from_dict`); None when the bundle has none.
-    *payload* is the decoded bundle, for a caller that reads more of it
-    (the CLI takes ``"nonempty"`` from it with :func:`bundle_spec`)."""
+    no value tree built — or, with *values*, the value tree of those
+    checked rows (:func:`instance_from_dict`), so an ill-typed instance
+    is refused in the same words either way; None when the bundle has
+    none.  *payload* is the decoded bundle, for a caller that reads
+    more of it (the CLI takes ``"nonempty"`` from it with
+    :func:`bundle_spec`)."""
     payload, schema, sigma = _bundle_parts(text)
     instance = payload.get("instance")
     if instance is not None:
-        instance = (instance_from_dict if values else instance_rows)(
-            schema, instance)
+        instance = instance_rows(schema, instance)
+        if values:
+            instance = instance_from_dict(schema, instance)
     return schema, sigma, instance, payload
 
 

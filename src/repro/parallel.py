@@ -1,10 +1,9 @@
-"""Process-parallel fan-out for analysis workloads.
+"""Process-parallel fan-out for the normalization sweep.
 
-The hot loops of the analysis and design layers — the key-combination
-sweep and the normalization sweep — are embarrassingly parallel over
-*independent* tasks that all consult one shared, read-only context (a
-compiled session, or a sweep's generator settings).  :func:`process_map`
-is the one fan-out primitive they share:
+``normalize --sweep N --jobs J`` synthesizes a design for each of N
+generated schemas: *independent* tasks that all consult one shared,
+read-only context (the sweep's generator settings).
+:func:`process_map` is its fan-out primitive:
 
 * **per-process setup**: each worker process runs ``setup(payload)``
   exactly once (a :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -21,19 +20,6 @@ is the one fan-out primitive they share:
   :data:`PARALLEL_THRESHOLD` tasks (process startup would dominate),
   the same ``setup``/``func`` pair runs inline in the calling process —
   one code path to test, identical answers by construction.
-
-Warm-up path
-------------
-
-``setup`` is also where workers attach to the persistent cache
-(:mod:`repro.store`): the key sweep's ``_keys_setup`` threads a
-``cache_dir`` through the payload and opens a **read-only**
-:class:`~repro.store.CacheStore` once per process.  Every task in that
-process then answers warm (memoized closures) from the one handle, while the single writable handle stays in the driver — a
-fleet of readers and one writer is exactly the shape WAL SQLite serves
-well.  Read-only opens never create or mutate the database, so a
-worker fleet pointed at a missing or stale cache degrades to cold
-computation with byte-identical results.
 """
 
 from __future__ import annotations
@@ -42,11 +28,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
-from .inference.empty_sets import NonEmptySpec
-from .paths.path import parse_path
-
-__all__ = ["process_map", "spec_payload", "spec_from_payload",
-           "RemoteTraceback", "PARALLEL_THRESHOLD"]
+__all__ = ["process_map", "RemoteTraceback", "PARALLEL_THRESHOLD"]
 
 #: Below this many tasks a process pool costs more than it saves.
 PARALLEL_THRESHOLD = 4
@@ -123,27 +105,3 @@ def process_map(setup: Callable[[Any], Any], payload: Any,
             if remote is not None:
                 raise exc from RemoteTraceback(remote)
             raise
-
-
-def spec_payload(nonempty: NonEmptySpec | None):
-    """A pickle-friendly, text-only encoding of a nonempty spec.
-
-    ``None`` stays ``None``, the all-nonempty spec becomes ``"*"``, and
-    a partial spec becomes its sorted declaration texts.  Decoded by
-    :func:`spec_from_payload` inside worker processes, keeping worker
-    payloads plain strings/tuples.
-    """
-    if nonempty is None:
-        return None
-    if nonempty.declares_everything:
-        return "*"
-    return tuple(sorted(str(p) for p in nonempty.declared))
-
-
-def spec_from_payload(data) -> NonEmptySpec | None:
-    """Invert :func:`spec_payload`."""
-    if data is None:
-        return None
-    if data == "*":
-        return NonEmptySpec.all_nonempty()
-    return NonEmptySpec(parse_path(text) for text in data)

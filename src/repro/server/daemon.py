@@ -82,7 +82,6 @@ class ServerConfig:
     max_pending: int = 32             # admission queue bound
     connection_deadline: float | None = None  # seconds per connection
     max_frame_bytes: int = MAX_FRAME_BYTES
-    cache_dir: str | None = None      # persistent store write-through
     allow_debug: bool = False         # honour ping {"sleep_ms": ...}
     allow_shutdown: bool = False      # honour the shutdown request
     retry_after_ms: int = 50          # advisory backoff in shed replies
@@ -190,12 +189,8 @@ class ReproServer:
         self.config.validate()
         self.tracer = tracer
         self.stats = ServerStats()
-        self.store = None
-        if self.config.cache_dir is not None:
-            from ..store import open_store
-            self.store = open_store(self.config.cache_dir)
         self.pool = EnginePool(max_entries=self.config.max_sessions,
-                               store=self.store, tracer=tracer)
+                               tracer=tracer)
         self.host: str | None = None
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -226,7 +221,7 @@ class ReproServer:
         await self._stop_event.wait()
 
     async def close(self) -> None:
-        """Stop accepting, drop live connections, release the store."""
+        """Stop accepting and drop live connections."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -235,9 +230,6 @@ class ReproServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks,
                                  return_exceptions=True)
-        if self.store is not None:
-            self.store.close()
-            self.store = None
 
     async def run(self) -> None:
         """``start`` + serve until :meth:`request_stop` + ``close``."""
@@ -249,12 +241,9 @@ class ReproServer:
 
     def report(self) -> RunReport:
         """The daemon's consolidated metrics report."""
-        report = (RunReport(command="serve")
-                  .add("server", self.stats)
-                  .add("pool", self.pool))
-        if self.store is not None:
-            report.add("cache", self.store.stats)
-        return report
+        return (RunReport(command="serve")
+                .add("server", self.stats)
+                .add("pool", self.pool))
 
     # -- connection handling -----------------------------------------------
 

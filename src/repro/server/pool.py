@@ -4,9 +4,8 @@ Every query request names its constraint universe by shipping a bundle;
 the pool maps the bundle's canonical
 :func:`~repro.inference.session.sigma_fingerprint` to a
 :class:`PoolEntry` holding the parsed model objects plus one
-:class:`~repro.inference.session.ImplicationSession` (memoized closures,
-optional write-through to the persistent
-:class:`~repro.store.CacheStore`), built lazily and kept warm.  A
+:class:`~repro.inference.session.ImplicationSession` (memoized
+closures), built lazily and kept warm.  A
 ``check`` keeps nothing here: it runs :func:`repro.service.check`,
 which builds its stream engine per request, and
 :attr:`PoolStats.validator_builds` counts those builds.
@@ -61,8 +60,6 @@ def _fold_session(totals: dict, entry: "PoolEntry") -> None:
         totals["saturations"] += stats.engine.saturations
         totals["closure_queries"] += stats.queries
         totals["memo_hits"] += stats.hits
-        totals["store_hits"] += stats.store_hits
-        totals["store_misses"] += stats.store_misses
 
 
 class _ClosureBatcher:
@@ -142,16 +139,13 @@ class EnginePool:
     member texts *in order*: closure answers are order-independent but
     the entry's ``sigma`` (and with it a check's witness ordering) is
     not, so two spellings of one logical Σ in different member order
-    get separate entries while still sharing the persistent store's
-    fingerprint-keyed closure memo.
+    get separate entries.
     """
 
-    def __init__(self, *, max_entries: int = 32, store=None,
-                 tracer=None):
+    def __init__(self, *, max_entries: int = 32, tracer=None):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
-        self.store = store
         self.tracer = tracer
         self.stats = PoolStats()
         self._entries: "OrderedDict[str, PoolEntry]" = OrderedDict()
@@ -159,8 +153,7 @@ class EnginePool:
         # Engine counters folded out of evicted entries, so aggregates
         # are monotone across evictions.
         self._retired = {"rule_attempts": 0, "saturations": 0,
-                         "closure_queries": 0, "memo_hits": 0,
-                         "store_hits": 0, "store_misses": 0}
+                         "closure_queries": 0, "memo_hits": 0}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -227,8 +220,7 @@ class EnginePool:
         def factory():
             return ImplicationSession(
                 entry.schema, entry.sigma, entry.nonempty,
-                tracer=self.tracer, store=self.store,
-                _fingerprint=entry.fingerprint)
+                tracer=self.tracer, _fingerprint=entry.fingerprint)
         session = await self._build(entry.key, factory)
         if entry.session is None:
             entry.session = session

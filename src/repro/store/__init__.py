@@ -1,20 +1,13 @@
-"""Persistent SQLite cache layer behind the in-memory engines.
+"""Persistent SQLite cache layer for incremental streaming.
 
 One WAL-mode SQLite database (``repro-cache.sqlite`` under a
-user-chosen cache directory) persists three kinds of derived state,
-all keyed by the order-independent Σ fingerprint:
-
-* **closure memo** — finished closure computations of
-  :class:`~repro.inference.session.ImplicationSession`; a warm
-  ``implies``/``closure``/``keys`` run answers from the store with
-  *zero* saturation rule applications;
-* **dense closure tables** — the interned bitset tables of
-  :mod:`repro.inference.dense`, which a session with a store adopts
-  instead of compiling;
-* **stream checkpoints** — group-table aggregates and witness elements
-  in the streaming engine's plain-JSON form, plus a source watermark,
-  via :mod:`.stream_cache`; ``check --stream --incremental`` folds only
-  appended lines.
+user-chosen cache directory) persists **stream checkpoints** —
+group-table aggregates and witness elements in the streaming engine's
+plain-JSON form, plus a source watermark, via :mod:`.stream_cache` —
+so ``check --stream --incremental`` folds only appended lines.  The
+directory's ``tmp/`` is the spill root of ``check --stream``.  Nothing
+else is kept there: an implication or closure query is one saturation
+of the dense kernel, cheaper to recompute than to read back.
 
 The store is an *accelerator*, never an authority: every read path
 tolerates a missing, corrupt, version-mismatched, or concurrently
@@ -22,7 +15,7 @@ rewritten database by degrading to the cold computation with identical
 results and exit codes (a corrupt one with a :class:`CacheWarning` on
 stderr; a version mismatch is dropped silently and counted stale).
 Writers share one database safely under WAL (last writer wins per
-row); parallel ``keys`` workers open it read-only, once per process.
+row).
 """
 
 from .. import _lazy

@@ -1,32 +1,22 @@
-"""A WAL-mode SQLite persistence layer behind the in-memory caches.
+"""A WAL-mode SQLite persistence layer for streaming checkpoints.
 
-Everything the engines compute within one process — simple-closure
-memo entries, interned dense closure tables, streaming group-table
-aggregates — evaporates at exit.  :class:`CacheStore` is the
-write-through disk layer that survives it: one SQLite file per cache
-directory, in WAL journal mode so concurrent readers never block the
-single writer, holding tables keyed by
-:func:`~repro.inference.session.sigma_fingerprint` plus the injective
-canonical byte encoding of :mod:`repro.values.canonical`:
+``check --stream --incremental`` folds only the lines appended to a
+JSONL source since its last run, and the group-table aggregates it
+folds them into must survive the process.  :class:`CacheStore` is that
+disk layer: one SQLite file per cache directory, in WAL journal mode so
+concurrent readers never block the single writer, holding the
+``stream_sources`` / ``stream_groups`` / ``stream_elements`` tables —
+per-source watermarks, one aggregate row per ``(source, plan,
+canonical key bytes)`` group, and the witness elements those rows point
+to by id, all in the streaming engine's plain-JSON form (see
+:mod:`repro.store.stream_cache`).  A resume reads only the rows its
+appended lines touch plus the violating rows (a partial index), and
+upserts only the rows whose aggregate changed.  The cache directory's
+``tmp/`` is also where streaming spills land
+(:func:`default_spill_root`).
 
-* ``closure_memo`` — ``(fingerprint, relation, lhs) -> closure``, the
-  persisted form of :class:`~repro.inference.session.ImplicationSession`
-  memo entries.  LHS and closure are stored as sorted canonical path
-  texts (newline-joined), which round-trip exactly through
-  ``parse_path`` and stay readable in ``sqlite3`` by hand;
-* ``dense_tables`` — ``(fingerprint, relation) -> pickled interned
-  closure tables`` of :mod:`repro.inference.dense`, tagged with the Σ
-  member order (dense rows are indexed positionally, so a reordered Σ
-  is a *miss*, never a wrong answer); a session with a store
-  warm-starts with zero compilation;
-* ``stream_sources`` / ``stream_groups`` / ``stream_elements`` —
-  per-source watermarks, one aggregate row per ``(source, plan,
-  canonical key bytes)`` group, and the witness elements those rows
-  point to by id, all in the streaming engine's plain-JSON form, for
-  incremental streaming (see :mod:`repro.store.stream_cache`).  A
-  resume reads only the rows its appended lines touch plus the
-  violating rows (a partial index), and upserts only the rows whose
-  aggregate changed.
+Implications are not stored: a closure query is one saturation of the
+dense kernel, cheaper than reading a stored answer back.
 
 Safety model
 ------------
@@ -36,8 +26,7 @@ and every failure degrades to the cold path.
 
 * the DB carries a schema version and the canonical codec version
   (:data:`repro.values.canonical.CODEC_VERSION`) in its ``meta`` table;
-  a mismatch reinitializes a writable store and silently empties a
-  read-only one;
+  a mismatch drops every table and reinitializes the store;
 * a corrupt or unreadable DB marks the store *broken*: one
   ``CacheWarning`` on stderr, then every read misses and every write is
   dropped — callers never see an exception out of cache plumbing;
@@ -47,8 +36,8 @@ and every failure degrades to the cold path.
   consistent snapshot throughout).
 
 :class:`CacheStats` counts hits / misses / stale entries / dropped
-errors / writes per table family and plugs into the
-:class:`~repro.obs.RunReport` section protocol (section ``"cache"``).
+errors / writes and plugs into the :class:`~repro.obs.RunReport`
+section protocol (section ``"cache"``).
 """
 
 from __future__ import annotations
@@ -61,7 +50,6 @@ import warnings
 from typing import Any, Iterable, Iterator
 
 from ..obs.report import Stats
-from ..paths.path import Path, parse_path
 from ..values.canonical import CODEC_VERSION
 
 __all__ = ["CacheStore", "CacheStats", "CacheWarning",
@@ -69,8 +57,8 @@ __all__ = ["CacheStore", "CacheStats", "CacheWarning",
            "DB_FILENAME", "SCHEMA_VERSION"]
 
 #: Bump when the SQLite table layout, or the form of a stored row,
-#: changes incompatibly (5: checkpoint emission sequences are ints).
-SCHEMA_VERSION = 5
+#: changes incompatibly (6: the closure memo and dense tables are gone).
+SCHEMA_VERSION = 6
 
 #: The database file created inside a cache directory.
 DB_FILENAME = "repro-cache.sqlite"
@@ -85,19 +73,6 @@ _TABLES = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS closure_memo (
-    fingerprint TEXT NOT NULL,
-    relation    TEXT NOT NULL,
-    lhs         TEXT NOT NULL,
-    closure     TEXT NOT NULL,
-    PRIMARY KEY (fingerprint, relation, lhs)
-);
-CREATE TABLE IF NOT EXISTS dense_tables (
-    fingerprint TEXT NOT NULL,
-    relation    TEXT NOT NULL,
-    payload     BLOB NOT NULL,
-    PRIMARY KEY (fingerprint, relation)
 );
 CREATE TABLE IF NOT EXISTS stream_sources (
     source_id    TEXT PRIMARY KEY,
@@ -130,12 +105,11 @@ CREATE TABLE IF NOT EXISTS stream_elements (
 _POINT_BATCH = 500
 
 #: The tables a version mismatch drops and ``clear`` empties.
-_DATA_TABLES = ("closure_memo", "dense_tables", "stream_sources",
-                "stream_groups", "stream_elements")
+_DATA_TABLES = ("stream_sources", "stream_groups", "stream_elements")
 
 #: Tables earlier schema versions had and this one does not; a version
 #: mismatch drops them too, so an upgraded database keeps none.
-_LEGACY_TABLES = ("plans",)
+_LEGACY_TABLES = ("plans", "closure_memo", "dense_tables")
 
 
 class CacheWarning(UserWarning):
@@ -172,35 +146,28 @@ def default_spill_root(cache_dir: str | None = None) -> str | None:
     return path
 
 
-def open_store(cache_dir: str | None, *,
-               read_only: bool = False) -> "CacheStore | None":
+def open_store(cache_dir: str | None) -> "CacheStore | None":
     """Open the store under *cache_dir*, or ``None`` when caching is
     off.  Never raises: an unusable directory or database yields a
     broken (all-miss) store plus one warning."""
     resolved = resolve_cache_dir(cache_dir)
     if resolved is None:
         return None
-    return CacheStore(resolved, read_only=read_only)
+    return CacheStore(resolved)
 
 
 class CacheStats(Stats):
     """Hit / miss / stale / error counters of one store handle.
 
-    ``stale`` counts entries that existed but were unusable (dense
-    tables compiled for a different Σ order, a stream watermark that no
-    longer matches its file, a database of another schema version);
-    ``errors`` counts operations dropped because the
+    ``stale`` counts entries that existed but were unusable (a stream
+    watermark that no longer matches its file, a database of another
+    schema version); ``errors`` counts operations dropped because the
     database was broken or raised.  All counters are cumulative.
     """
 
-    __slots__ = ("closure_hits", "closure_misses", "dense_hits",
-                 "dense_misses", "stream_hits", "stream_misses",
-                 "stale", "errors", "writes")
+    __slots__ = ("stream_hits", "stream_misses", "stale", "errors",
+                 "writes")
     TEXT = ("cache stats (persistent store):",
-            "  closure: {closure_hits} hit(s)  "
-            "{closure_misses} miss(es)",
-            "  dense tables: {dense_hits} hit(s)  "
-            "{dense_misses} miss(es)",
             "  stream: {stream_hits} hit(s)  {stream_misses} miss(es)",
             "  stale: {stale}  errors: {errors}  writes: {writes}")
 
@@ -211,23 +178,17 @@ class CacheStore:
     Example::
 
         store = CacheStore("/var/cache/repro")
-        store.put_closure(fp, "Course", lhs, closure)
-        store.get_closure(fp, "Course", lhs)     # across processes
+        store.put_stream_source(source_id, fingerprint=fp, ...)
+        store.get_stream_source(source_id)      # across processes
         store.stats.to_text()
         store.close()
 
-    ``read_only=True`` opens the database without ever creating or
-    mutating it — the mode worker processes use, so a fleet of readers
-    shares one file while only the driver writes.
-
     One handle may be shared across threads: every connection touch is
-    serialized behind a lock (the daemon builds engines in executor
-    threads while serving memo lookups from its event loop thread).
+    serialized behind a lock.
     """
 
-    def __init__(self, cache_dir: str, *, read_only: bool = False):
+    def __init__(self, cache_dir: str):
         self.cache_dir = cache_dir
-        self.read_only = read_only
         self.path = os.path.join(cache_dir, DB_FILENAME)
         self.stats = CacheStats()
         self._conn: sqlite3.Connection | None = None
@@ -245,19 +206,6 @@ class CacheStore:
     # -- lifecycle ---------------------------------------------------------
 
     def _open(self) -> None:
-        if self.read_only:
-            if not os.path.exists(self.path):
-                # nothing cached yet: a valid, permanently empty store
-                return
-            uri = f"file:{self.path}?mode=ro"
-            conn = sqlite3.connect(uri, uri=True, timeout=BUSY_TIMEOUT_MS
-                                   / 1000.0, check_same_thread=False)
-            if not self._versions_ok(conn):
-                # a writable open will reinitialize; readers just miss
-                conn.close()
-                return
-            self._conn = conn
-            return
         os.makedirs(self.cache_dir, exist_ok=True)
         conn = sqlite3.connect(self.path,
                                timeout=BUSY_TIMEOUT_MS / 1000.0,
@@ -334,15 +282,10 @@ class CacheStore:
         """Can this handle currently serve reads?"""
         return self._conn is not None and not self._broken
 
-    @property
-    def writable(self) -> bool:
-        return self.available and not self.read_only
-
     def __repr__(self) -> str:
-        mode = "ro" if self.read_only else "rw"
         state = "broken" if self._broken else (
-            "open" if self._conn is not None else "empty")
-        return f"CacheStore({self.path!r}, {mode}, {state})"
+            "open" if self._conn is not None else "closed")
+        return f"CacheStore({self.path!r}, {state})"
 
     # -- guarded execution -------------------------------------------------
 
@@ -366,7 +309,7 @@ class CacheStore:
         the write (the closed connection raises) without a second
         warning."""
         with self._lock:
-            if not self.writable:
+            if not self.available:
                 return False
             conn = self._conn
             try:
@@ -384,87 +327,11 @@ class CacheStore:
             self.stats.writes += 1
             return True
 
-    # -- closure memo ------------------------------------------------------
-
-    @staticmethod
-    def _path_text(paths: Iterable[Path]) -> str:
-        # canonical path texts contain no newlines, so the join is
-        # injective and round-trips through parse_path exactly
-        return "\n".join(sorted(str(p) for p in paths))
-
-    @staticmethod
-    def _text_paths(text: str) -> frozenset[Path]:
-        if not text:
-            return frozenset()
-        return frozenset(parse_path(line) for line in text.split("\n"))
-
-    def get_closure(self, fingerprint: str, relation: str,
-                    lhs: Iterable[Path]) -> frozenset[Path] | None:
-        rows = self._read(
-            "SELECT closure FROM closure_memo WHERE fingerprint = ? "
-            "AND relation = ? AND lhs = ?",
-            (fingerprint, relation, self._path_text(lhs)))
-        if not rows:
-            self.stats.closure_misses += 1
-            return None
-        try:
-            closure = self._text_paths(rows[0][0])
-        except Exception:  # a mangled row is stale data, not an error
-            self.stats.stale += 1
-            self.stats.closure_misses += 1
-            return None
-        self.stats.closure_hits += 1
-        return closure
-
-    def put_closure(self, fingerprint: str, relation: str,
-                    lhs: Iterable[Path],
-                    closure: Iterable[Path]) -> None:
-        self._write([(
-            "INSERT OR REPLACE INTO closure_memo "
-            "(fingerprint, relation, lhs, closure) VALUES (?, ?, ?, ?)",
-            (fingerprint, relation, self._path_text(lhs),
-             self._path_text(closure)))])
-
     # -- staleness -------------------------------------------------------
 
     def note_stale(self) -> None:
         """Record that a cached entry existed but was unusable."""
         self.stats.stale += 1
-
-    # -- dense closure tables ----------------------------------------------
-
-    def get_dense(self, fingerprint: str, relation: str) -> Any | None:
-        """The unpickled ``(sigma_texts, DenseTables)`` payload for one
-        relation's interned closure tables (see
-        :mod:`repro.inference.dense`), or ``None`` on a miss.  The
-        payload is tagged with the Σ member order: row indices are
-        positional, so a reordered Σ must re-compile."""
-        rows = self._read(
-            "SELECT payload FROM dense_tables WHERE fingerprint = ? "
-            "AND relation = ?", (fingerprint, relation))
-        if not rows:
-            self.stats.dense_misses += 1
-            return None
-        try:
-            payload = pickle.loads(rows[0][0])
-        except Exception:
-            self.stats.stale += 1
-            self.stats.dense_misses += 1
-            return None
-        self.stats.dense_hits += 1
-        return payload
-
-    def put_dense(self, fingerprint: str, relation: str,
-                  payload: Any) -> None:
-        try:
-            blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            self.stats.errors += 1
-            return
-        self._write([(
-            "INSERT OR REPLACE INTO dense_tables "
-            "(fingerprint, relation, payload) VALUES (?, ?, ?)",
-            (fingerprint, relation, blob))])
 
     # -- stream source state ----------------------------------------------
 
@@ -624,12 +491,6 @@ class CacheStore:
             self.stats.stale += 1
             return False
 
-    def drop_stream_source(self, source_id: str) -> None:
-        self._write([
-            (f"DELETE FROM {table} WHERE source_id = ?", (source_id,))
-            for table in ("stream_groups", "stream_elements",
-                          "stream_sources")])
-
     # -- maintenance (the `repro cache` subcommand) ------------------------
 
     def summary(self) -> dict:
@@ -637,14 +498,7 @@ class CacheStore:
         ``stream_groups`` counts persisted group aggregates (one row
         each) and ``stream_elements`` the witness elements they share."""
         counts = {}
-        for table in ("closure_memo", "dense_tables", "stream_sources"):
-            rows = self._read(f"SELECT COUNT(*) FROM {table}")
-            counts[table] = rows[0][0] if rows else 0
-        rows = self._read(
-            "SELECT COALESCE(SUM(LENGTH(payload)), 0) "
-            "FROM dense_tables")
-        counts["dense_bytes"] = rows[0][0] if rows else 0
-        for table in ("stream_groups", "stream_elements"):
+        for table in _DATA_TABLES:
             rows = self._read(f"SELECT COUNT(*) FROM {table}")
             counts[table] = rows[0][0] if rows else 0
         size = 0
@@ -668,7 +522,7 @@ class CacheStore:
 
     def vacuum(self) -> bool:
         with self._lock:
-            if not self.writable:
+            if not self.available:
                 return False
             try:
                 self._conn.execute("VACUUM")

@@ -313,7 +313,7 @@ def incremental_stream_validate(
 
         # a resumed run that consumed nothing leaves the stored
         # checkpoint untouched — it is already exactly this state
-        persist = (store.writable and validator._exhausted is None
+        persist = (store.available and validator._exhausted is None
                    and (not resumed or total > start))
         if not (resumed or persist):
             result = validator.finalize()

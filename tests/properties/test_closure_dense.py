@@ -16,8 +16,7 @@ A deterministic seed sweep guarantees the advertised case count (the
 acceptance bar is >= 200 randomized cases across the modes) independent
 of hypothesis profiles; a hypothesis wrapper adds shrinking on failure.
 The batch APIs (``closure_many`` / ``closure_batch`` / ``covers_many``)
-are checked against their mapped one-query-at-a-time reading, and the
-pickled-dense-tables parallel key sweep against the serial one.
+are checked against their mapped one-query-at-a-time reading.
 :mod:`tests.properties.test_closure_differential` runs the same
 agreement check on deeper, wider schemas.
 """
@@ -30,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import minimal_keys
 from repro.errors import InferenceError
-from repro.generators import random_schema, random_sigma, workloads
+from repro.generators import random_schema, random_sigma
 from repro.inference import (
     BruteForceProver,
     ClosureEngine,
@@ -198,32 +197,3 @@ def test_dense_keys_match_object_strategies(seed, gated):
     assert minimal_keys(schema, sigma, relation, nonempty=spec) == \
         minimal_keys(schema, sigma, relation,
                      engine=_Reference(schema, sigma, spec))
-
-
-class TestParallelDenseSweep:
-    """jobs=2 workers adopt the driver's pickled dense tables and must
-    reproduce the serial sweep byte-for-byte."""
-
-    def test_parallel_dense_sweep_identical(self):
-        schema = workloads.course_schema()
-        sigma = workloads.course_sigma()
-        serial = minimal_keys(schema, sigma, "Course")
-        parallel = minimal_keys(schema, sigma, "Course", jobs=2)
-        assert parallel == serial
-        assert repr(sorted(map(sorted, parallel))) == \
-            repr(sorted(map(sorted, serial)))
-        assert serial == minimal_keys(
-            schema, sigma, "Course",
-            engine=_Reference(schema, sigma, None))
-
-    def test_parallel_dense_sweep_identical_gated(self):
-        from repro.paths import parse_path
-        schema = workloads.course_schema()
-        sigma = workloads.course_sigma()
-        spec = NonEmptySpec({parse_path("Course")})
-        serial = minimal_keys(schema, sigma, "Course", nonempty=spec)
-        assert minimal_keys(schema, sigma, "Course", nonempty=spec,
-                            jobs=2) == serial
-        assert serial == minimal_keys(
-            schema, sigma, "Course",
-            engine=_Reference(schema, sigma, spec))

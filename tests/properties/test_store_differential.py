@@ -1,19 +1,19 @@
 """Differential property tests: the persistent cache is invisible.
 
 The store is a pure accelerator, so for any random schema/Σ/instance
-the full cache-mode matrix — no cache, cold cache, warm cache,
-read-only warm cache — must produce byte-identical witness
-descriptions and closures.  Each hypothesis case runs the whole
-matrix (for validation, through the stream checkpoints), so the
-default profile's 100 examples exercise several hundred cached
+the cache-mode matrix — no cache, cold cache, warm cache — must
+produce byte-identical witness descriptions through the stream
+checkpoints.  Each hypothesis case runs the whole matrix, so the
+default profile's 100 examples exercise a few hundred cached
 validations per suite run (the nightly profile multiplies that by
 10).
 
-The concurrency half drives two OS processes writing the same WAL
-database through :func:`repro.parallel.process_map`: the database must
-stay uncorrupted (``PRAGMA integrity_check``), contended rows must
-resolve to exactly one writer's value (last-writer-wins, never a
-torn/merged row), and uncontended rows must read back verbatim.
+The concurrency half drives two OS processes writing stream
+checkpoints into the same WAL database through
+:func:`repro.parallel.process_map`: the database must stay uncorrupted
+(``PRAGMA integrity_check``), a contended source must resolve to
+exactly one writer's checkpoint (last-writer-wins, never a torn or
+merged one), and uncontended sources must read back verbatim.
 """
 
 import json
@@ -27,12 +27,10 @@ from hypothesis import strategies as st
 
 from repro.generators import random_instance, random_schema, \
     random_sigma
-from repro.inference import ImplicationSession
 from repro.io.stream import dump_jsonl, iter_jsonl_elements, \
     iter_set_elements
 from repro.nfd import ValidatorEngine, stream_validate
 from repro.parallel import process_map
-from repro.paths import parse_path
 from repro.store import CacheStore, incremental_stream_validate
 from repro.values import to_python
 
@@ -54,7 +52,7 @@ def _witnesses(result):
 @settings(deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_cache_mode_matrix_is_invisible(seed):
-    """off / cold / warm / read-only-warm all agree, byte for byte."""
+    """off / cold / warm all agree, byte for byte."""
     schema, sigma, instance = _draw_case(seed)
     expected = _witnesses(ValidatorEngine(schema, sigma).validate(
         instance, all_violations=True))
@@ -75,44 +73,6 @@ def test_cache_mode_matrix_is_invisible(seed):
                 schema, sigma, relation, path, store=store)
             assert info["mode"] == "resumed"
             assert _witnesses(warm) == expected
-        reader = CacheStore(workdir, read_only=True)
-        try:
-            ro, info = incremental_stream_validate(
-                schema, sigma, relation, path, store=reader)
-            assert info["mode"] == "resumed"
-            assert _witnesses(ro) == expected
-        finally:
-            reader.close()
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=0, max_value=100_000))
-def test_warm_sessions_answer_every_closure_identically(seed):
-    """Cold-computed and store-restored closures agree on every base
-    and every single-attribute LHS — and the warm pass saturates
-    nothing."""
-    schema, sigma, _ = _draw_case(seed)
-    queries = []
-    for relation in schema.relation_names:
-        labels = schema.element_type(relation).labels
-        base = parse_path(relation)
-        queries.append((base, frozenset()))
-        for label in labels:
-            queries.append((base, frozenset({parse_path(label)})))
-    plain = ImplicationSession(schema, sigma)
-    expected = [plain.closure(base, lhs) for base, lhs in queries]
-    workdir = tempfile.mkdtemp(prefix="repro-storeprop-")
-    try:
-        with CacheStore(workdir) as store:
-            cold = ImplicationSession(schema, sigma, store=store)
-            assert [cold.closure(b, l) for b, l in queries] == expected
-        with CacheStore(workdir) as store:
-            warm = ImplicationSession(schema, sigma, store=store)
-            assert [warm.closure(b, l) for b, l in queries] == expected
-            assert warm.engine.stats.attempts == 0
-            assert warm.stats.store_hits == len(queries)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -165,11 +125,35 @@ def _writer_setup(cache_dir):
     return CacheStore(cache_dir)
 
 
+def _put(store, source_id, tag):
+    """Write one checkpoint of *source_id* whose every part — content
+    hash, state, group row, witness element — carries *tag*."""
+    return store.put_stream_source(
+        source_id, fingerprint="fp", relation="R", line_count=1,
+        content_hash=tag, mtime=0.0, state={"tag": tag},
+        groups=[("0:R:[a -> b]",
+                 [(b"k", 0, ["agg", tag], [(1, {"a": tag})])])])
+
+
+def _read(store, source_id):
+    """The stored checkpoint of *source_id* as ``(hash, state, group
+    rows, elements)``, or None."""
+    entry = store.get_stream_source(source_id)
+    if entry is None:
+        return None
+    return (entry["content_hash"], entry["state"],
+            list(store.iter_stream_groups(source_id, plan=0,
+                                          keys=[b"k"])),
+            store.get_stream_elements(source_id, [1]))
+
+
+def _whole(tag):
+    return (tag, {"tag": tag}, [(0, b"k", ["agg", tag])], {1: {"a": tag}})
+
+
 def _writer_probe(store, task):
-    fp, relation, lhs_texts, closure_texts = task
-    lhs = frozenset(parse_path(t) for t in lhs_texts)
-    closure = frozenset(parse_path(t) for t in closure_texts)
-    store.put_closure(fp, relation, lhs, closure)
+    source_id, tag = task
+    _put(store, source_id, tag)
     return store.stats.errors
 
 
@@ -177,38 +161,27 @@ class TestConcurrentWALWriters:
     def test_two_processes_share_one_store_without_corruption(
             self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        contended_a = ("a", "b")
-        contended_b = ("a", "c")
         tasks = []
         for i in range(20):
-            # every worker hammers the same contended row ...
-            tasks.append(("fp", "R", ("a",),
-                          contended_a if i % 2 else contended_b))
-            # ... and owns one uncontended row of its own
-            tasks.append(("fp", "R", (f"k{i}",), (f"k{i}", "z")))
+            # every worker hammers the same contended source ...
+            tasks.append(("shared", "even" if i % 2 == 0 else "odd"))
+            # ... and owns one uncontended source of its own
+            tasks.append((f"own{i}", f"t{i}"))
         errors = process_map(_writer_setup, cache_dir, _writer_probe,
                              tasks, jobs=2)
         assert all(count == 0 for count in errors)
         with CacheStore(cache_dir) as store:
             assert store.integrity_check()
-            # contended row: exactly one writer's value, never a merge
-            winner = store.get_closure("fp", "R",
-                                       frozenset({parse_path("a")}))
-            candidates = [frozenset(parse_path(t) for t in texts)
-                          for texts in (contended_a, contended_b)]
-            assert winner in candidates
-            # uncontended rows read back verbatim
+            # contended source: exactly one writer's checkpoint, whole
+            assert _read(store, "shared") in (_whole("even"),
+                                              _whole("odd"))
+            # uncontended sources read back verbatim
             for i in range(20):
-                row = store.get_closure(
-                    "fp", "R", frozenset({parse_path(f"k{i}")}))
-                assert row == frozenset({parse_path(f"k{i}"),
-                                         parse_path("z")})
+                assert _read(store, f"own{i}") == _whole(f"t{i}")
+            assert store.summary()["stream_sources"] == 21
 
     def test_last_writer_wins_within_one_connection(self, tmp_path):
         with CacheStore(str(tmp_path / "cache")) as store:
-            lhs = frozenset({parse_path("a")})
-            first = frozenset({parse_path("a"), parse_path("b")})
-            second = frozenset({parse_path("a"), parse_path("c")})
-            store.put_closure("fp", "R", lhs, first)
-            store.put_closure("fp", "R", lhs, second)
-            assert store.get_closure("fp", "R", lhs) == second
+            assert _put(store, "a", "first")
+            assert _put(store, "a", "second")
+            assert _read(store, "a") == _whole("second")

@@ -1,10 +1,11 @@
-"""CLI tests for the persistent cache: warm starts, the ``cache``
+"""CLI tests for the persistent cache: what opens it, the ``cache``
 subcommand, ``--incremental`` streaming, and corruption fallback.
 
-The acceptance gates live here: a warm ``implies`` performs zero
-saturation rule applications — asserted through the obs counters
-(``--metrics-json``) — an in-memory ``check`` opens no database, and a
-corrupted database changes neither stdout nor the exit code.
+The cache holds stream checkpoints and the spill root, nothing else:
+an in-memory ``check`` and every implication query open no database
+(``REPRO_CACHE_DIR`` or not), ``repro cache stats`` counts only the
+``stream_*`` tables, and a corrupted database changes neither stdout
+nor the exit code.
 """
 
 import json
@@ -77,69 +78,34 @@ class TestWarmStart:
         assert runs[0] == runs[1]
         assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))
 
-    def test_second_implies_applies_no_rules(self, course_bundle,
-                                             cache_dir, tmp_path,
-                                             capsys):
-        metrics = str(tmp_path / "m.json")
-        query = ["implies", course_bundle, "Course:[cnum -> time]",
-                 "--cache-dir", cache_dir, "--metrics-json", metrics]
-        assert main(query) == 0
-        cold_out = capsys.readouterr().out
-        cold = _metrics(metrics)
-        assert cold["closure"]["attempts"] > 0
-        assert cold["session"]["store_misses"] == 1
-        assert main(query) == 0
-        warm_out = capsys.readouterr().out
-        warm = _metrics(metrics)
-        # the acceptance gate: zero saturation rule applications
-        assert warm["closure"]["attempts"] == 0
-        assert warm["closure"]["saturations"] == 0
-        assert warm["session"]["store_hits"] == 1
-        assert warm_out == cold_out
-
-    def test_closure_and_keys_share_the_memo(self, course_bundle,
-                                             cache_dir, tmp_path,
-                                             capsys):
-        metrics = str(tmp_path / "m.json")
-        assert main(["closure", course_bundle, "Course", "cnum",
-                     "--cache-dir", cache_dir]) == 0
-        first = capsys.readouterr().out
-        assert main(["closure", course_bundle, "Course", "cnum",
-                     "--cache-dir", cache_dir,
-                     "--metrics-json", metrics]) == 0
-        assert capsys.readouterr().out == first
-        warm = _metrics(metrics)
-        assert warm["closure"]["attempts"] == 0
-        # keys issues many closure queries; a fully warmed memo
-        # answers them all without saturating
-        assert main(["keys", course_bundle, "--cache-dir",
-                     cache_dir]) == 0
-        keys_out = capsys.readouterr().out
-        assert main(["keys", course_bundle, "--cache-dir", cache_dir,
-                     "--metrics-json", metrics]) == 0
-        assert capsys.readouterr().out == keys_out
-        assert _metrics(metrics)["closure"]["attempts"] == 0
-
     def test_cache_section_prints_under_stats(self, course_bundle,
-                                              cache_dir, capsys):
+                                              course_jsonl, cache_dir,
+                                              capsys):
         assert main(["check", course_bundle, "--cache-dir", cache_dir,
                      "--stats"]) == 0
         err = capsys.readouterr().err
         assert "cache stats" not in err
         assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))
-        assert main(["implies", course_bundle, "Course:[cnum -> time]",
-                     "--cache-dir", cache_dir, "--stats"]) == 0
+        assert main(["check", course_bundle, "--stream", course_jsonl,
+                     "--incremental", "--cache-dir", cache_dir,
+                     "--stats"]) == 0
         err = capsys.readouterr().err
         assert "cache stats (persistent store)" in err
 
     def test_env_var_configures_the_cache(self, course_bundle,
-                                          cache_dir, monkeypatch,
-                                          capsys):
+                                          course_jsonl, cache_dir,
+                                          monkeypatch, capsys):
+        """``REPRO_CACHE_DIR`` is read by ``check --stream`` alone:
+        in-memory checks and implication queries open no database."""
         monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
         assert main(["check", course_bundle]) == 0
+        for query in (["implies", course_bundle, "Course:[cnum -> time]"],
+                      ["closure", course_bundle, "Course", "cnum"],
+                      ["keys", course_bundle]):
+            assert main(query) == 0
         assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))
-        assert main(["implies", course_bundle,
-                     "Course:[cnum -> time]"]) == 0
+        assert main(["check", course_bundle, "--stream", course_jsonl,
+                     "--incremental"]) == 0
         capsys.readouterr()
         assert os.path.exists(os.path.join(cache_dir, DB_FILENAME))
 
@@ -150,18 +116,18 @@ class TestCacheSubcommand:
         assert main(["cache", "stats"]) == 2
         assert "no cache directory" in capsys.readouterr().err
 
-    def test_stats_clear_vacuum_cycle(self, course_bundle, cache_dir,
-                                      capsys):
-        assert main(["implies", course_bundle, "Course:[cnum -> time]",
-                     "--cache-dir", cache_dir]) == 0
+    def test_stats_clear_vacuum_cycle(self, course_bundle, course_jsonl,
+                                      cache_dir, capsys):
+        assert main(["check", course_bundle, "--stream", course_jsonl,
+                     "--incremental", "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "closure_memo: 1" in out
+        assert "stream_sources: 1" in out
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "cache cleared" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
-        assert "closure_memo: 0" in capsys.readouterr().out
+        assert "stream_sources: 0" in capsys.readouterr().out
         assert main(["cache", "vacuum", "--cache-dir", cache_dir]) == 0
         assert "cache vacuumed" in capsys.readouterr().out
 
@@ -171,19 +137,24 @@ class TestCacheSubcommand:
         assert main(["cache", "stats"]) == 0
         assert "available: True" in capsys.readouterr().out
 
-    def test_stats_report_dense_tables(self, course_bundle, cache_dir,
-                                       capsys):
-        # a query persists the interned tables ...
-        assert main(["closure", course_bundle, "Course", "cnum",
-                     "--cache-dir", cache_dir]) == 0
+    def test_stats_lists_only_stream_rows(self, course_bundle,
+                                          course_jsonl, cache_dir,
+                                          capsys):
+        """Beside path, size and versions, ``cache stats`` counts the
+        checkpoint tables and nothing else."""
+        assert main(["check", course_bundle, "--stream", course_jsonl,
+                     "--incremental", "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
-        # ... and `cache stats` reports their rows and bytes
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
-        out = capsys.readouterr().out
         stats = dict(line.split(": ", 1)
-                     for line in out.splitlines() if ": " in line)
-        assert int(stats["dense_tables"]) >= 1
-        assert int(stats["dense_bytes"]) > 0
+                     for line in capsys.readouterr().out.splitlines())
+        assert list(stats) == [
+            "path", "available", "schema_version", "codec_version",
+            "size_bytes", "stream_sources", "stream_groups",
+            "stream_elements"]
+        assert stats["schema_version"] == "6"
+        assert int(stats["stream_sources"]) == 1
+        assert int(stats["stream_groups"]) > 0
 
 
 class TestIncrementalCLI:
@@ -236,26 +207,34 @@ class TestIncrementalCLI:
 
 class TestCorruptionFallback:
     def test_corrupt_db_keeps_stdout_and_exit_identical(
-            self, course_bundle, cache_dir, capsys, recwarn):
-        query = ["implies", course_bundle, "Course:[time -> cnum]"]
+            self, course_bundle, course_jsonl, cache_dir, capsys,
+            recwarn):
+        _append_clash(course_jsonl)
+        query = ["check", course_bundle, "--stream", course_jsonl]
         assert main(query) == 1
         reference = capsys.readouterr().out
         os.makedirs(cache_dir)
         with open(os.path.join(cache_dir, DB_FILENAME), "wb") as fh:
             fh.write(b"\x00garbage" * 512)
-        assert main(query + ["--cache-dir", cache_dir]) == 1
+        assert main(query + ["--incremental", "--cache-dir",
+                             cache_dir]) == 1
         assert capsys.readouterr().out == reference
         assert any("continuing without the persistent cache"
                    in str(w.message) for w in recwarn.list)
 
     def test_corrupt_db_keeps_implies_identical(self, course_bundle,
-                                                cache_dir, capsys,
-                                                recwarn):
+                                                cache_dir, monkeypatch,
+                                                capsys, recwarn):
+        """``implies`` never opens the cache, so a corrupt database
+        under ``REPRO_CACHE_DIR`` is not even noticed."""
         query = ["implies", course_bundle, "Course:[cnum -> time]"]
         assert main(query) == 0
         reference = capsys.readouterr().out
         os.makedirs(cache_dir)
         with open(os.path.join(cache_dir, DB_FILENAME), "wb") as fh:
             fh.write(b"not sqlite\n" * 64)
-        assert main(query + ["--cache-dir", cache_dir]) == 0
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+        assert main(query) == 0
         assert capsys.readouterr().out == reference
+        assert not [w for w in recwarn.list
+                    if "persistent cache" in str(w.message)]

@@ -192,6 +192,21 @@ TABLE = [
                                        "--relation", "Nope"], 2),
     ("normalize-sweep-with-nonempty", ["normalize", "--sweep", "2",
                                        "--nonempty", "R"], 2),
+    # a bundle run would ignore the sweep-only flags
+    ("normalize-bundle-with-jobs", ["normalize", "{good}",
+                                    "--jobs", "3"], 2),
+    ("normalize-bundle-with-sweep-flags", ["normalize", "{good}",
+                                           "--seed", "9", "--rules", "7",
+                                           "--min-preserved", "0.5"], 2),
+    # implications are computed in one process, never stored: the
+    # implication cache and the key-sweep fan-out are retired
+    ("implies-cache-dir", ["implies", "{good}", IMPLIED,
+                           "--cache-dir", "{missing}"], 2),
+    ("closure-cache-dir", ["closure", "{good}", "Course", "cnum",
+                           "--cache-dir", "{missing}"], 2),
+    ("keys-cache-dir", ["keys", "{good}", "--cache-dir", "{missing}"], 2),
+    ("keys-jobs-two", ["keys", "{good}", "--jobs", "2"], 2),
+    ("serve-cache-dir", ["serve", "--cache-dir", "{missing}"], 2),
     # -- serve / client error paths -----------------------------------
     ("serve-bad-inflight", ["serve", "--max-inflight", "0"], 2),
     ("serve-bad-port", ["serve", "--port", "99999"], 2),
@@ -668,3 +683,32 @@ def test_server_keeps_record_field_order(live_server, tmp_path, capsys):
     remote_out = capsys.readouterr().out
     assert local_code == 1 and "<b -> 1, a -> 1>" in local_out
     assert (remote_code, remote_out) == (local_code, local_out)
+
+
+#: (case id, an ill-typed value for the int field ``a``)
+ILL_TYPED_ATOM = [("str-in-int", "1"), ("bool-in-int", True),
+                  ("float-in-int", 1.0)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "render", "normalize",
+                                     "report", "repair"])
+@pytest.mark.parametrize(("case", "value"), ILL_TYPED_ATOM,
+                         ids=[row[0] for row in ILL_TYPED_ATOM])
+def test_ill_typed_value_tree_instance_exits_2(case, value, command,
+                                               tmp_path, capsys):
+    """The commands that lift the instance into a value tree hold its
+    rows to the schema first: an ill-typed atom exits 2 with the one
+    ``error:`` line ``check`` prints, and nothing is written."""
+    bundle = tmp_path / "ill_typed.json"
+    text = json.dumps({"schema": {"R": "{<a: int, b: int>}"},
+                       "nfds": ["R:[a -> b]"],
+                       "instance": {"R": [{"a": value, "b": 1}]}})
+    bundle.write_text(text)
+    capsys.readouterr()
+    assert run(["check", str(bundle)]) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: R[0].a: expected int, got ")
+    assert run([command, str(bundle)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+    assert bundle.read_text() == text

@@ -1,17 +1,8 @@
-"""Tests for the process-parallel fan-out primitive and its users."""
+"""Tests for the process-parallel fan-out primitive."""
 
 import pytest
 
-from repro.analysis.keys import minimal_keys
-from repro.generators import workloads
-from repro.inference import NonEmptySpec
-from repro.parallel import (
-    PARALLEL_THRESHOLD,
-    process_map,
-    spec_from_payload,
-    spec_payload,
-)
-from repro.paths import parse_path
+from repro.parallel import PARALLEL_THRESHOLD, process_map
 
 
 # worker functions must be module-level so the pool can pickle them
@@ -55,41 +46,6 @@ class TestProcessMap:
                             _explode)
         items = list(range(50))
         assert process_map(_setup, 0, _probe, items, jobs=1) == items
-
-
-class TestSpecPayload:
-    def test_none_round_trip(self):
-        assert spec_from_payload(spec_payload(None)) is None
-
-    def test_all_nonempty_round_trip(self):
-        spec = spec_from_payload(spec_payload(NonEmptySpec.all_nonempty()))
-        assert spec.declares_everything
-
-    def test_partial_round_trip(self):
-        spec = NonEmptySpec({parse_path("Course"),
-                             parse_path("Course:students")})
-        restored = spec_from_payload(spec_payload(spec))
-        assert not restored.declares_everything
-        assert set(restored.declared) == set(spec.declared)
-        assert spec_payload(restored) == spec_payload(spec)
-
-
-class TestParallelKeys:
-    def test_parallel_sweep_matches_serial(self):
-        schema = workloads.course_schema()
-        sigma = workloads.course_sigma()
-        serial = minimal_keys(schema, sigma, "Course")
-        assert minimal_keys(schema, sigma, "Course", jobs=4) == serial
-
-    def test_parallel_sweep_matches_serial_gated(self):
-        schema = workloads.course_schema()
-        sigma = workloads.course_sigma()
-        spec = NonEmptySpec({parse_path("Course")})
-        serial = minimal_keys(schema, sigma, "Course", nonempty=spec)
-        parallel = minimal_keys(schema, sigma, "Course", nonempty=spec,
-                                jobs=4)
-        assert parallel == serial
-        assert parallel != minimal_keys(schema, sigma, "Course")
 
 
 def _failing_probe(context, item):

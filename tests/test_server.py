@@ -234,28 +234,6 @@ class TestServerLifecycle:
         metrics = result["report"].as_dict()
         assert metrics["sections"]["server"]["requests"] >= 3
 
-    def test_cache_dir_write_through_warms_restarts(self, tmp_path):
-        """Two daemon generations over one --cache-dir: the second
-        answers from the persistent store instead of re-saturating."""
-        cache_dir = str(tmp_path / "cache")
-        bundle = _bundle_dict()
-        nfd = str(workloads.course_sigma()[0])
-
-        config = ServerConfig(cache_dir=cache_dir)
-        with BackgroundServer(config) as bg:
-            with ReproClient(bg.host, bg.port,
-                             timeout=TIMEOUT) as client:
-                assert client.implies(bundle, nfd) is True
-                report = bg.server.report().as_dict()
-        assert "cache" in report["sections"]
-
-        with BackgroundServer(ServerConfig(cache_dir=cache_dir)) as bg:
-            with ReproClient(bg.host, bg.port,
-                             timeout=TIMEOUT) as client:
-                assert client.implies(bundle, nfd) is True
-                engines = client.stats()["pool"]["engines"]
-        assert engines["store_hits"] > 0
-
     def test_stats_latency_by_type(self):
         """The ``stats`` reply gives each answered request type its
         p50/p99 and the number of latencies they are taken over."""

@@ -7,9 +7,10 @@ perfbench and the benchmarks.  This file records that surface so a
 change to how the classes are built cannot move it:
 
 * the ``as_dict()`` keys, in order, of each class;
-* the ``--stats`` / ``--cache-stats`` stderr text of ``implies``
-  (with and without a cache directory), ``analyze``, ``check`` and
-  ``check --stream`` on the course bundle, byte for byte apart from
+* the ``--stats`` / ``--cache-stats`` stderr text of ``implies``,
+  ``analyze``, ``check`` and ``check --stream`` (with and without
+  ``--incremental`` and a cache directory) on the course bundle, byte
+  for byte apart from
   wall-clock seconds, and the section keys of their ``--metrics-json``
   reports;
 * the key sets of the daemon's ``stats`` reply.
@@ -41,7 +42,7 @@ ENGINE_KEYS = ["saturations", "rounds", "attempts", "successes",
                "interned"]
 SESSION_KEYS = ["fingerprint", "queries", "hits", "misses",
                 "seed_reuses", "evictions", "memo_size", "max_memo",
-                "hit_rate", "store_hits", "store_misses", "engine"]
+                "hit_rate", "engine"]
 VALIDATOR_KEYS = ["validations", "elements_walked", "bindings_emitted",
                   "base_sets", "trie_nodes", "plan_compilations",
                   "groups", "wall_time"]
@@ -50,9 +51,8 @@ STREAM_KEYS = ["elements_seen", "rows_emitted", "peak_resident_rows",
                "bytes_spilled", "runs_merged", "groups_merged",
                "intern_hits", "intern_misses", "witness_elements_built",
                "wall_time"]
-CACHE_KEYS = ["closure_hits", "closure_misses", "dense_hits",
-              "dense_misses", "stream_hits", "stream_misses", "stale",
-              "errors", "writes"]
+CACHE_KEYS = ["stream_hits", "stream_misses", "stale", "errors",
+              "writes"]
 POOL_KEYS = ["hits", "misses", "evictions", "coalesced_builds",
              "session_builds", "validator_builds", "batches",
              "batched_queries"]
@@ -116,10 +116,8 @@ stream stats (out-of-core validation):
 
 CACHE_TEXT = """\
 cache stats (persistent store):
-  closure: 0 hit(s)  1 miss(es)
-  dense tables: 0 hit(s)  1 miss(es)
-  stream: 0 hit(s)  0 miss(es)
-  stale: 0  errors: 0  writes: 2
+  stream: 0 hit(s)  1 miss(es)
+  stale: 0  errors: 0  writes: 1
 """
 
 #: ``name -> (extra argv, stderr text, {section: keys})``; ``BUNDLE``,
@@ -130,13 +128,12 @@ RUNS = {
          "--cache-stats"],
         ENGINE_TEXT + SESSION_HEAD + ENGINE_TEXT,
         {"closure": ENGINE_KEYS, "session": SESSION_KEYS}),
-    "implies-cache": (
-        ["implies", "BUNDLE", "Course:[cnum -> time]", "--stats",
-         "--cache-stats", "--cache-dir", "CACHE"],
-        ENGINE_TEXT + CACHE_TEXT + SESSION_HEAD
-        + "  store hits: 0  store misses: 1\n" + ENGINE_TEXT,
-        {"cache": CACHE_KEYS, "closure": ENGINE_KEYS,
-         "session": SESSION_KEYS}),
+    "check-stream-cache": (
+        ["check", "BUNDLE", "--stream", "JSONL", "--incremental",
+         "--cache-dir", "CACHE", "--stats"],
+        "incremental: cold at line 0/2, 2 element(s) folded\n"
+        + STREAM_TEXT + CACHE_TEXT,
+        {"cache": CACHE_KEYS, "stream": STREAM_KEYS}),
     "analyze": (
         ["analyze", "BUNDLE", "--stats", "--cache-stats"],
         ANALYZE_ENGINE_TEXT + VALIDATOR_TEXT
@@ -217,7 +214,7 @@ def test_daemon_stats_reply_keys():
                                                "engines"]
     assert list(reply["pool"]["engines"]) == [
         "rule_attempts", "saturations", "closure_queries", "memo_hits",
-        "store_hits", "store_misses", "plan_compilations"]
+        "plan_compilations"]
     assert set(reply["server"]["by_type"]) == {"hello", "implies",
                                                "check"}
     latency = reply["server"]["latency_by_type"]

@@ -1,11 +1,9 @@
 """Unit tests for the persistent SQLite cache layer.
 
 Covers the :class:`~repro.store.CacheStore` lifecycle (schema
-versioning, corruption fallback, read-only opens), the closure memo
-and the dense tables through their real consumer
-(:class:`~repro.inference.ImplicationSession`), spill/temp placement
-under the cache directory, and the worker warm-up path's error
-chaining.
+versioning, corruption fallback), writers killed inside a checkpoint
+transaction, spill/temp placement under the cache directory, and the
+process fan-out's error chaining.
 """
 
 import os
@@ -15,7 +13,6 @@ import pytest
 
 from repro.generators import workloads
 from repro.inference import ImplicationSession
-from repro.inference.session import sigma_fingerprint
 from repro.io import dump_bundle
 from repro.io.stream import iter_set_elements
 from repro.nfd import ResourceBudget, ValidatorEngine, stream_validate
@@ -46,23 +43,35 @@ def sigma():
     return workloads.course_sigma()
 
 
-def _warm_entries(schema, sigma, store):
-    """Fill the closure memo and the dense tables through a session."""
-    ImplicationSession(schema, sigma, store=store).closure(
-        parse_path("Course"), {parse_path("cnum")})
-    summary = store.summary()
-    assert summary["closure_memo"] == 1
-    assert summary["dense_tables"] >= 1
+def _checkpoint(store, source_id="a", state=0):
+    """Write one stream checkpoint — a watermark, one group row and the
+    witness element it references — and return whether it committed."""
+    return store.put_stream_source(
+        source_id, fingerprint="fp", relation="R", line_count=1,
+        content_hash=f"h{state}", mtime=0.0, state={"seq": state},
+        groups=[("0:R:[a -> b]",
+                 [(b"k", 0, ["agg", state], [(1, {"a": state})])])])
+
+
+def _checkpoint_rows(store, source_id="a"):
+    """The stored form of one checkpoint (None when it is absent)."""
+    entry = store.get_stream_source(source_id)
+    if entry is None:
+        return None
+    return (entry["content_hash"], entry["state"],
+            list(store.iter_stream_groups(source_id, plan=0,
+                                          keys=[b"k"])),
+            store.get_stream_elements(source_id, [1]))
 
 
 class TestStoreLifecycle:
     def test_fresh_store_is_writable_and_empty(self, cache_dir):
         with CacheStore(cache_dir) as store:
-            assert store.available and store.writable
+            assert store.available
             summary = store.summary()
-            assert summary["closure_memo"] == 0
-            assert summary["dense_tables"] == 0
             assert summary["stream_sources"] == 0
+            assert summary["stream_groups"] == 0
+            assert summary["stream_elements"] == 0
             # a brand-new database is not "stale data"
             assert store.stats.stale == 0
 
@@ -77,17 +86,9 @@ class TestStoreLifecycle:
         # an explicit directory always beats the environment
         assert resolve_cache_dir("explicit") == "explicit"
 
-    def test_read_only_open_of_missing_db_creates_nothing(
-            self, cache_dir):
-        with CacheStore(cache_dir, read_only=True) as store:
-            assert not store.writable
-            assert store.get_dense("deadbeef", "Course") is None
-        assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))
-
-    def test_version_mismatch_drops_all_entries(self, cache_dir,
-                                                schema, sigma):
+    def test_version_mismatch_drops_all_entries(self, cache_dir):
         with CacheStore(cache_dir) as store:
-            _warm_entries(schema, sigma, store)
+            assert _checkpoint(store)
             store._conn.execute(
                 "UPDATE meta SET value = 'not-a-version' "
                 "WHERE key = 'codec_version'")
@@ -95,8 +96,9 @@ class TestStoreLifecycle:
         with CacheStore(cache_dir) as store:
             assert store.stats.stale == 1
             summary = store.summary()
-            assert summary["closure_memo"] == 0
-            assert summary["dense_tables"] == 0
+            assert summary["stream_sources"] == 0
+            assert summary["stream_groups"] == 0
+            assert summary["stream_elements"] == 0
 
     def test_reopening_a_current_store_writes_nothing(self, cache_dir,
                                                       monkeypatch):
@@ -120,13 +122,12 @@ class TestStoreLifecycle:
                    for s in first)
         statements.clear()
         with CacheStore(cache_dir) as store:
-            assert store.available and store.writable
+            assert store.available
             assert store.stats.stale == 0
         words = {s.split(None, 1)[0].upper() for s in statements}
         assert not words & {"CREATE", "INSERT", "BEGIN"}, statements
 
-    def test_corrupt_db_degrades_with_a_warning(self, cache_dir,
-                                                schema, sigma):
+    def test_corrupt_db_degrades_with_a_warning(self, cache_dir):
         os.makedirs(cache_dir)
         with open(os.path.join(cache_dir, DB_FILENAME), "wb") as fh:
             fh.write(b"this is not a sqlite database at all\n" * 64)
@@ -134,128 +135,78 @@ class TestStoreLifecycle:
             warnings.simplefilter("always")
             store = CacheStore(cache_dir)
             # every API degrades to a miss / no-op, never an exception
-            assert store.get_dense("deadbeef", "Course") is None
-            fp = sigma_fingerprint(schema, tuple(sigma))
-            store.put_dense(fp, "Course", ("payload",))
-            assert store.get_closure(fp, "Course", frozenset()) is None
-            session = ImplicationSession(schema, sigma, store=store)
-            assert session.closure(parse_path("Course"),
-                                   {parse_path("cnum")})
-            assert session.engine.stats.attempts > 0
+            assert store.get_stream_source("a") is None
+            assert not _checkpoint(store)
+            assert list(store.iter_stream_groups("a")) == []
+            assert store.get_stream_elements("a", [1]) == {}
+            assert not store.clear()
             store.close()
         assert any(issubclass(w.category, CacheWarning) for w in caught)
         assert store.stats.errors >= 1
 
-    def test_clear_and_vacuum(self, cache_dir, schema, sigma):
+    def test_clear_and_vacuum(self, cache_dir):
         with CacheStore(cache_dir) as store:
-            _warm_entries(schema, sigma, store)
+            assert _checkpoint(store)
+            assert store.summary()["stream_sources"] == 1
             assert store.clear()
             summary = store.summary()
-            assert summary["closure_memo"] == 0
-            assert summary["dense_tables"] == 0
+            assert summary["stream_sources"] == 0
+            assert summary["stream_groups"] == 0
+            assert summary["stream_elements"] == 0
             assert store.vacuum()
             assert store.integrity_check()
 
 
-class TestClosureMemoTable:
-    def test_closure_memo_round_trip(self, cache_dir, schema, sigma):
-        fp = sigma_fingerprint(schema, tuple(sigma))
-        lhs = frozenset({parse_path("cnum")})
-        closure = frozenset({parse_path("cnum"), parse_path("time")})
-        with CacheStore(cache_dir) as store:
-            assert store.get_closure(fp, "Course", lhs) is None
-            store.put_closure(fp, "Course", lhs, closure)
-            assert store.get_closure(fp, "Course", lhs) == closure
-        # a second handle (fresh process in real life) sees the row
-        with CacheStore(cache_dir) as store:
-            assert store.get_closure(fp, "Course", lhs) == closure
+class TestCheckpointWriteFaults:
+    """A writer killed inside one source's checkpoint transaction
+    leaves a store that opens cleanly: every other source's checkpoint
+    reads back verbatim, the killed one is absent, and the next writer
+    commits."""
 
-    def test_warm_session_answers_without_saturating(self, cache_dir,
-                                                     schema, sigma):
-        base = parse_path("Course")
-        lhs = {parse_path("cnum")}
-        with CacheStore(cache_dir) as store:
-            cold = ImplicationSession(schema, sigma, store=store)
-            cold_closure = cold.closure(base, lhs)
-            assert cold.engine.stats.attempts > 0
-        with CacheStore(cache_dir) as store:
-            warm = ImplicationSession(schema, sigma, store=store)
-            assert warm.closure(base, lhs) == cold_closure
-            # the whole point: zero saturation rule applications
-            assert warm.engine.stats.attempts == 0
-            assert warm.engine.stats.saturations == 0
-            assert warm.stats.store_hits == 1
-
-    def test_store_counters_render_in_session_stats(self, cache_dir,
-                                                    schema, sigma):
-        with CacheStore(cache_dir) as store:
-            session = ImplicationSession(schema, sigma, store=store)
-            session.closure(parse_path("Course"), {parse_path("cnum")})
-            text = session.stats.to_text()
-            assert "store hits" in text
-            metrics = session.stats.as_dict()
-            assert metrics["store_misses"] == 1
-
-
-class TestClosureMemoFaults:
-    """A writer killed inside closure-memo write-through leaves a store
-    the next run reads or rebuilds: the answer is exact either way."""
-
-    @pytest.mark.parametrize("kill_at", [1, 2, 3],
+    @pytest.mark.parametrize("kill_at", ["BEGIN", "INSERT", "COMMIT"],
                              ids=["begin", "insert", "commit"])
-    def test_sigkill_inside_closure_memo_write(self, cache_dir, schema,
-                                               sigma, tmp_path, capsys,
-                                               kill_at):
+    def test_sigkill_inside_checkpoint_transaction(self, cache_dir,
+                                                   kill_at):
         import signal
         import subprocess
         import sys
         from pathlib import Path
 
-        from repro.cli import main
-        bundle = tmp_path / "bundle.json"
-        bundle.write_text(dump_bundle(schema, sigma))
-        argv = ["implies", str(bundle), "Course:[cnum -> time]"]
-        code = main(argv)
-        uncached = (code, capsys.readouterr().out)
-        assert code == 0
-        # the kill_at-th statement of put_closure's transaction
-        # (BEGIN IMMEDIATE, the INSERT, COMMIT) never completes
+        with CacheStore(cache_dir) as store:
+            assert _checkpoint(store, "a", state=1)
+            committed = _checkpoint_rows(store, "a")
+        # source b's write never completes the first statement that
+        # starts with kill_at (BEGIN IMMEDIATE, an INSERT, COMMIT)
         script = (
             "import os, signal, sys\n"
-            "from repro.cli import main\n"
+            "sys.path.insert(0, sys.argv[3])\n"
+            "from test_store_cache import _checkpoint\n"
             "from repro.store import CacheStore\n"
-            "kill_at = int(sys.argv[1])\n"
-            "put = CacheStore.put_closure\n"
-            "def dying_put(self, *args):\n"
-            "    seen = []\n"
-            "    def trace(sql):\n"
-            "        seen.append(sql)\n"
-            "        if len(seen) >= kill_at:\n"
-            "            os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    self._conn.set_trace_callback(trace)\n"
-            "    return put(self, *args)\n"
-            "CacheStore.put_closure = dying_put\n"
-            "sys.exit(main(sys.argv[2:]))\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
+            "kill_at = sys.argv[2]\n"
+            "store = CacheStore(sys.argv[1])\n"
+            "def trace(sql):\n"
+            "    if sql.lstrip().upper().startswith(kill_at):\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "store._conn.set_trace_callback(trace)\n"
+            "_checkpoint(store, 'b', state=2)\n")
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(kill_at), *argv,
-             "--cache-dir", cache_dir],
+            [sys.executable, "-c", script, cache_dir, kill_at,
+             str(tests)],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(argv + ["--cache-dir", cache_dir])
-        assert (code, capsys.readouterr().out) == uncached
-        assert [w.category for w in caught
-                if issubclass(w.category, CacheWarning)] in \
-            ([], [CacheWarning])
-        spill_root = os.path.join(cache_dir, "tmp")
-        assert not os.path.exists(spill_root) \
-            or os.listdir(spill_root) == []
-        with CacheStore(cache_dir) as store:
-            assert store.integrity_check()
-            assert store.summary()["closure_memo"] >= 1
+            with CacheStore(cache_dir) as store:
+                assert store.integrity_check()
+                assert _checkpoint_rows(store, "a") == committed
+                assert store.get_stream_source("b") is None
+                assert _checkpoint(store, "b", state=3)
+                assert _checkpoint_rows(store, "b")[1] == {"seq": 3}
+                assert store.summary()["stream_sources"] == 2
+        assert not [w for w in caught
+                    if issubclass(w.category, CacheWarning)]
 
 
 class TestPlanTable:
@@ -266,59 +217,6 @@ class TestPlanTable:
         engine = ValidatorEngine(schema, sigma)
         assert "plan compilations: 1" in engine.stats.to_text()
         assert engine.stats.as_dict()["plan_compilations"] == 1
-
-
-class TestDenseTablesTable:
-    def test_round_trip(self, cache_dir, schema, sigma):
-        from repro.inference.dense import compile_tables
-        from repro.inference.closure import ClosureEngine
-
-        fp = sigma_fingerprint(schema, tuple(sigma))
-        engine = ClosureEngine(schema, sigma)
-        tables = engine._pool.dense("Course")
-        payload = (tuple(str(nfd) for nfd in sigma), tables)
-        with CacheStore(cache_dir) as store:
-            assert store.get_dense(fp, "Course") is None
-            assert store.stats.dense_misses == 1
-            store.put_dense(fp, "Course", payload)
-            texts, restored = store.get_dense(fp, "Course")
-            assert texts == payload[0]
-            assert restored.paths == tables.paths
-            assert restored.ids == tables.ids
-            assert restored.member_rows == tables.member_rows
-            summary = store.summary()
-            assert summary["dense_tables"] == 1
-            assert summary["dense_bytes"] > 0
-            assert "dense tables" in store.stats.to_text()
-        assert compile_tables is not None  # the pickle layer's source
-
-    def test_dense_session_warm_starts_from_the_store(self, cache_dir,
-                                                      schema, sigma):
-        base = parse_path("Course")
-        lhs = {parse_path("cnum")}
-        with CacheStore(cache_dir) as store:
-            cold = ImplicationSession(schema, sigma, store=store)
-            cold_closure = cold.closure(base, lhs)
-            assert store.summary()["dense_tables"] >= 1
-        with CacheStore(cache_dir) as store:
-            warm = ImplicationSession(schema, sigma, store=store)
-            # the tables were adopted, not recompiled
-            assert store.stats.dense_hits >= 1
-            assert warm.engine._pool.has_dense("Course")
-            assert warm.closure(base, lhs) == cold_closure
-
-    def test_sigma_reorder_is_stale_not_wrong(self, cache_dir, schema,
-                                              sigma):
-        sigma = tuple(sigma)
-        reordered = tuple(reversed(sigma))
-        with CacheStore(cache_dir) as store:
-            ImplicationSession(schema, sigma, store=store)
-        with CacheStore(cache_dir) as store:
-            # same fingerprint, but dense rows are indexed by Σ member
-            # position — the payload must be recompiled, not adopted
-            session = ImplicationSession(schema, reordered, store=store)
-            assert store.stats.stale >= 1
-            assert session.implies(sigma[0])
 
 
 class TestSpillPlacement:
@@ -356,14 +254,12 @@ class TestSpillPlacement:
         assert os.listdir(root) == []
 
 
-# Worker functions for the warm-up traceback regression: module-level
-# so the pool can pickle them.
-def _warm_setup(payload):
-    bundle_text, cache_dir = payload
+# Worker functions for the warm-worker traceback regression:
+# module-level so the pool can pickle them.
+def _warm_setup(bundle_text):
     from repro.io import load_bundle
     schema, sigma, _ = load_bundle(bundle_text)
-    store = CacheStore(cache_dir, read_only=True)
-    return ImplicationSession(schema, sigma, store=store)
+    return ImplicationSession(schema, sigma)
 
 
 def _warm_probe(session, item):
@@ -375,15 +271,12 @@ def _warm_probe(session, item):
 
 class TestWarmWorkerTracebacks:
     def test_failure_in_warm_worker_chains_remote_traceback(
-            self, cache_dir, schema, sigma):
+            self, schema, sigma):
         """Regression: the ``from RemoteTraceback`` chaining must
-        survive workers whose setup opens a read-only store."""
+        survive workers whose setup builds a session."""
         from repro.parallel import RemoteTraceback
 
-        with CacheStore(cache_dir) as store:
-            ImplicationSession(schema, sigma, store=store).closure(
-                parse_path("Course"), {parse_path("cnum")})
-        payload = (dump_bundle(schema, sigma, None), cache_dir)
+        payload = dump_bundle(schema, sigma, None)
         with pytest.raises(RuntimeError,
                            match="warm probe exploded on item 5") \
                 as info:
@@ -392,13 +285,3 @@ class TestWarmWorkerTracebacks:
         cause = info.value.__cause__
         assert isinstance(cause, RemoteTraceback)
         assert "_warm_probe" in str(cause)
-
-    def test_warm_workers_answer_from_the_store(self, cache_dir,
-                                                schema, sigma):
-        with CacheStore(cache_dir) as store:
-            ImplicationSession(schema, sigma, store=store).closure(
-                parse_path("Course"), {parse_path("cnum")})
-        payload = (dump_bundle(schema, sigma, None), cache_dir)
-        verdicts = process_map(_warm_setup, payload, _warm_probe,
-                               [0, 1, 2, 3], jobs=2)
-        assert verdicts == [True, True, True, True]

@@ -178,22 +178,6 @@ class TestIncrementalHappyPath:
         assert _witnesses(result) == _cold_witnesses(schema, sigma,
                                                      path)
 
-    def test_read_only_store_resumes_without_persisting(
-            self, schema, sigma, store, jsonl):
-        incremental_stream_validate(schema, sigma, "Course", jsonl,
-                                    store=store)
-        _append(jsonl, _clashing_element())
-        reader = CacheStore(store.cache_dir, read_only=True)
-        try:
-            result, info = incremental_stream_validate(
-                schema, sigma, "Course", jsonl, store=reader)
-            assert info["mode"] == "resumed"
-            assert not info["persisted"]
-            assert _witnesses(result) == _cold_witnesses(schema, sigma,
-                                                         jsonl)
-        finally:
-            reader.close()
-
 
 class TestWatermarkInvalidation:
     def test_rewritten_prefix_forces_cold(self, schema, sigma, store,
@@ -796,7 +780,7 @@ class TestOldLayout:
                 "PRAGMA table_info(stream_groups)")]
         finally:
             conn.close()
-        assert _layout(cache)[0] == str(SCHEMA_VERSION) == "5"
+        assert _layout(cache)[0] == str(SCHEMA_VERSION) == "6"
         assert columns == ["source_id", "plan", "key", "violating", "agg"]
         with CacheStore(cache) as store:
             _, info = incremental_stream_validate(
@@ -808,7 +792,7 @@ class TestOldLayout:
         """A schema-4 checkpoint, whose group rows carry ``(0, n)``
         emission sequences where the engine now keeps ints, is dropped
         on open and counted stale: the run is cold, exact, and leaves a
-        version-5 store that the next append resumes."""
+        current store that the next append resumes."""
         bundle, path, cache, rows = stream_case
         assert _cli(_incremental(stream_case), capsys)[0] == 0
         assert _to_schema_4(cache) > 0
@@ -824,7 +808,55 @@ class TestOldLayout:
                        "element(s) folded\n")
         assert json.loads(metrics.read_text())["sections"]["cache"][
             "stale"] == 1
-        assert _layout(cache)[0] == "5"
+        assert _layout(cache)[0] == "6"
+        _append_rows(path, _clash_rows(rows, 1)[:1])
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        code, out, err = _cli(_incremental(stream_case), capsys)
+        assert (code, out) == cold[:2]
+        assert err.startswith(f"incremental: resumed at line {total}/")
+
+    def test_version_5_cache_drops_its_implication_tables(
+            self, stream_case, capsys, tmp_path):
+        """A schema-5 store — a current checkpoint beside the retired
+        ``closure_memo`` and ``dense_tables`` rows — is dropped whole
+        on open and counted stale: the run is cold and exact, the store
+        it leaves has neither table, and the next append resumes from
+        its schema-6 checkpoint."""
+        import sqlite3
+        from repro.store import DB_FILENAME
+        bundle, path, cache, rows = stream_case
+        assert _cli(_incremental(stream_case), capsys)[0] == 0
+        conn = sqlite3.connect(os.path.join(cache, DB_FILENAME))
+        try:
+            conn.executescript(
+                "CREATE TABLE closure_memo (fingerprint TEXT NOT NULL,"
+                " relation TEXT NOT NULL, lhs TEXT NOT NULL,"
+                " closure TEXT NOT NULL,"
+                " PRIMARY KEY (fingerprint, relation, lhs));"
+                "CREATE TABLE dense_tables (fingerprint TEXT NOT NULL,"
+                " relation TEXT NOT NULL, payload BLOB NOT NULL,"
+                " PRIMARY KEY (fingerprint, relation));"
+                "INSERT INTO closure_memo VALUES ('f', 'Course', 'cnum',"
+                " 'cnum');"
+                "INSERT INTO dense_tables VALUES ('f', 'Course', x'00');"
+                "UPDATE meta SET value = '5'"
+                " WHERE key = 'schema_version';")
+        finally:
+            conn.close()
+        appended = _clash_rows(rows, 2)
+        _append_rows(path, appended)
+        total = len(rows) + len(appended)
+        cold = _cli(["check", bundle, "--stream", path], capsys)
+        metrics = tmp_path / "metrics.json"
+        code, out, err = _cli(_incremental(stream_case)
+                              + ["--metrics-json", str(metrics)], capsys)
+        assert (code, out) == cold[:2] and code == 1
+        assert err == (f"incremental: cold at line 0/{total}, {total} "
+                       "element(s) folded\n")
+        assert json.loads(metrics.read_text())["sections"]["cache"][
+            "stale"] == 1
+        assert _layout(cache) == ("6", {
+            "meta", "stream_sources", "stream_groups", "stream_elements"})
         _append_rows(path, _clash_rows(rows, 1)[:1])
         cold = _cli(["check", bundle, "--stream", path], capsys)
         code, out, err = _cli(_incremental(stream_case), capsys)
@@ -859,7 +891,7 @@ class TestOldLayout:
         assert err == (f"incremental: cold at line 0/{total}, {total} "
                        "element(s) folded\n")
         version, tables = _layout(cache)
-        assert version == "5"
+        assert version == "6"
         assert "plans" not in tables
 
     @pytest.mark.parametrize("budget", [(), ("--max-rows", "7")],
@@ -897,6 +929,5 @@ class TestOldLayout:
         assert err == (f"incremental: cold at line 0/{total}, {total} "
                        "element(s) folded\n")
         assert (code, out) == cold[:2] and code == 1
-        assert _layout(cache) == ("5", {
-            "meta", "closure_memo", "dense_tables", "stream_sources",
-            "stream_groups", "stream_elements"})
+        assert _layout(cache) == ("6", {
+            "meta", "stream_sources", "stream_groups", "stream_elements"})

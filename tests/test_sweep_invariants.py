@@ -38,7 +38,6 @@ from repro.inference.armstrong import FD, attribute_closure, nfd_to_fd
 from repro.io import load_bundle
 from repro.nfd import parse_nfd
 from repro.paths import Path
-from repro.store.cache_store import CacheStore
 
 from .test_offline_outputs import _wide_key_bundle
 
@@ -93,13 +92,6 @@ class TestLazyFingerprint:
             assert probe._fingerprint is None, name
             assert probe.fingerprint == \
                 sigma_fingerprint(schema, expected), name
-
-    def test_store_session_hashes_at_init(self, course, tmp_path):
-        schema, sigma = course
-        with CacheStore(str(tmp_path / "cache")) as store:
-            session = ImplicationSession(schema, sigma, store=store)
-            assert session._fingerprint == sigma_fingerprint(schema,
-                                                             sigma)
 
     def test_pool_session_takes_the_pool_fingerprint(self, course):
         from repro.server.pool import EnginePool
