@@ -176,8 +176,9 @@ class _Reference:
         self.schema = schema
         self.tracer = None
 
-    def closure(self, base, lhs):
-        return self.engine.reference_closure(base, lhs)
+    def covers_batch(self, base, candidates, targets):
+        return [set(targets) <= self.engine.reference_closure(base, c)
+                for c in candidates]
 
 
 def _timed_keys(schema, sigma):

@@ -189,7 +189,7 @@ def test_saturation_gate(gate_metrics):
         fresh_seconds / session_seconds)
     gauges.gauge("implication.memo_hit_rate").set(stats.hit_rate)
     gauges.gauge("implication.queries").set(stats.queries)
-    gauges.gauge("implication.seed_reuses").set(stats.seed_reuses)
+    gauges.gauge("implication.seed_reuses").set(stats.engine.dense_seeds)
     gauges.gauge("implication.serial_seconds").set(serial_seconds)
     session_seconds = gauges.gauge("implication.session_seconds").value
     fresh_seconds = gauges.gauge("implication.fresh_seconds").value

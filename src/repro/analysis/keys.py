@@ -7,16 +7,17 @@ by querying the closure engine, and offers the converse construction:
 the NFDs declaring a chosen key.
 
 The combination sweep is the library's heaviest query stream: adjacent
-combinations share most of their members, so by default it runs through
-an :class:`~repro.inference.session.ImplicationSession` (cross-query
-memoization plus subset-closure seeding).  The sweep is indexed by
-masks: each combination is a bitmask over the scope's attributes, a
-found key prunes every combination it is a submask of, and only the
-survivors are built as path sets, once each; the engine then seeds each
-candidate from its drop-one subqueries through a ``keymask -> key``
-index (:meth:`ClosureEngine.covers_many`).  Each size-level is one
-batch in one process: a process fan-out answered one ``is_key`` per
-candidate and lost to the batched sweep at every measured width.
+combinations share most of their members, so it runs through an
+:class:`~repro.inference.session.ImplicationSession`, one
+:meth:`~repro.inference.session.ImplicationSession.covers_batch` per
+size-level.  The sweep is indexed by masks: each combination is a
+bitmask over the scope's attributes, a found key prunes every
+combination it is a submask of, and only the survivors are built as
+path sets, once each; the engine then seeds each candidate from its
+drop-one subqueries through a ``keymask -> key`` index
+(:meth:`ClosureEngine.covers_many`).  Each size-level is one batch in
+one process: a process fan-out answered one ``is_key`` per candidate
+and lost to the batched sweep at every measured width.
 """
 
 from __future__ import annotations
@@ -32,33 +33,6 @@ from ..paths.typing import resolve_base_path
 from ..types.schema import Schema
 
 __all__ = ["minimal_keys", "is_key", "key_nfds", "local_minimal_keys"]
-
-def _closure_batch(working, queries):
-    """Answer a batch of closure queries through the best API *working*
-    offers: :meth:`ImplicationSession.closure_batch`, then
-    :meth:`ClosureEngine.closure_many` (both subset-ordered and
-    seed-sharing), then a plain per-query loop."""
-    batch = getattr(working, "closure_batch", None) \
-        or getattr(working, "closure_many", None)
-    if batch is not None:
-        return batch(queries)
-    return [working.closure(base, lhs) for base, lhs in queries]
-
-
-def _verdict_batch(working, base, candidates, labels):
-    """One is-key verdict per candidate, through the best API *working*
-    offers.  ``covers_batch``/``covers_many`` let a dense engine answer
-    from saturated masks without materializing any closure; otherwise
-    the closures are fetched batch-wise and membership-tested here."""
-    targets = [Path((label,)) for label in labels]
-    covers = getattr(working, "covers_batch", None) \
-        or getattr(working, "covers_many", None)
-    if covers is not None:
-        return covers(base, candidates, targets)
-    closures = _closure_batch(
-        working, [(base, candidate) for candidate in candidates])
-    return [all(target in closed for target in targets)
-            for closed in closures]
 
 
 def key_nfds(base: Path, key: Iterable[Path],
@@ -114,18 +88,18 @@ def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
     identify a student within one course" — e.g. ``{sid}`` under the
     constraint of Example 2.3.
 
-    When *engine* is given (a :class:`ClosureEngine` or
-    :class:`ImplicationSession`) its Sigma and nonempty spec are
-    authoritative; otherwise a session over ``(schema, sigma,
-    nonempty)`` is built.  Each size-level of the sweep is answered as one
-    batch-closure call, so neighbouring candidates share their subset
-    closures.
+    When *engine* is given (an :class:`ImplicationSession`, or any
+    object with its ``schema``, ``tracer`` and ``covers_batch``) its
+    Sigma and nonempty spec are authoritative; otherwise a session over
+    ``(schema, sigma, nonempty)`` is built.  Each size-level of the
+    sweep is answered as one ``covers_batch`` call, so neighbouring
+    candidates share their subset closures.
     """
     working = engine if engine is not None \
         else ImplicationSession(schema, sigma, nonempty)
     scope = resolve_base_path(schema, base)
     attributes = [Path((label,)) for label in scope.labels]
-    tracer = getattr(working, "tracer", None)
+    tracer = working.tracer
     if tracer is not None:
         with tracer.span("analysis.keys", base=str(base),
                          attributes=len(attributes)) as span:
@@ -135,6 +109,7 @@ def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
 
 def _sweep(working, base, labels, attributes, span):
     keys: list[frozenset[Path]] = []
+    targets = [Path((label,)) for label in labels]
     # combos are bitmasks over the attribute list: a found key prunes a
     # combo when its mask is a submask, and only the survivors become
     # path sets (once each)
@@ -155,7 +130,7 @@ def _sweep(working, base, labels, attributes, span):
             continue
         if span is not None:
             span.add("candidates", len(candidates))
-        verdicts = _verdict_batch(working, base, candidates, labels)
+        verdicts = working.covers_batch(base, candidates, targets)
         for mask, candidate, verdict in zip(masks, candidates, verdicts):
             if verdict:
                 keys.append(candidate)

@@ -59,7 +59,7 @@ does the same with the stream engine's counters
 way.
 
 Query commands that run through an implication session additionally
-accept ``--cache-stats``, printing the session's memoization counters
+accept ``--cache-stats``, printing the session's query counters
 (:class:`repro.inference.SessionStats`) to stderr.  ``normalize
 --sweep`` accepts ``--jobs N`` (``N >= 1``) to fan the sweep out across
 *N* worker processes — stdout is byte-identical to the serial run
@@ -254,16 +254,33 @@ def _query_params(args) -> dict:
     return {}
 
 
+#: ``check``'s stream-only options: dest -> flag.
+_STREAM_ONLY = {"relation": "--relation", "max_rows": "--max-rows",
+                "max_elements": "--max-elements", "deadline": "--deadline",
+                "incremental": "--incremental", "cache_dir": "--cache-dir"}
+
+
 def _cmd_query(args) -> int:
     """``check``, ``implies``, ``closure`` and ``keys``: one result dict,
     from the daemon under ``--server`` or computed in-process, rendered
-    by :func:`repro.service.render` either way."""
-    if getattr(args, "stream", None):
-        if args.server:
-            print("error: --stream runs locally; drop --server",
-                  file=sys.stderr)
+    by :func:`repro.service.render` either way.  A ``check`` without
+    ``--stream`` that would ignore a stream-only flag exits 2 naming
+    it."""
+    if args.command == "check":
+        if args.stream:
+            if args.server:
+                print("error: --stream runs locally; drop --server",
+                      file=sys.stderr)
+                return 2
+            return _cmd_check_stream(args)
+        # unset: None, or False for the --incremental switch
+        ignored = [flag for name, flag in _STREAM_ONLY.items()
+                   if getattr(args, name) is not None
+                   and getattr(args, name) is not False]
+        if ignored:
+            print("error: without --stream, check would ignore "
+                  f"{', '.join(ignored)}", file=sys.stderr)
             return 2
-        return _cmd_check_stream(args)
     from .service import render
 
     params = _query_params(args)
@@ -758,7 +775,7 @@ def _stats_arg(sub) -> None:
 def _cache_stats_arg(sub) -> None:
     sub.add_argument(
         "--cache-stats", action="store_true", dest="cache_stats",
-        help="print the implication session's memoization counters "
+        help="print the implication session's query counters "
              "to stderr",
     )
 

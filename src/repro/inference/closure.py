@@ -56,8 +56,18 @@ probe masks members in or out of the shared pool and compiles only the
 members the pool has never seen, instead of rebuilding the whole pool
 per probe.  Saturation state (closure queries, activated singleton
 candidates) is per-engine — changing Sigma invalidates derived
-closures.  :class:`~repro.inference.session.ImplicationSession` builds
-its cross-query memoization and delta probes on these primitives.
+closures.
+
+That state is the one memo of implication answers.  Every query an
+engine has saturated stays in its relation's state, with the closure
+materialized on first read: a repeated key is read off without entering
+the saturation loop, and a new key is seeded from its drop-one
+sub-queries (:meth:`ClosureEngine._register`), which batches visit in
+subset order.  The state grows with the distinct keys asked; a
+long-lived holder bounds it by dropping the engine (the daemon's pool
+does, :mod:`repro.server.pool`).
+:class:`~repro.inference.session.ImplicationSession` adds the Σ
+fingerprint and copy-on-write probes on top.
 
 Passing a :class:`~repro.inference.empty_sets.NonEmptySpec` switches the
 engine to the Section 3.2 rules: prefix shortening requires the shortened
@@ -140,7 +150,7 @@ class EngineStats(Stats):
       number of non-seed paths they derived, per relation;
     * ``mask_tests`` — row scans plus batch verdict tests (each is at
       least one bitmask test);
-    * ``dense_seeds`` — queries created with a superset seed;
+    * ``dense_seeds`` — queries seeded from a drop-one sub-query;
     * ``interned`` — interned universe size per relation.
     """
 
@@ -452,18 +462,17 @@ class ClosureEngine:
         engine.implies(NFD.parse("R:A:[B -> E]"))       # True/False
         engine.closure(parse_path("R:A"), {parse_path("B")})
 
-    The engine caches its saturation state, so asking many queries against
-    the same ``(schema, Sigma)`` is cheap after the first.  Queries run
-    on the dense kernel; :meth:`reference_closure` answers the same
-    questions with the naive object-level reference saturation, and
-    :meth:`explain` replays it to justify an answer.
+    The engine keeps its saturation state, so a repeated query is read
+    off it and a new one seeds from the queries it already holds.
+    Queries run on the dense kernel; :meth:`reference_closure` answers
+    the same questions with the naive object-level reference
+    saturation, and :meth:`explain` replays it to justify an answer.
 
     Probing nearby Sigmas is copy-on-write: :meth:`without`,
     :meth:`with_added`, and :meth:`replace` return sibling engines that
     share this engine's compiled pool (usables, dense tables, typed path
     sets, singleton candidates) and compile only members the pool has
-    never seen.  For cross-query memoization on top of one engine, see
-    :class:`~repro.inference.session.ImplicationSession`.
+    never seen.
     """
 
     def __init__(self, schema: Schema, sigma: Iterable[NFD],
@@ -522,6 +531,10 @@ class ClosureEngine:
         self._wall_time = 0.0
         self._mask_tests = 0
         self._dense_seeds = 0
+        # closure queries answered, and those the state already held
+        # saturated (read by ImplicationSession.stats)
+        self._served = 0
+        self._held = 0
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self.sigma):
@@ -624,6 +637,11 @@ class ClosureEngine:
             interned=interned,
         )
 
+    @property
+    def query_count(self) -> int:
+        """Closure queries the engine holds, over every relation."""
+        return sum(len(state.acc) for state in self._dense_states.values())
+
     def _all_usables(self, relation: str):
         """Every usable active for this engine: the shared pool masked
         by the active-member set, then the overlay."""
@@ -633,25 +651,6 @@ class ClosureEngine:
         yield from self._overlay_usables[relation]
 
     # -- dense saturation ----------------------------------------------------
-
-    def forget_query(self, relation: str, key: frozenset[Path]) -> bool:
-        """Drop a saturated closure query (memo-eviction support).
-
-        Returns True when the query was dropped.  Singleton premise
-        queries are retained — they drive candidate activation and are
-        created only once per relation — as are unknown keys.
-        """
-        if key in self._pool.candidate_index[relation]:
-            return False
-        state = self._dense_states.get(relation)
-        if state is None or key not in state.acc:
-            return False
-        del state.acc[key]
-        del state.bymask[state.keymask.pop(key)]
-        del state.qrows[key]
-        del state.qmark[key]
-        state.cache.pop(key, None)
-        return True
 
     def _dense_state(self, relation: str) -> _DenseState:
         state = self._dense_states.get(relation)
@@ -671,13 +670,12 @@ class ClosureEngine:
     def _saturate(self, relation: str) -> None:
         """Run the kernel to a fixpoint, counting the work.
 
-        When a span is already open (a ``session.miss``, an analysis
-        sweep) the saturation is its 1:1 inner step, so the deltas are
-        charged to that span instead of opening a duplicate one — a
-        span per saturation on top of a span per miss roughly doubles
-        the trace for no information.  Only a *root* saturation (engine
-        used directly, no enclosing span) opens its own
-        ``closure.saturate`` span."""
+        When a span is already open (an analysis sweep, say) the
+        saturation is its inner step, so the deltas
+        are charged to that span instead of opening one span per
+        saturation, which would roughly double the trace for no
+        information.  Only a *root* saturation (no enclosing span) opens
+        its own ``closure.saturate`` span."""
         tracer = self.tracer
         if tracer is None:
             self._run_saturation(relation)
@@ -818,6 +816,51 @@ class ClosureEngine:
         state.cache[key] = (mask, result)
         return result
 
+    def _register(self, state: _DenseState, key: frozenset[Path],
+                  keymask: int) -> None:
+        """Register a new query for *key*, seeded from its drop-one
+        sub-queries.
+
+        Every query the state holds under ``keymask ^ bit`` (found in
+        the ``keymask -> key`` index, no path set built) asks about a
+        subset of *key*, so its accumulator lies in ``CL(key)`` by
+        monotonicity — ``X ⊆ Y`` implies ``CL(X) ⊆ CL(Y)`` in both the
+        plain and the gated systems, because enlarging the query key
+        only loosens the Section 3.2 gates — and so does the union of
+        them all.  Batches visit keys in subset order, so a sweep finds
+        every sub-combination already saturated and pays for the new
+        derivations only."""
+        acc = state.acc
+        bymask = state.bymask
+        accmask = keymask
+        seeded = False
+        rest = keymask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            sub = bymask.get(keymask ^ bit)
+            if sub is not None:
+                accmask |= acc[sub]
+                seeded = True
+        if seeded:
+            self._dense_seeds += 1
+        state.add(key, keymask, accmask)
+
+    def _closure_key(self, relation: str,
+                     key: frozenset[Path]) -> frozenset[Path]:
+        """``CL(key)`` at a relation-name base: read off the state when
+        the engine already holds *key* saturated (no saturation loop),
+        otherwise registered, seeded and saturated."""
+        state = self._dense_state(relation)
+        self._served += 1
+        if key in state.acc and not state.unsaturated:
+            self._held += 1
+        else:
+            if key not in state.acc:
+                self._register(state, key, state.mask(key))
+            self._saturate(relation)
+        return self._dense_result(state, key)
+
     # -- public API -----------------------------------------------------------
 
     def closure_simple(self, relation: str, lhs: Iterable[Path]) \
@@ -827,33 +870,9 @@ class ClosureEngine:
         The result contains the seed paths themselves (reflexivity) and
         is restricted to well-typed paths of the relation.
         """
-        return self.closure_simple_seeded(relation, lhs, ())
-
-    def closure_simple_seeded(self, relation: str, lhs: Iterable[Path],
-                              seed: Iterable[Path]) -> frozenset[Path]:
-        """``CL(L)``, saturated starting from a pre-derived *seed*.
-
-        *seed* must contain only paths already known to lie in
-        ``CL(L)`` — typically a cached closure of a subset of *L*
-        (monotonicity: ``X ⊆ Y`` implies ``CL(X) ⊆ CL(Y)`` in both the
-        plain and the gated systems, because enlarging the query key
-        only loosens the Section 3.2 gates).  Passing paths outside
-        ``CL(L)`` is unsound and the engine does not check for it.
-        :class:`~repro.inference.session.ImplicationSession` uses this
-        for cross-query seed reuse.
-        """
         if relation not in self.schema:
             raise InferenceError(f"unknown relation {relation!r}")
-        key = frozenset(lhs)
-        state = self._dense_state(relation)
-        if key not in state.acc:
-            keymask = state.mask(key)
-            seedmask = state.mask(seed)
-            if seedmask:
-                self._dense_seeds += 1
-            state.add(key, keymask, keymask | seedmask)
-        self._saturate(relation)
-        return self._dense_result(state, key)
+        return self._closure_key(relation, frozenset(lhs))
 
     def _push_in(self, base: Path, lhs: Iterable[Path]):
         """The simple-form translation of a closure query at *base*:
@@ -945,13 +964,10 @@ class ClosureEngine:
         """Batch :meth:`closure`: one result per ``(base, lhs)`` pair.
 
         Answers are identical to mapping :meth:`closure` over the
-        batch, but the engine visits the simple-form keys in subset
-        order (ascending size, then canonical text) and seeds each
-        saturation from the largest already-computed closure of a
-        strict subset key — sound by monotonicity of ``CL`` exactly as
-        in :meth:`closure_simple_seeded` — so a sweep of overlapping
-        queries pays for the *new* derivations only.  Results come back
-        in input order.
+        batch, but the engine visits the distinct simple-form keys in
+        subset order (ascending size, then canonical text), so each new
+        key finds its drop-one sub-queries already saturated and seeds
+        from them.  Results come back in input order.
         """
         prepared = []
         for base, lhs in queries:
@@ -967,18 +983,8 @@ class ClosureEngine:
         for i in order:
             _, relation, _, _, simple_lhs = prepared[i]
             slot = (relation, simple_lhs)
-            if slot in computed:
-                continue
-            # drop-one probes: sub-combinations sort earlier, so their
-            # closures are already computed; each CL(key - {p}) is a
-            # subset of CL(key), and so is their union
-            seed: frozenset[Path] | None = None
-            for path in simple_lhs:
-                sub = computed.get((relation, simple_lhs - {path}))
-                if sub is not None:
-                    seed = sub if seed is None else seed | sub
-            computed[slot] = self.closure_simple_seeded(
-                relation, simple_lhs, seed if seed is not None else ())
+            if slot not in computed:
+                computed[slot] = self._closure_key(relation, simple_lhs)
         return [
             self._pull_out(base, relation, ybar, lhs_set,
                            computed[(relation, simple_lhs)])
@@ -1010,17 +1016,13 @@ class ClosureEngine:
     def _covers_many_dense(self, relation: str,
                            keys: list[frozenset[Path]],
                            targets: frozenset[Path]) -> list[bool]:
-        """Mask-only sweep: saturate each candidate in subset order with
-        drop-one mask seeding, then answer every verdict with one
+        """Mask-only sweep: saturate each new candidate in subset order,
+        seeded by :meth:`_register`, then answer every verdict with one
         ``acc & target == target`` test.
 
-        The sweep is indexed by masks, not path sets: a key's drop-one
-        sub-queries are found as ``keymask ^ bit`` in the state's
-        ``keymask -> key`` index (no ``key - {path}`` set is built),
-        the subset-order sort reads one ``path -> text`` table instead
+        The subset-order sort reads one ``path -> text`` table instead
         of rendering every member of every key, and each path's bit is
-        looked up once per call.  The visit order, hence every
-        saturation and mask test, is the path-set sweep's."""
+        looked up once per call."""
         state = self._dense_state(relation)
         target_mask = state.mask(targets)
         text = {path: str(path) for path in frozenset().union(*keys)}
@@ -1030,7 +1032,6 @@ class ClosureEngine:
                            tuple(sorted([text[p] for p in keys[i]])))
         )
         acc = state.acc
-        bymask = state.bymask
         bits: dict[Path, int] = {}
         for i in order:
             key = keys[i]
@@ -1042,22 +1043,7 @@ class ClosureEngine:
                 if bit is None:
                     bit = bits[path] = state.mask((path,))
                 keymask |= bit
-            # drop-one probes: sub-combinations sort earlier and are
-            # already saturated; their masks are sound seeds by
-            # monotonicity of CL, no path objects involved
-            accmask = keymask
-            seeded = False
-            rest = keymask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                sub = bymask.get(keymask ^ bit)
-                if sub is not None:
-                    accmask |= acc[sub]
-                    seeded = True
-            if seeded:
-                self._dense_seeds += 1
-            state.add(key, keymask, accmask)
+            self._register(state, key, keymask)
             self._saturate(relation)
         if state.unsaturated:
             # a key that coincides with a singleton premise query made
@@ -1083,8 +1069,20 @@ class ClosureEngine:
         return nfd.rhs in self.closure(nfd.base, nfd.lhs)
 
     def implies_all(self, nfds: Iterable[NFD]) -> bool:
-        """True iff every NFD in *nfds* is implied."""
-        return all(self.implies(nfd) for nfd in nfds)
+        """True iff every NFD in *nfds* is implied.
+
+        Runs the closures as one :meth:`closure_many` batch, so a cover
+        check over a whole Σ pays for each distinct simple LHS once."""
+        candidates = list(nfds)
+        for nfd in candidates:
+            try:
+                nfd.check_well_formed(self.schema)
+            except NFDError as exc:
+                raise InferenceError(str(exc)) from exc
+        closures = self.closure_many(
+            [(nfd.base, nfd.lhs) for nfd in candidates])
+        return all(nfd.rhs in closed
+                   for nfd, closed in zip(candidates, closures))
 
     # -- the naive reference ----------------------------------------------
 

@@ -434,8 +434,7 @@ class ValidatorEngine:
             entries: list[tuple[tuple, Value]] = []
             if not (undefined and
                     any(p in undefined for p in plan.paths)):
-                for key, rhs in self._plan_bindings(plan, branch_rows):
-                    entries.append((key, rhs))
+                entries = self._plan_bindings_list(plan, branch_rows)
             result.append((plan.nfd, entries))
         return result
 
@@ -588,11 +587,16 @@ class ValidatorEngine:
             if undefined and any(p in undefined for p in plan.paths):
                 continue  # Definition 2.4: undefined => unconstrained
             table = tables[position]
-            for key, rhs in self._plan_bindings(plan, branch_rows):
+            bindings = self._plan_bindings_list(plan, branch_rows)
+            for probed, (key, rhs) in enumerate(bindings, 1):
                 seen = table.get(key)
                 if seen is None:
                     table[key] = (rhs, element)
                 elif seen[0] != rhs:
+                    if run.first_only:
+                        # the stop leaves the rest unprobed: count only
+                        # the pairs probed (recording may raise the stop)
+                        self._bindings_emitted -= len(bindings) - probed
                     self._record_violation(
                         plan, position, key, seen, rhs, element,
                         reported, base_index, run)
@@ -676,13 +680,14 @@ class ValidatorEngine:
     def _plan_bindings_list(self, plan: _PlanExec,
                             branch_rows: list[list[tuple]]) \
             -> list[tuple[tuple, Value]]:
-        """:meth:`_plan_bindings` materialized as a list.
+        """Project one NFD's ``(key, rhs)`` bindings out of shared rows.
 
-        Identical bindings in identical order, without generator
-        suspension per binding — the streaming validator's batched
-        emitter folds whole binding lists into its group tables, so the
-        per-binding resume/yield cost of the generator form is pure
-        overhead there.
+        Per branch the rows are projected to the NFD's own leaf slots
+        and deduplicated (choices belonging to *other* NFDs in the union
+        trie multiply rows but not distinct values); the NFD's binding
+        space is the cross product of the deduplicated projections.
+        Every binding counts as emitted; a caller that stops early gives
+        back the ones it did not probe.
         """
         factors: list[list[tuple]] = []
         for branch_pos, indices in plan.branch_proj:
@@ -707,46 +712,6 @@ class ValidatorEngine:
                             flat[rhs_pos]))
         self._bindings_emitted += len(out)
         return out
-
-    def _plan_bindings(self, plan: _PlanExec,
-                       branch_rows: list[list[tuple]]) \
-            -> Iterator[tuple[tuple, Value]]:
-        """Project one NFD's ``(key, rhs)`` bindings out of shared rows.
-
-        Per branch the rows are projected to the NFD's own leaf slots
-        and deduplicated (choices belonging to *other* NFDs in the union
-        trie multiply rows but not distinct values); the NFD's binding
-        space is the cross product of the deduplicated projections.
-        """
-        factors: list[list[tuple]] = []
-        for branch_pos, indices in plan.branch_proj:
-            rows = branch_rows[branch_pos]
-            if len(rows) == 1:
-                row = rows[0]
-                factors.append([tuple(row[i] for i in indices)])
-                continue
-            projected = dict.fromkeys(
-                tuple(row[i] for i in indices) for row in rows)
-            factors.append(list(projected))
-        lhs_pos = plan.lhs_pos
-        rhs_pos = plan.rhs_pos
-        emitted = 0
-        try:
-            if len(factors) == 1:
-                for flat in factors[0]:
-                    emitted += 1
-                    yield (tuple(flat[i] for i in lhs_pos),
-                           flat[rhs_pos])
-            else:
-                for combo in product(*factors):
-                    flat = tuple(chain.from_iterable(combo))
-                    emitted += 1
-                    yield (tuple(flat[i] for i in lhs_pos),
-                           flat[rhs_pos])
-        finally:
-            # the caller may abandon the generator on a first-violation
-            # short-circuit; count whatever was actually emitted
-            self._bindings_emitted += emitted
 
 
 def _iter_plans(node: _ScopeNode) -> Iterator[_PlanExec]:

@@ -1,7 +1,7 @@
 """Client/server split: the constraint-checking daemon and its client.
 
 The per-process engines of the inference and validation layers —
-memoized :class:`~repro.inference.ImplicationSession` closures,
+warm :class:`~repro.inference.ImplicationSession` query state,
 compiled :class:`~repro.nfd.ValidatorEngine` plans, dense kernel
 tables — are fast once warm, but every fresh process pays the warm-up
 again.  This package turns them into *fleet-shared* infrastructure:

@@ -465,10 +465,10 @@ class ReproServer:
     async def _handle_query(self, request_id, request_type: str,
                             request: dict,
                             remaining: float | None) -> dict:
-        """Parse and answer through :mod:`repro.service`; closures run
-        through the entry's batcher (concurrent and pipelined queries
-        share kernel sweeps), keys on its warm session, and checks
-        through :func:`~repro.service.check`."""
+        """Parse and answer through :mod:`repro.service`: closures as
+        one batch and keys as one sweep on the entry's warm session
+        (trimmed to the pool's bound afterwards), checks through
+        :func:`~repro.service.check`."""
         deadline = self._effective_deadline(request, remaining)
         if "bundle" not in request:
             raise ProtocolError(
@@ -481,15 +481,18 @@ class ReproServer:
             raise ProtocolError("deadline_exceeded",
                                 "the connection deadline has expired")
         query = parse_query(request_type, request, entry.schema, rows)
-        if request_type in ("implies", "closure"):
-            batcher = await self.pool.batcher_for(entry)
-            outcome = await asyncio.gather(*[
-                batcher.closure(base, lhs) for base, lhs in query.closures])
-        elif request_type == "keys":
-            session = await self.pool.session_for(entry)
-            outcome = minimal_keys(entry.schema, entry.sigma,
-                                   query.relation, engine=session,
-                                   nonempty=entry.nonempty)
+        if request_type != "check":
+            try:
+                if request_type == "keys":
+                    session = await self.pool.session_for(entry)
+                    outcome = minimal_keys(entry.schema, entry.sigma,
+                                           query.relation, engine=session,
+                                           nonempty=entry.nonempty)
+                else:
+                    outcome = await self.pool.closure_batch(
+                        entry, query.closures)
+            finally:
+                self.pool.trim(entry)
         else:
             # a deadline stops the stream engine's walk cooperatively,
             # mid-stream

@@ -4,8 +4,9 @@ Every query request names its constraint universe by shipping a bundle;
 the pool maps the bundle's canonical
 :func:`~repro.inference.session.sigma_fingerprint` to a
 :class:`PoolEntry` holding the parsed model objects plus one
-:class:`~repro.inference.session.ImplicationSession` (memoized
-closures), built lazily and kept warm.  A
+:class:`~repro.inference.session.ImplicationSession`, built lazily and
+kept warm: its engine's query state answers a repeated closure without
+saturating.  A
 ``check`` keeps nothing here: it runs :func:`repro.service.check`,
 which builds its stream engine per request, and
 :attr:`PoolStats.validator_builds` counts those builds.
@@ -14,7 +15,11 @@ The pool is a **bounded LRU** (:attr:`EnginePool.max_entries`): the
 least-recently-used fingerprint is evicted when a new one would exceed
 the bound, and its cumulative engine counters are folded into retired
 totals first, so the aggregate counters the ``stats`` request reports
-never go backwards.
+never go backwards.  Each entry is bounded too: after a request, a
+session whose engine holds more than :data:`MAX_ENGINE_QUERIES`
+queries (one ``keys`` sweep over a dozen attributes leaves thousands)
+is folded out the same way and dropped, and the next request rebuilds
+it (:meth:`EnginePool.trim`).
 
 Concurrent requests for a fingerprint whose session is still being
 built **coalesce**: the first request runs the build in the event
@@ -22,11 +27,10 @@ loop's default executor and every later request awaits the same
 future, so one Σ arriving on a hundred connections builds exactly
 once (``coalesced_builds`` counts the riders).
 
-Queued closure queries against one entry **batch**: each
-:class:`_ClosureBatcher` parks callers for one event-loop tick, drains
-everything that accumulated, and serves the whole batch through
-:meth:`ImplicationSession.closure_batch` — subset-ordered, seed-shared,
-and one sweep of the dense kernel per batch instead of one per query.
+An ``implies`` or ``closure`` request is one
+:meth:`ImplicationSession.closure_batch` call
+(:meth:`EnginePool.closure_batch`): ``batches`` counts those requests
+and ``batched_queries`` the closures they asked.
 """
 
 from __future__ import annotations
@@ -38,14 +42,19 @@ from collections import OrderedDict
 from ..inference.session import ImplicationSession, sigma_fingerprint
 from ..obs.report import Stats
 
-__all__ = ["EnginePool", "PoolEntry", "PoolStats"]
+__all__ = ["EnginePool", "MAX_ENGINE_QUERIES", "PoolEntry", "PoolStats"]
+
+#: The most closure queries an entry's engine keeps between requests.
+MAX_ENGINE_QUERIES = 1024
 
 
 class PoolStats(Stats):
     """Counters of the pool's lifetime activity (cumulative).
 
     ``validator_builds`` counts the validation engines built for
-    ``check`` requests, one per check."""
+    ``check`` requests, one per check; ``batches`` counts the
+    ``implies``/``closure`` requests and ``batched_queries`` their
+    closures."""
 
     __slots__ = ("hits", "misses", "evictions", "coalesced_builds",
                  "session_builds", "validator_builds", "batches",
@@ -62,64 +71,12 @@ def _fold_session(totals: dict, entry: "PoolEntry") -> None:
         totals["memo_hits"] += stats.hits
 
 
-class _ClosureBatcher:
-    """Coalesce concurrent closure queries into ``closure_batch`` calls.
-
-    Callers enqueue ``(base, lhs)`` and await a future; the first
-    caller becomes the *drainer*: it yields once to the event loop (so
-    every request already parked on other connections can enqueue),
-    then serves the entire backlog in one
-    :meth:`ImplicationSession.closure_batch` call and resolves the
-    futures in order.  Batching changes only how many kernel sweeps
-    run — answers are identical to per-query :meth:`closure` calls.
-    """
-
-    __slots__ = ("session", "stats", "_pending", "_draining")
-
-    def __init__(self, session: ImplicationSession, stats: PoolStats):
-        self.session = session
-        self.stats = stats
-        self._pending: list[tuple[object, object, asyncio.Future]] = []
-        self._draining = False
-
-    async def closure(self, base, lhs) -> frozenset:
-        future = asyncio.get_running_loop().create_future()
-        self._pending.append((base, lhs, future))
-        if not self._draining:
-            self._draining = True
-            try:
-                # one tick for concurrently-parked requests to enqueue
-                await asyncio.sleep(0)
-                while self._pending:
-                    batch = self._pending
-                    self._pending = []
-                    self._drain(batch)
-            finally:
-                self._draining = False
-        return await future
-
-    def _drain(self, batch) -> None:
-        self.stats.batches += 1
-        self.stats.batched_queries += len(batch)
-        try:
-            results = self.session.closure_batch(
-                [(base, lhs) for base, lhs, _ in batch])
-        except BaseException as exc:
-            for _, _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for (_, _, future), result in zip(batch, results):
-            if not future.done():
-                future.set_result(result)
-
-
 class PoolEntry:
     """One fingerprint's warm state: model objects plus a lazy
-    session and its batcher."""
+    session."""
 
     __slots__ = ("key", "fingerprint", "schema", "sigma", "nonempty",
-                 "session", "batcher")
+                 "session")
 
     def __init__(self, key: str, fingerprint: str, schema, sigma,
                  nonempty):
@@ -129,7 +86,6 @@ class PoolEntry:
         self.sigma = tuple(sigma)
         self.nonempty = nonempty
         self.session: ImplicationSession | None = None
-        self.batcher: _ClosureBatcher | None = None
 
 
 class EnginePool:
@@ -227,13 +183,23 @@ class EnginePool:
             self.stats.session_builds += 1
         return entry.session
 
-    async def batcher_for(self, entry: PoolEntry) -> _ClosureBatcher:
-        """The entry's closure batcher."""
-        if entry.batcher is None:
-            session = await self.session_for(entry)
-            if entry.batcher is None:
-                entry.batcher = _ClosureBatcher(session, self.stats)
-        return entry.batcher
+    async def closure_batch(self, entry: PoolEntry, queries) -> list:
+        """One request's ``(base, lhs)`` closures, answered as one batch
+        on the entry's warm session."""
+        session = await self.session_for(entry)
+        self.stats.batches += 1
+        self.stats.batched_queries += len(queries)
+        return session.closure_batch(queries)
+
+    def trim(self, entry: PoolEntry) -> None:
+        """Bound the entry's memory after a request: a session whose
+        engine holds more than :data:`MAX_ENGINE_QUERIES` queries is
+        folded into the retired totals and dropped."""
+        session = entry.session
+        if session is not None \
+                and session.engine.query_count > MAX_ENGINE_QUERIES:
+            _fold_session(self._retired, entry)
+            entry.session = None
 
     # -- aggregate counters ------------------------------------------------
 

@@ -11,7 +11,7 @@ orders and the exit codes are decided here once:
 * :func:`check` is the one in-memory Definition 2.4 check: the stream
   engine over the bundle's JSON rows, put in set order;
 * :func:`answer` turns what the caller computed — locally, or on the
-  daemon's warm pool and closure batcher — into the wire result dict;
+  daemon's warm pool — into the wire result dict;
 * :func:`render` turns a result dict into CLI stdout and exit status.
 
 The bundle's instance arrives as ``{relation: rows}`` — parsed JSON,

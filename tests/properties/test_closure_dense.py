@@ -65,15 +65,17 @@ def _partial_spec(rng: random.Random, schema, relation: str) \
 
 class _Reference:
     """The naive reference saturation behind the query surface
-    :func:`minimal_keys` needs (``schema``, ``tracer``, ``closure``)."""
+    :func:`minimal_keys` needs (``schema``, ``tracer``,
+    ``covers_batch``)."""
 
     def __init__(self, schema, sigma, spec):
         self.engine = ClosureEngine(schema, sigma, nonempty=spec)
         self.schema = schema
         self.tracer = None
 
-    def closure(self, base, lhs):
-        return self.engine.reference_closure(base, lhs)
+    def covers_batch(self, base, candidates, targets):
+        return [set(targets) <= self.engine.reference_closure(base, c)
+                for c in candidates]
 
 
 def _brute_force(schema, sigma):

@@ -1,13 +1,15 @@
-"""Differential tests: ImplicationSession vs fresh ClosureEngines.
+"""Differential tests: ImplicationSession vs the naive reference.
 
-The session layers a bounded memo, subset-closure seeding, and
-copy-on-write Sigma probes over the engine; none of that machinery may
-change an answer.  Each case draws a random (schema, Sigma), serves a
-repetitive query stream through one session — repeating queries (memo
-hits), growing LHSs (seed reuse), a deliberately tiny memo bound
-(forced evictions), and interleaved ``without``/``with_added`` probes —
-and checks every answer against a fresh engine over the corresponding
-Sigma.
+The session serves every query through its engine's dense query state —
+held keys read off without saturating, new keys seeded from their
+drop-one sub-queries, batches visited in subset order — and hands out
+copy-on-write Sigma probes; none of that may change an answer.  Each
+case draws a random (schema, Sigma), serves a repetitive query stream
+through one session — repeating queries (held keys), growing LHSs
+(drop-one seeds), one subset-ordered batch, and interleaved
+``without``/``with_added`` probes — and checks every answer against
+the naive reference saturation (:meth:`ClosureEngine.reference_closure`)
+over the corresponding Sigma.
 
 A deterministic seed sweep guarantees the advertised case count (the
 acceptance bar is >= 200 randomized cases across the plain and gated
@@ -25,8 +27,6 @@ from repro.inference import ClosureEngine, ImplicationSession, NonEmptySpec
 from repro.paths import Path, relation_paths, set_paths
 
 SEEDS_PER_MODE = 100
-#: Small enough that the query stream below always overflows it.
-TINY_MEMO = 4
 
 
 def _draw(seed: int):
@@ -49,8 +49,8 @@ def _partial_spec(rng: random.Random, schema, relation: str) \
 
 
 def _query_stream(rng: random.Random, paths):
-    """Nested LHS chains plus repeats: the shapes that hit the memo,
-    the seeder, and (with TINY_MEMO) the evictor."""
+    """Nested LHS chains plus repeats: the shapes that hit held keys
+    and drop-one seeds."""
     queries = []
     for _ in range(3):
         chain = rng.sample(paths, min(len(paths), rng.randint(1, 3)))
@@ -64,18 +64,18 @@ def _query_stream(rng: random.Random, paths):
 def _check_agreement(seed: int, gated: bool) -> None:
     rng, schema, sigma, relation, paths = _draw(seed)
     spec = _partial_spec(rng, schema, relation) if gated else None
-    session = ImplicationSession(schema, sigma, spec,
-                                 max_memo=TINY_MEMO)
+    session = ImplicationSession(schema, sigma, spec)
     reference = ClosureEngine(schema, sigma, nonempty=spec)
     base = Path((relation,))
 
-    for lhs in _query_stream(rng, paths):
-        assert session.closure_simple(relation, lhs) == \
-            reference.closure_simple(relation, lhs), (sigma, spec, lhs)
-        assert session.closure(base, lhs) == \
-            reference.closure(base, lhs), (sigma, spec, lhs)
+    stream = _query_stream(rng, paths)
+    for lhs in stream:
+        expected = reference.reference_closure(base, lhs)
+        assert session.closure_simple(relation, lhs) == expected, \
+            (sigma, spec, lhs)
+        assert session.closure(base, lhs) == expected, (sigma, spec, lhs)
 
-    # interleaved copy-on-write probes answer like fresh engines over
+    # interleaved copy-on-write probes answer like the reference over
     # the perturbed Sigma...
     probe_lhs = frozenset(rng.sample(paths, min(len(paths), 2)))
     if sigma:
@@ -83,21 +83,23 @@ def _check_agreement(seed: int, gated: bool) -> None:
         rest = sigma[:index] + sigma[index + 1:]
         assert session.without(index).closure_simple(relation, probe_lhs) \
             == ClosureEngine(schema, rest, nonempty=spec) \
-            .closure_simple(relation, probe_lhs), (sigma, spec, index)
+            .reference_closure(base, probe_lhs), (sigma, spec, index)
         extra = sigma[index]
         grown = sigma + [extra]
         assert session.with_added(extra) \
             .closure_simple(relation, probe_lhs) == \
             ClosureEngine(schema, grown, nonempty=spec) \
-            .closure_simple(relation, probe_lhs), (sigma, spec, index)
+            .reference_closure(base, probe_lhs), (sigma, spec, index)
 
     # ...and the probed session keeps answering for the original Sigma,
-    # memo evictions and all
-    for lhs in _query_stream(rng, paths):
+    # one query at a time and as one subset-ordered batch
+    stream = _query_stream(rng, paths)
+    for lhs in stream:
         assert session.closure_simple(relation, lhs) == \
-            reference.closure_simple(relation, lhs), (sigma, spec, lhs)
-    assert session.stats.evictions > 0 or \
-        session.stats.memo_size <= TINY_MEMO
+            reference.reference_closure(base, lhs), (sigma, spec, lhs)
+    assert session.closure_batch([(base, lhs) for lhs in stream]) == \
+        [reference.reference_closure(base, lhs) for lhs in stream], \
+        (sigma, spec)
 
 
 @pytest.mark.parametrize("seed", range(SEEDS_PER_MODE))

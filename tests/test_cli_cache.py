@@ -60,15 +60,20 @@ def _append_clash(jsonl):
 class TestWarmStart:
     def test_second_check_compiles_no_plans(self, course_bundle,
                                             cache_dir, tmp_path,
-                                            capsys):
+                                            monkeypatch, capsys):
         """An in-memory ``check`` runs the stream engine and keeps
-        nothing in the cache: two runs under ``--cache-dir`` print the
-        same, report the same ``stream`` section and no ``cache``
-        section, and open no database."""
+        nothing in the cache: two runs under ``REPRO_CACHE_DIR`` print
+        the same, report the same ``stream`` section and no ``cache``
+        section, and open no database (``--cache-dir`` without
+        ``--stream`` is refused, exit 2)."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+        assert main(["check", course_bundle, "--cache-dir",
+                     cache_dir]) == 2
+        assert "--cache-dir" in capsys.readouterr().err
         metrics = str(tmp_path / "m.json")
         runs = []
         for _ in range(2):
-            assert main(["check", course_bundle, "--cache-dir", cache_dir,
+            assert main(["check", course_bundle,
                          "--metrics-json", metrics]) == 0
             sections = _metrics(metrics)
             assert set(sections) == {"stream"}
@@ -80,9 +85,9 @@ class TestWarmStart:
 
     def test_cache_section_prints_under_stats(self, course_bundle,
                                               course_jsonl, cache_dir,
-                                              capsys):
-        assert main(["check", course_bundle, "--cache-dir", cache_dir,
-                     "--stats"]) == 0
+                                              monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+        assert main(["check", course_bundle, "--stats"]) == 0
         err = capsys.readouterr().err
         assert "cache stats" not in err
         assert not os.path.exists(os.path.join(cache_dir, DB_FILENAME))

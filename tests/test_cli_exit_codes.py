@@ -227,6 +227,17 @@ TABLE = [
                                   "--stream", "{missing}",
                                   "--server", "127.0.0.1:{dead_port}"],
      2),
+] + [
+    # an in-memory check would ignore the stream-only flags
+    (f"check-{case}-without-stream", ["check", "{good}"] + flags, 2)
+    for case, flags in (
+        ("relation", ["--relation", "Nope"]),
+        ("max-rows", ["--max-rows", "3"]),
+        ("max-elements", ["--max-elements", "1"]),
+        ("deadline", ["--deadline", "0"]),
+        ("incremental", ["--incremental"]),
+        ("cache-dir", ["--cache-dir", "{missing}"]),
+    )
 ]
 
 
@@ -461,6 +472,10 @@ SERVER_TABLE = [
                                  IMPLIED], 2),
     ("implies-nonempty-object", ["implies", "{nonempty_object}",
                                  IMPLIED], 2),
+    ("check-relation-without-stream", ["check", "{good}",
+                                       "--relation", "Nope"], 2),
+    ("check-max-rows-and-deadline-without-stream",
+     ["check", "{good}", "--max-rows", "3", "--deadline", "0"], 2),
 ]
 
 

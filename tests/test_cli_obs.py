@@ -67,13 +67,15 @@ class TestTraceFlag:
         trace = tmp_path / "trace.jsonl"
         assert main(["implies", course_bundle, "Course:[cnum -> time]",
                      "--trace", str(trace)]) == 0
-        misses = [r for r in _read_jsonl(trace)
-                  if r["kind"] == "span" and r["name"] == "session.miss"]
-        assert misses
-        # saturation deltas are charged to the enclosing miss span
-        assert any(r["counters"].get("saturations") for r in misses)
+        saturations = [r for r in _read_jsonl(trace)
+                       if r["kind"] == "span"
+                       and r["name"] == "closure.saturate"]
+        assert saturations
+        # the engine's saturation span carries the kernel's deltas
+        assert any(r["counters"].get("saturations")
+                   for r in saturations)
         assert any(r["counters"].get("attempts") is not None
-                   for r in misses)
+                   for r in saturations)
 
     def test_trace_does_not_change_stdout_or_exit(self, broken_bundle,
                                                   tmp_path, capsys):
@@ -89,7 +91,7 @@ class TestTraceFlag:
         for command, expect in [
             (["keys", course_bundle, "Course"], "analysis.keys"),
             (["closure", course_bundle, "Course", "cnum"],
-             "session.miss"),
+             "closure.saturate"),
             (["analyze", course_bundle], "analysis.non_redundant"),
         ]:
             trace = tmp_path / "t.jsonl"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import InferenceError
 from repro.generators import workloads
-from repro.inference import ClosureEngine
+from repro.inference import ClosureEngine, ImplicationSession
 from repro.nfd import parse_nfd, parse_nfds
 from repro.paths import parse_path
 from repro.types import parse_schema
@@ -401,9 +401,9 @@ class TestDenseStrategy:
         lines.append(f"R:[{', '.join(rng.sample(names, 3))} -> s]")
         lines.append("R:s:[x -> y]")
         sigma = parse_nfds("\n".join(lines))
-        engine = ClosureEngine(schema, sigma)
-        minimal_keys(schema, sigma, "R", engine=engine)
-        state = engine._dense_states["R"]
+        session = ImplicationSession(schema, sigma)
+        minimal_keys(schema, sigma, "R", engine=session)
+        state = session.engine._dense_states["R"]
         assert len(state.acc) > 100
         for key, acc in state.acc.items():
             assert not any(acc & row[0] for row in state.qrows[key]), key

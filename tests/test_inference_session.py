@@ -1,5 +1,7 @@
 """Unit tests for ImplicationSession and the Sigma fingerprint."""
 
+import asyncio
+
 import pytest
 
 from repro.errors import InferenceError
@@ -12,6 +14,8 @@ from repro.inference import (
 )
 from repro.nfd import parse_nfd, parse_nfds
 from repro.paths import parse_path
+from repro.server import EnginePool
+from repro.server import pool as pool_module
 from repro.types import parse_schema
 
 
@@ -84,47 +88,72 @@ class TestMemo:
         assert first == again
         stats = session.stats
         assert stats.queries == 2
-        assert stats.misses == 1
         assert stats.hits == 1
         assert stats.hit_rate == 0.5
+        # a held key is read off the engine: no second saturation
+        assert stats.engine.saturations == 1
 
     def test_seed_reuse(self, course):
         schema, sigma = course
         session = ImplicationSession(schema, sigma)
         session.closure_simple("Course", _paths("cnum"))
+        assert session.engine.stats.dense_seeds == 0
         seeded = session.closure_simple("Course", _paths("cnum", "time"))
-        assert session.stats.seed_reuses == 1
+        assert session.engine.stats.dense_seeds == 1
         fresh = ClosureEngine(schema, sigma)
         assert seeded == fresh.closure_simple("Course",
                                               _paths("cnum", "time"))
 
-    def test_eviction_is_bounded_lru(self, course):
+    def test_eviction_is_bounded_lru(self, course, monkeypatch):
+        """The daemon's pool bounds each entry: past the bound a session
+        is folded into the retired totals and dropped after the
+        request, and the next request rebuilds it."""
+        monkeypatch.setattr(pool_module, "MAX_ENGINE_QUERIES", 4)
         schema, sigma = course
-        session = ImplicationSession(schema, sigma, max_memo=2)
-        session.closure_simple("Course", _paths("cnum"))
-        session.closure_simple("Course", _paths("time"))
-        session.closure_simple("Course", _paths("books:isbn"))
-        stats = session.stats
-        assert stats.evictions == 1
-        assert stats.memo_size == 2
-        # the evicted (oldest) query misses again; the young ones hit
-        session.closure_simple("Course", _paths("books:isbn"))
-        assert session.stats.hits == 1
-        session.closure_simple("Course", _paths("cnum"))
-        assert session.stats.misses == 4
+        base = parse_path("Course")
 
-    def test_eviction_forgets_engine_state(self, course):
+        async def scenario():
+            pool = EnginePool()
+            entry = pool.entry_for(schema, sigma, None)
+            await pool.closure_batch(entry, [(base, _paths("cnum"))])
+            pool.trim(entry)
+            kept = entry.session
+            assert kept is not None  # under the bound: kept warm
+            await pool.closure_batch(
+                entry, [(base, _paths("time")),
+                        (base, _paths("books:isbn"))])
+            pool.trim(entry)
+            assert entry.session is None
+            assert pool.engine_totals()["closure_queries"] == 3
+            await pool.closure_batch(entry, [(base, _paths("cnum"))])
+            assert entry.session is not kept
+            assert pool.stats.session_builds == 2
+            assert pool.engine_totals()["closure_queries"] == 4
+
+        asyncio.run(scenario())
+
+    def test_eviction_forgets_engine_state(self, course, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_ENGINE_QUERIES", 1)
         schema, sigma = course
-        session = ImplicationSession(schema, sigma, max_memo=1)
-        session.closure_simple("Course", _paths("time"))
-        session.closure_simple("Course", _paths("books:title"))
-        assert session.stats.evictions == 1
-        assert _paths("time") not in \
-            session.engine._dense_states["Course"].acc
+        base = parse_path("Course")
+
+        async def scenario():
+            pool = EnginePool()
+            entry = pool.entry_for(schema, sigma, None)
+            await pool.closure_batch(entry, [(base, _paths("time"))])
+            pool.trim(entry)
+            assert entry.session is None
+            await pool.closure_batch(entry, [(base, _paths("cnum"))])
+            state = entry.session.engine._dense_states["Course"]
+            assert _paths("time") not in state.acc
+            assert _paths("cnum") in state.acc
+
+        asyncio.run(scenario())
 
     def test_max_memo_must_be_positive(self, course):
+        """The session keeps no memo of its own: ``max_memo`` is gone."""
         schema, sigma = course
-        with pytest.raises(InferenceError):
+        with pytest.raises(TypeError):
             ImplicationSession(schema, sigma, max_memo=0)
 
     def test_implies_matches_engine(self, course):
@@ -183,25 +212,6 @@ class TestCopyOnWriteProbes:
             rest = sigma[:index] + sigma[index + 1:]
             assert session.without(index).implies(target) == \
                 ClosureEngine(schema, rest).implies(target), index
-
-
-class TestForgetQuery:
-    def test_refuses_candidate_premise_keys(self, course):
-        schema, sigma = course
-        engine = ClosureEngine(schema, sigma)
-        engine.closure_simple("Course", _paths("cnum"))
-        premises = list(engine._pool.candidate_index["Course"])
-        assert premises, "course sigma should carry singleton candidates"
-        for key in premises:
-            assert engine.forget_query("Course", key) is False
-
-    def test_forgets_ordinary_queries(self, course):
-        schema, sigma = course
-        engine = ClosureEngine(schema, sigma)
-        key = _paths("time")
-        engine.closure_simple("Course", key)
-        assert engine.forget_query("Course", key) is True
-        assert engine.forget_query("Course", key) is False
 
 
 class TestStrategyAndBatches:

@@ -246,13 +246,14 @@ class TestSnapshotDiff:
         base = parse_path("Course")
         session.closure(base, {parse_path("cnum")})
         before = session.snapshot()
-        session.closure(base, {parse_path("cnum")})   # memo hit
+        session.closure(base, {parse_path("cnum")})   # held key
         window = session.snapshot().diff(before)
         assert window.queries == 1
         assert window.hits == 1
-        assert window.misses == 0
-        # memo size is point-in-time, not a delta
-        assert window.memo_size == session.snapshot().memo_size
+        # the window saturated nothing; the engine's query map is
+        # point-in-time, not a delta
+        assert window.engine.saturations == 0
+        assert window.engine.queries == session.snapshot().engine.queries
 
     def test_session_diff_rejects_fingerprint_mismatch(self):
         schema, sigma = self._course()

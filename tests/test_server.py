@@ -3,7 +3,8 @@
 The differential and fault suites drive the server end-to-end (and
 partly out-of-process); these tests pin the pieces in isolation —
 frame codec edge cases, bundle parsing, LRU eviction with monotone
-retired counters, build coalescing, closure batching, the foreground
+retired counters, build coalescing, one closure batch per request and
+the per-entry query bound, the foreground
 ``run_server`` loop, and the ``repro serve`` command itself.
 """
 
@@ -167,21 +168,33 @@ class TestEnginePool:
             pool = EnginePool(max_entries=4)
             schema, sigma, spec = _parsed_universe()
             entry = pool.entry_for(schema, sigma, spec)
-            batcher = await pool.batcher_for(entry)
-            assert (await pool.batcher_for(entry)) \
-                is batcher
             from repro.paths import Path
             base = Path(("Course",))
             answers = await asyncio.gather(*[
-                batcher.closure(base, frozenset())
+                pool.closure_batch(entry, [(base, frozenset())])
                 for _ in range(5)])
-            assert len({frozenset(a) for a in answers}) == 1
-            assert pool.stats.batches >= 1
+            assert len({frozenset(a) for [a] in answers}) == 1
+            # one batch per request, one session for all of them
+            assert pool.stats.batches == 5
             assert pool.stats.batched_queries == 5
-            # queued concurrently -> fewer batches than queries
-            assert pool.stats.batches < 5
+            assert pool.stats.session_builds == 1
 
         asyncio.run(scenario())
+
+    def test_keys_request_leaves_engine_bounded(self):
+        """One ``keys`` request on the 11+1-attribute key bundle
+        saturates thousands of candidate queries; the pool keeps at
+        most 1,024 of them warm."""
+        from .test_offline_outputs import _wide_key_bundle
+
+        with BackgroundServer(ServerConfig()) as bg:
+            with ReproClient(bg.host, bg.port, timeout=TIMEOUT) as client:
+                result = client.keys(_wide_key_bundle())
+            assert result["relation"] == "R" and result["keys"]
+            held = [sum(entry.session.engine.stats.queries.values())
+                    for entry in bg.server.pool._entries.values()
+                    if entry.session is not None]
+            assert all(count <= 1024 for count in held), held
 
 
 # ------------------------------------------------------------ server bits

@@ -40,9 +40,7 @@ ENGINE_KEYS = ["saturations", "rounds", "attempts", "successes",
                "wall_time", "usables", "candidates", "activated",
                "queries", "derived", "mask_tests", "dense_seeds",
                "interned"]
-SESSION_KEYS = ["fingerprint", "queries", "hits", "misses",
-                "seed_reuses", "evictions", "memo_size", "max_memo",
-                "hit_rate", "engine"]
+SESSION_KEYS = ["fingerprint", "queries", "hits", "hit_rate", "engine"]
 VALIDATOR_KEYS = ["validations", "elements_walked", "bindings_emitted",
                   "base_sets", "trie_nodes", "plan_compilations",
                   "groups", "wall_time"]
@@ -74,13 +72,12 @@ engine stats:
 
 SESSION_HEAD = """\
 session stats (fingerprint 67cfe15ace46):
-  closure queries: 1  hits: 0  misses: 1  hit rate: 0.0%
-  seed reuses: 0  evictions: 0  memo: 1/1024
+  closure queries: 1  hits: 0  hit rate: 0.0%
 """
 
 ANALYZE_ENGINE_TEXT = """\
 engine stats:
-  saturations: 12  rounds: 17
+  saturations: 10  rounds: 17
   apply attempts: 123  successes: 7
   saturation wall time: <s>
   mask tests: 130  dense seeds: 3  interned ids: Course=9
@@ -137,9 +134,8 @@ RUNS = {
     "analyze": (
         ["analyze", "BUNDLE", "--stats", "--cache-stats"],
         ANALYZE_ENGINE_TEXT + VALIDATOR_TEXT
-        + SESSION_HEAD.replace("queries: 1  hits: 0  misses: 1",
-                               "queries: 7  hits: 0  misses: 7")
-        .replace("memo: 1/1024", "memo: 7/1024")
+        + SESSION_HEAD.replace("queries: 1  hits: 0  hit rate: 0.0%",
+                               "queries: 7  hits: 2  hit rate: 28.6%")
         + ANALYZE_ENGINE_TEXT,
         {"closure": ENGINE_KEYS, "session": SESSION_KEYS,
          "validator": VALIDATOR_KEYS}),
