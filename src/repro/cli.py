@@ -113,15 +113,15 @@ identical stdout and exit codes (a corrupt one warns on stderr).
 
 ``repro serve`` runs the long-lived constraint-checking daemon (see
 :mod:`repro.server`): a line-delimited JSON protocol over TCP, a warm
-pool of implication sessions shared by every client, admission
-control, and cooperative deadlines.  ``check``, ``implies``,
-``closure``, and ``keys`` accept ``--server HOST:PORT`` to route the
-query through a running daemon instead of computing in-process —
-stdout and exit codes are identical either way, because both paths
-parse, answer and render through :mod:`repro.service` (the local
-observability and ``--cache-dir`` flags are ignored with a note: query
-the daemon with ``repro client stats``).  ``repro client
-ping|stats|shutdown`` administer a daemon.
+pool of implication sessions shared by every client, one thread that
+runs each request to completion, and cooperative deadlines.
+``check``, ``implies``, ``closure``, and ``keys`` accept ``--server
+HOST:PORT`` to route the query through a running daemon instead of
+computing in-process — stdout and exit codes are identical either way,
+because both paths parse, answer and render through
+:mod:`repro.service` (the local observability and ``--cache-dir``
+flags are ignored with a note: query the daemon with ``repro client
+stats``).  ``repro client ping|stats|shutdown`` administer a daemon.
 
 Every command returns a conventional exit status (0 success / holds,
 1 violation / does not hold, 2 usage error), so the CLI composes with
@@ -154,24 +154,23 @@ def _read(path_text: str) -> str:
 
 
 def _load(path_text: str, *, values: bool = False):
-    """``(schema, sigma, instance, payload)`` of a bundle file, from one
+    """``(schema, sigma, instance, spec)`` of a bundle file, from one
     read and one parse (:func:`repro.io.json_io.read_bundle`): the
     instance as type-checked JSON rows, or with *values* as a value
-    tree; *payload* is for :func:`_spec_from_args`."""
+    tree; *spec* is the bundle's own, for :func:`_spec_from_args`."""
     from .io.json_io import read_bundle
 
     return read_bundle(_read(path_text), values=values)
 
 
-def _spec_from_args(args, payload=None) -> NonEmptySpec | None:
+def _spec_from_args(args, persisted=None) -> NonEmptySpec | None:
     """The NON-NULL spec: --nonempty flags win over the bundle's own.
 
     Bundles may persist their declarations (see
-    :func:`repro.io.dump_bundle`), read from the decoded bundle
-    *payload* by :func:`repro.io.json_io.bundle_spec`, the daemon's
-    rule too; explicit flags override them — as ``--server`` replaces
-    them on the wire — so a what-if query never requires editing the
-    file.
+    :func:`repro.io.dump_bundle`), read as *persisted* by
+    :func:`repro.io.json_io.bundle_parts`, the daemon's reader too;
+    explicit flags override them — as ``--server`` replaces them on
+    the wire — so a what-if query never requires editing the file.
     """
     declared = getattr(args, "nonempty", None)
     if declared:
@@ -179,11 +178,7 @@ def _spec_from_args(args, payload=None) -> NonEmptySpec | None:
         from .paths.path import parse_path
 
         return NonEmptySpec({parse_path(text) for text in declared})
-    if payload is None:
-        return None
-    from .io.json_io import bundle_spec
-
-    return bundle_spec(payload)
+    return persisted
 
 
 def _tracer_from_args(args) -> Tracer | None:
@@ -285,14 +280,16 @@ def _cmd_query(args) -> int:
 
     params = _query_params(args)
     if args.server:
-        from .io.json_io import parse_bundle_json
+        from .io.json_io import bundle_spec, parse_bundle_json
         from .server import ReproClient, parse_endpoint
 
         _obs_note(args)
         bundle = parse_bundle_json(_read(args.bundle))
         if getattr(args, "nonempty", None):
             # the flags override the persisted declarations, as they
-            # do in-process (see _spec_from_args)
+            # do in-process (see _spec_from_args); a malformed one is
+            # still refused first, as the in-process read refuses it
+            bundle_spec(bundle)
             bundle["nonempty"] = list(args.nonempty)
         with ReproClient(*parse_endpoint(args.server)) as client:
             result = client.request(args.command, bundle=bundle, **params)
@@ -314,10 +311,8 @@ def _answer_locally(args, params: dict) -> dict:
     from .service import answer, check, parse_query
 
     kind = args.command
-    schema, sigma, rows, payload = _load(args.bundle)
-    # read for every kind, so a malformed "nonempty" is refused by a
-    # check too, as the daemon refuses it
-    spec = _spec_from_args(args, payload)
+    schema, sigma, rows, spec = _load(args.bundle)
+    spec = _spec_from_args(args, spec)
     query = parse_query(kind, params, schema, rows)
     tracer = _tracer_from_args(args)
     report = RunReport(command=kind)
@@ -430,10 +425,10 @@ def _cmd_explain(args) -> int:
     from .inference.closure import ClosureEngine
     from .nfd.parser import parse_nfd
 
-    schema, sigma, _, payload = _load(args.bundle)
+    schema, sigma, _, spec = _load(args.bundle)
     candidate = parse_nfd(args.nfd)
     engine = ClosureEngine(schema, sigma,
-                           nonempty=_spec_from_args(args, payload))
+                           nonempty=_spec_from_args(args, spec))
     if not engine.implies(candidate):
         print(f"not implied: {candidate}", file=sys.stderr)
         return 1
@@ -447,10 +442,10 @@ def _cmd_prove(args) -> int:
     from .inference.proof_compiler import compile_proof
     from .nfd.parser import parse_nfd
 
-    schema, sigma, _, payload = _load(args.bundle)
+    schema, sigma, _, spec = _load(args.bundle)
     candidate = parse_nfd(args.nfd)
     engine = ClosureEngine(schema, sigma,
-                           nonempty=_spec_from_args(args, payload))
+                           nonempty=_spec_from_args(args, spec))
     if not engine.implies(candidate):
         print(f"not implied: {candidate}", file=sys.stderr)
         return 1
@@ -470,9 +465,9 @@ def _cmd_counter(args) -> int:
     from .io.tables import render_instance
     from .nfd.parser import parse_nfd
 
-    schema, sigma, _, payload = _load(args.bundle)
+    schema, sigma, _, spec = _load(args.bundle)
     candidate = parse_nfd(args.nfd)
-    spec = _spec_from_args(args, payload)
+    spec = _spec_from_args(args, spec)
     if spec is not None and not spec.declares_everything:
         # the Appendix-A construction assumes Section 3.1 (no empty
         # sets); honouring a restrictive spec would need a different
@@ -538,8 +533,8 @@ def _cmd_analyze(args) -> int:
     from .nfd.batch_validate import ValidatorEngine
     from .obs.report import RunReport
 
-    schema, sigma, instance, payload = _load(args.bundle, values=True)
-    spec = _spec_from_args(args, payload)
+    schema, sigma, instance, spec = _load(args.bundle, values=True)
+    spec = _spec_from_args(args, spec)
     tracer = _tracer_from_args(args)
     session = ImplicationSession(schema, list(sigma), spec,
                                  tracer=tracer)
@@ -616,8 +611,8 @@ def _cmd_normalize(args) -> int:
         print("error: without --sweep, normalize would ignore "
               f"{', '.join(map(_SWEEP_ONLY.get, given))}", file=sys.stderr)
         return 2
-    schema, sigma, instance, payload = _load(args.bundle, values=True)
-    spec = _spec_from_args(args, payload)
+    schema, sigma, instance, spec = _load(args.bundle, values=True)
+    spec = _spec_from_args(args, spec)
     design = synthesize_design(schema, sigma, args.relation,
                                nonempty=spec, instance=instance,
                                tracer=tracer)
@@ -631,10 +626,10 @@ def _cmd_normalize(args) -> int:
 def _cmd_report(args) -> int:
     from .io.report_md import markdown_report
 
-    schema, sigma, instance, payload = _load(args.bundle, values=True)
+    schema, sigma, instance, spec = _load(args.bundle, values=True)
     text = markdown_report(schema, sigma, instance,
                            title=args.title,
-                           nonempty=_spec_from_args(args, payload))
+                           nonempty=_spec_from_args(args, spec))
     if args.output:
         FilePath(args.output).write_text(text)
         print(f"report written to {args.output}")
@@ -710,8 +705,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_sessions=args.max_sessions,
-        max_inflight=args.max_inflight,
-        max_pending=args.max_pending,
         connection_deadline=args.deadline,
         allow_debug=args.allow_debug,
         allow_shutdown=args.allow_shutdown,
@@ -1002,14 +995,6 @@ def _add_serve(sub) -> None:
                      dest="max_sessions", metavar="N",
                      help="warm-engine pool bound: distinct Σ "
                           "fingerprints kept live (LRU eviction)")
-    sub.add_argument("--max-inflight", type=int, default=8,
-                     dest="max_inflight", metavar="N",
-                     help="requests executing concurrently before "
-                          "admission control queues")
-    sub.add_argument("--max-pending", type=int, default=32,
-                     dest="max_pending", metavar="N",
-                     help="queued requests before new ones are shed "
-                          "with an overloaded response")
     sub.add_argument("--deadline", type=float, default=None,
                      metavar="S",
                      help="per-connection wall-clock budget in "

@@ -76,27 +76,8 @@ def redundant_members(schema: Schema, sigma: Iterable[NFD],
 def implied_keys(schema: Schema, sigma: Iterable[NFD], relation: str,
                  nonempty: NonEmptySpec | None = None) \
         -> list[frozenset[Path]]:
-    """All minimal keys of *relation* among its top-level attributes.
+    """All minimal keys of *relation* among its top-level attributes,
+    smallest first: :func:`repro.analysis.keys.minimal_keys`."""
+    from ..analysis.keys import minimal_keys
 
-    A set ``K`` of top-level attribute paths is a key when it determines
-    every top-level attribute (which, by the singleton/locality rules,
-    pins the whole tuple).  Minimal keys only are returned, smallest
-    first.  Exponential in the attribute count; intended for the modest
-    schemas of the paper's setting.
-    """
-    from itertools import combinations
-
-    engine = ClosureEngine(schema, sigma, nonempty)
-    attributes = [Path((label,))
-                  for label in schema.element_type(relation).labels]
-    base = Path((relation,))
-    keys: list[frozenset[Path]] = []
-    for size in range(1, len(attributes) + 1):
-        for combo in combinations(attributes, size):
-            candidate = frozenset(combo)
-            if any(key <= candidate for key in keys):
-                continue
-            closed = engine.closure(base, candidate)
-            if all(attribute in closed for attribute in attributes):
-                keys.append(candidate)
-    return sorted(keys, key=lambda key: (len(key), sorted(map(str, key))))
+    return minimal_keys(schema, sigma, relation, nonempty=nonempty)

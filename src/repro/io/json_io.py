@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # an instance, so a bundle of schema and Σ alone costs neither.
 
 __all__ = [
-    "bundle_spec", "load_spec", "read_bundle",
+    "bundle_parts", "bundle_spec", "load_spec", "read_bundle",
     "schema_to_dict", "schema_from_dict",
     "instance_to_dict", "instance_from_dict", "instance_rows",
     "nfds_to_list", "nfds_from_list",
@@ -166,9 +166,10 @@ def parse_bundle_json(text: str) -> dict[str, Any]:
     return payload
 
 
-def _bundle_parts(text: str) -> tuple[dict[str, Any], Schema, list[NFD]]:
-    """The decoded bundle with its schema and NFD list parsed."""
-    payload = parse_bundle_json(text)
+def _schema_and_sigma(payload: dict[str, Any]) \
+        -> tuple[Schema, list[NFD]]:
+    """A decoded bundle's schema and NFD list: ``"schema"`` is
+    required and ``"nfds"``, if present, must be a list."""
     if "schema" not in payload:
         raise ParseError('bundle is missing the required "schema" key')
     schema = schema_from_dict(payload["schema"])
@@ -177,28 +178,41 @@ def _bundle_parts(text: str) -> tuple[dict[str, Any], Schema, list[NFD]]:
         raise ParseError(
             f'bundle "nfds" must be a list of NFD strings, found '
             f"{type(nfds).__name__}")
-    return payload, schema, nfds_from_list(nfds)
+    return schema, nfds_from_list(nfds)
+
+
+def bundle_parts(payload: dict[str, Any]) \
+        -> tuple[Schema, list[NFD], "dict[str, list] | None",
+                 "NonEmptySpec | None"]:
+    """The parts of a decoded bundle: ``(schema, sigma, rows, spec)``.
+
+    *rows* is the instance as type-checked JSON rows
+    (:func:`instance_rows`), None when the bundle has none; *spec* is
+    its NON-NULL declarations (:func:`bundle_spec`).  A bundle file
+    (:func:`read_bundle`) and a daemon request's ``bundle`` object
+    (:func:`repro.server.protocol.parse_bundle_payload`) are both read
+    through this one function."""
+    schema, sigma = _schema_and_sigma(payload)
+    rows = payload.get("instance")
+    if rows is not None:
+        rows = instance_rows(schema, rows)
+    return schema, sigma, rows, bundle_spec(payload)
 
 
 def read_bundle(text: str, *, values: bool = False) \
-        -> tuple[Schema, list[NFD], Any, dict[str, Any]]:
-    """One parse of a bundle: ``(schema, sigma, instance, payload)``.
+        -> tuple[Schema, list[NFD], Any, "NonEmptySpec | None"]:
+    """One parse of a bundle file: ``(schema, sigma, instance, spec)``
+    (:func:`bundle_parts`).
 
-    The instance is type-checked JSON rows (:func:`instance_rows`) —
-    the form ``check``, ``implies``, ``closure`` and ``keys`` read, with
-    no value tree built — or, with *values*, the value tree of those
-    checked rows (:func:`instance_from_dict`), so an ill-typed instance
-    is refused in the same words either way; None when the bundle has
-    none.  *payload* is the decoded bundle, for a caller that reads
-    more of it (the CLI takes ``"nonempty"`` from it with
-    :func:`bundle_spec`)."""
-    payload, schema, sigma = _bundle_parts(text)
-    instance = payload.get("instance")
-    if instance is not None:
-        instance = instance_rows(schema, instance)
-        if values:
-            instance = instance_from_dict(schema, instance)
-    return schema, sigma, instance, payload
+    The instance is type-checked JSON rows — the form ``check``,
+    ``implies``, ``closure`` and ``keys`` read, with no value tree
+    built — or, with *values*, the value tree of those checked rows
+    (:func:`instance_from_dict`), so an ill-typed instance is refused
+    in the same words either way; None when the bundle has none."""
+    schema, sigma, instance, spec = bundle_parts(parse_bundle_json(text))
+    if instance is not None and values:
+        instance = instance_from_dict(schema, instance)
+    return schema, sigma, instance, spec
 
 
 def load_bundle(text: str) \
@@ -219,15 +233,13 @@ def load_bundle_sigma(text: str) -> tuple[Schema, list[NFD]]:
     """The bundle's schema and NFD list alone: its instance, if any, is
     neither read nor type-checked (``check --stream`` validates a
     streamed relation instead)."""
-    _, schema, sigma = _bundle_parts(text)
-    return schema, sigma
+    return _schema_and_sigma(parse_bundle_json(text))
 
 
 def bundle_spec(payload: dict[str, Any]) -> "NonEmptySpec | None":
     """The NON-NULL declarations of a decoded bundle, or None if it has
     none: ``"*"`` declares every set-valued path, a list of path
-    strings declares those paths.  The CLI and the daemon
-    (:func:`repro.server.protocol.parse_bundle_payload`) both read a
+    strings declares those paths; :func:`bundle_parts` reads a
     bundle's ``"nonempty"`` through this one rule.
 
     :raises ParseError: for any other ``"nonempty"`` value — a number,

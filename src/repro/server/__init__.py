@@ -9,12 +9,13 @@ again.  This package turns them into *fleet-shared* infrastructure:
 * :mod:`repro.server.protocol` — the line-delimited JSON wire format
   (versioned ``hello`` handshake, explicit ``id`` correlation, typed
   error responses);
-* :mod:`repro.server.pool` — the bounded LRU of warm engines keyed by
-  Σ fingerprint, with coalesced compilation and closure batching;
-* :mod:`repro.server.daemon` — the asyncio server: admission control
-  with load-shed responses, cooperative deadlines riding the stream
-  engine's :class:`~repro.nfd.stream_validate.ResourceBudget`, and
-  full observability through :mod:`repro.obs`;
+* :mod:`repro.server.pool` — the bounded LRU of warm implication
+  sessions keyed by Σ fingerprint, each built on first use;
+* :mod:`repro.server.daemon` — the single-threaded asyncio server:
+  every request runs to completion on the event loop, under
+  cooperative deadlines riding the stream engine's
+  :class:`~repro.nfd.stream_validate.ResourceBudget`, with full
+  observability through :mod:`repro.obs`;
 * :mod:`repro.server.client` — the thin synchronous client the CLI's
   ``repro client`` verbs and ``--server`` passthrough use.
 

@@ -9,9 +9,9 @@ misattribution.  Every socket operation runs under a timeout — a dead
 or wedged server surfaces as :class:`ClientError`, never a hang.
 
 Typed server errors raise :class:`ServerError` carrying the protocol
-error ``code`` (``overloaded`` replies also carry ``retry_after_ms``);
-transport-level failures — refused connections, timeouts, mid-reply
-disconnects — raise :class:`ClientError`.  Both derive from
+error ``code`` and the whole response; transport-level failures —
+refused connections, timeouts, mid-reply disconnects — raise
+:class:`ClientError`.  Both derive from
 :class:`~repro.errors.ReproError`, so CLI call sites handle them like
 any other library failure.
 """
@@ -44,12 +44,6 @@ class ServerError(ReproError):
         self.code = code
         self.response = response if response is not None else {}
         super().__init__(f"{code}: {message}")
-
-    @property
-    def retry_after_ms(self) -> int | None:
-        """Advisory backoff from an ``overloaded`` response."""
-        value = self.response.get("retry_after_ms")
-        return value if isinstance(value, int) else None
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:

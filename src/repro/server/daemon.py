@@ -13,10 +13,12 @@ in-process, built for the request and fed the bundle's JSON rows as
 
 Operational behaviour, all of it bounded and typed:
 
-* **Admission control** — at most ``max_inflight`` requests execute at
-  once and at most ``max_pending`` wait; a request beyond both is shed
-  immediately with ``{"error": "overloaded", "retry_after_ms": ...}``
-  instead of queueing unboundedly or hanging.
+* **One thread** — every request runs to completion on the event
+  loop: a query's path (bundle parse, pool lookup, the inline session
+  build, the closure batch, key sweep or check) holds no suspension
+  point, so requests never interleave and the pool needs no locking.
+  Under the GIL, threads would buy nothing: a query's work is Python
+  bytecode, and a check moved to the loop's executor measured slower.
 * **Deadlines** — with ``connection_deadline`` set, every connection
   gets a wall-clock budget; ``check`` requests thread the remaining
   time into the stream engine's cooperative
@@ -27,7 +29,7 @@ Operational behaviour, all of it bounded and typed:
 * **Frame bounds** — a request line beyond ``max_frame_bytes`` is
   answered with ``frame_too_large`` and the connection is closed.
 * **Observability** — per-request spans when a tracer is attached,
-  request/latency/shed/eviction counters in :class:`ServerStats`
+  request/latency/eviction counters in :class:`ServerStats`
   (with p50/p99 per request type over its latest requests), and a
   ``stats`` request (or ``repro serve --metrics-json``) rendering the
   same numbers through a :class:`~repro.obs.RunReport`.
@@ -78,21 +80,14 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0                     # 0 = ephemeral, report after bind
     max_sessions: int = 32            # engine-pool LRU bound
-    max_inflight: int = 8             # concurrently executing requests
-    max_pending: int = 32             # admission queue bound
     connection_deadline: float | None = None  # seconds per connection
     max_frame_bytes: int = MAX_FRAME_BYTES
     allow_debug: bool = False         # honour ping {"sleep_ms": ...}
     allow_shutdown: bool = False      # honour the shutdown request
-    retry_after_ms: int = 50          # advisory backoff in shed replies
 
     def validate(self) -> None:
         if self.max_sessions < 1:
             raise ReproError("max-sessions must be at least 1")
-        if self.max_inflight < 1:
-            raise ReproError("max-inflight must be at least 1")
-        if self.max_pending < 0:
-            raise ReproError("max-pending must be >= 0")
         if self.connection_deadline is not None \
                 and not self.connection_deadline >= 0:  # NaN too
             raise ReproError("deadline must be >= 0")
@@ -118,7 +113,9 @@ def _quantile(ordered: list, q: float) -> float:
 class ServerStats(Stats):
     """Cumulative counters of the daemon's lifetime activity, plus each
     request type's latest :data:`LATENCY_WINDOW` latencies, so the
-    ``stats`` reply names the slow type (``latency_by_type``)."""
+    ``stats`` reply names the slow type (``latency_by_type``).
+    ``sheds`` stays in the reply for existing readers and always reads
+    0: the daemon sheds nothing."""
 
     __slots__ = ("started_at", "connections", "connections_active",
                  "requests", "by_type", "ok", "errors", "by_error",
@@ -195,9 +192,6 @@ class ReproServer:
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stop_event: asyncio.Event | None = None
-        self._inflight = 0
-        self._waiting = 0
-        self._slots: asyncio.Semaphore | None = None
         self._conn_tasks: set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------
@@ -205,7 +199,6 @@ class ReproServer:
     async def start(self) -> None:
         """Bind the listener and record the actual host/port."""
         self._stop_event = asyncio.Event()
-        self._slots = asyncio.Semaphore(self.config.max_inflight)
         self._server = await asyncio.start_server(
             self._on_connect, self.config.host, self.config.port,
             limit=self.config.max_frame_bytes)
@@ -230,14 +223,6 @@ class ReproServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks,
                                  return_exceptions=True)
-
-    async def run(self) -> None:
-        """``start`` + serve until :meth:`request_stop` + ``close``."""
-        await self.start()
-        try:
-            await self.wait_stopped()
-        finally:
-            await self.close()
 
     def report(self) -> RunReport:
         """The daemon's consolidated metrics report."""
@@ -315,7 +300,10 @@ class ReproServer:
     async def _dispatch(self, request: dict, greeted: bool,
                         deadline_at: float | None) \
             -> tuple[dict, bool, bool]:
-        """One request → ``(response, close_connection, greeted)``."""
+        """One request → ``(response, close_connection, greeted)``.
+
+        A coroutine only so the debug ``ping sleep_ms`` can suspend:
+        every other request runs to completion without yielding."""
         request_id = request.get("id")
         request_type = request["type"]
         started = time.monotonic()
@@ -349,13 +337,7 @@ class ReproServer:
         if request_type == "ping":
             sleep_ms = request.get("sleep_ms", 0)
             if sleep_ms and self.config.allow_debug:
-                admitted = await self._admit()
-                if not admitted:
-                    return done(self._shed_response(request_id))
-                try:
-                    await asyncio.sleep(sleep_ms / 1000.0)
-                finally:
-                    self._slots.release()
+                await asyncio.sleep(sleep_ms / 1000.0)
             return done(ok_response(request_id, "ping",
                                     {"pong": True}))
         if request_type == "stats":
@@ -380,26 +362,21 @@ class ReproServer:
                 f"unknown request type {request_type!r}; this server "
                 f"speaks {', '.join(ADMIN_TYPES + QUERY_TYPES)}"))
 
-        # -- query types: admission control, then the handler ------------
-        admitted = await self._admit()
-        if not admitted:
-            return done(self._shed_response(request_id))
+        # -- query types: run to completion, with no suspension point ----
         try:
             remaining = None
             if deadline_at is not None:
                 remaining = max(0.0, deadline_at - time.monotonic())
             tracer = self.tracer
             if tracer is None:
-                response = await self._handle_query(
+                response = self._handle_query(
                     request_id, request_type, request, remaining)
             else:
                 with tracer.span("server.request", type=request_type) \
                         as span:
-                    response = await self._handle_query(
+                    response = self._handle_query(
                         request_id, request_type, request, remaining)
                     span.add("ok", bool(response.get("ok")))
-            if response.get("error") == "deadline_exceeded":
-                self.stats.deadline_hits += 1
             return done(response)
         except ProtocolError as exc:
             if exc.code == "deadline_exceeded":
@@ -408,38 +385,12 @@ class ReproServer:
         except ReproError as exc:
             return done(error_response(request_id, "invalid_query",
                                        str(exc)))
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:
             # no traceback across the wire or onto stderr — the typed
             # response plus a counter is the whole fault surface
             return done(error_response(
                 request_id, "internal",
                 f"{type(exc).__name__}: {exc}"))
-        finally:
-            self._slots.release()
-
-    async def _admit(self) -> bool:
-        """Admission control: a bounded wait for an execution slot."""
-        if self._slots.locked():
-            if self._waiting >= self.config.max_pending:
-                return False
-            self._waiting += 1
-            try:
-                await self._slots.acquire()
-            finally:
-                self._waiting -= 1
-            return True
-        await self._slots.acquire()
-        return True
-
-    def _shed_response(self, request_id) -> dict:
-        self.stats.sheds += 1
-        return error_response(
-            request_id, "overloaded",
-            f"server is at capacity ({self.config.max_inflight} "
-            f"in flight, {self.config.max_pending} queued)",
-            retry_after_ms=self.config.retry_after_ms)
 
     # -- query handlers ----------------------------------------------------
 
@@ -462,9 +413,8 @@ class ReproServer:
                 else min(remaining, float(requested))
         return remaining
 
-    async def _handle_query(self, request_id, request_type: str,
-                            request: dict,
-                            remaining: float | None) -> dict:
+    def _handle_query(self, request_id, request_type: str,
+                      request: dict, remaining: float | None) -> dict:
         """Parse and answer through :mod:`repro.service`: closures as
         one batch and keys as one sweep on the entry's warm session
         (trimmed to the pool's bound afterwards), checks through
@@ -484,12 +434,12 @@ class ReproServer:
         if request_type != "check":
             try:
                 if request_type == "keys":
-                    session = await self.pool.session_for(entry)
+                    session = self.pool.session_for(entry)
                     outcome = minimal_keys(entry.schema, entry.sigma,
                                            query.relation, engine=session,
                                            nonempty=entry.nonempty)
                 else:
-                    outcome = await self.pool.closure_batch(
+                    outcome = self.pool.closure_batch(
                         entry, query.closures)
             finally:
                 self.pool.trim(entry)
@@ -511,6 +461,17 @@ class ReproServer:
 
 
 # ---------------------------------------------------------------- embedding
+
+
+async def _serve(server: ReproServer, ready) -> None:
+    """Start *server*, call ``ready(server)`` once it is bound, serve
+    until :meth:`ReproServer.request_stop`, then close it."""
+    await server.start()
+    ready(server)
+    try:
+        await server.wait_stopped()
+    finally:
+        await server.close()
 
 
 class BackgroundServer:
@@ -555,21 +516,17 @@ class BackgroundServer:
         return self
 
     def _main(self) -> None:
-        asyncio.run(self._serve())
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
         try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
+            asyncio.run(_serve(self.server, self._on_ready))
+        except Exception as exc:
+            if self._ready.is_set():
+                raise
+            self._startup_error = exc  # start() reports it
             self._ready.set()
-            return
+
+    def _on_ready(self, server: ReproServer) -> None:
+        self._loop = asyncio.get_running_loop()
         self._ready.set()
-        try:
-            await self.server.wait_stopped()
-        finally:
-            await self.server.close()
 
     def stop(self, timeout: float = 10.0) -> None:
         if self._thread is None:
@@ -604,8 +561,7 @@ def run_server(config: ServerConfig, *, tracer: Tracer | None = None,
 
     server = ReproServer(config, tracer=tracer)
 
-    async def main() -> RunReport:
-        await server.start()
+    def on_ready(server: ReproServer) -> None:
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
@@ -616,16 +572,9 @@ def run_server(config: ServerConfig, *, tracer: Tracer | None = None,
                 pass
         if ready is not None:
             ready(server)
-        try:
-            await server.wait_stopped()
-        finally:
-            report = server.report()
-            await server.close()
-        return report
 
     try:
-        return asyncio.run(main())
+        asyncio.run(_serve(server, on_ready))
     except KeyboardInterrupt:  # pragma: no cover - fallback path
-        return (RunReport(command="serve")
-                .add("server", server.stats)
-                .add("pool", server.pool))
+        pass
+    return server.report()

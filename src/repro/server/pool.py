@@ -21,11 +21,11 @@ queries (one ``keys`` sweep over a dozen attributes leaves thousands)
 is folded out the same way and dropped, and the next request rebuilds
 it (:meth:`EnginePool.trim`).
 
-Concurrent requests for a fingerprint whose session is still being
-built **coalesce**: the first request runs the build in the event
-loop's default executor and every later request awaits the same
-future, so one Σ arriving on a hundred connections builds exactly
-once (``coalesced_builds`` counts the riders).
+A session is built inline by the first request that needs it, and the
+rest find it: the daemon runs every request to completion on its one
+thread, so one Σ arriving on a hundred connections still builds
+exactly once.  ``coalesced_builds`` stays in the counters for existing
+readers and always reads 0.
 
 An ``implies`` or ``closure`` request is one
 :meth:`ImplicationSession.closure_batch` call
@@ -35,7 +35,6 @@ and ``batched_queries`` the closures they asked.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 from collections import OrderedDict
 
@@ -89,7 +88,7 @@ class PoolEntry:
 
 
 class EnginePool:
-    """Bounded, coalescing LRU of warm engines keyed by fingerprint.
+    """Bounded LRU of warm engines keyed by fingerprint.
 
     The entry key is the Σ fingerprint extended with a hash of the
     member texts *in order*: closure answers are order-independent but
@@ -105,7 +104,6 @@ class EnginePool:
         self.tracer = tracer
         self.stats = PoolStats()
         self._entries: "OrderedDict[str, PoolEntry]" = OrderedDict()
-        self._building: dict[str, asyncio.Future] = {}
         # Engine counters folded out of evicted entries, so aggregates
         # are monotone across evictions.
         self._retired = {"rule_attempts": 0, "saturations": 0,
@@ -137,56 +135,21 @@ class EnginePool:
             self.stats.evictions += 1
         return entry
 
-    # -- coalesced session builds ------------------------------------------
+    # -- sessions --------------------------------------------------------
 
-    async def _build(self, slot: str, factory):
-        """Run *factory* in the default executor, coalescing callers.
-
-        The first caller for *slot* (an entry key) owns the build;
-        every concurrent caller awaits the same future and counts as a
-        coalesced rider.  The slot is cleared afterwards so a failed
-        build can retry.
-        """
-        pending = self._building.get(slot)
-        if pending is not None:
-            self.stats.coalesced_builds += 1
-            return await pending
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._building[slot] = future
-        try:
-            result = await loop.run_in_executor(None, factory)
-        except BaseException as exc:
-            future.set_exception(exc)
-            # mark the exception retrieved (riders re-raise on await
-            # regardless; without this a rider-less failure would log
-            # an "exception was never retrieved" warning at GC time)
-            future.exception()
-            raise
-        else:
-            future.set_result(result)
-            return result
-        finally:
-            del self._building[slot]
-
-    async def session_for(self, entry: PoolEntry) -> ImplicationSession:
+    def session_for(self, entry: PoolEntry) -> ImplicationSession:
         """The entry's warm session, built on first use."""
-        if entry.session is not None:
-            return entry.session
-        def factory():
-            return ImplicationSession(
+        if entry.session is None:
+            entry.session = ImplicationSession(
                 entry.schema, entry.sigma, entry.nonempty,
                 tracer=self.tracer, _fingerprint=entry.fingerprint)
-        session = await self._build(entry.key, factory)
-        if entry.session is None:
-            entry.session = session
             self.stats.session_builds += 1
         return entry.session
 
-    async def closure_batch(self, entry: PoolEntry, queries) -> list:
+    def closure_batch(self, entry: PoolEntry, queries) -> list:
         """One request's ``(base, lhs)`` closures, answered as one batch
         on the entry's warm session."""
-        session = await self.session_for(entry)
+        session = self.session_for(entry)
         self.stats.batches += 1
         self.stats.batched_queries += len(queries)
         return session.closure_batch(queries)

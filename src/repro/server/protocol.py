@@ -15,20 +15,17 @@ Responses are either ``{"id", "ok": true, "result": {...}}`` or a
 *typed error* ``{"id", "ok": false, "error": CODE, "message": ...}`` —
 the daemon never answers a malformed or failing request with silence,
 a hang, or a stack trace.  The error codes are enumerated in
-:data:`ERROR_CODES`; two deserve special mention:
-
-* ``overloaded`` — admission control shed the request; the response
-  carries ``retry_after_ms`` and the connection stays usable;
-* ``deadline_exceeded`` — the request's cooperative deadline expired
-  mid-computation (``check`` reuses the stream engine's
-  :class:`~repro.nfd.stream_validate.ResourceBudget` cancellation);
-  the response carries ``elements_seen`` so clients can reason about
-  partial progress.
+:data:`ERROR_CODES`; one deserves special mention:
+``deadline_exceeded`` — the request's cooperative deadline expired
+mid-computation (``check`` reuses the stream engine's
+:class:`~repro.nfd.stream_validate.ResourceBudget` cancellation), and
+the message says how many elements were seen first.
 
 Queries name their constraint universe by shipping a *bundle* — the
 same JSON object the CLI's bundle files hold (``schema`` / ``nfds`` /
-optional ``nonempty`` and ``instance``; see :mod:`repro.io.json_io`) —
-and the daemon keys its warm state on the bundle's canonical
+optional ``nonempty`` and ``instance``), read by the same
+:func:`~repro.io.json_io.bundle_parts` that reads a bundle file — and
+the daemon keys its warm state on the bundle's canonical
 :func:`~repro.inference.session.sigma_fingerprint`, so any client
 spelling the same logical Σ shares the compiled pool.  A bundle's
 instance stays JSON: :func:`parse_bundle_payload` holds each row to its
@@ -44,8 +41,7 @@ import json
 from typing import Any
 
 from ..errors import ReproError
-from ..io.json_io import (bundle_spec, instance_rows, nfds_from_list,
-                          schema_from_dict)
+from ..io.json_io import bundle_parts
 
 __all__ = [
     "PROTOCOL_VERSION", "DEFAULT_PORT", "MAX_FRAME_BYTES",
@@ -77,7 +73,6 @@ ERROR_CODES = (
     "unknown_type",      # an unrecognized request type
     "invalid_bundle",    # the bundle payload failed to parse
     "invalid_query",     # query parameters failed validation / parsing
-    "overloaded",        # admission control shed the request
     "deadline_exceeded",  # the cooperative deadline expired
     "shutdown_disabled",  # remote shutdown without --allow-shutdown
     "internal",          # unexpected server-side failure (no traceback
@@ -162,31 +157,21 @@ def error_response(request_id: Any, code: str, message: str,
 def parse_bundle_payload(payload: Any):
     """Parse a request's ``bundle`` object into model objects.
 
-    The payload is the parsed form of a CLI bundle file — ``schema``
-    and ``nfds`` required on the wire, ``instance`` and ``nonempty``
-    optional — and any shape or syntax problem surfaces as a
-    :class:`ProtocolError` with code ``invalid_bundle``.  Returns
-    ``(schema, sigma, rows, nonempty_spec)``: the instance stays JSON,
-    ``{relation: rows}`` with every row held to its relation's element
-    type (:func:`~repro.io.json_io.instance_rows`), so an ill-typed
-    instance is ``invalid_bundle`` whatever the query.
+    The payload is the parsed form of a CLI bundle file, read by
+    :func:`~repro.io.json_io.bundle_parts` under the file's rules, and
+    any shape or syntax problem surfaces as a :class:`ProtocolError`
+    with code ``invalid_bundle``.  Returns ``(schema, sigma, rows,
+    nonempty_spec)``: the instance stays JSON, ``{relation: rows}``
+    with every row held to its relation's element type, so an
+    ill-typed instance is ``invalid_bundle`` whatever the query.
     """
     if not isinstance(payload, dict):
         raise ProtocolError(
             "invalid_bundle",
             f'"bundle" must be a JSON object, found '
             f"{type(payload).__name__}")
-    if "schema" not in payload:
-        raise ProtocolError(
-            "invalid_bundle", 'bundle is missing the required "schema"')
     try:
-        schema = schema_from_dict(payload["schema"])
-        sigma = nfds_from_list(payload.get("nfds", []))
-        rows = None
-        if payload.get("instance") is not None:
-            rows = instance_rows(schema, payload["instance"])
-        spec = bundle_spec(payload)
+        return bundle_parts(payload)
     except (ReproError, TypeError, AttributeError, KeyError) as exc:
         raise ProtocolError("invalid_bundle",
                             f"bundle does not parse: {exc}") from exc
-    return schema, sigma, rows, spec

@@ -209,6 +209,8 @@ TABLE = [
     ("serve-cache-dir", ["serve", "--cache-dir", "{missing}"], 2),
     # -- serve / client error paths -----------------------------------
     ("serve-bad-inflight", ["serve", "--max-inflight", "0"], 2),
+    # the daemon runs one request at a time: no admission flags
+    ("serve-max-pending", ["serve", "--max-pending", "1"], 2),
     ("serve-bad-port", ["serve", "--port", "99999"], 2),
     # NaN is no deadline (it compares false with everything)
     ("serve-deadline-nan", ["serve", "--deadline", "nan"], 2),

@@ -1,7 +1,5 @@
 """Unit tests for ImplicationSession and the Sigma fingerprint."""
 
-import asyncio
-
 import pytest
 
 from repro.errors import InferenceError
@@ -112,43 +110,36 @@ class TestMemo:
         schema, sigma = course
         base = parse_path("Course")
 
-        async def scenario():
-            pool = EnginePool()
-            entry = pool.entry_for(schema, sigma, None)
-            await pool.closure_batch(entry, [(base, _paths("cnum"))])
-            pool.trim(entry)
-            kept = entry.session
-            assert kept is not None  # under the bound: kept warm
-            await pool.closure_batch(
-                entry, [(base, _paths("time")),
-                        (base, _paths("books:isbn"))])
-            pool.trim(entry)
-            assert entry.session is None
-            assert pool.engine_totals()["closure_queries"] == 3
-            await pool.closure_batch(entry, [(base, _paths("cnum"))])
-            assert entry.session is not kept
-            assert pool.stats.session_builds == 2
-            assert pool.engine_totals()["closure_queries"] == 4
-
-        asyncio.run(scenario())
+        pool = EnginePool()
+        entry = pool.entry_for(schema, sigma, None)
+        pool.closure_batch(entry, [(base, _paths("cnum"))])
+        pool.trim(entry)
+        kept = entry.session
+        assert kept is not None  # under the bound: kept warm
+        pool.closure_batch(entry, [(base, _paths("time")),
+                                   (base, _paths("books:isbn"))])
+        pool.trim(entry)
+        assert entry.session is None
+        assert pool.engine_totals()["closure_queries"] == 3
+        pool.closure_batch(entry, [(base, _paths("cnum"))])
+        assert entry.session is not kept
+        assert pool.stats.session_builds == 2
+        assert pool.engine_totals()["closure_queries"] == 4
 
     def test_eviction_forgets_engine_state(self, course, monkeypatch):
         monkeypatch.setattr(pool_module, "MAX_ENGINE_QUERIES", 1)
         schema, sigma = course
         base = parse_path("Course")
 
-        async def scenario():
-            pool = EnginePool()
-            entry = pool.entry_for(schema, sigma, None)
-            await pool.closure_batch(entry, [(base, _paths("time"))])
-            pool.trim(entry)
-            assert entry.session is None
-            await pool.closure_batch(entry, [(base, _paths("cnum"))])
-            state = entry.session.engine._dense_states["Course"]
-            assert _paths("time") not in state.acc
-            assert _paths("cnum") in state.acc
-
-        asyncio.run(scenario())
+        pool = EnginePool()
+        entry = pool.entry_for(schema, sigma, None)
+        pool.closure_batch(entry, [(base, _paths("time"))])
+        pool.trim(entry)
+        assert entry.session is None
+        pool.closure_batch(entry, [(base, _paths("cnum"))])
+        state = entry.session.engine._dense_states["Course"]
+        assert _paths("time") not in state.acc
+        assert _paths("cnum") in state.acc
 
     def test_max_memo_must_be_positive(self, course):
         """The session keeps no memo of its own: ``max_memo`` is gone."""

@@ -3,9 +3,10 @@
 The differential and fault suites drive the server end-to-end (and
 partly out-of-process); these tests pin the pieces in isolation —
 frame codec edge cases, bundle parsing, LRU eviction with monotone
-retired counters, build coalescing, one closure batch per request and
-the per-entry query bound, the foreground
-``run_server`` loop, and the ``repro serve`` command itself.
+retired counters, one session build per Σ, one closure batch per
+request and the per-entry query bound, query dispatch that never
+suspends, the foreground ``run_server`` loop, and the ``repro serve``
+command itself.
 """
 
 import asyncio
@@ -70,9 +71,9 @@ class TestProtocol:
     def test_response_shapes(self):
         ok = ok_response(3, "ping", {"pong": True})
         assert ok["ok"] is True and ok["id"] == 3
-        err = error_response(None, "overloaded", "busy",
-                             retry_after_ms=9)
-        assert err["ok"] is False and err["retry_after_ms"] == 9
+        err = error_response(None, "deadline_exceeded", "late",
+                             elements_seen=9)
+        assert err["ok"] is False and err["elements_seen"] == 9
 
     def test_parse_bundle_variants(self):
         schema, sigma, instance, spec = \
@@ -128,58 +129,52 @@ class TestEnginePool:
         assert reordered.key != first.key
 
     def test_eviction_keeps_totals_monotone(self):
-        async def scenario():
-            pool = EnginePool(max_entries=1)
-            schema, sigma, spec = _parsed_universe()
-            entry = pool.entry_for(schema, sigma, spec)
-            session = await pool.session_for(entry)
-            session.closure_simple("Course", frozenset())
-            before = pool.engine_totals()
-            assert before["closure_queries"] == 1
-            # a second fingerprint evicts the first (capacity 1)...
-            pool.entry_for(schema, sigma[:1], spec)
-            assert pool.stats.evictions == 1 and len(pool) == 1
-            # ...but its counters survive in the retired totals
-            after = pool.engine_totals()
-            assert after["closure_queries"] == 1
-            assert after["rule_attempts"] >= before["rule_attempts"]
-            return pool.as_metrics()
-
-        metrics = asyncio.run(scenario())
+        pool = EnginePool(max_entries=1)
+        schema, sigma, spec = _parsed_universe()
+        entry = pool.entry_for(schema, sigma, spec)
+        session = pool.session_for(entry)
+        session.closure_simple("Course", frozenset())
+        before = pool.engine_totals()
+        assert before["closure_queries"] == 1
+        # a second fingerprint evicts the first (capacity 1)...
+        pool.entry_for(schema, sigma[:1], spec)
+        assert pool.stats.evictions == 1 and len(pool) == 1
+        # ...but its counters survive in the retired totals
+        after = pool.engine_totals()
+        assert after["closure_queries"] == 1
+        assert after["rule_attempts"] >= before["rule_attempts"]
+        metrics = pool.as_metrics()
         assert metrics["entries"] == 1 and metrics["evictions"] == 1
 
     def test_concurrent_builds_coalesce(self):
-        async def scenario():
-            pool = EnginePool(max_entries=4)
-            schema, sigma, spec = _parsed_universe()
-            entry = pool.entry_for(schema, sigma, spec)
-            sessions = await asyncio.gather(
-                pool.session_for(entry),
-                pool.session_for(entry),
-                pool.session_for(entry))
-            assert sessions[0] is sessions[1] is sessions[2]
-            assert pool.stats.session_builds == 1
-            assert pool.stats.coalesced_builds == 2
-
-        asyncio.run(scenario())
+        """Three requests for one Σ build one session: the first builds
+        it inline and the others find it, so nothing coalesces."""
+        server = ReproServer(ServerConfig())
+        nfd = str(workloads.course_sigma()[0])
+        for index in range(3):
+            response, _, _ = asyncio.run(server._dispatch(
+                {"id": index, "type": "implies",
+                 "bundle": _bundle_dict(), "nfd": nfd}, True, None))
+            assert response["ok"] is True
+        sessions = {id(entry.session)
+                    for entry in server.pool._entries.values()}
+        assert len(server.pool) == 1 and len(sessions) == 1
+        assert server.pool.stats.session_builds == 1
+        assert server.pool.stats.coalesced_builds == 0
 
     def test_batcher_coalesces_queued_queries(self):
-        async def scenario():
-            pool = EnginePool(max_entries=4)
-            schema, sigma, spec = _parsed_universe()
-            entry = pool.entry_for(schema, sigma, spec)
-            from repro.paths import Path
-            base = Path(("Course",))
-            answers = await asyncio.gather(*[
-                pool.closure_batch(entry, [(base, frozenset())])
-                for _ in range(5)])
-            assert len({frozenset(a) for [a] in answers}) == 1
-            # one batch per request, one session for all of them
-            assert pool.stats.batches == 5
-            assert pool.stats.batched_queries == 5
-            assert pool.stats.session_builds == 1
-
-        asyncio.run(scenario())
+        pool = EnginePool(max_entries=4)
+        schema, sigma, spec = _parsed_universe()
+        entry = pool.entry_for(schema, sigma, spec)
+        from repro.paths import Path
+        base = Path(("Course",))
+        answers = [pool.closure_batch(entry, [(base, frozenset())])
+                   for _ in range(5)]
+        assert len({frozenset(a) for [a] in answers}) == 1
+        # one batch per request, one session for all of them
+        assert pool.stats.batches == 5
+        assert pool.stats.batched_queries == 5
+        assert pool.stats.session_builds == 1
 
     def test_keys_request_leaves_engine_bounded(self):
         """One ``keys`` request on the 11+1-attribute key bundle
@@ -202,7 +197,7 @@ class TestEnginePool:
 
 class TestServerLifecycle:
     @pytest.mark.parametrize("kwargs", [
-        {"max_sessions": 0}, {"max_inflight": 0}, {"max_pending": -1},
+        {"max_sessions": 0}, {"max_sessions": -1}, {"port": -1},
         {"connection_deadline": -1.0}, {"port": 70000},
         {"connection_deadline": float("nan")},
     ])
@@ -322,6 +317,36 @@ class TestServerLifecycle:
                 pool = client.stats()["pool"]
         assert pool["entries"] == 1
         assert pool["session_builds"] == 1
+
+
+# ------------------------------------------------------------ one thread
+
+#: One request of each query type on the course bundle.
+QUERIES = {
+    "implies": {"nfd": "Course:[students:sid, time -> books]"},
+    "closure": {"base": "Course", "paths": ["cnum"]},
+    "keys": {"relation": "Course"},
+    "check": {},
+}
+
+
+@pytest.mark.parametrize("request_type", list(QUERIES))
+def test_query_dispatch_never_suspends(request_type):
+    """A query runs to completion at its first step, on a cold pool
+    entry (the session is built inline) and on a warm one: with no
+    suspension point on the path, requests never interleave."""
+    server = ReproServer(ServerConfig())  # never started: no loop
+    for index in range(2):
+        request = {"id": index, "type": request_type,
+                   "bundle": _bundle_dict(), **QUERIES[request_type]}
+        coroutine = server._dispatch(request, True, None)
+        with pytest.raises(StopIteration) as stopped:
+            coroutine.send(None)
+        response, close, greeted = stopped.value.value
+        assert response["ok"] is True, response
+        assert close is False and greeted is True
+    assert len(server.pool) == 1
+    assert server.pool.stats.misses == 1 and server.pool.stats.hits == 1
 
 
 # --------------------------------------------------------------- the CLI

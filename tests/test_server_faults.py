@@ -4,8 +4,8 @@ Each test drives a live server — :class:`BackgroundServer` in-process,
 or a real ``repro serve`` subprocess where the fault is process death —
 through one hostile scenario: malformed JSON, oversized frames, unknown
 request types, handshake violations, clients vanishing mid-request, the
-server dying mid-stream, deadline expiry, and admission-control
-overflow.  The contract under test is uniform:
+server dying mid-stream, and deadline expiry.  The contract under test
+is uniform:
 
 * the daemon answers with a *typed* error (a code from
   ``protocol.ERROR_CODES``) or closes the connection cleanly — it never
@@ -266,37 +266,6 @@ def test_connection_deadline_bounds_queries():
             # the exhausted connection still answers control requests
             assert client.ping()["pong"] is True
         assert bg.server.stats.deadline_hits >= 1
-
-
-def test_overflow_sheds_with_retry_after():
-    config = ServerConfig(allow_debug=True, max_inflight=1,
-                          max_pending=0, retry_after_ms=123)
-    with BackgroundServer(config) as bg:
-        blocker = ReproClient(bg.host, bg.port, timeout=TIMEOUT)
-        try:
-            # park a sleeper in the single execution slot...
-            blocker.send_raw(encode({"id": 99, "type": "ping",
-                                     "sleep_ms": 1500}))
-            deadline = time.monotonic() + TIMEOUT
-            while bg.server._inflight == 0 \
-                    and not bg.server._slots.locked():
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            # ...so the next admission-controlled request is shed
-            with ReproClient(bg.host, bg.port, timeout=TIMEOUT) as shed:
-                with pytest.raises(ServerError) as excinfo:
-                    shed.ping(sleep_ms=1)
-                assert excinfo.value.code == "overloaded"
-                assert excinfo.value.retry_after_ms == 123
-                # non-admission requests still answer while saturated
-                stats = shed.stats()
-                assert stats["server"]["sheds"] >= 1
-            # the parked sleeper completes normally
-            response = blocker.read_response()
-            assert response["ok"] is True and response["id"] == 99
-        finally:
-            blocker.close()
-        _assert_alive(bg.host, bg.port)
 
 
 # -------------------------------------------------------- process faults

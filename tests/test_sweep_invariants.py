@@ -9,7 +9,6 @@ test here pins one of those shortcuts to the full computation it
 replaces.
 """
 
-import asyncio
 import json
 import random
 from itertools import combinations
@@ -99,7 +98,7 @@ class TestLazyFingerprint:
         schema, sigma = course
         pool = EnginePool()
         entry = pool.entry_for(schema, sigma, None)
-        session = asyncio.run(pool.session_for(entry))
+        session = pool.session_for(entry)
         assert session._fingerprint == entry.fingerprint == \
             sigma_fingerprint(schema, sigma)
 
