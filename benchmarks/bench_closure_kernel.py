@@ -14,8 +14,8 @@ absolute numbers committed in ``BENCH_closure.json``:
   (:func:`_fresh_process_sweep`): in a long session, earlier tests'
   heap moves the reading by a third.
 * ``test_minimal_keys_gate`` — ``minimal_keys`` end-to-end (the
-  batch-closure sweep over every candidate combination) must run at
-  least as many sweeps/sec as the committed
+  level-wise batch-closure sweep and its drop-one core probes) must
+  run at least as many sweeps/sec as the committed
   ``kernel.keys_sweeps_per_sec`` allows, same keys as the reference.
 
 "Allows" is the nightly ``--compare`` tolerance: a number may be at
@@ -172,9 +172,11 @@ def test_dense_kernel_gate(gate_metrics):
 def _keys_workload():
     """10 attributes under a chain plus cross dependencies, |Σ| = 31.
 
-    ``{a0}`` is the only key (no rule ever derives ``a0``), so the
-    sweep still visits every subset of the other nine attributes —
-    500+ candidate queries, each saturating a non-trivial rule pool."""
+    ``{a0}`` is the only key (no rule ever derives ``a0``): the first
+    level finds it, the second would be wider than the scope, so the
+    sweep asks the ten drop-one probes, each saturating a non-trivial
+    rule pool, and their core ``{a0}`` prunes every later level — 20
+    saturations where a sweep over every subset made 512."""
     fields = ", ".join(f"a{i}: int" for i in range(10))
     schema = parse_schema(f"K = {{<{fields}>}}")
     texts = [f"K:[a{i} -> a{i + 1}]" for i in range(9)]

@@ -18,6 +18,17 @@ drop-one subqueries through a ``keymask -> key`` index
 (:meth:`ClosureEngine.covers_many`).  Each size-level is one batch in
 one process: a process fan-out answered one ``is_key`` per candidate
 and lost to the batched sweep at every measured width.
+
+Before a level would ask more candidates than the scope has
+attributes, the sweep finds the *core*, the attributes every key holds
+(Lucchesi & Osborn 1978): one batch of drop-one probes ``U - {A}``,
+and ``A`` is in the core iff its probe is no key.  From then on a
+level enumerates only ``core + S`` for ``S`` over the other
+attributes, so the cost is exponential in the non-core attributes
+alone; a sweep whose pruned levels are never wider than the scope (the
+paper's four-attribute Course) never probes.  A level left empty by
+pruning ends the sweep: every larger combination holds one of its
+pruned ones.
 """
 
 from __future__ import annotations
@@ -70,9 +81,10 @@ def minimal_keys(schema: Schema, sigma: Iterable[NFD], relation: str,
         -> list[frozenset[Path]]:
     """All minimal keys of *relation* over its top-level attributes.
 
-    Exponential in attribute count (key discovery is NP-hard in general);
-    practical for the schema sizes of the paper's setting.  *nonempty*
-    selects the gated (Section 3.2) semantics.
+    Exponential in the attributes outside the core, the attributes
+    every key holds (key discovery is NP-hard in general); practical
+    for the schema sizes of the paper's setting.  *nonempty* selects
+    the gated (Section 3.2) semantics.
     """
     return local_minimal_keys(schema, sigma, Path((relation,)), engine,
                               nonempty=nonempty)
@@ -92,8 +104,9 @@ def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
     object with its ``schema``, ``tracer`` and ``covers_batch``) its
     Sigma and nonempty spec are authoritative; otherwise a session over
     ``(schema, sigma, nonempty)`` is built.  Each size-level of the
-    sweep is answered as one ``covers_batch`` call, so neighbouring
-    candidates share their subset closures.
+    sweep, and the core's drop-one probes, is answered as one
+    ``covers_batch`` call, so neighbouring candidates share their
+    subset closures.
     """
     working = engine if engine is not None \
         else ImplicationSession(schema, sigma, nonempty)
@@ -115,26 +128,63 @@ def _sweep(working, base, labels, attributes, span):
     # path sets (once each)
     key_masks: list[int] = []
     bits = [(1 << index, path) for index, path in enumerate(attributes)]
-    for size in range(1, len(attributes) + 1):
-        masks: list[int] = []
-        candidates: list[frozenset[Path]] = []
-        for combo in combinations(bits, size):
-            mask = 0
-            for bit, _ in combo:
-                mask |= bit
-            if any(key & mask == key for key in key_masks):
+    # the core is found once a level would be wider than the scope;
+    # from then on a level is the core plus combos of the free rest
+    core: list[tuple[int, Path]] | None = None
+    free = bits
+    for size in range(1, len(bits) + 1):
+        level = _level(core or [], free, size, key_masks)
+        if core is None and len(level) > len(bits):
+            core = _core(working, base, bits, targets, span)
+            free = [pair for pair in bits if pair not in core]
+            level = _level(core, free, size, key_masks)
+        if not level:
+            if size < len(core or ()):
                 continue
-            masks.append(mask)
-            candidates.append(frozenset([path for _, path in combo]))
-        if not candidates:
-            continue
+            break   # every larger combo holds a pruned one of this size
         if span is not None:
-            span.add("candidates", len(candidates))
-        verdicts = working.covers_batch(base, candidates, targets)
-        for mask, candidate, verdict in zip(masks, candidates, verdicts):
+            span.add("candidates", len(level))
+        verdicts = working.covers_batch(
+            base, [candidate for _, candidate in level], targets)
+        for (mask, candidate), verdict in zip(level, verdicts):
             if verdict:
                 keys.append(candidate)
                 key_masks.append(mask)
                 if span is not None:
                     span.add("keys")
     return sorted(keys, key=lambda key: (len(key), sorted(map(str, key))))
+
+
+def _level(core, free, size, key_masks):
+    """The ``(mask, path set)`` candidates of one size-level: *core*
+    plus ``size - len(core)`` members of *free*, minus every superset
+    of a found key."""
+    if size < len(core):
+        return []
+    core_mask = 0
+    for bit, _ in core:
+        core_mask |= bit
+    level = []
+    for combo in combinations(free, size - len(core)):
+        mask = core_mask
+        for bit, _ in combo:
+            mask |= bit
+        if any(key & mask == key for key in key_masks):
+            continue
+        level.append((mask, frozenset(
+            [path for _, path in core] + [path for _, path in combo])))
+    return level
+
+
+def _core(working, base, bits, targets, span):
+    """The attributes every key holds, from one batch of drop-one
+    probes: ``A`` belongs to every key iff ``U - {A}`` is no key, since
+    a key inside ``U - {A}`` would make it one and, by monotonicity of
+    the closure, no subset of a non-key is a key (Lucchesi & Osborn
+    1978)."""
+    probes = [frozenset([path for other, path in bits if other != bit])
+              for bit, _ in bits]
+    if span is not None:
+        span.add("probes", len(probes))
+    verdicts = working.covers_batch(base, probes, targets)
+    return [pair for pair, verdict in zip(bits, verdicts) if not verdict]

@@ -17,8 +17,8 @@ the bound, and its cumulative engine counters are folded into retired
 totals first, so the aggregate counters the ``stats`` request reports
 never go backwards.  Each entry is bounded too: after a request, a
 session whose engine holds more than :data:`MAX_ENGINE_QUERIES`
-queries (one ``keys`` sweep over a dozen attributes leaves thousands)
-is folded out the same way and dropped, and the next request rebuilds
+queries (every distinct closure a request asks stays resident, so an
+entry's engine grows with the queries its clients send) is folded out the same way and dropped, and the next request rebuilds
 it (:meth:`EnginePool.trim`).
 
 A session is built inline by the first request that needs it, and the

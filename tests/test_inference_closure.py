@@ -382,12 +382,13 @@ class TestDenseStrategy:
         assert engine.stats.dense_seeds >= 1
 
     def test_fired_rows_leave_the_query_row_lists(self):
-        """After a key sweep, no query keeps a row whose rhs it already
-        derived: fired rows are dead weight, and dropping them is what
-        bounds the kernel's per-query memory."""
+        """After a batch of key-style queries, no query keeps a row
+        whose rhs it already derived: fired rows are dead weight, and
+        dropping them is what bounds the kernel's per-query memory."""
         import random
+        from itertools import combinations
 
-        from repro.analysis import minimal_keys
+        from repro.paths import Path
 
         rng = random.Random("fired-rows")
         names = [f"a{i}" for i in range(11)]
@@ -402,7 +403,11 @@ class TestDenseStrategy:
         lines.append("R:s:[x -> y]")
         sigma = parse_nfds("\n".join(lines))
         session = ImplicationSession(schema, sigma)
-        minimal_keys(schema, sigma, "R", engine=session)
+        attributes = [Path((label,)) for label in [*names, "s"]]
+        # every one-, two- and three-attribute combination, as one batch
+        candidates = [frozenset(combo) for size in (1, 2, 3)
+                      for combo in combinations(attributes, size)]
+        session.covers_batch(Path(("R",)), candidates, attributes)
         state = session.engine._dense_states["R"]
         assert len(state.acc) > 100
         for key, acc in state.acc.items():

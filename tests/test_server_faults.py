@@ -262,8 +262,9 @@ def test_connection_deadline_bounds_queries():
                 client.implies(_bundle(),
                                str(workloads.course_sigma()[0]))
             assert excinfo.value.code == "deadline_exceeded"
-            # only the admission-controlled query types are budgeted:
-            # the exhausted connection still answers control requests
+            # only query types are budgeted (``_dispatch`` computes the
+            # deadline on the query path alone): the exhausted
+            # connection still answers control requests
             assert client.ping()["pong"] is True
         assert bg.server.stats.deadline_hits >= 1
 
@@ -317,6 +318,8 @@ def test_server_killed_mid_stream_raises_not_hangs():
         if proc.poll() is None:  # pragma: no cover - kill raced
             proc.kill()
         proc.wait(timeout=10.0)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_faulted_daemon_exits_clean_with_empty_stderr():
