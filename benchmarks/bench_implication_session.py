@@ -1,11 +1,11 @@
-"""Implication sessions: memoized analysis vs per-query fresh engines.
+"""One engine's held queries vs per-query fresh engines.
 
 The analysis layer (key sweeps, minimal covers, redundancy scans) fires
 long streams of implication queries against one-member perturbations of
-the same Sigma.  :class:`repro.inference.ImplicationSession` answers
-them over a single compiled Sigma pool with cross-query closure
-memoization and subset seeding; the old pattern constructed a fresh
-:class:`~repro.inference.closure.ClosureEngine` per query.
+the same Sigma.  One :class:`repro.inference.ClosureEngine` answers
+them over a single compiled Sigma pool, reading repeated queries off
+its held state and seeding new ones from their subsets; the old pattern
+constructed a fresh engine per query.
 
 ``test_saturation_gate`` is the acceptance gate for the session claim:
 running the combined candidate-key + minimal-cover workload through one
@@ -28,7 +28,6 @@ import time
 from repro.analysis.cover import minimal_cover, non_redundant
 from repro.analysis.keys import is_key, minimal_keys
 from repro.generators import workloads
-from repro.inference import ImplicationSession
 from repro.inference.closure import ClosureEngine, engine_counters
 from repro.nfd import parse_nfds
 from repro.paths.path import Path
@@ -150,7 +149,7 @@ def _fresh_run(schema, sigma):
 
 
 def _session_run(schema, sigma):
-    session = ImplicationSession(schema, sigma)
+    session = ClosureEngine(schema, sigma)
     keys = {relation: minimal_keys(schema, sigma, relation,
                                    engine=session)
             for relation in RELATIONS}
@@ -189,7 +188,7 @@ def test_saturation_gate(gate_metrics):
         fresh_seconds / session_seconds)
     gauges.gauge("implication.memo_hit_rate").set(stats.hit_rate)
     gauges.gauge("implication.queries").set(stats.queries)
-    gauges.gauge("implication.seed_reuses").set(stats.engine.dense_seeds)
+    gauges.gauge("implication.seed_reuses").set(stats.dense_seeds)
     gauges.gauge("implication.serial_seconds").set(serial_seconds)
     session_seconds = gauges.gauge("implication.session_seconds").value
     fresh_seconds = gauges.gauge("implication.fresh_seconds").value
@@ -217,9 +216,9 @@ def test_session_agrees_on_redundancy():
     schema, sigma = _workload()
     session_result = non_redundant(schema, sigma)
     fresh_result = _fresh_engine_cover(schema, list(sigma))
-    covers_fresh = ImplicationSession(schema, session_result)
+    covers_fresh = ClosureEngine(schema, session_result)
     assert covers_fresh.implies_all(fresh_result)
-    covers_session = ImplicationSession(schema, fresh_result)
+    covers_session = ClosureEngine(schema, fresh_result)
     assert covers_session.implies_all(session_result)
 
 
@@ -228,7 +227,7 @@ def test_session_analysis(benchmark):
     benchmark.group = "key sweep + minimal cover"
 
     def run():
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         keys = minimal_keys(schema, sigma, "Course", engine=session)
         cover = minimal_cover(schema, sigma, session=session)
         return keys, cover

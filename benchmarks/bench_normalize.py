@@ -12,7 +12,7 @@ acceptance gates:
   generated satisfying instance, re-check the carried NFDs) must be
   clean.
 * ``test_synthesis_session_gate`` — the same sweep, run through
-  memoized :class:`~repro.inference.ImplicationSession` probes, must
+  :class:`~repro.inference.ClosureEngine` copy-on-write probes, must
   spend **exactly** ``SESSION_RULES`` rule applications (engine
   attempt/scan counters).  The count is deterministic — independent of
   host, timing and hash seed — so any change to it is a change in how

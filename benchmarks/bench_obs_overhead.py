@@ -30,7 +30,7 @@ from bench_implication_session import _workload
 
 from repro.analysis.cover import minimal_cover
 from repro.analysis.keys import minimal_keys
-from repro.inference import ImplicationSession
+from repro.inference import ClosureEngine
 from repro.obs import Tracer
 
 #: Interleaved repetitions per side for the timing gate.
@@ -44,7 +44,7 @@ NOISE_FLOOR = 0.001
 
 
 def _run_analysis(schema, sigma, tracer):
-    session = ImplicationSession(schema, sigma, tracer=tracer)
+    session = ClosureEngine(schema, sigma, tracer=tracer)
     keys = minimal_keys(schema, sigma, "Course", engine=session)
     cover = minimal_cover(schema, sigma, session=session)
     return keys, cover

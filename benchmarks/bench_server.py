@@ -29,7 +29,7 @@ import tempfile
 import time
 
 from repro.generators import random_sigma, workloads
-from repro.inference import ImplicationSession
+from repro.inference import ClosureEngine
 from repro.io import dump_bundle
 from repro.nfd.parser import parse_nfd
 from repro.server import BackgroundServer, ReproClient, ServerConfig
@@ -69,7 +69,7 @@ def test_warm_daemon_gate(gate_metrics):
     """Gate: a fully warm 64-query window moves none of the cold-work
     counters, and answers stay identical to the in-process session."""
     schema, sigma, bundle, candidates = _workload()
-    session = ImplicationSession(schema, sigma)
+    session = ClosureEngine(schema, sigma)
     expected = [session.implies(parse_nfd(text))
                 for text in candidates]
 

@@ -35,7 +35,7 @@ __all__ = _lazy.exports(__name__, {
     ),
     "inference": (
         "BruteForceProver ClosureEngine CountermodelBuilder "
-        "Derivation ImplicationSession NonEmptySpec SessionStats "
+        "Derivation ImplicationSession NonEmptySpec "
         "build_countermodel find_countermodel implies "
         "search_countermodel sigma_fingerprint"
     ),

@@ -12,7 +12,7 @@ This module lifts the standard constructions to NFDs:
 Every probe ("is this member implied by the others?", "does the set
 still imply the member with a smaller LHS?") concerns a one-member
 perturbation of the same Sigma, so the whole module runs on
-:class:`~repro.inference.session.ImplicationSession` copy-on-write
+:class:`~repro.inference.closure.ClosureEngine` copy-on-write
 probes: one compiled Sigma pool serves the entire minimal-cover
 computation (the O(1)-engines property is asserted by
 ``tests/test_analysis_cover.py`` via
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..inference.empty_sets import NonEmptySpec
-from ..inference.session import ImplicationSession
+from ..inference.closure import ClosureEngine
 from ..nfd.nfd import NFD
 from ..types.schema import Schema
 
@@ -35,8 +35,7 @@ def covers(schema: Schema, sigma: Iterable[NFD],
            nonempty: NonEmptySpec | None = None) -> bool:
     """True iff *sigma* implies every member of *others* (answered as
     one subset-ordered closure batch)."""
-    session = ImplicationSession(schema, list(sigma), nonempty)
-    return session.implies_all(others)
+    return ClosureEngine(schema, list(sigma), nonempty).implies_all(others)
 
 
 def is_redundant(schema: Schema, sigma: list[NFD], index: int,
@@ -44,49 +43,49 @@ def is_redundant(schema: Schema, sigma: list[NFD], index: int,
                  engine=None) -> bool:
     """Is ``sigma[index]`` implied by the other members?
 
-    Pass the *engine* (a :class:`~repro.inference.closure.ClosureEngine`
-    or :class:`ImplicationSession`) built over the full *sigma* when
-    probing several members: each rest-probe then shares its compiled
-    Sigma pool via ``without`` instead of rebuilding it each time.
+    Pass the *engine* (a :class:`ClosureEngine`) built over the full
+    *sigma* when probing several members: each rest-probe then shares
+    its compiled Sigma pool via ``without`` instead of rebuilding it
+    each time.
     """
     if engine is None:
-        engine = ImplicationSession(schema, list(sigma), nonempty)
+        engine = ClosureEngine(schema, list(sigma), nonempty)
     return engine.without(index).implies(sigma[index])
 
 
 def non_redundant(schema: Schema, sigma: Iterable[NFD],
                   nonempty: NonEmptySpec | None = None, *,
-                  session: ImplicationSession | None = None) -> list[NFD]:
+                  session: ClosureEngine | None = None) -> list[NFD]:
     """A non-redundant subset equivalent to *sigma*.
 
     Greedy removal in order; the result depends on member order (all
     non-redundant covers of the same set are equivalent, not equal).
-    Each probe session comes from :meth:`ImplicationSession.without`,
-    and a successful removal keeps the probe as the new baseline, so
-    the compiled Sigma pool is built at most once (zero times when a
-    *session* over *sigma* is supplied).
+    Each probe engine comes from :meth:`ClosureEngine.without`, and a
+    successful removal keeps the probe as the new baseline, so the
+    compiled Sigma pool is built at most once (zero times when an
+    engine over *sigma* is passed as *session*).
     """
     remaining = list(sigma)
     if not remaining:
         return remaining
-    if session is None:
-        session = ImplicationSession(schema, remaining, nonempty)
-    tracer = session.tracer
+    engine = session if session is not None \
+        else ClosureEngine(schema, remaining, nonempty)
+    tracer = engine.tracer
     if tracer is not None:
         with tracer.span("analysis.non_redundant",
                          members=len(remaining)) as span:
-            return _drop_redundant(remaining, session, span)
-    return _drop_redundant(remaining, session, None)
+            return _drop_redundant(remaining, engine, span)
+    return _drop_redundant(remaining, engine, None)
 
 
 def _drop_redundant(remaining: list[NFD],
-                    session: ImplicationSession, span) -> list[NFD]:
+                    engine: ClosureEngine, span) -> list[NFD]:
     index = 0
     while index < len(remaining):
-        probe = session.without(index)
+        probe = engine.without(index)
         if probe.implies(remaining[index]):
             del remaining[index]
-            session = probe
+            engine = probe
             if span is not None:
                 span.add("dropped")
         else:
@@ -94,14 +93,14 @@ def _drop_redundant(remaining: list[NFD],
     return remaining
 
 
-def _shrink_lhs(session: ImplicationSession, sigma: list[NFD],
-                index: int) -> tuple[NFD, ImplicationSession]:
+def _shrink_lhs(engine: ClosureEngine, sigma: list[NFD],
+                index: int) -> tuple[NFD, ClosureEngine]:
     """Minimize the LHS of ``sigma[index]`` keeping equivalence.
 
     A path is dropped when the strengthened NFD (smaller LHS) is still
     implied by the *current* whole set; strengthening never weakens the
     set, so equivalence is preserved.  Each accepted shrink swaps the
-    member in place via a copy-on-write :meth:`ImplicationSession.replaced`
+    member in place via a copy-on-write :meth:`ClosureEngine.replace`
     probe — Sigma order is preserved and nothing is recompiled, where
     this loop used to construct a fresh engine per candidate
     (O(|Sigma| * |LHS|) engines for the whole cover).
@@ -118,35 +117,36 @@ def _shrink_lhs(session: ImplicationSession, sigma: list[NFD],
         if path not in current.lhs:  # pragma: no cover - defensive
             continue
         candidate = current.with_lhs(current.lhs - {path})
-        if session.implies(candidate):
+        if engine.implies(candidate):
             current = candidate
             sigma[index] = current
-            session = session.replaced(index, current)
-    return current, session
+            engine = engine.replace(index, current)
+    return current, engine
 
 
 def minimal_cover(schema: Schema, sigma: Iterable[NFD],
                   nonempty: NonEmptySpec | None = None, *,
-                  session: ImplicationSession | None = None) -> list[NFD]:
+                  session: ClosureEngine | None = None) -> list[NFD]:
     """A minimal cover: shrunken LHSs, then no redundant members.
 
     The result is equivalent to *sigma* (tests verify via
     :func:`repro.inference.implication.equivalent_sets`) and no member
     can be removed or have its LHS shrunk further.  The whole
     computation — every shrink probe and every redundancy probe — runs
-    against one compiled Sigma pool through copy-on-write sessions.
+    against one compiled Sigma pool through copy-on-write probes of one
+    engine (pass it as *session* to reuse it).
     """
     working = list(sigma)
-    if session is None:
-        session = ImplicationSession(schema, working, nonempty)
-    tracer = session.tracer
+    engine = session if session is not None \
+        else ClosureEngine(schema, working, nonempty)
+    tracer = engine.tracer
     if tracer is None:
         for index in range(len(working)):
-            working[index], session = _shrink_lhs(session, working, index)
-        return non_redundant(schema, working, nonempty, session=session)
+            working[index], engine = _shrink_lhs(engine, working, index)
+        return non_redundant(schema, working, nonempty, session=engine)
     with tracer.span("analysis.cover", members=len(working)) as span:
         for index in range(len(working)):
             before = len(working[index].lhs)
-            working[index], session = _shrink_lhs(session, working, index)
+            working[index], engine = _shrink_lhs(engine, working, index)
             span.add("lhs_dropped", before - len(working[index].lhs))
-        return non_redundant(schema, working, nonempty, session=session)
+        return non_redundant(schema, working, nonempty, session=engine)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..inference.empty_sets import NonEmptySpec
-from ..inference.session import ImplicationSession
+from ..inference.closure import ClosureEngine
 from ..nfd.nfd import NFD
 from ..types.schema import Schema
 
@@ -65,22 +65,23 @@ class SigmaDiff:
 
 def diff_sigmas(schema: Schema, old: Iterable[NFD], new: Iterable[NFD],
                 nonempty: NonEmptySpec | None = None, *,
-                old_session: ImplicationSession | None = None,
-                new_session: ImplicationSession | None = None) \
+                old_session: ClosureEngine | None = None,
+                new_session: ClosureEngine | None = None) \
         -> SigmaDiff:
     """Classify the semantic difference between *old* and *new*.
 
-    Each side queries its session twice per member (once for the
+    Each side queries its engine twice per member (once for the
     strengthened/weakened scan, once for the carried scan), so the
-    memoized sessions answer the second scan from cache.  Pass the
-    sessions to read their statistics afterwards.
+    second scan reads the closures the engine already holds.  Pass the
+    engines as *old_session* / *new_session* to read their statistics
+    afterwards.
     """
     old_list = list(old)
     new_list = list(new)
     old_engine = old_session if old_session is not None \
-        else ImplicationSession(schema, old_list, nonempty)
+        else ClosureEngine(schema, old_list, nonempty)
     new_engine = new_session if new_session is not None \
-        else ImplicationSession(schema, new_list, nonempty)
+        else ClosureEngine(schema, new_list, nonempty)
     strengthened = [nfd for nfd in new_list
                     if not old_engine.implies(nfd)]
     weakened = [nfd for nfd in old_list

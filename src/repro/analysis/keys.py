@@ -7,17 +7,17 @@ by querying the closure engine, and offers the converse construction:
 the NFDs declaring a chosen key.
 
 The combination sweep is the library's heaviest query stream: adjacent
-combinations share most of their members, so it runs through an
-:class:`~repro.inference.session.ImplicationSession`, one
-:meth:`~repro.inference.session.ImplicationSession.covers_batch` per
+combinations share most of their members, so it runs through one
+:class:`~repro.inference.closure.ClosureEngine`, one
+:meth:`~repro.inference.closure.ClosureEngine.covers_batch` per
 size-level.  The sweep is indexed by masks: each combination is a
 bitmask over the scope's attributes, a found key prunes every
 combination it is a submask of, and only the survivors are built as
 path sets, once each; the engine then seeds each candidate from its
-drop-one subqueries through a ``keymask -> key`` index
-(:meth:`ClosureEngine.covers_many`).  Each size-level is one batch in
-one process: a process fan-out answered one ``is_key`` per candidate
-and lost to the batched sweep at every measured width.
+drop-one subqueries through a ``keymask -> key`` index.  Each
+size-level is one batch in one process: a process fan-out answered one
+``is_key`` per candidate and lost to the batched sweep at every
+measured width.
 
 Before a level would ask more candidates than the scope has
 attributes, the sweep finds the *core*, the attributes every key holds
@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import Iterable
 
 from ..inference.empty_sets import NonEmptySpec
-from ..inference.session import ImplicationSession
+from ..inference.closure import ClosureEngine
 from ..nfd.nfd import NFD
 from ..paths.path import Path
 from ..paths.typing import resolve_base_path
@@ -68,8 +68,8 @@ def is_key(engine, base: Path, candidate: Iterable[Path]) -> bool:
 
     Determining all top-level attributes pins the whole element: deeper
     paths are reached through their top-level set, which is itself
-    determined.  *engine* is a :class:`ClosureEngine` or an
-    :class:`ImplicationSession` (anything with ``schema``/``closure``).
+    determined.  *engine* is a :class:`ClosureEngine` (anything with
+    ``schema``/``closure``).
     """
     scope = resolve_base_path(engine.schema, base)
     closed = engine.closure(base, candidate)
@@ -100,16 +100,16 @@ def local_minimal_keys(schema: Schema, sigma: Iterable[NFD], base: Path,
     identify a student within one course" — e.g. ``{sid}`` under the
     constraint of Example 2.3.
 
-    When *engine* is given (an :class:`ImplicationSession`, or any
-    object with its ``schema``, ``tracer`` and ``covers_batch``) its
-    Sigma and nonempty spec are authoritative; otherwise a session over
-    ``(schema, sigma, nonempty)`` is built.  Each size-level of the
+    When *engine* is given (a :class:`ClosureEngine`, or any object
+    with its ``tracer`` and ``covers_batch``) its Sigma and nonempty
+    spec are authoritative; otherwise an engine over ``(schema, sigma,
+    nonempty)`` is built.  Each size-level of the
     sweep, and the core's drop-one probes, is answered as one
     ``covers_batch`` call, so neighbouring candidates share their
     subset closures.
     """
     working = engine if engine is not None \
-        else ImplicationSession(schema, sigma, nonempty)
+        else ClosureEngine(schema, sigma, nonempty)
     scope = resolve_base_path(schema, base)
     attributes = [Path((label,)) for label in scope.labels]
     tracer = working.tracer

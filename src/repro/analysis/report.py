@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..inference.empty_sets import NonEmptySpec
-from ..inference.session import ImplicationSession
+from ..inference.closure import ClosureEngine
 from ..nfd.nfd import NFD
 from ..paths.path import Path
 from ..paths.typing import set_paths
@@ -84,40 +84,40 @@ class ConstraintReport:
 
 def analyze_constraints(schema: Schema, sigma: Iterable[NFD],
                         nonempty: NonEmptySpec | None = None, *,
-                        session: ImplicationSession | None = None) \
+                        session: ClosureEngine | None = None) \
         -> ConstraintReport:
     """Run every analysis over the constraint set; see
     :class:`ConstraintReport`.
 
-    All sub-analyses share one :class:`ImplicationSession` (pass
+    All sub-analyses share one :class:`ClosureEngine` (pass it as
     *session* to reuse an existing one and read its statistics
     afterwards): the key sweeps, singleton probes, redundancy scan, and
-    cover all draw on the same memoized closures and compiled pool.
+    cover all draw on the same held closures and compiled pool.
     """
     sigma_list = list(sigma)
-    if session is None:
-        session = ImplicationSession(schema, sigma_list, nonempty)
+    engine = session if session is not None \
+        else ClosureEngine(schema, sigma_list, nonempty)
 
     keys: dict[str, list[frozenset[Path]]] = {}
     singletons: dict[str, list[Path]] = {}
     disjoint: dict[str, list[Path]] = {}
     for relation in schema.relation_names:
         keys[relation] = minimal_keys(schema, sigma_list, relation,
-                                      engine=session)
+                                      engine=engine)
         singletons[relation] = implied_singletons(
-            schema, sigma_list, relation, engine=session)
+            schema, sigma_list, relation, engine=engine)
         base = Path((relation,))
         disjoint[relation] = [
             p for p in set_paths(schema, relation)
-            if implied_disjoint_or_equal(session, base, p)
+            if implied_disjoint_or_equal(engine, base, p)
         ]
 
     trivial = [nfd for nfd in sigma_list if nfd.is_trivial()]
     redundant = [
         sigma_list[index]
         for index in range(len(sigma_list))
-        if session.without(index).implies(sigma_list[index])
+        if engine.without(index).implies(sigma_list[index])
     ]
-    cover = non_redundant(schema, sigma_list, nonempty, session=session)
+    cover = non_redundant(schema, sigma_list, nonempty, session=engine)
     return ConstraintReport(schema, sigma_list, keys, singletons,
                             disjoint, trivial, redundant, cover)

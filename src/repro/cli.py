@@ -58,13 +58,13 @@ does the same with the stream engine's counters
 (:class:`repro.nfd.StreamStats`); exit codes are unchanged either
 way.
 
-Query commands that run through an implication session additionally
-accept ``--cache-stats``, printing the session's query counters
-(:class:`repro.inference.SessionStats`) to stderr.  ``normalize
---sweep`` accepts ``--jobs N`` (``N >= 1``) to fan the sweep out across
-*N* worker processes — stdout is byte-identical to the serial run
-(deterministic result ordering), only wall-clock changes.  Every
-implication query runs in one process on one session.
+Query commands additionally accept ``--cache-stats``, printing the
+closure engine's query counters (closure queries answered, and those
+it already held; :meth:`repro.inference.EngineStats.query_text`) to
+stderr.  ``normalize --sweep`` accepts ``--jobs N`` (``N >= 1``) to fan
+the sweep out across *N* worker processes — stdout is byte-identical
+to the serial run (deterministic result ordering), only wall-clock
+changes.  Every implication query runs in one process on one engine.
 
 Every ``check`` runs one engine, the stream engine of
 :mod:`repro.nfd.stream_validate`: in memory it walks each constrained
@@ -113,7 +113,7 @@ identical stdout and exit codes (a corrupt one warns on stderr).
 
 ``repro serve`` runs the long-lived constraint-checking daemon (see
 :mod:`repro.server`): a line-delimited JSON protocol over TCP, a warm
-pool of implication sessions shared by every client, one thread that
+pool of closure engines shared by every client, one thread that
 runs each request to completion, and cooperative deadlines.
 ``check``, ``implies``, ``closure``, and ``keys`` accept ``--server
 HOST:PORT`` to route the query through a running daemon instead of
@@ -207,8 +207,8 @@ def _obs_finish(args, report: RunReport, tracer: Tracer | None) -> None:
         for name in ("closure", "validator", "stream", "cache"):
             if name in report:
                 print(report.section_text(name), file=sys.stderr)
-    if getattr(args, "cache_stats", False) and "session" in report:
-        print(report.section_text("session"), file=sys.stderr)
+    if getattr(args, "cache_stats", False) and "closure" in report:
+        print(report.snapshot("closure").query_text(), file=sys.stderr)
     path = getattr(args, "metrics_json", None)
     if path:
         report.write_json(path)
@@ -216,11 +216,10 @@ def _obs_finish(args, report: RunReport, tracer: Tracer | None) -> None:
         tracer.write_jsonl(args.trace)
 
 
-def _emit_stats(args, engine, flag: str = "stats") -> None:
-    """Print an engine's (or session's) counters to stderr when the
-    ``--stats`` flag (or the one *flag* names, such as
-    ``cache_stats``) was given."""
-    if getattr(args, flag, False):
+def _emit_stats(args, engine) -> None:
+    """Print an engine's counters to stderr when ``--stats`` was
+    given."""
+    if getattr(args, "stats", False):
         print(engine.stats.to_text(), file=sys.stderr)
 
 
@@ -303,7 +302,7 @@ def _cmd_query(args) -> int:
 def _answer_locally(args, params: dict) -> dict:
     """The in-process result dict of a query command.
 
-    Runs :func:`repro.service.check`, or builds the session, and
+    Runs :func:`repro.service.check`, or builds the engine, and
     handles every local-only flag: ``--stats``, ``--cache-stats``,
     ``--trace`` and ``--metrics-json``.
     """
@@ -320,19 +319,18 @@ def _answer_locally(args, params: dict) -> dict:
         outcome = check(schema, sigma, rows, tracer=tracer)
         report.add("stream", outcome.stats)
     else:
-        from .inference.session import ImplicationSession
+        from .inference.closure import ClosureEngine
 
-        session = ImplicationSession(schema, sigma, spec, tracer=tracer)
+        engine = ClosureEngine(schema, sigma, spec, tracer=tracer)
         if kind == "keys":
             from .analysis.keys import minimal_keys
 
             outcome = minimal_keys(schema, sigma, query.relation,
-                                   engine=session)
+                                   engine=engine)
         else:
-            outcome = [session.closure(base, lhs)
+            outcome = [engine.closure(base, lhs)
                        for base, lhs in query.closures]
-        report.add("closure", session.engine.stats)
-        report.add("session", session.stats)
+        report.add("closure", engine.stats)
     _obs_finish(args, report, tracer)
     return answer(query, outcome)
 
@@ -507,7 +505,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_diff(args) -> int:
     from .analysis.diff import diff_sigmas
-    from .inference.session import ImplicationSession
+    from .inference.closure import ClosureEngine
 
     schema, old_sigma, _, _ = _load(args.old_bundle)
     new_schema, new_sigma, _, _ = _load(args.new_bundle)
@@ -516,38 +514,35 @@ def _cmd_diff(args) -> int:
               file=sys.stderr)
         return 2
     spec = _spec_from_args(args)
-    old_session = ImplicationSession(schema, old_sigma, spec)
-    new_session = ImplicationSession(schema, new_sigma, spec)
+    engines = (ClosureEngine(schema, old_sigma, spec),
+               ClosureEngine(schema, new_sigma, spec))
     diff = diff_sigmas(schema, old_sigma, new_sigma, nonempty=spec,
-                       old_session=old_session,
-                       new_session=new_session)
+                       old_session=engines[0], new_session=engines[1])
     print(diff.to_text())
-    _emit_stats(args, old_session, "cache_stats")
-    _emit_stats(args, new_session, "cache_stats")
+    if args.cache_stats:
+        for engine in engines:
+            print(engine.stats.query_text(), file=sys.stderr)
     return 0 if diff.equivalent else 1
 
 
 def _cmd_analyze(args) -> int:
     from .analysis.report import analyze_constraints
-    from .inference.session import ImplicationSession
+    from .inference.closure import ClosureEngine
     from .nfd.batch_validate import ValidatorEngine
     from .obs.report import RunReport
 
     schema, sigma, instance, spec = _load(args.bundle, values=True)
     spec = _spec_from_args(args, spec)
     tracer = _tracer_from_args(args)
-    session = ImplicationSession(schema, list(sigma), spec,
-                                 tracer=tracer)
+    engine = ClosureEngine(schema, list(sigma), spec, tracer=tracer)
     analysis = analyze_constraints(schema, sigma, nonempty=spec,
-                                   session=session)
+                                   session=engine)
     print(analysis.to_text())
-    report = (RunReport(command="analyze")
-              .add("closure", session.engine.stats)
-              .add("session", session.stats))
+    report = RunReport(command="analyze").add("closure", engine.stats)
     if instance is not None:
         # one run, one report: when the bundle carries an instance,
-        # validate it too so the analyze report consolidates closure,
-        # session, AND validator metrics (the exit code stays 0 —
+        # validate it too so the analyze report consolidates closure
+        # AND validator metrics (the exit code stays 0 —
         # `check` is the verdict command)
         validator = ValidatorEngine(schema, sigma, tracer=tracer)
         validator.validate(instance, all_violations=True)
@@ -768,8 +763,8 @@ def _stats_arg(sub) -> None:
 def _cache_stats_arg(sub) -> None:
     sub.add_argument(
         "--cache-stats", action="store_true", dest="cache_stats",
-        help="print the implication session's query counters "
-             "to stderr",
+        help="print the closure engine's query counters (queries "
+             "answered, and those it already held) to stderr",
     )
 
 

@@ -61,7 +61,7 @@ def project_fds(attributes: Sequence[str], fds: Iterable[FD],
     :func:`attribute_closure` as the ``combo -> closed attributes``
     oracle; the normalization pipeline passes an engine-backed oracle
     here so projection work is spent (and counted) in the closure
-    engine, memoized across components by its implication session.
+    engine, memoized across components by its held queries.
     The oracle must agree with ``attribute_closure(combo, fds)``.
     """
     fd_list = list(fds)

@@ -122,15 +122,15 @@ class PlanReport:
                    nfd.rhs.strip_prefix(shared))
 
     def make_session(self, nonempty=None, *, tracer=None):
-        """An :class:`~repro.inference.session.ImplicationSession` over
+        """A :class:`~repro.inference.closure.ClosureEngine` over
         ``all_nfds()`` (carried NFDs in placement order, then the
         structural ones) — the layout :meth:`locally_enforceable`
         expects when given a *session*, so one compiled Sigma pool
         serves every per-placement probe via copy-on-write."""
-        from ..inference.session import ImplicationSession
+        from ..inference.closure import ClosureEngine
 
-        return ImplicationSession(self.schema, self.all_nfds(), nonempty,
-                                  tracer=tracer)
+        return ClosureEngine(self.schema, self.all_nfds(), nonempty,
+                             tracer=tracer)
 
     def locally_enforceable(self, placement: DependencyPlacement, *,
                             session=None) -> bool:
@@ -143,7 +143,7 @@ class PlanReport:
         ``sid -> age`` (nothing pins the set) is not.
 
         Each probe is a copy-on-write
-        :meth:`~repro.inference.session.ImplicationSession.replaced`
+        :meth:`~repro.inference.closure.ClosureEngine.replace`
         perturbation of one compiled pool; pass *session* (from
         :meth:`make_session`) to share that pool across placements.
         """
@@ -155,7 +155,7 @@ class PlanReport:
         if session is None:
             session = self.make_session()
         index = self.placements.index(placement)
-        return session.replaced(index, local).implies(placement.nfd)
+        return session.replace(index, local).implies(placement.nfd)
 
     def to_text(self) -> str:
         lines = []

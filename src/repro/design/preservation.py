@@ -22,7 +22,7 @@ def unpreserved_fds(attributes: Sequence[str], fds: Iterable[FD],
     """The original FDs not implied by the projected union.
 
     *closure* is forwarded to :func:`~repro.design.bcnf.project_fds`;
-    the normalization pipeline passes its session-backed oracle so the
+    the normalization pipeline passes its engine-backed oracle so the
     winner's projections come from the memo instead of being recomputed.
     """
     fd_list = list(fds)

@@ -8,7 +8,7 @@ mechanization: given a (nested or flat) relation and its Sigma, it
 1. flattens the relation (iterated unnest; Sigma is rewritten step by
    step via :func:`repro.analysis.carryover.nfd_through_unnest`),
 2. computes a minimal cover through one copy-on-write
-   :class:`~repro.inference.session.ImplicationSession`,
+   :class:`~repro.inference.closure.ClosureEngine`,
 3. synthesizes candidate :class:`~repro.design.nested_design.NestPlan`\\ s
    in the classical 3NF-synthesis mold — cover rules are grouped by
    LHS; each group either anchors the top level or becomes one nest
@@ -18,7 +18,7 @@ mechanization: given a (nested or flat) relation and its Sigma, it
    set (the structural NFDs nesting induces),
 4. scores every candidate by enforceability (how many carried
    dependencies admit a per-set local check, decided with
-   copy-on-write ``replaced`` probes) and redundancy (BCNF-violating
+   copy-on-write ``replace`` probes) and redundancy (BCNF-violating
    FDs left inside any component, via :mod:`repro.design.bcnf`), and
 5. verifies dependency preservation of the winner: do the *local*
    forms plus the structural NFDs — the constraints a per-set checker
@@ -53,9 +53,8 @@ from ..generators.instances import random_satisfying_instance
 from ..generators.nfds import random_design_sigma
 from ..generators.schemas import random_flat_schema
 from ..inference.armstrong import FD, nfd_to_fd
-from ..inference.closure import engine_counters
+from ..inference.closure import ClosureEngine, engine_counters
 from ..inference.empty_sets import NonEmptySpec
-from ..inference.session import ImplicationSession
 from ..nfd.batch_validate import ValidatorEngine
 from ..nfd.nfd import NFD
 from ..parallel import process_map
@@ -239,8 +238,8 @@ class _Projection:
 
     Projection is the query-heavy part of scoring: every LHS
     combination inside every component of every candidate closes under
-    the *same* flat cover.  Those closures run through one memoized
-    :class:`~repro.inference.session.ImplicationSession`, which makes
+    the *same* flat cover.  Those closures run through one
+    :class:`~repro.inference.closure.ClosureEngine`, which makes
     the work visible to the rule-application counter (a size-``k``
     combo seeds from its cached size-``k-1`` sub-combos).  Candidates
     share components and components share combos, so two memos sit in
@@ -249,7 +248,7 @@ class _Projection:
     ``component -> BCNF violations`` (:meth:`redundancy`).
     """
 
-    __slots__ = ("attributes", "cover", "relation", "_session",
+    __slots__ = ("attributes", "cover", "relation", "_engine",
                  "_paths", "_closed", "_violations")
 
     def __init__(self, schema: Schema, cover_nfds: Sequence[NFD],
@@ -258,7 +257,7 @@ class _Projection:
         self.attributes = attributes
         self.cover = cover
         self.relation = relation
-        self._session = ImplicationSession(schema, cover_nfds, nonempty)
+        self._engine = ClosureEngine(schema, cover_nfds, nonempty)
         self._paths = {attribute: Path((attribute,))
                        for attribute in attributes}
         self._closed: dict[tuple[str, ...], frozenset[str]] = {}
@@ -268,7 +267,7 @@ class _Projection:
         """The attributes *combo* determines under the cover."""
         closed = self._closed.get(combo)
         if closed is None:
-            paths = self._session.closure_simple(
+            paths = self._engine.closure_simple(
                 self.relation, [self._paths[attribute] for attribute in combo])
             closed = frozenset(path.first for path in paths)
             self._closed[combo] = closed
@@ -347,7 +346,7 @@ def _assess_candidate(report: PlanReport,
     per-placement copy-on-write probes to count the holdouts.  Carried
     NFDs the enforced set states verbatim (every top-level placement)
     are implied by membership and never reach the engine, so a
-    candidate with nothing else carried builds no session at all.
+    candidate with nothing else carried builds no engine at all.
     """
     placements = report.placements
     deep = [p for p in placements if p.kind != DependencyPlacement.TOP]
@@ -359,15 +358,15 @@ def _assess_candidate(report: PlanReport,
     open_nfds = [nfd for nfd in report.nfds() if nfd not in stated]
     joint = True
     if open_nfds:
-        session = ImplicationSession(report.schema, enforced, nonempty,
-                                     tracer=tracer)
-        joint = session.implies_all(open_nfds)
+        engine = ClosureEngine(report.schema, enforced, nonempty,
+                               tracer=tracer)
+        joint = engine.implies_all(open_nfds)
     if joint:
         return missing, True
-    probe_session = report.make_session(nonempty, tracer=tracer)
+    probe_engine = report.make_session(nonempty, tracer=tracer)
     failures = sum(
         1 for p in deep
-        if not report.locally_enforceable(p, session=probe_session))
+        if not report.locally_enforceable(p, session=probe_engine))
     return failures, False
 
 
@@ -449,7 +448,7 @@ def _synthesize(schema, sigma_list, relation, nonempty, instance,
     attributes = tuple(label for label, _ in flat_type.element.fields)
     flat_nonempty = _flat_spec(nonempty, relation)
 
-    # 2. minimal cover (one session, drop-one/shrink COW probes)
+    # 2. minimal cover (one engine, drop-one/shrink COW probes)
     cover_nfds = minimal_cover(flat_schema, working, flat_nonempty)
     cover = [nfd_to_fd(nfd) for nfd in cover_nfds]
     if span is not None:

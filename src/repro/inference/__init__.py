@@ -9,7 +9,7 @@ __all__ = _lazy.exports(__name__, {
         "is_flat_relation nfd_to_fd"
     ),
     "brute_force": "BruteForceProver",
-    "closure": "ClosureEngine EngineStats Explanation",
+    "closure": "ClosureEngine EngineStats Explanation ImplicationSession",
     "dense": "DenseTables compile_tables",
     "countermodel": "CountermodelBuilder build_countermodel find_countermodel",
     "derivation": "Derivation Step",
@@ -21,7 +21,7 @@ __all__ = _lazy.exports(__name__, {
     "model_search": "search_countermodel semantic_implication_verdict",
     "mvds": "MVD dependency_basis implies_fd_mixed implies_mvd satisfies_mvd",
     "proof_compiler": "compile_proof",
-    "session": "ImplicationSession SessionStats sigma_fingerprint",
+    "session": "sigma_fingerprint",
     "simple_rules": (
         "SIMPLE_RULE_NAMES full_locality to_simple_system "
         "uses_only_simple_rules"

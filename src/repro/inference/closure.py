@@ -66,8 +66,11 @@ sub-queries (:meth:`ClosureEngine._register`), which batches visit in
 subset order.  The state grows with the distinct keys asked; a
 long-lived holder bounds it by dropping the engine (the daemon's pool
 does, :mod:`repro.server.pool`).
-:class:`~repro.inference.session.ImplicationSession` adds the Σ
-fingerprint and copy-on-write probes on top.
+
+The engine is the one implication object: single queries, batches in
+subset order (:meth:`ClosureEngine.closure_batch`,
+:meth:`ClosureEngine.covers_batch`), the probes above, the Σ
+fingerprint and the query counters of :class:`EngineStats`.
 
 Passing a :class:`~repro.inference.empty_sets.NonEmptySpec` switches the
 engine to the Section 3.2 rules: prefix shortening requires the shortened
@@ -103,9 +106,10 @@ from ..types.base import SetType
 from ..types.schema import Schema
 from .dense import DenseTables, bit_indices, compile_row, compile_tables
 from .empty_sets import NonEmptySpec
+from .session import sigma_fingerprint
 
-__all__ = ["ClosureEngine", "EngineStats", "engine_counters",
-           "pool_build_count"]
+__all__ = ["ClosureEngine", "EngineStats", "ImplicationSession",
+           "engine_counters", "pool_build_count"]
 
 # Process-global work counters, accumulated across every engine ever
 # constructed.  Benchmarks and tests snapshot/diff these to assert
@@ -131,14 +135,19 @@ def pool_build_count() -> int:
 
 
 class EngineStats(Stats):
-    """A snapshot of the engine's saturation counters.
+    """A snapshot of the engine's query and saturation counters.
 
-    Totals are accumulated across every saturation the engine has run
+    Totals are accumulated across every query the engine has answered
     and are **never reset in place**: to measure a window (one query,
     one analysis pass) take a snapshot before and after and
     :meth:`~repro.obs.Stats.diff` them.  Per-relation maps reflect the
     state at snapshot time.
 
+    * ``fingerprint`` — the canonical Σ fingerprint; only snapshots of
+      engines over one logical Σ diff;
+    * ``queries`` — closure queries answered (batch verdicts read off
+      the kernel's masks are not closure queries);
+    * ``hits`` — queries whose key the engine already held saturated;
     * ``saturations`` — calls to the saturation loop;
     * ``rounds`` — kernel passes over a query's pending rows;
     * ``attempts`` / ``successes`` — row scans and the paths they
@@ -146,7 +155,7 @@ class EngineStats(Stats):
     * ``wall_time`` — seconds spent inside saturation;
     * ``usables`` / ``candidates`` / ``activated`` — active rule rows,
       singleton-candidate count, and activated candidates per relation;
-    * ``queries`` / ``derived`` — live closure queries and the total
+    * ``held`` / ``derived`` — closure queries held and the total
       number of non-seed paths they derived, per relation;
     * ``mask_tests`` — row scans plus batch verdict tests (each is at
       least one bitmask test);
@@ -154,16 +163,30 @@ class EngineStats(Stats):
     * ``interned`` — interned universe size per relation.
     """
 
-    __slots__ = ("saturations", "rounds", "attempts", "successes",
-                 "wall_time", "usables", "candidates", "activated",
-                 "queries", "derived", "mask_tests", "dense_seeds",
-                 "interned")
-    STATE = ("usables", "candidates", "activated", "queries", "derived",
+    __slots__ = ("fingerprint", "queries", "hits", "saturations",
+                 "rounds", "attempts", "successes", "wall_time",
+                 "usables", "candidates", "activated", "held", "derived",
+                 "mask_tests", "dense_seeds", "interned")
+    IDENTITY = ("fingerprint",)
+    STATE = ("usables", "candidates", "activated", "held", "derived",
              "interned")
+    EXPORT = ("fingerprint", "queries", "hits", "hit_rate") + __slots__[3:]
     TEXT = ("engine stats:",
             "  saturations: {saturations}  rounds: {rounds}",
             "  apply attempts: {attempts}  successes: {successes}",
             "  saturation wall time: {wall_time:.6f}s")
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits over queries (0.0 when no query was answered)."""
+        return self.hits / self.queries if self.queries else 0.0
+
+    def query_text(self) -> str:
+        """The ``--cache-stats`` text: the query counters, then
+        :meth:`to_text`."""
+        return (f"session stats (fingerprint {self.fingerprint:.12}):\n"
+                f"  closure queries: {self.queries}  hits: {self.hits}  "
+                f"hit rate: {self.hit_rate:.1%}\n{self.to_text()}")
 
     def _extra_lines(self) -> list[str]:
         interned = ", ".join(
@@ -180,7 +203,7 @@ class EngineStats(Stats):
                 f"  {relation}: {self.usables[relation]} usable(s), "
                 f"{self.activated[relation]}/"
                 f"{self.candidates[relation]} candidate(s) active, "
-                f"{self.queries[relation]} query(ies), "
+                f"{self.held[relation]} query(ies), "
                 f"{self.derived[relation]} derived path(s)"
             )
         return lines
@@ -440,9 +463,11 @@ class _DenseState:
 class _ReferenceState:
     """One relation's naive reference saturation state for one engine:
     closure sets per query key, activated singleton candidates, the
-    active usables, and the provenance of every derived path."""
+    active usables, the provenance of every derived path, and per query
+    the usable count it was last left saturated under."""
 
-    __slots__ = ("queries", "activated", "usables", "keys", "provenance")
+    __slots__ = ("queries", "activated", "usables", "keys", "provenance",
+                 "stable")
 
     def __init__(self, usables: list[_Usable]):
         self.queries: dict[frozenset[Path], set[Path]] = {}
@@ -451,6 +476,7 @@ class _ReferenceState:
         self.keys = {usable.key() for usable in usables}
         # query key -> derived path -> (usable, ((member, used), ...))
         self.provenance: dict[frozenset[Path], dict] = {}
+        self.stable: dict[frozenset[Path], int] = {}
 
 
 class ClosureEngine:
@@ -461,6 +487,9 @@ class ClosureEngine:
         engine = ClosureEngine(schema, nfds)
         engine.implies(NFD.parse("R:A:[B -> E]"))       # True/False
         engine.closure(parse_path("R:A"), {parse_path("B")})
+        engine.closure_batch(queries)                   # subset order
+        probe = engine.without(2)                       # COW probe
+        engine.stats.hit_rate
 
     The engine keeps its saturation state, so a repeated query is read
     off it and a new one seeds from the queries it already holds.
@@ -477,7 +506,7 @@ class ClosureEngine:
 
     def __init__(self, schema: Schema, sigma: Iterable[NFD],
                  nonempty: NonEmptySpec | None = None, *,
-                 tracer=None, _cow=None):
+                 tracer=None, _cow=None, _fingerprint: str | None = None):
         self.schema = schema
         self.nonempty = nonempty if nonempty is not None \
             else NonEmptySpec.all_nonempty()
@@ -485,6 +514,9 @@ class ClosureEngine:
         # Observability: a repro.obs.Tracer, or None (the default) for
         # the untraced fast path.
         self.tracer = tracer
+        # hashed on first read (or handed in by the daemon's pool):
+        # most engines never read it, and it costs a small one's build
+        self._fingerprint = _fingerprint
 
         if _cow is None:
             for nfd in self.sigma:
@@ -532,9 +564,9 @@ class ClosureEngine:
         self._mask_tests = 0
         self._dense_seeds = 0
         # closure queries answered, and those the state already held
-        # saturated (read by ImplicationSession.stats)
-        self._served = 0
-        self._held = 0
+        # saturated
+        self._queries = 0
+        self._hits = 0
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self.sigma):
@@ -588,6 +620,22 @@ class ClosureEngine:
 
     # -- observability -----------------------------------------------------
 
+    @property
+    def fingerprint(self) -> str:
+        """The canonical Σ fingerprint (:func:`sigma_fingerprint`),
+        computed on first read."""
+        if self._fingerprint is None:
+            self._fingerprint = sigma_fingerprint(
+                self.schema, self.sigma, self.nonempty)
+        return self._fingerprint
+
+    @property
+    def engine(self) -> "ClosureEngine":
+        """The engine itself.  Kept, with the :data:`ImplicationSession`
+        alias, for existing readers of the former session's
+        ``session.engine``; both go with the next benchmark change."""
+        return self
+
     def snapshot(self) -> EngineStats:
         """An explicit alias of :attr:`stats`: counters are cumulative
         and never reset in place; measure windows with
@@ -600,7 +648,7 @@ class ClosureEngine:
         """A point-in-time :class:`EngineStats` snapshot."""
         usables: dict[str, int] = {}
         activated: dict[str, int] = {}
-        queries: dict[str, int] = {}
+        held: dict[str, int] = {}
         derived: dict[str, int] = {}
         interned: dict[str, int] = {}
         for relation in self.schema.relation_names:
@@ -608,19 +656,22 @@ class ClosureEngine:
             if state is None:
                 usables[relation] = sum(
                     1 for _ in self._all_usables(relation))
-                activated[relation] = queries[relation] = 0
+                activated[relation] = held[relation] = 0
                 derived[relation] = interned[relation] = 0
                 continue
             usables[relation] = len(state.rows)
             activated[relation] = \
                 len(state.tables.candidates) - len(state.pending)
-            queries[relation] = len(state.acc)
+            held[relation] = len(state.acc)
             derived[relation] = sum(
                 mask.bit_count() - len(key)
                 for key, mask in state.acc.items()
             )
             interned[relation] = len(state.tables.paths)
         return EngineStats(
+            fingerprint=self.fingerprint,
+            queries=self._queries,
+            hits=self._hits,
             saturations=self._saturations,
             rounds=self._rounds,
             attempts=self._attempts,
@@ -630,7 +681,7 @@ class ClosureEngine:
             candidates={r: len(c)
                         for r, c in self._pool.candidates.items()},
             activated=activated,
-            queries=queries,
+            held=held,
             derived=derived,
             mask_tests=self._mask_tests,
             dense_seeds=self._dense_seeds,
@@ -852,9 +903,9 @@ class ClosureEngine:
         the engine already holds *key* saturated (no saturation loop),
         otherwise registered, seeded and saturated."""
         state = self._dense_state(relation)
-        self._served += 1
+        self._queries += 1
         if key in state.acc and not state.unsaturated:
-            self._held += 1
+            self._hits += 1
         else:
             if key not in state.acc:
                 self._register(state, key, state.mask(key))
@@ -960,7 +1011,7 @@ class ClosureEngine:
         return self._pull_out(base, relation, ybar, lhs_set,
                               simple_closure)
 
-    def closure_many(self, queries) -> list[frozenset[Path]]:
+    def closure_batch(self, queries) -> list[frozenset[Path]]:
         """Batch :meth:`closure`: one result per ``(base, lhs)`` pair.
 
         Answers are identical to mapping :meth:`closure` over the
@@ -991,7 +1042,7 @@ class ClosureEngine:
             for base, relation, ybar, lhs_set, simple_lhs in prepared
         ]
 
-    def covers_many(self, queries_base: Path, candidates,
+    def covers_batch(self, queries_base: Path, candidates,
                     targets: Iterable[Path]) -> list[bool]:
         """Batch verdicts: does ``closure(base, candidate)`` contain
         every path of *targets*, for each candidate?
@@ -1002,18 +1053,18 @@ class ClosureEngine:
         materialized back into path objects, which is the dominant
         non-kernel cost of a key sweep.  Nested bases, whose pull-out
         gating needs the path-level reading, route through
-        :meth:`closure_many`.
+        :meth:`closure_batch`.
         """
         target_set = frozenset(targets)
         prepared = [frozenset(candidate) for candidate in candidates]
         if queries_base.tail.is_empty and queries_base.first in self.schema:
-            return self._covers_many_dense(queries_base.first, prepared,
+            return self._covers_batch_dense(queries_base.first, prepared,
                                            target_set)
-        closures = self.closure_many(
+        closures = self.closure_batch(
             [(queries_base, candidate) for candidate in prepared])
         return [target_set <= closed for closed in closures]
 
-    def _covers_many_dense(self, relation: str,
+    def _covers_batch_dense(self, relation: str,
                            keys: list[frozenset[Path]],
                            targets: frozenset[Path]) -> list[bool]:
         """Mask-only sweep: saturate each new candidate in subset order,
@@ -1071,7 +1122,7 @@ class ClosureEngine:
     def implies_all(self, nfds: Iterable[NFD]) -> bool:
         """True iff every NFD in *nfds* is implied.
 
-        Runs the closures as one :meth:`closure_many` batch, so a cover
+        Runs the closures as one :meth:`closure_batch` batch, so a cover
         check over a whole Σ pays for each distinct simple LHS once."""
         candidates = list(nfds)
         for nfd in candidates:
@@ -1079,7 +1130,7 @@ class ClosureEngine:
                 nfd.check_well_formed(self.schema)
             except NFDError as exc:
                 raise InferenceError(str(exc)) from exc
-        closures = self.closure_many(
+        closures = self.closure_batch(
             [(nfd.base, nfd.lhs) for nfd in candidates])
         return all(nfd.rhs in closed
                    for nfd, closed in zip(candidates, closures))
@@ -1125,7 +1176,12 @@ class ClosureEngine:
     def _saturate_naive(self, relation: str,
                         state: _ReferenceState) -> None:
         """The reference global fixpoint: rescan every candidate and
-        re-attempt every usable against every query until stable."""
+        re-attempt every usable against every query until stable.
+
+        A query left saturated by an earlier replay is skipped until an
+        activation appends usables (a rescan reads only its own closure
+        and the usables, so it would fire nothing): one more query costs
+        its own scans, and each round derives what a full rescan would."""
         while True:
             changed = False
             for candidate in self._pool.candidates[relation]:
@@ -1141,12 +1197,16 @@ class ClosureEngine:
                             state.keys.add(new.key())
                             state.usables.append(new)
                     changed = True
+            count = len(state.usables)
             for key, closure_set in state.queries.items():
+                if state.stable.get(key) == count:
+                    continue
                 for usable in state.usables:
                     if self._apply_usable(relation, state, key,
                                           closure_set, usable):
                         changed = True
             if not changed:
+                state.stable = dict.fromkeys(state.queries, count)
                 return
 
     def _apply_usable(self, relation: str, state: _ReferenceState,
@@ -1232,6 +1292,12 @@ class ClosureEngine:
         key = frozenset(simple.lhs)
         return Explanation(self, nfd, relation, key, simple.rhs,
                            self.replay(relation, key))
+
+
+#: The engine's former serving-layer name, kept for existing readers
+#: with :attr:`ClosureEngine.engine`; both go with the next benchmark
+#: change.
+ImplicationSession = ClosureEngine
 
 
 class Explanation:

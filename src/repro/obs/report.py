@@ -1,19 +1,17 @@
 """Run reports, and the one stats model every engine reports through.
 
 Every engine that does the paper's work counts it in a :class:`Stats`
-subclass: the closure engine and implication session (the §3.1/§3.2
-rules), the batch and stream validators (Def. 2.4), and the store,
-engine pool and daemon that serve their results.  A subclass declares
-its fields, and each field is of one kind:
+subclass: the closure engine (the §3.1/§3.2 rules), the batch and
+stream validators (Def. 2.4), and the store, engine pool and daemon
+that serve their results.  A subclass declares its fields, and each
+field is of one kind:
 
 * **cumulative counts** — numbers, or ``{key: count}`` maps; a window
   subtracts them;
 * **point-in-time state** — table sizes, high-water marks, per-relation
   maps; a window keeps the later value;
-* **identity**, such as a session's Σ fingerprint; only snapshots that
-  agree on it diff;
-* **nested snapshots** — a :class:`Stats` inside a :class:`Stats`,
-  diffed recursively;
+* **identity**, such as a closure engine's Σ fingerprint; only
+  snapshots that agree on it diff;
 * **derived read-only values** such as ``hit_rate``.
 
 Counters are plain slotted attributes that their engines bump in
@@ -47,25 +45,23 @@ class Stats:
     """Counters declared by field, with one shared set of operations.
 
     A subclass lists its fields in ``__slots__``; each is a cumulative
-    count unless named in ``STATE``, ``IDENTITY`` or ``NESTED``.  A
+    count unless named in ``STATE`` or ``IDENTITY``.  A
     field the constructor is not given takes its ``DEFAULTS`` entry
     (called when callable, for fresh maps), else 0.  ``EXPORT`` orders
     the ``as_dict()`` keys (default: every field); a name in it that is
     not a field is a derived value, a property or a method.  ``TEXT``
     holds the ``to_text()`` lines, format templates over fields and
     derived values, and :meth:`_extra_lines` the lines no template can
-    hold.  ``OWNER`` names what ``diff()`` expects snapshots of.
+    hold.
     """
 
     __slots__ = ()
 
     STATE: tuple[str, ...] = ()
     IDENTITY: tuple[str, ...] = ()
-    NESTED: tuple[str, ...] = ()
     DEFAULTS: Mapping[str, Any] = {}
     EXPORT: tuple[str, ...] | None = None
     TEXT: tuple[str, ...] = ()
-    OWNER = "engine"
 
     def __init__(self, **values):
         for name in self.__slots__:
@@ -81,14 +77,12 @@ class Stats:
                             f"{', '.join(sorted(values))}")
 
     def as_dict(self) -> dict:
-        """The snapshot as a plain (JSON-friendly) dictionary: maps are
-        copied and nested snapshots flattened to dictionaries."""
+        """The snapshot as a plain (JSON-friendly) dictionary, with its
+        maps copied."""
         data = {}
         for name in self.EXPORT or self.__slots__:
             value = getattr(self, name)
-            if isinstance(value, Stats):
-                value = value.as_dict()
-            elif isinstance(value, dict):
+            if isinstance(value, dict):
                 value = dict(value)
             elif callable(value):
                 value = value()
@@ -101,31 +95,28 @@ class Stats:
 
     def diff(self, baseline: "Stats") -> "Stats":
         """The work done since *baseline*, an earlier snapshot of the
-        same object: counts are subtracted (maps key by key), nested
-        snapshots are diffed in turn, and state and identity keep this
-        snapshot's values.
+        same object: counts are subtracted (maps key by key), and state
+        and identity keep this snapshot's values.
 
         Raises :class:`~repro.errors.InferenceError` when the identities
         differ or the baseline counted more than this snapshot: two
         snapshots of different objects, or the right two reversed.
         """
-        again = (f"diff() expects two snapshot() calls taken from the "
-                 f"*same* {self.OWNER} — snapshot() before the window, "
+        again = ("diff() expects two snapshot() calls taken from the "
+                 "*same* engine — snapshot() before the window, "
                  "snapshot() after, then diff the later against the "
                  "earlier")
         for name in self.IDENTITY:
             mine, theirs = getattr(self, name), getattr(baseline, name)
             if mine != theirs:
                 raise InferenceError(
-                    f"cannot diff snapshots of different {self.OWNER}s "
+                    "cannot diff snapshots of different engines "
                     f"({str(mine)[:12]} vs {str(theirs)[:12]}); {again}")
         values = {}
         for name in self.__slots__:
             mine, theirs = getattr(self, name), getattr(baseline, name)
             ahead = False
-            if name in self.NESTED:
-                mine = mine.diff(theirs)
-            elif name in self.STATE or name in self.IDENTITY:
+            if name in self.STATE or name in self.IDENTITY:
                 if isinstance(mine, dict):
                     mine = dict(mine)
             elif isinstance(mine, dict):
@@ -159,7 +150,7 @@ class Stats:
 
     def __repr__(self) -> str:
         """The cumulative counts."""
-        other = self.STATE + self.IDENTITY + self.NESTED
+        other = self.STATE + self.IDENTITY
         inner = ", ".join(f"{name}={getattr(self, name)!r}"
                           for name in self.__slots__ if name not in other)
         return f"{type(self).__name__}({inner})"
@@ -177,10 +168,9 @@ class RunReport:
 
         report = RunReport(command="analyze")
         report.add("closure", engine.stats)
-        report.add("session", session.stats)
         report.add("validator", validator.stats)
         report.to_json()
-        report.section_text("session")   # the --cache-stats stderr text
+        report.section_text("closure")   # the --stats stderr text
     """
 
     def __init__(self, command: str | None = None):
@@ -217,6 +207,11 @@ class RunReport:
     def section(self, name: str) -> dict:
         """The frozen metrics dict of one section."""
         return dict(self._sections[name][1])
+
+    def snapshot(self, name: str) -> Any:
+        """The snapshot one section was added from (None for a plain
+        mapping)."""
+        return self._sections[name][0]
 
     def section_text(self, name: str) -> str:
         """The section rendered for humans.

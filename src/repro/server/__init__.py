@@ -1,7 +1,7 @@
 """Client/server split: the constraint-checking daemon and its client.
 
 The per-process engines of the inference and validation layers —
-warm :class:`~repro.inference.ImplicationSession` query state,
+warm :class:`~repro.inference.ClosureEngine` query state,
 compiled :class:`~repro.nfd.ValidatorEngine` plans, dense kernel
 tables — are fast once warm, but every fresh process pays the warm-up
 again.  This package turns them into *fleet-shared* infrastructure:
@@ -9,8 +9,8 @@ again.  This package turns them into *fleet-shared* infrastructure:
 * :mod:`repro.server.protocol` — the line-delimited JSON wire format
   (versioned ``hello`` handshake, explicit ``id`` correlation, typed
   error responses);
-* :mod:`repro.server.pool` — the bounded LRU of warm implication
-  sessions keyed by Σ fingerprint, each built on first use;
+* :mod:`repro.server.pool` — the bounded LRU of warm closure
+  engines keyed by Σ fingerprint, each built on first use;
 * :mod:`repro.server.daemon` — the single-threaded asyncio server:
   every request runs to completion on the event loop, under
   cooperative deadlines riding the stream engine's

@@ -3,7 +3,7 @@
 :class:`ReproServer` is a long-lived TCP server answering ``implies``,
 ``closure``, ``keys``, and ``check`` queries over the protocol of
 :mod:`repro.server.protocol`.  It exists so a fleet of clients shares
-one set of warm implication sessions
+one set of warm closure engines
 (:class:`~repro.server.pool.EnginePool`) instead of each process paying
 import and saturation on startup — the per-process caches of the
 inference layer, turned into shared infrastructure.  A ``check`` runs
@@ -14,7 +14,7 @@ in-process, built for the request and fed the bundle's JSON rows as
 Operational behaviour, all of it bounded and typed:
 
 * **One thread** — every request runs to completion on the event
-  loop: a query's path (bundle parse, pool lookup, the inline session
+  loop: a query's path (bundle parse, pool lookup, the inline engine
   build, the closure batch, key sweep or check) holds no suspension
   point, so requests never interleave and the pool needs no locking.
   Under the GIL, threads would buy nothing: a query's work is Python
@@ -416,7 +416,7 @@ class ReproServer:
     def _handle_query(self, request_id, request_type: str,
                       request: dict, remaining: float | None) -> dict:
         """Parse and answer through :mod:`repro.service`: closures as
-        one batch and keys as one sweep on the entry's warm session
+        one batch and keys as one sweep on the entry's warm engine
         (trimmed to the pool's bound afterwards), checks through
         :func:`~repro.service.check`."""
         deadline = self._effective_deadline(request, remaining)
@@ -434,9 +434,9 @@ class ReproServer:
         if request_type != "check":
             try:
                 if request_type == "keys":
-                    session = self.pool.session_for(entry)
+                    engine = self.pool.session_for(entry)
                     outcome = minimal_keys(entry.schema, entry.sigma,
-                                           query.relation, engine=session,
+                                           query.relation, engine=engine,
                                            nonempty=entry.nonempty)
                 else:
                     outcome = self.pool.closure_batch(

@@ -1,12 +1,12 @@
-"""The daemon's warm state: a bounded pool of implication sessions.
+"""The daemon's warm state: a bounded pool of closure engines.
 
 Every query request names its constraint universe by shipping a bundle;
 the pool maps the bundle's canonical
 :func:`~repro.inference.session.sigma_fingerprint` to a
 :class:`PoolEntry` holding the parsed model objects plus one
-:class:`~repro.inference.session.ImplicationSession`, built lazily and
-kept warm: its engine's query state answers a repeated closure without
-saturating.  A
+:class:`~repro.inference.closure.ClosureEngine` (the entry's
+*session*), built lazily with the fingerprint handed in and kept warm:
+its query state answers a repeated closure without saturating.  A
 ``check`` keeps nothing here: it runs :func:`repro.service.check`,
 which builds its stream engine per request, and
 :attr:`PoolStats.validator_builds` counts those builds.
@@ -15,20 +15,20 @@ The pool is a **bounded LRU** (:attr:`EnginePool.max_entries`): the
 least-recently-used fingerprint is evicted when a new one would exceed
 the bound, and its cumulative engine counters are folded into retired
 totals first, so the aggregate counters the ``stats`` request reports
-never go backwards.  Each entry is bounded too: after a request, a
-session whose engine holds more than :data:`MAX_ENGINE_QUERIES`
-queries (every distinct closure a request asks stays resident, so an
-entry's engine grows with the queries its clients send) is folded out the same way and dropped, and the next request rebuilds
-it (:meth:`EnginePool.trim`).
+never go backwards.  Each entry is bounded too: after a request, an
+engine holding more than :data:`MAX_ENGINE_QUERIES` queries (every
+distinct closure a request asks stays resident, so an entry's engine
+grows with the queries its clients send) is folded out the same way
+and dropped, and the next request rebuilds it (:meth:`EnginePool.trim`).
 
-A session is built inline by the first request that needs it, and the
+An engine is built inline by the first request that needs it, and the
 rest find it: the daemon runs every request to completion on its one
 thread, so one Σ arriving on a hundred connections still builds
 exactly once.  ``coalesced_builds`` stays in the counters for existing
 readers and always reads 0.
 
 An ``implies`` or ``closure`` request is one
-:meth:`ImplicationSession.closure_batch` call
+:meth:`ClosureEngine.closure_batch` call
 (:meth:`EnginePool.closure_batch`): ``batches`` counts those requests
 and ``batched_queries`` the closures they asked.
 """
@@ -38,7 +38,8 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 
-from ..inference.session import ImplicationSession, sigma_fingerprint
+from ..inference.closure import ClosureEngine
+from ..inference.session import sigma_fingerprint
 from ..obs.report import Stats
 
 __all__ = ["EnginePool", "MAX_ENGINE_QUERIES", "PoolEntry", "PoolStats"]
@@ -61,18 +62,18 @@ class PoolStats(Stats):
 
 
 def _fold_session(totals: dict, entry: "PoolEntry") -> None:
-    """Add the work of *entry*'s session, if it has one, to *totals*."""
+    """Add the work of *entry*'s engine, if it has one, to *totals*."""
     if entry.session is not None:
         stats = entry.session.stats
-        totals["rule_attempts"] += stats.engine.attempts
-        totals["saturations"] += stats.engine.saturations
+        totals["rule_attempts"] += stats.attempts
+        totals["saturations"] += stats.saturations
         totals["closure_queries"] += stats.queries
         totals["memo_hits"] += stats.hits
 
 
 class PoolEntry:
     """One fingerprint's warm state: model objects plus a lazy
-    session."""
+    engine (``session``)."""
 
     __slots__ = ("key", "fingerprint", "schema", "sigma", "nonempty",
                  "session")
@@ -84,7 +85,7 @@ class PoolEntry:
         self.schema = schema
         self.sigma = tuple(sigma)
         self.nonempty = nonempty
-        self.session: ImplicationSession | None = None
+        self.session: ClosureEngine | None = None
 
 
 class EnginePool:
@@ -135,12 +136,12 @@ class EnginePool:
             self.stats.evictions += 1
         return entry
 
-    # -- sessions --------------------------------------------------------
+    # -- engines ---------------------------------------------------------
 
-    def session_for(self, entry: PoolEntry) -> ImplicationSession:
-        """The entry's warm session, built on first use."""
+    def session_for(self, entry: PoolEntry) -> ClosureEngine:
+        """The entry's warm engine, built on first use."""
         if entry.session is None:
-            entry.session = ImplicationSession(
+            entry.session = ClosureEngine(
                 entry.schema, entry.sigma, entry.nonempty,
                 tracer=self.tracer, _fingerprint=entry.fingerprint)
             self.stats.session_builds += 1
@@ -148,19 +149,18 @@ class EnginePool:
 
     def closure_batch(self, entry: PoolEntry, queries) -> list:
         """One request's ``(base, lhs)`` closures, answered as one batch
-        on the entry's warm session."""
-        session = self.session_for(entry)
+        on the entry's warm engine."""
+        engine = self.session_for(entry)
         self.stats.batches += 1
         self.stats.batched_queries += len(queries)
-        return session.closure_batch(queries)
+        return engine.closure_batch(queries)
 
     def trim(self, entry: PoolEntry) -> None:
-        """Bound the entry's memory after a request: a session whose
-        engine holds more than :data:`MAX_ENGINE_QUERIES` queries is
-        folded into the retired totals and dropped."""
-        session = entry.session
-        if session is not None \
-                and session.engine.query_count > MAX_ENGINE_QUERIES:
+        """Bound the entry's memory after a request: an engine holding
+        more than :data:`MAX_ENGINE_QUERIES` queries is folded into the
+        retired totals and dropped."""
+        engine = entry.session
+        if engine is not None and engine.query_count > MAX_ENGINE_QUERIES:
             _fold_session(self._retired, entry)
             entry.session = None
 

@@ -15,8 +15,8 @@ the rules — whenever its path space is small enough to enumerate.
 A deterministic seed sweep guarantees the advertised case count (the
 acceptance bar is >= 200 randomized cases across the modes) independent
 of hypothesis profiles; a hypothesis wrapper adds shrinking on failure.
-The batch APIs (``closure_many`` / ``closure_batch`` / ``covers_many``)
-are checked against their mapped one-query-at-a-time reading.
+The batch APIs (``closure_batch`` / ``covers_batch``) are checked
+against their mapped one-query-at-a-time reading.
 :mod:`tests.properties.test_closure_differential` runs the same
 agreement check on deeper, wider schemas.
 """
@@ -33,7 +33,6 @@ from repro.generators import random_schema, random_sigma
 from repro.inference import (
     BruteForceProver,
     ClosureEngine,
-    ImplicationSession,
     NonEmptySpec,
 )
 from repro.nfd import NFD
@@ -167,7 +166,7 @@ def test_closure_many_matches_mapped_closure(seed, oracle):
         lhs = frozenset(rng.sample(paths,
                                    min(len(paths), rng.randint(0, 3))))
         queries.append((base, lhs))
-    batch = ClosureEngine(schema, sigma).closure_many(queries)
+    batch = ClosureEngine(schema, sigma).closure_batch(queries)
     single = ClosureEngine(schema, sigma)
     assert batch == [oracle(single, b, lhs) for b, lhs in queries]
 
@@ -182,9 +181,9 @@ def test_session_batches_match_engine(seed):
         for _ in range(5)
     ]
     targets = rng.sample(paths, min(len(paths), 2))
-    session = ImplicationSession(schema, sigma)
+    session = ClosureEngine(schema, sigma)
     closures = session.closure_batch([(base, c) for c in candidates])
-    fresh = ImplicationSession(schema, sigma)
+    fresh = ClosureEngine(schema, sigma)
     assert closures == [fresh.closure(base, c) for c in candidates]
     assert session.covers_batch(base, candidates, targets) == [
         all(t in closed for t in targets) for closed in closures

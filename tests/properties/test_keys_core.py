@@ -21,7 +21,7 @@ import pytest
 from repro.analysis import local_minimal_keys, minimal_keys
 from repro.generators import random_sigma, workloads
 from repro.generators.schemas import LabelSupply, random_record
-from repro.inference import ClosureEngine, ImplicationSession
+from repro.inference import ClosureEngine
 from repro.io.json_io import load_bundle_sigma
 from repro.obs import Tracer
 from repro.paths import Path
@@ -66,13 +66,11 @@ def _brute_force_keys(schema, sigma, spec, base, attributes):
     except the proper supersets of a key already found (never
     minimal)."""
     keys = []
+    engine = ClosureEngine(schema, sigma, nonempty=spec)
     for size in range(1, len(attributes) + 1):
         for subset in map(frozenset, combinations(attributes, size)):
             if any(key < subset for key in keys):
                 continue
-            # a fresh engine per subset: the reference rescans every
-            # query it holds on each round
-            engine = ClosureEngine(schema, sigma, nonempty=spec)
             if set(attributes) <= engine.reference_closure(base, subset):
                 keys.append(subset)
     return sorted(keys, key=lambda key: (len(key), sorted(map(str, key))))
@@ -84,7 +82,7 @@ def _probed(seed: int, gated: bool, nested: bool = False) -> bool:
     rng, schema, sigma, base, attributes = _draw(seed, nested)
     spec = _partial_spec(rng, schema, "R") if gated else None
     tracer = Tracer()
-    session = ImplicationSession(schema, sigma, spec, tracer=tracer)
+    session = ClosureEngine(schema, sigma, spec, tracer=tracer)
     if nested:
         keys = local_minimal_keys(schema, sigma, base, engine=session)
     else:
@@ -115,14 +113,14 @@ def test_wide_bundle_sweep_work_is_pinned():
     """The 11+1-attribute bundle: twelve probes find the five-attribute
     core, which is the one key; the engine keeps 25 queries."""
     schema, sigma = load_bundle_sigma(json.dumps(_wide_key_bundle()))
-    session = ImplicationSession(schema, sigma)
+    session = ClosureEngine(schema, sigma)
     keys = minimal_keys(schema, sigma, "R", engine=session)
     assert [sorted(map(str, key)) for key in keys] == \
         [["a0", "a10", "a2", "a7", "a9"]]
-    stats = session.engine.stats
+    stats = session.stats
     assert (stats.saturations, stats.attempts, stats.mask_tests) == \
         (24, 170, 195)
-    assert sum(stats.queries.values()) == 25
+    assert sum(stats.held.values()) == 25
 
 
 def test_course_sweep_never_probes():
@@ -131,11 +129,11 @@ def test_course_sweep_never_probes():
     does the same work as without the core step."""
     tracer = Tracer()
     schema = workloads.course_schema()
-    session = ImplicationSession(schema, workloads.course_sigma(),
-                                 tracer=tracer)
+    session = ClosureEngine(schema, workloads.course_sigma(),
+                            tracer=tracer)
     minimal_keys(schema, workloads.course_sigma(), "Course",
                  engine=session)
-    stats = session.engine.stats
+    stats = session.stats
     assert (stats.saturations, stats.attempts, stats.mask_tests) == \
         (5, 69, 76)
     [span] = tracer.spans("analysis.keys")

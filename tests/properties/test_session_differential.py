@@ -1,11 +1,11 @@
-"""Differential tests: ImplicationSession vs the naive reference.
+"""Differential tests: the engine as a query server vs the naive reference.
 
-The session serves every query through its engine's dense query state —
+The engine serves every query through its dense query state —
 held keys read off without saturating, new keys seeded from their
 drop-one sub-queries, batches visited in subset order — and hands out
 copy-on-write Sigma probes; none of that may change an answer.  Each
 case draws a random (schema, Sigma), serves a repetitive query stream
-through one session — repeating queries (held keys), growing LHSs
+through one engine — repeating queries (held keys), growing LHSs
 (drop-one seeds), one subset-ordered batch, and interleaved
 ``without``/``with_added`` probes — and checks every answer against
 the naive reference saturation (:meth:`ClosureEngine.reference_closure`)
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.generators import random_schema, random_sigma
-from repro.inference import ClosureEngine, ImplicationSession, NonEmptySpec
+from repro.inference import ClosureEngine, NonEmptySpec
 from repro.paths import Path, relation_paths, set_paths
 
 SEEDS_PER_MODE = 100
@@ -64,7 +64,7 @@ def _query_stream(rng: random.Random, paths):
 def _check_agreement(seed: int, gated: bool) -> None:
     rng, schema, sigma, relation, paths = _draw(seed)
     spec = _partial_spec(rng, schema, relation) if gated else None
-    session = ImplicationSession(schema, sigma, spec)
+    session = ClosureEngine(schema, sigma, spec)
     reference = ClosureEngine(schema, sigma, nonempty=spec)
     base = Path((relation,))
 

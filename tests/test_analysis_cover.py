@@ -3,7 +3,7 @@
 from repro.analysis import covers, is_redundant, minimal_cover, \
     non_redundant
 from repro.generators import workloads
-from repro.inference import ImplicationSession, equivalent_sets
+from repro.inference import ClosureEngine, equivalent_sets
 from repro.inference.closure import pool_build_count
 from repro.nfd import parse_nfd, parse_nfds
 from repro.types import parse_schema
@@ -77,7 +77,7 @@ class TestMinimalCover:
     def test_supplied_session_means_zero_builds(self):
         schema = parse_schema("R = {<A, B, C>}")
         sigma = parse_nfds("R:[A -> B]\nR:[B -> C]\nR:[A, B -> C]")
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         before = pool_build_count()
         minimal_cover(schema, sigma, session=session)
         assert pool_build_count() - before == 0

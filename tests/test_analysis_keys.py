@@ -3,7 +3,7 @@
 from repro.analysis import is_key, key_nfds, local_minimal_keys, \
     minimal_keys
 from repro.generators import workloads
-from repro.inference import ClosureEngine, ImplicationSession, NonEmptySpec
+from repro.inference import ClosureEngine, NonEmptySpec
 from repro.nfd import parse_nfds
 from repro.paths import parse_path
 from repro.types import parse_schema
@@ -63,9 +63,27 @@ class TestGatedKeys:
     def test_supplied_engine_spec_is_authoritative(self):
         schema, sigma = self._workload()
         spec = NonEmptySpec({parse_path("R")})
-        session = ImplicationSession(schema, sigma, spec)
+        session = ClosureEngine(schema, sigma, spec)
         keys = minimal_keys(schema, sigma, "R", engine=session)
         assert keys == [frozenset({parse_path("a"), parse_path("b")})]
+
+    def test_bare_engine_matches_the_built_one(self):
+        """A plain :class:`ClosureEngine` serves the sweep: its keys
+        equal the ones ``minimal_keys`` finds on the engine it builds,
+        plain and gated, at the relation and at a nested base."""
+        schema, sigma = workloads.course_schema(), workloads.course_sigma()
+        assert minimal_keys(schema, sigma, "Course",
+                            engine=ClosureEngine(schema, sigma)) == \
+            minimal_keys(schema, sigma, "Course")
+        students = parse_path("Course:students")
+        assert local_minimal_keys(schema, sigma, students,
+                                  ClosureEngine(schema, sigma)) == \
+            local_minimal_keys(schema, sigma, students)
+        schema, sigma = self._workload()
+        spec = NonEmptySpec({parse_path("R")})
+        assert minimal_keys(schema, sigma, "R",
+                            engine=ClosureEngine(schema, sigma, spec)) == \
+            minimal_keys(schema, sigma, "R", nonempty=spec)
 
     def test_local_keys_accept_the_spec(self):
         schema = workloads.course_schema()

@@ -119,10 +119,9 @@ class TestMetricsJsonFlag:
                      str(target)]) == 0
         payload = json.loads(target.read_text())
         assert payload["command"] == "analyze"
-        assert set(payload["sections"]) >= \
-            {"closure", "session", "validator"}
+        assert set(payload["sections"]) >= {"closure", "validator"}
         assert payload["sections"]["closure"]["saturations"] > 0
-        assert payload["sections"]["session"]["queries"] > 0
+        assert payload["sections"]["closure"]["queries"] > 0
         assert payload["sections"]["validator"]["validations"] == 1
 
     def test_metrics_do_not_change_stdout_or_exit(self, broken_bundle,
@@ -147,7 +146,7 @@ class TestMetricsJsonFlag:
         attempts = re.search(r"apply attempts: (\d+)", err).group(1)
         assert sections["closure"]["attempts"] == int(attempts)
         queries = re.search(r"closure queries: (\d+)", err).group(1)
-        assert sections["session"]["queries"] == int(queries)
+        assert sections["closure"]["queries"] == int(queries)
         walked = re.search(r"elements walked: (\d+)", err).group(1)
         assert sections["validator"]["elements_walked"] == int(walked)
 
@@ -171,7 +170,7 @@ class TestMetricsJsonFlag:
         assert main(["implies", course_bundle, "Course:[cnum -> time]",
                      "--metrics-json", str(target)]) == 0
         payload = json.loads(target.read_text())
-        assert set(payload["sections"]) == {"closure", "session"}
+        assert set(payload["sections"]) == {"closure"}
 
     def test_keys_metrics_and_exit_codes(self, course_bundle, tmp_path,
                                          capsys):
@@ -180,4 +179,4 @@ class TestMetricsJsonFlag:
                      str(target)]) == 0
         payload = json.loads(target.read_text())
         assert payload["command"] == "keys"
-        assert "session" in payload["sections"]
+        assert "closure" in payload["sections"]

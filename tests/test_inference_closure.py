@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import InferenceError
 from repro.generators import workloads
-from repro.inference import ClosureEngine, ImplicationSession
+from repro.inference import ClosureEngine
 from repro.nfd import parse_nfd, parse_nfds
 from repro.paths import parse_path
 from repro.types import parse_schema
@@ -202,7 +202,7 @@ class TestEngineStats:
         assert stats.saturations >= 1
         assert stats.rounds >= 1
         assert stats.wall_time > 0
-        assert stats.queries["Course"] >= 1
+        assert stats.held["Course"] >= 1
         assert stats.derived["Course"] >= 1
         assert stats.usables["Course"] >= len(course_sigma)
         assert stats.candidates["Course"] == 2  # students, books
@@ -310,7 +310,7 @@ class TestDenseStrategy:
         queries = [(base, _paths("cnum")), (base, _paths("time")),
                    (base, _paths("cnum", "time")), (base, frozenset())]
         batch = ClosureEngine(course_schema, course_sigma) \
-            .closure_many(queries)
+            .closure_batch(queries)
         fresh = ClosureEngine(course_schema, course_sigma)
         assert batch == [fresh.closure(b, lhs) for b, lhs in queries]
 
@@ -320,7 +320,7 @@ class TestDenseStrategy:
         candidates = [_paths("cnum"), _paths("time"), _paths("books")]
         targets = _paths("time", "books")
         engine = ClosureEngine(course_schema, course_sigma)
-        verdicts = engine.covers_many(base, candidates, targets)
+        verdicts = engine.covers_batch(base, candidates, targets)
         fresh = ClosureEngine(course_schema, course_sigma)
         assert verdicts == [targets <= fresh.closure(base, c)
                             for c in candidates]
@@ -329,7 +329,7 @@ class TestDenseStrategy:
                                            course_sigma):
         engine = ClosureEngine(course_schema, course_sigma)
         with pytest.raises(InferenceError, match="not well-typed"):
-            engine.covers_many(parse_path("Course"),
+            engine.covers_batch(parse_path("Course"),
                                [_paths("nope")], _paths("time"))
 
     def test_explain_and_prove_on_a_gated_engine(self, course_schema,
@@ -376,7 +376,7 @@ class TestDenseStrategy:
     def test_batch_seeding_counts(self, course_schema, course_sigma):
         engine = ClosureEngine(course_schema, course_sigma)
         base = parse_path("Course")
-        engine.closure_many([(base, _paths("cnum")),
+        engine.closure_batch([(base, _paths("cnum")),
                              (base, _paths("cnum", "time"))])
         # the two-member query must have seeded from the one-member one
         assert engine.stats.dense_seeds >= 1
@@ -402,13 +402,73 @@ class TestDenseStrategy:
         lines.append(f"R:[{', '.join(rng.sample(names, 3))} -> s]")
         lines.append("R:s:[x -> y]")
         sigma = parse_nfds("\n".join(lines))
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         attributes = [Path((label,)) for label in [*names, "s"]]
         # every one-, two- and three-attribute combination, as one batch
         candidates = [frozenset(combo) for size in (1, 2, 3)
                       for combo in combinations(attributes, size)]
         session.covers_batch(Path(("R",)), candidates, attributes)
-        state = session.engine._dense_states["R"]
+        state = session._dense_states["R"]
         assert len(state.acc) > 100
         for key, acc in state.acc.items():
             assert not any(acc & row[0] for row in state.qrows[key]), key
+
+
+class TestReferenceCost:
+    @pytest.mark.parametrize("workload", ["flat", "course"])
+    def test_reference_cost_does_not_grow_with_held_queries(self,
+                                                            workload):
+        """The reference re-attempts usables on the query it is asked
+        (and on held queries only after a singleton activation appends
+        usables): a query costs the same ``_apply_usable`` calls on an
+        engine holding one earlier query as on one holding dozens."""
+        from itertools import combinations
+
+        from repro.paths import Path, relation_paths
+
+        if workload == "flat":
+            names = [f"a{i}" for i in range(10)]
+            schema = parse_schema(
+                "R = {<" + ", ".join(f"{n}: int" for n in names) + ">}")
+            sigma = parse_nfds("\n".join(
+                [f"R:[a{i} -> a{i + 1}]" for i in range(0, 8, 2)]
+                + ["R:[a1, a3 -> a9]", "R:[a9 -> a0]"]))
+            relation = "R"
+        else:
+            schema = workloads.course_schema()
+            sigma = workloads.course_sigma()
+            relation = "Course"
+        base = Path((relation,))
+        paths = relation_paths(schema, relation)
+        top = [path for path in paths if len(path) == 1]
+        asked = frozenset(top[1:4])
+        calls = {}
+
+        def counted_engine():
+            engine = ClosureEngine(schema, sigma)
+            apply_usable = engine._apply_usable
+
+            def counted(*args):
+                calls[engine] = calls.get(engine, 0) + 1
+                return apply_usable(*args)
+
+            engine._apply_usable = counted
+            return engine
+
+        def cost(engine):
+            before = calls.get(engine, 0)
+            engine.reference_closure(base, asked)
+            return calls[engine] - before
+
+        few, many = counted_engine(), counted_engine()
+        few.reference_closure(base, [top[0]])
+        many.reference_closure(base, [top[0]])
+        for size in (1, 2):
+            for combo in combinations(paths, size):
+                many.reference_closure(base, combo)
+        assert len(many._references[relation].queries) > 40
+        assert cost(many) == cost(few) > 0
+        assert few.reference_closure(base, asked) == \
+            many.reference_closure(base, asked) == \
+            ClosureEngine(schema, sigma).closure(base, asked)
+

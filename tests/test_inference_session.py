@@ -1,4 +1,6 @@
-"""Unit tests for ImplicationSession and the Sigma fingerprint."""
+"""Unit tests for the closure engine as a query server — its memo,
+copy-on-write probes and batches, all keyed by frozensets of paths —
+and the Sigma fingerprint."""
 
 import pytest
 
@@ -6,7 +8,6 @@ from repro.errors import InferenceError
 from repro.generators import workloads
 from repro.inference import (
     ClosureEngine,
-    ImplicationSession,
     NonEmptySpec,
     sigma_fingerprint,
 )
@@ -70,17 +71,17 @@ class TestFingerprint:
 
     def test_session_exposes_fingerprint(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         assert session.fingerprint == sigma_fingerprint(schema, sigma)
         assert session.fingerprint == \
-            ImplicationSession(schema,
-                               list(reversed(sigma))).fingerprint
+            ClosureEngine(schema,
+                          list(reversed(sigma))).fingerprint
 
 
 class TestMemo:
     def test_hits_and_misses(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         first = session.closure_simple("Course", _paths("cnum"))
         again = session.closure_simple("Course", _paths("cnum"))
         assert first == again
@@ -89,15 +90,15 @@ class TestMemo:
         assert stats.hits == 1
         assert stats.hit_rate == 0.5
         # a held key is read off the engine: no second saturation
-        assert stats.engine.saturations == 1
+        assert stats.saturations == 1
 
     def test_seed_reuse(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         session.closure_simple("Course", _paths("cnum"))
-        assert session.engine.stats.dense_seeds == 0
+        assert session.stats.dense_seeds == 0
         seeded = session.closure_simple("Course", _paths("cnum", "time"))
-        assert session.engine.stats.dense_seeds == 1
+        assert session.stats.dense_seeds == 1
         fresh = ClosureEngine(schema, sigma)
         assert seeded == fresh.closure_simple("Course",
                                               _paths("cnum", "time"))
@@ -137,19 +138,19 @@ class TestMemo:
         pool.trim(entry)
         assert entry.session is None
         pool.closure_batch(entry, [(base, _paths("cnum"))])
-        state = entry.session.engine._dense_states["Course"]
+        state = entry.session._dense_states["Course"]
         assert _paths("time") not in state.acc
         assert _paths("cnum") in state.acc
 
     def test_max_memo_must_be_positive(self, course):
-        """The session keeps no memo of its own: ``max_memo`` is gone."""
+        """The engine takes no ``max_memo``: its query state is the memo."""
         schema, sigma = course
         with pytest.raises(TypeError):
-            ImplicationSession(schema, sigma, max_memo=0)
+            ClosureEngine(schema, sigma, max_memo=0)
 
     def test_implies_matches_engine(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         engine = ClosureEngine(schema, sigma)
         for text in ["Course:[cnum -> time]",
                      "Course:[time, students:sid -> books]",
@@ -160,9 +161,9 @@ class TestMemo:
 
     def test_stats_text(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         session.implies(parse_nfd("Course:[cnum -> time]"))
-        text = session.stats.to_text()
+        text = session.stats.query_text()
         assert text.startswith("session stats (fingerprint ")
         assert "engine stats:" in text
 
@@ -170,34 +171,34 @@ class TestMemo:
 class TestCopyOnWriteProbes:
     def test_without_drops_one_member(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         probe = session.without(0)
         assert list(probe.sigma) == sigma[1:]
-        assert probe.engine._pool is session.engine._pool
+        assert probe._pool is session._pool
         assert probe.fingerprint != session.fingerprint
 
     def test_with_added_appends(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         extra = parse_nfd("Course:[time -> cnum]")
         probe = session.with_added(extra)
         assert list(probe.sigma) == sigma + [extra]
-        assert probe.engine._pool is session.engine._pool
+        assert probe._pool is session._pool
         assert probe.implies(extra)
 
     def test_replaced_preserves_order(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         replacement = parse_nfd("Course:[cnum -> students]")
-        probe = session.replaced(4, replacement)
+        probe = session.replace(4, replacement)
         expected = list(sigma)
         expected[4] = replacement
         assert list(probe.sigma) == expected
-        assert probe.engine._pool is session.engine._pool
+        assert probe._pool is session._pool
 
     def test_probe_answers_match_fresh_engines(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         target = parse_nfd("Course:[time, students:sid -> books]")
         for index in range(len(sigma)):
             rest = sigma[:index] + sigma[index + 1:]
@@ -212,8 +213,8 @@ class TestStrategyAndBatches:
         queries = [(base, _paths("cnum")),
                    (base, _paths("cnum", "time")),
                    (base, _paths("books"))]
-        batch = ImplicationSession(schema, sigma).closure_batch(queries)
-        fresh = ImplicationSession(schema, sigma)
+        batch = ClosureEngine(schema, sigma).closure_batch(queries)
+        fresh = ClosureEngine(schema, sigma)
         assert batch == [fresh.closure(b, lhs) for b, lhs in queries]
 
     def test_covers_batch_matches_membership(self, course):
@@ -221,26 +222,26 @@ class TestStrategyAndBatches:
         base = parse_path("Course")
         candidates = [_paths("cnum"), _paths("time")]
         targets = _paths("time", "books")
-        session = ImplicationSession(schema, sigma)
-        fresh = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
+        fresh = ClosureEngine(schema, sigma)
         assert session.covers_batch(base, candidates, targets) == [
             targets <= fresh.closure(base, c) for c in candidates
         ]
 
     def test_implies_all_matches_per_member(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         assert session.implies_all(sigma)
         bogus = parse_nfd("Course:[time -> cnum]")
         assert session.implies_all(list(sigma) + [bogus]) == \
-            all(ImplicationSession(schema, sigma).implies(nfd)
+            all(ClosureEngine(schema, sigma).implies(nfd)
                 for nfd in list(sigma) + [bogus])
 
     def test_diff_mismatch_names_snapshot_misuse(self, course):
         schema, sigma = course
-        mine = ImplicationSession(schema, sigma).snapshot()
-        other = ImplicationSession(schema, sigma[:-1]).snapshot()
+        mine = ClosureEngine(schema, sigma).snapshot()
+        other = ClosureEngine(schema, sigma[:-1]).snapshot()
         with pytest.raises(InferenceError,
                            match=r"snapshot\(\) calls taken from the "
-                                 r"\*same\* session"):
+                                 r"\*same\* engine"):
             mine.diff(other)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import InferenceError
 from repro.generators import workloads
-from repro.inference import ClosureEngine, ImplicationSession
+from repro.inference import ClosureEngine
 from repro.nfd import ValidatorEngine
 from repro.obs import (
     Histogram,
@@ -242,7 +242,7 @@ class TestSnapshotDiff:
 
     def test_session_diff_isolates_the_window(self):
         schema, sigma = self._course()
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         base = parse_path("Course")
         session.closure(base, {parse_path("cnum")})
         before = session.snapshot()
@@ -252,13 +252,13 @@ class TestSnapshotDiff:
         assert window.hits == 1
         # the window saturated nothing; the engine's query map is
         # point-in-time, not a delta
-        assert window.engine.saturations == 0
-        assert window.engine.queries == session.snapshot().engine.queries
+        assert window.saturations == 0
+        assert window.held == session.snapshot().held
 
     def test_session_diff_rejects_fingerprint_mismatch(self):
         schema, sigma = self._course()
-        full = ImplicationSession(schema, sigma).snapshot()
-        smaller = ImplicationSession(schema, sigma[:-1]).snapshot()
+        full = ClosureEngine(schema, sigma).snapshot()
+        smaller = ClosureEngine(schema, sigma[:-1]).snapshot()
         with pytest.raises(InferenceError):
             full.diff(smaller)
 
@@ -280,16 +280,15 @@ class TestSnapshotDiff:
     @pytest.mark.parametrize("kind", ["closure", "session", "validator"])
     def test_reversed_diff_is_rejected(self, kind):
         """``earlier.diff(later)`` raises instead of returning negative
-        counts (the session's second query is a memo hit, which moves
-        only the session's own counters)."""
+        counts (under ``session`` the second query is a memo hit, which
+        moves only the query counters)."""
         schema, sigma = self._course()
         base, instance = parse_path("Course"), workloads.course_instance()
         if kind == "validator":
             engine = ValidatorEngine(schema, sigma)
             windows = [lambda: engine.validate(instance)] * 2
         else:
-            engine = (ClosureEngine if kind == "closure"
-                      else ImplicationSession)(schema, sigma)
+            engine = ClosureEngine(schema, sigma)
             labels = ["cnum", "time" if kind == "closure" else "cnum"]
             windows = [lambda label=label: engine.closure(
                 base, {parse_path(label)}) for label in labels]
@@ -340,21 +339,19 @@ class TestRunReport:
     def test_json_export_contains_all_sections(self, tmp_path):
         schema = workloads.course_schema()
         sigma = list(workloads.course_sigma())
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         session.closure(parse_path("Course"), {parse_path("cnum")})
         validator = ValidatorEngine(schema, sigma)
         validator.validate(workloads.course_instance())
         report = (RunReport(command="analyze")
-                  .add("closure", session.engine.stats)
-                  .add("session", session.stats)
+                  .add("closure", session.stats)
                   .add("validator", validator.stats))
         target = tmp_path / "metrics.json"
         report.write_json(target)
         payload = json.loads(target.read_text())
         assert payload["command"] == "analyze"
-        assert set(payload["sections"]) == \
-            {"closure", "session", "validator"}
-        assert payload["sections"]["session"]["queries"] == 1
+        assert set(payload["sections"]) == {"closure", "validator"}
+        assert payload["sections"]["closure"]["queries"] == 1
 
 
 class TestCompareSnapshots:

@@ -187,7 +187,7 @@ class TestEnginePool:
             with ReproClient(bg.host, bg.port, timeout=TIMEOUT) as client:
                 result = client.keys(_wide_key_bundle())
             assert result["relation"] == "R" and result["keys"]
-            held = [sum(entry.session.engine.stats.queries.values())
+            held = [sum(entry.session.stats.held.values())
                     for entry in bg.server.pool._entries.values()
                     if entry.session is not None]
             assert held == [25], held

@@ -29,7 +29,7 @@ from pathlib import Path as FsPath
 import pytest
 
 from repro.generators import workloads
-from repro.inference import ImplicationSession
+from repro.inference import ClosureEngine
 from repro.io.json_io import dump_bundle
 from repro.server import (BackgroundServer, ClientError, ReproClient,
                           ServerConfig, ServerError)
@@ -51,7 +51,7 @@ def _assert_alive(host: str, port: int) -> None:
     """The pool survived: the server still answers a correct query."""
     bundle = _bundle()
     sigma = workloads.course_sigma()
-    session = ImplicationSession(workloads.course_schema(), sigma)
+    session = ClosureEngine(workloads.course_schema(), sigma)
     with ReproClient(host, port, timeout=TIMEOUT) as probe:
         assert session.implies(sigma[0]) is True
         assert probe.implies(bundle, str(sigma[0])) is True

@@ -1,7 +1,7 @@
 """The stats surface, pinned: what every counters class exports and what
 the observability flags print.
 
-The seven ``*Stats`` classes are read by the CLI (``--stats``,
+The six ``*Stats`` classes are read by the CLI (``--stats``,
 ``--cache-stats``, ``--metrics-json``), the daemon's ``stats`` reply,
 perfbench and the benchmarks.  This file records that surface so a
 change to how the classes are built cannot move it:
@@ -23,7 +23,7 @@ import pytest
 
 from repro.cli import main
 from repro.generators import workloads
-from repro.inference import ClosureEngine, ImplicationSession
+from repro.inference import ClosureEngine
 from repro.io import dump_bundle
 from repro.io.stream import dump_jsonl, iter_set_elements
 from repro.nfd import ValidatorEngine
@@ -36,11 +36,11 @@ from repro.store.cache_store import CacheStats
 #: Wall-clock seconds as the stats text prints them.
 SECONDS = re.compile(r"\d+\.\d{6}s")
 
-ENGINE_KEYS = ["saturations", "rounds", "attempts", "successes",
+ENGINE_KEYS = ["fingerprint", "queries", "hits", "hit_rate",
+               "saturations", "rounds", "attempts", "successes",
                "wall_time", "usables", "candidates", "activated",
-               "queries", "derived", "mask_tests", "dense_seeds",
+               "held", "derived", "mask_tests", "dense_seeds",
                "interned"]
-SESSION_KEYS = ["fingerprint", "queries", "hits", "hit_rate", "engine"]
 VALIDATOR_KEYS = ["validations", "elements_walked", "bindings_emitted",
                   "base_sets", "trie_nodes", "plan_compilations",
                   "groups", "wall_time"]
@@ -124,7 +124,7 @@ RUNS = {
         ["implies", "BUNDLE", "Course:[cnum -> time]", "--stats",
          "--cache-stats"],
         ENGINE_TEXT + SESSION_HEAD + ENGINE_TEXT,
-        {"closure": ENGINE_KEYS, "session": SESSION_KEYS}),
+        {"closure": ENGINE_KEYS}),
     "check-stream-cache": (
         ["check", "BUNDLE", "--stream", "JSONL", "--incremental",
          "--cache-dir", "CACHE", "--stats"],
@@ -137,8 +137,7 @@ RUNS = {
         + SESSION_HEAD.replace("queries: 1  hits: 0  hit rate: 0.0%",
                                "queries: 7  hits: 2  hit rate: 28.6%")
         + ANALYZE_ENGINE_TEXT,
-        {"closure": ENGINE_KEYS, "session": SESSION_KEYS,
-         "validator": VALIDATOR_KEYS}),
+        {"closure": ENGINE_KEYS, "validator": VALIDATOR_KEYS}),
     "check": (
         ["check", "BUNDLE", "--stats"],
         STREAM_TEXT,
@@ -178,10 +177,8 @@ def test_stats_text_and_metrics_sections(name, files, tmp_path, capsys):
 
 def test_as_dict_keys_of_every_stats_class():
     schema, sigma = workloads.course_schema(), workloads.course_sigma()
-    session = ImplicationSession(schema, sigma)
     snapshots = {
         "EngineStats": (ClosureEngine(schema, sigma).stats, ENGINE_KEYS),
-        "SessionStats": (session.stats, SESSION_KEYS),
         "ValidatorStats": (ValidatorEngine(schema, sigma).stats,
                            VALIDATOR_KEYS),
         "StreamStats": (StreamStats(), STREAM_KEYS),
@@ -192,7 +189,6 @@ def test_as_dict_keys_of_every_stats_class():
     for name, (stats, keys) in snapshots.items():
         assert type(stats).__name__ == name
         assert list(stats.as_dict()) == keys, name
-    assert list(session.stats.as_dict()["engine"]) == ENGINE_KEYS
 
 
 def test_daemon_stats_reply_keys():

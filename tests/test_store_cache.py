@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from repro.generators import workloads
-from repro.inference import ImplicationSession
+from repro.inference import ClosureEngine
 from repro.io import dump_bundle
 from repro.io.stream import iter_set_elements
 from repro.nfd import ResourceBudget, ValidatorEngine, stream_validate
@@ -259,7 +259,7 @@ class TestSpillPlacement:
 def _warm_setup(bundle_text):
     from repro.io import load_bundle
     schema, sigma, _ = load_bundle(bundle_text)
-    return ImplicationSession(schema, sigma)
+    return ClosureEngine(schema, sigma)
 
 
 def _warm_probe(session, item):

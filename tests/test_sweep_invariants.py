@@ -29,7 +29,6 @@ from repro.generators import random_flat_schema, workloads
 from repro.generators.nfds import random_design_sigma
 from repro.inference import (
     ClosureEngine,
-    ImplicationSession,
     NonEmptySpec,
     sigma_fingerprint,
 )
@@ -64,7 +63,7 @@ def _sweep_inputs(count=50, seed=0, rules=4, max_fields=5):
 class TestLazyFingerprint:
     def test_base_session_hashes_on_first_read(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         assert session._fingerprint is None
         assert session.fingerprint == sigma_fingerprint(schema, sigma)
         assert session._fingerprint == session.fingerprint
@@ -72,19 +71,19 @@ class TestLazyFingerprint:
     def test_gated_session(self, course):
         schema, sigma = course
         spec = NonEmptySpec({Path(("Course",))})
-        session = ImplicationSession(schema, sigma, spec)
+        session = ClosureEngine(schema, sigma, spec)
         assert session.fingerprint == sigma_fingerprint(schema, sigma,
                                                         spec)
 
     def test_probes(self, course):
         schema, sigma = course
-        session = ImplicationSession(schema, sigma)
+        session = ClosureEngine(schema, sigma)
         extra = parse_nfd("Course:[time -> cnum]")
         probes = {
             "without": (session.without(1),
                         sigma[:1] + sigma[2:]),
             "with_added": (session.with_added(extra), sigma + [extra]),
-            "replaced": (session.replaced(0, extra),
+            "replaced": (session.replace(0, extra),
                          [extra] + sigma[1:]),
         }
         for name, (probe, expected) in probes.items():
@@ -104,12 +103,12 @@ class TestLazyFingerprint:
 
     def test_diff_across_sessions_still_raises(self, course):
         schema, sigma = course
-        first = ImplicationSession(schema, sigma)
-        second = ImplicationSession(schema, sigma[:-1])
-        with pytest.raises(InferenceError, match="different sessions"):
+        first = ClosureEngine(schema, sigma)
+        second = ClosureEngine(schema, sigma[:-1])
+        with pytest.raises(InferenceError, match="different engines"):
             second.stats.diff(first.stats)
         # same Σ, another session: the fingerprints agree, so it diffs
-        third = ImplicationSession(schema, list(reversed(sigma)))
+        third = ClosureEngine(schema, list(reversed(sigma)))
         assert third.stats.diff(first.stats).queries == 0
 
 
@@ -120,7 +119,7 @@ def _reference_assessment(report, nonempty):
     carried = report.nfds()
     preserved = True
     if carried:
-        preserved = ImplicationSession(
+        preserved = ClosureEngine(
             report.schema, _enforced_sigma(report),
             nonempty).implies_all(carried)
     probe = report.make_session(nonempty)
@@ -226,11 +225,11 @@ class TestCoversManyOrder:
         base = Path(("R",))
 
         ordered_engine = ClosureEngine(schema, sigma)
-        ordered = ordered_engine.covers_many(base, candidates,
-                                             attributes)
+        ordered = ordered_engine.covers_batch(base, candidates,
+                                              attributes)
         shuffled_engine = ClosureEngine(schema, sigma)
-        verdicts = shuffled_engine.covers_many(base, shuffled,
-                                               attributes)
+        verdicts = shuffled_engine.covers_batch(base, shuffled,
+                                                attributes)
 
         assert dict(zip(shuffled, verdicts)) == \
             dict(zip(candidates, ordered))
